@@ -20,7 +20,6 @@ from cylocc import (
     scal_loss,
     scal_loss_grad,
     sem2d_loss,
-    total_loss,
     weighted_ce,
     weighted_ce_grad,
 )
@@ -54,7 +53,7 @@ p2d /= p2d.sum(axis=-1, keepdims=True)
 sem2d = sem2d_loss(p2d, sem, w)
 
 print(f"ce={ce:.4f}  scal={scal:.4f}  dice={dice:.4f}  sem2d={sem2d:.4f}")
-print("total (plain sum):", total_loss(ce, scal, dice, sem2d))
+print("total (plain sum):", ce + scal + dice + sem2d)
 
 # spot-check the analytic gradients with central differences on one entry
 h = 1e-5

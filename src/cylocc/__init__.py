@@ -17,7 +17,6 @@ from .geom import (
     erp_depth_to_point_cloud,
     erp_pixel_to_direction,
     surround_rig,
-    transform_point,
 )
 from .grid import (
     CUBOID,
@@ -31,7 +30,7 @@ from .grid import (
     default_label_set,
     voxelize_semantic,
 )
-from .lift import FeatureImage, HitSet, ReferencePoint, align_history, build_hit_set, color_voxels, fuse_temporal
+from .lift import FeatureImage, HitSet, align_history, build_hit_set, color_voxels, fuse_temporal
 from .losses import (
     ClassWeights,
     ProbGrid,
@@ -41,17 +40,13 @@ from .losses import (
     scal_loss,
     scal_loss_grad,
     sem2d_loss,
-    total_loss,
     weighted_ce,
     weighted_ce_grad,
 )
 from .metrics import (
     BatchHits,
-    QueryRay,
-    RayHit,
     RayIoUReport,
     Rays,
-    cast_ray,
     cast_rays,
     default_ray_fan,
     generate_rays,
@@ -68,7 +63,6 @@ from .synth import (
     VerticalCylinder,
     analytic_voxel_gt,
     lidar_ring_origins,
-    ray_scene_intersect,
     render_erp_depth,
     sample_scene_point_cloud,
 )

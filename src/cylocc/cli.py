@@ -30,6 +30,7 @@ from .formats import (
     rig_from_json,
     scene_from_json,
     spec_from_json,
+    weights_from_json,
 )
 from .geom import UNLABELED, LabeledPointCloud, erp_depth_to_point_cloud, surround_rig
 from .grid import (
@@ -47,47 +48,80 @@ from .metrics import generate_rays, ray_iou
 from .sketch import CandidateMask, DilationSchedule, dilate_radial, sketch_from_points
 
 
-def _parse_spec(text: str) -> GridSpec:
-    if text == "default":
-        return default_cylindrical_spec()
-    if text.startswith((CYLINDRICAL + ":", CUBOID + ":")):
-        parts = text.split(":")
-        coord = parts[0]
-        dims = tuple(int(v) for v in parts[1].split("x"))
-        nums = [float(v) for v in parts[2:]]
-        if coord == CYLINDRICAL:
-            if len(nums) != 4:
-                raise DomainError("cylindrical inline spec needs rmin:rmax:zmin:zmax")
-            ranges = ((nums[0], nums[1]), (-math.pi, math.pi), (nums[2], nums[3]))
-        else:
-            if len(nums) != 6:
-                raise DomainError("cuboid inline spec needs xmin:xmax:ymin:ymax:zmin:zmax")
-            ranges = ((nums[0], nums[1]), (nums[2], nums[3]), (nums[4], nums[5]))
-        return GridSpec(coord, dims, ranges)
-    return spec_from_json(Path(text).read_bytes())
+# argparse type converters: each parses one flag's syntax, so a malformed
+# value is a usage error; the library objects are built by the commands,
+# which keep domain errors on exit code 3
 
 
-def _parse_schedule(text: str) -> DilationSchedule | None:
+def _numbers(text: str, sep: str, count: int | None = None, kind=float) -> tuple:
+    """sep-separated finite numbers; exactly count of them when count is given."""
+    vals = tuple(kind(v) for v in text.split(sep))
+    if (count is not None and len(vals) != count) or not all(math.isfinite(v) for v in vals):
+        raise ValueError(text)
+    return vals
+
+
+def _size(text: str) -> tuple[int, int]:
+    return _numbers(text, "x", 2, int)
+
+
+def _floats(text: str) -> tuple[float, ...]:
+    return _numbers(text, ",")
+
+
+def _point(text: str) -> tuple[float, float, float]:
+    return _numbers(text, ",", 3)
+
+
+def _range(text: str) -> tuple[float, float]:
+    return _numbers(text, ":", 2)
+
+
+def _bands(text: str) -> list[tuple[float, float]]:
+    return [_range(b) for b in text.split(",")]
+
+
+def _angle_range(text: str) -> tuple[float, float]:
+    """lo:hi in degrees (optional "deg" suffix) or radians ("rad" suffix)."""
+    if text.endswith("rad"):
+        return _range(text[:-3])
+    lo, hi = _range(text.removesuffix("deg"))
+    return math.radians(lo), math.radians(hi)
+
+
+def _schedule(text: str) -> tuple[tuple[float, int], ...] | None:
+    """Comma-separated end:window dilation bands, or "none"."""
     if text == "none":
         return None
     bands = []
     for part in text.split(","):
         end, window = part.split(":")
         bands.append((float(end), int(window)))
-    return DilationSchedule(tuple(bands))
+    return tuple(bands)
 
 
-def _parse_angle_range(text: str) -> tuple[float, float]:
-    unit = "deg"
-    if text.endswith("deg"):
-        text = text[:-3]
-    elif text.endswith("rad"):
-        text = text[:-3]
-        unit = "rad"
-    lo, hi = (float(v) for v in text.split(":"))
-    if unit == "deg":
-        lo, hi = math.radians(lo), math.radians(hi)
-    return lo, hi
+def _spec(text: str):
+    """Inline spec text parsed to GridSpec arguments; "default" and JSON file paths pass through."""
+    if not text.startswith((CYLINDRICAL + ":", CUBOID + ":")):
+        return text
+    coord, dims, *parts = text.split(":")
+    dims = tuple(int(v) for v in dims.split("x"))
+    nums = [float(v) for v in parts]
+    if coord == CYLINDRICAL and len(nums) == 4:
+        return coord, dims, ((nums[0], nums[1]), (-math.pi, math.pi), (nums[2], nums[3]))
+    if coord == CUBOID and len(nums) == 6:
+        return coord, dims, ((nums[0], nums[1]), (nums[2], nums[3]), (nums[4], nums[5]))
+    raise argparse.ArgumentTypeError(
+        "inline specs are cylindrical:DIMS:rmin:rmax:zmin:zmax or cuboid:DIMS:xmin:xmax:ymin:ymax:zmin:zmax"
+    )
+
+
+def _load_spec(arg) -> GridSpec:
+    if arg == "default":
+        return default_cylindrical_spec()
+    if isinstance(arg, tuple):
+        return GridSpec(*arg)
+    return spec_from_json(Path(arg).read_bytes())
 
 
 def _write_report(doc: dict, path: str | None) -> None:
@@ -125,7 +159,7 @@ def _cmd_info(args) -> int:
 def _cmd_synth(args) -> int:
     scene, labels = scene_from_json(Path(args.scene).read_bytes())
     rig = rig_from_json(Path(args.rig).read_bytes()) if args.rig else surround_rig()
-    w, h = (int(v) for v in args.erp.split("x"))
+    w, h = args.erp
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     depth, semantic = synth_mod.render_erp_depth(scene, w, h)
@@ -134,7 +168,7 @@ def _cmd_synth(args) -> int:
     origins = np.stack([cam.pose.translation for cam in rig])
     cloud = synth_mod.sample_scene_point_cloud(scene, origins)
     (out / "cloud.opcd").write_bytes(encode_point_cloud(cloud))
-    cyl_spec = _parse_spec(args.spec)
+    cyl_spec = _load_spec(args.spec)
     if cyl_spec.coord_sys != CYLINDRICAL:
         raise DomainError("synth --spec must be cylindrical; the cuboid grid is derived from it")
     cub_spec = GridSpec(
@@ -155,7 +189,7 @@ def _cmd_synth(args) -> int:
 
 def _cmd_voxelize(args) -> int:
     cloud = decode_point_cloud(Path(args.cloud).read_bytes())
-    spec = _parse_spec(args.spec)
+    spec = _load_spec(args.spec)
     labels = default_label_set()
     keep = cloud.labels != UNLABELED
     if not np.all(keep):
@@ -168,12 +202,11 @@ def _cmd_voxelize(args) -> int:
 
 def _cmd_sketch(args) -> int:
     depth = decode_raster(Path(args.depth).read_bytes())
-    spec = _parse_spec(args.spec)
+    spec = _load_spec(args.spec)
     cloud = erp_depth_to_point_cloud(depth, None, stride=args.stride)
     mask = sketch_from_points(cloud, spec, args.min_points)
-    schedule = _parse_schedule(args.schedule)
-    if schedule is not None:
-        mask = dilate_radial(mask, schedule)
+    if args.schedule is not None:
+        mask = dilate_radial(mask, DilationSchedule(args.schedule))
     Path(args.out).write_bytes(encode_voxel_grid(mask.grid))
     print(
         f"sketch occupies {mask.occupied_count} voxels ({mask.occupied_fraction:.2%})",
@@ -216,18 +249,10 @@ def _cmd_fuse(args) -> int:
 def _cmd_eval(args) -> int:
     pred = _load_grid(args.pred)
     gt = _load_grid(args.gt)
-    na, ne = (int(v) for v in args.rays.split("x"))
-    elev = _parse_angle_range(args.elev)
-    origin = tuple(float(v) for v in args.origin.split(","))
-    rays = generate_rays(na, ne, elev, origin)
-    thresholds = tuple(float(v) for v in args.thresholds.split(","))
-    bands = None
-    if args.bands:
-        bands = [tuple(float(v) for v in b.split(":")) for b in args.bands.split(",")]
-    report = ray_iou(pred, gt, rays, thresholds, bands=bands)
+    rays = generate_rays(*args.rays, args.elev, args.origin)
+    report = ray_iou(pred, gt, rays, args.thresholds, bands=args.bands)
     doc = report.to_dict()
-    doc["config"].update({"rays": args.rays, "elev": args.elev, "origin": args.origin,
-                          "seed": args.seed, "threads": args.threads})
+    doc["config"].update({"rays": args.rays, "elev_rad": args.elev, "origin": args.origin})
     _write_report(doc, args.report)
     print(f"RayIoU {report.ray_iou:.4f}", file=sys.stderr)
     return 0
@@ -242,11 +267,9 @@ def _cmd_loss(args) -> int:
     if args.weights == "auto":
         w = class_weights(class_frequencies(gt, c))
     else:
-        w_doc = json.loads(Path(args.weights).read_text())
-        w = class_weights(np.asarray(w_doc["frequencies"], dtype=np.float64),
-                          float(w_doc.get("constant", 1.02)))
+        w = weights_from_json(Path(args.weights).read_bytes())
     terms = args.terms.split(",")
-    doc: dict = {"terms": {}, "seed": args.seed, "threads": args.threads}
+    doc: dict = {"terms": {}}
     pred_labels = VoxelGrid(gt.spec, "label", np.argmax(pred.probs, axis=3).astype(np.uint8))
     for term in terms:
         if term == "ce":
@@ -264,8 +287,6 @@ def _cmd_loss(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="cylocc", description=__doc__)
-    p.add_argument("--threads", type=int, default=0, help="worker cap, recorded in reports")
-    p.add_argument("--seed", type=int, default=0, help="recorded in reports; no command draws randomness")
     sub = p.add_subparsers(dest="command", required=True)
 
     s = sub.add_parser("info", help="summarize a binary file")
@@ -275,24 +296,23 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("synth", help="render a scene: rasters, cloud, ground-truth grids")
     s.add_argument("--scene", required=True)
     s.add_argument("--rig", default=None)
-    s.add_argument("--erp", default="2000x1000")
-    s.add_argument("--spec", default="default")
+    s.add_argument("--erp", type=_size, default="2000x1000")
+    s.add_argument("--spec", type=_spec, default="default")
     s.add_argument("--supersample", type=int, default=3)
     s.add_argument("--out", required=True)
     s.set_defaults(func=_cmd_synth)
 
     s = sub.add_parser("voxelize", help="majority-vote voxelization of a point cloud")
     s.add_argument("--cloud", required=True)
-    s.add_argument("--spec", default="default")
+    s.add_argument("--spec", type=_spec, default="default")
     s.add_argument("--out", required=True)
     s.set_defaults(func=_cmd_voxelize)
 
     s = sub.add_parser("sketch", help="candidate mask from an ERP depth raster")
     s.add_argument("--depth", required=True)
-    s.add_argument("--rig", default=None, help="reserved for per-camera depth input")
-    s.add_argument("--spec", default="default")
+    s.add_argument("--spec", type=_spec, default="default")
     s.add_argument("--min-points", type=int, default=1, dest="min_points")
-    s.add_argument("--schedule", default="8.5:0,17:1,25.6:2")
+    s.add_argument("--schedule", type=_schedule, default="8.5:0,17:1,25.6:2")
     s.add_argument("--stride", type=int, default=1)
     s.add_argument("--out", required=True)
     s.set_defaults(func=_cmd_sketch)
@@ -320,11 +340,11 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("eval", help="RayIoU of prediction vs ground truth")
     s.add_argument("--pred", required=True)
     s.add_argument("--gt", required=True)
-    s.add_argument("--rays", default="512x32")
-    s.add_argument("--elev", default="-20:8.6deg")
-    s.add_argument("--origin", default="0,0,0")
-    s.add_argument("--thresholds", default="1,2,4")
-    s.add_argument("--bands", default=None)
+    s.add_argument("--rays", type=_size, default="512x32")
+    s.add_argument("--elev", type=_angle_range, default="-20:8.6deg")
+    s.add_argument("--origin", type=_point, default="0,0,0")
+    s.add_argument("--thresholds", type=_floats, default="1,2,4")
+    s.add_argument("--bands", type=_bands, default=None)
     s.add_argument("--report", default=None)
     s.set_defaults(func=_cmd_eval)
 

@@ -22,8 +22,8 @@ and nonsensical header fields each raise a distinct error type carrying the
 byte offset or field name. Range values are stored as f32, so decoded grid
 specs carry f32-rounded ranges; payloads round-trip bit-exactly.
 
-JSON documents cover camera rigs, scenes, poses and grid specs; their
-loaders raise InvalidField on malformed content.
+JSON documents cover camera rigs, scenes, poses, grid specs and class
+weights; their loaders raise InvalidField on malformed content.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ import numpy as np
 from .errors import DomainError, ShapeError
 from .geom import ErpImage, FisheyeCamera, LabeledPointCloud, RigidTransform
 from .grid import CUBOID, CYLINDRICAL, GridSpec, LabelSet, VoxelGrid, default_label_set
+from .losses import ClassWeights, class_weights
 from .synth import Box, HalfSpace, Scene, Sphere, VerticalCylinder
 
 FORMAT_VERSION = 1
@@ -91,7 +92,14 @@ def _check_header(buf: bytes, magic: bytes) -> None:
         raise BadVersion(f"unsupported version {version}", offset=4, fieldname="version")
 
 
-def _no_trailing(buf: bytes, expected_len: int) -> None:
+def _exact_length(buf: bytes, expected_len: int, fieldname: str) -> None:
+    """Reject a buffer shorter (Truncated) or longer (InvalidField) than its header implies."""
+    if len(buf) < expected_len:
+        raise Truncated(
+            f"{fieldname} expects {expected_len} bytes total, have {len(buf)}",
+            offset=len(buf),
+            fieldname=fieldname,
+        )
     if len(buf) > expected_len:
         raise InvalidField(
             f"{len(buf) - expected_len} trailing bytes after payload",
@@ -154,16 +162,12 @@ def decode_voxel_grid(buf: bytes) -> VoxelGrid:
         raise InvalidField(f"invalid grid spec: {e}", offset=9, fieldname="dims/ranges") from e
     item = 4 if kind == "feature" else 1
     expected = _OVOX_HEADER.size + d0 * d1 * d2 * channels * item
-    if len(buf) < expected:
-        raise Truncated(
-            f"payload expects {expected} bytes total, have {len(buf)}",
-            offset=len(buf),
-            fieldname="payload",
-        )
-    _no_trailing(buf, expected)
+    _exact_length(buf, expected, "payload")
     raw = buf[_OVOX_HEADER.size : expected]
     if kind == "feature":
         data = np.frombuffer(raw, dtype="<f4").reshape(d0, d1, d2, channels).astype(np.float32)
+        if not np.all(np.isfinite(data)):
+            raise InvalidField("non-finite feature value", offset=_OVOX_HEADER.size, fieldname="payload")
     else:
         data = np.frombuffer(raw, dtype=np.uint8).reshape(d0, d1, d2).copy()
     try:
@@ -188,13 +192,7 @@ def decode_point_cloud(buf: bytes) -> LabeledPointCloud:
     _need(buf, 0, _OPCD_HEADER.size, "header")
     _, _, count = _OPCD_HEADER.unpack_from(buf)
     expected = _OPCD_HEADER.size + count * _OPCD_POINT.itemsize
-    if len(buf) < expected:
-        raise Truncated(
-            f"{count} points expect {expected} bytes total, have {len(buf)}",
-            offset=len(buf),
-            fieldname="points",
-        )
-    _no_trailing(buf, expected)
+    _exact_length(buf, expected, "points")
     rec = np.frombuffer(buf, dtype=_OPCD_POINT, count=count, offset=_OPCD_HEADER.size)
     pts = rec["xyz"].astype(np.float64)
     if count and not np.all(np.isfinite(pts)):
@@ -223,13 +221,7 @@ def decode_raster(buf: bytes) -> ErpImage:
     if width < 1 or height < 1 or channels < 1:
         raise InvalidField("raster dimensions must be >= 1", offset=9, fieldname="dims")
     expected = _ODPT_HEADER.size + width * height * channels * 4
-    if len(buf) < expected:
-        raise Truncated(
-            f"raster expects {expected} bytes total, have {len(buf)}",
-            offset=len(buf),
-            fieldname="payload",
-        )
-    _no_trailing(buf, expected)
+    _exact_length(buf, expected, "payload")
     data = np.frombuffer(buf, dtype="<f4", count=width * height * channels, offset=_ODPT_HEADER.size)
     shape = (height, width) if channels == 1 else (height, width, channels)
     try:
@@ -296,7 +288,9 @@ def rig_from_json(text: str | bytes) -> list[FisheyeCamera]:
             )
         except KeyError as e:
             raise InvalidField(f"missing camera field {e}", fieldname=f"cameras[{i}]") from e
-        except (TypeError, DomainError, ShapeError) as e:
+        except InvalidField:
+            raise
+        except (TypeError, ValueError) as e:
             raise InvalidField(f"bad camera entry: {e}", fieldname=f"cameras[{i}]") from e
     return rig
 
@@ -379,12 +373,14 @@ def pose_to_json(pose: RigidTransform) -> str:
 def pose_from_json(text: str | bytes) -> RigidTransform:
     doc = _load_json(text, "pose")
     raw = doc["pose"] if isinstance(doc, dict) and "pose" in doc else doc
-    arr = np.asarray(raw, dtype=np.float64)
-    if arr.shape != (16,):
-        raise InvalidField("pose must hold 16 numbers, row-major 4x4", fieldname="pose")
     try:
+        arr = np.asarray(raw, dtype=np.float64)
+        if arr.shape != (16,):
+            raise InvalidField("pose must hold 16 numbers, row-major 4x4", fieldname="pose")
         return RigidTransform.from_matrix(arr.reshape(4, 4))
-    except (DomainError, ShapeError) as e:
+    except InvalidField:
+        raise
+    except (TypeError, ValueError) as e:
         raise InvalidField(f"bad pose: {e}", fieldname="pose") from e
 
 
@@ -404,5 +400,16 @@ def spec_from_json(text: str | bytes) -> GridSpec:
         )
     except KeyError as e:
         raise InvalidField(f"missing spec field {e}", fieldname="spec") from e
-    except (TypeError, DomainError, ShapeError) as e:
+    except (TypeError, ValueError) as e:
         raise InvalidField(f"bad grid spec: {e}", fieldname="spec") from e
+
+
+def weights_from_json(text: str | bytes) -> ClassWeights:
+    """Class weights from {"frequencies": [...], "constant": 1.02}."""
+    doc = _load_json(text, "class weights")
+    if not isinstance(doc, dict) or "frequencies" not in doc:
+        raise InvalidField("class weights must be an object with a frequencies array", fieldname="weights")
+    try:
+        return class_weights(np.asarray(doc["frequencies"], dtype=np.float64), float(doc.get("constant", 1.02)))
+    except (TypeError, ValueError) as e:
+        raise InvalidField(f"bad class weights: {e}", fieldname="weights") from e

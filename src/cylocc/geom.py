@@ -99,16 +99,6 @@ class RigidTransform:
         return self.compose(other)
 
 
-def rot_x(angle: float) -> np.ndarray:
-    c, s = math.cos(angle), math.sin(angle)
-    return np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
-
-
-def rot_y(angle: float) -> np.ndarray:
-    c, s = math.cos(angle), math.sin(angle)
-    return np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
-
-
 def rot_z(angle: float) -> np.ndarray:
     c, s = math.cos(angle), math.sin(angle)
     return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
@@ -304,11 +294,6 @@ class FisheyeCamera:
             inv = np.where(rho > 0, st / np.where(rho > 0, rho, 1.0), 0.0)
         d = np.stack([dx * inv, dy * inv, np.cos(theta)], axis=-1)
         return d[0] if single else d
-
-
-def transform_point(p, t: RigidTransform) -> np.ndarray:
-    """R @ p + t for a point or point batch."""
-    return t.apply(p)
 
 
 def surround_rig(

@@ -70,6 +70,23 @@ class GridSpec:
         d0, d1, d2 = self.dims
         return d0 * d1 * d2
 
+    def axis_fraction(self, values: np.ndarray, k: int) -> np.ndarray:
+        """Fractional bin coordinate (v - min) / delta of native values on axis k."""
+        return (values - self.ranges[k][0]) / self.deltas[k]
+
+    def axis_value(self, frac: np.ndarray, k: int) -> np.ndarray:
+        """Native value at fractional bin coordinate frac on axis k; inverse of axis_fraction."""
+        return self.ranges[k][0] + frac * self.deltas[k]
+
+    def in_range(self, native: np.ndarray) -> np.ndarray:
+        """Mask of native (N, 3) coordinates inside the axis ranges; the
+        cylindrical azimuth wraps and never leaves the range."""
+        inside = np.ones(len(native), dtype=bool)
+        for k, (lo, hi) in enumerate(self.ranges):
+            if not (self.coord_sys == CYLINDRICAL and k == 1):
+                inside &= (native[:, k] >= lo) & (native[:, k] <= hi)
+        return inside
+
     def point_to_index(self, p) -> np.ndarray:
         """Bin indices of Cartesian point(s); OUTSIDE rows for out-of-range.
 
@@ -81,21 +98,23 @@ class GridSpec:
         single = np.asarray(p).ndim == 1
         if pts.shape[1] != 3:
             raise ShapeError("points must have three coordinates")
-        native = self._to_native(pts)
+        native = self.to_native(pts)
         idx = np.empty((len(pts), 3), dtype=np.int64)
-        inside = np.ones(len(pts), dtype=bool)
-        for k in range(3):
-            lo, hi = self.ranges[k]
-            d = self.dims[k]
-            delta = (hi - lo) / d
-            q = np.floor((native[:, k] - lo) / delta + _EDGE_GUARD).astype(np.int64)
+        # one axis at a time keeps a single axis's temporaries alive
+        for k, d in enumerate(self.dims):
+            q = np.floor(self.axis_fraction(native[:, k], k) + _EDGE_GUARD).astype(np.int64)
             if self.coord_sys == CYLINDRICAL and k == 1:
                 idx[:, k] = np.mod(q, d)
             else:
-                inside &= (native[:, k] >= lo) & (native[:, k] <= hi)
                 idx[:, k] = np.clip(q, 0, d - 1)
-        idx[~inside] = OUTSIDE
+        idx[~self.in_range(native)] = OUTSIDE
         return idx[0] if single else idx
+
+    def point_to_flat(self, p) -> np.ndarray:
+        """Flat indices (i0 * D1 + i1) * D2 + i2 of (N, 3) points; -1 outside."""
+        idx = self.point_to_index(np.reshape(p, (-1, 3)))
+        _, d1, d2 = self.dims
+        return np.where(idx[:, 0] >= 0, (idx[:, 0] * d1 + idx[:, 1]) * d2 + idx[:, 2], -1)
 
     def index_to_center(self, i) -> np.ndarray:
         """Cartesian position of voxel center(s) for index triple(s)."""
@@ -103,32 +122,29 @@ class GridSpec:
         single = np.asarray(i).ndim == 1
         if idx.shape[1] != 3:
             raise ShapeError("indices must have three components")
-        for k in range(3):
-            if np.any(idx[:, k] < 0) or np.any(idx[:, k] >= self.dims[k]):
-                raise DomainError("voxel index outside grid dims")
-        native = np.empty(idx.shape, dtype=np.float64)
-        for k in range(3):
-            lo, hi = self.ranges[k]
-            delta = (hi - lo) / self.dims[k]
-            native[:, k] = lo + (idx[:, k] + 0.5) * delta
-        out = self._to_cartesian(native)
+        if np.any(idx < 0) or np.any(idx >= self.dims):
+            raise DomainError("voxel index outside grid dims")
+        out = self.to_cartesian(np.stack([self.axis_value(idx[:, k] + 0.5, k) for k in range(3)], axis=1))
         return out[0] if single else out
+
+    def all_indices(self) -> np.ndarray:
+        """(D0*D1*D2, 3) index triples in flat index order."""
+        return np.indices(self.dims).reshape(3, -1).T
 
     def all_centers(self) -> np.ndarray:
         """(D0*D1*D2, 3) Cartesian centers in flat index order."""
-        d0, d1, d2 = self.dims
-        i0, i1, i2 = np.meshgrid(np.arange(d0), np.arange(d1), np.arange(d2), indexing="ij")
-        idx = np.stack([i0.ravel(), i1.ravel(), i2.ravel()], axis=1)
-        return self.index_to_center(idx)
+        return self.index_to_center(self.all_indices())
 
-    def _to_native(self, pts: np.ndarray) -> np.ndarray:
+    def to_native(self, pts: np.ndarray) -> np.ndarray:
+        """(N, 3) Cartesian points in the grid's native axes: (r, theta, z) or (x, y, z)."""
         if self.coord_sys == CUBOID:
             return pts
         r = np.hypot(pts[:, 0], pts[:, 1])
         theta = np.arctan2(pts[:, 1], pts[:, 0])
         return np.stack([r, theta, pts[:, 2]], axis=1)
 
-    def _to_cartesian(self, native: np.ndarray) -> np.ndarray:
+    def to_cartesian(self, native: np.ndarray) -> np.ndarray:
+        """Inverse of to_native."""
         if self.coord_sys == CUBOID:
             return native.copy()
         r, theta, z = native[:, 0], native[:, 1], native[:, 2]
@@ -189,9 +205,6 @@ class VoxelGrid:
     def channels(self) -> int:
         return 1 if self.kind != "feature" else self.data.shape[3]
 
-    def flat(self) -> np.ndarray:
-        return self.data.reshape(self.spec.num_voxels, -1)
-
     @staticmethod
     def zeros(spec: GridSpec, kind: str, channels: int = 1) -> "VoxelGrid":
         if kind == "feature":
@@ -244,6 +257,20 @@ def default_label_set() -> LabelSet:
     return LabelSet(DEFAULT_CLASS_NAMES)
 
 
+def majority_vote(flat, labels, num_voxels: int, num_classes: int) -> np.ndarray:
+    """Winning class per voxel from (flat voxel index, class id) votes.
+
+    flat and labels broadcast against each other. A voxel takes its most
+    frequent class, ties going to the smallest class id; a voxel without
+    votes stays free (0). Returns (num_voxels,) uint8.
+    """
+    keys = np.asarray(flat, dtype=np.int64) * num_classes + labels
+    votes = np.bincount(keys.reshape(-1), minlength=num_voxels * num_classes)
+    # argmax takes the first maximum: smallest class id on ties, free (0)
+    # for voxels with no votes at all
+    return np.argmax(votes.reshape(num_voxels, num_classes), axis=1).astype(np.uint8)
+
+
 def voxelize_semantic(cloud: LabeledPointCloud, spec: GridSpec, labels: LabelSet) -> VoxelGrid:
     """Majority-vote semantic voxelization.
 
@@ -254,24 +281,10 @@ def voxelize_semantic(cloud: LabeledPointCloud, spec: GridSpec, labels: LabelSet
     c = labels.count
     if len(cloud) and int(cloud.labels.max()) >= c:
         raise DomainError(f"point label >= class count {c}")
-    grid = VoxelGrid.zeros(spec, "label")
-    if not len(cloud):
-        return grid
-    idx = spec.point_to_index(cloud.points)
-    inside = idx[:, 0] >= 0
-    if not np.any(inside):
-        return grid
-    d0, d1, d2 = spec.dims
-    flat = (idx[inside, 0] * d1 + idx[inside, 1]) * d2 + idx[inside, 2]
-    votes = np.bincount(
-        flat * c + cloud.labels[inside],
-        minlength=spec.num_voxels * c,
-    ).reshape(spec.num_voxels, c)
-    # argmax takes the first maximum: smallest class id on ties, free (0)
-    # for voxels with no points at all
-    winner = np.argmax(votes, axis=1).astype(np.uint8)
-    grid.data = winner.reshape(spec.dims)
-    return grid
+    flat = spec.point_to_flat(cloud.points)
+    inside = flat >= 0
+    winner = majority_vote(flat[inside], cloud.labels[inside], spec.num_voxels, c)
+    return VoxelGrid(spec, "label", winner.reshape(spec.dims))
 
 
 def class_frequencies(grid: VoxelGrid, num_classes: int | None = None) -> np.ndarray:

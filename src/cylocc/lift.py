@@ -58,15 +58,6 @@ class FeatureImage:
         return self.data.shape[2]
 
 
-@dataclass(frozen=True)
-class ReferencePoint:
-    """A voxel's projection into one camera, in normalized pixel coordinates."""
-
-    voxel: tuple[int, int, int]
-    camera: str
-    uv_norm: tuple[float, float]
-
-
 class HitSet:
     """Per-candidate-voxel projection hits across the rig.
 
@@ -94,16 +85,6 @@ class HitSet:
     def unhit(self) -> np.ndarray:
         return self.hit_counts == 0
 
-    def references(self, i: int) -> list[ReferencePoint]:
-        """All reference points of the i-th candidate voxel."""
-        out = []
-        vox = tuple(int(v) for v in self.voxels[i])
-        for cam in self.cameras:
-            if self.valid[cam][i]:
-                u, v = self.uv[cam][i]
-                out.append(ReferencePoint(vox, cam, (float(u), float(v))))
-        return out
-
     def __len__(self) -> int:
         return len(self.voxels)
 
@@ -121,20 +102,16 @@ def build_hit_set(mask: CandidateMask, rig: list[FisheyeCamera]) -> HitSet:
     if len(set(names)) != len(names):
         raise DomainError("rig camera names must be unique")
     occ = np.argwhere(mask.occupied)
-    centers = mask.spec.index_to_center(occ) if len(occ) else np.zeros((0, 3))
+    centers = mask.spec.index_to_center(occ)
     valid: dict[str, np.ndarray] = {}
     uv: dict[str, np.ndarray] = {}
     for cam in rig:
-        if len(occ):
-            px, ok = cam.project(centers)
-            ok = ok & (px[:, 0] >= 0) & (px[:, 0] < cam.width) & (px[:, 1] >= 0) & (px[:, 1] < cam.height)
-            norm = np.zeros_like(px)
-            norm[:, 0] = px[:, 0] / cam.width
-            norm[:, 1] = px[:, 1] / cam.height
-            norm[~ok] = 0.0
-        else:
-            ok = np.zeros(0, dtype=bool)
-            norm = np.zeros((0, 2))
+        px, ok = cam.project(centers)
+        ok = ok & (px[:, 0] >= 0) & (px[:, 0] < cam.width) & (px[:, 1] >= 0) & (px[:, 1] < cam.height)
+        norm = np.zeros_like(px)
+        norm[:, 0] = px[:, 0] / cam.width
+        norm[:, 1] = px[:, 1] / cam.height
+        norm[~ok] = 0.0
         valid[cam.name] = ok
         uv[cam.name] = norm
     return HitSet(mask.spec, occ, names, valid, uv)
@@ -191,9 +168,8 @@ def color_voxels(hits: HitSet, features) -> VoxelGrid:
     acc[hit_rows] /= counts[hit_rows, None]
     acc[~hit_rows] = 0.0
     grid = VoxelGrid.zeros(hits.spec, "feature", d)
-    if len(hits):
-        v = hits.voxels
-        grid.data[v[:, 0], v[:, 1], v[:, 2]] = acc.astype(np.float32)
+    v = hits.voxels
+    grid.data[v[:, 0], v[:, 1], v[:, 2]] = acc.astype(np.float32)
     return grid
 
 
@@ -222,23 +198,10 @@ def align_history(
     ch = hist.channels
     rel = t_hist.inverse().compose(t_curr)
     centers = spec.all_centers()
-    native = spec._to_native(rel.apply(centers))
-
-    fracs = []
-    for k in range(3):
-        lo, hi = spec.ranges[k]
-        delta = (hi - lo) / spec.dims[k]
-        fracs.append(_snap((native[:, k] - lo) / delta - 0.5))
-    f0, f1, f2 = fracs
-
+    native = spec.to_native(rel.apply(centers))
+    f0, f1, f2 = (_snap(spec.axis_fraction(native[:, k], k) - 0.5) for k in range(3))
+    in_range = spec.in_range(native)
     wrap_theta = spec.coord_sys == CYLINDRICAL
-    in_range = np.ones(len(centers), dtype=bool)
-    for k, f in ((0, f0), (2, f2)):
-        lo, hi = spec.ranges[k]
-        in_range &= (native[:, k] >= lo) & (native[:, k] <= hi)
-    if not wrap_theta:
-        lo, hi = spec.ranges[1]
-        in_range &= (native[:, 1] >= lo) & (native[:, 1] <= hi)
 
     base = [np.floor(f).astype(np.int64) for f in (f0, f1, f2)]
     t = [f - b for f, b in zip((f0, f1, f2), base)]
@@ -250,9 +213,7 @@ def align_history(
         i2 = base[2] + o2
         if wrap_theta:
             i1 = np.mod(i1, d1)
-            ok = (i0 >= 0) & (i0 < d0) & (i2 >= 0) & (i2 < d2)
-        else:
-            ok = (i0 >= 0) & (i0 < d0) & (i1 >= 0) & (i1 < d1) & (i2 >= 0) & (i2 < d2)
+        ok = (i0 >= 0) & (i0 < d0) & (i1 >= 0) & (i1 < d1) & (i2 >= 0) & (i2 < d2)
         out = np.zeros((len(i0), ch), dtype=np.float64)
         if np.any(ok):
             out[ok] = data[i0[ok], i1[ok], i2[ok]]

@@ -2,9 +2,9 @@
 
 All four terms are pure numeric functions: weighted cross-entropy, the
 per-class affinity loss over precision/recall/specificity, dice loss, and
-per-pixel weighted cross-entropy on 2D semantics. The total is their plain
-sum. weighted_ce and scal_loss come with analytic gradients with respect to
-the probability tensor so they can be checked against finite differences.
+per-pixel weighted cross-entropy on 2D semantics. weighted_ce and
+scal_loss come with analytic gradients with respect to the probability
+tensor so they can be checked against finite differences.
 
 Natural logarithms throughout, guarded by eps = 1e-12. Cross-entropy clamps
 p + eps at 1 so a perfect prediction scores exactly 0 and the loss stays
@@ -36,9 +36,10 @@ class ProbGrid:
         p = np.asarray(self.probs, dtype=np.float64)
         if p.ndim != 4 or p.shape[:3] != self.spec.dims or p.shape[3] < 2:
             raise ShapeError(f"probs must be {self.spec.dims} + (C,), got {p.shape}")
-        if np.any(p < 0):
-            raise DomainError("probabilities must be non-negative")
-        if np.max(np.abs(p.sum(axis=3) - 1.0)) > 1e-6:
+        # written so that NaN fails both checks
+        if not np.all(p >= 0):
+            raise DomainError("probabilities must be non-negative and finite")
+        if not (np.max(np.abs(p.sum(axis=3) - 1.0)) <= 1e-6):
             raise DomainError("per-voxel probabilities must sum to 1 within 1e-6")
         self.probs = p
 
@@ -226,11 +227,3 @@ def sem2d_loss(
     py = pk[np.arange(len(yk)), yk]
     terms = -weights[yk] * np.log(np.minimum(py + EPS, 1.0))
     return float(terms.mean())
-
-
-def total_loss(ce: float, scal: float, dice: float, sem2d: float) -> float:
-    """Plain sum of the four terms."""
-    parts = (ce, scal, dice, sem2d)
-    if not all(math.isfinite(v) for v in parts):
-        raise DomainError("loss components must be finite")
-    return float(sum(parts))

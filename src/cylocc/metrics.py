@@ -32,26 +32,8 @@ _CHUNK = 2048  # rays per casting chunk; caps peak memory
 _MIN_SEGMENT = 1e-12  # intervals shorter than this are degenerate
 
 
-@dataclass(frozen=True)
-class QueryRay:
-    """Single evaluation ray: ego-frame origin and unit direction."""
-
-    origin: np.ndarray
-    direction: np.ndarray
-
-    def __post_init__(self):
-        o = np.asarray(self.origin, dtype=np.float64)
-        d = np.asarray(self.direction, dtype=np.float64)
-        if o.shape != (3,) or d.shape != (3,):
-            raise ShapeError("ray origin and direction must be 3-vectors")
-        if abs(np.linalg.norm(d) - 1.0) > 1e-9:
-            raise DomainError("ray direction must be unit length within 1e-9")
-        object.__setattr__(self, "origin", o)
-        object.__setattr__(self, "direction", d)
-
-
 class Rays:
-    """Batch of rays behaving as a sequence of QueryRay."""
+    """Batch of rays: (N, 3) ego-frame origins and unit directions."""
 
     def __init__(self, origins, directions):
         o = np.asarray(origins, dtype=np.float64)
@@ -66,18 +48,6 @@ class Rays:
 
     def __len__(self) -> int:
         return len(self.origins)
-
-    def __getitem__(self, i: int) -> QueryRay:
-        return QueryRay(self.origins[i], self.directions[i])
-
-    @staticmethod
-    def from_list(rays) -> "Rays":
-        if isinstance(rays, Rays):
-            return rays
-        return Rays(
-            np.stack([r.origin for r in rays]),
-            np.stack([r.direction for r in rays]),
-        )
 
 
 def generate_rays(
@@ -108,14 +78,6 @@ def default_ray_fan(origin=(0.0, 0.0, 0.0)) -> Rays:
     return generate_rays(512, 32, (-0.35, 0.15), origin)
 
 
-@dataclass(frozen=True)
-class RayHit:
-    """First-surface hit: entry distance into the voxel and its class id."""
-
-    distance: float
-    label: int
-
-
 @dataclass
 class BatchHits:
     """Vectorized cast results; misses carry inf distance, label 0, voxel -1."""
@@ -132,21 +94,23 @@ class BatchHits:
         return len(self.distance)
 
 
+def _plane_crossings(spec: GridSpec, o: np.ndarray, d: np.ndarray, k: int) -> np.ndarray:
+    """Crossing parameters with the bin-edge planes of Cartesian axis k;
+    rays parallel to the planes give non-finite entries."""
+    edges = spec.axis_value(np.arange(spec.dims[k] + 1), k)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return (edges[None, :] - o[:, k : k + 1]) / d[:, k : k + 1]
+
+
 def _cylindrical_crossings(spec: GridSpec, o: np.ndarray, d: np.ndarray) -> np.ndarray:
     """Candidate crossing parameters with every r shell, azimuth plane and
     z plane of a cylindrical lattice; invalid entries are NaN."""
-    (r_lo, r_hi), _, (z_lo, z_hi) = spec.ranges
-    d0, d1, d2 = spec.dims
-    cols = []
-
-    zk = z_lo + np.arange(d2 + 1) * ((z_hi - z_lo) / d2)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        cols.append((zk[None, :] - o[:, 2:3]) / d[:, 2:3])
+    cols = [_plane_crossings(spec, o, d, 2)]
 
     a = d[:, 0] ** 2 + d[:, 1] ** 2
     b = 2.0 * (o[:, 0] * d[:, 0] + o[:, 1] * d[:, 1])
     c0 = o[:, 0] ** 2 + o[:, 1] ** 2
-    rk = r_lo + np.arange(d0 + 1) * ((r_hi - r_lo) / d0)
+    rk = spec.axis_value(np.arange(spec.dims[0] + 1), 0)
     disc = b[:, None] ** 2 - 4.0 * a[:, None] * (c0[:, None] - rk[None, :] ** 2)
     # tangent guard: near-zero discriminants are treated as no crossing
     ok = (disc >= 1e-12) & (a[:, None] > 1e-30)
@@ -156,6 +120,9 @@ def _cylindrical_crossings(spec: GridSpec, o: np.ndarray, d: np.ndarray) -> np.n
     cols.append((-b[:, None] - sq) * inv2a)
     cols.append((-b[:, None] + sq) * inv2a)
 
+    # azimuth planes step from exactly -pi, not from the stored theta range,
+    # which decoded specs carry rounded to f32
+    d1 = spec.dims[1]
     alpha = -math.pi + np.arange(d1) * (2.0 * math.pi / d1)
     nx, ny = -np.sin(alpha), np.cos(alpha)
     den = d[:, 0:1] * nx[None, :] + d[:, 1:2] * ny[None, :]
@@ -166,28 +133,18 @@ def _cylindrical_crossings(spec: GridSpec, o: np.ndarray, d: np.ndarray) -> np.n
     return np.concatenate(cols, axis=1)
 
 
-def _cuboid_crossings(spec: GridSpec, o: np.ndarray, d: np.ndarray) -> np.ndarray:
-    cols = []
-    for k in range(3):
-        lo, hi = spec.ranges[k]
-        edges = lo + np.arange(spec.dims[k] + 1) * ((hi - lo) / spec.dims[k])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            cols.append((edges[None, :] - o[:, k : k + 1]) / d[:, k : k + 1])
-    return np.concatenate(cols, axis=1)
-
-
 def _ray_intervals(spec: GridSpec, o: np.ndarray, d: np.ndarray, max_dist: float):
     """Sorted crossing parameters and midpoint cell classification.
 
-    Returns (ts, idx, inside, seg_len): ts has one more column than the
-    interval arrays; idx/inside/seg_len describe the interval between
-    consecutive ts entries.
+    Returns (ts, idx, seg_len): ts has one more column than the interval
+    arrays; idx/seg_len describe the interval between consecutive ts
+    entries, with OUTSIDE rows in idx for intervals outside the grid.
     """
     n = len(o)
     if spec.coord_sys == CYLINDRICAL:
         raw = _cylindrical_crossings(spec, o, d)
     else:
-        raw = _cuboid_crossings(spec, o, d)
+        raw = np.concatenate([_plane_crossings(spec, o, d, k) for k in range(3)], axis=1)
     t = np.where(np.isfinite(raw) & (raw > 0.0) & (raw < max_dist), raw, max_dist)
     ts = np.concatenate([np.zeros((n, 1)), t, np.full((n, 1), max_dist)], axis=1)
     ts.sort(axis=1)
@@ -195,21 +152,20 @@ def _ray_intervals(spec: GridSpec, o: np.ndarray, d: np.ndarray, max_dist: float
     mids = 0.5 * (ts[:, :-1] + ts[:, 1:])
     pos = o[:, None, :] + mids[..., None] * d[:, None, :]
     idx = spec.point_to_index(pos.reshape(-1, 3)).reshape(n, -1, 3)
-    inside = idx[..., 0] >= 0
-    return ts, idx, inside, seg_len
+    return ts, idx, seg_len
 
 
-def traverse_cells(ray: QueryRay, spec: GridSpec, max_dist: float):
-    """Ordered in-range cells the ray passes through.
+def traverse_cells(origin, direction, spec: GridSpec, max_dist: float):
+    """Ordered in-range cells the ray from origin along the unit direction
+    passes through.
 
     Returns (cells, entries, exits): an (M, 3) index array of consecutive
     distinct cells plus the parameter at which each is entered and left.
     Degenerate slivers (shorter than 1e-12) are dropped.
     """
-    ts, idx, inside, seg_len = _ray_intervals(
-        spec, ray.origin[None], ray.direction[None], max_dist
-    )
-    keep = inside[0] & (seg_len[0] > _MIN_SEGMENT)
+    ray = Rays(np.reshape(origin, (1, 3)), np.reshape(direction, (1, 3)))
+    ts, idx, seg_len = _ray_intervals(spec, ray.origins, ray.directions, max_dist)
+    keep = (idx[0, :, 0] >= 0) & (seg_len[0] > _MIN_SEGMENT)
     cells, entries, exits = [], [], []
     for k in np.nonzero(keep)[0]:
         cell = tuple(int(v) for v in idx[0, k])
@@ -224,44 +180,48 @@ def traverse_cells(ray: QueryRay, spec: GridSpec, max_dist: float):
     return np.array(cells, dtype=np.int64).reshape(-1, 3), np.array(entries), np.array(exits)
 
 
-def _first_hit_chunk(grid: VoxelGrid, o: np.ndarray, d: np.ndarray, max_dist: float) -> BatchHits:
-    spec = grid.spec
-    n = len(o)
-    ts, idx, inside, seg_len = _ray_intervals(spec, o, d, max_dist)
+def _labels_at(grid: VoxelGrid, idx: np.ndarray) -> np.ndarray:
+    """int64 label at each index triple of idx (..., 3); 0 at OUTSIDE rows."""
+    inside = idx[..., 0] >= 0
     lab = np.zeros(inside.shape, dtype=np.int64)
     ii = idx[inside]
-    if len(ii):
-        lab[inside] = grid.data[ii[:, 0], ii[:, 1], ii[:, 2]]
-    occupied = (lab != 0) & (seg_len > _MIN_SEGMENT)
-    rows = np.arange(n)
+    lab[inside] = grid.data[ii[:, 0], ii[:, 1], ii[:, 2]]
+    return lab
+
+
+def _first_occupied(occupied: np.ndarray, dist: np.ndarray, lab: np.ndarray, idx: np.ndarray) -> BatchHits:
+    """Hit at the first occupied sample of each row of occupied (n, K);
+    dist holds the samples' distances and broadcasts against occupied."""
+    rows = np.arange(len(occupied))
     first = occupied.argmax(axis=1)
-    any_hit = occupied.any(axis=1)
-    dist = np.where(any_hit, ts[rows, first], np.inf)
-    label = np.where(any_hit, lab[rows, first], 0)
-    voxel = np.where(any_hit[:, None], idx[rows, first], -1)
+    hit = occupied.any(axis=1)
+    return BatchHits(
+        np.where(hit, np.broadcast_to(dist, occupied.shape)[rows, first], np.inf),
+        np.where(hit, lab[rows, first], 0),
+        np.where(hit[:, None], idx[rows, first], -1),
+    )
+
+
+def _first_hit_chunk(grid: VoxelGrid, o: np.ndarray, d: np.ndarray, max_dist: float) -> BatchHits:
+    ts, idx, seg_len = _ray_intervals(grid.spec, o, d, max_dist)
+    lab = _labels_at(grid, idx)
+    hits = _first_occupied((lab != 0) & (seg_len > _MIN_SEGMENT), ts[:, :-1], lab, idx)
     # a ray starting inside an occupied cell (per the point convention, which
     # also settles origins sitting exactly on a lattice plane) hits at t = 0
-    idx0 = spec.point_to_index(o)
-    in0 = idx0[:, 0] >= 0
-    lab0 = np.zeros(n, dtype=np.int64)
-    lab0[in0] = grid.data[idx0[in0, 0], idx0[in0, 1], idx0[in0, 2]]
+    idx0 = grid.spec.point_to_index(o)
+    lab0 = _labels_at(grid, idx0)
     start_hit = lab0 != 0
-    dist = np.where(start_hit, 0.0, dist)
-    label = np.where(start_hit, lab0, label)
-    voxel = np.where(start_hit[:, None], idx0, voxel)
-    return BatchHits(dist, label, voxel)
+    return BatchHits(
+        np.where(start_hit, 0.0, hits.distance),
+        np.where(start_hit, lab0, hits.label),
+        np.where(start_hit[:, None], idx0, hits.voxel),
+    )
 
 
-def cast_rays(rays, grid: VoxelGrid, max_dist: float) -> BatchHits:
-    """Exact first-hit cast of a ray batch into a label grid."""
-    if grid.kind != "label":
-        raise DomainError("ray casting needs a label grid")
-    if max_dist <= 0:
-        raise DomainError("max_dist must be positive")
-    r = Rays.from_list(rays)
-    parts = []
-    for s in range(0, len(r), _CHUNK):
-        parts.append(_first_hit_chunk(grid, r.origins[s : s + _CHUNK], r.directions[s : s + _CHUNK], max_dist))
+def _cast_chunks(rays: Rays, chunk: int, cast_chunk) -> BatchHits:
+    """Concatenated cast_chunk(origins, directions) over chunks of rays."""
+    parts = [cast_chunk(rays.origins[s : s + chunk], rays.directions[s : s + chunk])
+             for s in range(0, len(rays), chunk)]
     if not parts:
         return BatchHits(np.zeros(0), np.zeros(0, dtype=np.int64), np.zeros((0, 3), dtype=np.int64))
     return BatchHits(
@@ -271,45 +231,30 @@ def cast_rays(rays, grid: VoxelGrid, max_dist: float) -> BatchHits:
     )
 
 
-def cast_ray(ray: QueryRay, grid: VoxelGrid, max_dist: float) -> RayHit | None:
-    """Single-ray convenience wrapper; returns None when nothing is hit."""
-    hits = cast_rays(Rays(ray.origin[None], ray.direction[None]), grid, max_dist)
-    if not hits.hit[0]:
-        return None
-    return RayHit(float(hits.distance[0]), int(hits.label[0]))
+def cast_rays(rays: Rays, grid: VoxelGrid, max_dist: float) -> BatchHits:
+    """Exact first-hit cast of a ray batch into a label grid."""
+    if grid.kind != "label":
+        raise DomainError("ray casting needs a label grid")
+    if max_dist <= 0:
+        raise DomainError("max_dist must be positive")
+    return _cast_chunks(rays, _CHUNK, lambda o, d: _first_hit_chunk(grid, o, d, max_dist))
 
 
-def march_fixed_step(rays, grid: VoxelGrid, max_dist: float, step: float = 0.01) -> BatchHits:
+def march_fixed_step(rays: Rays, grid: VoxelGrid, max_dist: float, step: float = 0.01) -> BatchHits:
     """Brute-force oracle: sample the ray every `step` meters and report the
     first sample landing in a non-free voxel. Skips cells whose chord along
     the ray is shorter than the step; distances are quantized to the step."""
     if grid.kind != "label":
         raise DomainError("ray casting needs a label grid")
-    r = Rays.from_list(rays)
-    spec = grid.spec
     t = np.arange(int(math.floor(max_dist / step)) + 1, dtype=np.float64) * step
-    dist = np.full(len(r), np.inf)
-    label = np.zeros(len(r), dtype=np.int64)
-    voxel = np.full((len(r), 3), -1, dtype=np.int64)
-    chunk = max(1, int(2_000_000 // max(len(t), 1)))
-    for s in range(0, len(r), chunk):
-        o = r.origins[s : s + chunk]
-        d = r.directions[s : s + chunk]
+
+    def march(o: np.ndarray, d: np.ndarray) -> BatchHits:
         pos = o[:, None, :] + t[None, :, None] * d[:, None, :]
-        idx = spec.point_to_index(pos.reshape(-1, 3)).reshape(len(o), len(t), 3)
-        inside = idx[..., 0] >= 0
-        lab = np.zeros(inside.shape, dtype=np.int64)
-        ii = idx[inside]
-        if len(ii):
-            lab[inside] = grid.data[ii[:, 0], ii[:, 1], ii[:, 2]]
-        occupied = lab != 0
-        any_hit = occupied.any(axis=1)
-        first = occupied.argmax(axis=1)
-        rows = np.arange(len(o))
-        dist[s : s + chunk] = np.where(any_hit, t[first], np.inf)
-        label[s : s + chunk] = np.where(any_hit, lab[rows, first], 0)
-        voxel[s : s + chunk] = np.where(any_hit[:, None], idx[rows, first], -1)
-    return BatchHits(dist, label, voxel)
+        idx = grid.spec.point_to_index(pos.reshape(-1, 3)).reshape(len(o), len(t), 3)
+        lab = _labels_at(grid, idx)
+        return _first_occupied(lab != 0, t, lab, idx)
+
+    return _cast_chunks(rays, max(1, int(2_000_000 // max(len(t), 1))), march)
 
 
 def grid_max_distance(spec: GridSpec, origins=None) -> float:
@@ -348,6 +293,10 @@ class ThresholdCounts:
         return float(np.mean(iou[valid])) if np.any(valid) else float("nan")
 
 
+def _json_iou(v) -> float | None:
+    return None if math.isnan(v) else float(v)
+
+
 @dataclass
 class RayIoUReport:
     """Confusion counts, per-class IoU and mean RayIoU, optionally per band."""
@@ -361,18 +310,19 @@ class RayIoUReport:
     config: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
+        """JSON-ready form; undefined (NaN) IoUs become None, i.e. JSON null."""
         out = {
             "classes": list(self.class_names),
             "thresholds": list(self.thresholds),
-            "ray_iou": self.ray_iou,
+            "ray_iou": _json_iou(self.ray_iou),
             "per_threshold": [
                 {
                     "threshold": c.threshold,
-                    "mean_iou": c.mean_iou(),
+                    "mean_iou": _json_iou(c.mean_iou()),
                     "tp": c.tp.tolist(),
                     "fp": c.fp.tolist(),
                     "fn": c.fn.tolist(),
-                    "per_class_iou": [None if np.isnan(v) else float(v) for v in c.per_class_iou()],
+                    "per_class_iou": [_json_iou(v) for v in c.per_class_iou()],
                 }
                 for c in self.counts
             ],
@@ -409,7 +359,7 @@ def _report_from_hits(gt_hits, pred_hits, thresholds, names, ray_mask, config) -
 def ray_iou(
     pred: VoxelGrid,
     gt: VoxelGrid,
-    rays,
+    rays: Rays,
     thresholds=(1.0, 2.0, 4.0),
     bands=None,
     labels: LabelSet | None = None,
@@ -426,15 +376,14 @@ def ray_iou(
     if pred.kind != "label" or gt.kind != "label":
         raise DomainError("RayIoU needs label grids")
     lab = labels if labels is not None else default_label_set()
-    r = Rays.from_list(rays)
     if max_dist is None:
-        max_dist = grid_max_distance(pred.spec, r.origins)
-    gt_hits = cast_rays(r, gt, max_dist)
-    pred_hits = cast_rays(r, pred, max_dist)
-    all_rays = np.ones(len(r), dtype=bool)
+        max_dist = grid_max_distance(pred.spec, rays.origins)
+    gt_hits = cast_rays(rays, gt, max_dist)
+    pred_hits = cast_rays(rays, pred, max_dist)
+    all_rays = np.ones(len(rays), dtype=bool)
     config = {
         "thresholds": list(thresholds),
-        "num_rays": len(r),
+        "num_rays": len(rays),
         "max_dist": max_dist,
         "bands": [list(b) for b in bands] if bands else None,
     }

@@ -29,7 +29,8 @@ class DilationSchedule:
         if not bands:
             raise DomainError("schedule needs at least one band")
         ends = [e for e, _ in bands]
-        if any(b <= a for a, b in zip(ends, ends[1:])):
+        # comparisons written so that a NaN end fails them
+        if not all(b > a for a, b in zip(ends, ends[1:])):
             raise DomainError("band range ends must be strictly increasing")
         windows = [w for _, w in bands]
         if any(w < 0 for w in windows):
@@ -39,7 +40,7 @@ class DilationSchedule:
         object.__setattr__(self, "bands", bands)
 
     def validate_for(self, spec: GridSpec) -> None:
-        if abs(self.bands[-1][0] - spec.ranges[0][1]) > 1e-9:
+        if not abs(self.bands[-1][0] - spec.ranges[0][1]) <= 1e-9:
             raise DomainError("last band end must equal the grid's r_max")
 
     def window_at(self, radius) -> np.ndarray:
@@ -93,13 +94,8 @@ def sketch_from_points(
         raise DomainError("sketching requires a cylindrical grid spec")
     if min_points < 1:
         raise DomainError("min_points must be >= 1")
-    counts = np.zeros(spec.num_voxels, dtype=np.int64)
-    if len(cloud):
-        idx = spec.point_to_index(cloud.points)
-        inside = idx[:, 0] >= 0
-        d0, d1, d2 = spec.dims
-        flat = (idx[inside, 0] * d1 + idx[inside, 1]) * d2 + idx[inside, 2]
-        counts = np.bincount(flat, minlength=spec.num_voxels)
+    flat = spec.point_to_flat(cloud.points)
+    counts = np.bincount(flat[flat >= 0], minlength=spec.num_voxels)
     occ = (counts >= min_points).astype(np.uint8).reshape(spec.dims)
     return CandidateMask(VoxelGrid(spec, "occupancy", occ))
 
@@ -109,10 +105,7 @@ def dilate_radial(mask: CandidateMask, schedule: DilationSchedule) -> CandidateM
     schedule.validate_for(mask.spec)
     spec = mask.spec
     d0 = spec.dims[0]
-    r_lo, r_hi = spec.ranges[0]
-    dr = (r_hi - r_lo) / d0
-    centers = r_lo + (np.arange(d0) + 0.5) * dr
-    windows = schedule.window_at(centers)
+    windows = schedule.window_at(spec.axis_value(np.arange(d0) + 0.5, 0))
     src = mask.occupied
     out = src.copy()
     for k in range(d0):

@@ -17,8 +17,8 @@ import numpy as np
 
 from .errors import DomainError
 from .geom import ErpImage, LabeledPointCloud, RigidTransform, erp_direction_grid
-from .grid import GridSpec, VoxelGrid
-from .metrics import QueryRay, RayHit, generate_rays
+from .grid import GridSpec, VoxelGrid, majority_vote
+from .metrics import generate_rays
 
 _T_MIN = 1e-9  # smallest admissible ray parameter
 
@@ -161,7 +161,6 @@ class Scene:
     """
 
     primitives: tuple[Primitive, ...]
-    bounds: tuple[tuple[float, float, float], tuple[float, float, float]] | None = None
 
     def __post_init__(self):
         prims = tuple(self.primitives)
@@ -193,14 +192,6 @@ class Scene:
             labels[inside] = prim.label
             unset &= ~inside
         return labels
-
-
-def ray_scene_intersect(ray: QueryRay, scene: Scene, max_dist: float) -> RayHit | None:
-    """Closed-form nearest-surface hit of a single ray; None when nothing hits."""
-    t, label, hit = scene.first_hit(ray.origin[None], ray.direction[None], max_dist)
-    if not hit[0]:
-        return None
-    return RayHit(float(t[0]), int(label[0]))
 
 
 def render_erp_depth(
@@ -237,22 +228,14 @@ def analytic_voxel_gt(scene: Scene, spec: GridSpec, supersample: int = 3) -> Vox
     if supersample < 1:
         raise DomainError("supersample must be >= 1")
     n = supersample
-    d0, d1, d2 = spec.dims
     num = spec.num_voxels
     c = max((p.label for p in scene.primitives), default=1) + 1
-    i0, i1, i2 = np.meshgrid(np.arange(d0), np.arange(d1), np.arange(d2), indexing="ij")
-    idx = np.stack([i0.ravel(), i1.ravel(), i2.ravel()], axis=1).astype(np.float64)
-    deltas = np.asarray(spec.deltas)
-    lows = np.asarray([lo for lo, _ in spec.ranges])
-    votes = np.zeros((num, c), dtype=np.int32)
-    base = np.arange(num, dtype=np.int64) * c
-    for off in product(range(n), repeat=3):
-        frac = (np.asarray(off, dtype=np.float64) + 0.5) / n
-        native = lows + (idx + frac) * deltas
-        pts = spec._to_cartesian(native)
-        lab = scene.label_points(pts)
-        votes += np.bincount(base + lab, minlength=num * c).reshape(num, c).astype(np.int32)
-    winner = np.argmax(votes, axis=1).astype(np.uint8)
+    idx = spec.all_indices()
+    labels = np.empty((n**3, num), dtype=np.uint8)
+    for row, off in zip(labels, product(range(n), repeat=3)):
+        native = np.stack([spec.axis_value(idx[:, k] + (o + 0.5) / n, k) for k, o in enumerate(off)], axis=1)
+        row[:] = scene.label_points(spec.to_cartesian(native))
+    winner = majority_vote(np.arange(num), labels, num, c)
     return VoxelGrid(spec, "label", winner.reshape(spec.dims))
 
 

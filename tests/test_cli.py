@@ -81,6 +81,67 @@ class TestExitCodes:
     def test_help_exits_zero(self):
         assert main(["--help"]) == 0
 
+    def test_removed_global_flags_are_usage_errors(self):
+        assert main(["--seed", "1", "info", "x"]) == 1
+        assert main(["--threads", "2", "info", "x"]) == 1
+
+    REQUIRED = {
+        "eval": ["--pred", "p.ovox", "--gt", "g.ovox"],
+        "synth": ["--scene", "s.json", "--out", "out"],
+        "sketch": ["--depth", "d.odpt", "--out", "out"],
+    }
+
+    @pytest.mark.parametrize("command,flag,value", [
+        ("eval", "--rays", "512"),
+        ("eval", "--rays", "ax32"),
+        ("eval", "--thresholds", "a"),
+        ("eval", "--thresholds", "1,,2"),
+        ("eval", "--thresholds", "1,nan"),
+        ("eval", "--bands", "0:8.5,8.5"),
+        ("eval", "--bands", "0:1:2"),
+        ("eval", "--bands", "nan:5"),
+        ("eval", "--origin", "0,0"),
+        ("eval", "--origin", "0,0,z"),
+        ("eval", "--origin", "inf,0,0"),
+        ("eval", "--elev", "-20deg"),
+        ("eval", "--elev", "a:b"),
+        ("synth", "--erp", "2000"),
+        ("synth", "--erp", "wxh"),
+        ("sketch", "--schedule", "8.5:0,17"),
+        ("sketch", "--schedule", "8.5:a"),
+        ("sketch", "--spec", "cylindrical:128x200x16:0:25.6"),
+        ("sketch", "--spec", "cuboid:4x4:a:1:0:1:0:1"),
+    ])
+    def test_malformed_flag_value_is_usage_error(self, command, flag, value, capsys):
+        assert main([command, *self.REQUIRED[command], f"{flag}={value}"]) == 1
+        err = capsys.readouterr().err
+        assert f"argument {flag}" in err and "Traceback" not in err
+
+    def test_bad_weights_file_is_format_error(self, tmp_path):
+        spec = GridSpec("cuboid", (2, 2, 1), ((0, 2), (0, 2), (0, 1)))
+        gt = tmp_path / "gt.ovox"
+        gt.write_bytes(encode_voxel_grid(VoxelGrid.zeros(spec, "label")))
+        pred = tmp_path / "pred.ovox"
+        pred.write_bytes(encode_voxel_grid(VoxelGrid(spec, "feature", np.full((2, 2, 1, 2), 0.5, np.float32))))
+        weights = tmp_path / "w.json"
+        weights.write_text('{"frequencies": "many"}')
+        assert main(["loss", "--pred", str(pred), "--gt", str(gt), "--weights", str(weights)]) == 2
+
+    def test_empty_grids_report_is_strict_json(self, tmp_path):
+        g = tmp_path / "empty.ovox"
+        g.write_bytes(encode_voxel_grid(VoxelGrid.zeros(default_cylindrical_spec(), "label")))
+        report = tmp_path / "report.json"
+        assert main(["eval", "--pred", str(g), "--gt", str(g), "--rays", "16x4",
+                     "--bands", "0:8.5", "--report", str(report)]) == 0
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON constant {token}")
+
+        doc = json.loads(report.read_text(), parse_constant=reject)
+        assert doc["ray_iou"] is None
+        assert all(t["mean_iou"] is None for t in doc["per_threshold"])
+        assert doc["bands"]["0.0:8.5"]["ray_iou"] is None
+
 
 class TestPipeline:
     def test_synth_to_eval_round(self, tmp_path, scene_file, rig_file, capsys):

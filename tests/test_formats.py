@@ -28,9 +28,10 @@ from cylocc.formats import (
     scene_to_json,
     spec_from_json,
     spec_to_json,
+    weights_from_json,
 )
 from cylocc.geom import ErpImage, LabeledPointCloud, RigidTransform, surround_rig
-from cylocc.grid import VoxelGrid, default_cylindrical_spec
+from cylocc.grid import GridSpec, VoxelGrid, default_cylindrical_spec
 from cylocc.synth import Sphere
 
 
@@ -114,6 +115,14 @@ class TestOvox:
         blob[8] = 9
         with pytest.raises(InvalidField):
             decode_voxel_grid(bytes(blob))
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_feature_rejected(self, bad):
+        spec = GridSpec("cuboid", (2, 2, 2), ((0, 1), (0, 1), (0, 1)))
+        data = np.zeros((2, 2, 2, 3), dtype=np.float32)
+        data[1, 0, 1, 2] = bad
+        with pytest.raises(InvalidField):
+            decode_voxel_grid(encode_voxel_grid(VoxelGrid(spec, "feature", data)))
 
     def test_label_with_channels_rejected(self, cyl_spec):
         blob = bytearray(encode_voxel_grid(VoxelGrid.zeros(cyl_spec, "label")))
@@ -282,3 +291,47 @@ class TestJsonDocs:
     def test_spec_round_trip(self, cyl_spec):
         back = spec_from_json(spec_to_json(cyl_spec))
         assert back == cyl_spec
+
+    @pytest.mark.parametrize("text", [
+        json.dumps({"pose": ["a"] * 16}),
+        json.dumps({"pose": [[1, 2], [3]]}),
+        json.dumps({"pose": {"x": 1}}),
+        json.dumps("not a pose"),
+        json.dumps(None),
+    ])
+    def test_pose_malformed_rejected(self, text):
+        with pytest.raises(InvalidField):
+            pose_from_json(text)
+
+    @pytest.mark.parametrize("doc", [
+        {"coord_sys": "cuboid", "dims": ["a", 1, 1], "ranges": [[0, 1], [0, 1], [0, 1]]},
+        {"coord_sys": "cuboid", "dims": [1, 1, 1], "ranges": [[0, "x"], [0, 1], [0, 1]]},
+        {"coord_sys": "cuboid", "dims": [1, 1, 1], "ranges": [[0, 1, 2], [0, 1], [0, 1]]},
+        [1, 2, 3],
+    ])
+    def test_spec_malformed_rejected(self, doc):
+        with pytest.raises(InvalidField):
+            spec_from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize("field,value", [("width", "wide"), ("fov_deg", "x"), ("pose", ["a"] * 16), ("pose", [[1], 2])])
+    def test_rig_malformed_field_rejected(self, field, value):
+        doc = json.loads(rig_to_json(surround_rig()))
+        doc[0][field] = value
+        with pytest.raises(InvalidField):
+            rig_from_json(json.dumps(doc))
+
+    def test_weights_round_trip(self):
+        w = weights_from_json(json.dumps({"frequencies": [0.25, 0.75], "constant": 1.5}))
+        np.testing.assert_allclose(w.weights, 1.0 / np.log(np.array([0.25, 0.75]) + 1.5))
+
+    @pytest.mark.parametrize("text", [
+        "{not json",
+        json.dumps([0.5, 0.5]),
+        json.dumps({"constant": 1.02}),
+        json.dumps({"frequencies": ["a", "b"]}),
+        json.dumps({"frequencies": [0.5, 0.5], "constant": "c"}),
+        json.dumps({"frequencies": [0.7, 0.7]}),
+    ])
+    def test_weights_malformed_rejected(self, text):
+        with pytest.raises(InvalidField):
+            weights_from_json(text)

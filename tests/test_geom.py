@@ -18,7 +18,6 @@ from cylocc.geom import (
     erp_pixel_to_direction,
     rot_z,
     surround_rig,
-    transform_point,
 )
 
 from conftest import random_transform
@@ -75,7 +74,7 @@ class TestRigidTransform:
         rng = np.random.RandomState(6)
         t = random_transform(rng)
         p = rng.normal(size=3)
-        np.testing.assert_allclose(transform_point(p, t), t.rotation @ p + t.translation, atol=1e-12)
+        np.testing.assert_allclose(t.apply(p), t.rotation @ p + t.translation, atol=1e-12)
 
 
 class TestErpDirections:

@@ -48,7 +48,7 @@ class TestHitSet:
         hits = build_hit_set(mask, [cam])
         assert len(hits) == 1
         assert hits.unhit[0]
-        assert hits.references(0) == []
+        assert not hits.valid["solo"][0]
 
     def test_on_axis_voxel_maps_to_principal_point(self, cyl_spec, rig6):
         cam = rig6[0]  # looks along +x ego
@@ -62,9 +62,8 @@ class TestHitSet:
         )
         hits = build_hit_set(mask_with(cyl_spec, [idx]), [axis_cam])
         assert not hits.unhit[0]
-        ref = hits.references(0)[0]
-        assert ref.camera == "axis"
-        np.testing.assert_allclose(ref.uv_norm, [320.0 / 640, 320.0 / 640], atol=1e-9)
+        assert hits.valid["axis"][0]
+        np.testing.assert_allclose(hits.uv["axis"][0], [320.0 / 640, 320.0 / 640], atol=1e-9)
 
     def test_matches_scalar_projection_oracle(self, cyl_spec, rig6):
         rng = np.random.RandomState(21)

@@ -18,7 +18,6 @@ from cylocc.losses import (
     scal_loss,
     scal_loss_grad,
     sem2d_loss,
-    total_loss,
     weighted_ce,
     weighted_ce_grad,
 )
@@ -106,6 +105,16 @@ class TestWeightedCe:
         gt = VoxelGrid(spec, "label", y)
         w = ClassWeights.unit(5)
         assert weighted_ce(ProbGrid(spec, p), gt, w) == weighted_ce(p, gt, w)
+
+
+class TestProbGrid:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_rejected(self, bad):
+        spec = small_spec()
+        p = np.full(spec.dims + (2,), 0.5)
+        p[1, 2, 0] = [bad, 0.5]
+        with pytest.raises(DomainError):
+            ProbGrid(spec, p)
 
 
 class TestDice:
@@ -247,23 +256,3 @@ class TestSem2d:
     def test_all_unlabeled_is_zero(self):
         gt = ErpImage.semantic(np.full((2, 2), UNLABELED, dtype=np.float32))
         assert sem2d_loss(np.full((2, 2, 3), 1 / 3), gt) == 0.0
-
-
-class TestTotal:
-    def test_zero_sum(self):
-        assert total_loss(0.0, 0.0, 0.0, 0.0) == 0.0
-
-    def test_plain_sum(self):
-        assert total_loss(1.0, 2.0, 3.0, 4.0) == 10.0
-
-    def test_matches_sum_oracle(self):
-        rng = np.random.RandomState(51)
-        for _ in range(20):
-            parts = rng.uniform(-5, 5, 4)
-            assert total_loss(*parts) == pytest.approx(float(parts.sum()), rel=1e-15)
-
-    def test_non_finite_rejected(self):
-        with pytest.raises(DomainError):
-            total_loss(1.0, float("nan"), 0.0, 0.0)
-        with pytest.raises(DomainError):
-            total_loss(float("inf"), 0.0, 0.0, 0.0)

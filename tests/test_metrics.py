@@ -15,9 +15,7 @@ import pytest
 from cylocc.errors import DomainError, ShapeError
 from cylocc.grid import CUBOID, GridSpec, VoxelGrid
 from cylocc.metrics import (
-    QueryRay,
     Rays,
-    cast_ray,
     cast_rays,
     generate_rays,
     grid_max_distance,
@@ -25,6 +23,10 @@ from cylocc.metrics import (
     ray_iou,
     traverse_cells,
 )
+
+
+def one_ray(origin, direction) -> Rays:
+    return Rays(np.array([origin], dtype=np.float64), np.array([direction], dtype=np.float64))
 
 
 def random_label_grid(spec, rng, density=0.03, free_inner_r_bins=0):
@@ -63,41 +65,44 @@ class TestCastRay:
     def test_radial_hit_at_shell_entry(self, cyl_spec):
         g = VoxelGrid.zeros(cyl_spec, "label")
         g.data[5, 100, 7] = 3
-        hit = cast_ray(QueryRay(np.zeros(3), np.array([1.0, 0.0, 0.0])), g, 60.0)
-        assert hit is not None
-        assert hit.label == 3
-        assert hit.distance == pytest.approx(1.0, abs=1e-12)
+        hits = cast_rays(one_ray([0.0, 0.0, 0.0], [1.0, 0.0, 0.0]), g, 60.0)
+        assert hits.hit[0]
+        assert hits.label[0] == 3
+        assert hits.distance[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_all_free_no_hit(self, cyl_spec):
         g = VoxelGrid.zeros(cyl_spec, "label")
-        assert cast_ray(QueryRay(np.zeros(3), np.array([1.0, 0.0, 0.0])), g, 60.0) is None
+        hits = cast_rays(one_ray([0.0, 0.0, 0.0], [1.0, 0.0, 0.0]), g, 60.0)
+        assert not hits.hit[0]
+        assert hits.label[0] == 0
+        np.testing.assert_array_equal(hits.voxel[0], [-1, -1, -1])
 
     def test_origin_inside_occupied_cell(self, cyl_spec):
         g = VoxelGrid.zeros(cyl_spec, "label")
         idx = cyl_spec.point_to_index([3.0, 1.0, 0.3])
         g.data[tuple(idx)] = 5
-        hit = cast_ray(QueryRay(np.array([3.0, 1.0, 0.3]), np.array([0.0, 1.0, 0.0])), g, 60.0)
-        assert hit is not None
-        assert hit.distance == 0.0
-        assert hit.label == 5
+        hits = cast_rays(one_ray([3.0, 1.0, 0.3], [0.0, 1.0, 0.0]), g, 60.0)
+        assert hits.hit[0]
+        assert hits.distance[0] == 0.0
+        assert hits.label[0] == 5
 
     def test_origin_outside_grid_entry_distance(self):
         spec = GridSpec(CUBOID, (4, 4, 4), ((0, 4), (0, 4), (0, 4)))
         g = VoxelGrid.zeros(spec, "label")
         g.data[:] = 2
-        hit = cast_ray(QueryRay(np.array([-3.0, 2.0, 2.0]), np.array([1.0, 0.0, 0.0])), g, 60.0)
-        assert hit.distance == pytest.approx(3.0, abs=1e-12)
+        hits = cast_rays(one_ray([-3.0, 2.0, 2.0], [1.0, 0.0, 0.0]), g, 60.0)
+        assert hits.distance[0] == pytest.approx(3.0, abs=1e-12)
 
     def test_max_dist_respected(self, cyl_spec):
         g = VoxelGrid.zeros(cyl_spec, "label")
         g.data[100, 100, 7] = 4  # r in [20.0, 20.2)
-        ray = QueryRay(np.zeros(3), np.array([1.0, 0.0, 0.0]))
-        assert cast_ray(ray, g, 10.0) is None
-        assert cast_ray(ray, g, 30.0).distance == pytest.approx(20.0, abs=1e-12)
+        ray = one_ray([0.0, 0.0, 0.0], [1.0, 0.0, 0.0])
+        assert not cast_rays(ray, g, 10.0).hit[0]
+        assert cast_rays(ray, g, 30.0).distance[0] == pytest.approx(20.0, abs=1e-12)
 
     def test_non_unit_direction_rejected(self):
         with pytest.raises(DomainError):
-            QueryRay(np.zeros(3), np.array([1.0, 1.0, 0.0]))
+            one_ray([0.0, 0.0, 0.0], [1.0, 1.0, 0.0])
 
     def test_needs_label_grid(self, cyl_spec):
         g = VoxelGrid.zeros(cyl_spec, "occupancy")
@@ -161,8 +166,7 @@ class TestCasterExactness:
             o = np.array([rng.uniform(-10, 10), rng.uniform(-10, 10), rng.uniform(-2, 3)])
             d = rng.normal(size=3)
             d /= np.linalg.norm(d)
-            ray = QueryRay(o, d)
-            cells, entries, exits = traverse_cells(ray, spec, 20.0)
+            cells, entries, exits = traverse_cells(o, d, spec, 20.0)
             # marcher sequence: classify every sample, deduplicate runs
             t = np.arange(0.0, 20.0, step)
             idx = spec.point_to_index(o[None] + t[:, None] * d[None])
@@ -188,30 +192,30 @@ class TestCasterExactness:
     def test_distance_is_entry_not_center(self, cyl_spec):
         g = VoxelGrid.zeros(cyl_spec, "label")
         g.data[50, :, :] = 6  # full shell at r in [10.0, 10.2)
-        hit = cast_ray(QueryRay(np.zeros(3), np.array([0.0, 1.0, 0.0])), g, 60.0)
-        assert hit.distance == pytest.approx(10.0, abs=1e-12)
+        hits = cast_rays(one_ray([0.0, 0.0, 0.0], [0.0, 1.0, 0.0]), g, 60.0)
+        assert hits.distance[0] == pytest.approx(10.0, abs=1e-12)
 
     def test_vertical_ray(self, cyl_spec):
         g = VoxelGrid.zeros(cyl_spec, "label")
         g.data[10, 100, 12] = 8  # z in [2.0, 2.4)
-        hit = cast_ray(QueryRay(np.array([2.1, 0.0, 0.0]), np.array([0.0, 0.0, 1.0])), g, 60.0)
-        assert hit.label == 8
-        assert hit.distance == pytest.approx(2.0, abs=1e-12)
+        hits = cast_rays(one_ray([2.1, 0.0, 0.0], [0.0, 0.0, 1.0]), g, 60.0)
+        assert hits.label[0] == 8
+        assert hits.distance[0] == pytest.approx(2.0, abs=1e-12)
 
     def test_tangent_shell_guard(self, cyl_spec):
         # ray with perigee exactly on the r=20.0 shell: the tangency
         # discriminant (~0) must not produce crossings, so the ray never
         # penetrates below 20.0 into bin 99 ...
-        ray = QueryRay(np.array([20.0, -30.0, 0.0]), np.array([0.0, 1.0, 0.0]))
+        ray = one_ray([20.0, -30.0, 0.0], [0.0, 1.0, 0.0])
         inner = VoxelGrid.zeros(cyl_spec, "label")
         inner.data[99, :, :] = 9  # r in [19.8, 20.0)
-        assert cast_ray(ray, inner, 80.0) is None
+        assert not cast_rays(ray, inner, 80.0).hit[0]
         # ... but it does dip into bin 100 through the outer r=20.2 shell
         outer = VoxelGrid.zeros(cyl_spec, "label")
         outer.data[100, :, :] = 9  # r in [20.0, 20.2)
-        hit = cast_ray(ray, outer, 80.0)
-        assert hit is not None
-        assert hit.distance == pytest.approx(30.0 - math.sqrt(20.2**2 - 20.0**2), abs=1e-9)
+        hits = cast_rays(ray, outer, 80.0)
+        assert hits.hit[0]
+        assert hits.distance[0] == pytest.approx(30.0 - math.sqrt(20.2**2 - 20.0**2), abs=1e-9)
 
 
 class TestRayIoU:

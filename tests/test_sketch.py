@@ -52,11 +52,20 @@ class TestSchedule:
         with pytest.raises(DomainError):
             DilationSchedule(((17.0, 0), (8.5, 1)))
 
+    def test_nan_inner_end_rejected(self):
+        with pytest.raises(DomainError):
+            DilationSchedule(((float("nan"), 0), (25.6, 2)))
+
     def test_mismatched_r_max_rejected(self, cyl_spec):
         s = DilationSchedule(((10.0, 1),))
         mask = random_mask(cyl_spec, np.random.RandomState(0))
         with pytest.raises(DomainError):
             dilate_radial(mask, s)
+
+    def test_nan_last_end_rejected(self, cyl_spec):
+        mask = random_mask(cyl_spec, np.random.RandomState(0))
+        with pytest.raises(DomainError):
+            dilate_radial(mask, DilationSchedule(((float("nan"), 1),)))
 
 
 class TestSketch:

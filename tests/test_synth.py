@@ -9,7 +9,7 @@ import pytest
 
 from cylocc.geom import RigidTransform, erp_depth_to_point_cloud, rot_z
 from cylocc.grid import default_label_set, voxelize_semantic
-from cylocc.metrics import QueryRay, cast_rays, generate_rays
+from cylocc.metrics import cast_rays, generate_rays
 from cylocc.synth import (
     Box,
     HalfSpace,
@@ -18,7 +18,6 @@ from cylocc.synth import (
     VerticalCylinder,
     analytic_voxel_gt,
     lidar_ring_origins,
-    ray_scene_intersect,
     render_erp_depth,
     sample_scene_point_cloud,
 )
@@ -27,58 +26,53 @@ from cylocc.synth import (
 class TestRaySceneIntersect:
     def test_parallel_above_ground_misses(self):
         scene = Scene((HalfSpace(0.0, 1),))
-        ray = QueryRay(np.array([0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0]))
-        assert ray_scene_intersect(ray, scene, 100.0) is None
+        t, label, hit = scene.first_hit([[0.0, 0.0, 1.0]], [[1.0, 0.0, 0.0]], 100.0)
+        assert not hit[0]
+        assert t[0] == np.inf and label[0] == 0
 
     def test_straight_down_onto_ground(self):
         scene = Scene((HalfSpace(0.0, 1),))
-        ray = QueryRay(np.array([0.0, 0.0, 2.0]), np.array([0.0, 0.0, -1.0]))
-        hit = ray_scene_intersect(ray, scene, 100.0)
-        assert hit.label == 1
-        assert hit.distance == pytest.approx(2.0, abs=1e-12)
+        t, label, hit = scene.first_hit([[0.0, 0.0, 2.0]], [[0.0, 0.0, -1.0]], 100.0)
+        assert hit[0] and label[0] == 1
+        assert t[0] == pytest.approx(2.0, abs=1e-12)
 
     def test_unit_sphere_head_on(self):
         # quadratic root: |o - c| = 5 along the axis, radius 1 -> t = 4
         scene = Scene((Sphere((5.0, 0.0, 0.0), 1.0, 6),))
-        ray = QueryRay(np.zeros(3), np.array([1.0, 0.0, 0.0]))
-        hit = ray_scene_intersect(ray, scene, 100.0)
-        assert hit.distance == pytest.approx(4.0, abs=1e-12)
-        assert hit.label == 6
+        t, label, hit = scene.first_hit([[0.0, 0.0, 0.0]], [[1.0, 0.0, 0.0]], 100.0)
+        assert t[0] == pytest.approx(4.0, abs=1e-12)
+        assert label[0] == 6
 
     def test_box_entry_face(self):
         scene = Scene((Box((2.0, -1.0, -1.0), (4.0, 1.0, 1.0), 4),))
-        ray = QueryRay(np.zeros(3), np.array([1.0, 0.0, 0.0]))
-        hit = ray_scene_intersect(ray, scene, 100.0)
-        assert hit.distance == pytest.approx(2.0, abs=1e-12)
+        t, _, _ = scene.first_hit([[0.0, 0.0, 0.0]], [[1.0, 0.0, 0.0]], 100.0)
+        assert t[0] == pytest.approx(2.0, abs=1e-12)
 
     def test_origin_inside_box_hits_exit(self):
         scene = Scene((Box((-1.0, -1.0, -1.0), (1.0, 1.0, 1.0), 4),))
-        ray = QueryRay(np.zeros(3), np.array([1.0, 0.0, 0.0]))
-        hit = ray_scene_intersect(ray, scene, 100.0)
-        assert hit.distance == pytest.approx(1.0, abs=1e-12)
+        t, _, _ = scene.first_hit([[0.0, 0.0, 0.0]], [[1.0, 0.0, 0.0]], 100.0)
+        assert t[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_cylinder_side_and_cap(self):
         cyl = VerticalCylinder((5.0, 0.0), 1.0, -1.0, 1.0, 9)
         scene = Scene((cyl,))
-        side = ray_scene_intersect(QueryRay(np.zeros(3), np.array([1.0, 0.0, 0.0])), scene, 100.0)
-        assert side.distance == pytest.approx(4.0, abs=1e-12)
-        down = ray_scene_intersect(
-            QueryRay(np.array([5.0, 0.0, 3.0]), np.array([0.0, 0.0, -1.0])), scene, 100.0
-        )
-        assert down.distance == pytest.approx(2.0, abs=1e-12)
+        # one batch: a side hit and a cap hit
+        t, _, hit = scene.first_hit([[0.0, 0.0, 0.0], [5.0, 0.0, 3.0]], [[1.0, 0.0, 0.0], [0.0, 0.0, -1.0]], 100.0)
+        assert hit.all()
+        np.testing.assert_allclose(t, [4.0, 2.0], atol=1e-12)
 
     def test_order_breaks_ties(self):
         a = Sphere((5.0, 0.0, 0.0), 1.0, 3)
         b = Sphere((5.0, 0.0, 0.0), 1.0, 7)
-        ray = QueryRay(np.zeros(3), np.array([1.0, 0.0, 0.0]))
-        assert ray_scene_intersect(ray, Scene((a, b)), 100.0).label == 3
-        assert ray_scene_intersect(ray, Scene((b, a)), 100.0).label == 7
+        o, d = [[0.0, 0.0, 0.0]], [[1.0, 0.0, 0.0]]
+        assert Scene((a, b)).first_hit(o, d, 100.0)[1][0] == 3
+        assert Scene((b, a)).first_hit(o, d, 100.0)[1][0] == 7
 
     def test_nearest_primitive_wins(self):
         far = Sphere((9.0, 0.0, 0.0), 1.0, 3)
         near = Sphere((5.0, 0.0, 0.0), 1.0, 7)
-        ray = QueryRay(np.zeros(3), np.array([1.0, 0.0, 0.0]))
-        assert ray_scene_intersect(ray, Scene((far, near)), 100.0).label == 7
+        _, label, _ = Scene((far, near)).first_hit([[0.0, 0.0, 0.0]], [[1.0, 0.0, 0.0]], 100.0)
+        assert label[0] == 7
 
 
 class TestRenderErp:
