@@ -163,13 +163,13 @@ def decode_voxel_grid(buf: bytes) -> VoxelGrid:
     item = 4 if kind == "feature" else 1
     expected = _OVOX_HEADER.size + d0 * d1 * d2 * channels * item
     _exact_length(buf, expected, "payload")
-    raw = buf[_OVOX_HEADER.size : expected]
+    # frombuffer shares buf, so astype/copy make the one writable copy
+    count = d0 * d1 * d2 * channels
     if kind == "feature":
-        data = np.frombuffer(raw, dtype="<f4").reshape(d0, d1, d2, channels).astype(np.float32)
-        if not np.all(np.isfinite(data)):
-            raise InvalidField("non-finite feature value", offset=_OVOX_HEADER.size, fieldname="payload")
+        raw = np.frombuffer(buf, dtype="<f4", count=count, offset=_OVOX_HEADER.size)
+        data = raw.reshape(d0, d1, d2, channels).astype(np.float32)
     else:
-        data = np.frombuffer(raw, dtype=np.uint8).reshape(d0, d1, d2).copy()
+        data = np.frombuffer(buf, dtype=np.uint8, count=count, offset=_OVOX_HEADER.size).reshape(d0, d1, d2).copy()
     try:
         return VoxelGrid(spec, kind, data)
     except (DomainError, ShapeError) as e:

@@ -112,7 +112,8 @@ class ErpImage:
     """Equirectangular raster of float32 values.
 
     data has shape (H, W) for a single channel or (H, W, channels). Depth
-    rasters must be finite and non-negative; 0 means invalid.
+    and feature rasters must be finite; depth must also be non-negative,
+    and 0 means invalid.
     """
 
     width: int
@@ -128,11 +129,10 @@ class ErpImage:
         want = (self.height, self.width) if self.channels == 1 else (self.height, self.width, self.channels)
         if d.shape != want:
             raise ShapeError(f"raster data shape {d.shape} does not match {want}")
-        if self.kind == "depth_meters":
-            if not np.all(np.isfinite(d)):
-                raise DomainError("depth raster contains non-finite values")
-            if np.any(d < 0):
-                raise DomainError("depth raster contains negative values")
+        if self.kind in ("depth_meters", "feature") and not np.all(np.isfinite(d)):
+            raise DomainError(f"{self.kind} raster contains non-finite values")
+        if self.kind == "depth_meters" and np.any(d < 0):
+            raise DomainError("depth raster contains negative values")
         self.data = d
 
     @staticmethod

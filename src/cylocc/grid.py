@@ -179,7 +179,7 @@ class VoxelGrid:
 
     data is shaped (D0, D1, D2) for label/occupancy payloads and
     (D0, D1, D2, channels) for feature payloads; C order matches the flat
-    index convention.
+    index convention. Feature payloads must be finite.
     """
 
     spec: GridSpec
@@ -199,6 +199,9 @@ class VoxelGrid:
                 raise ShapeError(f"payload shape {arr.shape} does not match dims {want}")
         if self.kind == "occupancy" and arr.size and arr.max() > 1:
             raise DomainError("occupancy payload must be 0/1")
+        # NaN propagates through min and max, so this needs no full-size mask
+        if self.kind == "feature" and arr.size and not (np.isfinite(arr.min()) and np.isfinite(arr.max())):
+            raise DomainError("feature payload contains non-finite values")
         self.data = arr
 
     @property

@@ -10,6 +10,9 @@ Temporal alignment resamples a historical feature grid at the positions of
 the current voxel centers expressed in the historical ego frame, with
 trilinear interpolation in fractional index space (wrapping the azimuth
 axis); samples outside the historical grid's r/z range contribute zeros.
+Only samples whose trilinear stencil touches a non-zero history voxel are
+interpolated, so alignment cost scales with the history's non-zero support
+(the sketched candidates), not with the lattice.
 Fusion averages the current grid with the aligned histories, dividing by
 N + 1 with no renormalization for out-of-range zeros.
 """
@@ -178,6 +181,33 @@ def _snap(frac: np.ndarray) -> np.ndarray:
     return np.where(np.abs(frac - rounded) < _SNAP, rounded, frac)
 
 
+def _stencil_support(touched: np.ndarray, wrap_theta: bool) -> np.ndarray:
+    """Mark the trilinear bases b whose nodes b + {0,1}^3 include a touched voxel.
+
+    Bases run from -1 to D-1 and sit at index b + 1, except on a wrapping
+    azimuth axis, where they sit at b mod D1.
+    """
+    for k in range(3):
+        if k == 1 and wrap_theta:
+            touched = touched | np.roll(touched, -1, axis=1)
+            continue
+        pad = [(0, 0)] * 3
+        pad[k] = (1, 1)
+        q = np.pad(touched, pad)
+        lo, hi = [slice(None)] * 3, [slice(None)] * 3
+        lo[k], hi[k] = slice(None, -1), slice(1, None)
+        touched = q[tuple(lo)] | q[tuple(hi)]
+    return touched
+
+
+def _lerp(a: np.ndarray, b: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """a + t * (b - a), computed in b's buffer."""
+    b -= a
+    b *= t
+    b += a
+    return b
+
+
 def align_history(
     hist: VoxelGrid,
     t_hist: RigidTransform,
@@ -190,6 +220,11 @@ def align_history(
     axis wraps; nodes past the r/z ends pad with zeros; samples outside the
     r/z range yield the zero vector. Fractional coordinates within 1e-9 of
     a lattice node snap to it, so lattice-aligned warps are exact.
+
+    Only in-range samples with a non-zero history voxel (any set bit, so
+    -0.0 counts) among their eight nodes are interpolated; every other
+    sample is exactly +0.0 either way, so the cost follows the history's
+    non-zero support rather than the lattice.
     """
     if hist.kind != "feature":
         raise DomainError("alignment needs a feature grid")
@@ -197,15 +232,20 @@ def align_history(
     d0, d1, d2 = spec.dims
     ch = hist.channels
     rel = t_hist.inverse().compose(t_curr)
-    centers = spec.all_centers()
-    native = spec.to_native(rel.apply(centers))
-    f0, f1, f2 = (_snap(spec.axis_fraction(native[:, k], k) - 0.5) for k in range(3))
-    in_range = spec.in_range(native)
+    native = spec.to_native(rel.apply(spec.all_centers()))
+    frac = [_snap(spec.axis_fraction(native[:, k], k) - 0.5) for k in range(3)]
+    base = [np.floor(f).astype(np.int64) for f in frac]
     wrap_theta = spec.coord_sys == CYLINDRICAL
 
-    base = [np.floor(f).astype(np.int64) for f in (f0, f1, f2)]
-    t = [f - b for f, b in zip((f0, f1, f2), base)]
-    data = hist.data.reshape(d0, d1, d2, ch).astype(np.float64)
+    support = _stencil_support(np.any(hist.data.view(np.uint32) != 0, axis=3), wrap_theta)
+    rows = np.flatnonzero(spec.in_range(native))
+    b0, b1, b2 = (b[rows] for b in base)
+    b1 = np.mod(b1, d1) if wrap_theta else b1 + 1
+    rows = rows[support[b0 + 1, b1, b2 + 1]]
+
+    base = [b[rows] for b in base]
+    t0, t1, t2 = ((f[rows] - b)[:, None] for f, b in zip(frac, base))
+    src = hist.data.reshape(-1, ch)
 
     def node(o0, o1, o2):
         i0 = base[0] + o0
@@ -214,24 +254,16 @@ def align_history(
         if wrap_theta:
             i1 = np.mod(i1, d1)
         ok = (i0 >= 0) & (i0 < d0) & (i1 >= 0) & (i1 < d1) & (i2 >= 0) & (i2 < d2)
-        out = np.zeros((len(i0), ch), dtype=np.float64)
-        if np.any(ok):
-            out[ok] = data[i0[ok], i1[ok], i2[ok]]
-        return out
+        vals = src[np.where(ok, (i0 * d1 + i1) * d2 + i2, 0)].astype(np.float64)
+        vals[~ok] = 0.0  # nodes past the r/z ends pad with zeros
+        return vals
 
-    t0 = t[0][:, None]
-    t1 = t[1][:, None]
-    t2 = t[2][:, None]
     # lerp along axis 2, then 1, then 0; constants stay exact
-    c00 = node(0, 0, 0) + t2 * (node(0, 0, 1) - node(0, 0, 0))
-    c01 = node(0, 1, 0) + t2 * (node(0, 1, 1) - node(0, 1, 0))
-    c10 = node(1, 0, 0) + t2 * (node(1, 0, 1) - node(1, 0, 0))
-    c11 = node(1, 1, 0) + t2 * (node(1, 1, 1) - node(1, 1, 0))
-    c0 = c00 + t1 * (c01 - c00)
-    c1 = c10 + t1 * (c11 - c10)
-    out = c0 + t0 * (c1 - c0)
-    out[~in_range] = 0.0
-    return VoxelGrid(spec, "feature", out.reshape(d0, d1, d2, ch).astype(np.float32))
+    c0 = _lerp(_lerp(node(0, 0, 0), node(0, 0, 1), t2), _lerp(node(0, 1, 0), node(0, 1, 1), t2), t1)
+    c1 = _lerp(_lerp(node(1, 0, 0), node(1, 0, 1), t2), _lerp(node(1, 1, 0), node(1, 1, 1), t2), t1)
+    out = np.zeros((spec.num_voxels, ch), dtype=np.float32)
+    out[rows] = _lerp(c0, c1, t0)
+    return VoxelGrid(spec, "feature", out.reshape(d0, d1, d2, ch))
 
 
 def fuse_temporal(curr: VoxelGrid, aligned: list[VoxelGrid]) -> VoxelGrid:
@@ -243,6 +275,6 @@ def fuse_temporal(curr: VoxelGrid, aligned: list[VoxelGrid]) -> VoxelGrid:
             raise ShapeError("all grids must share spec, kind and channel count")
     acc = curr.data.astype(np.float64)
     for g in aligned:
-        acc = acc + g.data.astype(np.float64)
+        acc += g.data
     acc /= len(aligned) + 1
     return VoxelGrid(curr.spec, "feature", acc.astype(np.float32))

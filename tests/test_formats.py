@@ -4,6 +4,7 @@ round-trip exactness, typed failure on malformed input."""
 import json
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -119,10 +120,36 @@ class TestOvox:
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_non_finite_feature_rejected(self, bad):
         spec = GridSpec("cuboid", (2, 2, 2), ((0, 1), (0, 1), (0, 1)))
-        data = np.zeros((2, 2, 2, 3), dtype=np.float32)
-        data[1, 0, 1, 2] = bad
+        blob = bytearray(encode_voxel_grid(VoxelGrid.zeros(spec, "feature", 3)))
+        # voxel (1, 0, 1) has flat index 5; patch its channel 2
+        struct.pack_into("<f", blob, 50 + (5 * 3 + 2) * 4, bad)
         with pytest.raises(InvalidField):
-            decode_voxel_grid(encode_voxel_grid(VoxelGrid(spec, "feature", data)))
+            decode_voxel_grid(bytes(blob))
+
+    @pytest.mark.parametrize("kind", ["feature", "label"])
+    def test_decoded_payload_is_writable(self, cyl_spec, kind):
+        rng = np.random.RandomState(69)
+        if kind == "feature":
+            grid = VoxelGrid(cyl_spec, kind, rng.rand(*cyl_spec.dims, 2).astype(np.float32))
+        else:
+            grid = random_label_grid(rng)
+        blob = encode_voxel_grid(grid)
+        back = decode_voxel_grid(blob)
+        assert back.data.flags.writeable
+        np.testing.assert_array_equal(back.data, grid.data)
+        back.data[0, 0, 0] = 7
+        assert encode_voxel_grid(grid) == blob
+
+    def test_feature_decode_copies_payload_once(self, cyl_spec):
+        blob = encode_voxel_grid(VoxelGrid.zeros(cyl_spec, "feature", 16))
+        payload = len(blob) - 50
+        tracemalloc.start()
+        try:
+            decode_voxel_grid(blob)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * payload
 
     def test_label_with_channels_rejected(self, cyl_spec):
         blob = bytearray(encode_voxel_grid(VoxelGrid.zeros(cyl_spec, "label")))
@@ -190,6 +217,13 @@ class TestOdpt:
         img = ErpImage.depth(np.ones((2, 2), dtype=np.float32))
         blob = bytearray(encode_raster(img))
         struct.pack_into("<f", blob, 21, -1.0)
+        with pytest.raises(InvalidField):
+            decode_raster(bytes(blob))
+
+    def test_non_finite_feature_payload_rejected(self):
+        img = ErpImage(2, 2, 1, np.ones((2, 2), dtype=np.float32), "feature")
+        blob = bytearray(encode_raster(img))
+        struct.pack_into("<f", blob, 21 + 4, np.nan)
         with pytest.raises(InvalidField):
             decode_raster(bytes(blob))
 

@@ -159,6 +159,16 @@ class TestDepthLifting:
             erp_depth_to_point_cloud(depth, sem)
 
 
+class TestErpImage:
+    @pytest.mark.parametrize("kind", ["depth_meters", "feature"])
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_rejected(self, kind, bad):
+        data = np.ones((2, 3), dtype=np.float32)
+        data[1, 2] = bad
+        with pytest.raises(DomainError):
+            ErpImage(3, 2, 1, data, kind)
+
+
 class TestFisheye:
     def test_on_axis_projects_to_principal_point(self, single_cam):
         p_cam_fwd = np.array([0.0, 0.0, 5.0])  # optical axis in camera=ego frame

@@ -210,6 +210,16 @@ class TestFrequencies:
         assert abs(f.sum() - 1.0) < 1e-12
 
 
+class TestPayloadValidation:
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_feature_rejected(self, bad):
+        spec = GridSpec(CUBOID, (2, 2, 2), ((0, 1), (0, 1), (0, 1)))
+        data = np.zeros((2, 2, 2, 3), dtype=np.float32)
+        data[1, 0, 1, 2] = bad
+        with pytest.raises(DomainError):
+            VoxelGrid(spec, "feature", data)
+
+
 class TestSpecValidation:
     def test_theta_range_must_be_full_circle(self):
         with pytest.raises(DomainError):

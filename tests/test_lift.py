@@ -4,16 +4,21 @@ Hit sets are validated against a per-camera scalar projection loop; the
 averaging, alignment and fusion operations against their defining algebra
 (exactness requirements included: constants survive bilinear sampling and
 averaging bit-for-bit, lattice-aligned warps reduce to index shifts).
+Alignment only interpolates where the history is non-zero, and is compared
+bit-for-bit against a dense oracle that interpolates every voxel center.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cylocc.errors import DomainError, ShapeError
 from cylocc.geom import FisheyeCamera, RigidTransform, rot_z
-from cylocc.grid import GridSpec, VoxelGrid
+from cylocc.grid import CYLINDRICAL, GridSpec, VoxelGrid
 from cylocc.lift import (
     FeatureImage,
     align_history,
@@ -241,6 +246,158 @@ class TestAlignHistory:
         t_curr = RigidTransform(np.eye(3), np.array([0.0, 0.0, 10.0]))
         out = align_history(hist, RigidTransform.identity(), t_curr)
         assert not out.data.any()
+
+
+def dense_align_history(hist, t_hist, t_curr):
+    """Oracle: trilinear resampling of every voxel center, in float64."""
+    spec = hist.spec
+    d0, d1, d2 = spec.dims
+    ch = hist.channels
+    rel = t_hist.inverse().compose(t_curr)
+    native = spec.to_native(rel.apply(spec.all_centers()))
+
+    def snap(frac):
+        rounded = np.round(frac)
+        return np.where(np.abs(frac - rounded) < 1e-9, rounded, frac)
+
+    f0, f1, f2 = (snap(spec.axis_fraction(native[:, k], k) - 0.5) for k in range(3))
+    in_range = spec.in_range(native)
+    wrap_theta = spec.coord_sys == CYLINDRICAL
+    base = [np.floor(f).astype(np.int64) for f in (f0, f1, f2)]
+    t = [f - b for f, b in zip((f0, f1, f2), base)]
+    data = hist.data.reshape(d0, d1, d2, ch).astype(np.float64)
+
+    def node(o0, o1, o2):
+        i0 = base[0] + o0
+        i1 = base[1] + o1
+        i2 = base[2] + o2
+        if wrap_theta:
+            i1 = np.mod(i1, d1)
+        ok = (i0 >= 0) & (i0 < d0) & (i1 >= 0) & (i1 < d1) & (i2 >= 0) & (i2 < d2)
+        out = np.zeros((len(i0), ch), dtype=np.float64)
+        if np.any(ok):
+            out[ok] = data[i0[ok], i1[ok], i2[ok]]
+        return out
+
+    t0 = t[0][:, None]
+    t1 = t[1][:, None]
+    t2 = t[2][:, None]
+    c00 = node(0, 0, 0) + t2 * (node(0, 0, 1) - node(0, 0, 0))
+    c01 = node(0, 1, 0) + t2 * (node(0, 1, 1) - node(0, 1, 0))
+    c10 = node(1, 0, 0) + t2 * (node(1, 0, 1) - node(1, 0, 0))
+    c11 = node(1, 1, 0) + t2 * (node(1, 1, 1) - node(1, 1, 0))
+    c0 = c00 + t1 * (c01 - c00)
+    c1 = c10 + t1 * (c11 - c10)
+    out = c0 + t0 * (c1 - c0)
+    out[~in_range] = 0.0
+    return out.reshape(d0, d1, d2, ch).astype(np.float32)
+
+
+PI32 = float(np.float32(math.pi))  # decoded OVOX specs carry f32-rounded ranges
+SMALL_SPECS = {
+    "cylindrical": GridSpec(CYLINDRICAL, (12, 16, 6), ((0.0, 6.0), (-math.pi, math.pi), (-1.0, 1.4))),
+    "cylindrical_f32": GridSpec(CYLINDRICAL, (12, 16, 6), ((0.0, 6.0), (-PI32, PI32), (-1.0, 1.4))),
+    "cuboid": GridSpec("cuboid", (10, 8, 6), ((-2.0, 3.0), (-1.6, 1.6), (-1.0, 1.4))),
+}
+
+
+def sparse_history(spec, rng, frac, channels=3):
+    data = np.zeros(spec.dims + (channels,), dtype=np.float32)
+    hit = rng.rand(*spec.dims) < frac
+    data[hit] = rng.rand(int(hit.sum()), channels)
+    return data
+
+
+def history_data(spec, case):
+    rng = np.random.RandomState(34)
+    d0, d1, d2 = spec.dims
+    data = np.zeros(spec.dims + (3,), dtype=np.float32)
+    if case == "dense":
+        data = rng.rand(*spec.dims, 3).astype(np.float32)
+    elif case == "sparse":
+        data = sparse_history(spec, rng, 0.05)
+    elif case == "seam":
+        data[:, [0, d1 - 1]] = rng.rand(d0, 2, d2, 3)
+    elif case == "r_bin_0":
+        data[0] = rng.rand(d1, d2, 3)
+    elif case == "edges":
+        data[[0, d0 - 1], :, 1] = rng.rand(2, d1, 3)
+        data[d0 // 2, :, [0, d2 - 1]] = rng.rand(2, d1, 3)
+    elif case == "negative_zero":
+        data = sparse_history(spec, rng, 0.05)
+        data[rng.rand(*spec.dims) < 0.3] = -0.0
+    return data
+
+
+def align_poses(spec):
+    dz = spec.deltas[2]
+    return {
+        "identity": (RigidTransform.identity(), RigidTransform.identity()),
+        "z_shift": (RigidTransform.identity(), RigidTransform(np.eye(3), np.array([0.0, 0.0, dz]))),
+        "yaw_across_seam": (RigidTransform(rot_z(math.pi - 0.1), np.zeros(3)), RigidTransform(rot_z(-0.05), np.zeros(3))),
+        "out_of_range": (RigidTransform.identity(), RigidTransform(rot_z(0.2), np.array([2.5, -1.0, 0.9]))),
+        # lands a rounding error below node 0, which snaps to -0.0
+        "sub_snap_shift": (RigidTransform.identity(), RigidTransform(np.eye(3), np.full(3, -1e-12))),
+    }
+
+
+def assert_bits_equal(got, want):
+    assert got.dtype == want.dtype == np.float32
+    np.testing.assert_array_equal(got.view(np.uint32), want.view(np.uint32))
+
+
+class TestAlignMatchesDense:
+    @pytest.mark.parametrize("pose", ["identity", "z_shift", "yaw_across_seam", "out_of_range", "sub_snap_shift"])
+    @pytest.mark.parametrize("case", ["zero", "dense", "sparse", "seam", "r_bin_0", "edges", "negative_zero"])
+    @pytest.mark.parametrize("spec_name", sorted(SMALL_SPECS))
+    def test_bit_identical(self, spec_name, case, pose):
+        spec = SMALL_SPECS[spec_name]
+        hist = VoxelGrid(spec, "feature", history_data(spec, case))
+        t_hist, t_curr = align_poses(spec)[pose]
+        assert_bits_equal(align_history(hist, t_hist, t_curr).data, dense_align_history(hist, t_hist, t_curr))
+
+    def test_negative_zero_history_keeps_its_sign(self):
+        spec = SMALL_SPECS["cuboid"]
+        hist = VoxelGrid(spec, "feature", np.full(spec.dims + (2,), -0.0, dtype=np.float32))
+        t_hist, t_curr = align_poses(spec)["sub_snap_shift"]
+        want = dense_align_history(hist, t_hist, t_curr)
+        assert np.signbit(want).any()
+        assert_bits_equal(align_history(hist, t_hist, t_curr).data, want)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        spec_name=st.sampled_from(sorted(SMALL_SPECS)),
+        yaw=st.floats(-math.pi, math.pi),
+        tilt=st.floats(-0.1, 0.1),
+        shift=st.tuples(*[st.floats(-1.5, 1.5)] * 3),
+    )
+    def test_small_poses_bit_identical(self, spec_name, yaw, tilt, shift):
+        spec = SMALL_SPECS[spec_name]
+        hist = VoxelGrid(spec, "feature", history_data(spec, "sparse"))
+        c, s = math.cos(tilt), math.sin(tilt)
+        tilt_x = np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
+        t_hist = RigidTransform(rot_z(yaw) @ tilt_x, np.array(shift))
+        t_curr = RigidTransform.identity()
+        assert_bits_equal(align_history(hist, t_hist, t_curr).data, dense_align_history(hist, t_hist, t_curr))
+
+    def test_default_lattice_sparse_history(self, cyl_spec):
+        rng = np.random.RandomState(35)
+        hist = VoxelGrid(cyl_spec, "feature", sparse_history(cyl_spec, rng, 0.06, channels=16))
+        t_hist = RigidTransform(rot_z(0.3), np.array([1.2, -0.7, 0.1]))
+        got = align_history(hist, t_hist, RigidTransform.identity())
+        assert_bits_equal(got.data, dense_align_history(hist, t_hist, RigidTransform.identity()))
+
+    def test_default_lattice_peak_memory(self, cyl_spec):
+        rng = np.random.RandomState(36)
+        hist = VoxelGrid(cyl_spec, "feature", sparse_history(cyl_spec, rng, 0.06, channels=16))
+        t_hist = RigidTransform(rot_z(0.3), np.array([1.2, -0.7, 0.1]))
+        tracemalloc.start()
+        try:
+            align_history(hist, t_hist, RigidTransform.identity())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 250 * 2**20
 
 
 class TestFuseTemporal:
