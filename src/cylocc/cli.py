@@ -96,7 +96,7 @@ def _schedule(text: str) -> tuple[tuple[float, int], ...] | None:
     bands = []
     for part in text.split(","):
         end, window = part.split(":")
-        bands.append((float(end), int(window)))
+        bands.append((*_numbers(end, ":", 1), *_numbers(window, ":", 1, int)))
     return tuple(bands)
 
 
@@ -104,9 +104,9 @@ def _spec(text: str):
     """Inline spec text parsed to GridSpec arguments; "default" and JSON file paths pass through."""
     if not text.startswith((CYLINDRICAL + ":", CUBOID + ":")):
         return text
-    coord, dims, *parts = text.split(":")
-    dims = tuple(int(v) for v in dims.split("x"))
-    nums = [float(v) for v in parts]
+    coord, dims, nums = text.split(":", 2)
+    dims = _numbers(dims, "x", 3, int)
+    nums = _numbers(nums, ":")
     if coord == CYLINDRICAL and len(nums) == 4:
         return coord, dims, ((nums[0], nums[1]), (-math.pi, math.pi), (nums[2], nums[3]))
     if coord == CUBOID and len(nums) == 6:
@@ -114,6 +114,14 @@ def _spec(text: str):
     raise argparse.ArgumentTypeError(
         "inline specs are cylindrical:DIMS:rmin:rmax:zmin:zmax or cuboid:DIMS:xmin:xmax:ymin:ymax:zmin:zmax"
     )
+
+
+def _terms(text: str) -> list[str]:
+    """Comma-separated loss terms, each one of ce, dice and scal."""
+    terms = text.split(",")
+    if not set(terms) <= {"ce", "dice", "scal"}:
+        raise ValueError(text)
+    return terms
 
 
 def _load_spec(arg) -> GridSpec:
@@ -268,18 +276,15 @@ def _cmd_loss(args) -> int:
         w = class_weights(class_frequencies(gt, c))
     else:
         w = weights_from_json(Path(args.weights).read_bytes())
-    terms = args.terms.split(",")
     doc: dict = {"terms": {}}
     pred_labels = VoxelGrid(gt.spec, "label", np.argmax(pred.probs, axis=3).astype(np.uint8))
-    for term in terms:
+    for term in args.terms:
         if term == "ce":
             doc["terms"]["ce"] = weighted_ce(pred, gt, w)
         elif term == "dice":
             doc["terms"]["dice"] = dice_macro(pred_labels, gt, c)
         elif term == "scal":
             doc["terms"]["scal"] = scal_loss(pred, gt)
-        else:
-            raise DomainError(f"unknown loss term {term!r}")
     doc["sum"] = float(sum(doc["terms"].values()))
     _write_report(doc, args.report)
     return 0
@@ -352,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--pred", required=True)
     s.add_argument("--gt", required=True)
     s.add_argument("--weights", default="auto")
-    s.add_argument("--terms", default="ce,dice,scal")
+    s.add_argument("--terms", type=_terms, default="ce,dice,scal")
     s.add_argument("--report", default=None)
     s.set_defaults(func=_cmd_loss)
 

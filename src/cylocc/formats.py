@@ -23,18 +23,23 @@ byte offset or field name. Range values are stored as f32, so decoded grid
 specs carry f32-rounded ranges; payloads round-trip bit-exactly.
 
 JSON documents cover camera rigs, scenes, poses, grid specs and class
-weights; their loaders raise InvalidField on malformed content.
+weights; their loaders raise InvalidField on malformed content: a missing
+key, a wrong type, a non-finite number, a vector of the wrong length, a
+non-integer size or a non-string name. _fields is the single mapping from
+what a malformed value raises to InvalidField, for the JSON loaders and for
+the binary decoders' constructor checks alike.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import struct
+from contextlib import contextmanager
 
 import numpy as np
 
-from .errors import DomainError, ShapeError
 from .geom import ErpImage, FisheyeCamera, LabeledPointCloud, RigidTransform
 from .grid import CUBOID, CYLINDRICAL, GridSpec, LabelSet, VoxelGrid, default_label_set
 from .losses import ClassWeights, class_weights
@@ -71,6 +76,21 @@ class Truncated(FormatError):
 
 class InvalidField(FormatError):
     pass
+
+
+@contextmanager
+def _fields(fieldname: str, offset: int | None = None):
+    """Re-raise KeyError, TypeError, ValueError (DomainError and ShapeError
+    included) and OverflowError met while reading fieldname as InvalidField;
+    format errors pass through unchanged."""
+    try:
+        yield
+    except FormatError:
+        raise
+    except KeyError as e:
+        raise InvalidField(f"missing key {e}", offset, fieldname) from e
+    except (TypeError, ValueError, OverflowError) as e:
+        raise InvalidField(str(e), offset, fieldname) from e
 
 
 def _need(buf: bytes, offset: int, count: int, fieldname: str) -> bytes:
@@ -150,16 +170,8 @@ def decode_voxel_grid(buf: bytes) -> VoxelGrid:
         raise InvalidField(f"{kind} payload requires 1 channel, header says {channels}", offset=46, fieldname="channels")
     if channels < 1:
         raise InvalidField("channel count must be >= 1", offset=46, fieldname="channels")
-    if not all(math.isfinite(v) for v in ranges):
-        raise InvalidField("non-finite range value", offset=21, fieldname="ranges")
-    try:
-        spec = GridSpec(
-            _COORD_NAMES[coord_code],
-            (d0, d1, d2),
-            ((ranges[0], ranges[1]), (ranges[2], ranges[3]), (ranges[4], ranges[5])),
-        )
-    except (DomainError, ShapeError) as e:
-        raise InvalidField(f"invalid grid spec: {e}", offset=9, fieldname="dims/ranges") from e
+    with _fields("dims/ranges", offset=9):
+        spec = GridSpec(_COORD_NAMES[coord_code], (d0, d1, d2), (ranges[0:2], ranges[2:4], ranges[4:6]))
     item = 4 if kind == "feature" else 1
     expected = _OVOX_HEADER.size + d0 * d1 * d2 * channels * item
     _exact_length(buf, expected, "payload")
@@ -170,10 +182,8 @@ def decode_voxel_grid(buf: bytes) -> VoxelGrid:
         data = raw.reshape(d0, d1, d2, channels).astype(np.float32)
     else:
         data = np.frombuffer(buf, dtype=np.uint8, count=count, offset=_OVOX_HEADER.size).reshape(d0, d1, d2).copy()
-    try:
+    with _fields("payload", offset=_OVOX_HEADER.size):
         return VoxelGrid(spec, kind, data)
-    except (DomainError, ShapeError) as e:
-        raise InvalidField(f"invalid payload: {e}", offset=_OVOX_HEADER.size, fieldname="payload") from e
 
 
 _OPCD_HEADER = struct.Struct("<4sIQ")
@@ -194,10 +204,8 @@ def decode_point_cloud(buf: bytes) -> LabeledPointCloud:
     expected = _OPCD_HEADER.size + count * _OPCD_POINT.itemsize
     _exact_length(buf, expected, "points")
     rec = np.frombuffer(buf, dtype=_OPCD_POINT, count=count, offset=_OPCD_HEADER.size)
-    pts = rec["xyz"].astype(np.float64)
-    if count and not np.all(np.isfinite(pts)):
-        raise InvalidField("non-finite point coordinates", offset=_OPCD_HEADER.size, fieldname="points")
-    return LabeledPointCloud(pts, rec["label"].copy())
+    with _fields("points", offset=_OPCD_HEADER.size):
+        return LabeledPointCloud(rec["xyz"].astype(np.float64), rec["label"].copy())
 
 
 _ODPT_HEADER = struct.Struct("<4sIB3I")
@@ -224,42 +232,68 @@ def decode_raster(buf: bytes) -> ErpImage:
     _exact_length(buf, expected, "payload")
     data = np.frombuffer(buf, dtype="<f4", count=width * height * channels, offset=_ODPT_HEADER.size)
     shape = (height, width) if channels == 1 else (height, width, channels)
-    try:
+    with _fields("payload", offset=_ODPT_HEADER.size):
         return ErpImage(width, height, channels, data.reshape(shape).copy(), _ODPT_KIND_NAMES[kind_code])
-    except (DomainError, ShapeError) as e:
-        raise InvalidField(f"invalid raster payload: {e}", offset=_ODPT_HEADER.size, fieldname="payload") from e
 
 
 # ---------------------------------------------------------------------------
-# JSON documents
+# JSON documents: loaders read every value through these typed readers
+
+
+def _num(v) -> float:
+    """A finite JSON number; bools are not numbers."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise TypeError(f"expected a number, got {type(v).__name__}")
+    if not math.isfinite(v):  # OverflowError for integers beyond float range
+        raise ValueError(f"expected a finite number, got {v!r}")
+    return float(v)
+
+
+def _int(v) -> int:
+    """A JSON integer; bools and fractional numbers are not integers."""
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise TypeError(f"expected an integer, got {type(v).__name__}")
+    return v
+
+
+def _str(v) -> str:
+    if not isinstance(v, str):
+        raise TypeError(f"expected a string, got {type(v).__name__}")
+    return v
+
+
+def _vec(n: int | None, read=_num):
+    """Reader of a JSON array of exactly n items (any number when n is None), each read by read."""
+    def read_vec(v) -> tuple:
+        if not isinstance(v, list) or (n is not None and len(v) != n):
+            raise ValueError(f"expected an array of {n} items" if n is not None else "expected an array")
+        return tuple(read(x) for x in v)
+
+    return read_vec
 
 
 def _load_json(text: str | bytes, what: str):
-    try:
-        return json.loads(text)
-    except (json.JSONDecodeError, UnicodeDecodeError) as e:
-        raise InvalidField(f"{what} is not valid JSON: {e}", fieldname=what) from e
+    with _fields(what):
+        try:
+            return json.loads(text)
+        except RecursionError as e:
+            raise ValueError("arrays or objects nested too deeply") from e
 
 
 FISHEYE_MODEL = "equidistant_fisheye"
+
+# JSON key and reader of each camera field, in the order rig_to_json writes them
+_RIG_FIELDS = (("name", _str), ("model", _str), ("width", _int), ("height", _int), ("focal_px_per_rad", _num),
+               ("cx", _num), ("cy", _num), ("fov_deg", _num), ("pose", _vec(16)))
 
 
 def rig_to_json(rig: list[FisheyeCamera]) -> str:
     entries = []
     for cam in rig:
-        entries.append(
-            {
-                "name": cam.name,
-                "model": FISHEYE_MODEL,
-                "width": cam.width,
-                "height": cam.height,
-                "focal_px_per_rad": cam.focal,
-                "cx": cam.principal_point[0],
-                "cy": cam.principal_point[1],
-                "fov_deg": math.degrees(cam.fov),
-                "pose": [float(v) for v in cam.pose.matrix().reshape(-1)],
-            }
-        )
+        cx, cy = cam.principal_point
+        pose = [float(v) for v in cam.pose.matrix().reshape(-1)]
+        values = (cam.name, FISHEYE_MODEL, cam.width, cam.height, cam.focal, cx, cy, math.degrees(cam.fov), pose)
+        entries.append(dict(zip((key for key, _ in _RIG_FIELDS), values)))
     return json.dumps(entries, indent=2)
 
 
@@ -269,101 +303,53 @@ def rig_from_json(text: str | bytes) -> list[FisheyeCamera]:
         raise InvalidField("rig config must be a non-empty array of cameras", fieldname="rig")
     rig = []
     for i, entry in enumerate(doc):
-        try:
-            if entry["model"] != FISHEYE_MODEL:
-                raise InvalidField(f"unsupported camera model {entry['model']!r}", fieldname=f"cameras[{i}].model")
-            pose = np.asarray(entry["pose"], dtype=np.float64)
-            if pose.shape != (16,):
-                raise InvalidField("pose must hold 16 numbers", fieldname=f"cameras[{i}].pose")
-            rig.append(
-                FisheyeCamera(
-                    width=int(entry["width"]),
-                    height=int(entry["height"]),
-                    focal=float(entry["focal_px_per_rad"]),
-                    principal_point=(float(entry["cx"]), float(entry["cy"])),
-                    fov=math.radians(float(entry["fov_deg"])),
-                    pose=RigidTransform.from_matrix(pose.reshape(4, 4)),
-                    name=str(entry["name"]),
-                )
-            )
-        except KeyError as e:
-            raise InvalidField(f"missing camera field {e}", fieldname=f"cameras[{i}]") from e
-        except InvalidField:
-            raise
-        except (TypeError, ValueError) as e:
-            raise InvalidField(f"bad camera entry: {e}", fieldname=f"cameras[{i}]") from e
+        with _fields(f"cameras[{i}]"):
+            name, model, width, height, focal, cx, cy, fov_deg, pose = (read(entry[k]) for k, read in _RIG_FIELDS)
+            if model != FISHEYE_MODEL:
+                raise InvalidField(f"unsupported camera model {model!r}", fieldname=f"cameras[{i}].model")
+            pose = RigidTransform.from_matrix(np.reshape(pose, (4, 4)))
+            rig.append(FisheyeCamera(width, height, focal, (cx, cy), math.radians(fov_deg), pose, name))
     return rig
+
+
+# shape tag -> (primitive class, JSON key and reader of each constructor
+# argument before the label, in field order)
+_SHAPES = {
+    "half_space": (HalfSpace, (("height", _num),)),
+    "box": (Box, (("min", _vec(3)), ("max", _vec(3)))),
+    "cylinder": (VerticalCylinder, (("center", _vec(2)), ("radius", _num), ("z_min", _num), ("z_max", _num))),
+    "sphere": (Sphere, (("center", _vec(3)), ("radius", _num))),
+}
+_SHAPE_TAGS = {cls: tag for tag, (cls, _) in _SHAPES.items()}
 
 
 def scene_to_json(scene: Scene, labels: LabelSet | None = None) -> str:
     lab = labels if labels is not None else default_label_set()
     prims = []
     for p in scene.primitives:
-        name = lab.names[p.label]
-        if isinstance(p, HalfSpace):
-            prims.append({"shape": "half_space", "height": p.height, "label": name})
-        elif isinstance(p, Box):
-            prims.append({"shape": "box", "min": list(p.min_corner), "max": list(p.max_corner), "label": name})
-        elif isinstance(p, VerticalCylinder):
-            prims.append(
-                {
-                    "shape": "cylinder",
-                    "center": list(p.center),
-                    "radius": p.radius,
-                    "z_min": p.z_min,
-                    "z_max": p.z_max,
-                    "label": name,
-                }
-            )
-        elif isinstance(p, Sphere):
-            prims.append({"shape": "sphere", "center": list(p.center), "radius": p.radius, "label": name})
-        else:
+        tag = _SHAPE_TAGS.get(type(p))
+        if tag is None:
             raise InvalidField(f"unknown primitive type {type(p).__name__}", fieldname="primitives")
-    doc = {"classes": list(lab.names), "primitives": prims}
-    return json.dumps(doc, indent=2)
+        args = dict(zip((key for key, _ in _SHAPES[tag][1]), dataclasses.astuple(p)[:-1]))
+        prims.append({"shape": tag, **args, "label": lab.names[p.label]})
+    return json.dumps({"classes": list(lab.names), "primitives": prims}, indent=2)
 
 
 def scene_from_json(text: str | bytes) -> tuple[Scene, LabelSet]:
     doc = _load_json(text, "scene config")
-    if not isinstance(doc, dict) or "primitives" not in doc:
+    if not isinstance(doc, dict) or not isinstance(doc.get("primitives"), list):
         raise InvalidField("scene config must be an object with a primitives array", fieldname="scene")
-    try:
-        labels = LabelSet(tuple(doc["classes"])) if "classes" in doc else default_label_set()
-    except (DomainError, TypeError) as e:
-        raise InvalidField(f"bad class list: {e}", fieldname="classes") from e
-    prims: list = []
+    with _fields("classes"):
+        labels = LabelSet(_vec(None, _str)(doc["classes"])) if "classes" in doc else default_label_set()
+    prims = []
     for i, entry in enumerate(doc["primitives"]):
-        try:
-            label = labels.index_of(entry["label"])
-            shape = entry["shape"]
-            if shape == "half_space":
-                prims.append(HalfSpace(float(entry["height"]), label))
-            elif shape == "box":
-                prims.append(Box(tuple(map(float, entry["min"])), tuple(map(float, entry["max"])), label))
-            elif shape == "cylinder":
-                prims.append(
-                    VerticalCylinder(
-                        tuple(map(float, entry["center"])),
-                        float(entry["radius"]),
-                        float(entry["z_min"]),
-                        float(entry["z_max"]),
-                        label,
-                    )
-                )
-            elif shape == "sphere":
-                prims.append(Sphere(tuple(map(float, entry["center"])), float(entry["radius"]), label))
-            else:
-                raise InvalidField(f"unknown shape tag {shape!r}", fieldname=f"primitives[{i}].shape")
-        except KeyError as e:
-            raise InvalidField(f"missing primitive field {e}", fieldname=f"primitives[{i}]") from e
-        except (TypeError, ValueError) as e:
-            if isinstance(e, InvalidField):
-                raise
-            raise InvalidField(f"bad primitive: {e}", fieldname=f"primitives[{i}]") from e
-    try:
+        with _fields(f"primitives[{i}]"):
+            if entry["shape"] not in _SHAPES:
+                raise InvalidField(f"unknown shape tag {entry['shape']!r}", fieldname=f"primitives[{i}].shape")
+            cls, args = _SHAPES[entry["shape"]]
+            prims.append(cls(*(read(entry[key]) for key, read in args), labels.index_of(entry["label"])))
+    with _fields("primitives"):
         return Scene(tuple(prims)), labels
-    except DomainError as e:
-        raise InvalidField(f"bad scene: {e}", fieldname="primitives") from e
 
 
 def pose_to_json(pose: RigidTransform) -> str:
@@ -371,17 +357,11 @@ def pose_to_json(pose: RigidTransform) -> str:
 
 
 def pose_from_json(text: str | bytes) -> RigidTransform:
+    """A pose from {"pose": [16 numbers]} or a bare array, row-major 4x4."""
     doc = _load_json(text, "pose")
     raw = doc["pose"] if isinstance(doc, dict) and "pose" in doc else doc
-    try:
-        arr = np.asarray(raw, dtype=np.float64)
-        if arr.shape != (16,):
-            raise InvalidField("pose must hold 16 numbers, row-major 4x4", fieldname="pose")
-        return RigidTransform.from_matrix(arr.reshape(4, 4))
-    except InvalidField:
-        raise
-    except (TypeError, ValueError) as e:
-        raise InvalidField(f"bad pose: {e}", fieldname="pose") from e
+    with _fields("pose"):
+        return RigidTransform.from_matrix(np.reshape(_vec(16)(raw), (4, 4)))
 
 
 def spec_to_json(spec: GridSpec) -> str:
@@ -392,16 +372,8 @@ def spec_to_json(spec: GridSpec) -> str:
 
 def spec_from_json(text: str | bytes) -> GridSpec:
     doc = _load_json(text, "grid spec")
-    try:
-        return GridSpec(
-            doc["coord_sys"],
-            tuple(doc["dims"]),
-            tuple((float(lo), float(hi)) for lo, hi in doc["ranges"]),
-        )
-    except KeyError as e:
-        raise InvalidField(f"missing spec field {e}", fieldname="spec") from e
-    except (TypeError, ValueError) as e:
-        raise InvalidField(f"bad grid spec: {e}", fieldname="spec") from e
+    with _fields("spec"):
+        return GridSpec(doc["coord_sys"], _vec(3, _int)(doc["dims"]), _vec(3, _vec(2))(doc["ranges"]))
 
 
 def weights_from_json(text: str | bytes) -> ClassWeights:
@@ -409,7 +381,5 @@ def weights_from_json(text: str | bytes) -> ClassWeights:
     doc = _load_json(text, "class weights")
     if not isinstance(doc, dict) or "frequencies" not in doc:
         raise InvalidField("class weights must be an object with a frequencies array", fieldname="weights")
-    try:
-        return class_weights(np.asarray(doc["frequencies"], dtype=np.float64), float(doc.get("constant", 1.02)))
-    except (TypeError, ValueError) as e:
-        raise InvalidField(f"bad class weights: {e}", fieldname="weights") from e
+    with _fields("weights"):
+        return class_weights(_vec(None)(doc["frequencies"]), _num(doc.get("constant", 1.02)))

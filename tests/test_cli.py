@@ -2,6 +2,7 @@
 (synth -> sketch -> voxelize -> lift -> align -> fuse -> eval -> loss)."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -89,6 +90,7 @@ class TestExitCodes:
         "eval": ["--pred", "p.ovox", "--gt", "g.ovox"],
         "synth": ["--scene", "s.json", "--out", "out"],
         "sketch": ["--depth", "d.odpt", "--out", "out"],
+        "loss": ["--pred", "p.ovox", "--gt", "g.ovox"],
     }
 
     @pytest.mark.parametrize("command,flag,value", [
@@ -111,6 +113,12 @@ class TestExitCodes:
         ("sketch", "--schedule", "8.5:a"),
         ("sketch", "--spec", "cylindrical:128x200x16:0:25.6"),
         ("sketch", "--spec", "cuboid:4x4:a:1:0:1:0:1"),
+        ("sketch", "--schedule", "nan:0,25.6:1"),
+        ("sketch", "--schedule", "8.5:1.5"),
+        ("sketch", "--spec", "cylindrical:8x16x4:0:nan:-2.8:3.6"),
+        ("sketch", "--spec", "cylindrical:8x16:0:25.6:-2.8:3.6"),
+        ("loss", "--terms", "ce,foo"),
+        ("loss", "--terms", ""),
     ])
     def test_malformed_flag_value_is_usage_error(self, command, flag, value, capsys):
         assert main([command, *self.REQUIRED[command], f"{flag}={value}"]) == 1
@@ -126,6 +134,48 @@ class TestExitCodes:
         weights = tmp_path / "w.json"
         weights.write_text('{"frequencies": "many"}')
         assert main(["loss", "--pred", str(pred), "--gt", str(gt), "--weights", str(weights)]) == 2
+
+    def test_non_finite_weights_constant_is_format_error(self, tmp_path, capsys):
+        spec = GridSpec("cuboid", (2, 2, 1), ((0, 2), (0, 2), (0, 1)))
+        gt = tmp_path / "gt.ovox"
+        gt.write_bytes(encode_voxel_grid(VoxelGrid.zeros(spec, "label")))
+        pred = tmp_path / "pred.ovox"
+        pred.write_bytes(encode_voxel_grid(VoxelGrid(spec, "feature", np.full((2, 2, 1, 2), 0.5, np.float32))))
+        weights = tmp_path / "w.json"
+        weights.write_text(json.dumps({"frequencies": [0.5, 0.5], "constant": math.nan}))
+        report = tmp_path / "report.json"
+        args = ["loss", "--pred", str(pred), "--gt", str(gt), "--weights", str(weights), "--report", str(report)]
+        assert main(args) == 2
+        assert "format error" in capsys.readouterr().err
+        assert not report.exists()
+
+    @pytest.mark.parametrize("scene", [
+        {"primitives": 5},
+        {"primitives": [{"shape": "sphere", "center": [0, -10], "radius": 0.7, "label": "vegetation"}]},
+        {"primitives": [{"shape": "box", "min": [9, -1], "max": [10, 1, 0.3], "label": "vehicles"}]},
+        {"primitives": [{"shape": "box", "min": [9, -1, -1.3], "max": [10, 1], "label": "vehicles"}]},
+        {"primitives": [{"shape": "sphere", "center": [0, -10, 0], "radius": math.nan, "label": "vegetation"}]},
+        {"primitives": [{"shape": "half_space", "height": math.inf, "label": "road"}]},
+        {"primitives": [{"shape": "cylinder", "center": [-6, 8, 0], "radius": 0.25, "z_min": -1.3, "z_max": 2.3,
+                         "label": "pole"}]},
+    ])
+    def test_malformed_scene_is_format_error(self, tmp_path, scene, capsys):
+        p = tmp_path / "scene.json"
+        p.write_text(json.dumps(scene))
+        assert main(["synth", "--scene", str(p), "--erp", "8x4", "--out", str(tmp_path / "out")]) == 2
+        assert "format error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field,value", [
+        ("focal_px_per_rad", math.nan), ("cx", math.nan), ("cx", math.inf), ("cy", -math.inf), ("width", 2.7),
+    ])
+    def test_malformed_rig_is_format_error(self, tmp_path, scene_file, field, value, capsys):
+        doc = json.loads(rig_to_json(surround_rig()))
+        doc[0][field] = value
+        rig = tmp_path / "rig.json"
+        rig.write_text(json.dumps(doc))
+        args = ["synth", "--scene", str(scene_file), "--rig", str(rig), "--erp", "8x4", "--out", str(tmp_path / "out")]
+        assert main(args) == 2
+        assert "format error" in capsys.readouterr().err
 
     def test_empty_grids_report_is_strict_json(self, tmp_path):
         g = tmp_path / "empty.ovox"

@@ -1,6 +1,7 @@
 """Codec tests: byte-level layout pinned with struct-built oracles,
 round-trip exactness, typed failure on malformed input."""
 
+import copy
 import json
 import math
 import struct
@@ -8,6 +9,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cylocc.formats import (
     BadMagic,
@@ -33,7 +36,7 @@ from cylocc.formats import (
 )
 from cylocc.geom import ErpImage, LabeledPointCloud, RigidTransform, surround_rig
 from cylocc.grid import GridSpec, VoxelGrid, default_cylindrical_spec
-from cylocc.synth import Sphere
+from cylocc.synth import Box, HalfSpace, Scene, Sphere, VerticalCylinder
 
 
 def random_label_grid(rng):
@@ -114,6 +117,13 @@ class TestOvox:
     def test_bad_coord_code(self, cyl_spec):
         blob = bytearray(encode_voxel_grid(VoxelGrid.zeros(cyl_spec, "label")))
         blob[8] = 9
+        with pytest.raises(InvalidField):
+            decode_voxel_grid(bytes(blob))
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_range_rejected(self, cyl_spec, bad):
+        blob = bytearray(encode_voxel_grid(VoxelGrid.zeros(cyl_spec, "label")))
+        struct.pack_into("<f", blob, 21 + 4, bad)  # r max
         with pytest.raises(InvalidField):
             decode_voxel_grid(bytes(blob))
 
@@ -369,3 +379,159 @@ class TestJsonDocs:
     def test_weights_malformed_rejected(self, text):
         with pytest.raises(InvalidField):
             weights_from_json(text)
+
+
+CLASSES = ["free", "road", "sidewalk", "ground", "building", "wall", "vegetation", "vehicles", "other", "pole",
+           "pedestrian", "roadline"]
+
+# the scene of demos/07_full_pipeline.py
+DEMO07_SCENE = Scene((
+    *[Box((x, -0.15, -1.3), (x + 1.2, 0.15, -1.25), 11) for x in (2.0, 5.0, 8.0, 11.0, 14.0)],
+    Box((-20.0, 6.0, -1.3), (20.0, 20.0, -1.22), 2),
+    Box((4.0, -4.5, -1.3), (6.0, -2.5, 0.3), 7),
+    VerticalCylinder((-4.0, 2.0), 0.3, -1.3, 2.3, 9),
+    Sphere((-6.0, -5.0, 0.1), 1.0, 6),
+    Box((18.0, -10.0, -1.3), (19.0, 10.0, 2.7), 4),
+    HalfSpace(-1.3, 1),
+))
+
+STREET_DOC = {"classes": CLASSES, "primitives": [
+    {"shape": "box", "min": [9.0, -0.75, -1.3], "max": [10.5, 0.75, 0.3], "label": "vehicles"},
+    {"shape": "cylinder", "center": [-6.0, 8.0], "radius": 0.25, "z_min": -1.3, "z_max": 2.3, "label": "pole"},
+    {"shape": "sphere", "center": [0.0, -10.0, 0.1], "radius": 0.7, "label": "vegetation"},
+    {"shape": "half_space", "height": -1.3, "label": "road"},
+]}
+
+DEMO07_DOC = {"classes": CLASSES, "primitives": [
+    *[{"shape": "box", "min": [x, -0.15, -1.3], "max": [x_end, 0.15, -1.25], "label": "roadline"}
+      for x, x_end in ((2.0, 3.2), (5.0, 6.2), (8.0, 9.2), (11.0, 12.2), (14.0, 15.2))],
+    {"shape": "box", "min": [-20.0, 6.0, -1.3], "max": [20.0, 20.0, -1.22], "label": "sidewalk"},
+    {"shape": "box", "min": [4.0, -4.5, -1.3], "max": [6.0, -2.5, 0.3], "label": "vehicles"},
+    {"shape": "cylinder", "center": [-4.0, 2.0], "radius": 0.3, "z_min": -1.3, "z_max": 2.3, "label": "pole"},
+    {"shape": "sphere", "center": [-6.0, -5.0, 0.1], "radius": 1.0, "label": "vegetation"},
+    {"shape": "box", "min": [18.0, -10.0, -1.3], "max": [19.0, 10.0, 2.7], "label": "building"},
+    {"shape": "half_space", "height": -1.3, "label": "road"},
+]}
+
+# row-major camera-to-ego matrices of surround_rig(), as rig_to_json writes them
+RIG_POSES = [
+    [0.0, 0.0, 1.0, 0.9, -1.0, 0.0, 0.0, 0.0, 0.0, -1.0, 0.0, 1.6, 0.0, 0.0, 0.0, 1.0],
+    [0.8660254037844386, 0.0, 0.5000000000000001, 0.4500000000000001, -0.5000000000000001, 0.0,
+     0.8660254037844386, 0.7794228634059948, 0.0, -1.0, 0.0, 1.6, 0.0, 0.0, 0.0, 1.0],
+    [0.8660254037844387, 0.0, -0.4999999999999998, -0.4499999999999998, 0.4999999999999998, 0.0,
+     0.8660254037844387, 0.7794228634059949, 0.0, -1.0, 0.0, 1.6, 0.0, 0.0, 0.0, 1.0],
+    [1.2246467991473532e-16, 0.0, -1.0, -0.9, 1.0, 0.0, 1.2246467991473532e-16, 1.1021821192326179e-16,
+     0.0, -1.0, 0.0, 1.6, 0.0, 0.0, 0.0, 1.0],
+    [-0.8660254037844384, 0.0, -0.5000000000000004, -0.4500000000000004, 0.5000000000000004, 0.0,
+     -0.8660254037844384, -0.7794228634059945, 0.0, -1.0, 0.0, 1.6, 0.0, 0.0, 0.0, 1.0],
+    [-0.8660254037844386, 0.0, 0.5000000000000001, 0.4500000000000001, -0.5000000000000001, 0.0,
+     -0.8660254037844386, -0.7794228634059948, 0.0, -1.0, 0.0, 1.6, 0.0, 0.0, 0.0, 1.0],
+]
+
+RIG_DOC = [
+    {"name": f"cam{i}", "model": "equidistant_fisheye", "width": 640, "height": 640, "focal_px_per_rad": 190.0,
+     "cx": 320.0, "cy": 320.0, "fov_deg": 185.0, "pose": pose}
+    for i, pose in enumerate(RIG_POSES)
+]
+
+
+class TestWriterBytes:
+    """The JSON writers' output is pinned byte for byte: each expected
+    string is the indent-2 rendering of a literal document, which fixes key
+    order, integer-versus-float numbers and every float's digits."""
+
+    def test_rig(self):
+        assert rig_to_json(surround_rig()) == json.dumps(RIG_DOC, indent=2)
+
+    def test_street_scene(self, street_scene):
+        assert scene_to_json(street_scene) == json.dumps(STREET_DOC, indent=2)
+
+    def test_demo_scene(self):
+        assert scene_to_json(DEMO07_SCENE) == json.dumps(DEMO07_DOC, indent=2)
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-standard JSON constant {token}")
+
+
+# each loader with a writer for what it loads; a loaded object must write
+# back as strict JSON, so no non-finite number got into it
+LOADERS = {
+    rig_from_json: rig_to_json,
+    scene_from_json: lambda loaded: scene_to_json(*loaded),
+    pose_from_json: pose_to_json,
+    spec_from_json: spec_to_json,
+    weights_from_json: lambda w: json.dumps([w.weights.tolist(), w.constant, w.frequencies.tolist()]),
+}
+
+VALID_DOCS = {
+    rig_from_json: RIG_DOC,
+    scene_from_json: STREET_DOC,
+    pose_from_json: {"pose": RIG_POSES[1]},
+    spec_from_json: json.loads(spec_to_json(default_cylindrical_spec())),
+    weights_from_json: {"frequencies": [0.25, 0.75], "constant": 1.5},
+}
+
+JSON_KEYS = st.sampled_from(
+    ["primitives", "classes", "shape", "label", "pose", "coord_sys", "dims", "ranges", "frequencies", "constant"]
+) | st.text(max_size=6)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.text(max_size=6) | st.integers()
+    | st.sampled_from([2**63, -(2**64), 10**400]) | st.floats(allow_nan=True, allow_infinity=True),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(JSON_KEYS, inner, max_size=4),
+    max_leaves=12,
+)
+DELETE = object()
+
+
+def _paths(doc, prefix=()):
+    """Every path of keys and indices into doc, the empty root path included."""
+    yield prefix
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield from _paths(value, prefix + (key,))
+
+
+def _load_or_invalid(loader, text):
+    """The loader either raises InvalidField or returns an object that writes back as strict JSON."""
+    try:
+        loaded = loader(text)
+    except InvalidField:
+        return
+    json.loads(LOADERS[loader](loaded), parse_constant=_reject_constant)
+
+
+class TestJsonFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(loader=st.sampled_from(list(LOADERS)), value=JSON_VALUES)
+    def test_arbitrary_value(self, loader, value):
+        _load_or_invalid(loader, json.dumps(value))
+
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data())
+    def test_valid_document_with_one_field_replaced(self, data):
+        loader = data.draw(st.sampled_from(list(LOADERS)))
+        doc = copy.deepcopy(VALID_DOCS[loader])
+        path = data.draw(st.sampled_from(list(_paths(doc))))
+        value = data.draw(JSON_VALUES | st.just(DELETE))
+        if not path:
+            doc = None if value is DELETE else value
+        else:
+            parent = doc
+            for key in path[:-1]:
+                parent = parent[key]
+            if value is DELETE:
+                del parent[path[-1]]
+            else:
+                parent[path[-1]] = value
+        _load_or_invalid(loader, json.dumps(doc))
+
+    @pytest.mark.parametrize("loader", list(LOADERS))
+    def test_valid_documents_load(self, loader):
+        """The documents the fuzz starts from are valid, so it exercises every field."""
+        LOADERS[loader](loader(json.dumps(VALID_DOCS[loader])))
+
+    @pytest.mark.parametrize("loader", list(LOADERS))
+    def test_deep_nesting_rejected(self, loader):
+        with pytest.raises(InvalidField):
+            loader("[" * 100_000 + "]" * 100_000)

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from cylocc.errors import DomainError, ShapeError
+from cylocc.formats import decode_voxel_grid, encode_voxel_grid
 from cylocc.grid import CUBOID, GridSpec, VoxelGrid
 from cylocc.metrics import (
     Rays,
@@ -188,6 +189,40 @@ class TestCasterExactness:
                 # tail cells after the last sample: reachable only if thin
                 # or beyond the final marcher sample
                 assert chord[k] < step + 1e-9 or entries[k] > t[-1]
+
+    def test_azimuth_seam_on_f32_rounded_spec(self, cyl_spec):
+        """The caster's azimuth planes step from exactly -pi, while binning
+        uses the spec's theta range, which a decoded spec carries rounded to
+        f32. Rays crossing theta = +-pi into a grid whose only occupied
+        bins are theta bins 0 and D1-1 (distinct labels) must hit the same
+        labels on the exact and the decoded spec, and the decoded cast must
+        agree with the 1 mm marcher except on cells thinner than its step."""
+        g = VoxelGrid.zeros(cyl_spec, "label")
+        g.data[:, 0, :] = 3
+        g.data[:, -1, :] = 5
+        decoded = decode_voxel_grid(encode_voxel_grid(g))
+        assert decoded.spec.ranges[1] != cyl_spec.ranges[1]
+        rng = np.random.default_rng(12)
+        n = 300
+        x = rng.uniform(-20.0, -1.0, n)
+        side = rng.choice([-1.0, 1.0], n)
+        # origins at least 0.04 rad off the seam, outside both seam bins
+        o = np.stack([x, side * -x * rng.uniform(0.04, 0.3, n), rng.uniform(-2.0, 3.0, n)], axis=1)
+        d = np.stack([rng.uniform(-1, 1, n), -side * rng.uniform(0.1, 1, n), rng.uniform(-0.3, 0.3, n)], axis=1)
+        d /= np.linalg.norm(d, axis=1, keepdims=True)
+        rays = Rays(o, d)
+        exact = cast_rays(rays, g, 30.0)
+        cast = cast_rays(rays, decoded, 30.0)
+        np.testing.assert_array_equal(cast.label, exact.label)
+        assert (cast.distance > 0).all()
+        assert (cast.label == 3).sum() > n // 4 and (cast.label == 5).sum() > n // 4
+        march = march_fixed_step(rays, decoded, 30.0, step=0.001)
+        agree = (cast.voxel == march.voxel).all(axis=1)
+        for i in np.nonzero(~agree)[0]:
+            assert cast.hit[i]
+            chord = self.chord_in_voxel(decoded.spec, decoded, o[i], d[i], cast.voxel[i], cast.distance[i])
+            assert chord < 0.002, f"ray {i} disagreed with chord {chord}"
+        np.testing.assert_array_equal(cast.label[agree], march.label[agree])
 
     def test_distance_is_entry_not_center(self, cyl_spec):
         g = VoxelGrid.zeros(cyl_spec, "label")
