@@ -37,9 +37,7 @@ print(f"{len(hits)} candidates; camera coverage histogram "
       f"{np.bincount(counts, minlength=7).tolist()} (index = #cameras)")
 
 # synthetic feature rasters, one per camera
-features = {
-    cam.name: FeatureImage(cam.name, rng.rand(32, 32, 8).astype(np.float32)) for cam in rig
-}
+features = [FeatureImage(cam.name, rng.rand(32, 32, 8).astype(np.float32)) for cam in rig]
 colored = color_voxels(hits, features)
 print("colored grid channels:", colored.channels)
 print("unseen candidates stay zero:", int(hits.unhit.sum()))

@@ -44,7 +44,7 @@ flip = (pred.data != 0) & (rr > 12.0) & (rng.rand(*spec.dims) < 0.4)
 pred.data[flip] = rng.randint(1, labels.count, size=int(flip.sum())).astype(np.uint8)
 print(f"corrupted {int(flip.sum())} far voxels")
 
-rays = default_ray_fan((0.0, 0.0, 0.0))
+rays = default_ray_fan()
 report = ray_iou(
     pred, gt, rays,
     thresholds=(1.0, 2.0, 4.0),

@@ -25,7 +25,6 @@ from .grid import (
     LabelSet,
     VoxelGrid,
     class_frequencies,
-    default_cuboid_spec,
     default_cylindrical_spec,
     default_label_set,
     voxelize_semantic,
@@ -50,7 +49,6 @@ from .metrics import (
     cast_rays,
     default_ray_fan,
     generate_rays,
-    march_fixed_step,
     ray_iou,
     traverse_cells,
 )
@@ -62,7 +60,6 @@ from .synth import (
     Sphere,
     VerticalCylinder,
     analytic_voxel_gt,
-    lidar_ring_origins,
     render_erp_depth,
     sample_scene_point_cloud,
 )

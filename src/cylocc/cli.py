@@ -167,30 +167,24 @@ def _cmd_info(args) -> int:
 def _cmd_synth(args) -> int:
     scene, labels = scene_from_json(Path(args.scene).read_bytes())
     rig = rig_from_json(Path(args.rig).read_bytes()) if args.rig else surround_rig()
-    w, h = args.erp
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    depth, semantic = synth_mod.render_erp_depth(scene, w, h)
-    (out / "depth.odpt").write_bytes(encode_raster(depth))
-    (out / "semantic.odpt").write_bytes(encode_raster(semantic))
-    origins = np.stack([cam.pose.translation for cam in rig])
-    cloud = synth_mod.sample_scene_point_cloud(scene, origins)
-    (out / "cloud.opcd").write_bytes(encode_point_cloud(cloud))
     cyl_spec = _load_spec(args.spec)
     if cyl_spec.coord_sys != CYLINDRICAL:
         raise DomainError("synth --spec must be cylindrical; the cuboid grid is derived from it")
-    cub_spec = GridSpec(
-        CUBOID,
-        (160, 160, 16),
-        (
-            (-cyl_spec.ranges[0][1], cyl_spec.ranges[0][1]),
-            (-cyl_spec.ranges[0][1], cyl_spec.ranges[0][1]),
-            cyl_spec.ranges[2],
-        ),
-    )
-    for name, spec in (("gt_cylindrical.ovox", cyl_spec), ("gt_cuboid.ovox", cub_spec)):
-        gt = synth_mod.analytic_voxel_gt(scene, spec, args.supersample)
-        (out / name).write_bytes(encode_voxel_grid(gt))
+    r_max = cyl_spec.ranges[0][1]
+    cub_spec = GridSpec(CUBOID, (160, 160, 16), ((-r_max, r_max), (-r_max, r_max), cyl_spec.ranges[2]))
+    # everything is computed before the first write, so a bad input leaves no files
+    gt_cyl = synth_mod.analytic_voxel_gt(scene, cyl_spec, args.supersample)
+    gt_cub = synth_mod.analytic_voxel_gt(scene, cub_spec, args.supersample)
+    depth, semantic = synth_mod.render_erp_depth(scene, *args.erp)
+    origins = np.stack([cam.pose.translation for cam in rig])
+    cloud = synth_mod.sample_scene_point_cloud(scene, origins)
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    (out / "depth.odpt").write_bytes(encode_raster(depth))
+    (out / "semantic.odpt").write_bytes(encode_raster(semantic))
+    (out / "cloud.opcd").write_bytes(encode_point_cloud(cloud))
+    (out / "gt_cylindrical.ovox").write_bytes(encode_voxel_grid(gt_cyl))
+    (out / "gt_cuboid.ovox").write_bytes(encode_voxel_grid(gt_cub))
     print(f"wrote rasters, cloud and ground truth to {out}", file=sys.stderr)
     return 0
 
@@ -226,10 +220,13 @@ def _cmd_sketch(args) -> int:
 def _cmd_lift(args) -> int:
     mask = CandidateMask(_load_grid(args.mask))
     rig = rig_from_json(Path(args.rig).read_bytes())
-    features = {}
+    features = []
     for cam in rig:
-        raster = decode_raster((Path(args.features) / f"{cam.name}.odpt").read_bytes())
-        features[cam.name] = lift_mod.FeatureImage(cam.name, raster.data)
+        path = Path(args.features) / f"{cam.name}.odpt"
+        raster = decode_raster(path.read_bytes())
+        if raster.kind != "feature":
+            raise FormatError(f"{path} holds a {raster.kind} raster, not features", fieldname="kind")
+        features.append(lift_mod.FeatureImage(cam.name, raster.data))
     hits = lift_mod.build_hit_set(mask, rig)
     grid = lift_mod.color_voxels(hits, features)
     Path(args.out).write_bytes(encode_voxel_grid(grid))

@@ -52,7 +52,9 @@ class RigidTransform:
             raise ShapeError("rotation must be 3x3 and translation length 3")
         if not (np.all(np.isfinite(r)) and np.all(np.isfinite(t))):
             raise DomainError("transform entries must be finite")
-        if np.max(np.abs(r @ r.T - np.eye(3))) > 1e-9:
+        # orthonormal rows bound every entry by 1; testing that first keeps
+        # r @ r.T from overflowing on huge entries
+        if np.max(np.abs(r)) > 1.0 + 1e-9 or np.max(np.abs(r @ r.T - np.eye(3))) > 1e-9:
             raise DomainError("rotation is not orthonormal within 1e-9")
         if abs(np.linalg.det(r) - 1.0) > 1e-9:
             raise DomainError("rotation determinant differs from +1 by more than 1e-9")
@@ -94,9 +96,6 @@ class RigidTransform:
         pts, single = _as_points(p)
         out = pts @ self.rotation.T + self.translation
         return out[0] if single else out
-
-    def __matmul__(self, other: "RigidTransform") -> "RigidTransform":
-        return self.compose(other)
 
 
 def rot_z(angle: float) -> np.ndarray:
@@ -296,37 +295,21 @@ class FisheyeCamera:
         return d[0] if single else d
 
 
-def surround_rig(
-    count: int = 6,
-    ring_radius: float = 0.9,
-    mount_height: float = 1.6,
-    fov_deg: float = 185.0,
-    width: int = 640,
-    height: int = 640,
-    focal: float = 190.0,
-) -> list[FisheyeCamera]:
-    """Outward-facing fisheye ring, evenly spaced in yaw around the ego origin.
+def surround_rig() -> list[FisheyeCamera]:
+    """The six-camera surround rig: 640 x 640 equidistant fisheyes with a
+    185 deg field of view and a focal length of 190 px/rad, mounted 1.6 m
+    high on a 0.9 m ring and facing outward, evenly spaced in yaw.
 
-    Camera i looks along ego yaw 2*pi*i/count; image u points to the
-    camera's right, image v points down.
+    Camera i, named cam{i}, looks along ego yaw 2*pi*i/6; image u points
+    to the camera's right, image v points down.
     """
     rig = []
-    for i in range(count):
-        yaw = 2.0 * math.pi * i / count
+    for i in range(6):
+        yaw = 2.0 * math.pi * i / 6
         fwd = np.array([math.cos(yaw), math.sin(yaw), 0.0])
         right = np.array([math.sin(yaw), -math.cos(yaw), 0.0])
         down = np.array([0.0, 0.0, -1.0])
         r = np.stack([right, down, fwd], axis=1)  # columns: cam x, y, z in ego
-        pose = RigidTransform(r, fwd * ring_radius + np.array([0.0, 0.0, mount_height]))
-        rig.append(
-            FisheyeCamera(
-                width=width,
-                height=height,
-                focal=focal,
-                principal_point=(width / 2.0, height / 2.0),
-                fov=math.radians(fov_deg),
-                pose=pose,
-                name=f"cam{i}",
-            )
-        )
+        pose = RigidTransform(r, fwd * 0.9 + np.array([0.0, 0.0, 1.6]))
+        rig.append(FisheyeCamera(640, 640, 190.0, (320.0, 320.0), math.radians(185.0), pose, f"cam{i}"))
     return rig

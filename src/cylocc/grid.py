@@ -160,15 +160,6 @@ def default_cylindrical_spec() -> GridSpec:
     )
 
 
-def default_cuboid_spec() -> GridSpec:
-    """64^3 cuboid lattice over the same footprint as the cylindrical default."""
-    return GridSpec(
-        CUBOID,
-        (64, 64, 64),
-        ((-25.6, 25.6), (-25.6, 25.6), (-2.8, 3.6)),
-    )
-
-
 PAYLOAD_KINDS = ("label", "occupancy", "feature")
 _PAYLOAD_DTYPES = {"label": np.uint8, "occupancy": np.uint8, "feature": np.float32}
 
@@ -290,10 +281,9 @@ def voxelize_semantic(cloud: LabeledPointCloud, spec: GridSpec, labels: LabelSet
     return VoxelGrid(spec, "label", winner.reshape(spec.dims))
 
 
-def class_frequencies(grid: VoxelGrid, num_classes: int | None = None) -> np.ndarray:
-    """Fraction of voxels per class; sums to 1."""
+def class_frequencies(grid: VoxelGrid, num_classes: int) -> np.ndarray:
+    """Fraction of voxels per class, at least num_classes entries; sums to 1."""
     if grid.kind != "label":
         raise DomainError("class frequencies need a label grid")
-    c = num_classes if num_classes is not None else int(grid.data.max()) + 1
-    counts = np.bincount(grid.data.reshape(-1), minlength=c).astype(np.float64)
+    counts = np.bincount(grid.data.reshape(-1), minlength=num_classes).astype(np.float64)
     return counts / grid.spec.num_voxels

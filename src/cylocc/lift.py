@@ -65,9 +65,9 @@ class HitSet:
     """Per-candidate-voxel projection hits across the rig.
 
     voxels holds the occupied voxel indices (M, 3) in flat grid order;
-    each camera contributes a validity mask (M,) and normalized coordinates
-    (M, 2). Voxels with hit_count 0 are flagged via `unhit` and must not be
-    averaged.
+    each camera of the rig (at least one) contributes a validity mask (M,)
+    and normalized coordinates (M, 2). Voxels with hit_count 0 are flagged
+    via `unhit` and must not be averaged.
     """
 
     def __init__(self, spec: GridSpec, voxels: np.ndarray, cameras: list[str],
@@ -80,8 +80,6 @@ class HitSet:
 
     @property
     def hit_counts(self) -> np.ndarray:
-        if not self.cameras:
-            return np.zeros(len(self.voxels), dtype=np.int64)
         return np.sum([self.valid[c] for c in self.cameras], axis=0)
 
     @property
@@ -142,16 +140,13 @@ def bilinear_sample(image: FeatureImage, uv_norm: np.ndarray) -> np.ndarray:
     return top + ty * (bot - top)
 
 
-def color_voxels(hits: HitSet, features) -> VoxelGrid:
+def color_voxels(hits: HitSet, features: list[FeatureImage]) -> VoxelGrid:
     """Average per-camera feature samples into a voxel feature grid.
 
-    features may be a list of FeatureImage or a name -> FeatureImage dict
-    covering every camera in the hit set. Voxels without hits get zeros.
+    features holds one FeatureImage per camera of the hit set, matched by
+    camera name. Voxels without hits get zeros.
     """
-    if isinstance(features, dict):
-        by_name = dict(features)
-    else:
-        by_name = {img.camera: img for img in features}
+    by_name = {img.camera: img for img in features}
     missing = [c for c in hits.cameras if c not in by_name]
     if missing:
         raise DomainError(f"no feature image for cameras {missing}")

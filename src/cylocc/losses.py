@@ -62,10 +62,6 @@ class ClassWeights:
     constant: float
     frequencies: np.ndarray
 
-    @staticmethod
-    def unit(num_classes: int) -> "ClassWeights":
-        return ClassWeights(np.ones(num_classes), math.e, np.zeros(num_classes))
-
 
 def class_weights(frequencies, constant: float = 1.02) -> ClassWeights:
     """Weights from per-class voxel fractions."""
@@ -203,12 +199,10 @@ def sem2d_loss(
     pred,
     gt: ErpImage,
     w: ClassWeights | None = None,
-    ignore_label: int = UNLABELED,
 ) -> float:
     """Per-pixel weighted cross-entropy on an ERP semantic raster.
 
-    Pixels labeled ignore_label drop out of the mean; with none left the
-    loss is 0.
+    UNLABELED pixels drop out of the mean; with none left the loss is 0.
     """
     p = np.asarray(pred, dtype=np.float64)
     if gt.kind != "semantic_label":
@@ -216,7 +210,7 @@ def sem2d_loss(
     if p.ndim != 3 or p.shape[:2] != (gt.height, gt.width):
         raise ShapeError("prediction raster must be (H, W, C) matching the labels")
     y = gt.data.astype(np.int64)
-    keep = y != ignore_label
+    keep = y != UNLABELED
     if not np.any(keep):
         return 0.0
     if int(y[keep].max()) >= p.shape[2]:

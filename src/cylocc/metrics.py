@@ -6,8 +6,7 @@ where the ray crosses a lattice surface (r cylinders, azimuth planes and z
 planes for cylindrical grids; axis planes for cuboid grids), sorts them,
 and classifies each interval by its midpoint, so cells are visited in true
 geometric order and hits report the entry distance into the first occupied
-cell. A deliberately naive fixed-step marcher is provided as an independent
-oracle; it can only miss cells thinner than its step.
+cell.
 
 RayIoU scores a prediction against ground truth per class: a ray whose
 ground-truth hit has class c counts as TP_c when the prediction hits class
@@ -73,9 +72,9 @@ def generate_rays(
     return Rays(o, d)
 
 
-def default_ray_fan(origin=(0.0, 0.0, 0.0)) -> Rays:
-    """512 x 32 lidar-like fan over elevations (-0.35, 0.15) rad."""
-    return generate_rays(512, 32, (-0.35, 0.15), origin)
+def default_ray_fan() -> Rays:
+    """512 x 32 lidar-like fan from the ego origin over elevations (-0.35, 0.15) rad."""
+    return generate_rays(512, 32, (-0.35, 0.15))
 
 
 @dataclass
@@ -189,86 +188,45 @@ def _labels_at(grid: VoxelGrid, idx: np.ndarray) -> np.ndarray:
     return lab
 
 
-def _first_occupied(occupied: np.ndarray, dist: np.ndarray, lab: np.ndarray, idx: np.ndarray) -> BatchHits:
-    """Hit at the first occupied sample of each row of occupied (n, K);
-    dist holds the samples' distances and broadcasts against occupied."""
-    rows = np.arange(len(occupied))
-    first = occupied.argmax(axis=1)
-    hit = occupied.any(axis=1)
-    return BatchHits(
-        np.where(hit, np.broadcast_to(dist, occupied.shape)[rows, first], np.inf),
-        np.where(hit, lab[rows, first], 0),
-        np.where(hit[:, None], idx[rows, first], -1),
-    )
-
-
-def _first_hit_chunk(grid: VoxelGrid, o: np.ndarray, d: np.ndarray, max_dist: float) -> BatchHits:
-    ts, idx, seg_len = _ray_intervals(grid.spec, o, d, max_dist)
-    lab = _labels_at(grid, idx)
-    hits = _first_occupied((lab != 0) & (seg_len > _MIN_SEGMENT), ts[:, :-1], lab, idx)
-    # a ray starting inside an occupied cell (per the point convention, which
-    # also settles origins sitting exactly on a lattice plane) hits at t = 0
-    idx0 = grid.spec.point_to_index(o)
-    lab0 = _labels_at(grid, idx0)
-    start_hit = lab0 != 0
-    return BatchHits(
-        np.where(start_hit, 0.0, hits.distance),
-        np.where(start_hit, lab0, hits.label),
-        np.where(start_hit[:, None], idx0, hits.voxel),
-    )
-
-
-def _cast_chunks(rays: Rays, chunk: int, cast_chunk) -> BatchHits:
-    """Concatenated cast_chunk(origins, directions) over chunks of rays."""
-    parts = [cast_chunk(rays.origins[s : s + chunk], rays.directions[s : s + chunk])
-             for s in range(0, len(rays), chunk)]
-    if not parts:
-        return BatchHits(np.zeros(0), np.zeros(0, dtype=np.int64), np.zeros((0, 3), dtype=np.int64))
-    return BatchHits(
-        np.concatenate([p.distance for p in parts]),
-        np.concatenate([p.label for p in parts]),
-        np.concatenate([p.voxel for p in parts]),
-    )
-
-
 def cast_rays(rays: Rays, grid: VoxelGrid, max_dist: float) -> BatchHits:
     """Exact first-hit cast of a ray batch into a label grid."""
     if grid.kind != "label":
         raise DomainError("ray casting needs a label grid")
     if max_dist <= 0:
         raise DomainError("max_dist must be positive")
-    return _cast_chunks(rays, _CHUNK, lambda o, d: _first_hit_chunk(grid, o, d, max_dist))
-
-
-def march_fixed_step(rays: Rays, grid: VoxelGrid, max_dist: float, step: float = 0.01) -> BatchHits:
-    """Brute-force oracle: sample the ray every `step` meters and report the
-    first sample landing in a non-free voxel. Skips cells whose chord along
-    the ray is shorter than the step; distances are quantized to the step."""
-    if grid.kind != "label":
-        raise DomainError("ray casting needs a label grid")
-    t = np.arange(int(math.floor(max_dist / step)) + 1, dtype=np.float64) * step
-
-    def march(o: np.ndarray, d: np.ndarray) -> BatchHits:
-        pos = o[:, None, :] + t[None, :, None] * d[:, None, :]
-        idx = grid.spec.point_to_index(pos.reshape(-1, 3)).reshape(len(o), len(t), 3)
+    n = len(rays)
+    out = BatchHits(np.empty(n), np.empty(n, dtype=np.int64), np.empty((n, 3), dtype=np.int64))
+    for s in range(0, n, _CHUNK):
+        o = rays.origins[s : s + _CHUNK]
+        d = rays.directions[s : s + _CHUNK]
+        ts, idx, seg_len = _ray_intervals(grid.spec, o, d, max_dist)
         lab = _labels_at(grid, idx)
-        return _first_occupied(lab != 0, t, lab, idx)
+        occupied = (lab != 0) & (seg_len > _MIN_SEGMENT)
+        rows = np.arange(len(o))
+        first = occupied.argmax(axis=1)
+        hit = occupied.any(axis=1)
+        # a ray starting inside an occupied cell (per the point convention, which
+        # also settles origins sitting exactly on a lattice plane) hits at t = 0
+        idx0 = grid.spec.point_to_index(o)
+        lab0 = _labels_at(grid, idx0)
+        start = lab0 != 0
+        out.distance[s : s + _CHUNK] = np.where(start, 0.0, np.where(hit, ts[rows, first], np.inf))
+        out.label[s : s + _CHUNK] = np.where(start, lab0, np.where(hit, lab[rows, first], 0))
+        out.voxel[s : s + _CHUNK] = np.where(start[:, None], idx0, np.where(hit[:, None], idx[rows, first], -1))
+        # free this chunk's per-interval arrays before the next chunk builds its own
+        del ts, idx, seg_len, lab, occupied
+    return out
 
-    return _cast_chunks(rays, max(1, int(2_000_000 // max(len(t), 1))), march)
 
-
-def grid_max_distance(spec: GridSpec, origins=None) -> float:
-    """Ray length guaranteed to leave the grid from any of the origins."""
+def grid_max_distance(spec: GridSpec, origins: np.ndarray) -> float:
+    """Ray length guaranteed to leave the grid from any of the (N, 3) origins."""
     if spec.coord_sys == CYLINDRICAL:
         r_hi = spec.ranges[0][1]
         z_lo, z_hi = spec.ranges[2]
         diag = math.hypot(2.0 * r_hi, z_hi - z_lo)
     else:
         diag = math.sqrt(sum((hi - lo) ** 2 for lo, hi in spec.ranges))
-    extra = 0.0
-    if origins is not None:
-        o = np.atleast_2d(np.asarray(origins, dtype=np.float64))
-        extra = float(np.max(np.linalg.norm(o, axis=1), initial=0.0))
+    extra = float(np.max(np.linalg.norm(origins, axis=1), initial=0.0))
     return diag + extra + 1.0
 
 
@@ -363,21 +321,26 @@ def ray_iou(
     thresholds=(1.0, 2.0, 4.0),
     bands=None,
     labels: LabelSet | None = None,
-    max_dist: float | None = None,
 ) -> RayIoUReport:
-    """Score pred against gt over the given rays.
+    """Score pred against gt over the given rays, cast far enough to leave
+    the grid (grid_max_distance).
 
-    bands, when given, are (lo, hi) meter pairs; each band sub-report
-    restricts accounting to rays whose ground-truth hit distance d satisfies
-    lo <= d < hi. Rays without a ground-truth hit belong to no band.
+    Thresholds are non-negative distances. bands, when given, are (lo, hi)
+    meter pairs with lo < hi; each band sub-report restricts accounting to
+    rays whose ground-truth hit distance d satisfies lo <= d < hi. Rays
+    without a ground-truth hit belong to no band.
     """
     if pred.spec != gt.spec:
         raise ShapeError("pred and gt grids must share a spec")
     if pred.kind != "label" or gt.kind != "label":
         raise DomainError("RayIoU needs label grids")
+    # comparisons written so that NaN fails them
+    if not all(tau >= 0 for tau in thresholds):
+        raise DomainError("distance thresholds must be non-negative")
+    if bands and not all(lo < hi for lo, hi in bands):
+        raise DomainError("each band needs lo < hi")
     lab = labels if labels is not None else default_label_set()
-    if max_dist is None:
-        max_dist = grid_max_distance(pred.spec, rays.origins)
+    max_dist = grid_max_distance(pred.spec, rays.origins)
     gt_hits = cast_rays(rays, gt, max_dist)
     pred_hits = cast_rays(rays, pred, max_dist)
     all_rays = np.ones(len(rays), dtype=bool)

@@ -52,9 +52,9 @@ class DilationSchedule:
         return windows[np.minimum(band, len(windows) - 1)]
 
 
-def default_schedule(r_max: float = 25.6) -> DilationSchedule:
-    """Window 0 to 8.5 m, 1 to 17 m, 2 out to r_max."""
-    return DilationSchedule(((8.5, 0), (17.0, 1), (r_max, 2)))
+def default_schedule() -> DilationSchedule:
+    """Window 0 to 8.5 m, 1 to 17 m, 2 out to the default lattice's 25.6 m."""
+    return DilationSchedule(((8.5, 0), (17.0, 1), (25.6, 2)))
 
 
 @dataclass

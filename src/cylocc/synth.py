@@ -9,7 +9,6 @@ the earliest primitive in the list wins.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import product
 
@@ -21,6 +20,7 @@ from .grid import GridSpec, VoxelGrid, majority_vote
 from .metrics import generate_rays
 
 _T_MIN = 1e-9  # smallest admissible ray parameter
+_RENDER_RANGE = 1e6  # meters; farther surfaces render as missed pixels
 
 
 @dataclass(frozen=True)
@@ -199,19 +199,18 @@ def render_erp_depth(
     width: int,
     height: int,
     pose: RigidTransform | None = None,
-    max_dist: float = 1e6,
 ) -> tuple[ErpImage, ErpImage]:
     """Render radial depth and semantics over a full ERP raster.
 
     Rays start at the pose translation along pose-rotated pixel directions.
-    Missed pixels carry depth 0 and label 0.
+    Pixels with no surface within _RENDER_RANGE carry depth 0 and label 0.
     """
     if width < 1 or height < 1:
         raise DomainError("raster dimensions must be >= 1")
     pose = pose if pose is not None else RigidTransform.identity()
     dirs = erp_direction_grid(width, height).reshape(-1, 3) @ pose.rotation.T
     origins = np.broadcast_to(pose.translation, dirs.shape)
-    t, label, hit = scene.first_hit(origins, dirs, max_dist)
+    t, label, hit = scene.first_hit(origins, dirs, _RENDER_RANGE)
     depth = np.where(hit, t, 0.0).reshape(height, width).astype(np.float32)
     sem = label.reshape(height, width).astype(np.float32)
     return ErpImage.depth(depth), ErpImage.semantic(sem)
@@ -265,12 +264,3 @@ def sample_scene_point_cloud(
     if not pts:
         return LabeledPointCloud.empty()
     return LabeledPointCloud(np.concatenate(pts), np.concatenate(labs).astype(np.uint8))
-
-
-def lidar_ring_origins(count: int = 8, radius: float = 2.0, heights=(0.5, 1.8)) -> np.ndarray:
-    """Sensor origins on rings around the ego, one ring per height."""
-    out = []
-    for h in heights:
-        ang = 2.0 * math.pi * np.arange(count) / count
-        out.append(np.stack([radius * np.cos(ang), radius * np.sin(ang), np.full(count, float(h))], axis=1))
-    return np.concatenate(out)

@@ -24,14 +24,13 @@ from cylocc.grid import (
     CUBOID,
     GridSpec,
     VoxelGrid,
-    default_cuboid_spec,
     default_cylindrical_spec,
     default_label_set,
     voxelize_semantic,
 )
 from cylocc.lift import FeatureImage, align_history, build_hit_set, color_voxels, fuse_temporal
 from cylocc.losses import class_weights, dice_loss, scal_loss, scal_loss_grad, weighted_ce, weighted_ce_grad
-from cylocc.metrics import Rays, cast_rays, default_ray_fan, march_fixed_step, ray_iou
+from cylocc.metrics import Rays, cast_rays, default_ray_fan, ray_iou
 from cylocc.sketch import CandidateMask, DilationSchedule, dilate_radial
 from cylocc.synth import (
     Box,
@@ -40,10 +39,11 @@ from cylocc.synth import (
     Sphere,
     VerticalCylinder,
     analytic_voxel_gt,
-    lidar_ring_origins,
     render_erp_depth,
     sample_scene_point_cloud,
 )
+
+from oracles import default_cuboid_spec, lidar_ring_origins, march_fixed_step
 
 
 def report(n, name, detail=""):
@@ -72,7 +72,7 @@ class TestAcceptance:
     def test_01_metric_self_identity(self):
         t0 = time.perf_counter()
         spec = default_cylindrical_spec()
-        fan = default_ray_fan((0.0, 0.0, 0.0))
+        fan = default_ray_fan()
         for scene in five_scenes():
             gt = analytic_voxel_gt(scene, spec, 1)
             rep = ray_iou(gt, gt, fan, thresholds=(1.0, 2.0, 4.0))
@@ -186,17 +186,12 @@ class TestAcceptance:
         hits = build_hit_set(mask, rig)
         assert int((~hits.unhit).sum()) > 100
         for k in (0.5, -1.75, 0.123):
-            feats = {
-                cam.name: FeatureImage(cam.name, np.full((20, 20, 3), k, dtype=np.float32))
-                for cam in rig
-            }
+            feats = [FeatureImage(cam.name, np.full((20, 20, 3), k, dtype=np.float32)) for cam in rig]
             colored = color_voxels(hits, feats)
             vox = hits.voxels[~hits.unhit]
             values = colored.data[vox[:, 0], vox[:, 1], vox[:, 2]]
             assert np.all(values == np.float32(k))
-        feats = {
-            cam.name: FeatureImage(cam.name, rng.rand(20, 20, 3).astype(np.float32)) for cam in rig
-        }
+        feats = [FeatureImage(cam.name, rng.rand(20, 20, 3).astype(np.float32)) for cam in rig]
         base = color_voxels(build_hit_set(mask, rig), feats)
         for perm in (rig[::-1], rig[3:] + rig[:3]):
             again = color_voxels(build_hit_set(mask, perm), feats)
@@ -303,7 +298,7 @@ class TestAcceptance:
         cloud = erp_depth_to_point_cloud(depth, sem)
         labels = default_label_set()
         rng = np.random.RandomState(9)
-        fan = default_ray_fan((0.0, 0.0, 0.0))
+        fan = default_ray_fan()
         near = {}
         for name, spec in (("cylindrical", cyl), ("cuboid", cub)):
             pred = voxelize_semantic(cloud, spec, labels)

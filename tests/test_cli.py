@@ -177,6 +177,44 @@ class TestExitCodes:
         assert main(args) == 2
         assert "format error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--thresholds=-1,2", "--bands=17:8.5", "--bands=0:8.5,8.5:8.5"])
+    def test_negative_threshold_or_empty_band_is_domain_error(self, tmp_path, flag, capsys):
+        g = VoxelGrid.zeros(default_cylindrical_spec(), "label")
+        g.data[40:60, :, 5] = 4
+        path = tmp_path / "g.ovox"
+        path.write_bytes(encode_voxel_grid(g))
+        report = tmp_path / "report.json"
+        assert main(["eval", "--pred", str(path), "--gt", str(path), "--rays", "16x4", flag,
+                     "--report", str(report)]) == 3
+        assert "domain error" in capsys.readouterr().err
+        assert not report.exists()
+
+    @pytest.mark.parametrize("flag,value", [("--spec", "cuboid:4x4x4:0:1:0:1:0:1"), ("--supersample", "0")])
+    def test_rejected_synth_input_writes_nothing(self, tmp_path, scene_file, flag, value, capsys):
+        out = tmp_path / "out"
+        assert main(["synth", "--scene", str(scene_file), "--erp", "8x4", flag, value, "--out", str(out)]) == 3
+        assert "domain error" in capsys.readouterr().err
+        assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize("kind", ["depth", "semantic"])
+    def test_lift_non_feature_raster_is_format_error(self, tmp_path, rig_file, kind, capsys):
+        spec = default_cylindrical_spec()
+        occ = np.zeros(spec.dims, dtype=np.uint8)
+        occ[30:60, ::10, 6:10] = 1
+        mask = tmp_path / "mask.ovox"
+        mask.write_bytes(encode_voxel_grid(VoxelGrid(spec, "occupancy", occ)))
+        feat_dir = tmp_path / "features"
+        feat_dir.mkdir()
+        raster = getattr(ErpImage, kind)(np.ones((16, 16), dtype=np.float32))
+        for cam in surround_rig():
+            (feat_dir / f"{cam.name}.odpt").write_bytes(encode_raster(raster))
+        out = tmp_path / "colored.ovox"
+        args = ["lift", "--mask", str(mask), "--rig", str(rig_file), "--features", str(feat_dir), "--out", str(out)]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert "format error" in err and "cam0.odpt" in err
+        assert not out.exists()
+
     def test_empty_grids_report_is_strict_json(self, tmp_path):
         g = tmp_path / "empty.ovox"
         g.write_bytes(encode_voxel_grid(VoxelGrid.zeros(default_cylindrical_spec(), "label")))

@@ -6,6 +6,7 @@ import json
 import math
 import struct
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -342,10 +343,14 @@ class TestJsonDocs:
         json.dumps({"pose": {"x": 1}}),
         json.dumps("not a pose"),
         json.dumps(None),
+        # huge but finite rotation entries, which r @ r.T would overflow
+        *[json.dumps([1e308 if i == k else float(v) for i, v in enumerate(np.eye(4).reshape(-1))]) for k in (0, 1, 5)],
     ])
     def test_pose_malformed_rejected(self, text):
-        with pytest.raises(InvalidField):
-            pose_from_json(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidField):
+                pose_from_json(text)
 
     @pytest.mark.parametrize("doc", [
         {"coord_sys": "cuboid", "dims": ["a", 1, 1], "ranges": [[0, 1], [0, 1], [0, 1]]},

@@ -17,10 +17,11 @@ from cylocc.grid import (
     LabelSet,
     VoxelGrid,
     class_frequencies,
-    default_cuboid_spec,
     default_label_set,
     voxelize_semantic,
 )
+
+from oracles import default_cuboid_spec
 
 
 def scalar_cyl_index(p, spec):

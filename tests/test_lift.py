@@ -38,10 +38,7 @@ def mask_with(spec, indices):
 
 
 def constant_features(rig, value, channels=3, size=32):
-    return {
-        cam.name: FeatureImage(cam.name, np.full((size, size, channels), value, dtype=np.float32))
-        for cam in rig
-    }
+    return [FeatureImage(cam.name, np.full((size, size, channels), value, dtype=np.float32)) for cam in rig]
 
 
 class TestHitSet:
@@ -152,10 +149,10 @@ class TestColorVoxels:
         mask = mask_with(cyl_spec, [idx])
         hits = build_hit_set(mask, [cam_a, cam_b])
         assert hits.hit_counts[0] == 2
-        feats = {
-            "a": FeatureImage("a", np.full((8, 8, 1), 1.0, dtype=np.float32)),
-            "b": FeatureImage("b", np.full((8, 8, 1), 3.0, dtype=np.float32)),
-        }
+        feats = [
+            FeatureImage("a", np.full((8, 8, 1), 1.0, dtype=np.float32)),
+            FeatureImage("b", np.full((8, 8, 1), 3.0, dtype=np.float32)),
+        ]
         grid = color_voxels(hits, feats)
         assert grid.data[tuple(idx)][0] == pytest.approx(2.0, abs=1e-12)
 
@@ -165,9 +162,7 @@ class TestColorVoxels:
             [rng.randint(10, 120, 300), rng.randint(0, 200, 300), rng.randint(0, 16, 300)], axis=1
         )
         mask = mask_with(cyl_spec, idx)
-        feats = {
-            cam.name: FeatureImage(cam.name, rng.rand(24, 24, 3).astype(np.float32)) for cam in rig6
-        }
+        feats = [FeatureImage(cam.name, rng.rand(24, 24, 3).astype(np.float32)) for cam in rig6]
         a = color_voxels(build_hit_set(mask, rig6), feats)
         b = color_voxels(build_hit_set(mask, rig6[::-1]), feats)
         np.testing.assert_array_equal(a.data, b.data)
@@ -175,7 +170,7 @@ class TestColorVoxels:
     def test_channel_mismatch_rejected(self, cyl_spec, rig6):
         mask = mask_with(cyl_spec, [(50, 50, 8)])
         feats = constant_features(rig6, 1.0, channels=3)
-        feats[rig6[0].name] = FeatureImage(rig6[0].name, np.zeros((8, 8, 2), dtype=np.float32))
+        feats[0] = FeatureImage(rig6[0].name, np.zeros((8, 8, 2), dtype=np.float32))
         with pytest.raises(ShapeError):
             color_voxels(build_hit_set(mask, rig6), feats)
 

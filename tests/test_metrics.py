@@ -20,10 +20,11 @@ from cylocc.metrics import (
     cast_rays,
     generate_rays,
     grid_max_distance,
-    march_fixed_step,
     ray_iou,
     traverse_cells,
 )
+
+from oracles import march_fixed_step
 
 
 def one_ray(origin, direction) -> Rays:
@@ -275,6 +276,18 @@ class TestRayIoU:
         counts = report.counts[0]
         assert counts.tp[3] == 1 and counts.fn[3] == 1 and counts.fp[3] == 1
         assert report.ray_iou == pytest.approx(1.0 / 3.0, abs=1e-12)
+
+    @pytest.mark.parametrize("thresholds", [(-1.0, 2.0), (-1e-9,), (math.nan,)])
+    def test_negative_threshold_rejected(self, thresholds):
+        pred, gt, rays = self.hand_case_grids()
+        with pytest.raises(DomainError):
+            ray_iou(pred, gt, rays, thresholds=thresholds)
+
+    @pytest.mark.parametrize("band", [(17.0, 8.5), (8.5, 8.5), (math.nan, 8.5)])
+    def test_empty_band_rejected(self, band):
+        pred, gt, rays = self.hand_case_grids()
+        with pytest.raises(DomainError):
+            ray_iou(pred, gt, rays, thresholds=(1.0,), bands=[(0.0, 8.5), band])
 
     def test_self_identity(self, cyl_spec):
         rng = np.random.RandomState(12)

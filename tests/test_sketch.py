@@ -6,7 +6,7 @@ import pytest
 
 from cylocc.errors import DomainError
 from cylocc.geom import LabeledPointCloud
-from cylocc.grid import VoxelGrid, default_cuboid_spec
+from cylocc.grid import VoxelGrid
 from cylocc.sketch import (
     CandidateMask,
     DilationSchedule,
@@ -14,6 +14,8 @@ from cylocc.sketch import (
     dilate_radial,
     sketch_from_points,
 )
+
+from oracles import default_cuboid_spec, lidar_ring_origins
 
 
 def brute_force_dilate(mask: CandidateMask, schedule: DilationSchedule) -> np.ndarray:
@@ -175,7 +177,7 @@ class TestDilation:
         assert out.occupied[seed_r + 1, 50, 3]
 
     def test_sparsity_stays_below_half(self, cyl_spec, street_scene):
-        from cylocc.synth import lidar_ring_origins, sample_scene_point_cloud
+        from cylocc.synth import sample_scene_point_cloud
 
         cloud = sample_scene_point_cloud(
             street_scene, lidar_ring_origins(count=4, heights=(1.0,)), 256, 32, (-0.9, 0.3)

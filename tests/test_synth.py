@@ -17,10 +17,11 @@ from cylocc.synth import (
     Sphere,
     VerticalCylinder,
     analytic_voxel_gt,
-    lidar_ring_origins,
     render_erp_depth,
     sample_scene_point_cloud,
 )
+
+from oracles import lidar_ring_origins
 
 
 class TestRaySceneIntersect:
