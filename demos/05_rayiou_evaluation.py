@@ -49,7 +49,6 @@ report = ray_iou(
     pred, gt, rays,
     thresholds=(1.0, 2.0, 4.0),
     bands=[(0.0, 8.5), (8.5, 17.0), (17.0, 60.0)],
-    labels=labels,
 )
 print(f"RayIoU (mean over thresholds 1/2/4 m): {report.ray_iou:.4f}")
 for tc in report.counts:

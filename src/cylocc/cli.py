@@ -55,8 +55,10 @@ from .sketch import CandidateMask, DilationSchedule, dilate_radial, sketch_from_
 
 def _numbers(text: str, sep: str, count: int | None = None, kind=float) -> tuple:
     """sep-separated finite numbers; exactly count of them when count is given."""
-    vals = tuple(kind(v) for v in text.split(sep))
-    if (count is not None and len(vals) != count) or not all(math.isfinite(v) for v in vals):
+    parts = text.split(sep)
+    vals = tuple(kind(v) for v in parts)
+    # float() of the text reads an integer beyond float range as inf instead of overflowing
+    if (count is not None and len(vals) != count) or not all(math.isfinite(float(v)) for v in parts):
         raise ValueError(text)
     return vals
 

@@ -32,7 +32,6 @@ the binary decoders' constructor checks alike.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 import struct
@@ -320,19 +319,6 @@ _SHAPES = {
     "cylinder": (VerticalCylinder, (("center", _vec(2)), ("radius", _num), ("z_min", _num), ("z_max", _num))),
     "sphere": (Sphere, (("center", _vec(3)), ("radius", _num))),
 }
-_SHAPE_TAGS = {cls: tag for tag, (cls, _) in _SHAPES.items()}
-
-
-def scene_to_json(scene: Scene, labels: LabelSet | None = None) -> str:
-    lab = labels if labels is not None else default_label_set()
-    prims = []
-    for p in scene.primitives:
-        tag = _SHAPE_TAGS.get(type(p))
-        if tag is None:
-            raise InvalidField(f"unknown primitive type {type(p).__name__}", fieldname="primitives")
-        args = dict(zip((key for key, _ in _SHAPES[tag][1]), dataclasses.astuple(p)[:-1]))
-        prims.append({"shape": tag, **args, "label": lab.names[p.label]})
-    return json.dumps({"classes": list(lab.names), "primitives": prims}, indent=2)
 
 
 def scene_from_json(text: str | bytes) -> tuple[Scene, LabelSet]:
@@ -362,12 +348,6 @@ def pose_from_json(text: str | bytes) -> RigidTransform:
     raw = doc["pose"] if isinstance(doc, dict) and "pose" in doc else doc
     with _fields("pose"):
         return RigidTransform.from_matrix(np.reshape(_vec(16)(raw), (4, 4)))
-
-
-def spec_to_json(spec: GridSpec) -> str:
-    return json.dumps(
-        {"coord_sys": spec.coord_sys, "dims": list(spec.dims), "ranges": [list(r) for r in spec.ranges]}
-    )
 
 
 def spec_from_json(text: str | bytes) -> GridSpec:

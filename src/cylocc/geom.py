@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, ShapeError
+from .errors import DomainError, ShapeError, require_finite
 
 # Label value for points lifted from a depth raster without semantics.
 UNLABELED = 255
@@ -50,8 +50,7 @@ class RigidTransform:
         t = np.asarray(self.translation, dtype=np.float64)
         if r.shape != (3, 3) or t.shape != (3,):
             raise ShapeError("rotation must be 3x3 and translation length 3")
-        if not (np.all(np.isfinite(r)) and np.all(np.isfinite(t))):
-            raise DomainError("transform entries must be finite")
+        require_finite("transform entries", r, t)
         # orthonormal rows bound every entry by 1; testing that first keeps
         # r @ r.T from overflowing on huge entries
         if np.max(np.abs(r)) > 1.0 + 1e-9 or np.max(np.abs(r @ r.T - np.eye(3))) > 1e-9:
@@ -128,8 +127,8 @@ class ErpImage:
         want = (self.height, self.width) if self.channels == 1 else (self.height, self.width, self.channels)
         if d.shape != want:
             raise ShapeError(f"raster data shape {d.shape} does not match {want}")
-        if self.kind in ("depth_meters", "feature") and not np.all(np.isfinite(d)):
-            raise DomainError(f"{self.kind} raster contains non-finite values")
+        if self.kind in ("depth_meters", "feature"):
+            require_finite(f"{self.kind} raster", d)
         if self.kind == "depth_meters" and np.any(d < 0):
             raise DomainError("depth raster contains negative values")
         self.data = d
@@ -157,8 +156,7 @@ class LabeledPointCloud:
         lab = np.asarray(self.labels, dtype=np.uint8).reshape(-1)
         if len(pts) != len(lab):
             raise ShapeError(f"{len(pts)} points but {len(lab)} labels")
-        if not np.all(np.isfinite(pts)):
-            raise DomainError("point cloud contains non-finite coordinates")
+        require_finite("point cloud coordinates", pts)
         self.points = pts
         self.labels = lab
 
@@ -245,6 +243,7 @@ class FisheyeCamera:
     def __post_init__(self):
         if not (0.0 < self.fov <= math.pi + 0.35):
             raise DomainError(f"fov {self.fov} outside (0, pi + 0.35]")
+        require_finite("focal and principal point", self.focal, self.principal_point)
         if self.focal <= 0:
             raise DomainError("focal must be positive")
         if self.width < 1 or self.height < 1:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ShapeError
+from .errors import DomainError, ShapeError, require_finite
 from .geom import LabeledPointCloud
 
 CYLINDRICAL = "cylindrical"
@@ -87,34 +87,38 @@ class GridSpec:
                 inside &= (native[:, k] >= lo) & (native[:, k] <= hi)
         return inside
 
-    def point_to_index(self, p) -> np.ndarray:
-        """Bin indices of Cartesian point(s); OUTSIDE rows for out-of-range.
+    def point_to_flat(self, p) -> np.ndarray:
+        """Flat indices (i0 * D1 + i1) * D2 + i2 of (N, 3) Cartesian points; -1 outside.
 
-        Accepts (3,) or (N, 3); returns an int array of matching shape. For
-        cylindrical grids theta wraps (theta = pi maps to bin 0) while r and
-        z go OUTSIDE beyond their ranges; the r = 0 axis uses atan2(0, 0) = 0.
+        For cylindrical grids theta wraps (theta = pi maps to bin 0) while r
+        and z fall outside beyond their ranges; the r = 0 axis uses
+        atan2(0, 0) = 0.
         """
-        pts = np.atleast_2d(np.asarray(p, dtype=np.float64))
-        single = np.asarray(p).ndim == 1
-        if pts.shape[1] != 3:
-            raise ShapeError("points must have three coordinates")
+        pts = np.asarray(p, dtype=np.float64)
+        if pts.ndim != 2 or pts.shape[1] != 3:
+            raise ShapeError("points must be (N, 3)")
         native = self.to_native(pts)
-        idx = np.empty((len(pts), 3), dtype=np.int64)
+        flat = np.zeros(len(pts), dtype=np.int64)
         # one axis at a time keeps a single axis's temporaries alive
         for k, d in enumerate(self.dims):
             q = np.floor(self.axis_fraction(native[:, k], k) + _EDGE_GUARD).astype(np.int64)
             if self.coord_sys == CYLINDRICAL and k == 1:
-                idx[:, k] = np.mod(q, d)
+                np.mod(q, d, out=q)
             else:
-                idx[:, k] = np.clip(q, 0, d - 1)
-        idx[~self.in_range(native)] = OUTSIDE
-        return idx[0] if single else idx
+                np.clip(q, 0, d - 1, out=q)
+            flat *= d
+            flat += q
+        flat[~self.in_range(native)] = -1
+        return flat
 
-    def point_to_flat(self, p) -> np.ndarray:
-        """Flat indices (i0 * D1 + i1) * D2 + i2 of (N, 3) points; -1 outside."""
-        idx = self.point_to_index(np.reshape(p, (-1, 3)))
-        _, d1, d2 = self.dims
-        return np.where(idx[:, 0] >= 0, (idx[:, 0] * d1 + idx[:, 1]) * d2 + idx[:, 2], -1)
+    def point_to_index(self, p) -> np.ndarray:
+        """Bin index triples of Cartesian point(s), unravelled from
+        point_to_flat; OUTSIDE rows for out-of-range points. Accepts (3,) or
+        (N, 3); returns an int array of matching shape."""
+        flat = self.point_to_flat(np.atleast_2d(np.asarray(p, dtype=np.float64)))
+        idx = np.stack(np.unravel_index(np.maximum(flat, 0), self.dims), axis=1)
+        idx[flat < 0] = OUTSIDE
+        return idx[0] if np.ndim(p) == 1 else idx
 
     def index_to_center(self, i) -> np.ndarray:
         """Cartesian position of voxel center(s) for index triple(s)."""
@@ -190,9 +194,8 @@ class VoxelGrid:
                 raise ShapeError(f"payload shape {arr.shape} does not match dims {want}")
         if self.kind == "occupancy" and arr.size and arr.max() > 1:
             raise DomainError("occupancy payload must be 0/1")
-        # NaN propagates through min and max, so this needs no full-size mask
-        if self.kind == "feature" and arr.size and not (np.isfinite(arr.min()) and np.isfinite(arr.max())):
-            raise DomainError("feature payload contains non-finite values")
+        if self.kind == "feature":
+            require_finite("feature payload", arr)
         self.data = arr
 
     @property
@@ -251,18 +254,14 @@ def default_label_set() -> LabelSet:
     return LabelSet(DEFAULT_CLASS_NAMES)
 
 
-def majority_vote(flat, labels, num_voxels: int, num_classes: int) -> np.ndarray:
-    """Winning class per voxel from (flat voxel index, class id) votes.
+def majority_vote(counts: np.ndarray) -> np.ndarray:
+    """Winning class per voxel of a (voxels, classes) vote-count table.
 
-    flat and labels broadcast against each other. A voxel takes its most
-    frequent class, ties going to the smallest class id; a voxel without
-    votes stays free (0). Returns (num_voxels,) uint8.
+    argmax takes the first maximum: a voxel takes its most frequent class,
+    ties going to the smallest class id, and a voxel without votes stays
+    free (0). Returns (voxels,) uint8.
     """
-    keys = np.asarray(flat, dtype=np.int64) * num_classes + labels
-    votes = np.bincount(keys.reshape(-1), minlength=num_voxels * num_classes)
-    # argmax takes the first maximum: smallest class id on ties, free (0)
-    # for voxels with no votes at all
-    return np.argmax(votes.reshape(num_voxels, num_classes), axis=1).astype(np.uint8)
+    return np.argmax(counts, axis=1).astype(np.uint8)
 
 
 def voxelize_semantic(cloud: LabeledPointCloud, spec: GridSpec, labels: LabelSet) -> VoxelGrid:
@@ -277,8 +276,8 @@ def voxelize_semantic(cloud: LabeledPointCloud, spec: GridSpec, labels: LabelSet
         raise DomainError(f"point label >= class count {c}")
     flat = spec.point_to_flat(cloud.points)
     inside = flat >= 0
-    winner = majority_vote(flat[inside], cloud.labels[inside], spec.num_voxels, c)
-    return VoxelGrid(spec, "label", winner.reshape(spec.dims))
+    counts = np.bincount(flat[inside] * c + cloud.labels[inside], minlength=spec.num_voxels * c)
+    return VoxelGrid(spec, "label", majority_vote(counts.reshape(-1, c)).reshape(spec.dims))
 
 
 def class_frequencies(grid: VoxelGrid, num_classes: int) -> np.ndarray:

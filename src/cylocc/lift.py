@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ShapeError
+from .errors import DomainError, ShapeError, require_finite
 from .geom import FisheyeCamera, RigidTransform
 from .grid import CYLINDRICAL, GridSpec, VoxelGrid
 from .sketch import CandidateMask
@@ -44,8 +44,7 @@ class FeatureImage:
             arr = arr[:, :, None]
         if arr.ndim != 3 or arr.shape[2] < 1:
             raise ShapeError("feature data must be (H, W) or (H, W, channels)")
-        if not np.all(np.isfinite(arr)):
-            raise DomainError("feature raster contains non-finite values")
+        require_finite("feature raster", arr)
         self.data = arr
 
     @property

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ShapeError
+from .errors import DomainError, ShapeError, require_finite
 from .geom import UNLABELED, ErpImage
 from .grid import GridSpec, VoxelGrid
 
@@ -66,6 +66,7 @@ class ClassWeights:
 def class_weights(frequencies, constant: float = 1.02) -> ClassWeights:
     """Weights from per-class voxel fractions."""
     f = np.asarray(frequencies, dtype=np.float64)
+    require_finite("class fractions and constant", f, constant)
     if np.any(f < 0) or np.any(f > 1):
         raise DomainError("class fractions must lie in [0, 1]")
     if abs(f.sum() - 1.0) > 1e-6:

@@ -24,8 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, ShapeError
-from .grid import CYLINDRICAL, GridSpec, LabelSet, VoxelGrid, default_label_set
+from .errors import DomainError, ShapeError, require_finite
+from .grid import CYLINDRICAL, GridSpec, VoxelGrid, default_label_set
 
 _CHUNK = 2048  # rays per casting chunk; caps peak memory
 _MIN_SEGMENT = 1e-12  # intervals shorter than this are degenerate
@@ -39,6 +39,7 @@ class Rays:
         d = np.asarray(directions, dtype=np.float64)
         if o.ndim != 2 or o.shape[1] != 3 or d.shape != o.shape:
             raise ShapeError("origins and directions must both be (N, 3)")
+        require_finite("ray origins and directions", o, d)
         norms = np.linalg.norm(d, axis=1)
         if np.any(np.abs(norms - 1.0) > 1e-9):
             raise DomainError("all ray directions must be unit length within 1e-9")
@@ -135,9 +136,10 @@ def _cylindrical_crossings(spec: GridSpec, o: np.ndarray, d: np.ndarray) -> np.n
 def _ray_intervals(spec: GridSpec, o: np.ndarray, d: np.ndarray, max_dist: float):
     """Sorted crossing parameters and midpoint cell classification.
 
-    Returns (ts, idx, seg_len): ts has one more column than the interval
-    arrays; idx/seg_len describe the interval between consecutive ts
-    entries, with OUTSIDE rows in idx for intervals outside the grid.
+    Returns (ts, cells, seg_len): ts has one more column than the interval
+    arrays; cells/seg_len describe the interval between consecutive ts
+    entries, cells as flat voxel indices with -1 for intervals outside the
+    grid.
     """
     n = len(o)
     if spec.coord_sys == CYLINDRICAL:
@@ -150,8 +152,8 @@ def _ray_intervals(spec: GridSpec, o: np.ndarray, d: np.ndarray, max_dist: float
     seg_len = np.diff(ts, axis=1)
     mids = 0.5 * (ts[:, :-1] + ts[:, 1:])
     pos = o[:, None, :] + mids[..., None] * d[:, None, :]
-    idx = spec.point_to_index(pos.reshape(-1, 3)).reshape(n, -1, 3)
-    return ts, idx, seg_len
+    cells = spec.point_to_flat(pos.reshape(-1, 3)).reshape(n, -1)
+    return ts, cells, seg_len
 
 
 def traverse_cells(origin, direction, spec: GridSpec, max_dist: float):
@@ -163,11 +165,11 @@ def traverse_cells(origin, direction, spec: GridSpec, max_dist: float):
     Degenerate slivers (shorter than 1e-12) are dropped.
     """
     ray = Rays(np.reshape(origin, (1, 3)), np.reshape(direction, (1, 3)))
-    ts, idx, seg_len = _ray_intervals(spec, ray.origins, ray.directions, max_dist)
-    keep = (idx[0, :, 0] >= 0) & (seg_len[0] > _MIN_SEGMENT)
+    ts, flat, seg_len = _ray_intervals(spec, ray.origins, ray.directions, max_dist)
+    keep = (flat[0] >= 0) & (seg_len[0] > _MIN_SEGMENT)
     cells, entries, exits = [], [], []
     for k in np.nonzero(keep)[0]:
-        cell = tuple(int(v) for v in idx[0, k])
+        cell = int(flat[0, k])
         # contiguous intervals classifying into the same cell merge; a gap
         # (the ray left the grid and came back) keeps a genuine revisit
         if cells and cells[-1] == cell and ts[0, k] - exits[-1] < 1e-9:
@@ -176,16 +178,8 @@ def traverse_cells(origin, direction, spec: GridSpec, max_dist: float):
             cells.append(cell)
             entries.append(float(ts[0, k]))
             exits.append(float(ts[0, k + 1]))
-    return np.array(cells, dtype=np.int64).reshape(-1, 3), np.array(entries), np.array(exits)
-
-
-def _labels_at(grid: VoxelGrid, idx: np.ndarray) -> np.ndarray:
-    """int64 label at each index triple of idx (..., 3); 0 at OUTSIDE rows."""
-    inside = idx[..., 0] >= 0
-    lab = np.zeros(inside.shape, dtype=np.int64)
-    ii = idx[inside]
-    lab[inside] = grid.data[ii[:, 0], ii[:, 1], ii[:, 2]]
-    return lab
+    idx = np.stack(np.unravel_index(np.array(cells, dtype=np.int64), spec.dims), axis=1)
+    return idx, np.array(entries), np.array(exits)
 
 
 def cast_rays(rays: Rays, grid: VoxelGrid, max_dist: float) -> BatchHits:
@@ -195,27 +189,29 @@ def cast_rays(rays: Rays, grid: VoxelGrid, max_dist: float) -> BatchHits:
     if max_dist <= 0:
         raise DomainError("max_dist must be positive")
     n = len(rays)
-    out = BatchHits(np.empty(n), np.empty(n, dtype=np.int64), np.empty((n, 3), dtype=np.int64))
+    # flat index -1 (outside the grid) reads the free class appended to the payload
+    labels = np.append(grid.data.reshape(-1), 0)
+    distance = np.empty(n)
+    voxel = np.empty(n, dtype=np.int64)
     for s in range(0, n, _CHUNK):
         o = rays.origins[s : s + _CHUNK]
         d = rays.directions[s : s + _CHUNK]
-        ts, idx, seg_len = _ray_intervals(grid.spec, o, d, max_dist)
-        lab = _labels_at(grid, idx)
-        occupied = (lab != 0) & (seg_len > _MIN_SEGMENT)
+        ts, cells, seg_len = _ray_intervals(grid.spec, o, d, max_dist)
+        occupied = (labels[cells] != 0) & (seg_len > _MIN_SEGMENT)
         rows = np.arange(len(o))
         first = occupied.argmax(axis=1)
         hit = occupied.any(axis=1)
         # a ray starting inside an occupied cell (per the point convention, which
         # also settles origins sitting exactly on a lattice plane) hits at t = 0
-        idx0 = grid.spec.point_to_index(o)
-        lab0 = _labels_at(grid, idx0)
-        start = lab0 != 0
-        out.distance[s : s + _CHUNK] = np.where(start, 0.0, np.where(hit, ts[rows, first], np.inf))
-        out.label[s : s + _CHUNK] = np.where(start, lab0, np.where(hit, lab[rows, first], 0))
-        out.voxel[s : s + _CHUNK] = np.where(start[:, None], idx0, np.where(hit[:, None], idx[rows, first], -1))
+        cell0 = grid.spec.point_to_flat(o)
+        start = labels[cell0] != 0
+        distance[s : s + _CHUNK] = np.where(start, 0.0, np.where(hit, ts[rows, first], np.inf))
+        voxel[s : s + _CHUNK] = np.where(start, cell0, np.where(hit, cells[rows, first], -1))
         # free this chunk's per-interval arrays before the next chunk builds its own
-        del ts, idx, seg_len, lab, occupied
-    return out
+        del ts, cells, seg_len, occupied
+    idx = np.stack(np.unravel_index(np.maximum(voxel, 0), grid.spec.dims), axis=1)
+    idx[voxel < 0] = -1
+    return BatchHits(distance, labels[voxel].astype(np.int64), idx)
 
 
 def grid_max_distance(spec: GridSpec, origins: np.ndarray) -> float:
@@ -320,7 +316,6 @@ def ray_iou(
     rays: Rays,
     thresholds=(1.0, 2.0, 4.0),
     bands=None,
-    labels: LabelSet | None = None,
 ) -> RayIoUReport:
     """Score pred against gt over the given rays, cast far enough to leave
     the grid (grid_max_distance).
@@ -339,7 +334,7 @@ def ray_iou(
         raise DomainError("distance thresholds must be non-negative")
     if bands and not all(lo < hi for lo, hi in bands):
         raise DomainError("each band needs lo < hi")
-    lab = labels if labels is not None else default_label_set()
+    names = default_label_set().names
     max_dist = grid_max_distance(pred.spec, rays.origins)
     gt_hits = cast_rays(rays, gt, max_dist)
     pred_hits = cast_rays(rays, pred, max_dist)
@@ -350,11 +345,11 @@ def ray_iou(
         "max_dist": max_dist,
         "bands": [list(b) for b in bands] if bands else None,
     }
-    report = _report_from_hits(gt_hits, pred_hits, thresholds, lab.names, all_rays, config)
+    report = _report_from_hits(gt_hits, pred_hits, thresholds, names, all_rays, config)
     if bands:
         for lo, hi in bands:
             mask = gt_hits.hit & (gt_hits.distance >= lo) & (gt_hits.distance < hi)
             report.bands[(float(lo), float(hi))] = _report_from_hits(
-                gt_hits, pred_hits, thresholds, lab.names, mask, {"band": [lo, hi]}
+                gt_hits, pred_hits, thresholds, names, mask, {"band": [lo, hi]}
             )
     return report

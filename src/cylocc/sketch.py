@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, require_finite
 from .geom import LabeledPointCloud
 from .grid import CYLINDRICAL, GridSpec, VoxelGrid
 
@@ -29,7 +29,7 @@ class DilationSchedule:
         if not bands:
             raise DomainError("schedule needs at least one band")
         ends = [e for e, _ in bands]
-        # comparisons written so that a NaN end fails them
+        require_finite("band range ends", ends)
         if not all(b > a for a, b in zip(ends, ends[1:])):
             raise DomainError("band range ends must be strictly increasing")
         windows = [w for _, w in bands]

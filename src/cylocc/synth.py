@@ -14,7 +14,7 @@ from itertools import product
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, require_finite
 from .geom import ErpImage, LabeledPointCloud, RigidTransform, erp_direction_grid
 from .grid import GridSpec, VoxelGrid, majority_vote
 from .metrics import generate_rays
@@ -29,6 +29,9 @@ class HalfSpace:
 
     height: float
     label: int
+
+    def __post_init__(self):
+        require_finite("half-space height", self.height)
 
     def contains(self, pts: np.ndarray) -> np.ndarray:
         return pts[:, 2] <= self.height
@@ -48,6 +51,7 @@ class Box:
     label: int
 
     def __post_init__(self):
+        require_finite("box corners", self.min_corner, self.max_corner)
         if any(b <= a for a, b in zip(self.min_corner, self.max_corner)):
             raise DomainError("box extents must be positive")
 
@@ -85,6 +89,7 @@ class VerticalCylinder:
     label: int
 
     def __post_init__(self):
+        require_finite("cylinder center, radius and z extent", self.center, self.radius, self.z_min, self.z_max)
         if self.radius <= 0 or self.z_max <= self.z_min:
             raise DomainError("cylinder needs positive radius and z extent")
 
@@ -130,6 +135,7 @@ class Sphere:
     label: int
 
     def __post_init__(self):
+        require_finite("sphere center and radius", self.center, self.radius)
         if self.radius <= 0:
             raise DomainError("sphere radius must be positive")
 
@@ -227,15 +233,15 @@ def analytic_voxel_gt(scene: Scene, spec: GridSpec, supersample: int = 3) -> Vox
     if supersample < 1:
         raise DomainError("supersample must be >= 1")
     n = supersample
-    num = spec.num_voxels
     c = max((p.label for p in scene.primitives), default=1) + 1
     idx = spec.all_indices()
-    labels = np.empty((n**3, num), dtype=np.uint8)
-    for row, off in zip(labels, product(range(n), repeat=3)):
+    voxel = np.arange(spec.num_voxels)
+    # one vote per voxel per pass, counted in a type that holds all n^3 of them
+    votes = np.zeros((spec.num_voxels, c), dtype=np.min_scalar_type(n**3))
+    for off in product(range(n), repeat=3):
         native = np.stack([spec.axis_value(idx[:, k] + (o + 0.5) / n, k) for k, o in enumerate(off)], axis=1)
-        row[:] = scene.label_points(spec.to_cartesian(native))
-    winner = majority_vote(np.arange(num), labels, num, c)
-    return VoxelGrid(spec, "label", winner.reshape(spec.dims))
+        votes[voxel, scene.label_points(spec.to_cartesian(native))] += 1
+    return VoxelGrid(spec, "label", majority_vote(votes).reshape(spec.dims))
 
 
 def sample_scene_point_cloud(

@@ -1,11 +1,15 @@
 """Command-line tests: exit-code contract and an end-to-end file pipeline
 (synth -> sketch -> voxelize -> lift -> align -> fuse -> eval -> loss)."""
 
+import contextlib
+import io
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cylocc.cli import main
 from cylocc.formats import (
@@ -14,10 +18,14 @@ from cylocc.formats import (
     encode_voxel_grid,
     pose_to_json,
     rig_to_json,
-    scene_to_json,
 )
 from cylocc.geom import ErpImage, RigidTransform, surround_rig
 from cylocc.grid import GridSpec, VoxelGrid, default_cylindrical_spec
+from oracles import scene_to_json
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-standard JSON constant {token}")
 
 
 @pytest.fixture()
@@ -109,6 +117,7 @@ class TestExitCodes:
         ("eval", "--elev", "a:b"),
         ("synth", "--erp", "2000"),
         ("synth", "--erp", "wxh"),
+        ("synth", "--erp", "1" + "0" * 400 + "x2"),
         ("sketch", "--schedule", "8.5:0,17"),
         ("sketch", "--schedule", "8.5:a"),
         ("sketch", "--spec", "cylindrical:128x200x16:0:25.6"),
@@ -222,13 +231,71 @@ class TestExitCodes:
         assert main(["eval", "--pred", str(g), "--gt", str(g), "--rays", "16x4",
                      "--bands", "0:8.5", "--report", str(report)]) == 0
 
-        def reject(token):
-            raise ValueError(f"non-standard JSON constant {token}")
-
-        doc = json.loads(report.read_text(), parse_constant=reject)
+        doc = json.loads(report.read_text(), parse_constant=_reject_constant)
         assert doc["ray_iou"] is None
         assert all(t["mean_iou"] is None for t in doc["per_threshold"])
         assert doc["bands"]["0.0:8.5"]["ray_iou"] is None
+
+
+# every path the argv fuzz passes: it does not exist, so a command that
+# parses fails on its first read and none renders
+MISSING = "missing-cylocc-input/none"
+
+# flags of each subcommand; those in PATHS take MISSING, the rest a drawn value
+FLAGS = {
+    "info": ["--help"],
+    "synth": ["--scene", "--rig", "--out", "--erp", "--spec", "--supersample"],
+    "voxelize": ["--cloud", "--out", "--spec"],
+    "sketch": ["--depth", "--out", "--spec", "--min-points", "--schedule", "--stride"],
+    "lift": ["--mask", "--rig", "--features", "--out"],
+    "align": ["--hist", "--pose-hist", "--pose-curr", "--out"],
+    "fuse": ["--curr", "--aligned", "--out"],
+    "eval": ["--pred", "--gt", "--report", "--rays", "--elev", "--origin", "--thresholds", "--bands"],
+    "loss": ["--pred", "--gt", "--weights", "--report", "--terms"],
+}
+PATHS = {"--scene", "--rig", "--out", "--cloud", "--depth", "--mask", "--features", "--hist", "--pose-hist",
+         "--pose-curr", "--curr", "--aligned", "--pred", "--gt", "--weights", "--report"}
+WELL_FORMED = ["2000x1000", "default", "cylindrical:8x16x4:0:25.6:-2.8:3.6", "cuboid:4x4x4:0:1:0:1:0:1", "3",
+               "8.5:0,17:1,25.6:2", "none", "512x32", "-20:8.6deg", "-0.35:0.15rad", "0,0,0", "1,2,4",
+               "0:8.5,8.5:17", "ce,dice,scal"]
+# separator and count of the numbers a numeric flag takes
+NUMERIC = {"--erp": ("x", 2), "--rays": ("x", 2), "--supersample": ("", 1), "--min-points": ("", 1),
+           "--stride": ("", 1), "--schedule": (":", 2), "--elev": (":", 2), "--origin": (",", 3),
+           "--thresholds": (",", 3), "--bands": (":", 2)}
+NUMBER = st.one_of(st.integers(min_value=-10**400, max_value=10**400), st.just(10**400), st.floats())
+TEXT = st.one_of(st.sampled_from(WELL_FORMED), st.text(alphabet="0123456789.:,x-+eEinfadgrcylubo ", max_size=16))
+
+
+def flag_value(flag):
+    """Well-formed or random text, or numbers in the flag's own syntax."""
+    if flag not in NUMERIC:
+        return TEXT
+    sep, count = NUMERIC[flag]
+    return TEXT | st.lists(NUMBER, min_size=count, max_size=count).map(lambda xs: sep.join(map(str, xs)))
+
+
+@st.composite
+def argv(draw):
+    """A subcommand with a drawn subset of its flags in drawn order."""
+    command = draw(st.sampled_from(sorted(FLAGS)))
+    args = [MISSING] if command == "info" else []
+    for flag in draw(st.lists(st.sampled_from(FLAGS[command]), unique=True)):
+        if flag == "--help":
+            args.append(flag)
+        else:
+            args.append(f"{flag}={MISSING if flag in PATHS else draw(flag_value(flag))}")
+    return [command, *draw(st.permutations(args))]
+
+
+class TestArgvFuzz:
+    @settings(max_examples=400, deadline=None)
+    @given(args=argv())
+    def test_exit_code_without_traceback(self, args):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(args)
+        assert code in (0, 1, 2, 3)
+        assert "Traceback" not in err.getvalue()
 
 
 class TestPipeline:
@@ -285,7 +352,7 @@ class TestPipeline:
             )
             == 0
         )
-        report = json.loads(report_path.read_text())
+        report = json.loads(report_path.read_text(), parse_constant=_reject_constant)
         assert report["ray_iou"] == 1.0
         assert set(report["bands"]) == {"0.0:8.5", "8.5:17.0", "17.0:25.6"}
 
@@ -362,7 +429,7 @@ class TestPipeline:
             )
             == 0
         )
-        doc = json.loads(report_path.read_text())
+        doc = json.loads(report_path.read_text(), parse_constant=_reject_constant)
         assert set(doc["terms"]) == {"ce", "dice", "scal"}
         assert doc["sum"] == pytest.approx(sum(doc["terms"].values()))
         assert all(v >= 0 or t == "scal" for t, v in doc["terms"].items())

@@ -30,14 +30,13 @@ from cylocc.formats import (
     rig_from_json,
     rig_to_json,
     scene_from_json,
-    scene_to_json,
     spec_from_json,
-    spec_to_json,
     weights_from_json,
 )
 from cylocc.geom import ErpImage, LabeledPointCloud, RigidTransform, surround_rig
 from cylocc.grid import GridSpec, VoxelGrid, default_cylindrical_spec
-from cylocc.synth import Box, HalfSpace, Scene, Sphere, VerticalCylinder
+from cylocc.synth import Sphere
+from oracles import DEMO07_SCENE, scene_to_json, spec_to_json
 
 
 def random_label_grid(rng):
@@ -388,17 +387,6 @@ class TestJsonDocs:
 
 CLASSES = ["free", "road", "sidewalk", "ground", "building", "wall", "vegetation", "vehicles", "other", "pole",
            "pedestrian", "roadline"]
-
-# the scene of demos/07_full_pipeline.py
-DEMO07_SCENE = Scene((
-    *[Box((x, -0.15, -1.3), (x + 1.2, 0.15, -1.25), 11) for x in (2.0, 5.0, 8.0, 11.0, 14.0)],
-    Box((-20.0, 6.0, -1.3), (20.0, 20.0, -1.22), 2),
-    Box((4.0, -4.5, -1.3), (6.0, -2.5, 0.3), 7),
-    VerticalCylinder((-4.0, 2.0), 0.3, -1.3, 2.3, 9),
-    Sphere((-6.0, -5.0, 0.1), 1.0, 6),
-    Box((18.0, -10.0, -1.3), (19.0, 10.0, 2.7), 4),
-    HalfSpace(-1.3, 1),
-))
 
 STREET_DOC = {"classes": CLASSES, "primitives": [
     {"shape": "box", "min": [9.0, -0.75, -1.3], "max": [10.5, 0.75, 0.3], "label": "vehicles"},

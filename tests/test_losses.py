@@ -59,6 +59,13 @@ class TestClassWeights:
         with pytest.raises(DomainError):
             class_weights(np.array([0.7, 0.7]))
 
+    @pytest.mark.parametrize("frequencies,constant", [
+        ([0.5, 0.5], math.nan), ([0.5, 0.5], math.inf), ([math.nan, 1.0], 1.02),
+    ])
+    def test_non_finite_inputs_rejected(self, frequencies, constant):
+        with pytest.raises(DomainError):
+            class_weights(np.array(frequencies), constant)
+
 
 class TestWeightedCe:
     def test_perfect_prediction_is_zero(self):

@@ -14,6 +14,7 @@ import pytest
 
 from cylocc.errors import DomainError, ShapeError
 from cylocc.formats import decode_voxel_grid, encode_voxel_grid
+from cylocc.geom import FisheyeCamera
 from cylocc.grid import CUBOID, GridSpec, VoxelGrid
 from cylocc.metrics import (
     Rays,
@@ -105,6 +106,18 @@ class TestCastRay:
     def test_non_unit_direction_rejected(self):
         with pytest.raises(DomainError):
             one_ray([0.0, 0.0, 0.0], [1.0, 1.0, 0.0])
+
+    @pytest.mark.parametrize("build", [
+        lambda: one_ray([math.nan, 0.0, 0.0], [1.0, 0.0, 0.0]),
+        lambda: one_ray([0.0, math.inf, 0.0], [1.0, 0.0, 0.0]),
+        lambda: one_ray([0.0, 0.0, 0.0], [math.nan, 0.0, 0.0]),
+        lambda: FisheyeCamera(640, 640, math.nan, (320.0, 320.0), math.pi),
+        lambda: FisheyeCamera(640, 640, 190.0, (math.nan, 320.0), math.pi),
+        lambda: FisheyeCamera(640, 640, 190.0, (320.0, math.inf), math.pi),
+    ], ids=["nan-origin", "inf-origin", "nan-direction", "nan-focal", "nan-principal-point", "inf-principal-point"])
+    def test_non_finite_ray_or_camera_rejected(self, build):
+        with pytest.raises(DomainError):
+            build()
 
     def test_needs_label_grid(self, cyl_spec):
         g = VoxelGrid.zeros(cyl_spec, "occupancy")

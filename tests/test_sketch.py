@@ -64,6 +64,10 @@ class TestSchedule:
         with pytest.raises(DomainError):
             dilate_radial(mask, s)
 
+    def test_nan_single_end_rejected_at_construction(self):
+        with pytest.raises(DomainError):
+            DilationSchedule(((float("nan"), 1),))
+
     def test_nan_last_end_rejected(self, cyl_spec):
         mask = random_mask(cyl_spec, np.random.RandomState(0))
         with pytest.raises(DomainError):

@@ -7,8 +7,9 @@ import math
 import numpy as np
 import pytest
 
+from cylocc.errors import DomainError
 from cylocc.geom import RigidTransform, erp_depth_to_point_cloud, rot_z
-from cylocc.grid import default_label_set, voxelize_semantic
+from cylocc.grid import CYLINDRICAL, GridSpec, default_label_set, voxelize_semantic
 from cylocc.metrics import cast_rays, generate_rays
 from cylocc.synth import (
     Box,
@@ -21,7 +22,7 @@ from cylocc.synth import (
     sample_scene_point_cloud,
 )
 
-from oracles import lidar_ring_origins
+from oracles import DEMO07_SCENE, analytic_voxel_gt_all_probes, lidar_ring_origins
 
 
 class TestRaySceneIntersect:
@@ -153,6 +154,41 @@ class TestAnalyticVoxelGt:
         a = analytic_voxel_gt(Scene((inner, outer)), cyl_spec, 2)
         idx = cyl_spec.point_to_index([5.0, 0.0, 0.0])
         assert a.data[tuple(idx)] == 3
+
+
+class TestPassByPassVote:
+    """analytic_voxel_gt counts votes one probe pass at a time; the oracle
+    holds every probe label and votes once. The two agree bit for bit."""
+
+    @pytest.mark.parametrize("which", ["street", "demo07"])
+    def test_default_lattice(self, cyl_spec, street_scene, which):
+        scene = street_scene if which == "street" else DEMO07_SCENE
+        got = analytic_voxel_gt(scene, cyl_spec, 3)
+        np.testing.assert_array_equal(got.data, analytic_voxel_gt_all_probes(scene, cyl_spec, 3).data)
+
+    def test_more_votes_than_uint8_holds(self, street_scene):
+        # 7^3 = 343 probes per voxel; the z bin the ground cuts takes 294 road votes
+        spec = GridSpec(CYLINDRICAL, (24, 32, 8), ((0.0, 12.0), (-math.pi, math.pi), (-2.8, 3.6)))
+        got = analytic_voxel_gt(street_scene, spec, 7)
+        np.testing.assert_array_equal(got.data, analytic_voxel_gt_all_probes(street_scene, spec, 7).data)
+
+
+class TestNonFinitePrimitives:
+    @pytest.mark.parametrize("build", [
+        lambda: HalfSpace(math.nan, 1),
+        lambda: HalfSpace(-math.inf, 1),
+        lambda: Box((0.0, 0.0, math.nan), (1.0, 1.0, 1.0), 7),
+        lambda: Box((0.0, 0.0, 0.0), (1.0, math.inf, 1.0), 7),
+        lambda: Sphere((0.0, math.nan, 0.0), 1.0, 6),
+        lambda: Sphere((0.0, 0.0, 0.0), math.nan, 6),
+        lambda: VerticalCylinder((0.0, 0.0), math.nan, -1.0, 1.0, 9),
+        lambda: VerticalCylinder((math.inf, 0.0), 0.3, -1.0, 1.0, 9),
+        lambda: VerticalCylinder((0.0, 0.0), 0.3, -1.0, math.inf, 9),
+    ], ids=["half-space-nan", "half-space-inf", "box-min-nan", "box-max-inf", "sphere-center-nan", "sphere-radius-nan",
+            "cylinder-radius-nan", "cylinder-center-inf", "cylinder-z-max-inf"])
+    def test_rejected(self, build):
+        with pytest.raises(DomainError):
+            build()
 
 
 class TestSampledCloud:
