@@ -24,12 +24,13 @@ cam = FisheyeCamera(
     fov=math.radians(185.0), name="demo",
 )
 
-p = np.array([4.0, 1.0, 0.5])  # ego frame: x forward, y left, z up
+# every geometry call takes a batch: one point is a (1, 3) array
+p = np.array([[4.0, 1.0, 0.5]])  # ego frame: x forward, y left, z up
 uv, ok = cam.project(p)
-print(f"point {p} projects to pixel {np.round(uv, 2)} (in view: {bool(ok)})")
+print(f"point {p[0]} projects to pixel {np.round(uv[0], 2)} (in view: {bool(ok[0])})")
 
 direction = cam.unproject(uv)
-print("unprojected direction (camera frame):", np.round(direction, 6))
+print("unprojected direction (camera frame):", np.round(direction[0], 6))
 
 # round trip: scale the direction to any depth and project again
 back, _ = cam.project(cam.pose.apply(direction * 7.0))

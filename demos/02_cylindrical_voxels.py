@@ -21,13 +21,16 @@ spec = default_cylindrical_spec()
 print("dims:", spec.dims, "ranges:", spec.ranges)
 print("bin widths (dr, dtheta, dz):", tuple(round(d, 6) for d in spec.deltas))
 
-# a point one meter ahead of the ego
-p = np.array([1.0, 0.0, 0.0])
-idx = spec.point_to_index(p)
-print(f"{p} -> voxel {tuple(idx)} -> center {np.round(spec.index_to_center(idx), 4)}")
-
-# the azimuth axis wraps: theta = pi is bin 0
-print("(-1, 0, 0) ->", tuple(spec.point_to_index([-1.0, 0.0, 0.0])))
+# points bin to flat indices (i_r * D1 + i_theta) * D2 + i_z, -1 outside;
+# one meter ahead of the ego, one behind (the azimuth axis wraps: theta = pi
+# is bin 0) and one beyond r_max
+pts = np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [30.0, 0.0, 0.0]])
+for p, f in zip(pts, spec.point_to_flat(pts)):
+    if f < 0:
+        print(f"{p} -> outside (flat -1)")
+    else:
+        triple = tuple(int(i) for i in np.unravel_index(f, spec.dims))
+        print(f"{p} -> flat {f} = {triple} -> center {np.round(spec.index_to_center([f])[0], 4)}")
 
 # voxel footprint area r * dtheta * dr grows with radius: near cells are finer
 dr, dt, _ = spec.deltas

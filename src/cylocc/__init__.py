@@ -50,7 +50,6 @@ from .metrics import (
     default_ray_fan,
     generate_rays,
     ray_iou,
-    traverse_cells,
 )
 from .sketch import CandidateMask, DilationSchedule, default_schedule, dilate_radial, sketch_from_points
 from .synth import (

@@ -28,14 +28,12 @@ from .errors import DomainError, ShapeError, require_finite
 UNLABELED = 255
 
 
-def _as_points(p) -> tuple[np.ndarray, bool]:
-    """Coerce to an (N, 3) float64 array; report whether input was a single point."""
+def _as_points(p) -> np.ndarray:
+    """Coerce an (N, 3) batch of points to float64; any other shape is a ShapeError."""
     arr = np.asarray(p, dtype=np.float64)
-    if arr.shape == (3,):
-        return arr[None, :], True
-    if arr.ndim == 2 and arr.shape[1] == 3:
-        return arr, False
-    raise ShapeError(f"expected (3,) or (N, 3) points, got shape {arr.shape}")
+    if arr.ndim != 2 or arr.shape[1] != 3:
+        raise ShapeError(f"expected (N, 3) points, got shape {arr.shape}")
+    return arr
 
 
 @dataclass(frozen=True)
@@ -91,10 +89,8 @@ class RigidTransform:
         return RigidTransform(rt, -rt @ self.translation)
 
     def apply(self, p) -> np.ndarray:
-        """Transform a point or an (N, 3) batch of points."""
-        pts, single = _as_points(p)
-        out = pts @ self.rotation.T + self.translation
-        return out[0] if single else out
+        """Transform an (N, 3) batch of points."""
+        return _as_points(p) @ self.rotation.T + self.translation
 
 
 def rot_z(angle: float) -> np.ndarray:
@@ -146,13 +142,13 @@ class ErpImage:
 
 @dataclass
 class LabeledPointCloud:
-    """Ego-frame (x, y, z) samples with per-point semantic class ids."""
+    """(N, 3) ego-frame (x, y, z) samples with per-point semantic class ids."""
 
     points: np.ndarray
     labels: np.ndarray
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=np.float64).reshape(-1, 3)
+        pts = _as_points(self.points)
         lab = np.asarray(self.labels, dtype=np.uint8).reshape(-1)
         if len(pts) != len(lab):
             raise ShapeError(f"{len(pts)} points but {len(lab)} labels")
@@ -250,14 +246,13 @@ class FisheyeCamera:
             raise DomainError("raster dimensions must be >= 1")
 
     def project(self, p_ego) -> tuple[np.ndarray, np.ndarray]:
-        """Project ego-frame point(s) to pixel coordinates.
+        """Project (N, 3) ego-frame points to pixel coordinates.
 
-        Returns (uv, valid). uv has shape (..., 2); entries with valid ==
+        Returns (uv, valid) shaped (N, 2) and (N,); entries with valid ==
         False missed the field of view (or sat on the camera center) and
         their uv values are undefined. A MISS is a value, not an error.
         """
-        pts, single = _as_points(p_ego)
-        p_cam = self.pose.inverse().apply(pts)
+        p_cam = self.pose.inverse().apply(p_ego)
         x, y, z = p_cam[:, 0], p_cam[:, 1], p_cam[:, 2]
         rxy = np.hypot(x, y)
         theta = np.arctan2(rxy, z)
@@ -267,20 +262,17 @@ class FisheyeCamera:
         with np.errstate(invalid="ignore", divide="ignore"):
             scale = np.where(rxy > 0, rho / np.where(rxy > 0, rxy, 1.0), 0.0)
         cx, cy = self.principal_point
-        uv = np.stack([cx + scale * x, cy + scale * y], axis=-1)
-        if single:
-            return uv[0], valid[0]
-        return uv, valid
+        return np.stack([cx + scale * x, cy + scale * y], axis=-1), valid
 
     def unproject(self, uv) -> np.ndarray:
-        """Camera-frame unit direction(s) for pixel coordinate(s).
+        """(N, 3) camera-frame unit directions for (N, 2) pixel coordinates.
 
         Raises DomainError when the pixel's incidence angle would be at or
         beyond fov/2 (outside the image circle).
         """
         arr = np.asarray(uv, dtype=np.float64)
-        single = arr.shape == (2,)
-        arr = arr.reshape(-1, 2)
+        if arr.ndim != 2 or arr.shape[1] != 2:
+            raise ShapeError(f"expected (N, 2) pixel coordinates, got shape {arr.shape}")
         cx, cy = self.principal_point
         dx, dy = arr[:, 0] - cx, arr[:, 1] - cy
         rho = np.hypot(dx, dy)
@@ -290,8 +282,7 @@ class FisheyeCamera:
         st = np.sin(theta)
         with np.errstate(invalid="ignore"):
             inv = np.where(rho > 0, st / np.where(rho > 0, rho, 1.0), 0.0)
-        d = np.stack([dx * inv, dy * inv, np.cos(theta)], axis=-1)
-        return d[0] if single else d
+        return np.stack([dx * inv, dy * inv, np.cos(theta)], axis=-1)
 
 
 def surround_rig() -> list[FisheyeCamera]:

@@ -21,13 +21,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ShapeError, require_finite
-from .geom import LabeledPointCloud
+from .geom import LabeledPointCloud, _as_points
 
 CYLINDRICAL = "cylindrical"
 CUBOID = "cuboid"
-
-# Index returned for points outside the grid range.
-OUTSIDE = (-1, -1, -1)
 
 _EDGE_GUARD = 1e-9  # bin-relative tolerance at bin edges
 
@@ -94,11 +91,8 @@ class GridSpec:
         and z fall outside beyond their ranges; the r = 0 axis uses
         atan2(0, 0) = 0.
         """
-        pts = np.asarray(p, dtype=np.float64)
-        if pts.ndim != 2 or pts.shape[1] != 3:
-            raise ShapeError("points must be (N, 3)")
-        native = self.to_native(pts)
-        flat = np.zeros(len(pts), dtype=np.int64)
+        native = self.to_native(_as_points(p))
+        flat = np.zeros(len(native), dtype=np.int64)
         # one axis at a time keeps a single axis's temporaries alive
         for k, d in enumerate(self.dims):
             q = np.floor(self.axis_fraction(native[:, k], k) + _EDGE_GUARD).astype(np.int64)
@@ -111,33 +105,19 @@ class GridSpec:
         flat[~self.in_range(native)] = -1
         return flat
 
-    def point_to_index(self, p) -> np.ndarray:
-        """Bin index triples of Cartesian point(s), unravelled from
-        point_to_flat; OUTSIDE rows for out-of-range points. Accepts (3,) or
-        (N, 3); returns an int array of matching shape."""
-        flat = self.point_to_flat(np.atleast_2d(np.asarray(p, dtype=np.float64)))
-        idx = np.stack(np.unravel_index(np.maximum(flat, 0), self.dims), axis=1)
-        idx[flat < 0] = OUTSIDE
-        return idx[0] if np.ndim(p) == 1 else idx
-
-    def index_to_center(self, i) -> np.ndarray:
-        """Cartesian position of voxel center(s) for index triple(s)."""
-        idx = np.atleast_2d(np.asarray(i, dtype=np.int64))
-        single = np.asarray(i).ndim == 1
-        if idx.shape[1] != 3:
-            raise ShapeError("indices must have three components")
-        if np.any(idx < 0) or np.any(idx >= self.dims):
-            raise DomainError("voxel index outside grid dims")
-        out = self.to_cartesian(np.stack([self.axis_value(idx[:, k] + 0.5, k) for k in range(3)], axis=1))
-        return out[0] if single else out
-
-    def all_indices(self) -> np.ndarray:
-        """(D0*D1*D2, 3) index triples in flat index order."""
-        return np.indices(self.dims).reshape(3, -1).T
+    def index_to_center(self, flat) -> np.ndarray:
+        """(N, 3) Cartesian centers of the voxels at (N,) flat indices."""
+        flat = np.asarray(flat, dtype=np.int64)
+        if flat.ndim != 1:
+            raise ShapeError(f"flat indices must be (N,), got shape {flat.shape}")
+        if np.any(flat < 0) or np.any(flat >= self.num_voxels):
+            raise DomainError("flat voxel index outside the grid")
+        idx = np.unravel_index(flat, self.dims)
+        return self.to_cartesian(np.stack([self.axis_value(i + 0.5, k) for k, i in enumerate(idx)], axis=1))
 
     def all_centers(self) -> np.ndarray:
         """(D0*D1*D2, 3) Cartesian centers in flat index order."""
-        return self.index_to_center(self.all_indices())
+        return self.index_to_center(np.arange(self.num_voxels))
 
     def to_native(self, pts: np.ndarray) -> np.ndarray:
         """(N, 3) Cartesian points in the grid's native axes: (r, theta, z) or (x, y, z)."""

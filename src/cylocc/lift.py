@@ -63,7 +63,7 @@ class FeatureImage:
 class HitSet:
     """Per-candidate-voxel projection hits across the rig.
 
-    voxels holds the occupied voxel indices (M, 3) in flat grid order;
+    voxels holds the candidate voxels' flat indices (M,) in ascending order;
     each camera of the rig (at least one) contributes a validity mask (M,)
     and normalized coordinates (M, 2). Voxels with hit_count 0 are flagged
     via `unhit` and must not be averaged.
@@ -101,7 +101,7 @@ def build_hit_set(mask: CandidateMask, rig: list[FisheyeCamera]) -> HitSet:
     names = [cam.name for cam in rig]
     if len(set(names)) != len(names):
         raise DomainError("rig camera names must be unique")
-    occ = np.argwhere(mask.occupied)
+    occ = np.flatnonzero(mask.grid.data)
     centers = mask.spec.index_to_center(occ)
     valid: dict[str, np.ndarray] = {}
     uv: dict[str, np.ndarray] = {}
@@ -163,10 +163,8 @@ def color_voxels(hits: HitSet, features: list[FeatureImage]) -> VoxelGrid:
     counts = hits.hit_counts
     hit_rows = counts > 0
     acc[hit_rows] /= counts[hit_rows, None]
-    acc[~hit_rows] = 0.0
     grid = VoxelGrid.zeros(hits.spec, "feature", d)
-    v = hits.voxels
-    grid.data[v[:, 0], v[:, 1], v[:, 2]] = acc.astype(np.float32)
+    grid.data.reshape(-1, d)[hits.voxels] = acc
     return grid
 
 

@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, ShapeError, require_finite
+from .geom import _as_points
 from .grid import CYLINDRICAL, GridSpec, VoxelGrid, default_label_set
 
 _CHUNK = 2048  # rays per casting chunk; caps peak memory
@@ -35,10 +36,9 @@ class Rays:
     """Batch of rays: (N, 3) ego-frame origins and unit directions."""
 
     def __init__(self, origins, directions):
-        o = np.asarray(origins, dtype=np.float64)
-        d = np.asarray(directions, dtype=np.float64)
-        if o.ndim != 2 or o.shape[1] != 3 or d.shape != o.shape:
-            raise ShapeError("origins and directions must both be (N, 3)")
+        o, d = _as_points(origins), _as_points(directions)
+        if d.shape != o.shape:
+            raise ShapeError("origins and directions must have the same length")
         require_finite("ray origins and directions", o, d)
         norms = np.linalg.norm(d, axis=1)
         if np.any(np.abs(norms - 1.0) > 1e-9):
@@ -80,7 +80,8 @@ def default_ray_fan() -> Rays:
 
 @dataclass
 class BatchHits:
-    """Vectorized cast results; misses carry inf distance, label 0, voxel -1."""
+    """Vectorized cast results: entry distance, label and flat voxel index of
+    each ray's first hit; misses carry inf distance, label 0, voxel -1."""
 
     distance: np.ndarray
     label: np.ndarray
@@ -156,36 +157,11 @@ def _ray_intervals(spec: GridSpec, o: np.ndarray, d: np.ndarray, max_dist: float
     return ts, cells, seg_len
 
 
-def traverse_cells(origin, direction, spec: GridSpec, max_dist: float):
-    """Ordered in-range cells the ray from origin along the unit direction
-    passes through.
-
-    Returns (cells, entries, exits): an (M, 3) index array of consecutive
-    distinct cells plus the parameter at which each is entered and left.
-    Degenerate slivers (shorter than 1e-12) are dropped.
-    """
-    ray = Rays(np.reshape(origin, (1, 3)), np.reshape(direction, (1, 3)))
-    ts, flat, seg_len = _ray_intervals(spec, ray.origins, ray.directions, max_dist)
-    keep = (flat[0] >= 0) & (seg_len[0] > _MIN_SEGMENT)
-    cells, entries, exits = [], [], []
-    for k in np.nonzero(keep)[0]:
-        cell = int(flat[0, k])
-        # contiguous intervals classifying into the same cell merge; a gap
-        # (the ray left the grid and came back) keeps a genuine revisit
-        if cells and cells[-1] == cell and ts[0, k] - exits[-1] < 1e-9:
-            exits[-1] = float(ts[0, k + 1])
-        else:
-            cells.append(cell)
-            entries.append(float(ts[0, k]))
-            exits.append(float(ts[0, k + 1]))
-    idx = np.stack(np.unravel_index(np.array(cells, dtype=np.int64), spec.dims), axis=1)
-    return idx, np.array(entries), np.array(exits)
-
-
 def cast_rays(rays: Rays, grid: VoxelGrid, max_dist: float) -> BatchHits:
     """Exact first-hit cast of a ray batch into a label grid."""
     if grid.kind != "label":
         raise DomainError("ray casting needs a label grid")
+    require_finite("max_dist", max_dist)
     if max_dist <= 0:
         raise DomainError("max_dist must be positive")
     n = len(rays)
@@ -209,9 +185,7 @@ def cast_rays(rays: Rays, grid: VoxelGrid, max_dist: float) -> BatchHits:
         voxel[s : s + _CHUNK] = np.where(start, cell0, np.where(hit, cells[rows, first], -1))
         # free this chunk's per-interval arrays before the next chunk builds its own
         del ts, cells, seg_len, occupied
-    idx = np.stack(np.unravel_index(np.maximum(voxel, 0), grid.spec.dims), axis=1)
-    idx[voxel < 0] = -1
-    return BatchHits(distance, labels[voxel].astype(np.int64), idx)
+    return BatchHits(distance, labels[voxel].astype(np.int64), voxel)
 
 
 def grid_max_distance(spec: GridSpec, origins: np.ndarray) -> float:

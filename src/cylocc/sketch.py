@@ -18,9 +18,19 @@ from .geom import LabeledPointCloud
 from .grid import CYLINDRICAL, GridSpec, VoxelGrid
 
 
+def _f32(values) -> np.ndarray:
+    """Values rounded to f32, the precision OVOX stores grid ranges in; inf beyond it."""
+    with np.errstate(over="ignore"):
+        return np.asarray(values, dtype=np.float32)
+
+
 @dataclass(frozen=True)
 class DilationSchedule:
-    """Ordered (range_end_meters, window_bins) bands partitioning (r_min, r_max]."""
+    """Ordered (range_end_meters, window_bins) bands partitioning (r_min, r_max].
+
+    Radii compare with the band ends at f32 precision, so a grid decoded from
+    OVOX, whose ranges carry f32 rounding, dilates as its in-memory original.
+    """
 
     bands: tuple[tuple[float, int], ...]
 
@@ -30,8 +40,8 @@ class DilationSchedule:
             raise DomainError("schedule needs at least one band")
         ends = [e for e, _ in bands]
         require_finite("band range ends", ends)
-        if not all(b > a for a, b in zip(ends, ends[1:])):
-            raise DomainError("band range ends must be strictly increasing")
+        if not np.all(np.diff(_f32(ends)) > 0):
+            raise DomainError("band range ends must be strictly increasing at f32 precision")
         windows = [w for _, w in bands]
         if any(w < 0 for w in windows):
             raise DomainError("windows must be >= 0")
@@ -40,13 +50,13 @@ class DilationSchedule:
         object.__setattr__(self, "bands", bands)
 
     def validate_for(self, spec: GridSpec) -> None:
-        if not abs(self.bands[-1][0] - spec.ranges[0][1]) <= 1e-9:
+        if _f32(self.bands[-1][0]) != _f32(spec.ranges[0][1]):
             raise DomainError("last band end must equal the grid's r_max")
 
     def window_at(self, radius) -> np.ndarray:
         """Window size(s) for center radius value(s)."""
-        r = np.asarray(radius, dtype=np.float64)
-        ends = np.array([e for e, _ in self.bands])
+        r = _f32(radius)
+        ends = _f32([e for e, _ in self.bands])
         windows = np.array([w for _, w in self.bands], dtype=np.int64)
         band = np.searchsorted(ends, r, side="left")
         return windows[np.minimum(band, len(windows) - 1)]

@@ -15,12 +15,13 @@ from itertools import product
 import numpy as np
 
 from .errors import DomainError, require_finite
-from .geom import ErpImage, LabeledPointCloud, RigidTransform, erp_direction_grid
+from .geom import ErpImage, LabeledPointCloud, RigidTransform, _as_points, erp_direction_grid
 from .grid import GridSpec, VoxelGrid, majority_vote
 from .metrics import generate_rays
 
 _T_MIN = 1e-9  # smallest admissible ray parameter
 _RENDER_RANGE = 1e6  # meters; farther surfaces render as missed pixels
+_MAX_SUPERSAMPLE = 16  # 16^3 = 4,096 probe passes over the lattice
 
 
 @dataclass(frozen=True)
@@ -175,10 +176,11 @@ class Scene:
         object.__setattr__(self, "primitives", prims)
 
     def first_hit(self, origins: np.ndarray, directions: np.ndarray, max_dist: float):
-        """(t, label, hit) arrays for a ray batch; nearest surface wins,
-        earlier primitives win exact ties."""
-        o = np.atleast_2d(np.asarray(origins, dtype=np.float64))
-        d = np.atleast_2d(np.asarray(directions, dtype=np.float64))
+        """(t, label, hit) arrays for an (N, 3) ray batch; nearest surface
+        wins, earlier primitives win exact ties."""
+        require_finite("max_dist", max_dist)
+        o = _as_points(origins)
+        d = _as_points(directions)
         best_t = np.full(len(o), np.inf)
         best_label = np.zeros(len(o), dtype=np.uint8)
         for prim in self.primitives:
@@ -228,18 +230,18 @@ def analytic_voxel_gt(scene: Scene, spec: GridSpec, supersample: int = 3) -> Vox
     Each voxel is probed at supersample^3 deterministic points (bin-center
     stratification in the grid's native coordinates) and labeled by majority
     vote with ties toward the smallest class id; free when no probe lands
-    inside any primitive.
+    inside any primitive. supersample runs from 1 to 16.
     """
-    if supersample < 1:
-        raise DomainError("supersample must be >= 1")
+    if not 1 <= supersample <= _MAX_SUPERSAMPLE:
+        raise DomainError(f"supersample must be in [1, {_MAX_SUPERSAMPLE}]")
     n = supersample
     c = max((p.label for p in scene.primitives), default=1) + 1
-    idx = spec.all_indices()
     voxel = np.arange(spec.num_voxels)
+    idx = np.unravel_index(voxel, spec.dims)
     # one vote per voxel per pass, counted in a type that holds all n^3 of them
     votes = np.zeros((spec.num_voxels, c), dtype=np.min_scalar_type(n**3))
     for off in product(range(n), repeat=3):
-        native = np.stack([spec.axis_value(idx[:, k] + (o + 0.5) / n, k) for k, o in enumerate(off)], axis=1)
+        native = np.stack([spec.axis_value(idx[k] + (o + 0.5) / n, k) for k, o in enumerate(off)], axis=1)
         votes[voxel, scene.label_points(spec.to_cartesian(native))] += 1
     return VoxelGrid(spec, "label", majority_vote(votes).reshape(spec.dims))
 
@@ -257,7 +259,7 @@ def sample_scene_point_cloud(
     One fan per origin, the same fan pattern as generate_rays; every hit
     becomes one labeled point. Output is reproducible for fixed arguments.
     """
-    origins = np.atleast_2d(np.asarray(origins, dtype=np.float64))
+    origins = _as_points(origins)
     if azimuth_count * elevation_count <= 0:
         raise DomainError("density must be positive")
     pts, labs = [], []

@@ -37,6 +37,12 @@ def street_scene():
     )
 
 
+def bin_triple(spec, p) -> tuple[int, int, int]:
+    """Index triple of one Cartesian point, unravelled from point_to_flat; (-1, -1, -1) outside."""
+    flat = int(spec.point_to_flat([p])[0])
+    return (-1, -1, -1) if flat < 0 else tuple(int(i) for i in np.unravel_index(flat, spec.dims))
+
+
 def random_rotation(rng):
     m = rng.normal(size=(3, 3))
     q, _ = np.linalg.qr(m)

@@ -24,14 +24,15 @@ def march_fixed_step(rays, grid, max_dist: float, step: float = 0.01) -> BatchHi
     the ray is shorter than the step; distances are quantized to the step."""
     t = np.arange(int(math.floor(max_dist / step)) + 1, dtype=np.float64) * step
     chunk = max(1, 2_000_000 // len(t))  # about 2M samples per chunk
+    # flat index -1 (outside the grid) reads the free class appended to the payload
+    labels = np.append(grid.data.reshape(-1), 0).astype(np.int64)
     parts = []
     for s in range(0, len(rays), chunk):
         o = rays.origins[s : s + chunk]
         d = rays.directions[s : s + chunk]
         pos = o[:, None, :] + t[None, :, None] * d[:, None, :]
-        idx = grid.spec.point_to_index(pos.reshape(-1, 3)).reshape(len(o), len(t), 3)
-        # OUTSIDE rows index the last voxel; the mask zeroes them
-        lab = np.where(idx[..., 0] >= 0, grid.data[idx[..., 0], idx[..., 1], idx[..., 2]], 0).astype(np.int64)
+        flat = grid.spec.point_to_flat(pos.reshape(-1, 3)).reshape(len(o), len(t))
+        lab = labels[flat]
         occupied = lab != 0
         rows = np.arange(len(o))
         first = occupied.argmax(axis=1)
@@ -39,7 +40,7 @@ def march_fixed_step(rays, grid, max_dist: float, step: float = 0.01) -> BatchHi
         parts.append((
             np.where(hit, t[first], np.inf),
             np.where(hit, lab[rows, first], 0),
-            np.where(hit[:, None], idx[rows, first], -1),
+            np.where(hit, flat[rows, first], -1),
         ))
     return BatchHits(*(np.concatenate(p) for p in zip(*parts)))
 
@@ -82,10 +83,10 @@ def analytic_voxel_gt_all_probes(scene, spec: GridSpec, supersample: int) -> Vox
     n = supersample
     num = spec.num_voxels
     c = max((p.label for p in scene.primitives), default=1) + 1
-    idx = spec.all_indices()
+    idx = np.unravel_index(np.arange(num), spec.dims)
     labels = np.empty((n**3, num), dtype=np.uint8)
     for row, off in zip(labels, product(range(n), repeat=3)):
-        native = np.stack([spec.axis_value(idx[:, k] + (o + 0.5) / n, k) for k, o in enumerate(off)], axis=1)
+        native = np.stack([spec.axis_value(idx[k] + (o + 0.5) / n, k) for k, o in enumerate(off)], axis=1)
         row[:] = scene.label_points(spec.to_cartesian(native))
     keys = np.arange(num, dtype=np.int64) * c + labels
     votes = np.bincount(keys.reshape(-1), minlength=num * c).reshape(num, c)

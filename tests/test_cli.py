@@ -198,7 +198,8 @@ class TestExitCodes:
         assert "domain error" in capsys.readouterr().err
         assert not report.exists()
 
-    @pytest.mark.parametrize("flag,value", [("--spec", "cuboid:4x4x4:0:1:0:1:0:1"), ("--supersample", "0")])
+    @pytest.mark.parametrize("flag,value", [("--spec", "cuboid:4x4x4:0:1:0:1:0:1"), ("--supersample", "0"),
+                                            ("--supersample", "100000000000000000000")])
     def test_rejected_synth_input_writes_nothing(self, tmp_path, scene_file, flag, value, capsys):
         out = tmp_path / "out"
         assert main(["synth", "--scene", str(scene_file), "--erp", "8x4", flag, value, "--out", str(out)]) == 3

@@ -1,12 +1,19 @@
-"""The demos import only names that the package provides."""
+"""The demos import only names that the package provides, and the ones that
+write no files run to completion."""
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+# writes its outputs next to itself, under demos/pipeline_out
+WRITES_FILES = {"07_full_pipeline.py"}
 
 
 @pytest.mark.parametrize("path", DEMOS, ids=lambda p: p.name)
@@ -22,6 +29,16 @@ def test_demo_imports_resolve(path):
                 if a.name.split(".")[0] == "cylocc":
                     importlib.import_module(a.name)
     assert not missing, f"{path.name} imports missing names: {missing}"
+
+
+@pytest.mark.parametrize("path", [p for p in DEMOS if p.name not in WRITES_FILES], ids=lambda p: p.name)
+def test_demo_runs(path, tmp_path):
+    # warnings are errors, as in the test suite itself
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-W", "error", str(path)], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr, proc.stderr
 
 
 def test_demos_found():

@@ -26,16 +26,16 @@ from conftest import random_transform
 class TestRigidTransform:
     def test_identity_leaves_points(self):
         t = RigidTransform.identity()
-        p = np.array([1.0, -2.0, 3.0])
+        p = np.array([[1.0, -2.0, 3.0]])
         np.testing.assert_array_equal(t.apply(p), p)
 
     def test_pure_translation(self):
         t = RigidTransform(np.eye(3), np.array([1.0, 2.0, 3.0]))
-        np.testing.assert_array_equal(t.apply(np.zeros(3)), [1.0, 2.0, 3.0])
+        np.testing.assert_array_equal(t.apply(np.zeros((1, 3))), [[1.0, 2.0, 3.0]])
 
     def test_yaw_90_rotates_x_to_y(self):
         t = RigidTransform(rot_z(math.pi / 2), np.zeros(3))
-        np.testing.assert_allclose(t.apply([1.0, 0.0, 0.0]), [0.0, 1.0, 0.0], atol=1e-12)
+        np.testing.assert_allclose(t.apply([[1.0, 0.0, 0.0]]), [[0.0, 1.0, 0.0]], atol=1e-12)
 
     def test_inverse_is_two_sided(self):
         rng = np.random.RandomState(3)
@@ -74,7 +74,7 @@ class TestRigidTransform:
         rng = np.random.RandomState(6)
         t = random_transform(rng)
         p = rng.normal(size=3)
-        np.testing.assert_allclose(t.apply(p), t.rotation @ p + t.translation, atol=1e-12)
+        np.testing.assert_allclose(t.apply(p[None]), [t.rotation @ p + t.translation], atol=1e-12)
 
 
 class TestErpDirections:
@@ -171,36 +171,36 @@ class TestErpImage:
 
 class TestFisheye:
     def test_on_axis_projects_to_principal_point(self, single_cam):
-        p_cam_fwd = np.array([0.0, 0.0, 5.0])  # optical axis in camera=ego frame
+        p_cam_fwd = np.array([[0.0, 0.0, 5.0]])  # optical axis in camera=ego frame
         uv, ok = single_cam.project(p_cam_fwd)
-        assert ok
-        np.testing.assert_allclose(uv, [640.0, 640.0], atol=1e-9)
+        assert ok[0]
+        np.testing.assert_allclose(uv, [[640.0, 640.0]], atol=1e-9)
 
     def test_behind_camera_misses(self, single_cam):
         # fov = pi, so anything with negative z_cam has theta > fov/2
-        _, ok = single_cam.project(np.array([0.0, 0.0, -5.0]))
-        assert not ok
+        _, ok = single_cam.project(np.array([[0.0, 0.0, -5.0]]))
+        assert not ok[0]
 
     def test_half_radian_incidence(self):
         cam = FisheyeCamera(1280, 1280, 400.0, (640.0, 640.0), math.pi)
         # theta=0.5 along +x azimuth: rho = 400*0.5 = 200
-        p = np.array([math.sin(0.5), 0.0, math.cos(0.5)]) * 5.0
+        p = np.array([[math.sin(0.5), 0.0, math.cos(0.5)]]) * 5.0
         uv, ok = cam.project(p)
-        assert ok
-        np.testing.assert_allclose(uv, [840.0, 640.0], atol=1e-9)
+        assert ok[0]
+        np.testing.assert_allclose(uv, [[840.0, 640.0]], atol=1e-9)
 
     def test_unproject_principal_point(self, single_cam):
-        np.testing.assert_allclose(single_cam.unproject([640.0, 640.0]), [0.0, 0.0, 1.0], atol=1e-12)
+        np.testing.assert_allclose(single_cam.unproject([[640.0, 640.0]]), [[0.0, 0.0, 1.0]], atol=1e-12)
 
     def test_unproject_half_radian(self, single_cam):
-        d = single_cam.unproject([840.0, 640.0])
+        d = single_cam.unproject([[840.0, 640.0]])
         np.testing.assert_allclose(
-            d, [0.47942553860420300027, 0.0, 0.87758256189037271612], atol=1e-12
+            d, [[0.47942553860420300027, 0.0, 0.87758256189037271612]], atol=1e-12
         )
 
     def test_unproject_outside_fov_rejected(self, single_cam):
         with pytest.raises(DomainError):
-            single_cam.unproject([640.0 + 400.0 * math.pi / 2 + 1.0, 640.0])
+            single_cam.unproject([[640.0 + 400.0 * math.pi / 2 + 1.0, 640.0]])
 
     def test_round_trip_1000_pixels(self, single_cam):
         rng = np.random.RandomState(2)
@@ -234,9 +234,19 @@ class TestFisheye:
         r = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, -1.0, 0.0]])
         pose = RigidTransform(r, np.array([1.0, 0.0, 0.0]))
         cam = FisheyeCamera(640, 640, 150.0, (320.0, 320.0), math.pi, pose=pose)
-        uv, ok = cam.project(np.array([1.0, 4.0, 0.0]))
-        assert ok
-        np.testing.assert_allclose(uv, [320.0, 320.0], atol=1e-9)
+        uv, ok = cam.project(np.array([[1.0, 4.0, 0.0]]))
+        assert ok[0]
+        np.testing.assert_allclose(uv, [[320.0, 320.0]], atol=1e-9)
+
+    @pytest.mark.parametrize("call", [
+        lambda cam: cam.pose.apply([1.0, 2.0, 3.0]),
+        lambda cam: cam.project([1.0, 2.0, 3.0]),
+        lambda cam: cam.unproject([640.0, 640.0]),
+    ], ids=["apply", "project", "unproject"])
+    def test_lone_point_rejected(self, single_cam, call):
+        # batches only: one point is a (1, 3) array, one pixel a (1, 2) array
+        with pytest.raises(ShapeError):
+            call(single_cam)
 
     def test_fov_bounds_enforced(self):
         with pytest.raises(DomainError):
@@ -257,6 +267,11 @@ class TestCloudType:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ShapeError):
             LabeledPointCloud(np.zeros((3, 3)), np.zeros(2, dtype=np.uint8))
+
+    def test_flat_coordinates_rejected(self):
+        # six numbers are not silently read as two points
+        with pytest.raises(ShapeError):
+            LabeledPointCloud(np.zeros(6), np.zeros(2, dtype=np.uint8))
 
     def test_non_finite_rejected(self):
         pts = np.zeros((2, 3))

@@ -8,7 +8,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from cylocc.errors import DomainError
+from cylocc.errors import DomainError, ShapeError
 from cylocc.geom import LabeledPointCloud
 from cylocc.grid import (
     CUBOID,
@@ -21,6 +21,7 @@ from cylocc.grid import (
     voxelize_semantic,
 )
 
+from conftest import bin_triple
 from oracles import default_cuboid_spec
 
 
@@ -45,39 +46,38 @@ def scalar_cyl_index(p, spec):
 class TestPointToIndex:
     def test_meter_forward_point(self, cyl_spec):
         # dr=0.2 -> bin 5; theta=0 -> bin 100; dz=0.4, z=0 -> bin 7
-        np.testing.assert_array_equal(cyl_spec.point_to_index([1.0, 0.0, 0.0]), [5, 100, 7])
+        assert bin_triple(cyl_spec, [1.0, 0.0, 0.0]) == (5, 100, 7)
 
     def test_outside_radius(self, cyl_spec):
-        np.testing.assert_array_equal(cyl_spec.point_to_index([30.0, 0.0, 0.0]), [-1, -1, -1])
+        assert bin_triple(cyl_spec, [30.0, 0.0, 0.0]) == (-1, -1, -1)
 
     def test_theta_pi_wraps_to_bin_zero(self, cyl_spec):
-        np.testing.assert_array_equal(cyl_spec.point_to_index([-1.0, 0.0, 0.0]), [5, 0, 7])
+        assert bin_triple(cyl_spec, [-1.0, 0.0, 0.0]) == (5, 0, 7)
 
     def test_against_scalar_reimplementation(self, cyl_spec):
         rng = np.random.RandomState(0)
         pts = np.stack(
             [rng.uniform(-30, 30, 3000), rng.uniform(-30, 30, 3000), rng.uniform(-4, 5, 3000)], axis=1
         )
-        idx = cyl_spec.point_to_index(pts)
-        for p, got in zip(pts, idx):
-            assert tuple(got) == scalar_cyl_index(p, cyl_spec)
+        flat = cyl_spec.point_to_flat(pts)
+        for p, got in zip(pts, flat):
+            want = scalar_cyl_index(p, cyl_spec)
+            assert got == (-1 if want[0] < 0 else np.ravel_multi_index(want, cyl_spec.dims))
 
     def test_axis_point_uses_atan2_zero(self, cyl_spec):
-        np.testing.assert_array_equal(cyl_spec.point_to_index([0.0, 0.0, 0.0]), [0, 100, 7])
+        assert bin_triple(cyl_spec, [0.0, 0.0, 0.0]) == (0, 100, 7)
 
     def test_r_max_edge_is_inside(self, cyl_spec):
-        idx = cyl_spec.point_to_index([25.6, 0.0, 0.0])
-        assert idx[0] == 127
+        assert bin_triple(cyl_spec, [25.6, 0.0, 0.0])[0] == 127
 
     def test_cuboid_floor_division(self):
         spec = GridSpec(CUBOID, (1, 1, 1), ((0, 1), (0, 1), (0, 1)))
-        np.testing.assert_array_equal(spec.point_to_index([0.5, 0.5, 0.5]), [0, 0, 0])
-        np.testing.assert_array_equal(spec.point_to_index([1.5, 0.5, 0.5]), [-1, -1, -1])
+        np.testing.assert_array_equal(spec.point_to_flat([[0.5, 0.5, 0.5], [1.5, 0.5, 0.5]]), [0, -1])
 
 
 class TestIndexToCenter:
     def test_known_center(self, cyl_spec):
-        c = cyl_spec.index_to_center([5, 100, 7])
+        c = cyl_spec.index_to_center([np.ravel_multi_index((5, 100, 7), cyl_spec.dims)])[0]
         # r=1.1, theta=dtheta/2, z=0.2, evaluated in closed form
         dt = math.pi / 100
         np.testing.assert_allclose(
@@ -86,35 +86,33 @@ class TestIndexToCenter:
 
     def test_unit_cuboid_center(self):
         spec = GridSpec(CUBOID, (1, 1, 1), ((0, 1), (0, 1), (0, 1)))
-        np.testing.assert_allclose(spec.index_to_center([0, 0, 0]), [0.5, 0.5, 0.5])
+        np.testing.assert_allclose(spec.index_to_center([0]), [[0.5, 0.5, 0.5]])
 
     def test_out_of_dims_rejected(self, cyl_spec):
-        with pytest.raises(DomainError):
-            cyl_spec.index_to_center([128, 0, 0])
+        # num_voxels is the flat form of (128, 0, 0); -1 is the miss sentinel
+        for flat in (cyl_spec.num_voxels, -1):
+            with pytest.raises(DomainError):
+                cyl_spec.index_to_center([flat])
+
+    def test_index_triples_rejected(self, cyl_spec):
+        with pytest.raises(ShapeError):
+            cyl_spec.index_to_center([[5, 100, 7]])
 
     def test_exhaustive_bijection_cylindrical(self, cyl_spec):
         centers = cyl_spec.all_centers()
-        idx = cyl_spec.point_to_index(centers)
-        d0, d1, d2 = cyl_spec.dims
-        i0, i1, i2 = np.meshgrid(np.arange(d0), np.arange(d1), np.arange(d2), indexing="ij")
-        expect = np.stack([i0.ravel(), i1.ravel(), i2.ravel()], axis=1)
-        np.testing.assert_array_equal(idx, expect)
+        np.testing.assert_array_equal(cyl_spec.point_to_flat(centers), np.arange(cyl_spec.num_voxels))
 
     def test_exhaustive_bijection_cuboid(self):
         spec = default_cuboid_spec()
         centers = spec.all_centers()
-        idx = spec.point_to_index(centers)
-        d0, d1, d2 = spec.dims
-        i0, i1, i2 = np.meshgrid(np.arange(d0), np.arange(d1), np.arange(d2), indexing="ij")
-        expect = np.stack([i0.ravel(), i1.ravel(), i2.ravel()], axis=1)
-        np.testing.assert_array_equal(idx, expect)
+        np.testing.assert_array_equal(spec.point_to_flat(centers), np.arange(spec.num_voxels))
 
 
 class TestThetaWrap:
     def test_adjacent_bins_across_seam(self, cyl_spec):
         eps = 1e-7
-        hi = cyl_spec.point_to_index([math.cos(math.pi - eps), math.sin(math.pi - eps), 0.0])
-        lo = cyl_spec.point_to_index([math.cos(-math.pi + eps), math.sin(-math.pi + eps), 0.0])
+        hi = bin_triple(cyl_spec, [math.cos(math.pi - eps), math.sin(math.pi - eps), 0.0])
+        lo = bin_triple(cyl_spec, [math.cos(-math.pi + eps), math.sin(-math.pi + eps), 0.0])
         assert hi[1] == cyl_spec.dims[1] - 1
         assert lo[1] == 0
 
@@ -134,13 +132,13 @@ class TestVoxelize:
         assert not grid.data.any()
 
     def test_majority_vote(self, cyl_spec):
-        p = cyl_spec.index_to_center([10, 50, 8])
+        p = cyl_spec.index_to_center([np.ravel_multi_index((10, 50, 8), cyl_spec.dims)])
         cloud = LabeledPointCloud(np.tile(p, (3, 1)), np.array([3, 7, 3], dtype=np.uint8))
         grid = voxelize_semantic(cloud, cyl_spec, default_label_set())
         assert grid.data[10, 50, 8] == 3
 
     def test_tie_breaks_to_smaller_id(self, cyl_spec):
-        p = cyl_spec.index_to_center([10, 50, 8])
+        p = cyl_spec.index_to_center([np.ravel_multi_index((10, 50, 8), cyl_spec.dims)])
         cloud = LabeledPointCloud(np.tile(p, (2, 1)), np.array([7, 3], dtype=np.uint8))
         grid = voxelize_semantic(cloud, cyl_spec, default_label_set())
         assert grid.data[10, 50, 8] == 3
@@ -161,13 +159,13 @@ class TestVoxelize:
         grid = voxelize_semantic(cloud, cyl_spec, default_label_set())
 
         votes = {}
-        idx = cyl_spec.point_to_index(pts)
+        flat = cyl_spec.point_to_flat(pts)
         kept = 0
-        for (i0, i1, i2), lab in zip(idx, labels):
-            if i0 < 0:
+        for f, lab in zip(flat, labels):
+            if f < 0:
                 continue
             kept += 1
-            votes.setdefault((i0, i1, i2), Counter())[int(lab)] += 1
+            votes.setdefault(np.unravel_index(f, cyl_spec.dims), Counter())[int(lab)] += 1
         # payload conservation: every in-range point lands in exactly one voxel
         assert kept == sum(sum(c.values()) for c in votes.values())
         expect = np.zeros(cyl_spec.dims, dtype=np.uint8)

@@ -29,6 +29,8 @@ from cylocc.lift import (
 )
 from cylocc.sketch import CandidateMask
 
+from conftest import bin_triple
+
 
 def mask_with(spec, indices):
     occ = np.zeros(spec.dims, dtype=np.uint8)
@@ -45,7 +47,7 @@ class TestHitSet:
     def test_voxel_behind_monocular_camera_flagged(self, cyl_spec):
         cam = FisheyeCamera(640, 640, 180.0, (320.0, 320.0), math.pi, name="solo")
         # camera looks along +z ego (identity pose); a voxel far on -z side
-        idx = cyl_spec.point_to_index([5.0, 0.0, -2.0])
+        idx = bin_triple(cyl_spec, [5.0, 0.0, -2.0])
         mask = mask_with(cyl_spec, [idx])
         hits = build_hit_set(mask, [cam])
         assert len(hits) == 1
@@ -54,8 +56,8 @@ class TestHitSet:
 
     def test_on_axis_voxel_maps_to_principal_point(self, cyl_spec, rig6):
         cam = rig6[0]  # looks along +x ego
-        idx = cyl_spec.point_to_index([10.0, 0.0, 1.6])
-        center = cyl_spec.index_to_center(idx)
+        idx = bin_triple(cyl_spec, [10.0, 0.0, 1.6])
+        center = cyl_spec.index_to_center([np.ravel_multi_index(idx, cyl_spec.dims)])[0]
         # move the camera so the voxel center is exactly on its axis
         axis_cam = FisheyeCamera(
             cam.width, cam.height, cam.focal, cam.principal_point, cam.fov,
@@ -80,13 +82,14 @@ class TestHitSet:
         idx = np.unique(idx, axis=0)
         mask = mask_with(cyl_spec, idx)
         hits = build_hit_set(mask, rig6)
-        order = {tuple(v): i for i, v in enumerate(hits.voxels)}
+        np.testing.assert_array_equal(hits.voxels, np.flatnonzero(mask.grid.data))
+        order = {int(f): i for i, f in enumerate(hits.voxels)}
         for cam in rig6:
             for v in idx:
-                center = cyl_spec.index_to_center(v)
-                uv, ok = cam.project(center)
+                flat = int(np.ravel_multi_index(tuple(v), cyl_spec.dims))
+                (uv,), (ok,) = cam.project(cyl_spec.index_to_center([flat]))
                 ok = bool(ok) and 0 <= uv[0] < cam.width and 0 <= uv[1] < cam.height
-                row = order[tuple(v)]
+                row = order[flat]
                 assert bool(hits.valid[cam.name][row]) == ok
                 if ok:
                     np.testing.assert_allclose(
@@ -134,18 +137,16 @@ class TestColorVoxels:
         hits = build_hit_set(mask, rig6)
         for k in (0.5, 1.25, -3.0, 0.1):
             grid = color_voxels(hits, constant_features(rig6, k))
-            hit_rows = ~hits.unhit
-            vox = hits.voxels[hit_rows]
-            got = grid.data[vox[:, 0], vox[:, 1], vox[:, 2]]
+            rows = grid.data.reshape(-1, grid.channels)
+            got = rows[hits.voxels[~hits.unhit]]
             assert np.all(got == np.float32(k))
-            un = hits.voxels[hits.unhit]
-            assert not grid.data[un[:, 0], un[:, 1], un[:, 2]].any()
+            assert not rows[hits.voxels[hits.unhit]].any()
 
     def test_two_camera_average(self, cyl_spec):
         cam_a = FisheyeCamera(64, 64, 18.0, (32.0, 32.0), math.pi, name="a")
         r = rot_z(math.pi)  # looks along -x... rotation about z keeps +z axis
         cam_b = FisheyeCamera(64, 64, 18.0, (32.0, 32.0), math.pi, pose=RigidTransform(r, np.zeros(3)), name="b")
-        idx = cyl_spec.point_to_index([0.5, 0.5, 2.0])
+        idx = bin_triple(cyl_spec, [0.5, 0.5, 2.0])
         mask = mask_with(cyl_spec, [idx])
         hits = build_hit_set(mask, [cam_a, cam_b])
         assert hits.hit_counts[0] == 2

@@ -17,19 +17,46 @@ from cylocc.formats import decode_voxel_grid, encode_voxel_grid
 from cylocc.geom import FisheyeCamera
 from cylocc.grid import CUBOID, GridSpec, VoxelGrid
 from cylocc.metrics import (
+    _MIN_SEGMENT,
     Rays,
+    _ray_intervals,
     cast_rays,
     generate_rays,
     grid_max_distance,
     ray_iou,
-    traverse_cells,
 )
+from cylocc.synth import HalfSpace, Scene
 
 from oracles import march_fixed_step
 
 
 def one_ray(origin, direction) -> Rays:
     return Rays(np.array([origin], dtype=np.float64), np.array([direction], dtype=np.float64))
+
+
+def traverse_cells(origin, direction, spec: GridSpec, max_dist: float):
+    """Ordered in-range cells the ray from origin along the unit direction
+    passes through.
+
+    Returns (cells, entries, exits): the flat indices of consecutive
+    distinct cells plus the parameter at which each is entered and left.
+    Degenerate slivers (shorter than 1e-12) are dropped.
+    """
+    ray = one_ray(origin, direction)
+    ts, flat, seg_len = _ray_intervals(spec, ray.origins, ray.directions, max_dist)
+    keep = (flat[0] >= 0) & (seg_len[0] > _MIN_SEGMENT)
+    cells, entries, exits = [], [], []
+    for k in np.nonzero(keep)[0]:
+        cell = int(flat[0, k])
+        # contiguous intervals classifying into the same cell merge; a gap
+        # (the ray left the grid and came back) keeps a genuine revisit
+        if cells and cells[-1] == cell and ts[0, k] - exits[-1] < 1e-9:
+            exits[-1] = float(ts[0, k + 1])
+        else:
+            cells.append(cell)
+            entries.append(float(ts[0, k]))
+            exits.append(float(ts[0, k + 1]))
+    return np.array(cells, dtype=np.int64), np.array(entries), np.array(exits)
 
 
 def random_label_grid(spec, rng, density=0.03, free_inner_r_bins=0):
@@ -78,12 +105,11 @@ class TestCastRay:
         hits = cast_rays(one_ray([0.0, 0.0, 0.0], [1.0, 0.0, 0.0]), g, 60.0)
         assert not hits.hit[0]
         assert hits.label[0] == 0
-        np.testing.assert_array_equal(hits.voxel[0], [-1, -1, -1])
+        assert hits.voxel[0] == -1
 
     def test_origin_inside_occupied_cell(self, cyl_spec):
         g = VoxelGrid.zeros(cyl_spec, "label")
-        idx = cyl_spec.point_to_index([3.0, 1.0, 0.3])
-        g.data[tuple(idx)] = 5
+        g.data.reshape(-1)[cyl_spec.point_to_flat([[3.0, 1.0, 0.3]])] = 5
         hits = cast_rays(one_ray([3.0, 1.0, 0.3], [0.0, 1.0, 0.0]), g, 60.0)
         assert hits.hit[0]
         assert hits.distance[0] == 0.0
@@ -102,6 +128,14 @@ class TestCastRay:
         ray = one_ray([0.0, 0.0, 0.0], [1.0, 0.0, 0.0])
         assert not cast_rays(ray, g, 10.0).hit[0]
         assert cast_rays(ray, g, 30.0).distance[0] == pytest.approx(20.0, abs=1e-12)
+
+    @pytest.mark.parametrize("max_dist", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_non_finite_max_dist_rejected(self, cyl_spec, max_dist):
+        ray = one_ray([0.0, 0.0, 0.0], [1.0, 0.0, 0.0])
+        with pytest.raises(DomainError):
+            cast_rays(ray, VoxelGrid.zeros(cyl_spec, "label"), max_dist)
+        with pytest.raises(DomainError):
+            Scene((HalfSpace(-1.3, 1),)).first_hit(ray.origins, ray.directions, max_dist)
 
     def test_non_unit_direction_rejected(self):
         with pytest.raises(DomainError):
@@ -136,8 +170,7 @@ class TestCasterExactness:
     def chord_in_voxel(self, spec, grid, o, d, voxel, t_hit, step=1e-5):
         ts = t_hit + np.arange(0.0, 4e-3, step)
         pts = o[None, :] + ts[:, None] * d[None, :]
-        idx = spec.point_to_index(pts)
-        inside = (idx == voxel).all(axis=1)
+        inside = spec.point_to_flat(pts) == voxel
         return inside.sum() * step
 
     @pytest.mark.parametrize("coord", ["cylindrical", "cuboid"])
@@ -156,7 +189,7 @@ class TestCasterExactness:
         rays = Rays(o, d)
         a = cast_rays(rays, g, 25.0)
         b = march_fixed_step(rays, g, 25.0, step=0.001)
-        agree = (a.voxel == b.voxel).all(axis=1)
+        agree = a.voxel == b.voxel
         for i in np.nonzero(~agree)[0]:
             # every disagreement must be a sub-step chord skipped by the marcher
             assert a.hit[i]
@@ -184,13 +217,13 @@ class TestCasterExactness:
             cells, entries, exits = traverse_cells(o, d, spec, 20.0)
             # marcher sequence: classify every sample, deduplicate runs
             t = np.arange(0.0, 20.0, step)
-            idx = spec.point_to_index(o[None] + t[:, None] * d[None])
-            seq = [tuple(v) for v in idx if v[0] >= 0]
+            flat = spec.point_to_flat(o[None] + t[:, None] * d[None])
+            seq = [int(v) for v in flat if v >= 0]
             march = [seq[0]] if seq else []
             for c in seq[1:]:
                 if c != march[-1]:
                     march.append(c)
-            par = [tuple(v) for v in cells]
+            par = [int(v) for v in cells]
             chord = exits - entries
             j = 0
             for cell in march:
@@ -231,7 +264,7 @@ class TestCasterExactness:
         assert (cast.distance > 0).all()
         assert (cast.label == 3).sum() > n // 4 and (cast.label == 5).sum() > n // 4
         march = march_fixed_step(rays, decoded, 30.0, step=0.001)
-        agree = (cast.voxel == march.voxel).all(axis=1)
+        agree = cast.voxel == march.voxel
         for i in np.nonzero(~agree)[0]:
             assert cast.hit[i]
             chord = self.chord_in_voxel(decoded.spec, decoded, o[i], d[i], cast.voxel[i], cast.distance[i])

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from cylocc.errors import DomainError
+from cylocc.formats import decode_voxel_grid, encode_voxel_grid
 from cylocc.geom import LabeledPointCloud
 from cylocc.grid import VoxelGrid
 from cylocc.sketch import (
@@ -15,6 +16,7 @@ from cylocc.sketch import (
     sketch_from_points,
 )
 
+from conftest import bin_triple
 from oracles import default_cuboid_spec, lidar_ring_origins
 
 
@@ -54,6 +56,11 @@ class TestSchedule:
         with pytest.raises(DomainError):
             DilationSchedule(((17.0, 0), (8.5, 1)))
 
+    def test_ends_equal_at_f32_rejected(self):
+        # 8.5 and 8.5 + 1e-7 round to one f32, so the middle band could never be reached
+        with pytest.raises(DomainError):
+            DilationSchedule(((8.5, 0), (8.5 + 1e-7, 1), (25.6, 2)))
+
     def test_nan_inner_end_rejected(self):
         with pytest.raises(DomainError):
             DilationSchedule(((float("nan"), 0), (25.6, 2)))
@@ -63,6 +70,21 @@ class TestSchedule:
         mask = random_mask(cyl_spec, np.random.RandomState(0))
         with pytest.raises(DomainError):
             dilate_radial(mask, s)
+
+    def test_decoded_mask_dilates_as_in_memory(self, cyl_spec):
+        """OVOX stores the spec's ranges as f32, so a decoded mask carries
+        r_max 25.600000381 and bin 42's center 8.500000127 m, just past the
+        8.5 m band end that the in-memory center 8.5 m sits on."""
+        mask = random_mask(cyl_spec, np.random.RandomState(8), density=0.02)
+        assert mask.occupied[42].any()
+        decoded = CandidateMask(decode_voxel_grid(encode_voxel_grid(mask.grid)))
+        assert decoded.spec.ranges[0][1] != cyl_spec.ranges[0][1]
+        expect = dilate_radial(mask, default_schedule())
+        np.testing.assert_array_equal(dilate_radial(decoded, default_schedule()).grid.data, expect.grid.data)
+        off = DilationSchedule(((8.5, 0), (17.0, 1), (25.601, 2)))  # last end 1 mm past r_max
+        for m in (mask, decoded):
+            with pytest.raises(DomainError):
+                dilate_radial(m, off)
 
     def test_nan_single_end_rejected_at_construction(self):
         with pytest.raises(DomainError):
@@ -83,8 +105,7 @@ class TestSketch:
         p = np.array([[3.3, -1.2, 0.7]])
         mask = sketch_from_points(LabeledPointCloud(p, np.array([4], dtype=np.uint8)), cyl_spec)
         assert mask.occupied_count == 1
-        idx = cyl_spec.point_to_index(p[0])
-        assert mask.occupied[tuple(idx)]
+        assert mask.occupied[bin_triple(cyl_spec, p[0])]
 
     def test_labels_ignored(self, cyl_spec):
         p = np.tile([[3.3, -1.2, 0.7]], (2, 1))
@@ -101,14 +122,13 @@ class TestSketch:
         cloud = LabeledPointCloud(pts, np.ones(n, dtype=np.uint8))
         mask = sketch_from_points(cloud, cyl_spec, min_points=2)
         counts = {}
-        for p in pts:
-            i = tuple(cyl_spec.point_to_index(p))
-            if i[0] >= 0:
-                counts[i] = counts.get(i, 0) + 1
-        expect = np.zeros(cyl_spec.dims, dtype=bool)
-        for i, c in counts.items():
-            expect[i] = c >= 2
-        np.testing.assert_array_equal(mask.occupied, expect)
+        for f in cyl_spec.point_to_flat(pts):
+            if f >= 0:
+                counts[f] = counts.get(f, 0) + 1
+        expect = np.zeros(cyl_spec.num_voxels, dtype=bool)
+        for f, c in counts.items():
+            expect[f] = c >= 2
+        np.testing.assert_array_equal(mask.occupied, expect.reshape(cyl_spec.dims))
 
     def test_cuboid_spec_rejected(self):
         with pytest.raises(DomainError):

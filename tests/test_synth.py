@@ -22,6 +22,7 @@ from cylocc.synth import (
     sample_scene_point_cloud,
 )
 
+from conftest import bin_triple
 from oracles import DEMO07_SCENE, analytic_voxel_gt_all_probes, lidar_ring_origins
 
 
@@ -148,12 +149,25 @@ class TestAnalyticVoxelGt:
         agree = (g1.data == g3.data).mean()
         assert agree >= 0.95
 
+    @pytest.mark.parametrize("supersample", [0, 17, 10**20])
+    def test_supersample_out_of_range_rejected(self, supersample):
+        spec = GridSpec(CYLINDRICAL, (2, 4, 2), ((0.0, 25.6), (-math.pi, math.pi), (-2.8, 3.6)))
+        with pytest.raises(DomainError):
+            analytic_voxel_gt(Scene((HalfSpace(-1.3, 1),)), spec, supersample)
+
+    def test_supersample_bound_accepted(self):
+        # 16^3 = 4,096 probe passes, the most a voxel may take
+        spec = GridSpec(CYLINDRICAL, (2, 4, 2), ((0.0, 25.6), (-math.pi, math.pi), (-2.8, 3.6)))
+        scene = Scene((HalfSpace(0.0, 1),))
+        gt = analytic_voxel_gt(scene, spec, 16)
+        np.testing.assert_array_equal(gt.data, analytic_voxel_gt_all_probes(scene, spec, 16).data)
+        assert gt.data[:, :, 0].all() and not gt.data[:, :, 1].any()
+
     def test_overlap_goes_to_earlier_primitive(self, cyl_spec):
         inner = Sphere((5.0, 0.0, 0.0), 1.0, 3)
         outer = Sphere((5.0, 0.0, 0.0), 1.5, 7)
         a = analytic_voxel_gt(Scene((inner, outer)), cyl_spec, 2)
-        idx = cyl_spec.point_to_index([5.0, 0.0, 0.0])
-        assert a.data[tuple(idx)] == 3
+        assert a.data[bin_triple(cyl_spec, [5.0, 0.0, 0.0])] == 3
 
 
 class TestPassByPassVote:
@@ -216,12 +230,8 @@ class TestSampledCloud:
         )
         grid = voxelize_semantic(cloud, cyl_spec, default_label_set())
         gt = analytic_voxel_gt(street_scene, cyl_spec, 3)
-        idx = cyl_spec.point_to_index(cloud.points)
-        inside = idx[:, 0] >= 0
-        flat = np.ravel_multi_index(
-            (idx[inside, 0], idx[inside, 1], idx[inside, 2]), cyl_spec.dims
-        )
-        counts = np.bincount(flat, minlength=cyl_spec.num_voxels).reshape(cyl_spec.dims)
+        flat = cyl_spec.point_to_flat(cloud.points)
+        counts = np.bincount(flat[flat >= 0], minlength=cyl_spec.num_voxels).reshape(cyl_spec.dims)
         touched = counts >= 10
         assert touched.sum() > 10000
         agree = (grid.data[touched] == gt.data[touched]).mean()
