@@ -7,7 +7,8 @@ composes it, then repeats the representation comparison: with an equal
 voxel budget, the cylindrical grid wins the near band because its cells
 are finer where it matters.
 
-Writes intermediate files into ./pipeline_out (about 3 MB).
+Writes intermediate files into pipeline_out under the working directory
+(about 3 MB).
 """
 
 from pathlib import Path
@@ -33,7 +34,7 @@ from cylocc import (
 from cylocc.formats import decode_raster, decode_voxel_grid, encode_raster, encode_voxel_grid
 from cylocc.grid import CUBOID, GridSpec
 
-out = Path(__file__).resolve().parent / "pipeline_out"
+out = Path("pipeline_out")
 out.mkdir(exist_ok=True)
 
 scene = Scene((

@@ -106,10 +106,14 @@ class GridSpec:
         return flat
 
     def index_to_center(self, flat) -> np.ndarray:
-        """(N, 3) Cartesian centers of the voxels at (N,) flat indices."""
-        flat = np.asarray(flat, dtype=np.int64)
+        """(N, 3) Cartesian centers of the voxels at (N,) integer flat indices."""
+        flat = np.asarray(flat)
         if flat.ndim != 1:
             raise ShapeError(f"flat indices must be (N,), got shape {flat.shape}")
+        # an empty list arrives as float64; anything else non-integer would truncate
+        if flat.dtype.kind not in "iu" and flat.size:
+            raise ShapeError(f"flat indices must be integers, got dtype {flat.dtype}")
+        flat = flat.astype(np.int64, copy=False)
         if np.any(flat < 0) or np.any(flat >= self.num_voxels):
             raise DomainError("flat voxel index outside the grid")
         idx = np.unravel_index(flat, self.dims)

@@ -4,9 +4,9 @@ Query rays are cast into label grids to find the first non-free voxel along
 each ray. The parametric caster is exact: it collects every parameter value
 where the ray crosses a lattice surface (r cylinders, azimuth planes and z
 planes for cylindrical grids; axis planes for cuboid grids), sorts them,
-and classifies each interval by its midpoint, so cells are visited in true
-geometric order and hits report the entry distance into the first occupied
-cell.
+and classifies the intervals by their midpoints in order up to the first
+occupied one, so cells are visited in true geometric order and hits report
+the entry distance into the first occupied cell.
 
 RayIoU scores a prediction against ground truth per class: a ray whose
 ground-truth hit has class c counts as TP_c when the prediction hits class
@@ -29,7 +29,9 @@ from .geom import _as_points
 from .grid import CYLINDRICAL, GridSpec, VoxelGrid, default_label_set
 
 _CHUNK = 2048  # rays per casting chunk; caps peak memory
+_BLOCK = 32  # sorted intervals classified per pass over a chunk's active rays
 _MIN_SEGMENT = 1e-12  # intervals shorter than this are degenerate
+_MAX_RAYS = 2**20  # largest fan generate_rays builds: 64x the default 512 x 32
 
 
 class Rays:
@@ -57,9 +59,11 @@ def generate_rays(
     origin=(0.0, 0.0, 0.0),
 ) -> Rays:
     """Deterministic fan: azimuth bin centers over [-pi, pi) crossed with
-    elevation bin centers over the given range."""
+    elevation bin centers over the given range, at most _MAX_RAYS rays."""
     if azimuth_count < 1 or elevation_count < 1:
         raise DomainError("ray counts must be >= 1")
+    if azimuth_count * elevation_count > _MAX_RAYS:
+        raise DomainError(f"a fan holds at most {_MAX_RAYS} rays, got {azimuth_count}x{elevation_count}")
     lo, hi = elevation_range
     if not lo < hi:
         raise DomainError("elevation range must have lo < hi")
@@ -99,7 +103,7 @@ def _plane_crossings(spec: GridSpec, o: np.ndarray, d: np.ndarray, k: int) -> np
     """Crossing parameters with the bin-edge planes of Cartesian axis k;
     rays parallel to the planes give non-finite entries."""
     edges = spec.axis_value(np.arange(spec.dims[k] + 1), k)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         return (edges[None, :] - o[:, k : k + 1]) / d[:, k : k + 1]
 
 
@@ -116,7 +120,7 @@ def _cylindrical_crossings(spec: GridSpec, o: np.ndarray, d: np.ndarray) -> np.n
     # tangent guard: near-zero discriminants are treated as no crossing
     ok = (disc >= 1e-12) & (a[:, None] > 1e-30)
     sq = np.sqrt(np.where(ok, disc, np.nan))
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         inv2a = 0.5 / a[:, None]
     cols.append((-b[:, None] - sq) * inv2a)
     cols.append((-b[:, None] + sq) * inv2a)
@@ -128,20 +132,16 @@ def _cylindrical_crossings(spec: GridSpec, o: np.ndarray, d: np.ndarray) -> np.n
     nx, ny = -np.sin(alpha), np.cos(alpha)
     den = d[:, 0:1] * nx[None, :] + d[:, 1:2] * ny[None, :]
     num = -(o[:, 0:1] * nx[None, :] + o[:, 1:2] * ny[None, :])
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         cols.append(num / den)
 
     return np.concatenate(cols, axis=1)
 
 
-def _ray_intervals(spec: GridSpec, o: np.ndarray, d: np.ndarray, max_dist: float):
-    """Sorted crossing parameters and midpoint cell classification.
-
-    Returns (ts, cells, seg_len): ts has one more column than the interval
-    arrays; cells/seg_len describe the interval between consecutive ts
-    entries, cells as flat voxel indices with -1 for intervals outside the
-    grid.
-    """
+def _sorted_crossings(spec: GridSpec, o: np.ndarray, d: np.ndarray, max_dist: float) -> np.ndarray:
+    """Row-sorted crossing parameters: 0, every lattice crossing inside
+    (0, max_dist), and max_dist for the rest, so each row ends in zero-length
+    max_dist padding. Interval j lies between columns j and j + 1."""
     n = len(o)
     if spec.coord_sys == CYLINDRICAL:
         raw = _cylindrical_crossings(spec, o, d)
@@ -150,15 +150,18 @@ def _ray_intervals(spec: GridSpec, o: np.ndarray, d: np.ndarray, max_dist: float
     t = np.where(np.isfinite(raw) & (raw > 0.0) & (raw < max_dist), raw, max_dist)
     ts = np.concatenate([np.zeros((n, 1)), t, np.full((n, 1), max_dist)], axis=1)
     ts.sort(axis=1)
-    seg_len = np.diff(ts, axis=1)
-    mids = 0.5 * (ts[:, :-1] + ts[:, 1:])
-    pos = o[:, None, :] + mids[..., None] * d[:, None, :]
-    cells = spec.point_to_flat(pos.reshape(-1, 3)).reshape(n, -1)
-    return ts, cells, seg_len
+    return ts
 
 
 def cast_rays(rays: Rays, grid: VoxelGrid, max_dist: float) -> BatchHits:
-    """Exact first-hit cast of a ray batch into a label grid."""
+    """Exact first-hit cast of a ray batch into a label grid.
+
+    Each ray's sorted intervals are classified by midpoint in blocks of
+    _BLOCK columns over the rays still active; a ray retires at its first
+    occupied interval, or at the block that reaches its first max_dist
+    column, after which only zero-length padding remains. A ray starting in
+    an occupied cell never becomes active.
+    """
     if grid.kind != "label":
         raise DomainError("ray casting needs a label grid")
     require_finite("max_dist", max_dist)
@@ -167,24 +170,35 @@ def cast_rays(rays: Rays, grid: VoxelGrid, max_dist: float) -> BatchHits:
     n = len(rays)
     # flat index -1 (outside the grid) reads the free class appended to the payload
     labels = np.append(grid.data.reshape(-1), 0)
-    distance = np.empty(n)
-    voxel = np.empty(n, dtype=np.int64)
+    distance = np.full(n, np.inf)
+    voxel = np.full(n, -1, dtype=np.int64)
     for s in range(0, n, _CHUNK):
         o = rays.origins[s : s + _CHUNK]
         d = rays.directions[s : s + _CHUNK]
-        ts, cells, seg_len = _ray_intervals(grid.spec, o, d, max_dist)
-        occupied = (labels[cells] != 0) & (seg_len > _MIN_SEGMENT)
-        rows = np.arange(len(o))
-        first = occupied.argmax(axis=1)
-        hit = occupied.any(axis=1)
         # a ray starting inside an occupied cell (per the point convention, which
         # also settles origins sitting exactly on a lattice plane) hits at t = 0
         cell0 = grid.spec.point_to_flat(o)
         start = labels[cell0] != 0
-        distance[s : s + _CHUNK] = np.where(start, 0.0, np.where(hit, ts[rows, first], np.inf))
-        voxel[s : s + _CHUNK] = np.where(start, cell0, np.where(hit, cells[rows, first], -1))
-        # free this chunk's per-interval arrays before the next chunk builds its own
-        del ts, cells, seg_len, occupied
+        distance[s : s + _CHUNK][start] = 0.0
+        voxel[s : s + _CHUNK][start] = cell0[start]
+        ts = _sorted_crossings(grid.spec, o, d, max_dist)
+        live = np.argmax(ts == max_dist, axis=1)  # intervals before the padding
+        ts = ts[:, : live.max() + 1]
+        active = np.flatnonzero(~start)
+        for j in range(0, ts.shape[1] - 1, _BLOCK):
+            if not active.size:
+                break
+            block = ts[active, j : j + _BLOCK + 1]
+            mids = 0.5 * (block[:, :-1] + block[:, 1:])
+            pos = o[active, None, :] + mids[..., None] * d[active, None, :]
+            cells = grid.spec.point_to_flat(pos.reshape(-1, 3)).reshape(len(active), -1)
+            occupied = (labels[cells] != 0) & (np.diff(block, axis=1) > _MIN_SEGMENT)
+            hit = occupied.any(axis=1)
+            rows = np.flatnonzero(hit)
+            first = occupied[rows].argmax(axis=1)
+            distance[s + active[rows]] = block[rows, first]
+            voxel[s + active[rows]] = cells[rows, first]
+            active = active[~hit & (live[active] > j + cells.shape[1])]
     return BatchHits(distance, labels[voxel].astype(np.int64), voxel)
 
 

@@ -1,7 +1,8 @@
 """Test-only oracles and fixtures, written against cylocc's public API.
 
-The fixed-step marcher is the brute-force reference for the exact caster,
-and the broadcast-key vote the reference for analytic_voxel_gt's pass-by-pass
+The all-intervals caster is the exact reference for cast_rays' block-wise
+early exit, the fixed-step marcher the brute-force one, and the
+broadcast-key vote the reference for analytic_voxel_gt's pass-by-pass
 count; the JSON writers produce the documents the loaders read back. The
 rest are inputs the tests share but the library never needs.
 """
@@ -14,8 +15,49 @@ import numpy as np
 
 from cylocc.grid import CUBOID, GridSpec, LabelSet, VoxelGrid, default_label_set
 from cylocc.losses import ClassWeights
-from cylocc.metrics import BatchHits
+from cylocc.metrics import _CHUNK, _MIN_SEGMENT, BatchHits, _sorted_crossings
 from cylocc.synth import Box, HalfSpace, Scene, Sphere, VerticalCylinder
+
+
+def ray_intervals(spec: GridSpec, o: np.ndarray, d: np.ndarray, max_dist: float):
+    """Sorted crossing parameters and midpoint cell classification of every
+    interval, padding included.
+
+    Returns (ts, cells, seg_len): ts has one more column than the interval
+    arrays; cells/seg_len describe the interval between consecutive ts
+    entries, cells as flat voxel indices with -1 for intervals outside the
+    grid.
+    """
+    ts = _sorted_crossings(spec, o, d, max_dist)
+    seg_len = np.diff(ts, axis=1)
+    mids = 0.5 * (ts[:, :-1] + ts[:, 1:])
+    pos = o[:, None, :] + mids[..., None] * d[:, None, :]
+    cells = spec.point_to_flat(pos.reshape(-1, 3)).reshape(len(o), -1)
+    return ts, cells, seg_len
+
+
+def cast_all_intervals(rays, grid, max_dist: float) -> BatchHits:
+    """cast_rays classifying every sorted interval of every ray, with the
+    same start-cell rule: the exact reference its early exit must match bit
+    for bit."""
+    labels = np.append(grid.data.reshape(-1), 0)
+    parts = []
+    for s in range(0, len(rays), _CHUNK):
+        o = rays.origins[s : s + _CHUNK]
+        d = rays.directions[s : s + _CHUNK]
+        ts, cells, seg_len = ray_intervals(grid.spec, o, d, max_dist)
+        occupied = (labels[cells] != 0) & (seg_len > _MIN_SEGMENT)
+        rows = np.arange(len(o))
+        first = occupied.argmax(axis=1)
+        hit = occupied.any(axis=1)
+        cell0 = grid.spec.point_to_flat(o)
+        start = labels[cell0] != 0
+        parts.append((
+            np.where(start, 0.0, np.where(hit, ts[rows, first], np.inf)),
+            np.where(start, cell0, np.where(hit, cells[rows, first], -1)),
+        ))
+    distance, voxel = (np.concatenate(p) for p in zip(*parts))
+    return BatchHits(distance, labels[voxel].astype(np.int64), voxel)
 
 
 def march_fixed_step(rays, grid, max_dist: float, step: float = 0.01) -> BatchHits:

@@ -198,6 +198,16 @@ class TestExitCodes:
         assert "domain error" in capsys.readouterr().err
         assert not report.exists()
 
+    def test_oversized_ray_fan_is_domain_error(self, tmp_path, capsys):
+        path = tmp_path / "g.ovox"
+        path.write_bytes(encode_voxel_grid(VoxelGrid.zeros(default_cylindrical_spec(), "label")))
+        report = tmp_path / "report.json"
+        assert main(["eval", "--pred", str(path), "--gt", str(path), "--rays", "10000000x10000000",
+                     "--report", str(report)]) == 3
+        err = capsys.readouterr().err
+        assert "domain error" in err and "Traceback" not in err
+        assert not report.exists()
+
     @pytest.mark.parametrize("flag,value", [("--spec", "cuboid:4x4x4:0:1:0:1:0:1"), ("--supersample", "0"),
                                             ("--supersample", "100000000000000000000")])
     def test_rejected_synth_input_writes_nothing(self, tmp_path, scene_file, flag, value, capsys):

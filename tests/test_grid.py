@@ -98,6 +98,13 @@ class TestIndexToCenter:
         with pytest.raises(ShapeError):
             cyl_spec.index_to_center([[5, 100, 7]])
 
+    @pytest.mark.parametrize("flat", [[1.7], np.array([1.0]), np.array([True, False])],
+                             ids=["float-list", "float-array", "bool"])
+    def test_non_integer_indices_rejected(self, cyl_spec, flat):
+        # casting would truncate 1.7 to voxel 1 and read True as voxel 1
+        with pytest.raises(ShapeError, match="integers"):
+            cyl_spec.index_to_center(flat)
+
     def test_exhaustive_bijection_cylindrical(self, cyl_spec):
         centers = cyl_spec.all_centers()
         np.testing.assert_array_equal(cyl_spec.point_to_flat(centers), np.arange(cyl_spec.num_voxels))

@@ -1,33 +1,38 @@
 """Ray casting and RayIoU tests.
 
-The parametric caster is validated three ways: closed-form shell-crossing
-cases, a fine (1 mm) fixed-step marcher on arbitrary rays, and the standard
-0.01 m marcher on evaluation-fan rays (the full 10k-ray runs live in the
-acceptance suite). RayIoU confusion logic is pinned by a hand-computed
-two-ray table on a grid whose cell edges make the distances exact.
+The parametric caster is validated four ways: closed-form shell-crossing
+cases, bit-for-bit agreement with the all-intervals caster it replaced
+(its early exit must change no output), a fine (1 mm) fixed-step marcher
+on arbitrary rays, and the standard 0.01 m marcher on evaluation-fan rays
+(the full 10k-ray runs live in the acceptance suite). RayIoU confusion
+logic is pinned by a hand-computed two-ray table on a grid whose cell
+edges make the distances exact.
 """
 
 import math
+from functools import cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cylocc.errors import DomainError, ShapeError
 from cylocc.formats import decode_voxel_grid, encode_voxel_grid
 from cylocc.geom import FisheyeCamera
-from cylocc.grid import CUBOID, GridSpec, VoxelGrid
+from cylocc.grid import CUBOID, GridSpec, VoxelGrid, default_cylindrical_spec
 from cylocc.metrics import (
     _MIN_SEGMENT,
     Rays,
-    _ray_intervals,
     cast_rays,
+    default_ray_fan,
     generate_rays,
     grid_max_distance,
     ray_iou,
 )
-from cylocc.synth import HalfSpace, Scene
+from cylocc.synth import HalfSpace, Scene, analytic_voxel_gt
 
-from oracles import march_fixed_step
+from oracles import cast_all_intervals, default_cuboid_spec, march_fixed_step, ray_intervals
 
 
 def one_ray(origin, direction) -> Rays:
@@ -43,7 +48,7 @@ def traverse_cells(origin, direction, spec: GridSpec, max_dist: float):
     Degenerate slivers (shorter than 1e-12) are dropped.
     """
     ray = one_ray(origin, direction)
-    ts, flat, seg_len = _ray_intervals(spec, ray.origins, ray.directions, max_dist)
+    ts, flat, seg_len = ray_intervals(spec, ray.origins, ray.directions, max_dist)
     keep = (flat[0] >= 0) & (seg_len[0] > _MIN_SEGMENT)
     cells, entries, exits = [], [], []
     for k in np.nonzero(keep)[0]:
@@ -89,6 +94,12 @@ class TestGenerateRays:
     def test_counts_validated(self):
         with pytest.raises(DomainError):
             generate_rays(0, 1, (-0.1, 0.1))
+
+    @pytest.mark.parametrize("counts", [(2**20 + 1, 1), (1024, 1025), (10_000_000, 10_000_000)])
+    def test_fan_size_capped(self, counts):
+        # rejected before anything is allocated: 10^14 rays would need hundreds of TiB
+        with pytest.raises(DomainError, match="at most"):
+            generate_rays(*counts, (-0.1, 0.1))
 
 
 class TestCastRay:
@@ -157,6 +168,106 @@ class TestCastRay:
         g = VoxelGrid.zeros(cyl_spec, "occupancy")
         with pytest.raises(DomainError):
             cast_rays(Rays(np.zeros((1, 3)), np.array([[1.0, 0.0, 0.0]])), g, 10.0)
+
+
+def assert_same_hits(a, b):
+    for name in ("distance", "label", "voxel"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+
+
+@cache
+def drawn_grids():
+    """One random label grid per lattice kind for the hypothesis cases."""
+    rng = np.random.RandomState(21)
+    return {kind: random_label_grid(spec, rng, 0.03)
+            for kind, spec in (("cylindrical", default_cylindrical_spec()), ("cuboid", default_cuboid_spec()))}
+
+
+@st.composite
+def ray_cases(draw):
+    """A grid plus a ray batch mixing origins inside occupied cells, outside
+    the grid and on the r = 0 axis with vertical, horizontal (parallel to the
+    z planes) and arbitrary directions, and a max_dist that may stop short of
+    the grid exit."""
+    grid = drawn_grids()[draw(st.sampled_from(["cylindrical", "cuboid"]))]
+    spec = grid.spec
+    occupied = np.flatnonzero(grid.data)
+    unit = st.floats(0.05, 0.95)
+    origins, directions = [], []
+    for _ in range(draw(st.integers(1, 24))):
+        kind = draw(st.sampled_from(["occupied", "outside", "axis"]))
+        if kind == "occupied":
+            idx = np.unravel_index(occupied[draw(st.integers(0, len(occupied) - 1))], spec.dims)
+            native = [spec.axis_value(i + draw(unit), k) for k, i in enumerate(idx)]
+            origin = spec.to_cartesian(np.array([native]))[0]
+        elif kind == "outside":
+            angle = draw(st.floats(-math.pi, math.pi))
+            radius, z = draw(st.floats(26.0, 40.0)), draw(st.floats(-6.0, 7.0))
+            origin = np.array([radius * math.cos(angle), radius * math.sin(angle), z])
+        else:
+            origin = np.array([0.0, 0.0, draw(st.floats(-3.5, 4.0))])
+        form = draw(st.sampled_from(["vertical", "horizontal", "any"]))
+        if form == "vertical":
+            direction = np.array([0.0, 0.0, draw(st.sampled_from([-1.0, 1.0]))])
+        else:
+            angle = draw(st.floats(-math.pi, math.pi))
+            dz = 0.0 if form == "horizontal" else draw(st.floats(-0.95, 0.95))
+            direction = np.array([math.cos(angle), math.sin(angle), dz])
+            direction /= np.linalg.norm(direction)
+        origins.append(origin)
+        directions.append(direction)
+    rays = Rays(np.array(origins), np.array(directions))
+    exit_dist = grid_max_distance(spec, rays.origins)
+    max_dist = draw(st.one_of(st.floats(1e-3, exit_dist), st.just(exit_dist)))
+    return rays, grid, max_dist
+
+
+class TestEarlyExitExactness:
+    """cast_rays cuts the max_dist padding and retires rays at their first
+    hit; every output must equal the all-intervals caster's bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def street_gt(self, street_scene, cyl_spec):
+        return analytic_voxel_gt(street_scene, cyl_spec, 3)
+
+    def test_default_fan_into_street_gt(self, street_gt):
+        fan = default_ray_fan()
+        max_dist = grid_max_distance(street_gt.spec, fan.origins)
+        a = cast_rays(fan, street_gt, max_dist)
+        assert 0.3 < a.hit.mean() < 0.9
+        assert_same_hits(a, cast_all_intervals(fan, street_gt, max_dist))
+
+    def test_default_fan_into_perturbed_street_gt(self, street_gt):
+        rng = np.random.RandomState(8)
+        data = street_gt.data.copy()
+        data[rng.rand(*data.shape) < 0.2] = 0
+        flip = rng.rand(*data.shape) < 0.01
+        data[flip] = rng.randint(0, 12, size=int(flip.sum()))
+        pred = VoxelGrid(street_gt.spec, "label", data)
+        fan = default_ray_fan()
+        max_dist = grid_max_distance(pred.spec, fan.origins)
+        assert_same_hits(cast_rays(fan, pred, max_dist), cast_all_intervals(fan, pred, max_dist))
+
+    @pytest.mark.parametrize("coord", ["cylindrical", "cuboid"])
+    def test_random_off_axis_rays(self, coord, cyl_spec):
+        spec = cyl_spec if coord == "cylindrical" else default_cuboid_spec()
+        rng = np.random.RandomState(31)
+        g = random_label_grid(spec, rng, 0.03)
+        n = 8000
+        o = np.stack([rng.uniform(-15, 15, n), rng.uniform(-15, 15, n), rng.uniform(-2, 3, n)], axis=1)
+        d = rng.normal(size=(n, 3))
+        rays = Rays(o, d / np.linalg.norm(d, axis=1, keepdims=True))
+        a = cast_rays(rays, g, 25.0)
+        assert a.hit.any() and not a.hit.all()
+        assert_same_hits(a, cast_all_intervals(rays, g, 25.0))
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=ray_cases())
+    def test_drawn_rays(self, case):
+        rays, grid, max_dist = case
+        hits = cast_rays(rays, grid, max_dist)
+        assert np.all(hits.distance[hits.hit] < max_dist)
+        assert_same_hits(hits, cast_all_intervals(rays, grid, max_dist))
 
 
 class TestCasterExactness:
