@@ -95,7 +95,9 @@ class GridSpec:
         flat = np.zeros(len(native), dtype=np.int64)
         # one axis at a time keeps a single axis's temporaries alive
         for k, d in enumerate(self.dims):
-            q = np.floor(self.axis_fraction(native[:, k], k) + _EDGE_GUARD).astype(np.int64)
+            # fractions beyond int64 (points past ~1e18 m) cast to garbage on rows in_range sends to -1
+            with np.errstate(invalid="ignore"):
+                q = np.floor(self.axis_fraction(native[:, k], k) + _EDGE_GUARD).astype(np.int64)
             if self.coord_sys == CYLINDRICAL and k == 1:
                 np.mod(q, d, out=q)
             else:

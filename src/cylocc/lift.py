@@ -3,7 +3,7 @@
 The coloring step projects every candidate voxel center into every rig
 camera, keeps the in-view hits as normalized reference points, bilinearly
 samples each camera's feature raster there, and averages the per-camera
-samples. Cameras are accumulated in name order, so rig ordering can never
+samples. Hit sets keep cameras in name order, so rig ordering can never
 change the result. Voxels seen by no camera are flagged and stay zero.
 
 Temporal alignment resamples a historical feature grid at the positions of
@@ -60,26 +60,26 @@ class FeatureImage:
         return self.data.shape[2]
 
 
+@dataclass
 class HitSet:
     """Per-candidate-voxel projection hits across the rig.
 
     voxels holds the candidate voxels' flat indices (M,) in ascending order;
-    each camera of the rig (at least one) contributes a validity mask (M,)
-    and normalized coordinates (M, 2). Voxels with hit_count 0 are flagged
-    via `unhit` and must not be averaged.
+    cameras holds the rig's names (at least one) in name order, and row k of
+    valid (K, M) and uv (K, M, 2) holds camera k's validity mask and
+    normalized coordinates. Voxels with hit_count 0 are flagged via `unhit`
+    and must not be averaged.
     """
 
-    def __init__(self, spec: GridSpec, voxels: np.ndarray, cameras: list[str],
-                 valid: dict[str, np.ndarray], uv: dict[str, np.ndarray]):
-        self.spec = spec
-        self.voxels = voxels
-        self.cameras = tuple(cameras)
-        self.valid = valid
-        self.uv = uv
+    spec: GridSpec
+    voxels: np.ndarray
+    cameras: tuple[str, ...]
+    valid: np.ndarray
+    uv: np.ndarray
 
     @property
     def hit_counts(self) -> np.ndarray:
-        return np.sum([self.valid[c] for c in self.cameras], axis=0)
+        return self.valid.sum(axis=0)
 
     @property
     def unhit(self) -> np.ndarray:
@@ -90,7 +90,7 @@ class HitSet:
 
 
 def build_hit_set(mask: CandidateMask, rig: list[FisheyeCamera]) -> HitSet:
-    """Project candidate voxel centers into every rig camera.
+    """Project candidate voxel centers into every rig camera, in name order.
 
     A hit requires the projection to succeed (inside the field of view) and
     the pixel to land inside the camera raster, so recorded normalized
@@ -98,22 +98,20 @@ def build_hit_set(mask: CandidateMask, rig: list[FisheyeCamera]) -> HitSet:
     """
     if not rig:
         raise DomainError("rig must contain at least one camera")
-    names = [cam.name for cam in rig]
+    # name order, not rig order: permutation invariance by construction
+    rig = sorted(rig, key=lambda cam: cam.name)
+    names = tuple(cam.name for cam in rig)
     if len(set(names)) != len(names):
         raise DomainError("rig camera names must be unique")
     occ = np.flatnonzero(mask.grid.data)
     centers = mask.spec.index_to_center(occ)
-    valid: dict[str, np.ndarray] = {}
-    uv: dict[str, np.ndarray] = {}
-    for cam in rig:
+    valid = np.zeros((len(rig), len(occ)), dtype=bool)
+    uv = np.zeros((len(rig), len(occ), 2))
+    for k, cam in enumerate(rig):
         px, ok = cam.project(centers)
         ok = ok & (px[:, 0] >= 0) & (px[:, 0] < cam.width) & (px[:, 1] >= 0) & (px[:, 1] < cam.height)
-        norm = np.zeros_like(px)
-        norm[:, 0] = px[:, 0] / cam.width
-        norm[:, 1] = px[:, 1] / cam.height
-        norm[~ok] = 0.0
-        valid[cam.name] = ok
-        uv[cam.name] = norm
+        valid[k] = ok
+        uv[k, ok] = px[ok] / (cam.width, cam.height)
     return HitSet(mask.spec, occ, names, valid, uv)
 
 
@@ -154,12 +152,9 @@ def color_voxels(hits: HitSet, features: list[FeatureImage]) -> VoxelGrid:
         raise ShapeError(f"feature channel counts differ across cameras: {sorted(channels)}")
     d = channels.pop()
     acc = np.zeros((len(hits), d), dtype=np.float64)
-    # name order, not rig order: permutation invariance by construction
-    for cam in sorted(hits.cameras):
-        ok = hits.valid[cam]
-        if not np.any(ok):
-            continue
-        acc[ok] += bilinear_sample(by_name[cam], hits.uv[cam][ok])
+    for cam, ok, uv in zip(hits.cameras, hits.valid, hits.uv):
+        if np.any(ok):
+            acc[ok] += bilinear_sample(by_name[cam], uv[ok])
     counts = hits.hit_counts
     hit_rows = counts > 0
     acc[hit_rows] /= counts[hit_rows, None]

@@ -153,20 +153,35 @@ def _sorted_crossings(spec: GridSpec, o: np.ndarray, d: np.ndarray, max_dist: fl
     return ts
 
 
-def cast_rays(rays: Rays, grid: VoxelGrid, max_dist: float) -> BatchHits:
+def _grid_max_distance(spec: GridSpec, origins: np.ndarray) -> float:
+    """Ray length guaranteed to leave the grid from any of the (N, 3) origins;
+    inf when the farthest origin's norm overflows."""
+    if spec.coord_sys == CYLINDRICAL:
+        (_, r_hi), _, (z_lo, z_hi) = spec.ranges
+        diag = math.hypot(2.0 * r_hi, z_hi - z_lo)
+    else:
+        diag = math.sqrt(sum((hi - lo) ** 2 for lo, hi in spec.ranges))
+    with np.errstate(over="ignore"):
+        extra = float(np.max(np.linalg.norm(origins, axis=1), initial=0.0))
+    return diag + extra + 1.0
+
+
+def cast_rays(rays: Rays, grid: VoxelGrid) -> BatchHits:
     """Exact first-hit cast of a ray batch into a label grid.
 
-    Each ray's sorted intervals are classified by midpoint in blocks of
-    _BLOCK columns over the rays still active; a ray retires at its first
-    occupied interval, or at the block that reaches its first max_dist
-    column, after which only zero-length padding remains. A ray starting in
-    an occupied cell never becomes active.
+    Rays run far enough to leave the grid from every origin
+    (_grid_max_distance). Each ray's sorted intervals are classified by
+    midpoint in blocks of _BLOCK columns over the rays still active; a ray
+    retires at its first occupied interval, or at the block that reaches its
+    first max_dist column, after which only zero-length padding remains. A
+    ray starting in an occupied cell never becomes active.
     """
     if grid.kind != "label":
         raise DomainError("ray casting needs a label grid")
-    require_finite("max_dist", max_dist)
-    if max_dist <= 0:
-        raise DomainError("max_dist must be positive")
+    max_dist = _grid_max_distance(grid.spec, rays.origins)
+    # the r-shell discriminant reaches about 8 * max_dist**2
+    if not math.isfinite(8.0 * max_dist * max_dist):
+        raise DomainError("ray origins lie too far from the grid: the squared ray length overflows")
     n = len(rays)
     # flat index -1 (outside the grid) reads the free class appended to the payload
     labels = np.append(grid.data.reshape(-1), 0)
@@ -200,18 +215,6 @@ def cast_rays(rays: Rays, grid: VoxelGrid, max_dist: float) -> BatchHits:
             voxel[s + active[rows]] = cells[rows, first]
             active = active[~hit & (live[active] > j + cells.shape[1])]
     return BatchHits(distance, labels[voxel].astype(np.int64), voxel)
-
-
-def grid_max_distance(spec: GridSpec, origins: np.ndarray) -> float:
-    """Ray length guaranteed to leave the grid from any of the (N, 3) origins."""
-    if spec.coord_sys == CYLINDRICAL:
-        r_hi = spec.ranges[0][1]
-        z_lo, z_hi = spec.ranges[2]
-        diag = math.hypot(2.0 * r_hi, z_hi - z_lo)
-    else:
-        diag = math.sqrt(sum((hi - lo) ** 2 for lo, hi in spec.ranges))
-    extra = float(np.max(np.linalg.norm(origins, axis=1), initial=0.0))
-    return diag + extra + 1.0
 
 
 @dataclass
@@ -305,8 +308,7 @@ def ray_iou(
     thresholds=(1.0, 2.0, 4.0),
     bands=None,
 ) -> RayIoUReport:
-    """Score pred against gt over the given rays, cast far enough to leave
-    the grid (grid_max_distance).
+    """Score pred against gt over the given rays.
 
     Thresholds are non-negative distances. bands, when given, are (lo, hi)
     meter pairs with lo < hi; each band sub-report restricts accounting to
@@ -323,14 +325,12 @@ def ray_iou(
     if bands and not all(lo < hi for lo, hi in bands):
         raise DomainError("each band needs lo < hi")
     names = default_label_set().names
-    max_dist = grid_max_distance(pred.spec, rays.origins)
-    gt_hits = cast_rays(rays, gt, max_dist)
-    pred_hits = cast_rays(rays, pred, max_dist)
+    gt_hits = cast_rays(rays, gt)
+    pred_hits = cast_rays(rays, pred)
     all_rays = np.ones(len(rays), dtype=bool)
     config = {
         "thresholds": list(thresholds),
         "num_rays": len(rays),
-        "max_dist": max_dist,
         "bands": [list(b) for b in bands] if bands else None,
     }
     report = _report_from_hits(gt_hits, pred_hits, thresholds, names, all_rays, config)

@@ -22,6 +22,8 @@ from .metrics import generate_rays
 _T_MIN = 1e-9  # smallest admissible ray parameter
 _RENDER_RANGE = 1e6  # meters; farther surfaces render as missed pixels
 _MAX_SUPERSAMPLE = 16  # 16^3 = 4,096 probe passes over the lattice
+_CLOUD_FAN = (512, 64, (-1.2, 0.4))  # azimuths, elevations, elevation range (rad) per sampled origin
+_CLOUD_RANGE = 60.0  # meters; farther surfaces leave no sample
 
 
 @dataclass(frozen=True)
@@ -246,26 +248,16 @@ def analytic_voxel_gt(scene: Scene, spec: GridSpec, supersample: int = 3) -> Vox
     return VoxelGrid(spec, "label", majority_vote(votes).reshape(spec.dims))
 
 
-def sample_scene_point_cloud(
-    scene: Scene,
-    origins,
-    azimuth_count: int = 512,
-    elevation_count: int = 64,
-    elevation_range: tuple[float, float] = (-1.2, 0.4),
-    max_dist: float = 60.0,
-) -> LabeledPointCloud:
+def sample_scene_point_cloud(scene: Scene, origins) -> LabeledPointCloud:
     """Deterministic labeled surface samples from virtual ray fans.
 
-    One fan per origin, the same fan pattern as generate_rays; every hit
-    becomes one labeled point. Output is reproducible for fixed arguments.
+    One _CLOUD_FAN per origin, the same fan pattern as generate_rays; every
+    hit within _CLOUD_RANGE becomes one labeled point.
     """
-    origins = _as_points(origins)
-    if azimuth_count * elevation_count <= 0:
-        raise DomainError("density must be positive")
     pts, labs = [], []
-    for o in origins:
-        fan = generate_rays(azimuth_count, elevation_count, elevation_range, o)
-        t, label, hit = scene.first_hit(fan.origins, fan.directions, max_dist)
+    for o in _as_points(origins):
+        fan = generate_rays(*_CLOUD_FAN, o)
+        t, label, hit = scene.first_hit(fan.origins, fan.directions, _CLOUD_RANGE)
         if np.any(hit):
             pts.append(fan.origins[hit] + t[hit, None] * fan.directions[hit])
             labs.append(label[hit])

@@ -13,9 +13,10 @@ from itertools import product
 
 import numpy as np
 
+from cylocc.geom import LabeledPointCloud
 from cylocc.grid import CUBOID, GridSpec, LabelSet, VoxelGrid, default_label_set
 from cylocc.losses import ClassWeights
-from cylocc.metrics import _CHUNK, _MIN_SEGMENT, BatchHits, _sorted_crossings
+from cylocc.metrics import _CHUNK, _MIN_SEGMENT, BatchHits, Rays, _sorted_crossings, generate_rays
 from cylocc.synth import Box, HalfSpace, Scene, Sphere, VerticalCylinder
 
 
@@ -85,6 +86,27 @@ def march_fixed_step(rays, grid, max_dist: float, step: float = 0.01) -> BatchHi
             np.where(hit, flat[rows, first], -1),
         ))
     return BatchHits(*(np.concatenate(p) for p in zip(*parts)))
+
+
+def within_range(rays, hits, max_dist: float):
+    """The rays, and their cast hits, that a marcher over [0, max_dist] can
+    reproduce: the misses and the hits nearer than max_dist."""
+    keep = ~hits.hit | (hits.distance < max_dist)
+    return (Rays(rays.origins[keep], rays.directions[keep]),
+            BatchHits(hits.distance[keep], hits.label[keep], hits.voxel[keep]))
+
+
+def fan_point_cloud(scene, origins, azimuth_count: int, elevation_count: int, elevation_range) -> LabeledPointCloud:
+    """Labeled surface samples within 60 m from a chosen fan per origin,
+    built as sample_scene_point_cloud builds its fixed one, for tests that
+    need a denser or narrower fan."""
+    pts, labs = [], []
+    for o in origins:
+        fan = generate_rays(azimuth_count, elevation_count, elevation_range, o)
+        t, label, hit = scene.first_hit(fan.origins, fan.directions, 60.0)
+        pts.append(fan.origins[hit] + t[hit, None] * fan.directions[hit])
+        labs.append(label[hit])
+    return LabeledPointCloud(np.concatenate(pts), np.concatenate(labs).astype(np.uint8))
 
 
 def lidar_ring_origins(count: int = 8, radius: float = 2.0, heights=(0.5, 1.8)) -> np.ndarray:

@@ -40,10 +40,9 @@ from cylocc.synth import (
     VerticalCylinder,
     analytic_voxel_gt,
     render_erp_depth,
-    sample_scene_point_cloud,
 )
 
-from oracles import default_cuboid_spec, lidar_ring_origins, march_fixed_step
+from oracles import default_cuboid_spec, fan_point_cloud, lidar_ring_origins, march_fixed_step, within_range
 
 
 def report(n, name, detail=""):
@@ -115,7 +114,7 @@ class TestAcceptance:
             free(occ)
             g.data[occ] = rng.randint(1, 12, size=int(occ.sum()))
             rays = lidar_rays()
-            a = cast_rays(rays, g, 30.0)
+            rays, a = within_range(rays, cast_rays(rays, g), 30.0)
             b = march_fixed_step(rays, g, 30.0, step=0.01)
             agree = a.voxel == b.voxel
             rate = agree.mean()
@@ -133,9 +132,7 @@ class TestAcceptance:
 
     def test_03_gt_pipeline_fidelity(self, street_scene):
         spec = default_cylindrical_spec()
-        cloud = sample_scene_point_cloud(
-            street_scene, lidar_ring_origins(count=8, heights=(0.6, 1.6)), 1024, 128, (-1.2, 0.25)
-        )
+        cloud = fan_point_cloud(street_scene, lidar_ring_origins(count=8, heights=(0.6, 1.6)), 1024, 128, (-1.2, 0.25))
         grid = voxelize_semantic(cloud, spec, default_label_set())
         gt = analytic_voxel_gt(street_scene, spec, 3)
         flat = spec.point_to_flat(cloud.points)

@@ -208,6 +208,19 @@ class TestExitCodes:
         assert "domain error" in err and "Traceback" not in err
         assert not report.exists()
 
+    @pytest.mark.parametrize("origin,code", [("1e308,0,0", 3), ("2e154,0,0", 3), ("1e20,0,0", 0)])
+    def test_far_ray_origin(self, tmp_path, origin, code, capsys):
+        # warnings are errors under pytest, so any numpy RuntimeWarning fails this test
+        path = tmp_path / "g.ovox"
+        path.write_bytes(encode_voxel_grid(VoxelGrid.zeros(default_cylindrical_spec(), "label")))
+        report = tmp_path / "report.json"
+        assert main(["eval", "--pred", str(path), "--gt", str(path), f"--origin={origin}",
+                     "--report", str(report)]) == code
+        err = capsys.readouterr().err
+        assert "Warning" not in err and "Traceback" not in err
+        assert ("domain error: ray origins" in err) == (code == 3)
+        assert report.exists() == (code == 0)
+
     @pytest.mark.parametrize("flag,value", [("--spec", "cuboid:4x4x4:0:1:0:1:0:1"), ("--supersample", "0"),
                                             ("--supersample", "100000000000000000000")])
     def test_rejected_synth_input_writes_nothing(self, tmp_path, scene_file, flag, value, capsys):

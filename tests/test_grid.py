@@ -74,6 +74,18 @@ class TestPointToIndex:
         spec = GridSpec(CUBOID, (1, 1, 1), ((0, 1), (0, 1), (0, 1)))
         np.testing.assert_array_equal(spec.point_to_flat([[0.5, 0.5, 0.5], [1.5, 0.5, 0.5]]), [0, -1])
 
+    @pytest.mark.parametrize("coord", ["cylindrical", "cuboid"])
+    def test_far_points_outside_without_warning(self, coord, cyl_spec):
+        # bin fractions past int64 range: the cast is silenced, the rows read -1
+        spec = cyl_spec if coord == "cylindrical" else default_cuboid_spec()
+        pts = [[1e19, 0.0, 0.0], [0.0, -1e300, 0.5], [0.0, 0.0, 1e19], [1.0, 0.0, 0.0]]
+        flat = spec.point_to_flat(pts)
+        np.testing.assert_array_equal(flat[:3], -1)
+        assert flat[3] >= 0
+        cloud = LabeledPointCloud(np.array(pts), np.array([1, 2, 3, 4], dtype=np.uint8))
+        grid = voxelize_semantic(cloud, spec, default_label_set())
+        assert np.count_nonzero(grid.data) == 1 and grid.data.reshape(-1)[flat[3]] == 4
+
 
 class TestIndexToCenter:
     def test_known_center(self, cyl_spec):

@@ -52,7 +52,7 @@ class TestHitSet:
         hits = build_hit_set(mask, [cam])
         assert len(hits) == 1
         assert hits.unhit[0]
-        assert not hits.valid["solo"][0]
+        assert not hits.valid[hits.cameras.index("solo")][0]
 
     def test_on_axis_voxel_maps_to_principal_point(self, cyl_spec, rig6):
         cam = rig6[0]  # looks along +x ego
@@ -66,8 +66,9 @@ class TestHitSet:
         )
         hits = build_hit_set(mask_with(cyl_spec, [idx]), [axis_cam])
         assert not hits.unhit[0]
-        assert hits.valid["axis"][0]
-        np.testing.assert_allclose(hits.uv["axis"][0], [320.0 / 640, 320.0 / 640], atol=1e-9)
+        k = hits.cameras.index("axis")
+        assert hits.valid[k][0]
+        np.testing.assert_allclose(hits.uv[k][0], [320.0 / 640, 320.0 / 640], atol=1e-9)
 
     def test_matches_scalar_projection_oracle(self, cyl_spec, rig6):
         rng = np.random.RandomState(21)
@@ -85,16 +86,30 @@ class TestHitSet:
         np.testing.assert_array_equal(hits.voxels, np.flatnonzero(mask.grid.data))
         order = {int(f): i for i, f in enumerate(hits.voxels)}
         for cam in rig6:
+            k = hits.cameras.index(cam.name)
             for v in idx:
                 flat = int(np.ravel_multi_index(tuple(v), cyl_spec.dims))
                 (uv,), (ok,) = cam.project(cyl_spec.index_to_center([flat]))
                 ok = bool(ok) and 0 <= uv[0] < cam.width and 0 <= uv[1] < cam.height
                 row = order[flat]
-                assert bool(hits.valid[cam.name][row]) == ok
+                assert bool(hits.valid[k][row]) == ok
                 if ok:
                     np.testing.assert_allclose(
-                        hits.uv[cam.name][row], [uv[0] / cam.width, uv[1] / cam.height], atol=1e-12
+                        hits.uv[k][row], [uv[0] / cam.width, uv[1] / cam.height], atol=1e-12
                     )
+
+    def test_cameras_in_name_order(self, cyl_spec, rig6):
+        rng = np.random.RandomState(28)
+        idx = np.stack([rng.randint(10, 120, 200), rng.randint(0, 200, 200), rng.randint(0, 16, 200)], axis=1)
+        mask = mask_with(cyl_spec, idx)
+        a = build_hit_set(mask, rig6)
+        assert list(a.cameras) == sorted(cam.name for cam in rig6)
+        assert a.valid.shape == (6, len(a)) and a.uv.shape == (6, len(a), 2)
+        assert a.hit_counts.dtype == np.int64
+        b = build_hit_set(mask, [rig6[i] for i in rng.permutation(6)])
+        assert b.cameras == a.cameras
+        np.testing.assert_array_equal(b.valid, a.valid)
+        np.testing.assert_array_equal(b.uv, a.uv)
 
     def test_duplicate_camera_names_rejected(self, cyl_spec):
         cam = FisheyeCamera(64, 64, 20.0, (32.0, 32.0), math.pi, name="dup")
@@ -165,8 +180,8 @@ class TestColorVoxels:
         mask = mask_with(cyl_spec, idx)
         feats = [FeatureImage(cam.name, rng.rand(24, 24, 3).astype(np.float32)) for cam in rig6]
         a = color_voxels(build_hit_set(mask, rig6), feats)
-        b = color_voxels(build_hit_set(mask, rig6[::-1]), feats)
-        np.testing.assert_array_equal(a.data, b.data)
+        for rig in (rig6[::-1], [rig6[i] for i in rng.permutation(6)], [rig6[i] for i in rng.permutation(6)]):
+            np.testing.assert_array_equal(color_voxels(build_hit_set(mask, rig), feats).data, a.data)
 
     def test_channel_mismatch_rejected(self, cyl_spec, rig6):
         mask = mask_with(cyl_spec, [(50, 50, 8)])

@@ -24,15 +24,15 @@ from cylocc.grid import CUBOID, GridSpec, VoxelGrid, default_cylindrical_spec
 from cylocc.metrics import (
     _MIN_SEGMENT,
     Rays,
+    _grid_max_distance,
     cast_rays,
     default_ray_fan,
     generate_rays,
-    grid_max_distance,
     ray_iou,
 )
 from cylocc.synth import HalfSpace, Scene, analytic_voxel_gt
 
-from oracles import cast_all_intervals, default_cuboid_spec, march_fixed_step, ray_intervals
+from oracles import cast_all_intervals, default_cuboid_spec, march_fixed_step, ray_intervals, within_range
 
 
 def one_ray(origin, direction) -> Rays:
@@ -106,14 +106,14 @@ class TestCastRay:
     def test_radial_hit_at_shell_entry(self, cyl_spec):
         g = VoxelGrid.zeros(cyl_spec, "label")
         g.data[5, 100, 7] = 3
-        hits = cast_rays(one_ray([0.0, 0.0, 0.0], [1.0, 0.0, 0.0]), g, 60.0)
+        hits = cast_rays(one_ray([0.0, 0.0, 0.0], [1.0, 0.0, 0.0]), g)
         assert hits.hit[0]
         assert hits.label[0] == 3
         assert hits.distance[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_all_free_no_hit(self, cyl_spec):
         g = VoxelGrid.zeros(cyl_spec, "label")
-        hits = cast_rays(one_ray([0.0, 0.0, 0.0], [1.0, 0.0, 0.0]), g, 60.0)
+        hits = cast_rays(one_ray([0.0, 0.0, 0.0], [1.0, 0.0, 0.0]), g)
         assert not hits.hit[0]
         assert hits.label[0] == 0
         assert hits.voxel[0] == -1
@@ -121,7 +121,7 @@ class TestCastRay:
     def test_origin_inside_occupied_cell(self, cyl_spec):
         g = VoxelGrid.zeros(cyl_spec, "label")
         g.data.reshape(-1)[cyl_spec.point_to_flat([[3.0, 1.0, 0.3]])] = 5
-        hits = cast_rays(one_ray([3.0, 1.0, 0.3], [0.0, 1.0, 0.0]), g, 60.0)
+        hits = cast_rays(one_ray([3.0, 1.0, 0.3], [0.0, 1.0, 0.0]), g)
         assert hits.hit[0]
         assert hits.distance[0] == 0.0
         assert hits.label[0] == 5
@@ -130,23 +130,35 @@ class TestCastRay:
         spec = GridSpec(CUBOID, (4, 4, 4), ((0, 4), (0, 4), (0, 4)))
         g = VoxelGrid.zeros(spec, "label")
         g.data[:] = 2
-        hits = cast_rays(one_ray([-3.0, 2.0, 2.0], [1.0, 0.0, 0.0]), g, 60.0)
+        hits = cast_rays(one_ray([-3.0, 2.0, 2.0], [1.0, 0.0, 0.0]), g)
         assert hits.distance[0] == pytest.approx(3.0, abs=1e-12)
 
-    def test_max_dist_respected(self, cyl_spec):
-        g = VoxelGrid.zeros(cyl_spec, "label")
-        g.data[100, 100, 7] = 4  # r in [20.0, 20.2)
-        ray = one_ray([0.0, 0.0, 0.0], [1.0, 0.0, 0.0])
-        assert not cast_rays(ray, g, 10.0).hit[0]
-        assert cast_rays(ray, g, 30.0).distance[0] == pytest.approx(20.0, abs=1e-12)
-
     @pytest.mark.parametrize("max_dist", [math.nan, math.inf], ids=["nan", "inf"])
-    def test_non_finite_max_dist_rejected(self, cyl_spec, max_dist):
+    def test_non_finite_max_dist_rejected(self, max_dist):
         ray = one_ray([0.0, 0.0, 0.0], [1.0, 0.0, 0.0])
-        with pytest.raises(DomainError):
-            cast_rays(ray, VoxelGrid.zeros(cyl_spec, "label"), max_dist)
         with pytest.raises(DomainError):
             Scene((HalfSpace(-1.3, 1),)).first_hit(ray.origins, ray.directions, max_dist)
+
+    def test_length_reaches_any_exit(self, cyl_spec):
+        # the derived length runs past the far side of the grid from an origin outside it
+        g = VoxelGrid.zeros(cyl_spec, "label")
+        g.data[100, 0, 7] = 4  # r in [20.0, 20.2) at theta = -pi
+        hits = cast_rays(one_ray([40.0, 0.0, 0.0], [-1.0, 0.0, 0.0]), g)
+        assert hits.label[0] == 4
+        assert hits.distance[0] == pytest.approx(60.0, abs=1e-9)
+
+    @pytest.mark.parametrize("x", [1e308, 2e154, 5e153])
+    def test_far_origins_rejected(self, cyl_spec, x):
+        # the squared length would overflow the crossing arithmetic
+        with pytest.raises(DomainError, match="ray origins"):
+            cast_rays(one_ray([x, 0.0, 0.0], [-1.0, 0.0, 0.0]), VoxelGrid.zeros(cyl_spec, "label"))
+
+    @pytest.mark.parametrize("x", [4e153, 1e20])
+    def test_far_origins_cast(self, x):
+        for spec in (default_cylindrical_spec(), default_cuboid_spec()):
+            g = VoxelGrid.zeros(spec, "label")
+            g.data[:] = 1
+            assert not cast_rays(one_ray([x, 0.0, 0.0], [0.0, 1.0, 0.0]), g).hit[0]
 
     def test_non_unit_direction_rejected(self):
         with pytest.raises(DomainError):
@@ -167,7 +179,7 @@ class TestCastRay:
     def test_needs_label_grid(self, cyl_spec):
         g = VoxelGrid.zeros(cyl_spec, "occupancy")
         with pytest.raises(DomainError):
-            cast_rays(Rays(np.zeros((1, 3)), np.array([[1.0, 0.0, 0.0]])), g, 10.0)
+            cast_rays(Rays(np.zeros((1, 3)), np.array([[1.0, 0.0, 0.0]])), g)
 
 
 def assert_same_hits(a, b):
@@ -187,8 +199,7 @@ def drawn_grids():
 def ray_cases(draw):
     """A grid plus a ray batch mixing origins inside occupied cells, outside
     the grid and on the r = 0 axis with vertical, horizontal (parallel to the
-    z planes) and arbitrary directions, and a max_dist that may stop short of
-    the grid exit."""
+    z planes) and arbitrary directions."""
     grid = drawn_grids()[draw(st.sampled_from(["cylindrical", "cuboid"]))]
     spec = grid.spec
     occupied = np.flatnonzero(grid.data)
@@ -216,15 +227,14 @@ def ray_cases(draw):
             direction /= np.linalg.norm(direction)
         origins.append(origin)
         directions.append(direction)
-    rays = Rays(np.array(origins), np.array(directions))
-    exit_dist = grid_max_distance(spec, rays.origins)
-    max_dist = draw(st.one_of(st.floats(1e-3, exit_dist), st.just(exit_dist)))
-    return rays, grid, max_dist
+    return Rays(np.array(origins), np.array(directions)), grid
 
 
 class TestEarlyExitExactness:
     """cast_rays cuts the max_dist padding and retires rays at their first
-    hit; every output must equal the all-intervals caster's bit for bit."""
+    hit; every output must equal the all-intervals caster's bit for bit at
+    the length cast_rays derives, and stay put at twice that length, since
+    the derived length already reaches the grid exit."""
 
     @pytest.fixture(scope="class")
     def street_gt(self, street_scene, cyl_spec):
@@ -232,10 +242,9 @@ class TestEarlyExitExactness:
 
     def test_default_fan_into_street_gt(self, street_gt):
         fan = default_ray_fan()
-        max_dist = grid_max_distance(street_gt.spec, fan.origins)
-        a = cast_rays(fan, street_gt, max_dist)
+        a = cast_rays(fan, street_gt)
         assert 0.3 < a.hit.mean() < 0.9
-        assert_same_hits(a, cast_all_intervals(fan, street_gt, max_dist))
+        assert_same_hits(a, cast_all_intervals(fan, street_gt, _grid_max_distance(street_gt.spec, fan.origins)))
 
     def test_default_fan_into_perturbed_street_gt(self, street_gt):
         rng = np.random.RandomState(8)
@@ -245,8 +254,7 @@ class TestEarlyExitExactness:
         data[flip] = rng.randint(0, 12, size=int(flip.sum()))
         pred = VoxelGrid(street_gt.spec, "label", data)
         fan = default_ray_fan()
-        max_dist = grid_max_distance(pred.spec, fan.origins)
-        assert_same_hits(cast_rays(fan, pred, max_dist), cast_all_intervals(fan, pred, max_dist))
+        assert_same_hits(cast_rays(fan, pred), cast_all_intervals(fan, pred, _grid_max_distance(pred.spec, fan.origins)))
 
     @pytest.mark.parametrize("coord", ["cylindrical", "cuboid"])
     def test_random_off_axis_rays(self, coord, cyl_spec):
@@ -257,17 +265,18 @@ class TestEarlyExitExactness:
         o = np.stack([rng.uniform(-15, 15, n), rng.uniform(-15, 15, n), rng.uniform(-2, 3, n)], axis=1)
         d = rng.normal(size=(n, 3))
         rays = Rays(o, d / np.linalg.norm(d, axis=1, keepdims=True))
-        a = cast_rays(rays, g, 25.0)
+        a = cast_rays(rays, g)
         assert a.hit.any() and not a.hit.all()
-        assert_same_hits(a, cast_all_intervals(rays, g, 25.0))
+        assert_same_hits(a, cast_all_intervals(rays, g, _grid_max_distance(spec, rays.origins)))
 
     @settings(max_examples=150, deadline=None)
     @given(case=ray_cases())
     def test_drawn_rays(self, case):
-        rays, grid, max_dist = case
-        hits = cast_rays(rays, grid, max_dist)
-        assert np.all(hits.distance[hits.hit] < max_dist)
-        assert_same_hits(hits, cast_all_intervals(rays, grid, max_dist))
+        rays, grid = case
+        hits = cast_rays(rays, grid)
+        length = _grid_max_distance(grid.spec, rays.origins)
+        assert_same_hits(hits, cast_all_intervals(rays, grid, length))
+        assert_same_hits(hits, cast_all_intervals(rays, grid, 2.0 * length))
 
 
 class TestCasterExactness:
@@ -298,7 +307,8 @@ class TestCasterExactness:
         d = rng.normal(size=(n, 3))
         d /= np.linalg.norm(d, axis=1, keepdims=True)
         rays = Rays(o, d)
-        a = cast_rays(rays, g, 25.0)
+        rays, a = within_range(rays, cast_rays(rays, g), 25.0)
+        o, d = rays.origins, rays.directions
         b = march_fixed_step(rays, g, 25.0, step=0.001)
         agree = a.voxel == b.voxel
         for i in np.nonzero(~agree)[0]:
@@ -369,11 +379,13 @@ class TestCasterExactness:
         d = np.stack([rng.uniform(-1, 1, n), -side * rng.uniform(0.1, 1, n), rng.uniform(-0.3, 0.3, n)], axis=1)
         d /= np.linalg.norm(d, axis=1, keepdims=True)
         rays = Rays(o, d)
-        exact = cast_rays(rays, g, 30.0)
-        cast = cast_rays(rays, decoded, 30.0)
+        exact = cast_rays(rays, g)
+        cast = cast_rays(rays, decoded)
         np.testing.assert_array_equal(cast.label, exact.label)
         assert (cast.distance > 0).all()
         assert (cast.label == 3).sum() > n // 4 and (cast.label == 5).sum() > n // 4
+        rays, cast = within_range(rays, cast, 30.0)
+        o, d = rays.origins, rays.directions
         march = march_fixed_step(rays, decoded, 30.0, step=0.001)
         agree = cast.voxel == march.voxel
         for i in np.nonzero(~agree)[0]:
@@ -385,13 +397,13 @@ class TestCasterExactness:
     def test_distance_is_entry_not_center(self, cyl_spec):
         g = VoxelGrid.zeros(cyl_spec, "label")
         g.data[50, :, :] = 6  # full shell at r in [10.0, 10.2)
-        hits = cast_rays(one_ray([0.0, 0.0, 0.0], [0.0, 1.0, 0.0]), g, 60.0)
+        hits = cast_rays(one_ray([0.0, 0.0, 0.0], [0.0, 1.0, 0.0]), g)
         assert hits.distance[0] == pytest.approx(10.0, abs=1e-12)
 
     def test_vertical_ray(self, cyl_spec):
         g = VoxelGrid.zeros(cyl_spec, "label")
         g.data[10, 100, 12] = 8  # z in [2.0, 2.4)
-        hits = cast_rays(one_ray([2.1, 0.0, 0.0], [0.0, 0.0, 1.0]), g, 60.0)
+        hits = cast_rays(one_ray([2.1, 0.0, 0.0], [0.0, 0.0, 1.0]), g)
         assert hits.label[0] == 8
         assert hits.distance[0] == pytest.approx(2.0, abs=1e-12)
 
@@ -402,11 +414,11 @@ class TestCasterExactness:
         ray = one_ray([20.0, -30.0, 0.0], [0.0, 1.0, 0.0])
         inner = VoxelGrid.zeros(cyl_spec, "label")
         inner.data[99, :, :] = 9  # r in [19.8, 20.0)
-        assert not cast_rays(ray, inner, 80.0).hit[0]
+        assert not cast_rays(ray, inner).hit[0]
         # ... but it does dip into bin 100 through the outer r=20.2 shell
         outer = VoxelGrid.zeros(cyl_spec, "label")
         outer.data[100, :, :] = 9  # r in [20.0, 20.2)
-        hits = cast_rays(ray, outer, 80.0)
+        hits = cast_rays(ray, outer)
         assert hits.hit[0]
         assert hits.distance[0] == pytest.approx(30.0 - math.sqrt(20.2**2 - 20.0**2), abs=1e-9)
 
@@ -536,5 +548,5 @@ class TestRayIoU:
         assert set(doc["bands"]) == {"0.0:8.5", "8.5:30.0"}
 
     def test_grid_max_distance_covers_diagonal(self, cyl_spec):
-        d = grid_max_distance(cyl_spec, origins=np.zeros((1, 3)))
+        d = _grid_max_distance(cyl_spec, origins=np.zeros((1, 3)))
         assert d > math.hypot(2 * 25.6, 6.4)

@@ -17,7 +17,7 @@ from cylocc.sketch import (
 )
 
 from conftest import bin_triple
-from oracles import default_cuboid_spec, lidar_ring_origins
+from oracles import default_cuboid_spec, fan_point_cloud, lidar_ring_origins
 
 
 def brute_force_dilate(mask: CandidateMask, schedule: DilationSchedule) -> np.ndarray:
@@ -201,10 +201,6 @@ class TestDilation:
         assert out.occupied[seed_r + 1, 50, 3]
 
     def test_sparsity_stays_below_half(self, cyl_spec, street_scene):
-        from cylocc.synth import sample_scene_point_cloud
-
-        cloud = sample_scene_point_cloud(
-            street_scene, lidar_ring_origins(count=4, heights=(1.0,)), 256, 32, (-0.9, 0.3)
-        )
+        cloud = fan_point_cloud(street_scene, lidar_ring_origins(count=4, heights=(1.0,)), 256, 32, (-0.9, 0.3))
         mask = dilate_radial(sketch_from_points(cloud, cyl_spec), default_schedule())
         assert mask.occupied_fraction < 0.5

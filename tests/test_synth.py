@@ -23,7 +23,7 @@ from cylocc.synth import (
 )
 
 from conftest import bin_triple
-from oracles import DEMO07_SCENE, analytic_voxel_gt_all_probes, lidar_ring_origins
+from oracles import DEMO07_SCENE, analytic_voxel_gt_all_probes, fan_point_cloud, lidar_ring_origins
 
 
 class TestRaySceneIntersect:
@@ -207,27 +207,27 @@ class TestNonFinitePrimitives:
 
 class TestSampledCloud:
     def test_empty_scene_empty_cloud(self):
-        cloud = sample_scene_point_cloud(Scene(()), np.zeros((1, 3)), 16, 4, (-0.5, 0.0))
+        cloud = sample_scene_point_cloud(Scene(()), np.zeros((1, 3)))
         assert len(cloud) == 0
 
     def test_downward_fan_on_ground_all_road(self):
         scene = Scene((HalfSpace(0.0, 1),))
-        cloud = sample_scene_point_cloud(scene, np.array([[0.0, 0.0, 2.0]]), 64, 8, (-1.2, -0.3))
-        assert len(cloud) == 64 * 8
+        cloud = sample_scene_point_cloud(scene, np.array([[0.0, 0.0, 2.0]]))
+        # elevation bin centers step 0.025 rad up from -1.1875; the 47 below
+        # -asin(2 / 60) = -0.0333 rad reach the ground within 60 m
+        assert len(cloud) == 512 * 47
         assert np.all(cloud.labels == 1)
         np.testing.assert_allclose(cloud.points[:, 2], 0.0, atol=1e-9)
 
     def test_deterministic_bit_identical(self, street_scene):
         origins = lidar_ring_origins(count=4, heights=(1.0, 2.0))
-        a = sample_scene_point_cloud(street_scene, origins, 128, 16, (-1.0, 0.3))
-        b = sample_scene_point_cloud(street_scene, origins, 128, 16, (-1.0, 0.3))
+        a = sample_scene_point_cloud(street_scene, origins)
+        b = sample_scene_point_cloud(street_scene, origins)
         assert np.array_equal(a.points, b.points)
         assert np.array_equal(a.labels, b.labels)
 
     def test_voxelized_sample_matches_analytic_gt(self, cyl_spec, street_scene):
-        cloud = sample_scene_point_cloud(
-            street_scene, lidar_ring_origins(count=8, heights=(0.6, 1.6)), 1024, 128, (-1.2, 0.25)
-        )
+        cloud = fan_point_cloud(street_scene, lidar_ring_origins(count=8, heights=(0.6, 1.6)), 1024, 128, (-1.2, 0.25))
         grid = voxelize_semantic(cloud, cyl_spec, default_label_set())
         gt = analytic_voxel_gt(street_scene, cyl_spec, 3)
         flat = cyl_spec.point_to_flat(cloud.points)
@@ -261,7 +261,7 @@ class TestOracleConsistency:
     def test_gt_cast_agrees_with_scene_intersect(self, cyl_spec, street_scene):
         gt = analytic_voxel_gt(street_scene, cyl_spec, 3)
         rays = generate_rays(256, 16, (-0.45, 0.1), origin=(0.0, 0.0, 0.3))
-        grid_hits = cast_rays(rays, gt, 40.0)
+        grid_hits = cast_rays(rays, gt)
         t, label, hit = street_scene.first_hit(rays.origins, rays.directions, 40.0)
         # restrict to rays the scene resolves inside the grid's radius
         in_grid = hit & (t < 24.0)
@@ -281,7 +281,7 @@ class TestOracleConsistency:
         # the literal |distance| <= diagonal bound applies directly
         gt = analytic_voxel_gt(street_scene, cyl_spec, 3)
         rays = generate_rays(128, 8, (-1.3, -0.6), origin=(0.0, 0.0, 0.3))
-        grid_hits = cast_rays(rays, gt, 40.0)
+        grid_hits = cast_rays(rays, gt)
         t, label, hit = street_scene.first_hit(rays.origins, rays.directions, 40.0)
         both = hit & grid_hits.hit & (grid_hits.label == label)
         assert both.mean() >= 0.98
