@@ -174,10 +174,11 @@ def _cmd_synth(args) -> int:
         raise DomainError("synth --spec must be cylindrical; the cuboid grid is derived from it")
     r_max = cyl_spec.ranges[0][1]
     cub_spec = GridSpec(CUBOID, (160, 160, 16), ((-r_max, r_max), (-r_max, r_max), cyl_spec.ranges[2]))
-    # everything is computed before the first write, so a bad input leaves no files
+    # everything is computed before the first write, so a bad input leaves no files; the
+    # render goes first, as it rejects an oversized --erp before allocating anything
+    depth, semantic = synth_mod.render_erp_depth(scene, *args.erp)
     gt_cyl = synth_mod.analytic_voxel_gt(scene, cyl_spec, args.supersample)
     gt_cub = synth_mod.analytic_voxel_gt(scene, cub_spec, args.supersample)
-    depth, semantic = synth_mod.render_erp_depth(scene, *args.erp)
     origins = np.stack([cam.pose.translation for cam in rig])
     cloud = synth_mod.sample_scene_point_cloud(scene, origins)
     out = Path(args.out)

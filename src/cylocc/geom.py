@@ -179,14 +179,6 @@ def erp_pixel_to_direction(u, v, width: int, height: int) -> np.ndarray:
     return np.stack([cp * np.cos(lam), cp * np.sin(lam), np.sin(phi)], axis=-1)
 
 
-def erp_direction_grid(width: int, height: int) -> np.ndarray:
-    """(H, W, 3) directions for every pixel of a W x H ERP raster."""
-    u = np.arange(width, dtype=np.float64)
-    v = np.arange(height, dtype=np.float64)
-    uu, vv = np.meshgrid(u, v)
-    return erp_pixel_to_direction(uu, vv, width, height)
-
-
 def erp_depth_to_point_cloud(
     depth: ErpImage,
     semantic: ErpImage | None = None,

@@ -9,21 +9,33 @@ the earliest primitive in the list wins.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
 
 from .errors import DomainError, require_finite
-from .geom import ErpImage, LabeledPointCloud, RigidTransform, _as_points, erp_direction_grid
-from .grid import GridSpec, VoxelGrid, majority_vote
+from .geom import ErpImage, LabeledPointCloud, RigidTransform, _as_points, erp_pixel_to_direction
+from .grid import CYLINDRICAL, GridSpec, VoxelGrid, majority_vote
 from .metrics import generate_rays
 
 _T_MIN = 1e-9  # smallest admissible ray parameter
 _RENDER_RANGE = 1e6  # meters; farther surfaces render as missed pixels
 _MAX_SUPERSAMPLE = 16  # 16^3 = 4,096 probe passes over the lattice
+_MAX_PIXELS = 1 << 25  # 33,554,432 pixels (8192 x 4096): two f32 rasters of 128 MiB each
+_RENDER_BLOCK_PIXELS = 200_000  # pixels per row block of a render (100 rows at 2000 wide)
+_BOUNDS_MARGIN = 1e-6  # relative widening of every culling box, far above float rounding
 _CLOUD_FAN = (512, 64, (-1.2, 0.4))  # azimuths, elevations, elevation range (rad) per sampled origin
 _CLOUD_RANGE = 60.0  # meters; farther surfaces leave no sample
+
+
+def _widened(lo, hi) -> tuple[np.ndarray, np.ndarray]:
+    """The box [lo, hi] grown on every side by _BOUNDS_MARGIN, relative to its largest coordinate."""
+    lo = np.asarray(lo, dtype=np.float64)
+    hi = np.asarray(hi, dtype=np.float64)
+    m = _BOUNDS_MARGIN * (1.0 + max(np.abs(lo).max(), np.abs(hi).max()))
+    return lo - m, hi + m
 
 
 @dataclass(frozen=True)
@@ -62,6 +74,10 @@ class Box:
         lo = np.asarray(self.min_corner)
         hi = np.asarray(self.max_corner)
         return np.all((pts >= lo) & (pts <= hi), axis=1)
+
+    def bounds(self) -> tuple[np.ndarray, np.ndarray]:
+        """Conservative Cartesian box (lo, hi) around every point contains() accepts."""
+        return _widened(self.min_corner, self.max_corner)
 
     def ray_first(self, o: np.ndarray, d: np.ndarray) -> np.ndarray:
         lo = np.asarray(self.min_corner)
@@ -105,6 +121,11 @@ class VerticalCylinder:
             & (pts[:, 2] <= self.z_max)
         )
 
+    def bounds(self) -> tuple[np.ndarray, np.ndarray]:
+        """Conservative Cartesian box (lo, hi) around every point contains() accepts."""
+        (cx, cy), r = self.center, self.radius
+        return _widened((cx - r, cy - r, self.z_min), (cx + r, cy + r, self.z_max))
+
     def ray_first(self, o: np.ndarray, d: np.ndarray) -> np.ndarray:
         ox = o[:, 0] - self.center[0]
         oy = o[:, 1] - self.center[1]
@@ -145,6 +166,11 @@ class Sphere:
     def contains(self, pts: np.ndarray) -> np.ndarray:
         rel = pts - np.asarray(self.center)
         return np.sum(rel * rel, axis=1) <= self.radius * self.radius
+
+    def bounds(self) -> tuple[np.ndarray, np.ndarray]:
+        """Conservative Cartesian box (lo, hi) around every point contains() accepts."""
+        c = np.asarray(self.center, dtype=np.float64)
+        return _widened(c - self.radius, c + self.radius)
 
     def ray_first(self, o: np.ndarray, d: np.ndarray) -> np.ndarray:
         rel = o - np.asarray(self.center)
@@ -204,6 +230,54 @@ class Scene:
         return labels
 
 
+def _erp_rows(width: int, height: int, v0: int, v1: int) -> np.ndarray:
+    """(v1 - v0, W, 3) ego-frame directions of rows v0..v1-1 of a W x H ERP raster."""
+    uu, vv = np.meshgrid(np.arange(width, dtype=np.float64), np.arange(v0, v1, dtype=np.float64))
+    return erp_pixel_to_direction(uu, vv, width, height)
+
+
+def _pixel_rects(prim: Primitive, pose: RigidTransform, width: int, height: int) -> list[tuple[int, int, int, int]]:
+    """Half-open pixel rectangles (v0, v1, u0, u1) holding every pixel whose
+    ray from the pose origin can hit prim.
+
+    The primitive's bounds, moved into the ego frame, give a conservative
+    (lambda, phi) rectangle, grown by one pixel on every side and split at
+    the lambda = +-pi seam. Bounds around the vertical axis span every
+    azimuth, and bounds around the origin every azimuth and elevation: the
+    whole raster, as a half-space gets.
+    """
+    if isinstance(prim, HalfSpace):
+        return [(0, height, 0, width)]
+    lo, hi = prim.bounds()
+    t = pose.translation
+    rt = pose.rotation.T
+    center = rt @ (0.5 * (lo + hi) - t)
+    half = np.abs(rt) @ (0.5 * (hi - lo))
+    m = _BOUNDS_MARGIN * (1.0 + max(np.abs(lo).max(), np.abs(hi).max(), np.abs(t).max()))
+    (x0, y0, z0), (x1, y1, z1) = center - half - m, center + half + m
+    rho_min = math.hypot(max(x0, -x1, 0.0), max(y0, -y1, 0.0))
+    rho_max = math.hypot(max(-x0, x1), max(-y0, y1))
+    # elevation rises with z and, above the horizon, falls with horizontal distance
+    phi_hi = math.atan2(z1, rho_min if z1 >= 0 else rho_max)
+    phi_lo = math.atan2(z0, rho_max if z0 >= 0 else rho_min)  # +-pi/2 straight up or down at rho_min = 0
+    v0 = max(math.floor((0.5 * math.pi - phi_hi) / math.pi * height - 0.5) - 1, 0)
+    v1 = min(math.ceil((0.5 * math.pi - phi_lo) / math.pi * height - 0.5) + 2, height)
+    if rho_min == 0.0:  # the box spans the vertical axis: every azimuth
+        return [(v0, v1, 0, width)]
+    # the xy box misses the axis, so its azimuths lie within pi of its center's
+    lam_c = math.atan2(0.5 * (y0 + y1), 0.5 * (x0 + x1))
+    offs = [(math.atan2(y, x) - lam_c + math.pi) % (2.0 * math.pi) - math.pi for x in (x0, x1) for y in (y0, y1)]
+    u0 = math.floor((lam_c + min(offs) + math.pi) / (2.0 * math.pi) * width - 0.5) - 1
+    u1 = math.ceil((lam_c + max(offs) + math.pi) / (2.0 * math.pi) * width - 0.5) + 2
+    if u1 - u0 >= width:
+        return [(v0, v1, 0, width)]
+    if u0 < 0:
+        return [(v0, v1, 0, u1), (v0, v1, u0 + width, width)]
+    if u1 > width:
+        return [(v0, v1, u0, width), (v0, v1, 0, u1 - width)]
+    return [(v0, v1, u0, u1)]
+
+
 def render_erp_depth(
     scene: Scene,
     width: int,
@@ -214,16 +288,82 @@ def render_erp_depth(
 
     Rays start at the pose translation along pose-rotated pixel directions.
     Pixels with no surface within _RENDER_RANGE carry depth 0 and label 0.
+    A raster may hold at most _MAX_PIXELS pixels. The raster is rendered in
+    blocks of rows, and each bounded primitive is intersected only with the
+    pixels of its _pixel_rects; the pixels left out cannot hit it, so the
+    nearest surface, and the earlier primitive on a tie, win as in
+    Scene.first_hit.
     """
     if width < 1 or height < 1:
         raise DomainError("raster dimensions must be >= 1")
+    if width * height > _MAX_PIXELS:
+        raise DomainError(f"a {width}x{height} raster exceeds the {_MAX_PIXELS}-pixel cap")
     pose = pose if pose is not None else RigidTransform.identity()
-    dirs = erp_direction_grid(width, height).reshape(-1, 3) @ pose.rotation.T
-    origins = np.broadcast_to(pose.translation, dirs.shape)
-    t, label, hit = scene.first_hit(origins, dirs, _RENDER_RANGE)
-    depth = np.where(hit, t, 0.0).reshape(height, width).astype(np.float32)
-    sem = label.reshape(height, width).astype(np.float32)
+    rects = [(p, _pixel_rects(p, pose, width, height)) for p in scene.primitives]
+    depth = np.empty((height, width), dtype=np.float32)
+    sem = np.empty((height, width), dtype=np.float32)
+    rows = max(1, _RENDER_BLOCK_PIXELS // width)
+    for b0 in range(0, height, rows):
+        b1 = min(b0 + rows, height)
+        dirs = (_erp_rows(width, height, b0, b1).reshape(-1, 3) @ pose.rotation.T).reshape(b1 - b0, width, 3)
+        best_t = np.full((b1 - b0, width), np.inf)
+        best_label = np.zeros((b1 - b0, width), dtype=np.uint8)
+        for prim, prim_rects in rects:
+            for v0, v1, u0, u1 in prim_rects:
+                r0, r1 = max(v0, b0) - b0, min(v1, b1) - b0  # the rectangle's rows within this block
+                if r0 >= r1:
+                    continue
+                d = dirs[r0:r1, u0:u1].reshape(-1, 3)
+                t = prim.ray_first(np.broadcast_to(pose.translation, d.shape), d).reshape(r1 - r0, u1 - u0)
+                better = t < best_t[r0:r1, u0:u1]
+                best_t[r0:r1, u0:u1][better] = t[better]
+                best_label[r0:r1, u0:u1][better] = prim.label
+        hit = np.isfinite(best_t) & (best_t <= _RENDER_RANGE)
+        depth[b0:b1] = np.where(hit, best_t, 0.0)
+        sem[b0:b1] = np.where(hit, best_label, 0)
     return ErpImage.depth(depth), ErpImage.semantic(sem)
+
+
+def _cell_boxes(spec: GridSpec) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    """Conservative Cartesian boxes around every cell of the lattice, in
+    two factors: the (D0*D1, 2) xy boxes (lo, hi) of the (i0, i1) columns
+    and the (D2,) z intervals (lo, hi) of the layers.
+
+    A cuboid column is its own box. A cylindrical column is an annular
+    sector: the box of its four corners, grown by the outer arc's sagitta
+    r1 * (1 - cos(dtheta / 2)), holds it.
+    """
+    d0, d1, d2 = spec.dims
+    i0, i1 = np.divmod(np.arange(d0 * d1), d1)
+    corners = [
+        spec.to_cartesian(np.stack([spec.axis_value(i0 + a, 0), spec.axis_value(i1 + b, 1), np.zeros(d0 * d1)],
+                                   axis=1))[:, :2]
+        for a, b in product((0, 1), repeat=2)
+    ]
+    lo = np.minimum.reduce(corners)
+    hi = np.maximum.reduce(corners)
+    if spec.coord_sys == CYLINDRICAL:
+        sagitta = spec.axis_value(i0 + 1, 0) * (1.0 - math.cos(0.5 * spec.deltas[1]))
+        lo -= sagitta[:, None]
+        hi += sagitta[:, None]
+    k = np.arange(d2)
+    return _widened(lo, hi), _widened(spec.axis_value(k, 2), spec.axis_value(k + 1, 2))
+
+
+def _boundary_cells(scene: Scene, spec: GridSpec) -> np.ndarray:
+    """Ascending flat indices of the cells whose probes may disagree: their
+    box touches a bounded primitive's bounds or straddles a half-space's
+    plane."""
+    (xy_lo, xy_hi), (z_lo, z_hi) = _cell_boxes(spec)
+    flag = np.zeros((len(xy_lo), len(z_lo)), dtype=bool)
+    for prim in scene.primitives:
+        if isinstance(prim, HalfSpace):
+            flag |= (z_lo <= prim.height) & (prim.height <= z_hi)
+        else:
+            lo, hi = prim.bounds()
+            column = np.all((xy_lo <= hi[:2]) & (lo[:2] <= xy_hi), axis=1)
+            flag |= column[:, None] & (z_lo <= hi[2]) & (lo[2] <= z_hi)
+    return np.flatnonzero(flag)
 
 
 def analytic_voxel_gt(scene: Scene, spec: GridSpec, supersample: int = 3) -> VoxelGrid:
@@ -233,19 +373,28 @@ def analytic_voxel_gt(scene: Scene, spec: GridSpec, supersample: int = 3) -> Vox
     stratification in the grid's native coordinates) and labeled by majority
     vote with ties toward the smallest class id; free when no probe lands
     inside any primitive. supersample runs from 1 to 16.
+
+    Only the cells _boundary_cells flags are probed supersample^3 times.
+    Any other cell lies outside every bounded primitive's bounds and wholly
+    on one side of every half-space's plane, so each of its points, its
+    probes and its center alike, gets the same label: its center's label
+    is the vote's winner.
     """
     if not 1 <= supersample <= _MAX_SUPERSAMPLE:
         raise DomainError(f"supersample must be in [1, {_MAX_SUPERSAMPLE}]")
     n = supersample
     c = max((p.label for p in scene.primitives), default=1) + 1
-    voxel = np.arange(spec.num_voxels)
+    labels = scene.label_points(spec.all_centers())
+    voxel = _boundary_cells(scene, spec)
     idx = np.unravel_index(voxel, spec.dims)
+    rows = np.arange(len(voxel))
     # one vote per voxel per pass, counted in a type that holds all n^3 of them
-    votes = np.zeros((spec.num_voxels, c), dtype=np.min_scalar_type(n**3))
+    votes = np.zeros((len(voxel), c), dtype=np.min_scalar_type(n**3))
     for off in product(range(n), repeat=3):
         native = np.stack([spec.axis_value(idx[k] + (o + 0.5) / n, k) for k, o in enumerate(off)], axis=1)
-        votes[voxel, scene.label_points(spec.to_cartesian(native))] += 1
-    return VoxelGrid(spec, "label", majority_vote(votes).reshape(spec.dims))
+        votes[rows, scene.label_points(spec.to_cartesian(native))] += 1
+    labels[voxel] = majority_vote(votes)
+    return VoxelGrid(spec, "label", labels.reshape(spec.dims))
 
 
 def sample_scene_point_cloud(scene: Scene, origins) -> LabeledPointCloud:

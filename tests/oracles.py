@@ -1,9 +1,12 @@
 """Test-only oracles and fixtures, written against cylocc's public API.
 
 The all-intervals caster is the exact reference for cast_rays' block-wise
-early exit, the fixed-step marcher the brute-force one, and the
-broadcast-key vote the reference for analytic_voxel_gt's pass-by-pass
-count; the JSON writers produce the documents the loaders read back. The
+early exit and the fixed-step marcher the brute-force one. The synth
+oracle has two: analytic_voxel_gt_all_probes, which probes every voxel
+supersample^3 times and votes once, for analytic_voxel_gt's boundary-only
+vote, and render_erp_depth_all_pixels, Scene.first_hit over every pixel of
+erp_direction_grid at once, for render_erp_depth's culled, row-blocked
+render. The JSON writers produce the documents the loaders read back. The
 rest are inputs the tests share but the library never needs.
 """
 
@@ -13,11 +16,11 @@ from itertools import product
 
 import numpy as np
 
-from cylocc.geom import LabeledPointCloud
+from cylocc.geom import ErpImage, LabeledPointCloud, RigidTransform, erp_pixel_to_direction
 from cylocc.grid import CUBOID, GridSpec, LabelSet, VoxelGrid, default_label_set
 from cylocc.losses import ClassWeights
 from cylocc.metrics import _CHUNK, _MIN_SEGMENT, BatchHits, Rays, _sorted_crossings, generate_rays
-from cylocc.synth import Box, HalfSpace, Scene, Sphere, VerticalCylinder
+from cylocc.synth import _RENDER_RANGE, Box, HalfSpace, Scene, Sphere, VerticalCylinder
 
 
 def ray_intervals(spec: GridSpec, o: np.ndarray, d: np.ndarray, max_dist: float):
@@ -129,6 +132,20 @@ DEMO07_SCENE = Scene((
 ))
 
 
+# the scene of the representation experiment, acceptance test_09
+REPRESENTATION_SCENE = Scene((
+    *[Box((x, -0.15, -1.3), (x + 1.2, 0.15, -1.25), 11) for x in (2.0, 5.0, 8.0, 11.0, 14.0)],
+    *[Box((-0.15, y, -1.3), (0.15, y + 1.2, -1.25), 11) for y in (2.5, 6.5, 10.5)],
+    Box((-20.0, 6.0, -1.3), (20.0, 20.0, -1.22), 2),
+    Box((4.0, -4.5, -1.3), (6.0, -2.5, 0.3), 7),
+    VerticalCylinder((-4.0, 2.0), 0.3, -1.3, 2.3, 9),
+    Sphere((-6.0, -5.0, 0.1), 1.0, 6),
+    Box((18.0, -10.0, -1.3), (19.0, 10.0, 2.7), 4),
+    Box((-22.0, -8.0, -1.3), (-21.0, 8.0, 2.7), 4),
+    HalfSpace(-1.3, 1),
+))
+
+
 def default_cuboid_spec() -> GridSpec:
     """64^3 cuboid lattice over the same footprint as the cylindrical default."""
     return GridSpec(CUBOID, (64, 64, 64), ((-25.6, 25.6), (-25.6, 25.6), (-2.8, 3.6)))
@@ -155,6 +172,27 @@ def analytic_voxel_gt_all_probes(scene, spec: GridSpec, supersample: int) -> Vox
     keys = np.arange(num, dtype=np.int64) * c + labels
     votes = np.bincount(keys.reshape(-1), minlength=num * c).reshape(num, c)
     return VoxelGrid(spec, "label", np.argmax(votes, axis=1).astype(np.uint8).reshape(spec.dims))
+
+
+def erp_direction_grid(width: int, height: int) -> np.ndarray:
+    """(H, W, 3) directions for every pixel of a W x H ERP raster."""
+    u = np.arange(width, dtype=np.float64)
+    v = np.arange(height, dtype=np.float64)
+    uu, vv = np.meshgrid(u, v)
+    return erp_pixel_to_direction(uu, vv, width, height)
+
+
+def render_erp_depth_all_pixels(scene, width: int, height: int, pose=None) -> tuple[ErpImage, ErpImage]:
+    """render_erp_depth as one Scene.first_hit over every pixel's ray and
+    every primitive: the exact reference its culled row blocks must match
+    bit for bit."""
+    pose = pose if pose is not None else RigidTransform.identity()
+    dirs = erp_direction_grid(width, height).reshape(-1, 3) @ pose.rotation.T
+    origins = np.broadcast_to(pose.translation, dirs.shape)
+    t, label, hit = scene.first_hit(origins, dirs, _RENDER_RANGE)
+    depth = np.where(hit, t, 0.0).reshape(height, width).astype(np.float32)
+    sem = label.reshape(height, width).astype(np.float32)
+    return ErpImage.depth(depth), ErpImage.semantic(sem)
 
 
 def _primitive_doc(p) -> dict:

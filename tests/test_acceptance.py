@@ -42,7 +42,14 @@ from cylocc.synth import (
     render_erp_depth,
 )
 
-from oracles import default_cuboid_spec, fan_point_cloud, lidar_ring_origins, march_fixed_step, within_range
+from oracles import (
+    REPRESENTATION_SCENE,
+    default_cuboid_spec,
+    fan_point_cloud,
+    lidar_ring_origins,
+    march_fixed_step,
+    within_range,
+)
 
 
 def report(n, name, detail=""):
@@ -268,18 +275,7 @@ class TestAcceptance:
 
     def test_09_representation_experiment(self):
         t0 = time.perf_counter()
-        prims = [
-            *[Box((x, -0.15, -1.3), (x + 1.2, 0.15, -1.25), 11) for x in (2.0, 5.0, 8.0, 11.0, 14.0)],
-            *[Box((-0.15, y, -1.3), (0.15, y + 1.2, -1.25), 11) for y in (2.5, 6.5, 10.5)],
-            Box((-20.0, 6.0, -1.3), (20.0, 20.0, -1.22), 2),
-            Box((4.0, -4.5, -1.3), (6.0, -2.5, 0.3), 7),
-            VerticalCylinder((-4.0, 2.0), 0.3, -1.3, 2.3, 9),
-            Sphere((-6.0, -5.0, 0.1), 1.0, 6),
-            Box((18.0, -10.0, -1.3), (19.0, 10.0, 2.7), 4),
-            Box((-22.0, -8.0, -1.3), (-21.0, 8.0, 2.7), 4),
-            HalfSpace(-1.3, 1),
-        ]
-        scene = Scene(tuple(prims))
+        scene = REPRESENTATION_SCENE
         cyl = default_cylindrical_spec()
         cub = GridSpec(CUBOID, (160, 160, 16), ((-25.6, 25.6), (-25.6, 25.6), (-2.8, 3.6)))
         assert cyl.num_voxels == cub.num_voxels  # equal voxel budget

@@ -5,6 +5,7 @@ import contextlib
 import io
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -228,6 +229,21 @@ class TestExitCodes:
         assert main(["synth", "--scene", str(scene_file), "--erp", "8x4", flag, value, "--out", str(out)]) == 3
         assert "domain error" in capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())
+
+    def test_oversized_erp_is_domain_error(self, tmp_path, scene_file, capsys):
+        # 10^10 pixels: one float64 plane of them is 80 GB, so the cap must reject it first
+        out = tmp_path / "out"
+        tracemalloc.start()
+        try:
+            code = main(["synth", "--scene", str(scene_file), "--erp", "100000x100000", "--out", str(out)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "domain error" in err and "pixel cap" in err and "Traceback" not in err
+        assert not out.exists() or not any(out.iterdir())
+        assert peak < 16 * 2**20
 
     @pytest.mark.parametrize("kind", ["depth", "semantic"])
     def test_lift_non_feature_raster_is_format_error(self, tmp_path, rig_file, kind, capsys):

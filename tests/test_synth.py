@@ -3,13 +3,17 @@ closed-form root formulas evaluated by hand (quadratics with rational
 solutions)."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from cylocc import synth
 from cylocc.errors import DomainError
 from cylocc.geom import RigidTransform, erp_depth_to_point_cloud, rot_z
-from cylocc.grid import CYLINDRICAL, GridSpec, default_label_set, voxelize_semantic
+from cylocc.grid import CUBOID, CYLINDRICAL, GridSpec, default_label_set, voxelize_semantic
 from cylocc.metrics import cast_rays, generate_rays
 from cylocc.synth import (
     Box,
@@ -22,8 +26,75 @@ from cylocc.synth import (
     sample_scene_point_cloud,
 )
 
-from conftest import bin_triple
-from oracles import DEMO07_SCENE, analytic_voxel_gt_all_probes, fan_point_cloud, lidar_ring_origins
+from conftest import bin_triple, random_rotation
+from oracles import (
+    DEMO07_SCENE,
+    REPRESENTATION_SCENE,
+    analytic_voxel_gt_all_probes,
+    erp_direction_grid,
+    fan_point_cloud,
+    lidar_ring_origins,
+    render_erp_depth_all_pixels,
+)
+
+# the cuboid lattice cylocc synth derives from the default cylindrical one
+CLI_CUBOID_SPEC = GridSpec(CUBOID, (160, 160, 16), ((-25.6, 25.6), (-25.6, 25.6), (-2.8, 3.6)))
+
+
+def scene_named(name, street_scene):
+    return {"street": street_scene, "demo07": DEMO07_SCENE, "representation": REPRESENTATION_SCENE}[name]
+
+
+def online_frames_poses(seed: int = 0) -> list[RigidTransform]:
+    """The two ego poses the online_frames benchmark renders demo-07 from
+    (bench/workloads.py OnlineFrames.setup and ego_step)."""
+    rng = np.random.default_rng([seed, 1])
+    start = RigidTransform(rot_z(rng.uniform(-0.15, 0.15)),
+                           np.array([rng.uniform(-1.5, 1.5), rng.uniform(-1.0, 1.0), 0.0]))
+    yaw = rng.uniform(-0.05, 0.05)
+    step = RigidTransform(rot_z(yaw), np.array([rng.uniform(0.3, 0.8), rng.uniform(-0.05, 0.05), 0.0]))
+    return [start, start.compose(step)]
+
+
+def pitch_roll_pose() -> RigidTransform:
+    """A raised eye pitched down 0.3 rad and rolled 0.2 rad, then yawed."""
+    c, s = math.cos(0.3), math.sin(0.3)
+    pitch = np.array([[c, 0.0, s], [0.0, 1.0, 0.0], [-s, 0.0, c]])
+    c, s = math.cos(0.2), math.sin(0.2)
+    roll = np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
+    return RigidTransform(rot_z(2.5) @ pitch @ roll, np.array([1.0, -0.5, 1.5]))
+
+
+coords = st.floats(-1.5, 1.5)
+
+
+@st.composite
+def scenes(draw, anchors):
+    """1-4 labeled primitives near the given (x, y, z) anchors, sized up to
+    well past a small lattice's edges, with an optional half-space anywhere
+    in their order."""
+    prims = []
+    for _ in range(draw(st.integers(1, 4))):
+        ax, ay, az = draw(st.sampled_from(anchors))
+        x, y, z = ax + draw(coords), ay + draw(coords), az + draw(coords)
+        a, b, h = (draw(st.floats(0.05, 4.0)) for _ in range(3))
+        label = draw(st.integers(1, 11))
+        kind = draw(st.sampled_from(["box", "sphere", "cylinder"]))
+        if kind == "box":
+            prims.append(Box((x - a, y - b, z - h), (x + a, y + b, z + h), label))
+        elif kind == "sphere":
+            prims.append(Sphere((x, y, z), a, label))
+        else:
+            prims.append(VerticalCylinder((x, y), a, z - h, z + h, label))
+    if draw(st.booleans()):
+        prims.insert(draw(st.integers(0, len(prims))), HalfSpace(draw(st.floats(-2.5, 2.5)), draw(st.integers(1, 11))))
+    return Scene(tuple(prims))
+
+
+# the r = 0 axis and overhead, the theta = +-pi seam, the r edge, a far corner, the high z edge
+LATTICE_ANCHORS = [(0.0, 0.0, 0.0), (-4.0, 0.0, 0.0), (8.0, 0.0, -1.0), (-6.0, -6.0, 0.0), (2.0, 3.0, 3.0)]
+SMALL_CYLINDRICAL = GridSpec(CYLINDRICAL, (8, 12, 5), ((0.0, 8.0), (-math.pi, math.pi), (-2.0, 3.0)))
+SMALL_CUBOID = GridSpec(CUBOID, (8, 8, 5), ((-8.0, 8.0), (-8.0, 8.0), (-2.0, 3.0)))
 
 
 class TestRaySceneIntersect:
@@ -171,20 +242,192 @@ class TestAnalyticVoxelGt:
 
 
 class TestPassByPassVote:
-    """analytic_voxel_gt counts votes one probe pass at a time; the oracle
-    holds every probe label and votes once. The two agree bit for bit."""
+    """analytic_voxel_gt gives the supersample^3 vote, counted pass by pass,
+    only to the cells whose box touches a bounded primitive's bounds or
+    straddles a half-space's plane, and gives every other cell its center's
+    label; the oracle probes every voxel at every offset and votes once.
+    The two agree bit for bit."""
 
-    @pytest.mark.parametrize("which", ["street", "demo07"])
+    @pytest.mark.parametrize("which", ["street", "demo07", "representation"])
     def test_default_lattice(self, cyl_spec, street_scene, which):
-        scene = street_scene if which == "street" else DEMO07_SCENE
+        scene = scene_named(which, street_scene)
         got = analytic_voxel_gt(scene, cyl_spec, 3)
         np.testing.assert_array_equal(got.data, analytic_voxel_gt_all_probes(scene, cyl_spec, 3).data)
+
+    def test_cli_cuboid_lattice(self):
+        scene = REPRESENTATION_SCENE
+        got = analytic_voxel_gt(scene, CLI_CUBOID_SPEC, 3)
+        np.testing.assert_array_equal(got.data, analytic_voxel_gt_all_probes(scene, CLI_CUBOID_SPEC, 3).data)
 
     def test_more_votes_than_uint8_holds(self, street_scene):
         # 7^3 = 343 probes per voxel; the z bin the ground cuts takes 294 road votes
         spec = GridSpec(CYLINDRICAL, (24, 32, 8), ((0.0, 12.0), (-math.pi, math.pi), (-2.8, 3.6)))
         got = analytic_voxel_gt(street_scene, spec, 7)
         np.testing.assert_array_equal(got.data, analytic_voxel_gt_all_probes(street_scene, spec, 7).data)
+
+    @pytest.mark.parametrize("supersample", [1, 2, 7, 16])
+    @pytest.mark.parametrize("which", ["street", "demo07"])
+    def test_supersample(self, street_scene, which, supersample):
+        scene = scene_named(which, street_scene)
+        spec = GridSpec(CYLINDRICAL, (12, 16, 6), ((0.0, 12.0), (-math.pi, math.pi), (-2.8, 3.6)))
+        got = analytic_voxel_gt(scene, spec, supersample)
+        np.testing.assert_array_equal(got.data, analytic_voxel_gt_all_probes(scene, spec, supersample).data)
+
+    @settings(max_examples=100, deadline=None)
+    @given(scene=scenes(LATTICE_ANCHORS), spec=st.sampled_from([SMALL_CYLINDRICAL, SMALL_CUBOID]),
+           supersample=st.integers(1, 4))
+    def test_drawn_scenes(self, scene, spec, supersample):
+        got = analytic_voxel_gt(scene, spec, supersample)
+        np.testing.assert_array_equal(got.data, analytic_voxel_gt_all_probes(scene, spec, supersample).data)
+
+    @pytest.mark.parametrize("supersample", [1, 2, 3, 4])
+    @pytest.mark.parametrize("frac", [0.0, 0.2, 0.25, 0.5, 0.6, 0.75, 0.9])
+    def test_half_space_plane_in_a_layer(self, frac, supersample):
+        # z = frac cuts the small lattice's layer [0, 1) there; an even supersample can split its
+        # probes evenly, and then the tie goes to free while the center may lie below the plane
+        scene = Scene((HalfSpace(frac, 1), Sphere((2.0, 0.0, 0.5), 1.0, 6)))
+        spec = SMALL_CYLINDRICAL
+        got = analytic_voxel_gt(scene, spec, supersample)
+        np.testing.assert_array_equal(got.data, analytic_voxel_gt_all_probes(scene, spec, supersample).data)
+
+    def test_flags_only_the_boundary(self, cyl_spec, street_scene):
+        # about 6% of the default lattice holds a surface of the street scene
+        assert len(synth._boundary_cells(street_scene, cyl_spec)) < 0.08 * cyl_spec.num_voxels
+
+
+class TestCulledRender:
+    """render_erp_depth renders in row blocks and intersects each bounded
+    primitive only with the pixels of its (lambda, phi) rectangle; the oracle
+    intersects every pixel with every primitive at once. The two agree bit
+    for bit."""
+
+    @staticmethod
+    def assert_matches_oracle(scene, width, height, pose=None):
+        depth, sem = render_erp_depth(scene, width, height, pose)
+        want_depth, want_sem = render_erp_depth_all_pixels(scene, width, height, pose)
+        np.testing.assert_array_equal(depth.data, want_depth.data)
+        np.testing.assert_array_equal(sem.data, want_sem.data)
+
+    def test_default_raster(self, street_scene):
+        self.assert_matches_oracle(street_scene, 2000, 1000)
+
+    @pytest.mark.parametrize("which", ["street", "demo07", "representation"])
+    def test_scenes(self, street_scene, which):
+        self.assert_matches_oracle(scene_named(which, street_scene), 1000, 500)
+
+    @pytest.mark.parametrize("k", [0, 1])
+    def test_online_frames_poses(self, k):
+        self.assert_matches_oracle(DEMO07_SCENE, 1000, 500, online_frames_poses()[k])
+
+    def test_pitch_and_roll(self):
+        self.assert_matches_oracle(DEMO07_SCENE, 1000, 500, pitch_roll_pose())
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), size=st.sampled_from([(1, 1), (2, 3), (7, 5), (64, 32), (97, 41)]),
+           block=st.integers(1, 500))
+    def test_drawn_scenes(self, data, size, block):
+        eye = np.array([data.draw(coords), data.draw(coords), data.draw(st.floats(-1.0, 2.0))])
+        rotation = data.draw(st.sampled_from(["identity", "yaw", "any"]))
+        if rotation == "identity":
+            pose = RigidTransform(np.eye(3), eye)
+        elif rotation == "yaw":
+            pose = RigidTransform(rot_z(data.draw(st.floats(-math.pi, math.pi))), eye)
+        else:
+            pose = RigidTransform(random_rotation(np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))), eye)
+        # the eye itself, straight above it, and across the lambda = +-pi seam behind it
+        scene = data.draw(scenes([tuple(eye), tuple(eye + (0.0, 0.0, 3.0)), tuple(eye - pose.rotation[:, 0] * 4.0)]))
+        # a pixel budget of `block` gives row blocks down to one row
+        with mock.patch.object(synth, "_RENDER_BLOCK_PIXELS", block):
+            self.assert_matches_oracle(scene, *size, pose)
+
+    @pytest.mark.parametrize("size", [(2000, 1000), (1000, 500), (97, 41), (1, 7)])
+    def test_row_block_directions(self, size):
+        width, height = size
+        grid = erp_direction_grid(width, height)
+        rows = max(1, synth._RENDER_BLOCK_PIXELS // width)
+        for b0 in range(0, height, rows):
+            b1 = min(b0 + rows, height)
+            np.testing.assert_array_equal(synth._erp_rows(width, height, b0, b1), grid[b0:b1])
+
+    def test_small_primitive_gets_few_pixels(self):
+        # a 1 m sphere 5 m away spans about 0.4 rad: a few percent of the sphere of view
+        rects = synth._pixel_rects(Sphere((5.0, 0.0, 0.0), 1.0, 6), RigidTransform.identity(), 2000, 1000)
+        assert sum((v1 - v0) * (u1 - u0) for v0, v1, u0, u1 in rects) < 0.02 * 2000 * 1000
+
+    @pytest.mark.parametrize("prim", [Sphere((0.3, -0.2, 0.1), 1.0, 6), Box((-0.1, -0.1, -0.1), (0.1, 0.1, 5.0), 4),
+                                      VerticalCylinder((0.0, 0.0), 0.5, 0.0, 2.0, 9)],
+                             ids=["sphere", "box", "cylinder-base-at-eye"])
+    def test_bounds_around_the_eye_get_every_pixel(self, prim):
+        assert synth._pixel_rects(prim, RigidTransform.identity(), 64, 32) == [(0, 32, 0, 64)]
+
+    def test_seam_splits_the_rectangle(self):
+        rects = synth._pixel_rects(Sphere((-5.0, 0.0, 0.0), 1.0, 6), RigidTransform.identity(), 2000, 1000)
+        # the bounds' near corners (-4, +-1) lie atan(1 / 4) = 0.245 rad either side of
+        # lambda = pi: 78 pixel columns at each raster edge, and 2 more of margin
+        assert sorted((u0, u1) for _, _, u0, u1 in rects) == [(0, 80), (1920, 2000)]
+
+    @pytest.mark.parametrize("size", [(100_000, 100_000), (synth._MAX_PIXELS + 1, 1)])
+    def test_oversized_raster_rejected(self, size):
+        with pytest.raises(DomainError, match="pixel cap"):
+            render_erp_depth(Scene((HalfSpace(0.0, 1),)), *size)
+
+
+class TestConservativeBounds:
+    """Every point a primitive contains lies in its bounds(), and every probe
+    of a cell lies in the cell's box: the culling never drops a point that
+    could change a label or a hit."""
+
+    unit = st.floats(-1.01, 1.01)
+    points = st.lists(st.tuples(unit, unit, unit), min_size=1, max_size=32)
+    centers = st.tuples(*[st.floats(-1e4, 1e4)] * 3)
+    sizes = st.floats(1e-3, 1e3)
+
+    @staticmethod
+    def assert_contained_inside(prim, center, extent, fractions):
+        pts = np.asarray(center) + np.asarray(fractions) * np.asarray(extent)
+        lo, hi = prim.bounds()
+        inside = pts[prim.contains(pts)]
+        assert np.all((inside >= lo) & (inside <= hi))
+
+    @settings(max_examples=200, deadline=None)
+    @given(center=centers, a=sizes, b=sizes, h=sizes, fractions=points)
+    def test_box(self, center, a, b, h, fractions):
+        x, y, z = center
+        box = Box((x - a, y - b, z - h), (x + a, y + b, z + h), 4)
+        self.assert_contained_inside(box, center, (a, b, h), fractions)
+
+    @settings(max_examples=200, deadline=None)
+    @given(center=centers, r=sizes, fractions=points)
+    def test_sphere(self, center, r, fractions):
+        self.assert_contained_inside(Sphere(center, r, 6), center, (r, r, r), fractions)
+
+    @settings(max_examples=200, deadline=None)
+    @given(center=centers, r=sizes, h=sizes, fractions=points)
+    def test_cylinder(self, center, r, h, fractions):
+        x, y, z = center
+        cyl = VerticalCylinder((x, y), r, z - h, z + h, 9)
+        self.assert_contained_inside(cyl, center, (r, r, h), fractions)
+
+    @pytest.mark.parametrize("spec", [
+        GridSpec(CYLINDRICAL, (4, 1, 2), ((0.0, 5.0), (-math.pi, math.pi), (-1.0, 1.0))),
+        GridSpec(CYLINDRICAL, (4, 2, 2), ((0.0, 5.0), (-math.pi, math.pi), (-1.0, 1.0))),
+        GridSpec(CYLINDRICAL, (4, 3, 2), ((0.0, 5.0), (-math.pi, math.pi), (-1.0, 1.0))),
+        GridSpec(CYLINDRICAL, (128, 200, 16), ((0.0, 25.6), (-math.pi, math.pi), (-2.8, 3.6))),
+        GridSpec(CYLINDRICAL, (3, 2000, 2), ((1e5, 1e5 + 3.0), (-math.pi, math.pi), (-1e5, 1e5))),
+        CLI_CUBOID_SPEC,
+    ], ids=["cyl-1-sector", "cyl-2-sectors", "cyl-3-sectors", "cyl-default", "cyl-large-r", "cuboid"])
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), fractions=st.lists(st.tuples(*[st.floats(0.0, 1.0, exclude_max=True)] * 3), min_size=1,
+                                              max_size=32))
+    def test_cell_probes_inside_cell_box(self, spec, data, fractions):
+        # r0 = 0 cells are the first radial index of every spec but the large-r one
+        i = np.array([data.draw(st.integers(0, d - 1)) for d in spec.dims])
+        native = np.stack([spec.axis_value(i[k] + np.asarray(fractions)[:, k], k) for k in range(3)], axis=1)
+        pts = spec.to_cartesian(native)
+        (xy_lo, xy_hi), (z_lo, z_hi) = synth._cell_boxes(spec)
+        column = i[0] * spec.dims[1] + i[1]
+        assert np.all((pts[:, :2] >= xy_lo[column]) & (pts[:, :2] <= xy_hi[column]))
+        assert np.all((pts[:, 2] >= z_lo[i[2]]) & (pts[:, 2] <= z_hi[i[2]]))
 
 
 class TestNonFinitePrimitives:
