@@ -6,7 +6,10 @@ where the ray crosses a lattice surface (r cylinders, azimuth planes and z
 planes for cylindrical grids; axis planes for cuboid grids), sorts them,
 and classifies the intervals by their midpoints in order up to the first
 occupied one, so cells are visited in true geometric order and hits report
-the entry distance into the first occupied cell.
+the entry distance into the first occupied cell. Crossings and cells depend
+only on the rays and the spec, so a cast into several grids on one spec
+computes them once per ray and reads each grid's labels at those cells:
+ray_iou casts gt and pred in one pass.
 
 RayIoU scores a prediction against ground truth per class: a ray whose
 ground-truth hit has class c counts as TP_c when the prediction hits class
@@ -166,6 +169,71 @@ def _grid_max_distance(spec: GridSpec, origins: np.ndarray) -> float:
     return diag + extra + 1.0
 
 
+def _cast_grids(rays: Rays, grids: list[VoxelGrid]) -> list[BatchHits]:
+    """Exact first-hit casts of one ray batch into label grids on one spec.
+
+    The geometry depends only on the rays and the spec, so each ray's
+    crossings are sorted, and each interval's midpoint binned to a cell, once
+    for all grids; each grid then reads its own labels at those cells, keeps
+    its own first hit and retires the ray on its own. Every grid's result
+    equals a cast into that grid alone, bit for bit.
+    """
+    if any(g.spec != grids[0].spec for g in grids):
+        raise ShapeError("grids cast together must share a spec")
+    if any(g.kind != "label" for g in grids):
+        raise DomainError("ray casting needs label grids")
+    if not grids:
+        return []
+    spec = grids[0].spec
+    max_dist = _grid_max_distance(spec, rays.origins)
+    # the r-shell discriminant reaches about 8 * max_dist**2
+    if not math.isfinite(8.0 * max_dist * max_dist):
+        raise DomainError("ray origins lie too far from the grid: the squared ray length overflows")
+    n = len(rays)
+    # flat index -1 (outside the grid) reads the free class appended to each payload
+    labels = np.stack([np.append(g.data.reshape(-1), 0) for g in grids])
+    distance = np.empty((len(grids), n))
+    voxel = np.empty((len(grids), n), dtype=np.int64)
+    for s in range(0, n, _CHUNK):
+        # a ray starting inside an occupied cell (per the point convention, which
+        # also settles origins sitting exactly on a lattice plane) hits at t = 0;
+        # every other ray misses until a hit is found
+        cell0 = spec.point_to_flat(rays.origins[s : s + _CHUNK])
+        start = labels[:, cell0] != 0  # (grids, rays)
+        distance[:, s : s + _CHUNK] = np.where(start, 0.0, np.inf)
+        voxel[:, s : s + _CHUNK] = np.where(start, cell0, -1)
+        # rays starting occupied in every grid never become active
+        ray = s + np.flatnonzero(~start.all(axis=0))
+        if not ray.size:
+            continue
+        o, d = rays.origins[ray], rays.directions[ray]
+        ts = _sorted_crossings(spec, o, d, max_dist)
+        live = np.argmax(ts == max_dist, axis=1)  # intervals before the padding
+        ts = ts[:, : live.max() + 1]
+        act = ~start[:, ray - s]  # (grids, rays): still looking for a hit
+        active = np.arange(len(ray))
+        for j in range(0, ts.shape[1] - 1, _BLOCK):
+            if not active.size:
+                break
+            block = ts[active, j : j + _BLOCK + 1]
+            mids = 0.5 * (block[:, :-1] + block[:, 1:])
+            pos = o[active, None, :] + mids[..., None] * d[active, None, :]
+            cells = spec.point_to_flat(pos.reshape(-1, 3)).reshape(len(active), -1)
+            long = np.diff(block, axis=1) > _MIN_SEGMENT
+            for g, lab in enumerate(labels):
+                occupied = (lab[cells] != 0) & long
+                hit = occupied.any(axis=1) & act[g, active]
+                rows = np.flatnonzero(hit)
+                first = occupied[rows].argmax(axis=1)
+                distance[g, ray[active[rows]]] = block[rows, first]
+                voxel[g, ray[active[rows]]] = cells[rows, first]
+                act[g, active[rows]] = False
+            # past its first max_dist column a ray holds only zero-length padding
+            act[:, active[live[active] <= j + cells.shape[1]]] = False
+            active = active[act[:, active].any(axis=0)]
+    return [BatchHits(distance[g], lab[voxel[g]].astype(np.int64), voxel[g]) for g, lab in enumerate(labels)]
+
+
 def cast_rays(rays: Rays, grid: VoxelGrid) -> BatchHits:
     """Exact first-hit cast of a ray batch into a label grid.
 
@@ -174,47 +242,12 @@ def cast_rays(rays: Rays, grid: VoxelGrid) -> BatchHits:
     midpoint in blocks of _BLOCK columns over the rays still active; a ray
     retires at its first occupied interval, or at the block that reaches its
     first max_dist column, after which only zero-length padding remains. A
-    ray starting in an occupied cell never becomes active.
+    ray starting in an occupied cell never becomes active, and its crossings
+    are never computed. ray_iou casts gt and pred together through the same
+    kernel, which computes the crossings and cells once per ray and reads
+    the labels per grid.
     """
-    if grid.kind != "label":
-        raise DomainError("ray casting needs a label grid")
-    max_dist = _grid_max_distance(grid.spec, rays.origins)
-    # the r-shell discriminant reaches about 8 * max_dist**2
-    if not math.isfinite(8.0 * max_dist * max_dist):
-        raise DomainError("ray origins lie too far from the grid: the squared ray length overflows")
-    n = len(rays)
-    # flat index -1 (outside the grid) reads the free class appended to the payload
-    labels = np.append(grid.data.reshape(-1), 0)
-    distance = np.full(n, np.inf)
-    voxel = np.full(n, -1, dtype=np.int64)
-    for s in range(0, n, _CHUNK):
-        o = rays.origins[s : s + _CHUNK]
-        d = rays.directions[s : s + _CHUNK]
-        # a ray starting inside an occupied cell (per the point convention, which
-        # also settles origins sitting exactly on a lattice plane) hits at t = 0
-        cell0 = grid.spec.point_to_flat(o)
-        start = labels[cell0] != 0
-        distance[s : s + _CHUNK][start] = 0.0
-        voxel[s : s + _CHUNK][start] = cell0[start]
-        ts = _sorted_crossings(grid.spec, o, d, max_dist)
-        live = np.argmax(ts == max_dist, axis=1)  # intervals before the padding
-        ts = ts[:, : live.max() + 1]
-        active = np.flatnonzero(~start)
-        for j in range(0, ts.shape[1] - 1, _BLOCK):
-            if not active.size:
-                break
-            block = ts[active, j : j + _BLOCK + 1]
-            mids = 0.5 * (block[:, :-1] + block[:, 1:])
-            pos = o[active, None, :] + mids[..., None] * d[active, None, :]
-            cells = grid.spec.point_to_flat(pos.reshape(-1, 3)).reshape(len(active), -1)
-            occupied = (labels[cells] != 0) & (np.diff(block, axis=1) > _MIN_SEGMENT)
-            hit = occupied.any(axis=1)
-            rows = np.flatnonzero(hit)
-            first = occupied[rows].argmax(axis=1)
-            distance[s + active[rows]] = block[rows, first]
-            voxel[s + active[rows]] = cells[rows, first]
-            active = active[~hit & (live[active] > j + cells.shape[1])]
-    return BatchHits(distance, labels[voxel].astype(np.int64), voxel)
+    return _cast_grids(rays, [grid])[0]
 
 
 @dataclass
@@ -315,18 +348,13 @@ def ray_iou(
     rays whose ground-truth hit distance d satisfies lo <= d < hi. Rays
     without a ground-truth hit belong to no band.
     """
-    if pred.spec != gt.spec:
-        raise ShapeError("pred and gt grids must share a spec")
-    if pred.kind != "label" or gt.kind != "label":
-        raise DomainError("RayIoU needs label grids")
     # comparisons written so that NaN fails them
     if not all(tau >= 0 for tau in thresholds):
         raise DomainError("distance thresholds must be non-negative")
     if bands and not all(lo < hi for lo, hi in bands):
         raise DomainError("each band needs lo < hi")
     names = default_label_set().names
-    gt_hits = cast_rays(rays, gt)
-    pred_hits = cast_rays(rays, pred)
+    gt_hits, pred_hits = _cast_grids(rays, [gt, pred])
     all_rays = np.ones(len(rays), dtype=bool)
     config = {
         "thresholds": list(thresholds),

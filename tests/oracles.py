@@ -1,13 +1,16 @@
 """Test-only oracles and fixtures, written against cylocc's public API.
 
-The all-intervals caster is the exact reference for cast_rays' block-wise
-early exit and the fixed-step marcher the brute-force one. The synth
-oracle has two: analytic_voxel_gt_all_probes, which probes every voxel
-supersample^3 times and votes once, for analytic_voxel_gt's boundary-only
-vote, and render_erp_depth_all_pixels, Scene.first_hit over every pixel of
+The all-intervals caster, which casts one grid at a time, is the exact
+reference for the block-wise early exit of cast_rays and of the shared
+pass in which ray_iou casts gt and pred together, computing crossings
+and cells once per ray and reading labels per grid; the fixed-step
+marcher is the brute-force one. The synth oracle has two:
+analytic_voxel_gt_all_probes, which probes every voxel supersample^3
+times and votes once, for analytic_voxel_gt's boundary-only vote, and
+render_erp_depth_all_pixels, Scene.first_hit over every pixel of
 erp_direction_grid at once, for render_erp_depth's culled, row-blocked
-render. The JSON writers produce the documents the loaders read back. The
-rest are inputs the tests share but the library never needs.
+render. The JSON writers produce the documents the loaders read back.
+The rest are inputs the tests share but the library never needs.
 """
 
 import json

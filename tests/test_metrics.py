@@ -3,10 +3,11 @@
 The parametric caster is validated four ways: closed-form shell-crossing
 cases, bit-for-bit agreement with the all-intervals caster it replaced
 (its early exit must change no output), a fine (1 mm) fixed-step marcher
-on arbitrary rays, and the standard 0.01 m marcher on evaluation-fan rays
-(the full 10k-ray runs live in the acceptance suite). RayIoU confusion
-logic is pinned by a hand-computed two-ray table on a grid whose cell
-edges make the distances exact.
+on arbitrary rays, and the standard 0.01 m marcher on evaluation-fan
+rays (the full 10k-ray runs live in the acceptance suite). The shared
+pass that casts several grids at once must give each grid its own cast's
+hits bit for bit. RayIoU confusion logic is pinned by a hand-computed
+two-ray table on a grid whose cell edges make the distances exact.
 """
 
 import math
@@ -17,14 +18,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cylocc import metrics
 from cylocc.errors import DomainError, ShapeError
 from cylocc.formats import decode_voxel_grid, encode_voxel_grid
 from cylocc.geom import FisheyeCamera
-from cylocc.grid import CUBOID, GridSpec, VoxelGrid, default_cylindrical_spec
+from cylocc.grid import CUBOID, GridSpec, VoxelGrid, default_cylindrical_spec, default_label_set
 from cylocc.metrics import (
     _MIN_SEGMENT,
     Rays,
+    _cast_grids,
     _grid_max_distance,
+    _report_from_hits,
     cast_rays,
     default_ray_fan,
     generate_rays,
@@ -71,6 +75,21 @@ def random_label_grid(spec, rng, density=0.03, free_inner_r_bins=0):
         occ[:free_inner_r_bins] = False
     g.data[occ] = rng.randint(1, 12, size=int(occ.sum()))
     return g
+
+
+def perturbed(grid, seed):
+    """A prediction-like copy of a label grid: 20% of voxels cleared, 1% relabelled."""
+    rng = np.random.RandomState(seed)
+    data = grid.data.copy()
+    data[rng.rand(*data.shape) < 0.2] = 0
+    flip = rng.rand(*data.shape) < 0.01
+    data[flip] = rng.randint(0, 12, size=int(flip.sum()))
+    return VoxelGrid(grid.spec, "label", data)
+
+
+@pytest.fixture(scope="module")
+def street_gt(street_scene, cyl_spec):
+    return analytic_voxel_gt(street_scene, cyl_spec, 3)
 
 
 class TestGenerateRays:
@@ -236,10 +255,6 @@ class TestEarlyExitExactness:
     the length cast_rays derives, and stay put at twice that length, since
     the derived length already reaches the grid exit."""
 
-    @pytest.fixture(scope="class")
-    def street_gt(self, street_scene, cyl_spec):
-        return analytic_voxel_gt(street_scene, cyl_spec, 3)
-
     def test_default_fan_into_street_gt(self, street_gt):
         fan = default_ray_fan()
         a = cast_rays(fan, street_gt)
@@ -247,12 +262,7 @@ class TestEarlyExitExactness:
         assert_same_hits(a, cast_all_intervals(fan, street_gt, _grid_max_distance(street_gt.spec, fan.origins)))
 
     def test_default_fan_into_perturbed_street_gt(self, street_gt):
-        rng = np.random.RandomState(8)
-        data = street_gt.data.copy()
-        data[rng.rand(*data.shape) < 0.2] = 0
-        flip = rng.rand(*data.shape) < 0.01
-        data[flip] = rng.randint(0, 12, size=int(flip.sum()))
-        pred = VoxelGrid(street_gt.spec, "label", data)
+        pred = perturbed(street_gt, 8)
         fan = default_ray_fan()
         assert_same_hits(cast_rays(fan, pred), cast_all_intervals(fan, pred, _grid_max_distance(pred.spec, fan.origins)))
 
@@ -277,6 +287,113 @@ class TestEarlyExitExactness:
         length = _grid_max_distance(grid.spec, rays.origins)
         assert_same_hits(hits, cast_all_intervals(rays, grid, length))
         assert_same_hits(hits, cast_all_intervals(rays, grid, 2.0 * length))
+
+
+@cache
+def drawn_grid_pairs():
+    """Each drawn grid with a second grid on its spec that keeps about half of
+    its occupied voxels and adds its own, so drawn origins start occupied in
+    one grid or in both."""
+    rng = np.random.RandomState(22)
+    pairs = {}
+    for kind, grid in drawn_grids().items():
+        data = grid.data.copy()
+        data[rng.rand(*data.shape) < 0.5] = 0
+        extra = random_label_grid(grid.spec, rng, 0.03).data
+        pairs[kind] = (grid, VoxelGrid(grid.spec, "label", np.where(data != 0, data, extra)))
+    return pairs
+
+
+class TestSharedCast:
+    """_cast_grids sorts each ray's crossings and bins its intervals once for
+    every grid; each grid's hits must equal its own cast_rays call and the
+    all-intervals caster bit for bit."""
+
+    def assert_matches_own_casts(self, rays, grids):
+        shared = _cast_grids(rays, grids)
+        assert len(shared) == len(grids)
+        length = _grid_max_distance(grids[0].spec, rays.origins)
+        for hits, grid in zip(shared, grids):
+            assert_same_hits(hits, cast_rays(rays, grid))
+            assert_same_hits(hits, cast_all_intervals(rays, grid, length))
+        return shared
+
+    def test_default_fan_into_street_gt_and_predictions(self, street_gt):
+        grids = [street_gt, perturbed(street_gt, 8), perturbed(street_gt, 9)]
+        shared = self.assert_matches_own_casts(default_ray_fan(), grids)
+        # the grids disagree, so each must be read on its own
+        assert not np.array_equal(shared[0].voxel, shared[1].voxel)
+        assert not np.array_equal(shared[1].voxel, shared[2].voxel)
+
+    @pytest.mark.parametrize("coord", ["cylindrical", "cuboid"])
+    def test_all_free_next_to_occupied(self, coord, cyl_spec):
+        spec = cyl_spec if coord == "cylindrical" else default_cuboid_spec()
+        rng = np.random.RandomState(41)
+        occupied = random_label_grid(spec, rng, 0.03)
+        n = 3000
+        o = np.stack([rng.uniform(-15, 15, n), rng.uniform(-15, 15, n), rng.uniform(-2, 3, n)], axis=1)
+        d = rng.normal(size=(n, 3))
+        rays = Rays(o, d / np.linalg.norm(d, axis=1, keepdims=True))
+        free_hits, occ_hits = self.assert_matches_own_casts(rays, [VoxelGrid.zeros(spec, "label"), occupied])
+        assert not free_hits.hit.any()
+        assert occ_hits.hit.any() and not occ_hits.hit.all()
+
+    def test_start_occupied_in_one_grid_or_both(self, cyl_spec, monkeypatch):
+        a, b = VoxelGrid.zeros(cyl_spec, "label"), VoxelGrid.zeros(cyl_spec, "label")
+        both, only_a, neither = [3.0, 1.0, 0.3], [-4.0, 2.0, 0.3], [0.0, -5.0, 0.3]
+        for p in (both, only_a):
+            a.data.reshape(-1)[cyl_spec.point_to_flat([p])] = 5
+        b.data.reshape(-1)[cyl_spec.point_to_flat([both])] = 6
+        b.data[:, :, 0] = 1  # the bottom z layer, hit by every downward ray
+        a.data[:, :, 1] = 2
+        rays = Rays(np.array([both, only_a, neither]), np.tile([0.0, 0.0, -1.0], (3, 1)))
+        sorted_rows = []
+        crossings = metrics._sorted_crossings
+
+        def recording(spec, o, d, max_dist):
+            sorted_rows.append(len(o))
+            return crossings(spec, o, d, max_dist)
+
+        monkeypatch.setattr(metrics, "_sorted_crossings", recording)
+        ha, hb = self.assert_matches_own_casts(rays, [a, b])
+        # the ray starting occupied in both grids never has its crossings sorted
+        assert sorted_rows[0] == 2
+        np.testing.assert_array_equal(ha.distance[:2], [0.0, 0.0])
+        np.testing.assert_array_equal(ha.label, [5, 5, 2])
+        np.testing.assert_array_equal(hb.distance[0], 0.0)
+        np.testing.assert_array_equal(hb.label, [6, 1, 1])
+        assert hb.distance[1] > 0.0
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=ray_cases())
+    def test_drawn_rays(self, case):
+        rays, grid = case
+        kind = "cuboid" if grid.spec.coord_sys == CUBOID else "cylindrical"
+        self.assert_matches_own_casts(rays, list(drawn_grid_pairs()[kind]))
+
+    def test_ray_iou_matches_separate_casts(self, street_gt):
+        pred, fan = perturbed(street_gt, 8), default_ray_fan()
+        thresholds, bands = (1.0, 2.0, 4.0), [(0.0, 8.5), (8.5, 17.0), (17.0, 25.6)]
+        gt_hits, pred_hits = cast_rays(fan, street_gt), cast_rays(fan, pred)
+        names = default_label_set().names
+        config = {"thresholds": list(thresholds), "num_rays": len(fan), "bands": [list(b) for b in bands]}
+        expected = _report_from_hits(gt_hits, pred_hits, thresholds, names, np.ones(len(fan), dtype=bool), config)
+        for lo, hi in bands:
+            mask = gt_hits.hit & (gt_hits.distance >= lo) & (gt_hits.distance < hi)
+            expected.bands[(lo, hi)] = _report_from_hits(
+                gt_hits, pred_hits, thresholds, names, mask, {"band": [lo, hi]})
+        doc = ray_iou(pred, street_gt, fan, thresholds, bands=bands).to_dict()
+        assert set(doc["bands"]) == {"0.0:8.5", "8.5:17.0", "17.0:25.6"}
+        assert doc == expected.to_dict()
+
+    def test_input_checks(self, cyl_spec):
+        rays = generate_rays(4, 1, (-0.1, 0.1))
+        label = VoxelGrid.zeros(cyl_spec, "label")
+        with pytest.raises(ShapeError):
+            _cast_grids(rays, [label, VoxelGrid.zeros(default_cuboid_spec(), "label")])
+        with pytest.raises(DomainError):
+            _cast_grids(rays, [label, VoxelGrid.zeros(cyl_spec, "occupancy")])
+        assert _cast_grids(rays, []) == []
 
 
 class TestCasterExactness:
