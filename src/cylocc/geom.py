@@ -13,6 +13,11 @@ Conventions used throughout the package:
 * Fisheye cameras use the equidistant model rho = focal * theta, where
   theta is the incidence angle against the optical axis (+z in the camera
   frame) and rho the radial pixel distance from the principal point.
+* The depth lift streams the raster in fixed row blocks and takes cos and
+  sin once per column and once per row, not per pixel; each coordinate
+  keeps the per-pixel form (cos phi * cos lambda) * depth. Its clouds are
+  bit-identical to the per-pixel oracle erp_lift_per_pixel in
+  tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -26,6 +31,8 @@ from .errors import DomainError, ShapeError, require_finite
 
 # Label value for points lifted from a depth raster without semantics.
 UNLABELED = 255
+
+_LIFT_BLOCK = 1 << 14  # about this many raster pixels per row block of the depth lift
 
 
 def _as_points(p) -> np.ndarray:
@@ -164,6 +171,11 @@ class LabeledPointCloud:
         return LabeledPointCloud(np.zeros((0, 3)), np.zeros(0, dtype=np.uint8))
 
 
+def _erp_angles(u, v, width: int, height: int):
+    """Longitude and latitude (lambda, phi) of ERP pixel centers at float64 u and v."""
+    return (u + 0.5) / width * (2.0 * math.pi) - math.pi, 0.5 * math.pi - (v + 0.5) / height * math.pi
+
+
 def erp_pixel_to_direction(u, v, width: int, height: int) -> np.ndarray:
     """Unit ego-frame direction of ERP pixel(s) (u, v), pixel-center convention.
 
@@ -173,8 +185,7 @@ def erp_pixel_to_direction(u, v, width: int, height: int) -> np.ndarray:
     v = np.asarray(v, dtype=np.float64)
     if np.any(u < 0) or np.any(u >= width) or np.any(v < 0) or np.any(v >= height):
         raise DomainError("pixel coordinates outside the raster")
-    lam = (u + 0.5) / width * (2.0 * math.pi) - math.pi
-    phi = 0.5 * math.pi - (v + 0.5) / height * math.pi
+    lam, phi = _erp_angles(u, v, width, height)
     cp = np.cos(phi)
     return np.stack([cp * np.cos(lam), cp * np.sin(lam), np.sin(phi)], axis=-1)
 
@@ -199,15 +210,28 @@ def erp_depth_to_point_cloud(
 
     d = depth.data[::stride, ::stride]
     valid = d > 0
-    if not np.any(valid):
-        return LabeledPointCloud.empty()
-    vv, uu = np.nonzero(valid)
-    dirs = erp_pixel_to_direction(uu * stride, vv * stride, depth.width, depth.height)
-    pts = dirs * d[vv, uu].astype(np.float64)[:, None]
-    if semantic is None:
-        labels = np.full(len(pts), UNLABELED, dtype=np.uint8)
-    else:
-        labels = semantic.data[::stride, ::stride][vv, uu].astype(np.uint8)
+    # trig once per column and per row; each coordinate keeps the per-pixel
+    # form (cos phi * cos lambda) * depth, operands and order unchanged
+    lam, phi = _erp_angles(np.arange(0, depth.width, stride, dtype=np.float64),
+                           np.arange(0, depth.height, stride, dtype=np.float64), depth.width, depth.height)
+    cos_lam, sin_lam, cos_phi, sin_phi = np.cos(lam), np.sin(lam), np.cos(phi), np.sin(phi)
+    sem = None if semantic is None else semantic.data[::stride, ::stride]
+    pts = np.empty((np.count_nonzero(valid), 3))
+    labels = np.full(len(pts), UNLABELED, dtype=np.uint8)
+    rows = max(1, _LIFT_BLOCK // d.shape[1])
+    end = 0
+    for v0 in range(0, d.shape[0], rows):
+        vv, uu = np.nonzero(valid[v0 : v0 + rows])
+        start, end = end, end + len(vv)
+        r = d[v0 : v0 + rows][vv, uu].astype(np.float64)
+        vv += v0
+        cp = cos_phi[vv]
+        out = pts[start:end]
+        np.multiply(np.multiply(cp, cos_lam[uu]), r, out=out[:, 0])
+        np.multiply(np.multiply(cp, sin_lam[uu]), r, out=out[:, 1])
+        np.multiply(sin_phi[vv], r, out=out[:, 2])
+        if sem is not None:
+            labels[start:end] = sem[vv, uu].astype(np.uint8)
     return LabeledPointCloud(pts, labels)
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -27,6 +28,7 @@ CYLINDRICAL = "cylindrical"
 CUBOID = "cuboid"
 
 _EDGE_GUARD = 1e-9  # bin-relative tolerance at bin edges
+_BIN_BLOCK = 1 << 14  # points binned per block by point_to_flat
 
 
 @dataclass(frozen=True)
@@ -89,22 +91,25 @@ class GridSpec:
 
         For cylindrical grids theta wraps (theta = pi maps to bin 0) while r
         and z fall outside beyond their ranges; the r = 0 axis uses
-        atan2(0, 0) = 0.
+        atan2(0, 0) = 0. Points are binned in fixed blocks of rows, so the
+        temporaries stay cache-sized whatever N is.
         """
-        native = self.to_native(_as_points(p))
-        flat = np.zeros(len(native), dtype=np.int64)
-        # one axis at a time keeps a single axis's temporaries alive
-        for k, d in enumerate(self.dims):
-            # fractions beyond int64 (points past ~1e18 m) cast to garbage on rows in_range sends to -1
-            with np.errstate(invalid="ignore"):
-                q = np.floor(self.axis_fraction(native[:, k], k) + _EDGE_GUARD).astype(np.int64)
-            if self.coord_sys == CYLINDRICAL and k == 1:
-                np.mod(q, d, out=q)
-            else:
-                np.clip(q, 0, d - 1, out=q)
-            flat *= d
-            flat += q
-        flat[~self.in_range(native)] = -1
+        pts = _as_points(p)
+        flat = np.zeros(len(pts), dtype=np.int64)
+        for s in range(0, len(pts), _BIN_BLOCK):
+            native = self.to_native(pts[s : s + _BIN_BLOCK])
+            out = flat[s : s + _BIN_BLOCK]
+            for k, d in enumerate(self.dims):
+                # fractions beyond int64 (points past ~1e18 m) cast to garbage on rows in_range sends to -1
+                with np.errstate(invalid="ignore"):
+                    q = np.floor(self.axis_fraction(native[:, k], k) + _EDGE_GUARD).astype(np.int64)
+                if self.coord_sys == CYLINDRICAL and k == 1:
+                    np.mod(q, d, out=q)
+                else:
+                    np.clip(q, 0, d - 1, out=q)
+                out *= d
+                out += q
+            out[~self.in_range(native)] = -1
         return flat
 
     def index_to_center(self, flat) -> np.ndarray:
@@ -122,8 +127,18 @@ class GridSpec:
         return self.to_cartesian(np.stack([self.axis_value(i + 0.5, k) for k, i in enumerate(idx)], axis=1))
 
     def all_centers(self) -> np.ndarray:
-        """(D0*D1*D2, 3) Cartesian centers in flat index order."""
-        return self.index_to_center(np.arange(self.num_voxels))
+        """(D0*D1*D2, 3) Cartesian centers in flat index order.
+
+        Computed once per spec and shared by every call, so the array is
+        read-only; a caller that needs to write takes a copy.
+        """
+        return self._centers
+
+    @cached_property
+    def _centers(self) -> np.ndarray:
+        centers = self.index_to_center(np.arange(self.num_voxels))
+        centers.flags.writeable = False
+        return centers
 
     def to_native(self, pts: np.ndarray) -> np.ndarray:
         """(N, 3) Cartesian points in the grid's native axes: (r, theta, z) or (x, y, z)."""

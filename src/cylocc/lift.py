@@ -15,6 +15,14 @@ interpolated, so alignment cost scales with the history's non-zero support
 (the sketched candidates), not with the lattice.
 Fusion averages the current grid with the aligned histories, dividing by
 N + 1 with no renormalization for out-of-range zeros.
+
+The frame kernels stream in fixed row blocks, so their float64 temporaries
+stay cache-sized: alignment gathers and interpolates its supported rows a
+few thousand at a time, and fusion widens and accumulates one block of
+voxel rows at a time. The voxel centers alignment warps come from
+GridSpec.all_centers(), which is computed once per spec and read-only.
+Every output is bit-identical to the unblocked oracles in tests/oracles.py
+(dense_align_history, fuse_temporal_unblocked).
 """
 
 from __future__ import annotations
@@ -29,6 +37,8 @@ from .grid import CYLINDRICAL, GridSpec, VoxelGrid
 from .sketch import CandidateMask
 
 _SNAP = 1e-9  # fractional index snap, keeps lattice-aligned warps exact
+_ALIGN_BLOCK = 1 << 12  # supported rows gathered and interpolated per block
+_FUSE_BLOCK = 1 << 12  # voxel rows accumulated in float64 per block
 
 
 @dataclass
@@ -122,7 +132,7 @@ def bilinear_sample(image: FeatureImage, uv_norm: np.ndarray) -> np.ndarray:
     node range at the borders. The two-stage lerp form keeps constant rasters
     exactly constant.
     """
-    f = image.data.astype(np.float64)
+    f = image.data
     h, w = image.height, image.width
     x = np.clip(uv_norm[:, 0] * w - 0.5, 0.0, w - 1.0)
     y = np.clip(uv_norm[:, 1] * h - 0.5, 0.0, h - 1.0)
@@ -132,8 +142,10 @@ def bilinear_sample(image: FeatureImage, uv_norm: np.ndarray) -> np.ndarray:
     y1 = np.minimum(y0 + 1, h - 1)
     tx = (x - x0)[:, None]
     ty = (y - y0)[:, None]
-    top = f[y0, x0] + tx * (f[y0, x1] - f[y0, x0])
-    bot = f[y1, x0] + tx * (f[y1, x1] - f[y1, x0])
+    # gather the float32 corners, then widen: the raster itself stays float32
+    f00, f01, f10, f11 = (f[yi, xi].astype(np.float64) for yi, xi in ((y0, x0), (y0, x1), (y1, x0), (y1, x1)))
+    top = f00 + tx * (f01 - f00)
+    bot = f10 + tx * (f11 - f10)
     return top + ty * (bot - top)
 
 
@@ -224,33 +236,47 @@ def align_history(
     base = [np.floor(f).astype(np.int64) for f in frac]
     wrap_theta = spec.coord_sys == CYLINDRICAL
 
-    support = _stencil_support(np.any(hist.data.view(np.uint32) != 0, axis=3), wrap_theta)
+    support = _stencil_support(np.bitwise_or.reduce(hist.data.view(np.uint32), axis=3) != 0, wrap_theta)
     rows = np.flatnonzero(spec.in_range(native))
     b0, b1, b2 = (b[rows] for b in base)
     b1 = np.mod(b1, d1) if wrap_theta else b1 + 1
     rows = rows[support[b0 + 1, b1, b2 + 1]]
 
-    base = [b[rows] for b in base]
-    t0, t1, t2 = ((f[rows] - b)[:, None] for f, b in zip(frac, base))
     src = hist.data.reshape(-1, ch)
+    out = np.zeros((spec.num_voxels, ch), dtype=np.float32)
+    for s in range(0, len(rows), _ALIGN_BLOCK):
+        blk = rows[s : s + _ALIGN_BLOCK]
+        b = [a[blk] for a in base]
+        t = [(f[blk] - a)[:, None] for f, a in zip(frac, b)]
+        out[blk] = _trilinear(src, spec.dims, wrap_theta, b, t)
+    return VoxelGrid(spec, "feature", out.reshape(d0, d1, d2, ch))
+
+
+def _trilinear(src: np.ndarray, dims, wrap_theta: bool, base: list, t: list) -> np.ndarray:
+    """Float64 trilinear samples (M, C) of the (V, C) history rows src at
+    integer bases base[k] (M,) and fractions t[k] (M, 1) per axis k."""
+    _, d1, d2 = dims
+    # per axis, the indices of both stencil nodes and whether each is on the lattice
+    idx, on = [], []
+    for k, (b, d) in enumerate(zip(base, dims)):
+        nodes = (b, b + 1)
+        if k == 1 and wrap_theta:
+            nodes = tuple(np.mod(n, d) for n in nodes)
+        idx.append(nodes)
+        on.append(tuple((n >= 0) & (n < d) for n in nodes))
 
     def node(o0, o1, o2):
-        i0 = base[0] + o0
-        i1 = base[1] + o1
-        i2 = base[2] + o2
-        if wrap_theta:
-            i1 = np.mod(i1, d1)
-        ok = (i0 >= 0) & (i0 < d0) & (i1 >= 0) & (i1 < d1) & (i2 >= 0) & (i2 < d2)
-        vals = src[np.where(ok, (i0 * d1 + i1) * d2 + i2, 0)].astype(np.float64)
+        ok = on[0][o0] & on[1][o1] & on[2][o2]
+        flat = np.where(ok, (idx[0][o0] * d1 + idx[1][o1]) * d2 + idx[2][o2], 0)
+        vals = np.take(src, flat, axis=0).astype(np.float64)
         vals[~ok] = 0.0  # nodes past the r/z ends pad with zeros
         return vals
 
     # lerp along axis 2, then 1, then 0; constants stay exact
+    t0, t1, t2 = t
     c0 = _lerp(_lerp(node(0, 0, 0), node(0, 0, 1), t2), _lerp(node(0, 1, 0), node(0, 1, 1), t2), t1)
     c1 = _lerp(_lerp(node(1, 0, 0), node(1, 0, 1), t2), _lerp(node(1, 1, 0), node(1, 1, 1), t2), t1)
-    out = np.zeros((spec.num_voxels, ch), dtype=np.float32)
-    out[rows] = _lerp(c0, c1, t0)
-    return VoxelGrid(spec, "feature", out.reshape(d0, d1, d2, ch))
+    return _lerp(c0, c1, t0)
 
 
 def fuse_temporal(curr: VoxelGrid, aligned: list[VoxelGrid]) -> VoxelGrid:
@@ -260,8 +286,13 @@ def fuse_temporal(curr: VoxelGrid, aligned: list[VoxelGrid]) -> VoxelGrid:
     for g in aligned:
         if g.spec != curr.spec or g.kind != "feature" or g.channels != curr.channels:
             raise ShapeError("all grids must share spec, kind and channel count")
-    acc = curr.data.astype(np.float64)
-    for g in aligned:
-        acc += g.data
-    acc /= len(aligned) + 1
-    return VoxelGrid(curr.spec, "feature", acc.astype(np.float32))
+    ch = curr.channels
+    grids = [g.data.reshape(-1, ch) for g in [curr, *aligned]]
+    out = np.empty_like(grids[0])
+    for s in range(0, len(out), _FUSE_BLOCK):
+        acc = grids[0][s : s + _FUSE_BLOCK].astype(np.float64)
+        for g in grids[1:]:
+            acc += g[s : s + _FUSE_BLOCK]
+        acc /= len(aligned) + 1
+        out[s : s + _FUSE_BLOCK] = acc
+    return VoxelGrid(curr.spec, "feature", out.reshape(curr.data.shape))

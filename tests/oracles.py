@@ -9,7 +9,12 @@ analytic_voxel_gt_all_probes, which probes every voxel supersample^3
 times and votes once, for analytic_voxel_gt's boundary-only vote, and
 render_erp_depth_all_pixels, Scene.first_hit over every pixel of
 erp_direction_grid at once, for render_erp_depth's culled, row-blocked
-render. The JSON writers produce the documents the loaders read back.
+render. The frame path streams in row blocks and has four, each matched
+bit for bit: erp_lift_per_pixel (per-pixel trig) for the table-driven
+depth lift, point_to_flat_unblocked for point_to_flat, dense_align_history
+(every voxel center interpolated) for align_history, and
+fuse_temporal_unblocked for fuse_temporal. The JSON writers produce the
+documents the loaders read back.
 The rest are inputs the tests share but the library never needs.
 """
 
@@ -19,11 +24,29 @@ from itertools import product
 
 import numpy as np
 
-from cylocc.geom import ErpImage, LabeledPointCloud, RigidTransform, erp_pixel_to_direction
-from cylocc.grid import CUBOID, GridSpec, LabelSet, VoxelGrid, default_label_set
+from cylocc.geom import UNLABELED, ErpImage, LabeledPointCloud, RigidTransform, erp_pixel_to_direction
+from cylocc.grid import _EDGE_GUARD, CUBOID, CYLINDRICAL, GridSpec, LabelSet, VoxelGrid, default_label_set
 from cylocc.losses import ClassWeights
 from cylocc.metrics import _CHUNK, _MIN_SEGMENT, BatchHits, Rays, _sorted_crossings, generate_rays
 from cylocc.synth import _RENDER_RANGE, Box, HalfSpace, Scene, Sphere, VerticalCylinder
+
+
+def point_to_flat_unblocked(spec: GridSpec, p) -> np.ndarray:
+    """GridSpec.point_to_flat binning all N points in one pass, with
+    full-length temporaries: the exact reference for its row blocks."""
+    native = spec.to_native(np.asarray(p, dtype=np.float64).reshape(-1, 3))
+    flat = np.zeros(len(native), dtype=np.int64)
+    for k, d in enumerate(spec.dims):
+        with np.errstate(invalid="ignore"):
+            q = np.floor(spec.axis_fraction(native[:, k], k) + _EDGE_GUARD).astype(np.int64)
+        if spec.coord_sys == CYLINDRICAL and k == 1:
+            np.mod(q, d, out=q)
+        else:
+            np.clip(q, 0, d - 1, out=q)
+        flat *= d
+        flat += q
+    flat[~spec.in_range(native)] = -1
+    return flat
 
 
 def ray_intervals(spec: GridSpec, o: np.ndarray, d: np.ndarray, max_dist: float):
@@ -183,6 +206,79 @@ def erp_direction_grid(width: int, height: int) -> np.ndarray:
     v = np.arange(height, dtype=np.float64)
     uu, vv = np.meshgrid(u, v)
     return erp_pixel_to_direction(uu, vv, width, height)
+
+
+def dense_align_history(hist, t_hist, t_curr):
+    """align_history interpolating every voxel center, in float64, with no
+    stencil support and no row blocks: the exact reference it must match bit
+    for bit."""
+    spec = hist.spec
+    d0, d1, d2 = spec.dims
+    ch = hist.channels
+    rel = t_hist.inverse().compose(t_curr)
+    native = spec.to_native(rel.apply(spec.all_centers()))
+
+    def snap(frac):
+        rounded = np.round(frac)
+        return np.where(np.abs(frac - rounded) < 1e-9, rounded, frac)
+
+    f0, f1, f2 = (snap(spec.axis_fraction(native[:, k], k) - 0.5) for k in range(3))
+    in_range = spec.in_range(native)
+    wrap_theta = spec.coord_sys == CYLINDRICAL
+    base = [np.floor(f).astype(np.int64) for f in (f0, f1, f2)]
+    t = [f - b for f, b in zip((f0, f1, f2), base)]
+    data = hist.data.reshape(d0, d1, d2, ch).astype(np.float64)
+
+    def node(o0, o1, o2):
+        i0 = base[0] + o0
+        i1 = base[1] + o1
+        i2 = base[2] + o2
+        if wrap_theta:
+            i1 = np.mod(i1, d1)
+        ok = (i0 >= 0) & (i0 < d0) & (i1 >= 0) & (i1 < d1) & (i2 >= 0) & (i2 < d2)
+        out = np.zeros((len(i0), ch), dtype=np.float64)
+        if np.any(ok):
+            out[ok] = data[i0[ok], i1[ok], i2[ok]]
+        return out
+
+    t0 = t[0][:, None]
+    t1 = t[1][:, None]
+    t2 = t[2][:, None]
+    c00 = node(0, 0, 0) + t2 * (node(0, 0, 1) - node(0, 0, 0))
+    c01 = node(0, 1, 0) + t2 * (node(0, 1, 1) - node(0, 1, 0))
+    c10 = node(1, 0, 0) + t2 * (node(1, 0, 1) - node(1, 0, 0))
+    c11 = node(1, 1, 0) + t2 * (node(1, 1, 1) - node(1, 1, 0))
+    c0 = c00 + t1 * (c01 - c00)
+    c1 = c10 + t1 * (c11 - c10)
+    out = c0 + t0 * (c1 - c0)
+    out[~in_range] = 0.0
+    return out.reshape(d0, d1, d2, ch).astype(np.float32)
+
+
+def fuse_temporal_unblocked(curr, aligned):
+    """fuse_temporal widening the whole lattice to float64 at once: the exact
+    reference for its block-by-block accumulation."""
+    acc = curr.data.astype(np.float64)
+    for g in aligned:
+        acc += g.data
+    acc /= len(aligned) + 1
+    return acc.astype(np.float32)
+
+
+def erp_lift_per_pixel(depth, semantic=None, stride: int = 1) -> LabeledPointCloud:
+    """erp_depth_to_point_cloud lifting every valid pixel of the stride
+    lattice at once: erp_pixel_to_direction of the pixel times its depth,
+    with trig per pixel. The exact reference for the lift's per-column and
+    per-row trig tables and its row blocks."""
+    d = depth.data[::stride, ::stride]
+    vv, uu = np.nonzero(d > 0)
+    dirs = erp_pixel_to_direction(uu * stride, vv * stride, depth.width, depth.height)
+    pts = dirs * d[vv, uu].astype(np.float64)[:, None]
+    if semantic is None:
+        labels = np.full(len(pts), UNLABELED, dtype=np.uint8)
+    else:
+        labels = semantic.data[::stride, ::stride][vv, uu].astype(np.uint8)
+    return LabeledPointCloud(pts, labels)
 
 
 def render_erp_depth_all_pixels(scene, width: int, height: int, pose=None) -> tuple[ErpImage, ErpImage]:

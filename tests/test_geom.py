@@ -3,10 +3,15 @@ or frozen from an independent high-precision (mpmath, 50 digits) evaluation
 of the stated formulas."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from cylocc import geom
 from cylocc.errors import DomainError, ShapeError
 from cylocc.geom import (
     UNLABELED,
@@ -20,7 +25,10 @@ from cylocc.geom import (
     surround_rig,
 )
 
+from cylocc.synth import render_erp_depth
+
 from conftest import random_transform
+from oracles import DEMO07_SCENE, erp_lift_per_pixel
 
 
 class TestRigidTransform:
@@ -157,6 +165,68 @@ class TestDepthLifting:
         sem = ErpImage.semantic(np.zeros((4, 4), dtype=np.float32))
         with pytest.raises(ShapeError):
             erp_depth_to_point_cloud(depth, sem)
+
+
+def assert_same_cloud(got, want):
+    assert got.points.dtype == want.points.dtype == np.float64
+    np.testing.assert_array_equal(got.points.view(np.uint64), want.points.view(np.uint64))
+    np.testing.assert_array_equal(got.labels, want.labels)
+
+
+@pytest.fixture(scope="module")
+def scene_rasters(street_scene):
+    """(depth, semantic) of the street scene at 2000 x 1000 and of the
+    demo-07 scene at demo 07's 1600 x 800."""
+    return {"street": render_erp_depth(street_scene, 2000, 1000), "demo07": render_erp_depth(DEMO07_SCENE, 1600, 800)}
+
+
+class TestLiftMatchesPerPixel:
+    """The lift takes its trig from per-column and per-row tables and walks
+    the raster in row blocks; the oracle takes erp_pixel_to_direction of
+    every pixel. The clouds agree bit for bit."""
+
+    @pytest.mark.parametrize("with_semantic", [False, True])
+    @pytest.mark.parametrize("stride", [1, 2, 3])
+    @pytest.mark.parametrize("which", ["street", "demo07"])
+    def test_scene_rasters(self, scene_rasters, which, stride, with_semantic):
+        depth, sem = scene_rasters[which]
+        sem = sem if with_semantic else None
+        got = erp_depth_to_point_cloud(depth, sem, stride)
+        assert len(got) > 0
+        assert_same_cloud(got, erp_lift_per_pixel(depth, sem, stride))
+
+    @pytest.mark.parametrize("block", [None, 200], ids=["one-block", "row-pairs"])
+    @pytest.mark.parametrize("with_semantic", [False, True])
+    @pytest.mark.parametrize("stride", [1, 2, 3])
+    def test_odd_raster(self, stride, with_semantic, block):
+        # 91 x 37: odd sizes; a 200-pixel block holds only a few rows
+        rng = np.random.RandomState(2)
+        data = rng.uniform(0.1, 80.0, (37, 91)).astype(np.float32)
+        data[rng.rand(37, 91) < 0.2] = 0.0
+        depth = ErpImage.depth(data)
+        sem = ErpImage.semantic((rng.rand(37, 91) * 12).astype(np.int64)) if with_semantic else None
+        with mock.patch.object(geom, "_LIFT_BLOCK", block or geom._LIFT_BLOCK):
+            got = erp_depth_to_point_cloud(depth, sem, stride)
+        assert_same_cloud(got, erp_lift_per_pixel(depth, sem, stride))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        data=hnp.arrays(
+            np.float32,
+            hnp.array_shapes(min_dims=2, max_dims=2, min_side=1, max_side=40),
+            elements=st.one_of(st.just(0.0), st.floats(0.0, 100.0, width=32), st.floats(9.9e5, 1e6, width=32)),
+        ),
+        stride=st.integers(1, 3),
+        with_semantic=st.booleans(),
+        block=st.integers(1, 2000),
+    )
+    def test_drawn_rasters(self, data, stride, with_semantic, block):
+        # depths up to 1e6 m; blocks from one row to the whole raster
+        depth = ErpImage.depth(data)
+        sem = ErpImage.semantic(np.arange(data.size).reshape(data.shape) % 13) if with_semantic else None
+        with mock.patch.object(geom, "_LIFT_BLOCK", block):
+            got = erp_depth_to_point_cloud(depth, sem, stride)
+        assert_same_cloud(got, erp_lift_per_pixel(depth, sem, stride))
 
 
 class TestErpImage:

@@ -8,8 +8,9 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from cylocc import grid
 from cylocc.errors import DomainError, ShapeError
-from cylocc.geom import LabeledPointCloud
+from cylocc.geom import LabeledPointCloud, RigidTransform, rot_z
 from cylocc.grid import (
     CUBOID,
     CYLINDRICAL,
@@ -20,9 +21,11 @@ from cylocc.grid import (
     default_label_set,
     voxelize_semantic,
 )
+from cylocc.lift import align_history
+from cylocc.synth import analytic_voxel_gt
 
 from conftest import bin_triple
-from oracles import default_cuboid_spec
+from oracles import default_cuboid_spec, point_to_flat_unblocked
 
 
 def scalar_cyl_index(p, spec):
@@ -85,6 +88,73 @@ class TestPointToIndex:
         cloud = LabeledPointCloud(np.array(pts), np.array([1, 2, 3, 4], dtype=np.uint8))
         grid = voxelize_semantic(cloud, spec, default_label_set())
         assert np.count_nonzero(grid.data) == 1 and grid.data.reshape(-1)[flat[3]] == 4
+
+
+def mixed_points(n: int, rng) -> np.ndarray:
+    """n points cycling through in-range, out-of-range, r = 0 and theta = pi
+    rows, in a shuffled order."""
+    kinds = [
+        np.stack([rng.uniform(-25, 25, n), rng.uniform(-25, 25, n), rng.uniform(-2.8, 3.6, n)], axis=1),
+        np.stack([rng.uniform(-60, 60, n), rng.uniform(-60, 60, n), rng.uniform(-9, 9, n)], axis=1),
+        np.stack([np.zeros(n), np.zeros(n), rng.uniform(-3, 4, n)], axis=1),  # r = 0
+        np.stack([-rng.uniform(0, 30, n), np.zeros(n), rng.uniform(-3, 4, n)], axis=1),  # theta = pi
+        np.tile([[1e19, 0.0, 0.0], [0.0, 0.0, -1e300]], (n, 1))[:n],  # past int64 bins
+    ]
+    pts = np.stack(kinds, axis=1).reshape(-1, 3)[:n]
+    return pts[rng.permutation(n)]
+
+
+class TestPointToFlatBlocks:
+    """point_to_flat bins in fixed row blocks; the oracle bins all N points
+    in one pass. They agree on every row at and around the block edges."""
+
+    @pytest.mark.parametrize("coord", ["cylindrical", "cuboid"])
+    @pytest.mark.parametrize("offset", ["0", "1", "B-1", "B", "B+1", "2B+1"])
+    def test_matches_unblocked(self, coord, offset, cyl_spec):
+        b = grid._BIN_BLOCK
+        n = {"0": 0, "1": 1, "B-1": b - 1, "B": b, "B+1": b + 1, "2B+1": 2 * b + 1}[offset]
+        spec = cyl_spec if coord == "cylindrical" else default_cuboid_spec()
+        pts = mixed_points(n, np.random.RandomState(n))
+        got = spec.point_to_flat(pts)
+        assert got.dtype == np.int64 and got.shape == (n,)
+        np.testing.assert_array_equal(got, point_to_flat_unblocked(spec, pts))
+        if n > 5 and coord == "cylindrical":
+            assert (got == -1).any() and (got >= 0).any()
+
+
+def small_cyl() -> GridSpec:
+    """A fresh 12 x 16 x 6 cylindrical spec; every call builds a new object."""
+    return GridSpec(CYLINDRICAL, (12, 16, 6), ((0.0, 6.0), (-math.pi, math.pi), (-1.0, 1.4)))
+
+
+class TestCenterCache:
+    def test_one_read_only_array_per_spec(self):
+        spec = small_cyl()
+        centers = spec.all_centers()
+        assert spec.all_centers() is centers
+        with pytest.raises(ValueError):
+            centers[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            centers += 1.0
+
+    @pytest.mark.parametrize("make", [small_cyl, default_cuboid_spec], ids=["cylindrical", "cuboid"])
+    def test_equal_specs_give_equal_bits(self, make):
+        a, b = make(), make()
+        assert a == b and a.all_centers() is not b.all_centers()
+        np.testing.assert_array_equal(a.all_centers().view(np.uint64), b.all_centers().view(np.uint64))
+        fresh = a.index_to_center(np.arange(a.num_voxels))
+        np.testing.assert_array_equal(a.all_centers().view(np.uint64), fresh.view(np.uint64))
+
+    def test_library_callers_only_read_it(self, street_scene):
+        # a write into the cached array raises, so running every src caller checks them all
+        spec = small_cyl()
+        centers = spec.all_centers()
+        want = centers.copy()
+        hist = VoxelGrid(spec, "feature", np.random.RandomState(3).rand(*spec.dims, 2).astype(np.float32))
+        align_history(hist, RigidTransform(rot_z(0.4), np.array([0.5, -0.2, 0.1])), RigidTransform.identity())
+        analytic_voxel_gt(street_scene, spec, 2)
+        assert spec.all_centers() is centers
+        np.testing.assert_array_equal(centers, want)
 
 
 class TestIndexToCenter:

@@ -4,21 +4,25 @@ Hit sets are validated against a per-camera scalar projection loop; the
 averaging, alignment and fusion operations against their defining algebra
 (exactness requirements included: constants survive bilinear sampling and
 averaging bit-for-bit, lattice-aligned warps reduce to index shifts).
-Alignment only interpolates where the history is non-zero, and is compared
-bit-for-bit against a dense oracle that interpolates every voxel center.
+Alignment only interpolates where the history is non-zero, in row blocks,
+and is compared bit-for-bit against a dense oracle that interpolates every
+voxel center; fusion's block-by-block accumulation against one that widens
+the whole lattice at once.
 """
 
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cylocc import lift
 from cylocc.errors import DomainError, ShapeError
 from cylocc.geom import FisheyeCamera, RigidTransform, rot_z
-from cylocc.grid import CYLINDRICAL, GridSpec, VoxelGrid
+from cylocc.grid import CUBOID, CYLINDRICAL, GridSpec, VoxelGrid
 from cylocc.lift import (
     FeatureImage,
     align_history,
@@ -30,6 +34,7 @@ from cylocc.lift import (
 from cylocc.sketch import CandidateMask
 
 from conftest import bin_triple
+from oracles import dense_align_history, fuse_temporal_unblocked
 
 
 def mask_with(spec, indices):
@@ -140,6 +145,23 @@ class TestBilinear:
         uv = rng.rand(200, 2)
         out = bilinear_sample(img, uv)
         assert np.all(out == np.float64(np.float32(0.1)))
+
+    def test_matches_float64_scalar_loop(self):
+        # the float32 corners are widened before any arithmetic, as if the raster were float64
+        rng = np.random.RandomState(37)
+        data = rng.uniform(-4.0, 4.0, (9, 13, 3)).astype(np.float32)
+        uv = np.concatenate([rng.rand(300, 2), [[0.0, 0.0], [1.0, 1.0], [0.999, 0.001]]])
+        got = bilinear_sample(FeatureImage("c", data), uv)
+        h, w = data.shape[:2]
+        f = data.astype(np.float64)
+        for (u, v), row in zip(uv, got):
+            x = min(max(u * w - 0.5, 0.0), w - 1.0)
+            y = min(max(v * h - 0.5, 0.0), h - 1.0)
+            x0, y0 = min(math.floor(x), w - 2), min(math.floor(y), h - 2)
+            tx, ty = x - x0, y - y0
+            top = f[y0, x0] + tx * (f[y0, x0 + 1] - f[y0, x0])
+            bot = f[y0 + 1, x0] + tx * (f[y0 + 1, x0 + 1] - f[y0 + 1, x0])
+            np.testing.assert_array_equal(row.view(np.uint64), (top + ty * (bot - top)).view(np.uint64))
 
 
 class TestColorVoxels:
@@ -259,51 +281,6 @@ class TestAlignHistory:
         assert not out.data.any()
 
 
-def dense_align_history(hist, t_hist, t_curr):
-    """Oracle: trilinear resampling of every voxel center, in float64."""
-    spec = hist.spec
-    d0, d1, d2 = spec.dims
-    ch = hist.channels
-    rel = t_hist.inverse().compose(t_curr)
-    native = spec.to_native(rel.apply(spec.all_centers()))
-
-    def snap(frac):
-        rounded = np.round(frac)
-        return np.where(np.abs(frac - rounded) < 1e-9, rounded, frac)
-
-    f0, f1, f2 = (snap(spec.axis_fraction(native[:, k], k) - 0.5) for k in range(3))
-    in_range = spec.in_range(native)
-    wrap_theta = spec.coord_sys == CYLINDRICAL
-    base = [np.floor(f).astype(np.int64) for f in (f0, f1, f2)]
-    t = [f - b for f, b in zip((f0, f1, f2), base)]
-    data = hist.data.reshape(d0, d1, d2, ch).astype(np.float64)
-
-    def node(o0, o1, o2):
-        i0 = base[0] + o0
-        i1 = base[1] + o1
-        i2 = base[2] + o2
-        if wrap_theta:
-            i1 = np.mod(i1, d1)
-        ok = (i0 >= 0) & (i0 < d0) & (i1 >= 0) & (i1 < d1) & (i2 >= 0) & (i2 < d2)
-        out = np.zeros((len(i0), ch), dtype=np.float64)
-        if np.any(ok):
-            out[ok] = data[i0[ok], i1[ok], i2[ok]]
-        return out
-
-    t0 = t[0][:, None]
-    t1 = t[1][:, None]
-    t2 = t[2][:, None]
-    c00 = node(0, 0, 0) + t2 * (node(0, 0, 1) - node(0, 0, 0))
-    c01 = node(0, 1, 0) + t2 * (node(0, 1, 1) - node(0, 1, 0))
-    c10 = node(1, 0, 0) + t2 * (node(1, 0, 1) - node(1, 0, 0))
-    c11 = node(1, 1, 0) + t2 * (node(1, 1, 1) - node(1, 1, 0))
-    c0 = c00 + t1 * (c01 - c00)
-    c1 = c10 + t1 * (c11 - c10)
-    out = c0 + t0 * (c1 - c0)
-    out[~in_range] = 0.0
-    return out.reshape(d0, d1, d2, ch).astype(np.float32)
-
-
 PI32 = float(np.float32(math.pi))  # decoded OVOX specs carry f32-rounded ranges
 SMALL_SPECS = {
     "cylindrical": GridSpec(CYLINDRICAL, (12, 16, 6), ((0.0, 6.0), (-math.pi, math.pi), (-1.0, 1.4))),
@@ -396,7 +373,21 @@ class TestAlignMatchesDense:
         hist = VoxelGrid(cyl_spec, "feature", sparse_history(cyl_spec, rng, 0.06, channels=16))
         t_hist = RigidTransform(rot_z(0.3), np.array([1.2, -0.7, 0.1]))
         got = align_history(hist, t_hist, RigidTransform.identity())
+        # every non-zero output row is a supported row: they fill several blocks
+        assert np.count_nonzero(got.data.reshape(-1, 16).any(axis=1)) > 3 * lift._ALIGN_BLOCK
         assert_bits_equal(got.data, dense_align_history(hist, t_hist, RigidTransform.identity()))
+
+    @pytest.mark.parametrize("case,block", [("negative_zero", 1), ("negative_zero", 7), ("dense", 7), ("dense", 64)])
+    @pytest.mark.parametrize("pose", ["yaw_across_seam", "sub_snap_shift"])
+    @pytest.mark.parametrize("spec_name", sorted(SMALL_SPECS))
+    def test_small_blocks_bit_identical(self, spec_name, pose, case, block):
+        spec = SMALL_SPECS[spec_name]
+        hist = VoxelGrid(spec, "feature", history_data(spec, case))
+        t_hist, t_curr = align_poses(spec)[pose]
+        with mock.patch.object(lift, "_ALIGN_BLOCK", block):
+            got = align_history(hist, t_hist, t_curr)
+        assert np.count_nonzero(got.data.reshape(-1, 3).any(axis=1)) > 2 * block
+        assert_bits_equal(got.data, dense_align_history(hist, t_hist, t_curr))
 
     def test_default_lattice_peak_memory(self, cyl_spec):
         rng = np.random.RandomState(36)
@@ -448,3 +439,45 @@ class TestFuseTemporal:
         other = GridSpec("cuboid", (4, 4, 4), ((0, 1), (0, 1), (0, 1)))
         with pytest.raises(ShapeError):
             fuse_temporal(curr, [VoxelGrid.zeros(other, "feature", 3)])
+
+
+# 9,061 voxels: not a multiple of the fusion block
+ODD_SPEC = GridSpec(CUBOID, (13, 17, 41), ((0.0, 1.3), (0.0, 1.7), (0.0, 4.1)))
+
+
+def awkward_features(spec, rng, channels=3):
+    """Random features salted with -0.0, +0.0 and f32 subnormals."""
+    data = rng.uniform(-1.0, 1.0, spec.dims + (channels,)).astype(np.float32)
+    specials = np.array([-0.0, 0.0, 1e-45, -1e-45, 1e-40, -3e-39, 1.1754942e-38], dtype=np.float32)
+    pick = rng.rand(*data.shape) < 0.3
+    data[pick] = rng.choice(specials, int(pick.sum()))
+    return data
+
+
+class TestFuseBlocks:
+    """fuse_temporal accumulates one block of voxel rows at a time; the
+    oracle widens the whole lattice at once. The bits agree."""
+
+    @pytest.mark.parametrize("n", [0, 1, 3])
+    def test_matches_unblocked(self, n):
+        assert ODD_SPEC.num_voxels % lift._FUSE_BLOCK != 0
+        rng = np.random.RandomState(40 + n)
+        curr = VoxelGrid(ODD_SPEC, "feature", awkward_features(ODD_SPEC, rng))
+        hists = [VoxelGrid(ODD_SPEC, "feature", awkward_features(ODD_SPEC, rng)) for _ in range(n)]
+        if n:
+            # on every other voxel the first history cancels curr to signed zeros
+            data = hists[0].data.copy()
+            data[::2] = -curr.data[::2]
+            hists[0] = VoxelGrid(ODD_SPEC, "feature", data)
+        want = fuse_temporal_unblocked(curr, hists)
+        assert_bits_equal(fuse_temporal(curr, hists).data, want)
+
+    def test_signed_zeros_and_subnormals_kept(self):
+        data = np.zeros(ODD_SPEC.dims + (2,), dtype=np.float32)
+        flat = data.reshape(-1)
+        flat[::3] = -0.0
+        flat[1::7] = 1e-45
+        curr = VoxelGrid(ODD_SPEC, "feature", data)
+        got = fuse_temporal(curr, [VoxelGrid(ODD_SPEC, "feature", data.copy())])
+        assert np.signbit(got.data).any() and (got.data.reshape(-1) == np.float32(1e-45)).any()
+        assert_bits_equal(got.data, fuse_temporal_unblocked(curr, [VoxelGrid(ODD_SPEC, "feature", data.copy())]))
