@@ -52,7 +52,7 @@ class HalfSpace:
         return pts[:, 2] <= self.height
 
     def ray_first(self, o: np.ndarray, d: np.ndarray) -> np.ndarray:
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             t = (self.height - o[:, 2]) / d[:, 2]
         return np.where(np.isfinite(t) & (t > _T_MIN), t, np.inf)
 
@@ -82,7 +82,7 @@ class Box:
     def ray_first(self, o: np.ndarray, d: np.ndarray) -> np.ndarray:
         lo = np.asarray(self.min_corner)
         hi = np.asarray(self.max_corner)
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             t1 = (lo[None, :] - o) / d
             t2 = (hi[None, :] - o) / d
         # rays parallel to an axis: inside the slab -> (-inf, inf), else empty
@@ -135,19 +135,21 @@ class VerticalCylinder:
         disc = b * b - 4.0 * a * c
         ok = (disc >= 0) & (a > 1e-300)
         sq = np.sqrt(np.where(ok, disc, 0.0))
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             ts = np.stack([(-b - sq) / (2 * a), (-b + sq) / (2 * a)], axis=1)
         ts = np.where(ok[:, None] & np.isfinite(ts), ts, -1.0)
         z_side = o[:, 2, None] + ts * d[:, 2, None]
         side_ok = (ts > _T_MIN) & (z_side >= self.z_min) & (z_side <= self.z_max)
         best = np.where(side_ok, ts, np.inf).min(axis=1)
         for z_cap in (self.z_min, self.z_max):
-            with np.errstate(divide="ignore", invalid="ignore"):
+            # a nearly horizontal ray meets the cap plane so far out that
+            # px * px overflows to inf, which lies outside the cap
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
                 t = (z_cap - o[:, 2]) / d[:, 2]
-            t = np.where(np.isfinite(t), t, -1.0)
-            px = ox + t * d[:, 0]
-            py = oy + t * d[:, 1]
-            cap_ok = (t > _T_MIN) & (px * px + py * py <= self.radius**2)
+                t = np.where(np.isfinite(t), t, -1.0)
+                px = ox + t * d[:, 0]
+                py = oy + t * d[:, 1]
+                cap_ok = (t > _T_MIN) & (px * px + py * py <= self.radius**2)
             best = np.minimum(best, np.where(cap_ok, t, np.inf))
         return best
 

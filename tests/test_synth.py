@@ -135,6 +135,19 @@ class TestRaySceneIntersect:
         assert hit.all()
         np.testing.assert_allclose(t, [4.0, 2.0], atol=1e-12)
 
+    @pytest.mark.parametrize("tiny", [5e-324, 2.2250738585e-313, 1e-300, 1e-200])
+    def test_nearly_axis_parallel_rays(self, tiny):
+        # dividing by a tiny direction component overflows to +-inf: the slab
+        # is then parallel and the plane is out of range, and no warning escapes
+        o = np.zeros((4, 3))
+        d = [[1.0, tiny, tiny], [1.0, -tiny, -tiny], [-1.0, tiny, -tiny], [1.0, 0.0, tiny]]
+        for prim in (Box((-1.0, -1.0, -1.0), (1.0, 1.0, 1.0), 4), VerticalCylinder((0.0, 0.0), 1.0, -1.0, 1.0, 9)):
+            t, _, hit = Scene((prim,)).first_hit(o, d, 100.0)
+            assert hit.all()
+            np.testing.assert_array_equal(t, 1.0)
+        _, _, hit = Scene((HalfSpace(-1.0, 1),)).first_hit(o, d, 100.0)
+        assert not hit.any()
+
     def test_order_breaks_ties(self):
         a = Sphere((5.0, 0.0, 0.0), 1.0, 3)
         b = Sphere((5.0, 0.0, 0.0), 1.0, 7)
