@@ -174,20 +174,25 @@ def _cmd_synth(args) -> int:
         raise DomainError("synth --spec must be cylindrical; the cuboid grid is derived from it")
     r_max = cyl_spec.ranges[0][1]
     cub_spec = GridSpec(CUBOID, (160, 160, 16), ((-r_max, r_max), (-r_max, r_max), cyl_spec.ranges[2]))
-    # everything is computed before the first write, so a bad input leaves no files; the
-    # render goes first, as it rejects an oversized --erp before allocating anything
+    # everything is computed and encoded before the first write, so a bad input, or an
+    # output its encoder refuses, leaves no files; the render goes first, as it rejects an
+    # oversized --erp before allocating anything
     depth, semantic = synth_mod.render_erp_depth(scene, *args.erp)
     gt_cyl = synth_mod.analytic_voxel_gt(scene, cyl_spec, args.supersample)
     gt_cub = synth_mod.analytic_voxel_gt(scene, cub_spec, args.supersample)
     origins = np.stack([cam.pose.translation for cam in rig])
     cloud = synth_mod.sample_scene_point_cloud(scene, origins)
+    files = {
+        "depth.odpt": encode_raster(depth),
+        "semantic.odpt": encode_raster(semantic),
+        "cloud.opcd": encode_point_cloud(cloud),
+        "gt_cylindrical.ovox": encode_voxel_grid(gt_cyl),
+        "gt_cuboid.ovox": encode_voxel_grid(gt_cub),
+    }
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    (out / "depth.odpt").write_bytes(encode_raster(depth))
-    (out / "semantic.odpt").write_bytes(encode_raster(semantic))
-    (out / "cloud.opcd").write_bytes(encode_point_cloud(cloud))
-    (out / "gt_cylindrical.ovox").write_bytes(encode_voxel_grid(gt_cyl))
-    (out / "gt_cuboid.ovox").write_bytes(encode_voxel_grid(gt_cub))
+    for name, data in files.items():
+        (out / name).write_bytes(data)
     print(f"wrote rasters, cloud and ground truth to {out}", file=sys.stderr)
     return 0
 

@@ -20,7 +20,9 @@ ODPT rasters
 Decoders are strict: wrong magic, wrong version, short or trailing payload
 and nonsensical header fields each raise a distinct error type carrying the
 byte offset or field name. Range values are stored as f32, so decoded grid
-specs carry f32-rounded ranges; payloads round-trip bit-exactly.
+specs carry f32-rounded ranges; payloads round-trip bit-exactly. Encoders
+refuse, with DomainError, what their decoders would reject: a grid whose
+f32-rounded ranges make no valid spec, and a point beyond f32 range.
 
 JSON documents cover camera rigs, scenes, poses, grid specs and class
 weights; their loaders raise InvalidField on malformed content: a missing
@@ -39,6 +41,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
+from .errors import DomainError, require_finite
 from .geom import ErpImage, FisheyeCamera, LabeledPointCloud, RigidTransform
 from .grid import CUBOID, CYLINDRICAL, GridSpec, LabelSet, VoxelGrid, default_label_set
 from .losses import ClassWeights, class_weights
@@ -136,13 +139,18 @@ _OVOX_HEADER = struct.Struct("<4sIB3I6fBI")
 
 
 def encode_voxel_grid(grid: VoxelGrid) -> bytes:
-    ranges = [v for pair in grid.spec.ranges for v in pair]
+    with np.errstate(over="ignore"):  # a range beyond f32 becomes inf, which the spec check refuses
+        ranges = [float(np.float32(v)) for pair in grid.spec.ranges for v in pair]
+    try:
+        GridSpec(grid.spec.coord_sys, grid.spec.dims, (ranges[0:2], ranges[2:4], ranges[4:6]))
+    except DomainError as e:
+        raise DomainError(f"grid ranges {grid.spec.ranges} stored as f32 make no valid spec: {e}") from None
     header = _OVOX_HEADER.pack(
         b"OVOX",
         FORMAT_VERSION,
         _COORD_CODES[grid.spec.coord_sys],
         *grid.spec.dims,
-        *[float(np.float32(v)) for v in ranges],
+        *ranges,
         _PAYLOAD_CODES[grid.kind],
         grid.channels,
     )
@@ -191,7 +199,9 @@ _OPCD_POINT = np.dtype([("xyz", "<f4", 3), ("label", "u1")])
 
 def encode_point_cloud(cloud: LabeledPointCloud) -> bytes:
     rec = np.empty(len(cloud), dtype=_OPCD_POINT)
-    rec["xyz"] = cloud.points.astype("<f4")
+    with np.errstate(over="ignore"):
+        rec["xyz"] = cloud.points.astype("<f4")
+    require_finite("point coordinates stored as f32", rec["xyz"])
     rec["label"] = cloud.labels
     return _OPCD_HEADER.pack(b"OPCD", FORMAT_VERSION, len(cloud)) + rec.tobytes()
 

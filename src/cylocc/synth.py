@@ -2,9 +2,9 @@
 
 A Scene is an ordered list of labeled primitives with closed-form ray
 intersections and interior tests, so rendered depth, sampled point clouds
-and voxel ground truth are exact up to floating point. Where a point lies
-in several primitives, or a ray hits two surfaces at the same parameter,
-the earliest primitive in the list wins.
+(both cast by one culled kernel) and voxel ground truth are exact up to
+floating point. Where a point lies in several primitives, or a ray hits
+two surfaces at the same parameter, the earliest primitive wins.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ _RENDER_BLOCK_PIXELS = 200_000  # pixels per row block of a render (100 rows at 
 _BOUNDS_MARGIN = 1e-6  # relative widening of every culling box, far above float rounding
 _CLOUD_FAN = (512, 64, (-1.2, 0.4))  # azimuths, elevations, elevation range (rad) per sampled origin
 _CLOUD_RANGE = 60.0  # meters; farther surfaces leave no sample
+_MAX_RADIUS = 2.0**512  # the smallest float whose square overflows
 
 
 def _widened(lo, hi) -> tuple[np.ndarray, np.ndarray]:
@@ -109,17 +110,15 @@ class VerticalCylinder:
 
     def __post_init__(self):
         require_finite("cylinder center, radius and z extent", self.center, self.radius, self.z_min, self.z_max)
-        if self.radius <= 0 or self.z_max <= self.z_min:
-            raise DomainError("cylinder needs positive radius and z extent")
+        if not 0 < self.radius < _MAX_RADIUS or self.z_max <= self.z_min:
+            raise DomainError("cylinder needs a positive radius below 2**512 and a positive z extent")
 
     def contains(self, pts: np.ndarray) -> np.ndarray:
-        dx = pts[:, 0] - self.center[0]
-        dy = pts[:, 1] - self.center[1]
-        return (
-            (dx * dx + dy * dy <= self.radius * self.radius)
-            & (pts[:, 2] >= self.z_min)
-            & (pts[:, 2] <= self.z_max)
-        )
+        with np.errstate(over="ignore"):  # far points overflow to inf, outside
+            dx = pts[:, 0] - self.center[0]
+            dy = pts[:, 1] - self.center[1]
+            inside = dx * dx + dy * dy <= self.radius * self.radius
+        return inside & (pts[:, 2] >= self.z_min) & (pts[:, 2] <= self.z_max)
 
     def bounds(self) -> tuple[np.ndarray, np.ndarray]:
         """Conservative Cartesian box (lo, hi) around every point contains() accepts."""
@@ -127,30 +126,30 @@ class VerticalCylinder:
         return _widened((cx - r, cy - r, self.z_min), (cx + r, cy + r, self.z_max))
 
     def ray_first(self, o: np.ndarray, d: np.ndarray) -> np.ndarray:
-        ox = o[:, 0] - self.center[0]
-        oy = o[:, 1] - self.center[1]
-        a = d[:, 0] ** 2 + d[:, 1] ** 2
-        b = 2.0 * (ox * d[:, 0] + oy * d[:, 1])
-        c = ox * ox + oy * oy - self.radius**2
-        disc = b * b - 4.0 * a * c
-        ok = (disc >= 0) & (a > 1e-300)
-        sq = np.sqrt(np.where(ok, disc, 0.0))
+        # far origins and centers overflow the squares to inf and the
+        # discriminant to nan, and a nearly horizontal ray meets a cap plane
+        # so far out that px * px overflows: all of these miss
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            ox = o[:, 0] - self.center[0]
+            oy = o[:, 1] - self.center[1]
+            a = d[:, 0] ** 2 + d[:, 1] ** 2
+            b = 2.0 * (ox * d[:, 0] + oy * d[:, 1])
+            c = ox * ox + oy * oy - self.radius**2
+            disc = b * b - 4.0 * a * c
+            ok = (disc >= 0) & (a > 1e-300)
+            sq = np.sqrt(np.where(ok, disc, 0.0))
             ts = np.stack([(-b - sq) / (2 * a), (-b + sq) / (2 * a)], axis=1)
-        ts = np.where(ok[:, None] & np.isfinite(ts), ts, -1.0)
-        z_side = o[:, 2, None] + ts * d[:, 2, None]
-        side_ok = (ts > _T_MIN) & (z_side >= self.z_min) & (z_side <= self.z_max)
-        best = np.where(side_ok, ts, np.inf).min(axis=1)
-        for z_cap in (self.z_min, self.z_max):
-            # a nearly horizontal ray meets the cap plane so far out that
-            # px * px overflows to inf, which lies outside the cap
-            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            ts = np.where(ok[:, None] & np.isfinite(ts), ts, -1.0)
+            z_side = o[:, 2, None] + ts * d[:, 2, None]
+            side_ok = (ts > _T_MIN) & (z_side >= self.z_min) & (z_side <= self.z_max)
+            best = np.where(side_ok, ts, np.inf).min(axis=1)
+            for z_cap in (self.z_min, self.z_max):
                 t = (z_cap - o[:, 2]) / d[:, 2]
                 t = np.where(np.isfinite(t), t, -1.0)
                 px = ox + t * d[:, 0]
                 py = oy + t * d[:, 1]
                 cap_ok = (t > _T_MIN) & (px * px + py * py <= self.radius**2)
-            best = np.minimum(best, np.where(cap_ok, t, np.inf))
+                best = np.minimum(best, np.where(cap_ok, t, np.inf))
         return best
 
 
@@ -162,12 +161,13 @@ class Sphere:
 
     def __post_init__(self):
         require_finite("sphere center and radius", self.center, self.radius)
-        if self.radius <= 0:
-            raise DomainError("sphere radius must be positive")
+        if not 0 < self.radius < _MAX_RADIUS:
+            raise DomainError("sphere radius must be positive and below 2**512")
 
     def contains(self, pts: np.ndarray) -> np.ndarray:
-        rel = pts - np.asarray(self.center)
-        return np.sum(rel * rel, axis=1) <= self.radius * self.radius
+        with np.errstate(over="ignore"):  # far points overflow to inf, outside
+            rel = pts - np.asarray(self.center)
+            return np.sum(rel * rel, axis=1) <= self.radius * self.radius
 
     def bounds(self) -> tuple[np.ndarray, np.ndarray]:
         """Conservative Cartesian box (lo, hi) around every point contains() accepts."""
@@ -175,10 +175,12 @@ class Sphere:
         return _widened(c - self.radius, c + self.radius)
 
     def ray_first(self, o: np.ndarray, d: np.ndarray) -> np.ndarray:
-        rel = o - np.asarray(self.center)
-        b = 2.0 * np.sum(rel * d, axis=1)
-        c = np.sum(rel * rel, axis=1) - self.radius**2
-        disc = b * b - 4.0 * c  # a == 1 for unit directions
+        # far origins and centers overflow to inf and nan, which miss
+        with np.errstate(over="ignore", invalid="ignore"):
+            rel = o - np.asarray(self.center)
+            b = 2.0 * np.sum(rel * d, axis=1)
+            c = np.sum(rel * rel, axis=1) - self.radius**2
+            disc = b * b - 4.0 * c  # a == 1 for unit directions
         ok = disc >= 0
         sq = np.sqrt(np.where(ok, disc, 0.0))
         t1 = 0.5 * (-b - sq)
@@ -205,22 +207,6 @@ class Scene:
             raise DomainError("primitive labels must be semantic (>= 1)")
         object.__setattr__(self, "primitives", prims)
 
-    def first_hit(self, origins: np.ndarray, directions: np.ndarray, max_dist: float):
-        """(t, label, hit) arrays for an (N, 3) ray batch; nearest surface
-        wins, earlier primitives win exact ties."""
-        require_finite("max_dist", max_dist)
-        o = _as_points(origins)
-        d = _as_points(directions)
-        best_t = np.full(len(o), np.inf)
-        best_label = np.zeros(len(o), dtype=np.uint8)
-        for prim in self.primitives:
-            t = prim.ray_first(o, d)
-            better = t < best_t
-            best_t = np.where(better, t, best_t)
-            best_label = np.where(better, prim.label, best_label)
-        hit = np.isfinite(best_t) & (best_t <= max_dist)
-        return np.where(hit, best_t, np.inf), np.where(hit, best_label, 0), hit
-
     def label_points(self, pts: np.ndarray) -> np.ndarray:
         """Semantic label per point, 0 outside every primitive."""
         labels = np.zeros(len(pts), dtype=np.uint8)
@@ -238,15 +224,17 @@ def _erp_rows(width: int, height: int, v0: int, v1: int) -> np.ndarray:
     return erp_pixel_to_direction(uu, vv, width, height)
 
 
-def _pixel_rects(prim: Primitive, pose: RigidTransform, width: int, height: int) -> list[tuple[int, int, int, int]]:
+def _pixel_rects(prim: Primitive, pose: RigidTransform, width: int, height: int, el0: float,
+                 d_el: float) -> list[tuple[int, int, int, int]]:
     """Half-open pixel rectangles (v0, v1, u0, u1) holding every pixel whose
-    ray from the pose origin can hit prim.
+    ray from the pose origin can hit prim, on the grid of width azimuth bin
+    centres over [-pi, pi) and height rows at elevations el0 + (v + 0.5) * d_el.
 
     The primitive's bounds, moved into the ego frame, give a conservative
     (lambda, phi) rectangle, grown by one pixel on every side and split at
     the lambda = +-pi seam. Bounds around the vertical axis span every
     azimuth, and bounds around the origin every azimuth and elevation: the
-    whole raster, as a half-space gets.
+    whole grid, as a half-space gets. A rectangle with v0 >= v1 holds no row.
     """
     if isinstance(prim, HalfSpace):
         return [(0, height, 0, width)]
@@ -262,8 +250,8 @@ def _pixel_rects(prim: Primitive, pose: RigidTransform, width: int, height: int)
     # elevation rises with z and, above the horizon, falls with horizontal distance
     phi_hi = math.atan2(z1, rho_min if z1 >= 0 else rho_max)
     phi_lo = math.atan2(z0, rho_max if z0 >= 0 else rho_min)  # +-pi/2 straight up or down at rho_min = 0
-    v0 = max(math.floor((0.5 * math.pi - phi_hi) / math.pi * height - 0.5) - 1, 0)
-    v1 = min(math.ceil((0.5 * math.pi - phi_lo) / math.pi * height - 0.5) + 2, height)
+    v_a, v_b = sorted((phi - el0) / d_el - 0.5 for phi in (phi_lo, phi_hi))
+    v0, v1 = max(math.floor(v_a) - 1, 0), min(math.ceil(v_b) + 2, height)
     if rho_min == 0.0:  # the box spans the vertical axis: every azimuth
         return [(v0, v1, 0, width)]
     # the xy box misses the axis, so its azimuths lie within pi of its center's
@@ -280,34 +268,18 @@ def _pixel_rects(prim: Primitive, pose: RigidTransform, width: int, height: int)
     return [(v0, v1, u0, u1)]
 
 
-def render_erp_depth(
-    scene: Scene,
-    width: int,
-    height: int,
-    pose: RigidTransform | None = None,
-) -> tuple[ErpImage, ErpImage]:
-    """Render radial depth and semantics over a full ERP raster.
-
-    Rays start at the pose translation along pose-rotated pixel directions.
-    Pixels with no surface within _RENDER_RANGE carry depth 0 and label 0.
-    A raster may hold at most _MAX_PIXELS pixels. The raster is rendered in
-    blocks of rows, and each bounded primitive is intersected only with the
-    pixels of its _pixel_rects; the pixels left out cannot hit it, so the
-    nearest surface, and the earlier primitive on a tie, win as in
-    Scene.first_hit.
-    """
-    if width < 1 or height < 1:
-        raise DomainError("raster dimensions must be >= 1")
-    if width * height > _MAX_PIXELS:
-        raise DomainError(f"a {width}x{height} raster exceeds the {_MAX_PIXELS}-pixel cap")
-    pose = pose if pose is not None else RigidTransform.identity()
-    rects = [(p, _pixel_rects(p, pose, width, height)) for p in scene.primitives]
-    depth = np.empty((height, width), dtype=np.float32)
-    sem = np.empty((height, width), dtype=np.float32)
+def _grid_first_hits(scene: Scene, pose: RigidTransform, grid: tuple, rows_of, max_dist: float):
+    """Yield (b0, b1, t, label, hit) per block of about _RENDER_BLOCK_PIXELS pixels of
+    the _pixel_rects grid = (width, height, el0, d_el): the nearest surface's parameter
+    and label from the pose origin along the (pixels, 3) directions rows_of(b0, b1) of
+    rows b0..b1-1, hit where t <= max_dist. A primitive meets only its rectangles, so
+    the nearest surface, and the earlier primitive on a tie, win as if it met every ray."""
+    width, height = grid[:2]
+    rects = [(p, _pixel_rects(p, pose, *grid)) for p in scene.primitives]
     rows = max(1, _RENDER_BLOCK_PIXELS // width)
     for b0 in range(0, height, rows):
         b1 = min(b0 + rows, height)
-        dirs = (_erp_rows(width, height, b0, b1).reshape(-1, 3) @ pose.rotation.T).reshape(b1 - b0, width, 3)
+        dirs = rows_of(b0, b1).reshape(b1 - b0, width, 3)
         best_t = np.full((b1 - b0, width), np.inf)
         best_label = np.zeros((b1 - b0, width), dtype=np.uint8)
         for prim, prim_rects in rects:
@@ -320,9 +292,34 @@ def render_erp_depth(
                 better = t < best_t[r0:r1, u0:u1]
                 best_t[r0:r1, u0:u1][better] = t[better]
                 best_label[r0:r1, u0:u1][better] = prim.label
-        hit = np.isfinite(best_t) & (best_t <= _RENDER_RANGE)
-        depth[b0:b1] = np.where(hit, best_t, 0.0)
-        sem[b0:b1] = np.where(hit, best_label, 0)
+        yield b0, b1, best_t, best_label, best_t <= max_dist
+
+
+def render_erp_depth(
+    scene: Scene,
+    width: int,
+    height: int,
+    pose: RigidTransform | None = None,
+) -> tuple[ErpImage, ErpImage]:
+    """Render radial depth and semantics over a full ERP raster.
+
+    Rays start at the pose translation along pose-rotated pixel directions.
+    Pixels with no surface within _RENDER_RANGE carry depth 0 and label 0.
+    A raster may hold at most _MAX_PIXELS pixels. Its rows, at elevations
+    pi/2 - (v + 0.5) * pi / height, are cast in blocks by _grid_first_hits.
+    """
+    if width < 1 or height < 1:
+        raise DomainError("raster dimensions must be >= 1")
+    if width * height > _MAX_PIXELS:
+        raise DomainError(f"a {width}x{height} raster exceeds the {_MAX_PIXELS}-pixel cap")
+    pose = pose if pose is not None else RigidTransform.identity()
+    depth = np.empty((height, width), dtype=np.float32)
+    sem = np.empty((height, width), dtype=np.float32)
+    for b0, b1, t, label, hit in _grid_first_hits(
+            scene, pose, (width, height, 0.5 * math.pi, -math.pi / height),
+            lambda b0, b1: _erp_rows(width, height, b0, b1).reshape(-1, 3) @ pose.rotation.T, _RENDER_RANGE):
+        depth[b0:b1] = np.where(hit, t, 0.0)
+        sem[b0:b1] = np.where(hit, label, 0)
     return ErpImage.depth(depth), ErpImage.semantic(sem)
 
 
@@ -402,16 +399,21 @@ def analytic_voxel_gt(scene: Scene, spec: GridSpec, supersample: int = 3) -> Vox
 def sample_scene_point_cloud(scene: Scene, origins) -> LabeledPointCloud:
     """Deterministic labeled surface samples from virtual ray fans.
 
-    One _CLOUD_FAN per origin, the same fan pattern as generate_rays; every
-    hit within _CLOUD_RANGE becomes one labeled point.
+    One _CLOUD_FAN per origin, with generate_rays' directions in its
+    azimuth-major order; every hit within _CLOUD_RANGE becomes one labeled
+    point. _grid_first_hits casts the fan's elevation rows, culled as the
+    render is, and the (elevation, azimuth) results are transposed back.
     """
+    az, el, (lo, hi) = _CLOUD_FAN
+    grid = (az, el, lo, (hi - lo) / el)
     pts, labs = [], []
     for o in _as_points(origins):
         fan = generate_rays(*_CLOUD_FAN, o)
-        t, label, hit = scene.first_hit(fan.origins, fan.directions, _CLOUD_RANGE)
-        if np.any(hit):
-            pts.append(fan.origins[hit] + t[hit, None] * fan.directions[hit])
-            labs.append(label[hit])
+        rows = fan.directions.reshape(az, el, 3).transpose(1, 0, 2)
+        blocks = _grid_first_hits(scene, RigidTransform(np.eye(3), o), grid, lambda b0, b1: rows[b0:b1], _CLOUD_RANGE)
+        t, label, hit = (np.concatenate(part).T.reshape(-1) for part in list(zip(*blocks))[2:])
+        pts.append(fan.origins[hit] + t[hit, None] * fan.directions[hit])
+        labs.append(label[hit])
     if not pts:
         return LabeledPointCloud.empty()
     return LabeledPointCloud(np.concatenate(pts), np.concatenate(labs).astype(np.uint8))

@@ -7,13 +7,15 @@ and cells once per ray and reading labels per grid; the fixed-step
 marcher is the brute-force one. The synth oracle has two:
 analytic_voxel_gt_all_probes, which probes every voxel supersample^3
 times and votes once, for analytic_voxel_gt's boundary-only vote, and
-render_erp_depth_all_pixels, Scene.first_hit over every pixel of
-erp_direction_grid at once, for render_erp_depth's culled, row-blocked
-render. The frame path streams in row blocks and has four, each matched
-bit for bit: erp_lift_per_pixel (per-pixel trig) for the table-driven
-depth lift, point_to_flat_unblocked for point_to_flat, dense_align_history
-(every voxel center interpolated) for align_history, and
-fuse_temporal_unblocked for fuse_temporal. The JSON writers produce the
+scene_first_hit, every ray meeting every primitive, for the culled
+row-block kernel that render_erp_depth and sample_scene_point_cloud
+share. render_erp_depth_all_pixels (scene_first_hit over every pixel of
+erp_direction_grid at once) backs the render, and fan_point_cloud with
+synth._CLOUD_FAN backs the cloud. The frame path streams in row blocks
+and has four, each matched bit for bit: erp_lift_per_pixel (per-pixel
+trig) for the table-driven depth lift, point_to_flat_unblocked for
+point_to_flat, dense_align_history (every voxel center interpolated) for
+align_history, and fuse_temporal_unblocked for fuse_temporal. The JSON writers produce the
 documents the loaders read back.
 The rest are inputs the tests share but the library never needs.
 """
@@ -24,7 +26,9 @@ from itertools import product
 
 import numpy as np
 
-from cylocc.geom import UNLABELED, ErpImage, LabeledPointCloud, RigidTransform, erp_pixel_to_direction
+from cylocc import synth
+from cylocc.errors import require_finite
+from cylocc.geom import UNLABELED, ErpImage, LabeledPointCloud, RigidTransform, _as_points, erp_pixel_to_direction
 from cylocc.grid import _EDGE_GUARD, CUBOID, CYLINDRICAL, GridSpec, LabelSet, VoxelGrid, default_label_set
 from cylocc.losses import ClassWeights
 from cylocc.metrics import _CHUNK, _MIN_SEGMENT, BatchHits, Rays, _sorted_crossings, generate_rays
@@ -125,14 +129,35 @@ def within_range(rays, hits, max_dist: float):
             BatchHits(hits.distance[keep], hits.label[keep], hits.voxel[keep]))
 
 
+def scene_first_hit(scene, origins, directions, max_dist: float):
+    """(t, label, hit) arrays for an (N, 3) ray batch, every ray meeting
+    every primitive: the nearest surface wins, earlier primitives win exact
+    ties, and t and label are inf and 0 where no surface lies within
+    max_dist. The unculled reference for the library's culled first-hit
+    kernel."""
+    require_finite("max_dist", max_dist)
+    o = _as_points(origins)
+    d = _as_points(directions)
+    best_t = np.full(len(o), np.inf)
+    best_label = np.zeros(len(o), dtype=np.uint8)
+    for prim in scene.primitives:
+        t = prim.ray_first(o, d)
+        better = t < best_t
+        best_t = np.where(better, t, best_t)
+        best_label = np.where(better, prim.label, best_label)
+    hit = np.isfinite(best_t) & (best_t <= max_dist)
+    return np.where(hit, best_t, np.inf), np.where(hit, best_label, 0), hit
+
+
 def fan_point_cloud(scene, origins, azimuth_count: int, elevation_count: int, elevation_range) -> LabeledPointCloud:
-    """Labeled surface samples within 60 m from a chosen fan per origin,
-    built as sample_scene_point_cloud builds its fixed one, for tests that
-    need a denser or narrower fan."""
+    """Labeled surface samples within synth._CLOUD_RANGE from a chosen fan
+    per origin, every ray meeting every primitive: the unculled reference
+    for sample_scene_point_cloud with synth._CLOUD_FAN, and denser or
+    narrower fans for tests that need them."""
     pts, labs = [], []
     for o in origins:
         fan = generate_rays(azimuth_count, elevation_count, elevation_range, o)
-        t, label, hit = scene.first_hit(fan.origins, fan.directions, 60.0)
+        t, label, hit = scene_first_hit(scene, fan.origins, fan.directions, synth._CLOUD_RANGE)
         pts.append(fan.origins[hit] + t[hit, None] * fan.directions[hit])
         labs.append(label[hit])
     return LabeledPointCloud(np.concatenate(pts), np.concatenate(labs).astype(np.uint8))
@@ -282,13 +307,13 @@ def erp_lift_per_pixel(depth, semantic=None, stride: int = 1) -> LabeledPointClo
 
 
 def render_erp_depth_all_pixels(scene, width: int, height: int, pose=None) -> tuple[ErpImage, ErpImage]:
-    """render_erp_depth as one Scene.first_hit over every pixel's ray and
+    """render_erp_depth as one scene_first_hit over every pixel's ray and
     every primitive: the exact reference its culled row blocks must match
     bit for bit."""
     pose = pose if pose is not None else RigidTransform.identity()
     dirs = erp_direction_grid(width, height).reshape(-1, 3) @ pose.rotation.T
     origins = np.broadcast_to(pose.translation, dirs.shape)
-    t, label, hit = scene.first_hit(origins, dirs, _RENDER_RANGE)
+    t, label, hit = scene_first_hit(scene, origins, dirs, _RENDER_RANGE)
     depth = np.where(hit, t, 0.0).reshape(height, width).astype(np.float32)
     sem = label.reshape(height, width).astype(np.float32)
     return ErpImage.depth(depth), ErpImage.semantic(sem)

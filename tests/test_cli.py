@@ -15,12 +15,13 @@ from hypothesis import strategies as st
 from cylocc.cli import main
 from cylocc.formats import (
     decode_voxel_grid,
+    encode_point_cloud,
     encode_raster,
     encode_voxel_grid,
     pose_to_json,
     rig_to_json,
 )
-from cylocc.geom import ErpImage, RigidTransform, surround_rig
+from cylocc.geom import ErpImage, LabeledPointCloud, RigidTransform, surround_rig
 from cylocc.grid import GridSpec, VoxelGrid, default_cylindrical_spec
 from oracles import scene_to_json
 
@@ -168,12 +169,17 @@ class TestExitCodes:
         {"primitives": [{"shape": "half_space", "height": math.inf, "label": "road"}]},
         {"primitives": [{"shape": "cylinder", "center": [-6, 8, 0], "radius": 0.25, "z_min": -1.3, "z_max": 2.3,
                          "label": "pole"}]},
+        # radii whose square overflows
+        {"primitives": [{"shape": "sphere", "center": [0, -10, 0], "radius": 1e160, "label": "vegetation"}]},
+        {"primitives": [{"shape": "cylinder", "center": [-6, 8], "radius": 1e160, "z_min": -1.3, "z_max": 2.3,
+                         "label": "pole"}]},
     ])
     def test_malformed_scene_is_format_error(self, tmp_path, scene, capsys):
         p = tmp_path / "scene.json"
         p.write_text(json.dumps(scene))
         assert main(["synth", "--scene", str(p), "--erp", "8x4", "--out", str(tmp_path / "out")]) == 2
-        assert "format error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "format error" in err and "Traceback" not in err
 
     @pytest.mark.parametrize("field,value", [
         ("focal_px_per_rad", math.nan), ("cx", math.nan), ("cx", math.inf), ("cy", -math.inf), ("width", 2.7),
@@ -229,6 +235,32 @@ class TestExitCodes:
         assert main(["synth", "--scene", str(scene_file), "--erp", "8x4", flag, value, "--out", str(out)]) == 3
         assert "domain error" in capsys.readouterr().err
         assert not out.exists() or not any(out.iterdir())
+
+    def test_far_rig_camera_writes_nothing(self, tmp_path, scene_file, capsys):
+        # the cloud seen from x = 1e160 lies beyond f32 range, so its encoder refuses it before
+        # any file is written; warnings are errors under pytest, so the oracle must not warn
+        doc = json.loads(rig_to_json(surround_rig()))
+        doc[0]["pose"][3] = 1e160
+        rig = tmp_path / "rig.json"
+        rig.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        args = ["synth", "--scene", str(scene_file), "--rig", str(rig), "--erp", "8x4",
+                "--spec", "cylindrical:4x8x2:0:25.6:-2.8:3.6", "--out", str(out)]
+        assert main(args) == 3
+        err = capsys.readouterr().err
+        assert "domain error: point coordinates stored as f32" in err and "Traceback" not in err
+        assert not out.exists() or not any(out.iterdir())
+
+    @pytest.mark.parametrize("spec", ["cylindrical:4x8x2:0:1e300:-1:1", "cuboid:4x4x2:-1:1:-1:1:100000000:100000001"],
+                             ids=["range-overflows-f32", "range-collapses-at-f32"])
+    def test_voxelize_spec_invalid_at_f32_writes_nothing(self, tmp_path, spec, capsys):
+        cloud = tmp_path / "cloud.opcd"
+        cloud.write_bytes(encode_point_cloud(LabeledPointCloud(np.array([[0.5, 0.5, 0.5]]), np.array([4], np.uint8))))
+        out = tmp_path / "grid.ovox"
+        assert main(["voxelize", "--cloud", str(cloud), "--spec", spec, "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "domain error: grid ranges" in err and "Traceback" not in err
+        assert not out.exists()
 
     def test_oversized_erp_is_domain_error(self, tmp_path, scene_file, capsys):
         # 10^10 pixels: one float64 plane of them is 80 GB, so the cap must reject it first

@@ -33,8 +33,9 @@ from cylocc.formats import (
     spec_from_json,
     weights_from_json,
 )
+from cylocc.errors import DomainError
 from cylocc.geom import ErpImage, LabeledPointCloud, RigidTransform, surround_rig
-from cylocc.grid import GridSpec, VoxelGrid, default_cylindrical_spec
+from cylocc.grid import CUBOID, CYLINDRICAL, GridSpec, VoxelGrid, default_cylindrical_spec
 from cylocc.synth import Sphere
 from oracles import DEMO07_SCENE, scene_to_json, spec_to_json
 
@@ -167,6 +168,42 @@ class TestOvox:
         with pytest.raises(InvalidField):
             decode_voxel_grid(bytes(blob))
 
+    @pytest.mark.parametrize("spec", [
+        GridSpec(CYLINDRICAL, (4, 8, 2), ((0.0, 1e300), (-math.pi, math.pi), (-1.0, 1.0))),
+        GridSpec(CUBOID, (4, 4, 2), ((-1.0, 1.0), (-1.0, 1.0), (1e8, 1e8 + 1.0))),
+        GridSpec(CUBOID, (4, 4, 2), ((-1e39, 1.0), (-1.0, 1.0), (0.0, 1.0))),
+    ], ids=["range-overflows-f32", "range-collapses-at-f32", "min-overflows-f32"])
+    def test_ranges_invalid_at_f32_refused(self, spec):
+        # warnings are errors under pytest, so the f32 cast must not warn either
+        with pytest.raises(DomainError, match="stored as f32"):
+            encode_voxel_grid(VoxelGrid.zeros(spec, "label"))
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_spec_round_trips_or_is_refused(self, data):
+        # any spec that constructs either decodes back with its f32-rounded
+        # ranges or is refused by the encoder, never written undecodable
+        value = st.one_of(st.floats(-1e40, 1e40), st.floats(allow_nan=False, allow_infinity=False),
+                          st.sampled_from([0.0, 1.0, 1e8, 1e8 + 1.0, 3.4028235e38, 3.4028236e38]))
+        coord = data.draw(st.sampled_from([CYLINDRICAL, CUBOID]))
+        dims = tuple(data.draw(st.integers(1, 3)) for _ in range(3))
+        ranges = [tuple(sorted((data.draw(value), data.draw(value)))) for _ in range(3)]
+        if coord == CYLINDRICAL:
+            ranges[1] = (-math.pi, math.pi)
+        try:
+            spec = GridSpec(coord, dims, ranges)
+        except DomainError:
+            return
+        grid = VoxelGrid(spec, "label", np.arange(spec.num_voxels, dtype=np.uint8).reshape(dims))
+        try:
+            blob = encode_voxel_grid(grid)
+        except DomainError:
+            return
+        back = decode_voxel_grid(blob)
+        assert back.spec.dims == dims
+        assert back.spec.ranges == tuple(tuple(float(np.float32(v)) for v in r) for r in spec.ranges)
+        np.testing.assert_array_equal(back.data, grid.data)
+
 
 class TestOpcd:
     def test_round_trip_bit_exact(self):
@@ -197,6 +234,17 @@ class TestOpcd:
         blob = struct.pack("<4sIQ", b"OPCD", 1, 2**60)
         with pytest.raises(Truncated):
             decode_point_cloud(blob)
+
+    @pytest.mark.parametrize("x", [1e160, -3.5e38, 1e39])
+    def test_point_beyond_f32_refused(self, x):
+        cloud = LabeledPointCloud(np.array([[0.0, 0.0, 0.0], [1.0, x, 2.0]]), np.array([1, 2], dtype=np.uint8))
+        with pytest.raises(DomainError, match="f32"):
+            encode_point_cloud(cloud)
+
+    def test_largest_f32_point_round_trips(self):
+        big = float(np.finfo(np.float32).max)
+        cloud = LabeledPointCloud(np.array([[big, -big, 0.0]]), np.array([3], dtype=np.uint8))
+        np.testing.assert_array_equal(decode_point_cloud(encode_point_cloud(cloud)).points, cloud.points)
 
 
 class TestOdpt:

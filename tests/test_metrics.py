@@ -36,7 +36,14 @@ from cylocc.metrics import (
 )
 from cylocc.synth import HalfSpace, Scene, analytic_voxel_gt
 
-from oracles import cast_all_intervals, default_cuboid_spec, march_fixed_step, ray_intervals, within_range
+from oracles import (
+    cast_all_intervals,
+    default_cuboid_spec,
+    march_fixed_step,
+    ray_intervals,
+    scene_first_hit,
+    within_range,
+)
 
 
 def one_ray(origin, direction) -> Rays:
@@ -156,7 +163,7 @@ class TestCastRay:
     def test_non_finite_max_dist_rejected(self, max_dist):
         ray = one_ray([0.0, 0.0, 0.0], [1.0, 0.0, 0.0])
         with pytest.raises(DomainError):
-            Scene((HalfSpace(-1.3, 1),)).first_hit(ray.origins, ray.directions, max_dist)
+            scene_first_hit(Scene((HalfSpace(-1.3, 1),)), ray.origins, ray.directions, max_dist)
 
     def test_length_reaches_any_exit(self, cyl_spec):
         # the derived length runs past the far side of the grid from an origin outside it

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from cylocc import synth
 from cylocc.errors import DomainError
-from cylocc.geom import RigidTransform, erp_depth_to_point_cloud, rot_z
+from cylocc.geom import RigidTransform, erp_depth_to_point_cloud, rot_z, surround_rig
 from cylocc.grid import CUBOID, CYLINDRICAL, GridSpec, default_label_set, voxelize_semantic
 from cylocc.metrics import cast_rays, generate_rays
 from cylocc.synth import (
@@ -35,6 +35,7 @@ from oracles import (
     fan_point_cloud,
     lidar_ring_origins,
     render_erp_depth_all_pixels,
+    scene_first_hit,
 )
 
 # the cuboid lattice cylocc synth derives from the default cylindrical one
@@ -63,6 +64,17 @@ def pitch_roll_pose() -> RigidTransform:
     c, s = math.cos(0.2), math.sin(0.2)
     roll = np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
     return RigidTransform(rot_z(2.5) @ pitch @ roll, np.array([1.0, -0.5, 1.5]))
+
+
+def erp_grid(width: int, height: int) -> tuple:
+    """_pixel_rects grid arguments of a width x height ERP raster."""
+    return width, height, 0.5 * math.pi, -math.pi / height
+
+
+def cloud_grid() -> tuple:
+    """_pixel_rects grid arguments of the cloud sampler's fan."""
+    az, el, (lo, hi) = synth._CLOUD_FAN
+    return az, el, lo, (hi - lo) / el
 
 
 coords = st.floats(-1.5, 1.5)
@@ -100,38 +112,39 @@ SMALL_CUBOID = GridSpec(CUBOID, (8, 8, 5), ((-8.0, 8.0), (-8.0, 8.0), (-2.0, 3.0
 class TestRaySceneIntersect:
     def test_parallel_above_ground_misses(self):
         scene = Scene((HalfSpace(0.0, 1),))
-        t, label, hit = scene.first_hit([[0.0, 0.0, 1.0]], [[1.0, 0.0, 0.0]], 100.0)
+        t, label, hit = scene_first_hit(scene, [[0.0, 0.0, 1.0]], [[1.0, 0.0, 0.0]], 100.0)
         assert not hit[0]
         assert t[0] == np.inf and label[0] == 0
 
     def test_straight_down_onto_ground(self):
         scene = Scene((HalfSpace(0.0, 1),))
-        t, label, hit = scene.first_hit([[0.0, 0.0, 2.0]], [[0.0, 0.0, -1.0]], 100.0)
+        t, label, hit = scene_first_hit(scene, [[0.0, 0.0, 2.0]], [[0.0, 0.0, -1.0]], 100.0)
         assert hit[0] and label[0] == 1
         assert t[0] == pytest.approx(2.0, abs=1e-12)
 
     def test_unit_sphere_head_on(self):
         # quadratic root: |o - c| = 5 along the axis, radius 1 -> t = 4
         scene = Scene((Sphere((5.0, 0.0, 0.0), 1.0, 6),))
-        t, label, hit = scene.first_hit([[0.0, 0.0, 0.0]], [[1.0, 0.0, 0.0]], 100.0)
+        t, label, hit = scene_first_hit(scene, [[0.0, 0.0, 0.0]], [[1.0, 0.0, 0.0]], 100.0)
         assert t[0] == pytest.approx(4.0, abs=1e-12)
         assert label[0] == 6
 
     def test_box_entry_face(self):
         scene = Scene((Box((2.0, -1.0, -1.0), (4.0, 1.0, 1.0), 4),))
-        t, _, _ = scene.first_hit([[0.0, 0.0, 0.0]], [[1.0, 0.0, 0.0]], 100.0)
+        t, _, _ = scene_first_hit(scene, [[0.0, 0.0, 0.0]], [[1.0, 0.0, 0.0]], 100.0)
         assert t[0] == pytest.approx(2.0, abs=1e-12)
 
     def test_origin_inside_box_hits_exit(self):
         scene = Scene((Box((-1.0, -1.0, -1.0), (1.0, 1.0, 1.0), 4),))
-        t, _, _ = scene.first_hit([[0.0, 0.0, 0.0]], [[1.0, 0.0, 0.0]], 100.0)
+        t, _, _ = scene_first_hit(scene, [[0.0, 0.0, 0.0]], [[1.0, 0.0, 0.0]], 100.0)
         assert t[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_cylinder_side_and_cap(self):
         cyl = VerticalCylinder((5.0, 0.0), 1.0, -1.0, 1.0, 9)
         scene = Scene((cyl,))
         # one batch: a side hit and a cap hit
-        t, _, hit = scene.first_hit([[0.0, 0.0, 0.0], [5.0, 0.0, 3.0]], [[1.0, 0.0, 0.0], [0.0, 0.0, -1.0]], 100.0)
+        t, _, hit = scene_first_hit(scene, [[0.0, 0.0, 0.0], [5.0, 0.0, 3.0]], [[1.0, 0.0, 0.0], [0.0, 0.0, -1.0]],
+                                    100.0)
         assert hit.all()
         np.testing.assert_allclose(t, [4.0, 2.0], atol=1e-12)
 
@@ -142,23 +155,23 @@ class TestRaySceneIntersect:
         o = np.zeros((4, 3))
         d = [[1.0, tiny, tiny], [1.0, -tiny, -tiny], [-1.0, tiny, -tiny], [1.0, 0.0, tiny]]
         for prim in (Box((-1.0, -1.0, -1.0), (1.0, 1.0, 1.0), 4), VerticalCylinder((0.0, 0.0), 1.0, -1.0, 1.0, 9)):
-            t, _, hit = Scene((prim,)).first_hit(o, d, 100.0)
+            t, _, hit = scene_first_hit(Scene((prim,)), o, d, 100.0)
             assert hit.all()
             np.testing.assert_array_equal(t, 1.0)
-        _, _, hit = Scene((HalfSpace(-1.0, 1),)).first_hit(o, d, 100.0)
+        _, _, hit = scene_first_hit(Scene((HalfSpace(-1.0, 1),)), o, d, 100.0)
         assert not hit.any()
 
     def test_order_breaks_ties(self):
         a = Sphere((5.0, 0.0, 0.0), 1.0, 3)
         b = Sphere((5.0, 0.0, 0.0), 1.0, 7)
         o, d = [[0.0, 0.0, 0.0]], [[1.0, 0.0, 0.0]]
-        assert Scene((a, b)).first_hit(o, d, 100.0)[1][0] == 3
-        assert Scene((b, a)).first_hit(o, d, 100.0)[1][0] == 7
+        assert scene_first_hit(Scene((a, b)), o, d, 100.0)[1][0] == 3
+        assert scene_first_hit(Scene((b, a)), o, d, 100.0)[1][0] == 7
 
     def test_nearest_primitive_wins(self):
         far = Sphere((9.0, 0.0, 0.0), 1.0, 3)
         near = Sphere((5.0, 0.0, 0.0), 1.0, 7)
-        _, label, _ = Scene((far, near)).first_hit([[0.0, 0.0, 0.0]], [[1.0, 0.0, 0.0]], 100.0)
+        _, label, _ = scene_first_hit(Scene((far, near)), [[0.0, 0.0, 0.0]], [[1.0, 0.0, 0.0]], 100.0)
         assert label[0] == 7
 
 
@@ -364,20 +377,26 @@ class TestCulledRender:
 
     def test_small_primitive_gets_few_pixels(self):
         # a 1 m sphere 5 m away spans about 0.4 rad: a few percent of the sphere of view
-        rects = synth._pixel_rects(Sphere((5.0, 0.0, 0.0), 1.0, 6), RigidTransform.identity(), 2000, 1000)
+        rects = synth._pixel_rects(Sphere((5.0, 0.0, 0.0), 1.0, 6), RigidTransform.identity(), *erp_grid(2000, 1000))
         assert sum((v1 - v0) * (u1 - u0) for v0, v1, u0, u1 in rects) < 0.02 * 2000 * 1000
 
     @pytest.mark.parametrize("prim", [Sphere((0.3, -0.2, 0.1), 1.0, 6), Box((-0.1, -0.1, -0.1), (0.1, 0.1, 5.0), 4),
                                       VerticalCylinder((0.0, 0.0), 0.5, 0.0, 2.0, 9)],
                              ids=["sphere", "box", "cylinder-base-at-eye"])
     def test_bounds_around_the_eye_get_every_pixel(self, prim):
-        assert synth._pixel_rects(prim, RigidTransform.identity(), 64, 32) == [(0, 32, 0, 64)]
+        assert synth._pixel_rects(prim, RigidTransform.identity(), *erp_grid(64, 32)) == [(0, 32, 0, 64)]
 
     def test_seam_splits_the_rectangle(self):
-        rects = synth._pixel_rects(Sphere((-5.0, 0.0, 0.0), 1.0, 6), RigidTransform.identity(), 2000, 1000)
+        rects = synth._pixel_rects(Sphere((-5.0, 0.0, 0.0), 1.0, 6), RigidTransform.identity(), *erp_grid(2000, 1000))
         # the bounds' near corners (-4, +-1) lie atan(1 / 4) = 0.245 rad either side of
         # lambda = pi: 78 pixel columns at each raster edge, and 2 more of margin
         assert sorted((u0, u1) for _, _, u0, u1 in rects) == [(0, 80), (1920, 2000)]
+
+    def test_primitive_above_the_fan_gets_no_rows(self):
+        # the cloud fan's rows climb from -1.2 to 0.4 rad; a 1 m sphere 10 m out
+        # and 10 m up lies above atan2(10 - 1, 10 + 1) = 0.686 rad
+        rects = synth._pixel_rects(Sphere((10.0, 0.0, 10.0), 1.0, 6), RigidTransform.identity(), *cloud_grid())
+        assert rects and all(v1 <= v0 for v0, v1, _, _ in rects)
 
     @pytest.mark.parametrize("size", [(100_000, 100_000), (synth._MAX_PIXELS + 1, 1)])
     def test_oversized_raster_rejected(self, size):
@@ -460,6 +479,93 @@ class TestNonFinitePrimitives:
         with pytest.raises(DomainError):
             build()
 
+    @pytest.mark.parametrize("build", [
+        lambda r: Sphere((0.0, 0.0, 0.0), r, 6),
+        lambda r: VerticalCylinder((0.0, 0.0), r, -1.0, 1.0, 9),
+    ], ids=["sphere", "cylinder"])
+    def test_radius_whose_square_overflows_rejected(self, build):
+        build(math.nextafter(2.0**512, 0.0))
+        for r in (2.0**512, 1e160, 1e300):
+            with pytest.raises(DomainError, match="2\\*\\*512"):
+                build(r)
+
+
+class TestFarPrimitives:
+    """Origins and centers so far out that the quadratics' squares overflow:
+    Sphere and VerticalCylinder report a miss (inf), and numpy warns of
+    nothing (warnings are errors under pytest)."""
+
+    FAR = [s * v for v in (1e160, 1e200, 1e300) for s in (1.0, -1.0)]
+    DIRECTIONS = np.concatenate([generate_rays(16, 8, (-1.5, 1.5)).directions, np.eye(3), -np.eye(3)])
+
+    @staticmethod
+    def primitives(c):
+        return [Sphere(c, 1.0, 6), VerticalCylinder(c[:2], 1.0, c[2] - 1.0, c[2] + 1.0, 9)]
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    @pytest.mark.parametrize("far", FAR)
+    def test_far_origin(self, axis, far):
+        o = np.zeros((len(self.DIRECTIONS), 3))
+        o[:, axis] = far
+        for prim in self.primitives((0.0, 0.0, 0.0)):
+            np.testing.assert_array_equal(prim.ray_first(o, self.DIRECTIONS), np.inf)
+
+    @pytest.mark.parametrize("axis", [0, 1])
+    @pytest.mark.parametrize("far", FAR)
+    def test_far_center(self, axis, far):
+        c = [0.0, 0.0, 0.0]
+        c[axis] = far
+        for prim in self.primitives(tuple(c)):
+            np.testing.assert_array_equal(prim.ray_first(np.zeros((len(self.DIRECTIONS), 3)), self.DIRECTIONS), np.inf)
+            assert not prim.contains(np.zeros((1, 3)))[0]
+
+
+class TestCulledCloud:
+    """sample_scene_point_cloud casts each origin's fan through the culled
+    row-block kernel; fan_point_cloud meets every ray with every primitive.
+    The two agree bit for bit, points and labels, in the same order."""
+
+    @staticmethod
+    def assert_matches_oracle(scene, origins):
+        got = sample_scene_point_cloud(scene, origins)
+        want = fan_point_cloud(scene, origins, *synth._CLOUD_FAN)
+        assert got.points.dtype == want.points.dtype and got.points.shape == want.points.shape
+        assert got.points.tobytes() == want.points.tobytes()
+        assert got.labels.dtype == want.labels.dtype and got.labels.tobytes() == want.labels.tobytes()
+
+    @pytest.mark.parametrize("which", ["street", "demo07", "representation"])
+    @pytest.mark.parametrize("origins", ["rig", "lidar"])
+    def test_scenes(self, street_scene, which, origins):
+        pts = (np.stack([cam.pose.translation for cam in surround_rig()]) if origins == "rig"
+               else lidar_ring_origins(count=4, heights=(0.6, 1.8)))
+        self.assert_matches_oracle(scene_named(which, street_scene), pts)
+
+    @pytest.mark.parametrize("origin", [(9.5, 0.0, 0.0), (0.0, -10.0, 0.3), (9.75, 0.0, 3.0), (13.0, 0.2, 0.5)],
+                             ids=["inside-box", "inside-sphere", "above-box", "box-behind-across-seam"])
+    def test_special_origins(self, street_scene, origin):
+        self.assert_matches_oracle(street_scene, np.array([origin]))
+
+    @pytest.mark.parametrize("scene", [
+        Scene((Sphere((5.0, 0.0, 0.0), 1.0, 3), Sphere((5.0, 0.0, 0.0), 1.0, 7))),
+        Scene((Sphere((5.0, 0.0, 0.0), 1.0, 7), Sphere((5.0, 0.0, 0.0), 1.0, 3))),
+        Scene((Box((2.0, -1.0, -1.0), (4.0, 1.0, 1.0), 4), Box((2.0, -3.0, -1.0), (4.0, 3.0, 1.0), 7))),
+        Scene((HalfSpace(-1.0, 1), HalfSpace(-1.0, 2))),
+        Scene(()),
+    ], ids=["sphere-tie", "sphere-tie-reversed", "box-face-tie", "plane-tie", "empty"])
+    def test_ties_and_empty(self, scene):
+        self.assert_matches_oracle(scene, np.array([[0.0, 0.0, 0.0], [-3.0, 0.5, 0.2]]))
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), block=st.integers(1, 40_000))
+    def test_drawn_scenes(self, data, block):
+        eye = np.array([data.draw(coords), data.draw(coords), data.draw(st.floats(-1.0, 2.0))])
+        # the eye itself, straight above it, and across the lambda = +-pi seam behind it
+        scene = data.draw(scenes([tuple(eye), tuple(eye + (0.0, 0.0, 3.0)), tuple(eye - (4.0, 0.0, 0.0))]))
+        origins = np.array([eye, *data.draw(st.lists(st.tuples(coords, coords, coords), max_size=2))])
+        # a pixel budget below the fan's 512 x 64 spreads it over several row blocks
+        with mock.patch.object(synth, "_RENDER_BLOCK_PIXELS", block):
+            self.assert_matches_oracle(scene, origins)
+
 
 class TestSampledCloud:
     def test_empty_scene_empty_cloud(self):
@@ -518,7 +624,7 @@ class TestOracleConsistency:
         gt = analytic_voxel_gt(street_scene, cyl_spec, 3)
         rays = generate_rays(256, 16, (-0.45, 0.1), origin=(0.0, 0.0, 0.3))
         grid_hits = cast_rays(rays, gt)
-        t, label, hit = street_scene.first_hit(rays.origins, rays.directions, 40.0)
+        t, label, hit = scene_first_hit(street_scene, rays.origins, rays.directions, 40.0)
         # restrict to rays the scene resolves inside the grid's radius
         in_grid = hit & (t < 24.0)
         same = grid_hits.label[in_grid] == label[in_grid]
@@ -538,7 +644,7 @@ class TestOracleConsistency:
         gt = analytic_voxel_gt(street_scene, cyl_spec, 3)
         rays = generate_rays(128, 8, (-1.3, -0.6), origin=(0.0, 0.0, 0.3))
         grid_hits = cast_rays(rays, gt)
-        t, label, hit = street_scene.first_hit(rays.origins, rays.directions, 40.0)
+        t, label, hit = scene_first_hit(street_scene, rays.origins, rays.directions, 40.0)
         both = hit & grid_hits.hit & (grid_hits.label == label)
         assert both.mean() >= 0.98
         diag = math.sqrt(0.2**2 + (25.6 * 2 * math.pi / 200) ** 2 + 0.4**2)
