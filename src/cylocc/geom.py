@@ -270,15 +270,16 @@ class FisheyeCamera:
         """
         p_cam = self.pose.inverse().apply(p_ego)
         x, y, z = p_cam[:, 0], p_cam[:, 1], p_cam[:, 2]
-        rxy = np.hypot(x, y)
-        theta = np.arctan2(rxy, z)
-        rnorm = np.sqrt(x * x + y * y + z * z)
-        valid = (theta < 0.5 * self.fov) & (rnorm >= 1e-6)
-        rho = self.focal * theta
-        with np.errstate(invalid="ignore", divide="ignore"):
+        # a far camera squares past f64 range: rnorm is then inf, still >= 1e-6
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            rxy = np.hypot(x, y)
+            theta = np.arctan2(rxy, z)
+            rnorm = np.sqrt(x * x + y * y + z * z)
+            valid = (theta < 0.5 * self.fov) & (rnorm >= 1e-6)
+            rho = self.focal * theta
             scale = np.where(rxy > 0, rho / np.where(rxy > 0, rxy, 1.0), 0.0)
-        cx, cy = self.principal_point
-        return np.stack([cx + scale * x, cy + scale * y], axis=-1), valid
+            cx, cy = self.principal_point
+            return np.stack([cx + scale * x, cy + scale * y], axis=-1), valid
 
     def unproject(self, uv) -> np.ndarray:
         """(N, 3) camera-frame unit directions for (N, 2) pixel coordinates.

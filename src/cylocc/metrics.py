@@ -3,7 +3,9 @@
 Query rays are cast into label grids to find the first non-free voxel along
 each ray. The parametric caster is exact: it collects every parameter value
 where the ray crosses a lattice surface (r cylinders, azimuth planes and z
-planes for cylindrical grids; axis planes for cuboid grids), sorts them,
+planes for cylindrical grids; axis planes for cuboid grids), skipping the
+near r roots and azimuth planes of a ray block that can only meet them at
+t <= 0 (no ray heading inward, every origin on the axis), sorts them,
 and classifies the intervals by their midpoints in order up to the first
 occupied one, so cells are visited in true geometric order and hits report
 the entry distance into the first occupied cell. Crossings and cells depend
@@ -102,56 +104,61 @@ class BatchHits:
         return len(self.distance)
 
 
-def _plane_crossings(spec: GridSpec, o: np.ndarray, d: np.ndarray, k: int) -> np.ndarray:
-    """Crossing parameters with the bin-edge planes of Cartesian axis k;
-    rays parallel to the planes give non-finite entries."""
+def _plane_crossings(spec: GridSpec, o: np.ndarray, d: np.ndarray, k: int, out: np.ndarray) -> None:
+    """Write into out the crossing parameters with the bin-edge planes of
+    Cartesian axis k; rays parallel to the planes give non-finite entries."""
     edges = spec.axis_value(np.arange(spec.dims[k] + 1), k)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        return (edges[None, :] - o[:, k : k + 1]) / d[:, k : k + 1]
-
-
-def _cylindrical_crossings(spec: GridSpec, o: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """Candidate crossing parameters with every r shell, azimuth plane and
-    z plane of a cylindrical lattice; invalid entries are NaN."""
-    cols = [_plane_crossings(spec, o, d, 2)]
-
-    a = d[:, 0] ** 2 + d[:, 1] ** 2
-    b = 2.0 * (o[:, 0] * d[:, 0] + o[:, 1] * d[:, 1])
-    c0 = o[:, 0] ** 2 + o[:, 1] ** 2
-    rk = spec.axis_value(np.arange(spec.dims[0] + 1), 0)
-    disc = b[:, None] ** 2 - 4.0 * a[:, None] * (c0[:, None] - rk[None, :] ** 2)
-    # tangent guard: near-zero discriminants are treated as no crossing
-    ok = (disc >= 1e-12) & (a[:, None] > 1e-30)
-    sq = np.sqrt(np.where(ok, disc, np.nan))
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        inv2a = 0.5 / a[:, None]
-    cols.append((-b[:, None] - sq) * inv2a)
-    cols.append((-b[:, None] + sq) * inv2a)
-
-    # azimuth planes step from exactly -pi, not from the stored theta range,
-    # which decoded specs carry rounded to f32
-    d1 = spec.dims[1]
-    alpha = -math.pi + np.arange(d1) * (2.0 * math.pi / d1)
-    nx, ny = -np.sin(alpha), np.cos(alpha)
-    den = d[:, 0:1] * nx[None, :] + d[:, 1:2] * ny[None, :]
-    num = -(o[:, 0:1] * nx[None, :] + o[:, 1:2] * ny[None, :])
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        cols.append(num / den)
-
-    return np.concatenate(cols, axis=1)
+        np.divide(np.subtract(edges, o[:, k : k + 1], out=out), d[:, k : k + 1], out=out)
 
 
 def _sorted_crossings(spec: GridSpec, o: np.ndarray, d: np.ndarray, max_dist: float) -> np.ndarray:
     """Row-sorted crossing parameters: 0, every lattice crossing inside
     (0, max_dist), and max_dist for the rest, so each row ends in zero-length
-    max_dist padding. Interval j lies between columns j and j + 1."""
-    n = len(o)
+    max_dist padding. Interval j lies between columns j and j + 1. A
+    cylindrical block builds its near r roots only if some ray has
+    b = 2 (o.d)_xy < 0, and its azimuth planes only if some origin is off
+    the axis: else every such entry is <= 0 or NaN, which could only add
+    padding after a row's first max_dist column."""
+    dims = spec.dims
     if spec.coord_sys == CYLINDRICAL:
-        raw = _cylindrical_crossings(spec, o, d)
+        a = d[:, 0] ** 2 + d[:, 1] ** 2
+        b = 2.0 * (o[:, 0] * d[:, 0] + o[:, 1] * d[:, 1])
+        c0 = o[:, 0] ** 2 + o[:, 1] ** 2
+        near = bool(np.any(b < 0.0))
+        # test the coordinates: c0 underflows to 0 at |o_xy| ~ 1e-300, the plane numerators do not
+        off_axis = bool(np.any(o[:, :2] != 0.0))
+        widths = [dims[2] + 1, dims[0] + 1, near * (dims[0] + 1), off_axis * dims[1]]
     else:
-        raw = np.concatenate([_plane_crossings(spec, o, d, k) for k in range(3)], axis=1)
-    t = np.where(np.isfinite(raw) & (raw > 0.0) & (raw < max_dist), raw, max_dist)
-    ts = np.concatenate([np.zeros((n, 1)), t, np.full((n, 1), max_dist)], axis=1)
+        widths = [n + 1 for n in dims]
+    ts = np.empty((len(o), sum(widths) + 2))
+    ts[:, 0], ts[:, -1] = 0.0, max_dist
+    mid = ts[:, 1:-1]
+    cols = np.split(mid, np.cumsum(widths)[:-1], axis=1)
+    if spec.coord_sys != CYLINDRICAL:
+        for k, col in enumerate(cols):
+            _plane_crossings(spec, o, d, k, col)
+    else:
+        _plane_crossings(spec, o, d, 2, cols[0])
+        rk = spec.axis_value(np.arange(dims[0] + 1), 0)
+        disc = b[:, None] ** 2 - 4.0 * a[:, None] * (c0[:, None] - rk[None, :] ** 2)
+        # tangent guard: near-zero discriminants are treated as no crossing
+        disc[~((disc >= 1e-12) & (a[:, None] > 1e-30))] = np.nan
+        sq = np.sqrt(disc, out=disc)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            inv2a = 0.5 / a[:, None]
+        np.multiply(np.add(-b[:, None], sq, out=cols[1]), inv2a, out=cols[1])
+        if near:
+            np.multiply(np.subtract(-b[:, None], sq, out=cols[2]), inv2a, out=cols[2])
+        if off_axis:
+            # azimuth planes step from exactly -pi, not from the stored theta
+            # range, which decoded specs carry rounded to f32
+            alpha = -math.pi + np.arange(dims[1]) * (2.0 * math.pi / dims[1])
+            nx, ny = -np.sin(alpha), np.cos(alpha)
+            num = np.add(np.multiply(o[:, 0:1], nx, out=cols[3]), o[:, 1:2] * ny, out=cols[3])
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                np.divide(np.negative(num, out=num), d[:, 0:1] * nx + d[:, 1:2] * ny, out=num)
+    np.copyto(mid, max_dist, where=~((mid > 0.0) & (mid < max_dist)))
     ts.sort(axis=1)
     return ts
 
@@ -217,7 +224,10 @@ def _cast_grids(rays: Rays, grids: list[VoxelGrid]) -> list[BatchHits]:
                 break
             block = ts[active, j : j + _BLOCK + 1]
             mids = 0.5 * (block[:, :-1] + block[:, 1:])
-            pos = o[active, None, :] + mids[..., None] * d[active, None, :]
+            pos = np.empty(mids.shape + (3,))
+            for k in range(3):  # o_k + m * d_k, one axis at a time
+                np.multiply(mids, d[active, k : k + 1], out=pos[..., k])
+                pos[..., k] += o[active, k : k + 1]
             cells = spec.point_to_flat(pos.reshape(-1, 3)).reshape(len(active), -1)
             long = np.diff(block, axis=1) > _MIN_SEGMENT
             for g, lab in enumerate(labels):

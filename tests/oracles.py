@@ -4,7 +4,13 @@ The all-intervals caster, which casts one grid at a time, is the exact
 reference for the block-wise early exit of cast_rays and of the shared
 pass in which ray_iou casts gt and pred together, computing crossings
 and cells once per ray and reading labels per grid; the fixed-step
-marcher is the brute-force one. The synth oracle has two:
+marcher is the brute-force one. The all-intervals caster sorts its
+crossings with its own builder, sorted_crossings_all_families, which
+computes every crossing family (z planes, both r roots of every shell,
+every azimuth plane) for every ray, so it shares no crossing code with
+metrics._sorted_crossings, which leaves out the families that can hold
+only padding; the two must agree bit for bit up to each row's first
+max_dist column. The synth oracle has two:
 analytic_voxel_gt_all_probes, which probes every voxel supersample^3
 times and votes once, for analytic_voxel_gt's boundary-only vote, and
 scene_first_hit, every ray meeting every primitive, for the culled
@@ -31,7 +37,7 @@ from cylocc.errors import require_finite
 from cylocc.geom import UNLABELED, ErpImage, LabeledPointCloud, RigidTransform, _as_points, erp_pixel_to_direction
 from cylocc.grid import _EDGE_GUARD, CUBOID, CYLINDRICAL, GridSpec, LabelSet, VoxelGrid, default_label_set
 from cylocc.losses import ClassWeights
-from cylocc.metrics import _CHUNK, _MIN_SEGMENT, BatchHits, Rays, _sorted_crossings, generate_rays
+from cylocc.metrics import _CHUNK, _MIN_SEGMENT, BatchHits, Rays, generate_rays
 from cylocc.synth import _RENDER_RANGE, Box, HalfSpace, Scene, Sphere, VerticalCylinder
 
 
@@ -53,6 +59,64 @@ def point_to_flat_unblocked(spec: GridSpec, p) -> np.ndarray:
     return flat
 
 
+def plane_crossings(spec: GridSpec, o: np.ndarray, d: np.ndarray, k: int) -> np.ndarray:
+    """Crossing parameters with the bin-edge planes of Cartesian axis k;
+    rays parallel to the planes give non-finite entries."""
+    edges = spec.axis_value(np.arange(spec.dims[k] + 1), k)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        return (edges[None, :] - o[:, k : k + 1]) / d[:, k : k + 1]
+
+
+def cylindrical_crossings(spec: GridSpec, o: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Candidate crossing parameters with every r shell (both roots),
+    azimuth plane and z plane of a cylindrical lattice; invalid entries are
+    NaN."""
+    cols = [plane_crossings(spec, o, d, 2)]
+
+    a = d[:, 0] ** 2 + d[:, 1] ** 2
+    b = 2.0 * (o[:, 0] * d[:, 0] + o[:, 1] * d[:, 1])
+    c0 = o[:, 0] ** 2 + o[:, 1] ** 2
+    rk = spec.axis_value(np.arange(spec.dims[0] + 1), 0)
+    disc = b[:, None] ** 2 - 4.0 * a[:, None] * (c0[:, None] - rk[None, :] ** 2)
+    # tangent guard: near-zero discriminants are treated as no crossing
+    ok = (disc >= 1e-12) & (a[:, None] > 1e-30)
+    sq = np.sqrt(np.where(ok, disc, np.nan))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        inv2a = 0.5 / a[:, None]
+    cols.append((-b[:, None] - sq) * inv2a)
+    cols.append((-b[:, None] + sq) * inv2a)
+
+    # azimuth planes step from exactly -pi, not from the stored theta range,
+    # which decoded specs carry rounded to f32
+    d1 = spec.dims[1]
+    alpha = -math.pi + np.arange(d1) * (2.0 * math.pi / d1)
+    nx, ny = -np.sin(alpha), np.cos(alpha)
+    den = d[:, 0:1] * nx[None, :] + d[:, 1:2] * ny[None, :]
+    num = -(o[:, 0:1] * nx[None, :] + o[:, 1:2] * ny[None, :])
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        cols.append(num / den)
+
+    return np.concatenate(cols, axis=1)
+
+
+def sorted_crossings_all_families(spec: GridSpec, o: np.ndarray, d: np.ndarray, max_dist: float) -> np.ndarray:
+    """metrics._sorted_crossings building every crossing family for every
+    ray (z planes, both r roots, all azimuth planes; or the three axis plane
+    families): 0, every lattice crossing inside (0, max_dist), and max_dist
+    for the rest, row-sorted. The exact reference for the kernel, which
+    leaves out families that hold only padding: the two agree bit for bit
+    up to each row's first max_dist column."""
+    n = len(o)
+    if spec.coord_sys == CYLINDRICAL:
+        raw = cylindrical_crossings(spec, o, d)
+    else:
+        raw = np.concatenate([plane_crossings(spec, o, d, k) for k in range(3)], axis=1)
+    t = np.where(np.isfinite(raw) & (raw > 0.0) & (raw < max_dist), raw, max_dist)
+    ts = np.concatenate([np.zeros((n, 1)), t, np.full((n, 1), max_dist)], axis=1)
+    ts.sort(axis=1)
+    return ts
+
+
 def ray_intervals(spec: GridSpec, o: np.ndarray, d: np.ndarray, max_dist: float):
     """Sorted crossing parameters and midpoint cell classification of every
     interval, padding included.
@@ -62,7 +126,7 @@ def ray_intervals(spec: GridSpec, o: np.ndarray, d: np.ndarray, max_dist: float)
     entries, cells as flat voxel indices with -1 for intervals outside the
     grid.
     """
-    ts = _sorted_crossings(spec, o, d, max_dist)
+    ts = sorted_crossings_all_families(spec, o, d, max_dist)
     seg_len = np.diff(ts, axis=1)
     mids = 0.5 * (ts[:, :-1] + ts[:, 1:])
     pos = o[:, None, :] + mids[..., None] * d[:, None, :]

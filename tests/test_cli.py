@@ -251,6 +251,30 @@ class TestExitCodes:
         assert "domain error: point coordinates stored as f32" in err and "Traceback" not in err
         assert not out.exists() or not any(out.iterdir())
 
+    def test_far_rig_camera_lifts(self, tmp_path, capsys):
+        # camera-frame coordinates seen from x = 1e160 square past f64 range; warnings are
+        # errors under pytest, so the projection must not warn, and that camera sees no voxel
+        doc = json.loads(rig_to_json(surround_rig()))
+        doc[0]["pose"][3] = 1e160
+        rig = tmp_path / "rig.json"
+        rig.write_text(json.dumps(doc))
+        spec = default_cylindrical_spec()
+        occ = np.zeros(spec.dims, dtype=np.uint8)
+        occ[30:60, ::10, 6:10] = 1
+        mask = tmp_path / "mask.ovox"
+        mask.write_bytes(encode_voxel_grid(VoxelGrid(spec, "occupancy", occ)))
+        feat_dir = tmp_path / "features"
+        feat_dir.mkdir()
+        for cam in surround_rig():
+            raster = ErpImage(16, 16, 2, np.full((16, 16, 2), 2.5, dtype=np.float32), "feature")
+            (feat_dir / f"{cam.name}.odpt").write_bytes(encode_raster(raster))
+        out = tmp_path / "colored.ovox"
+        args = ["lift", "--mask", str(mask), "--rig", str(rig), "--features", str(feat_dir), "--out", str(out)]
+        assert main(args) == 0
+        err = capsys.readouterr().err
+        assert "Warning" not in err and "Traceback" not in err
+        assert np.all(decode_voxel_grid(out.read_bytes()).data[occ == 0] == 0)
+
     @pytest.mark.parametrize("spec", ["cylindrical:4x8x2:0:1e300:-1:1", "cuboid:4x4x2:-1:1:-1:1:100000000:100000001"],
                              ids=["range-overflows-f32", "range-collapses-at-f32"])
     def test_voxelize_spec_invalid_at_f32_writes_nothing(self, tmp_path, spec, capsys):

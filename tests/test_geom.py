@@ -308,6 +308,15 @@ class TestFisheye:
         assert ok[0]
         np.testing.assert_allclose(uv, [[320.0, 320.0]], atol=1e-9)
 
+    def test_far_camera_projects_without_overflow(self):
+        # camera-frame coordinates 1e160 m out square past f64 range; warnings are errors under pytest
+        pose = RigidTransform(np.eye(3), np.array([1e160, 0.0, 0.0]))
+        cam = FisheyeCamera(640, 640, 150.0, (320.0, 320.0), math.pi, pose=pose)
+        uv, ok = cam.project(np.array([[1e160, 0.0, 5.0], [0.0, 0.0, 5.0], [0.0, 3.0, -2.0]]))
+        np.testing.assert_array_equal(ok, [True, False, False])
+        np.testing.assert_allclose(uv[0], [320.0, 320.0], atol=1e-9)
+        assert np.isfinite(uv).all()
+
     @pytest.mark.parametrize("call", [
         lambda cam: cam.pose.apply([1.0, 2.0, 3.0]),
         lambda cam: cam.project([1.0, 2.0, 3.0]),

@@ -6,7 +6,9 @@ cases, bit-for-bit agreement with the all-intervals caster it replaced
 on arbitrary rays, and the standard 0.01 m marcher on evaluation-fan
 rays (the full 10k-ray runs live in the acceptance suite). The shared
 pass that casts several grids at once must give each grid its own cast's
-hits bit for bit. RayIoU confusion logic is pinned by a hand-computed
+hits bit for bit. The crossing builder leaves out the crossing families
+that can hold only padding, and must match the all-families builder bit
+for bit up to each row's first max_dist column. RayIoU confusion logic is pinned by a hand-computed
 two-ray table on a grid whose cell edges make the distances exact.
 """
 
@@ -24,11 +26,13 @@ from cylocc.formats import decode_voxel_grid, encode_voxel_grid
 from cylocc.geom import FisheyeCamera
 from cylocc.grid import CUBOID, GridSpec, VoxelGrid, default_cylindrical_spec, default_label_set
 from cylocc.metrics import (
+    _CHUNK,
     _MIN_SEGMENT,
     Rays,
     _cast_grids,
     _grid_max_distance,
     _report_from_hits,
+    _sorted_crossings,
     cast_rays,
     default_ray_fan,
     generate_rays,
@@ -42,6 +46,7 @@ from oracles import (
     march_fixed_step,
     ray_intervals,
     scene_first_hit,
+    sorted_crossings_all_families,
     within_range,
 )
 
@@ -294,6 +299,131 @@ class TestEarlyExitExactness:
         length = _grid_max_distance(grid.spec, rays.origins)
         assert_same_hits(hits, cast_all_intervals(rays, grid, length))
         assert_same_hits(hits, cast_all_intervals(rays, grid, 2.0 * length))
+
+
+def unit_rows(v):
+    v = np.asarray(v, dtype=np.float64)
+    return v / np.linalg.norm(v, axis=1, keepdims=True)
+
+
+def assert_same_crossings(spec, o, d):
+    """The kernel's sorted crossings equal the all-families oracle's bit for
+    bit up to each row's first max_dist column, at the same column; returns
+    the kernel's width."""
+    length = _grid_max_distance(spec, o)
+    ts = _sorted_crossings(spec, o, d, length)
+    ref = sorted_crossings_all_families(spec, o, d, length)
+    live = np.argmax(ts == length, axis=1)
+    np.testing.assert_array_equal(live, np.argmax(ref == length, axis=1))
+    w = live.max() + 1
+    np.testing.assert_array_equal(ts[:, :w].view(np.uint64), ref[:, :w].view(np.uint64))
+    return ts.shape[1]
+
+
+@st.composite
+def crossing_cases(draw):
+    """Origins on the axis (either zero sign), a denormal step off it, or
+    anywhere, with vertical, horizontal, inward, outward or any directions."""
+    n = draw(st.integers(1, 12))
+    o, d = np.empty((n, 3)), np.empty((n, 3))
+    for i in range(n):
+        kind = draw(st.sampled_from(["axis", "tiny", "any"]))
+        z = draw(st.floats(-3.5, 4.0))
+        if kind == "axis":
+            o[i] = [draw(st.sampled_from([0.0, -0.0])), draw(st.sampled_from([0.0, -0.0])), z]
+        elif kind == "tiny":
+            o[i] = [draw(st.sampled_from([1e-300, -1e-300, 5e-324, 0.0])), draw(st.sampled_from([1e-300, 0.0])), z]
+        else:
+            o[i] = [draw(st.floats(-40.0, 40.0)), draw(st.floats(-40.0, 40.0)), z]
+        form = draw(st.sampled_from(["vertical", "horizontal", "inward", "any"]))
+        if form == "vertical":
+            d[i] = [0.0, 0.0, draw(st.sampled_from([-1.0, 1.0]))]
+        elif form == "inward" and o[i, :2].any():
+            phi = math.atan2(o[i, 1], o[i, 0])
+            d[i] = [-math.cos(phi), -math.sin(phi), draw(st.floats(-1.0, 1.0))]
+        else:
+            angle = draw(st.floats(-math.pi, math.pi))
+            d[i] = [math.cos(angle), math.sin(angle), 0.0 if form == "horizontal" else draw(st.floats(-3.0, 3.0))]
+    spec = draw(st.sampled_from([default_cylindrical_spec(), default_cuboid_spec()]))
+    return spec, o, unit_rows(d)
+
+
+class TestSortedCrossings:
+    """The crossing builder leaves out the near r roots of blocks with no
+    inward ray and the azimuth planes of blocks with every origin on the
+    axis; its columns must equal the all-families oracle's bit for bit up to
+    each row's first max_dist column."""
+
+    def test_default_fan_builds_148_columns(self, cyl_spec):
+        fan = default_ray_fan()
+        for s in range(0, len(fan), _CHUNK):
+            # 17 z planes and 129 far r roots, between the 0 and max_dist columns
+            assert assert_same_crossings(cyl_spec, fan.origins[s : s + _CHUNK], fan.directions[s : s + _CHUNK]) == 148
+
+    def test_inward_off_axis_ray_builds_every_family(self, cyl_spec):
+        fan = default_ray_fan()
+        o, d = fan.origins[:8].copy(), fan.directions[:8].copy()
+        o[0], d[0] = [10.0, 3.0, 0.2], unit_rows([[-1.0, -0.2, 0.05]])[0]
+        assert assert_same_crossings(cyl_spec, o, d) == 477
+
+    @pytest.mark.parametrize("coord", ["cylindrical", "cuboid"])
+    def test_random_off_axis_rays(self, coord, cyl_spec):
+        spec = cyl_spec if coord == "cylindrical" else default_cuboid_spec()
+        rng = np.random.RandomState(51)
+        n = 4000
+        o = np.stack([rng.uniform(-30, 30, n), rng.uniform(-30, 30, n), rng.uniform(-4, 5, n)], axis=1)
+        assert_same_crossings(spec, o, unit_rows(rng.normal(size=(n, 3))))
+
+    @pytest.mark.parametrize("x,y", [(0.0, 0.0), (-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0)])
+    def test_axis_origins(self, cyl_spec, x, y):
+        # b = +-0 on the axis: neither the near roots nor the azimuth planes are built
+        rng = np.random.RandomState(52)
+        n = 500
+        o = np.stack([np.full(n, x), np.full(n, y), rng.uniform(-3, 4, n)], axis=1)
+        assert assert_same_crossings(cyl_spec, o, unit_rows(rng.normal(size=(n, 3)))) == 148
+
+    @pytest.mark.parametrize("o_xy", [(1e-300, 0.0), (0.0, -1e-300), (5e-324, 5e-324)])
+    def test_denormal_step_off_axis(self, cyl_spec, o_xy):
+        # o_x^2 + o_y^2 underflows to 0, yet the azimuth planes cross at t ~ |o_xy| > 0
+        rng = np.random.RandomState(53)
+        n = 500
+        o = np.column_stack([np.full(n, o_xy[0]), np.full(n, o_xy[1]), rng.uniform(-3, 4, n)])
+        assert o[0, 0] ** 2 + o[0, 1] ** 2 == 0.0
+        d = unit_rows(rng.normal(size=(n, 3)))
+        assert assert_same_crossings(cyl_spec, o, d) == 477
+        ts = _sorted_crossings(cyl_spec, o, d, _grid_max_distance(cyl_spec, o))
+        assert np.any((ts[:, 1] > 0.0) & (ts[:, 1] < 1e-290))
+
+    def test_vertical_and_tangent_rays(self, cyl_spec):
+        rng = np.random.RandomState(54)
+        n = 300
+        o = np.stack([rng.uniform(-20, 20, n), rng.uniform(-20, 20, n), rng.uniform(-3, 4, n)], axis=1)
+        vertical = np.tile([0.0, 0.0, 1.0], (n, 1))
+        vertical[::2, 2] = -1.0
+        assert_same_crossings(cyl_spec, o, vertical)
+        assert assert_same_crossings(cyl_spec, o * [0.0, 0.0, 1.0], vertical) == 148  # a = 0: far roots all NaN
+        # rays along +x at y = r_k graze shell k at t = -x
+        y = cyl_spec.axis_value(np.arange(1, 60), 0)
+        o = np.column_stack([np.full(len(y), -30.0), y, np.zeros(len(y))])
+        assert_same_crossings(cyl_spec, o, np.tile([1.0, 0.0, 0.0], (len(y), 1)))
+
+    def test_mixed_chunks(self, cyl_spec):
+        # axis and off-axis origins, inward and outward rays, in one block
+        rng = np.random.RandomState(55)
+        n = 1000
+        radial = rng.uniform(-math.pi, math.pi, n)
+        r = np.where(rng.rand(n) < 0.5, 0.0, rng.uniform(1.0, 20.0, n))
+        o = np.column_stack([r * np.cos(radial), r * np.sin(radial), rng.uniform(-2, 3, n)])
+        sign = np.where(rng.rand(n) < 0.5, -1.0, 1.0)
+        d = unit_rows(np.column_stack([sign * np.cos(radial), sign * np.sin(radial), rng.uniform(-0.4, 0.4, n)]))
+        assert assert_same_crossings(cyl_spec, o, d) == 477
+        outward = sign > 0
+        assert assert_same_crossings(cyl_spec, o[outward], d[outward]) == 348
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=crossing_cases())
+    def test_drawn_rays(self, case):
+        assert_same_crossings(*case)
 
 
 @cache
