@@ -14,10 +14,10 @@ Conventions used throughout the package:
   theta is the incidence angle against the optical axis (+z in the camera
   frame) and rho the radial pixel distance from the principal point.
 * The depth lift streams the raster in fixed row blocks and takes cos and
-  sin once per column and once per row, not per pixel; each coordinate
-  keeps the per-pixel form (cos phi * cos lambda) * depth. Its clouds are
-  bit-identical to the per-pixel oracle erp_lift_per_pixel in
-  tests/oracles.py.
+  sin once per column and once per row (_erp_trig, which the synth render
+  shares); each coordinate keeps the per-pixel form
+  (cos phi * cos lambda) * depth, so its clouds are bit-identical to the
+  per-pixel oracle erp_lift_per_pixel in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -126,6 +126,8 @@ class ErpImage:
     def __post_init__(self):
         if self.kind not in ERP_KINDS:
             raise DomainError(f"unknown raster kind {self.kind!r}")
+        if min(self.width, self.height, self.channels) < 1:
+            raise ShapeError("raster dimensions must be >= 1")
         d = np.asarray(self.data, dtype=np.float32)
         want = (self.height, self.width) if self.channels == 1 else (self.height, self.width, self.channels)
         if d.shape != want:
@@ -176,6 +178,12 @@ def _erp_angles(u, v, width: int, height: int):
     return (u + 0.5) / width * (2.0 * math.pi) - math.pi, 0.5 * math.pi - (v + 0.5) / height * math.pi
 
 
+def _erp_trig(width: int, height: int, stride: int = 1):
+    """(cos_lam, sin_lam, cos_phi, sin_phi) per column and per row of a W x H ERP raster's stride lattice."""
+    lam, phi = _erp_angles(*(np.arange(0, n, stride, dtype=np.float64) for n in (width, height)), width, height)
+    return np.cos(lam), np.sin(lam), np.cos(phi), np.sin(phi)
+
+
 def erp_pixel_to_direction(u, v, width: int, height: int) -> np.ndarray:
     """Unit ego-frame direction of ERP pixel(s) (u, v), pixel-center convention.
 
@@ -210,11 +218,8 @@ def erp_depth_to_point_cloud(
 
     d = depth.data[::stride, ::stride]
     valid = d > 0
-    # trig once per column and per row; each coordinate keeps the per-pixel
-    # form (cos phi * cos lambda) * depth, operands and order unchanged
-    lam, phi = _erp_angles(np.arange(0, depth.width, stride, dtype=np.float64),
-                           np.arange(0, depth.height, stride, dtype=np.float64), depth.width, depth.height)
-    cos_lam, sin_lam, cos_phi, sin_phi = np.cos(lam), np.sin(lam), np.cos(phi), np.sin(phi)
+    # each coordinate keeps the per-pixel form (cos phi * cos lambda) * depth
+    cos_lam, sin_lam, cos_phi, sin_phi = _erp_trig(depth.width, depth.height, stride)
     sem = None if semantic is None else semantic.data[::stride, ::stride]
     pts = np.empty((np.count_nonzero(valid), 3))
     labels = np.full(len(pts), UNLABELED, dtype=np.uint8)

@@ -188,8 +188,8 @@ class VoxelGrid:
         arr = np.asarray(self.data, dtype=_PAYLOAD_DTYPES[self.kind])
         want = self.spec.dims if self.kind != "feature" else None
         if self.kind == "feature":
-            if arr.ndim != 4 or arr.shape[:3] != self.spec.dims:
-                raise ShapeError(f"feature data must be {self.spec.dims} + (channels,), got {arr.shape}")
+            if arr.ndim != 4 or arr.shape[:3] != self.spec.dims or arr.shape[3] < 1:
+                raise ShapeError(f"feature data must be {self.spec.dims} + (channels >= 1,), got {arr.shape}")
         else:
             if arr.shape != want:
                 raise ShapeError(f"payload shape {arr.shape} does not match dims {want}")

@@ -7,9 +7,9 @@ samples. Hit sets keep cameras in name order, so rig ordering can never
 change the result. Voxels seen by no camera are flagged and stay zero.
 
 Temporal alignment resamples a historical feature grid at the positions of
-the current voxel centers expressed in the historical ego frame, with
-trilinear interpolation in fractional index space (wrapping the azimuth
-axis); samples outside the historical grid's r/z range contribute zeros.
+the current voxel centers in the historical ego frame, trilinearly in
+fractional index space (wrapping the azimuth axis), with the same kernel,
+_multilinear, that samples the rasters; out-of-range samples are zero.
 Only samples whose trilinear stencil touches a non-zero history voxel are
 interpolated, so alignment cost scales with the history's non-zero support
 (the sketched candidates), not with the lattice.
@@ -27,6 +27,7 @@ Every output is bit-identical to the unblocked oracles in tests/oracles.py
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,8 +53,8 @@ class FeatureImage:
         arr = np.asarray(self.data, dtype=np.float32)
         if arr.ndim == 2:
             arr = arr[:, :, None]
-        if arr.ndim != 3 or arr.shape[2] < 1:
-            raise ShapeError("feature data must be (H, W) or (H, W, channels)")
+        if arr.ndim != 3 or min(arr.shape) < 1:
+            raise ShapeError("feature data must be (H, W) or (H, W, channels), each at least 1")
         require_finite("feature raster", arr)
         self.data = arr
 
@@ -132,21 +133,11 @@ def bilinear_sample(image: FeatureImage, uv_norm: np.ndarray) -> np.ndarray:
     node range at the borders. The two-stage lerp form keeps constant rasters
     exactly constant.
     """
-    f = image.data
-    h, w = image.height, image.width
-    x = np.clip(uv_norm[:, 0] * w - 0.5, 0.0, w - 1.0)
-    y = np.clip(uv_norm[:, 1] * h - 0.5, 0.0, h - 1.0)
-    x0 = np.minimum(np.floor(x).astype(np.int64), w - 2) if w > 1 else np.zeros(len(x), dtype=np.int64)
-    y0 = np.minimum(np.floor(y).astype(np.int64), h - 2) if h > 1 else np.zeros(len(y), dtype=np.int64)
-    x1 = np.minimum(x0 + 1, w - 1)
-    y1 = np.minimum(y0 + 1, h - 1)
-    tx = (x - x0)[:, None]
-    ty = (y - y0)[:, None]
-    # gather the float32 corners, then widen: the raster itself stays float32
-    f00, f01, f10, f11 = (f[yi, xi].astype(np.float64) for yi, xi in ((y0, x0), (y0, x1), (y1, x0), (y1, x1)))
-    top = f00 + tx * (f01 - f00)
-    bot = f10 + tx * (f11 - f10)
-    return top + ty * (bot - top)
+    dims = (image.height, image.width)
+    # a one-node axis reads an off-lattice zero at t = 0: a + 0 * (0 - a) has the bits of a + 0 * (a - a)
+    c = [np.clip(uv_norm[:, 1 - k] * n - 0.5, 0.0, n - 1.0) for k, n in enumerate(dims)]
+    base = [np.minimum(np.floor(x).astype(np.int64), max(n - 2, 0)) for x, n in zip(c, dims)]
+    return _multilinear(image.data.reshape(-1, image.channels), dims, base, [(x - b)[:, None] for x, b in zip(c, base)])
 
 
 def color_voxels(hits: HitSet, features: list[FeatureImage]) -> VoxelGrid:
@@ -207,6 +198,34 @@ def _lerp(a: np.ndarray, b: np.ndarray, t: np.ndarray) -> np.ndarray:
     return b
 
 
+def _multilinear(src: np.ndarray, dims, base: list, t: list, wrap=()) -> np.ndarray:
+    """Float64 multilinear samples (M, C) of the (V, C) float32 rows src of a
+    C-order lattice of shape dims, at integer bases base[k] (M,) and fractions
+    t[k] (M, 1) per axis k.
+
+    Axis k reads nodes base[k] and base[k] + 1. On a wrap axis they are taken
+    mod dims[k]; on any other axis a node off the lattice reads zero.
+    """
+    nodes = []  # per axis, each node's flat-index term and on-lattice mask
+    for k, d in enumerate(dims):
+        step = math.prod(dims[k + 1 :])
+        nodes.append([(np.mod(n, d) * step, True) if k in wrap else (n * step, (n >= 0) & (n < d))
+                      for n in (base[k], base[k] + 1)])
+    return _lerp_nodes(src, nodes, t, 0, 0, np.ones(len(base[0]), dtype=bool))
+
+
+def _lerp_nodes(src: np.ndarray, nodes: list, t: list, k: int, flat, ok) -> np.ndarray:
+    """Gather and lerp the nodes of axes k.. under flat-index prefix flat and mask
+    ok, last axis first; unlike a nested closure, this recursion leaves no cycle."""
+    if k == len(nodes):
+        vals = np.take(src, np.where(ok, flat, 0), axis=0).astype(np.float64)
+        vals[~ok] = 0.0
+        return vals
+    (i0, ok0), (i1, ok1) = nodes[k]
+    return _lerp(_lerp_nodes(src, nodes, t, k + 1, flat + i0, ok & ok0),
+                 _lerp_nodes(src, nodes, t, k + 1, flat + i1, ok & ok1), t[k])
+
+
 def align_history(
     hist: VoxelGrid,
     t_hist: RigidTransform,
@@ -248,35 +267,8 @@ def align_history(
         blk = rows[s : s + _ALIGN_BLOCK]
         b = [a[blk] for a in base]
         t = [(f[blk] - a)[:, None] for f, a in zip(frac, b)]
-        out[blk] = _trilinear(src, spec.dims, wrap_theta, b, t)
+        out[blk] = _multilinear(src, spec.dims, b, t, wrap=(1,) if wrap_theta else ())
     return VoxelGrid(spec, "feature", out.reshape(d0, d1, d2, ch))
-
-
-def _trilinear(src: np.ndarray, dims, wrap_theta: bool, base: list, t: list) -> np.ndarray:
-    """Float64 trilinear samples (M, C) of the (V, C) history rows src at
-    integer bases base[k] (M,) and fractions t[k] (M, 1) per axis k."""
-    _, d1, d2 = dims
-    # per axis, the indices of both stencil nodes and whether each is on the lattice
-    idx, on = [], []
-    for k, (b, d) in enumerate(zip(base, dims)):
-        nodes = (b, b + 1)
-        if k == 1 and wrap_theta:
-            nodes = tuple(np.mod(n, d) for n in nodes)
-        idx.append(nodes)
-        on.append(tuple((n >= 0) & (n < d) for n in nodes))
-
-    def node(o0, o1, o2):
-        ok = on[0][o0] & on[1][o1] & on[2][o2]
-        flat = np.where(ok, (idx[0][o0] * d1 + idx[1][o1]) * d2 + idx[2][o2], 0)
-        vals = np.take(src, flat, axis=0).astype(np.float64)
-        vals[~ok] = 0.0  # nodes past the r/z ends pad with zeros
-        return vals
-
-    # lerp along axis 2, then 1, then 0; constants stay exact
-    t0, t1, t2 = t
-    c0 = _lerp(_lerp(node(0, 0, 0), node(0, 0, 1), t2), _lerp(node(0, 1, 0), node(0, 1, 1), t2), t1)
-    c1 = _lerp(_lerp(node(1, 0, 0), node(1, 0, 1), t2), _lerp(node(1, 1, 0), node(1, 1, 1), t2), t1)
-    return _lerp(c0, c1, t0)
 
 
 def fuse_temporal(curr: VoxelGrid, aligned: list[VoxelGrid]) -> VoxelGrid:

@@ -16,7 +16,7 @@ from itertools import product
 import numpy as np
 
 from .errors import DomainError, require_finite
-from .geom import ErpImage, LabeledPointCloud, RigidTransform, _as_points, erp_pixel_to_direction
+from .geom import ErpImage, LabeledPointCloud, RigidTransform, _as_points, _erp_trig
 from .grid import CYLINDRICAL, GridSpec, VoxelGrid, majority_vote
 from .metrics import generate_rays
 
@@ -219,9 +219,11 @@ class Scene:
 
 
 def _erp_rows(width: int, height: int, v0: int, v1: int) -> np.ndarray:
-    """(v1 - v0, W, 3) ego-frame directions of rows v0..v1-1 of a W x H ERP raster."""
-    uu, vv = np.meshgrid(np.arange(width, dtype=np.float64), np.arange(v0, v1, dtype=np.float64))
-    return erp_pixel_to_direction(uu, vv, width, height)
+    """(v1 - v0, W, 3) ego-frame directions (cos phi * cos lambda, cos phi * sin lambda,
+    sin phi) of rows v0..v1-1 of a W x H ERP raster, from the depth lift's trig table."""
+    cos_lam, sin_lam, cos_phi, sin_phi = _erp_trig(width, height)
+    cp = cos_phi[v0:v1, None]
+    return np.stack(np.broadcast_arrays(cp * cos_lam, cp * sin_lam, sin_phi[v0:v1, None]), axis=-1)
 
 
 def _pixel_rects(prim: Primitive, pose: RigidTransform, width: int, height: int, el0: float,
@@ -406,13 +408,13 @@ def sample_scene_point_cloud(scene: Scene, origins) -> LabeledPointCloud:
     """
     az, el, (lo, hi) = _CLOUD_FAN
     grid = (az, el, lo, (hi - lo) / el)
+    dirs = generate_rays(*_CLOUD_FAN).directions  # the same fan from every origin
+    rows = dirs.reshape(az, el, 3).transpose(1, 0, 2)
     pts, labs = [], []
     for o in _as_points(origins):
-        fan = generate_rays(*_CLOUD_FAN, o)
-        rows = fan.directions.reshape(az, el, 3).transpose(1, 0, 2)
         blocks = _grid_first_hits(scene, RigidTransform(np.eye(3), o), grid, lambda b0, b1: rows[b0:b1], _CLOUD_RANGE)
         t, label, hit = (np.concatenate(part).T.reshape(-1) for part in list(zip(*blocks))[2:])
-        pts.append(fan.origins[hit] + t[hit, None] * fan.directions[hit])
+        pts.append(o + t[hit, None] * dirs[hit])
         labs.append(label[hit])
     if not pts:
         return LabeledPointCloud.empty()

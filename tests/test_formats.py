@@ -290,6 +290,18 @@ class TestOdpt:
         with pytest.raises(InvalidField):
             decode_raster(blob)
 
+    @pytest.mark.parametrize("kind", ["depth_meters", "semantic_label", "feature"])
+    @pytest.mark.parametrize("dims", [(1, 1, 1), (7, 1, 1), (1, 5, 1), (1, 1, 4), (3, 2, 2), (7, 5, 3)], ids=str)
+    def test_every_accepted_size_round_trips(self, dims, kind):
+        width, height, channels = dims
+        shape = (height, width) if channels == 1 else (height, width, channels)
+        img = ErpImage(width, height, channels, np.random.RandomState(65).rand(*shape).astype(np.float32), kind)
+        blob = encode_raster(img)
+        back = decode_raster(blob)
+        assert (back.width, back.height, back.channels, back.kind) == (width, height, channels, kind)
+        np.testing.assert_array_equal(back.data, img.data)
+        assert encode_raster(back) == blob
+
 
 class TestFuzz:
     @pytest.mark.parametrize(

@@ -238,6 +238,20 @@ class TestErpImage:
         with pytest.raises(DomainError):
             ErpImage(3, 2, 1, data, kind)
 
+    @pytest.mark.parametrize("kind", ["depth_meters", "semantic_label", "feature"])
+    @pytest.mark.parametrize("dims", [(0, 2, 1), (3, 0, 1), (0, 0, 1), (3, 2, 0), (0, 2, 3)], ids=str)
+    def test_zero_size_rejected(self, dims, kind):
+        # the ODPT decoder refuses these, so the constructor does too
+        width, height, channels = dims
+        shape = (height, width) if channels == 1 else (height, width, channels)
+        with pytest.raises(ShapeError):
+            ErpImage(width, height, channels, np.zeros(shape, dtype=np.float32), kind)
+
+    @pytest.mark.parametrize("shape", [(5, 0), (0, 5), (0, 0)], ids=str)
+    def test_empty_depth_rejected(self, shape):
+        with pytest.raises(ShapeError):
+            ErpImage.depth(np.zeros(shape))
+
 
 class TestFisheye:
     def test_on_axis_projects_to_principal_point(self, single_cam):

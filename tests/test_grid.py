@@ -307,6 +307,14 @@ class TestPayloadValidation:
         with pytest.raises(DomainError):
             VoxelGrid(spec, "feature", data)
 
+    def test_zero_channel_feature_rejected(self):
+        # the OVOX decoder refuses channel count 0, and alignment cannot reshape it
+        spec = GridSpec(CUBOID, (2, 2, 2), ((0, 1), (0, 1), (0, 1)))
+        with pytest.raises(ShapeError):
+            VoxelGrid(spec, "feature", np.zeros((2, 2, 2, 0), dtype=np.float32))
+        with pytest.raises(ShapeError):
+            VoxelGrid.zeros(spec, "feature", 0)
+
 
 class TestSpecValidation:
     def test_theta_range_must_be_full_circle(self):

@@ -10,6 +10,7 @@ voxel center; fusion's block-by-block accumulation against one that widens
 the whole lattice at once.
 """
 
+import gc
 import math
 import tracemalloc
 from unittest import mock
@@ -32,9 +33,10 @@ from cylocc.lift import (
     fuse_temporal,
 )
 from cylocc.sketch import CandidateMask
+from cylocc.synth import render_erp_depth
 
 from conftest import bin_triple
-from oracles import dense_align_history, fuse_temporal_unblocked
+from oracles import DEMO07_SCENE, dense_align_history, fuse_temporal_unblocked
 
 
 def mask_with(spec, indices):
@@ -151,17 +153,39 @@ class TestBilinear:
         rng = np.random.RandomState(37)
         data = rng.uniform(-4.0, 4.0, (9, 13, 3)).astype(np.float32)
         uv = np.concatenate([rng.rand(300, 2), [[0.0, 0.0], [1.0, 1.0], [0.999, 0.001]]])
-        got = bilinear_sample(FeatureImage("c", data), uv)
-        h, w = data.shape[:2]
-        f = data.astype(np.float64)
-        for (u, v), row in zip(uv, got):
-            x = min(max(u * w - 0.5, 0.0), w - 1.0)
-            y = min(max(v * h - 0.5, 0.0), h - 1.0)
-            x0, y0 = min(math.floor(x), w - 2), min(math.floor(y), h - 2)
-            tx, ty = x - x0, y - y0
-            top = f[y0, x0] + tx * (f[y0, x0 + 1] - f[y0, x0])
-            bot = f[y0 + 1, x0] + tx * (f[y0 + 1, x0 + 1] - f[y0 + 1, x0])
-            np.testing.assert_array_equal(row.view(np.uint64), (top + ty * (bot - top)).view(np.uint64))
+        assert_matches_scalar_loop(data, uv)
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 7), (7, 1)], ids=lambda s: f"{s[0]}x{s[1]}")
+    def test_one_node_axes_match_scalar_loop(self, shape):
+        # the kernel reads a one-node axis's off-lattice zero node at t = 0 where
+        # the loop clamps to the node itself: a + 0 * (0 - a) and a + 0 * (a - a)
+        # agree bit for bit, -0.0 included
+        rng = np.random.RandomState(38)
+        data = rng.uniform(-4.0, 4.0, shape + (3,)).astype(np.float32)
+        data[rng.rand(*data.shape) < 0.4] = -0.0
+        uv = np.concatenate([rng.uniform(-0.5, 1.5, (200, 2)), [[0.0, 0.0], [1.0, 1.0], [0.5, 0.5]]])
+        assert_matches_scalar_loop(data, uv)
+
+    @pytest.mark.parametrize("shape", [(0, 4, 2), (4, 0, 2), (4, 4, 0), (0, 4)], ids=str)
+    def test_empty_raster_rejected(self, shape):
+        with pytest.raises(ShapeError):
+            FeatureImage("c", np.zeros(shape, dtype=np.float32))
+
+
+def assert_matches_scalar_loop(data, uv):
+    """bilinear_sample against a float64 scalar loop that clamps both nodes to the raster."""
+    got = bilinear_sample(FeatureImage("c", data), uv)
+    h, w = data.shape[:2]
+    f = data.astype(np.float64)
+    for (u, v), row in zip(uv, got):
+        x = min(max(u * w - 0.5, 0.0), w - 1.0)
+        y = min(max(v * h - 0.5, 0.0), h - 1.0)
+        x0, y0 = min(math.floor(x), max(w - 2, 0)), min(math.floor(y), max(h - 2, 0))
+        x1, y1 = min(x0 + 1, w - 1), min(y0 + 1, h - 1)
+        tx, ty = x - x0, y - y0
+        top = f[y0, x0] + tx * (f[y0, x1] - f[y0, x0])
+        bot = f[y1, x0] + tx * (f[y1, x1] - f[y1, x0])
+        np.testing.assert_array_equal(row.view(np.uint64), (top + ty * (bot - top)).view(np.uint64))
 
 
 class TestColorVoxels:
@@ -481,3 +505,34 @@ class TestFuseBlocks:
         got = fuse_temporal(curr, [VoxelGrid(ODD_SPEC, "feature", data.copy())])
         assert np.signbit(got.data).any() and (got.data.reshape(-1) == np.float32(1e-45)).any()
         assert_bits_equal(got.data, fuse_temporal_unblocked(curr, [VoxelGrid(ODD_SPEC, "feature", data.copy())]))
+
+
+class TestNoReferenceCycles:
+    """The frame kernels leave no garbage for the cycle collector: a cycle
+    would keep a block's index and mask arrays alive until the collector
+    runs, and raise the frame path's peak memory."""
+
+    @pytest.mark.parametrize("kernel", ["bilinear_sample", "color_voxels", "align_history", "fuse_temporal",
+                                        "render_erp_depth"])
+    def test_no_cycles(self, kernel, cyl_spec, rig6):
+        rng = np.random.RandomState(45)
+        hist = VoxelGrid(ODD_SPEC, "feature", awkward_features(ODD_SPEC, rng))
+        cyl = SMALL_SPECS["cylindrical"]
+        cyl_hist = VoxelGrid(cyl, "feature", history_data(cyl, "seam"))
+        hits = build_hit_set(mask_with(cyl_spec, [(40, 10, 3), (60, 120, 8), (90, 199, 15)]), rig6)
+        feats = [FeatureImage(cam.name, rng.rand(16, 16, 3).astype(np.float32)) for cam in rig6]
+        pose = RigidTransform(rot_z(0.4), np.array([0.7, -0.3, 0.2]))
+        calls = {
+            "bilinear_sample": lambda: bilinear_sample(feats[0], rng.uniform(-0.2, 1.2, (500, 2))),
+            "color_voxels": lambda: color_voxels(hits, feats),
+            "align_history": lambda: align_history(cyl_hist, pose, RigidTransform.identity()),
+            "fuse_temporal": lambda: fuse_temporal(hist, [hist, hist]),
+            "render_erp_depth": lambda: render_erp_depth(DEMO07_SCENE, 64, 32, pose),
+        }
+        gc.collect()
+        gc.disable()
+        try:
+            calls[kernel]()
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
