@@ -131,8 +131,9 @@ def bilinear_sample(image: FeatureImage, uv_norm: np.ndarray) -> np.ndarray:
 
     Interpolation nodes sit at pixel centers; coordinates are clamped to the
     node range at the borders. The two-stage lerp form keeps constant rasters
-    exactly constant.
+    exactly constant. Every coordinate must be finite.
     """
+    require_finite("sample coordinates", uv_norm)
     dims = (image.height, image.width)
     # a one-node axis reads an off-lattice zero at t = 0: a + 0 * (0 - a) has the bits of a + 0 * (a - a)
     c = [np.clip(uv_norm[:, 1 - k] * n - 0.5, 0.0, n - 1.0) for k, n in enumerate(dims)]

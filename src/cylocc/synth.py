@@ -16,7 +16,7 @@ from itertools import product
 import numpy as np
 
 from .errors import DomainError, require_finite
-from .geom import ErpImage, LabeledPointCloud, RigidTransform, _as_points, _erp_trig
+from .geom import UNLABELED, ErpImage, LabeledPointCloud, RigidTransform, _as_points, _erp_trig
 from .grid import CYLINDRICAL, GridSpec, VoxelGrid, majority_vote
 from .metrics import generate_rays
 
@@ -194,7 +194,7 @@ Primitive = HalfSpace | Box | VerticalCylinder | Sphere
 
 @dataclass(frozen=True)
 class Scene:
-    """Ordered labeled primitives; earlier entries win ties and overlaps.
+    """Ordered primitives labeled 1 to 254; earlier entries win ties and overlaps.
 
     An empty scene is legal and hits nothing.
     """
@@ -203,8 +203,8 @@ class Scene:
 
     def __post_init__(self):
         prims = tuple(self.primitives)
-        if any(p.label < 1 for p in prims):
-            raise DomainError("primitive labels must be semantic (>= 1)")
+        if any(not 1 <= p.label < UNLABELED for p in prims):
+            raise DomainError(f"primitive labels must be semantic, from 1 to {UNLABELED - 1}")
         object.__setattr__(self, "primitives", prims)
 
     def label_points(self, pts: np.ndarray) -> np.ndarray:
@@ -352,19 +352,28 @@ def _cell_boxes(spec: GridSpec) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np
 
 
 def _boundary_cells(scene: Scene, spec: GridSpec) -> np.ndarray:
-    """Ascending flat indices of the cells whose probes may disagree: their
-    box touches a bounded primitive's bounds or straddles a half-space's
-    plane."""
+    """Ascending flat indices of the cells whose box touches a bounded primitive's bounds."""
     (xy_lo, xy_hi), (z_lo, z_hi) = _cell_boxes(spec)
     flag = np.zeros((len(xy_lo), len(z_lo)), dtype=bool)
     for prim in scene.primitives:
-        if isinstance(prim, HalfSpace):
-            flag |= (z_lo <= prim.height) & (prim.height <= z_hi)
-        else:
+        if not isinstance(prim, HalfSpace):
             lo, hi = prim.bounds()
             column = np.all((xy_lo <= hi[:2]) & (lo[:2] <= xy_hi), axis=1)
             flag |= column[:, None] & (z_lo <= hi[2]) & (lo[2] <= z_hi)
     return np.flatnonzero(flag)
+
+
+def _probe_vote(scene: Scene, spec: GridSpec, flat: np.ndarray, n: int) -> np.ndarray:
+    """Majority vote of the cells with the given flat indices over their n^3 bin-center probes."""
+    c = max((p.label for p in scene.primitives), default=1) + 1
+    idx = np.unravel_index(flat, spec.dims)
+    rows = np.arange(len(flat))
+    # one vote per cell per pass, counted in a type that holds all n^3 of them
+    votes = np.zeros((len(flat), c), dtype=np.min_scalar_type(n**3))
+    for off in product(range(n), repeat=3):
+        native = np.stack([spec.axis_value(idx[k] + (o + 0.5) / n, k) for k, o in enumerate(off)], axis=1)
+        votes[rows, scene.label_points(spec.to_cartesian(native))] += 1
+    return majority_vote(votes)
 
 
 def analytic_voxel_gt(scene: Scene, spec: GridSpec, supersample: int = 3) -> VoxelGrid:
@@ -375,26 +384,17 @@ def analytic_voxel_gt(scene: Scene, spec: GridSpec, supersample: int = 3) -> Vox
     vote with ties toward the smallest class id; free when no probe lands
     inside any primitive. supersample runs from 1 to 16.
 
-    Only the cells _boundary_cells flags are probed supersample^3 times.
-    Any other cell lies outside every bounded primitive's bounds and wholly
-    on one side of every half-space's plane, so each of its points, its
-    probes and its center alike, gets the same label: its center's label
-    is the vote's winner.
+    A half-space reads only z, which both lattices pass through unchanged,
+    so a cell whose box touches no bounded primitive's bounds votes as cell
+    (0, 0, k) of its layer, flat index k, does among the half-spaces alone.
+    Only the cells _boundary_cells flags are probed in the whole scene.
     """
     if not 1 <= supersample <= _MAX_SUPERSAMPLE:
         raise DomainError(f"supersample must be in [1, {_MAX_SUPERSAMPLE}]")
-    n = supersample
-    c = max((p.label for p in scene.primitives), default=1) + 1
-    labels = scene.label_points(spec.all_centers())
+    ground = Scene(tuple(p for p in scene.primitives if isinstance(p, HalfSpace)))
+    labels = np.tile(_probe_vote(ground, spec, np.arange(spec.dims[2]), supersample), spec.num_voxels // spec.dims[2])
     voxel = _boundary_cells(scene, spec)
-    idx = np.unravel_index(voxel, spec.dims)
-    rows = np.arange(len(voxel))
-    # one vote per voxel per pass, counted in a type that holds all n^3 of them
-    votes = np.zeros((len(voxel), c), dtype=np.min_scalar_type(n**3))
-    for off in product(range(n), repeat=3):
-        native = np.stack([spec.axis_value(idx[k] + (o + 0.5) / n, k) for k, o in enumerate(off)], axis=1)
-        votes[rows, scene.label_points(spec.to_cartesian(native))] += 1
-    labels[voxel] = majority_vote(votes)
+    labels[voxel] = _probe_vote(scene, spec, voxel, supersample)
     return VoxelGrid(spec, "label", labels.reshape(spec.dims))
 
 

@@ -12,7 +12,9 @@ metrics._sorted_crossings, which leaves out the families that can hold
 only padding; the two must agree bit for bit up to each row's first
 max_dist column. The synth oracle has two:
 analytic_voxel_gt_all_probes, which probes every voxel supersample^3
-times and votes once, for analytic_voxel_gt's boundary-only vote, and
+times and votes once, for analytic_voxel_gt's vote, which votes each layer
+once among the half-spaces and probes only the cells near a bounded
+primitive, and
 scene_first_hit, every ray meeting every primitive, for the culled
 row-block kernel that render_erp_depth and sample_scene_point_cloud
 share. render_erp_depth_all_pixels (scene_first_hit over every pixel of

@@ -181,6 +181,19 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "format error" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("count", [256, 300])
+    def test_class_index_past_uint8_labels_writes_nothing(self, tmp_path, count, capsys):
+        # class 255 would read as unlabeled in the cloud, and 299 does not fit a uint8 label
+        names = ["free"] + [f"c{i}" for i in range(1, count)]
+        p = tmp_path / "scene.json"
+        p.write_text(json.dumps({"classes": names, "primitives": [
+            {"shape": "sphere", "center": [4, 0, 0], "radius": 1, "label": names[-1]}]}))
+        out = tmp_path / "out"
+        assert main(["synth", "--scene", str(p), "--erp", "8x4", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "format error" in err and "Traceback" not in err
+        assert not out.exists() or not any(out.iterdir())
+
     @pytest.mark.parametrize("field,value", [
         ("focal_px_per_rad", math.nan), ("cx", math.nan), ("cx", math.inf), ("cy", -math.inf), ("width", 2.7),
     ])

@@ -171,6 +171,14 @@ class TestBilinear:
         with pytest.raises(ShapeError):
             FeatureImage("c", np.zeros(shape, dtype=np.float32))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_non_finite_coordinates_rejected(self, bad, axis):
+        uv = np.full((3, 2), 0.5)
+        uv[1, axis] = bad
+        with pytest.raises(DomainError, match="finite"):
+            bilinear_sample(FeatureImage("c", np.ones((4, 4, 2), dtype=np.float32)), uv)
+
 
 def assert_matches_scalar_loop(data, uv):
     """bilinear_sample against a float64 scalar loop that clamps both nodes to the raster."""

@@ -81,10 +81,11 @@ coords = st.floats(-1.5, 1.5)
 
 
 @st.composite
-def scenes(draw, anchors):
+def scenes(draw, anchors, half_spaces=st.integers(0, 1), heights=st.floats(-2.5, 2.5)):
     """1-4 labeled primitives near the given (x, y, z) anchors, sized up to
-    well past a small lattice's edges, with an optional half-space anywhere
-    in their order."""
+    well past a small lattice's edges, with as many half-spaces as
+    half_spaces draws, each at a height from heights and anywhere in their
+    order."""
     prims = []
     for _ in range(draw(st.integers(1, 4))):
         ax, ay, az = draw(st.sampled_from(anchors))
@@ -98,9 +99,21 @@ def scenes(draw, anchors):
             prims.append(Sphere((x, y, z), a, label))
         else:
             prims.append(VerticalCylinder((x, y), a, z - h, z + h, label))
-    if draw(st.booleans()):
-        prims.insert(draw(st.integers(0, len(prims))), HalfSpace(draw(st.floats(-2.5, 2.5)), draw(st.integers(1, 11))))
+    for _ in range(draw(half_spaces)):
+        prims.insert(draw(st.integers(0, len(prims))), HalfSpace(draw(heights), draw(st.integers(1, 11))))
     return Scene(tuple(prims))
+
+
+def layer_heights(spec: GridSpec, supersample: int):
+    """Heights on spec's layer edges, at its exact probe heights for the
+    given supersample, and anywhere from a layer below to a layer above it."""
+    lo, hi = spec.ranges[2]
+    return st.one_of(
+        st.integers(0, spec.dims[2]).map(lambda k: float(spec.axis_value(k, 2))),
+        st.tuples(st.integers(0, spec.dims[2] - 1), st.integers(0, supersample - 1)).map(
+            lambda ko: float(spec.axis_value(ko[0] + (ko[1] + 0.5) / supersample, 2))),
+        st.floats(lo - spec.deltas[2], hi + spec.deltas[2]),
+    )
 
 
 # the r = 0 axis and overhead, the theta = +-pi seam, the r edge, a far corner, the high z edge
@@ -268,11 +281,11 @@ class TestAnalyticVoxelGt:
 
 
 class TestPassByPassVote:
-    """analytic_voxel_gt gives the supersample^3 vote, counted pass by pass,
-    only to the cells whose box touches a bounded primitive's bounds or
-    straddles a half-space's plane, and gives every other cell its center's
-    label; the oracle probes every voxel at every offset and votes once.
-    The two agree bit for bit."""
+    """analytic_voxel_gt votes each layer once among the half-spaces alone
+    and gives that label to the whole layer; only the cells whose box
+    touches a bounded primitive's bounds take the supersample^3 vote of the
+    whole scene, counted pass by pass. The oracle probes every voxel at
+    every offset and votes once. The two agree bit for bit."""
 
     @pytest.mark.parametrize("which", ["street", "demo07", "representation"])
     def test_default_lattice(self, cyl_spec, street_scene, which):
@@ -300,9 +313,9 @@ class TestPassByPassVote:
         np.testing.assert_array_equal(got.data, analytic_voxel_gt_all_probes(scene, spec, supersample).data)
 
     @settings(max_examples=100, deadline=None)
-    @given(scene=scenes(LATTICE_ANCHORS), spec=st.sampled_from([SMALL_CYLINDRICAL, SMALL_CUBOID]),
-           supersample=st.integers(1, 4))
-    def test_drawn_scenes(self, scene, spec, supersample):
+    @given(data=st.data(), spec=st.sampled_from([SMALL_CYLINDRICAL, SMALL_CUBOID]), supersample=st.integers(1, 4))
+    def test_drawn_scenes(self, data, spec, supersample):
+        scene = data.draw(scenes(LATTICE_ANCHORS, st.integers(0, 3), layer_heights(spec, supersample)))
         got = analytic_voxel_gt(scene, spec, supersample)
         np.testing.assert_array_equal(got.data, analytic_voxel_gt_all_probes(scene, spec, supersample).data)
 
@@ -316,9 +329,25 @@ class TestPassByPassVote:
         got = analytic_voxel_gt(scene, spec, supersample)
         np.testing.assert_array_equal(got.data, analytic_voxel_gt_all_probes(scene, spec, supersample).data)
 
+    @pytest.mark.parametrize("supersample", [1, 2, 3, 4])
+    @pytest.mark.parametrize("spec", [SMALL_CYLINDRICAL, SMALL_CUBOID], ids=["cylindrical", "cuboid"])
+    def test_layer_votes_among_half_spaces_alone(self, spec, supersample):
+        # the sphere covers cell (0, 0, 2), flat index 2, whose layer z in [0, 1) both planes
+        # cut; a layer vote that counted the sphere would spread its label over the whole layer
+        scene = Scene((Sphere(tuple(spec.all_centers()[2]), 2.0, 6), HalfSpace(0.3, 1), HalfSpace(0.7, 2)))
+        got = analytic_voxel_gt(scene, spec, supersample)
+        np.testing.assert_array_equal(got.data, analytic_voxel_gt_all_probes(scene, spec, supersample).data)
+        assert got.data[0, 0, 2] == 6 and got.data[-1, -1, 2] != 6
+
     def test_flags_only_the_boundary(self, cyl_spec, street_scene):
         # about 6% of the default lattice holds a surface of the street scene
         assert len(synth._boundary_cells(street_scene, cyl_spec)) < 0.08 * cyl_spec.num_voxels
+
+    def test_flags_only_cells_near_bounded_primitives(self, cyl_spec, street_scene):
+        # the street's three obstacles touch 0.15-0.42% of the lattice; the ground flags nothing
+        assert len(synth._boundary_cells(street_scene, cyl_spec)) < 0.01 * cyl_spec.num_voxels
+        ground = Scene((HalfSpace(-1.3, 1), HalfSpace(0.0, 2)))
+        assert len(synth._boundary_cells(ground, cyl_spec)) == 0
 
 
 class TestCulledRender:
@@ -488,6 +517,21 @@ class TestNonFinitePrimitives:
         for r in (2.0**512, 1e160, 1e300):
             with pytest.raises(DomainError, match="2\\*\\*512"):
                 build(r)
+
+
+class TestSceneLabels:
+    """A primitive's label lies in 1..254: 0 is free and 255 (UNLABELED) marks cloud points without a class."""
+
+    @pytest.mark.parametrize("label", [1, 254])
+    def test_accepted(self, label):
+        scene = Scene((Sphere((2.0, 0.0, 0.5), 1.0, label), HalfSpace(-1.5, label)))
+        assert analytic_voxel_gt(scene, SMALL_CUBOID, 1).data.max() == label
+        assert render_erp_depth(scene, 16, 8)[1].data.max() == label
+
+    @pytest.mark.parametrize("label", [0, -1, 255, 299])
+    def test_rejected(self, label):
+        with pytest.raises(DomainError, match="semantic"):
+            Scene((HalfSpace(0.0, 1), Sphere((2.0, 0.0, 0.5), 1.0, label)))
 
 
 class TestFarPrimitives:
