@@ -34,7 +34,6 @@ from .losses import (
     ClassWeights,
     ProbGrid,
     class_weights,
-    dice_loss,
     dice_macro,
     scal_loss,
     scal_loss_grad,

@@ -281,12 +281,14 @@ def _cmd_loss(args) -> int:
         w = class_weights(class_frequencies(gt, c))
     else:
         w = weights_from_json(Path(args.weights).read_bytes())
+    if "dice" in args.terms and c > 256:
+        raise DomainError(f"dice compares u8 label grids; the prediction has {c} classes")
     doc: dict = {"terms": {}}
-    pred_labels = VoxelGrid(gt.spec, "label", np.argmax(pred.probs, axis=3).astype(np.uint8))
     for term in args.terms:
         if term == "ce":
             doc["terms"]["ce"] = weighted_ce(pred, gt, w)
         elif term == "dice":
+            pred_labels = VoxelGrid(gt.spec, "label", np.argmax(pred.probs, axis=3).astype(np.uint8))
             doc["terms"]["dice"] = dice_macro(pred_labels, gt, c)
         elif term == "scal":
             doc["terms"]["scal"] = scal_loss(pred, gt)

@@ -23,8 +23,16 @@ synth._CLOUD_FAN backs the cloud. The frame path streams in row blocks
 and has four, each matched bit for bit: erp_lift_per_pixel (per-pixel
 trig) for the table-driven depth lift, point_to_flat_unblocked for
 point_to_flat, dense_align_history (every voxel center interpolated) for
-align_history, and fuse_temporal_unblocked for fuse_temporal. The JSON writers produce the
-documents the loaders read back.
+align_history, and fuse_temporal_unblocked for fuse_temporal. The losses
+take each call's per-class statistics in one pass, and their judges work
+one class at a time: dice_loss compares one class against both grids, and
+dice_macro must equal its mean over the present classes exactly;
+scal_loss_per_class and scal_loss_grad_per_class take one boolean mask per
+class, and scal_loss and scal_loss_grad must match them within 1e-12
+relative; weighted_ce_formula and weighted_ce_grad_formula evaluate the
+cross-entropy out of place, and the shared in-place kernel must match them
+bit for bit. central_diff is the finite-difference check of the analytic
+gradients. The JSON writers produce the documents the loaders read back.
 The rest are inputs the tests share but the library never needs.
 """
 
@@ -35,10 +43,10 @@ from itertools import product
 import numpy as np
 
 from cylocc import synth
-from cylocc.errors import require_finite
+from cylocc.errors import DomainError, ShapeError, require_finite
 from cylocc.geom import UNLABELED, ErpImage, LabeledPointCloud, RigidTransform, _as_points, erp_pixel_to_direction
 from cylocc.grid import _EDGE_GUARD, CUBOID, CYLINDRICAL, GridSpec, LabelSet, VoxelGrid, default_label_set
-from cylocc.losses import ClassWeights
+from cylocc.losses import EPS, ClassWeights, _check_pair, _probs_array
 from cylocc.metrics import _CHUNK, _MIN_SEGMENT, BatchHits, Rays, generate_rays
 from cylocc.synth import _RENDER_RANGE, Box, HalfSpace, Scene, Sphere, VerticalCylinder
 
@@ -271,6 +279,111 @@ def default_cuboid_spec() -> GridSpec:
 def unit_weights(num_classes: int) -> ClassWeights:
     """Weight 1 for every class: the weighted losses reduce to their plain forms."""
     return ClassWeights(np.ones(num_classes), math.e, np.zeros(num_classes))
+
+
+def weighted_ce_formula(pred, gt: VoxelGrid, w: ClassWeights) -> float:
+    """weighted_ce evaluated out of place: the mean of -w_y * ln(min(p_y + eps, 1))."""
+    p = _probs_array(pred)
+    y = _check_pair(p, gt)
+    py = np.take_along_axis(p, y[..., None].astype(np.int64), axis=-1)[..., 0]
+    terms = -w.weights[y] * np.log(np.minimum(py + EPS, 1.0))
+    return float(terms.mean())
+
+
+def weighted_ce_grad_formula(pred, gt: VoxelGrid, w: ClassWeights) -> np.ndarray:
+    """d(weighted_ce)/d(probs) as -w_y / (p_y + eps) / n at each voxel's true class."""
+    p = _probs_array(pred)
+    y = _check_pair(p, gt)
+    n = y.size
+    grad = np.zeros_like(p)
+    py = np.take_along_axis(p, y[..., None].astype(np.int64), axis=-1)[..., 0]
+    gy = np.where(py + EPS < 1.0, -w.weights[y] / (py + EPS) / n, 0.0)
+    np.put_along_axis(grad, y[..., None].astype(np.int64), gy[..., None], axis=-1)
+    return grad
+
+
+def dice_loss(pred_labels: VoxelGrid, gt: VoxelGrid, class_id: int) -> float:
+    """1 - 2TP / (2TP + FP + FN) for one class; 0 when absent from both grids."""
+    if pred_labels.spec != gt.spec:
+        raise ShapeError("prediction and ground truth grids must share a spec")
+    if pred_labels.kind != "label" or gt.kind != "label":
+        raise DomainError("dice needs label grids")
+    pc = pred_labels.data == class_id
+    gc = gt.data == class_id
+    tp = int(np.sum(pc & gc))
+    fp = int(np.sum(pc & ~gc))
+    fn = int(np.sum(~pc & gc))
+    if tp + fp + fn == 0:
+        return 0.0
+    return 1.0 - 2.0 * tp / (2.0 * tp + fp + fn)
+
+
+def _scal_stats_one_class(p: np.ndarray, y: np.ndarray, c: int):
+    pc = p[..., c]
+    is_c = y == c
+    n_pos = int(is_c.sum())
+    n_neg = is_c.size - n_pos
+    s_all = float(pc.sum())
+    s_true = float(pc[is_c].sum())
+    precision = s_true / (s_all + EPS)
+    recall = s_true / n_pos
+    specificity = float((1.0 - pc[~is_c]).sum()) / n_neg if n_neg else 1.0
+    return pc, is_c, n_pos, n_neg, s_all, precision, recall, specificity
+
+
+def scal_loss_per_class(pred, gt: VoxelGrid) -> float:
+    """scal_loss with one boolean mask per present class."""
+    p = _probs_array(pred)
+    y = _check_pair(p, gt)
+    present = [c for c in range(1, p.shape[-1]) if np.any(y == c)]
+    if not present:
+        return 0.0
+    total = 0.0
+    for c in present:
+        _, _, _, _, _, prec, rec, spec = _scal_stats_one_class(p, y, c)
+        total += -(math.log(prec + EPS) + math.log(rec + EPS) + math.log(spec + EPS))
+    return total / len(present)
+
+
+def scal_loss_grad_per_class(pred, gt: VoxelGrid) -> np.ndarray:
+    """scal_loss_grad with one boolean mask per present class."""
+    p = _probs_array(pred)
+    y = _check_pair(p, gt)
+    present = [c for c in range(1, p.shape[-1]) if np.any(y == c)]
+    grad = np.zeros_like(p)
+    if not present:
+        return grad
+    scale = 1.0 / len(present)
+    for c in present:
+        pc, is_c, n_pos, n_neg, s_all, prec, rec, spec = _scal_stats_one_class(p, y, c)
+        g = np.zeros_like(pc)
+        # precision = s_true / (s_all + EPS)
+        dprec = (is_c.astype(np.float64) - prec) / (s_all + EPS)
+        g -= dprec / (prec + EPS)
+        # recall = s_true / n_pos
+        g -= is_c / (n_pos * (rec + EPS))
+        # specificity = sum(1 - pc over negatives) / n_neg
+        if n_neg:
+            g += (~is_c) / (n_neg * (spec + EPS))
+        grad[..., c] += scale * g
+    return grad
+
+
+def central_diff(fn, p: np.ndarray, h: float = 1e-5) -> np.ndarray:
+    """Central-difference gradient of the scalar fn at p, one entry at a
+    time; p is perturbed in place and restored."""
+    g = np.zeros_like(p)
+    flat = p.reshape(-1)
+    gf = g.reshape(-1)
+    for i in range(flat.size):
+        orig = flat[i]
+        flat[i] = orig + h
+        hi = fn(p)
+        flat[i] = orig - h
+        lo = fn(p)
+        flat[i] = orig
+        gf[i] = (hi - lo) / (2 * h)
+    return g
 
 
 def analytic_voxel_gt_all_probes(scene, spec: GridSpec, supersample: int) -> VoxelGrid:

@@ -29,7 +29,7 @@ from cylocc.grid import (
     voxelize_semantic,
 )
 from cylocc.lift import FeatureImage, align_history, build_hit_set, color_voxels, fuse_temporal
-from cylocc.losses import class_weights, dice_loss, scal_loss, scal_loss_grad, weighted_ce, weighted_ce_grad
+from cylocc.losses import class_weights, dice_macro, scal_loss, scal_loss_grad, weighted_ce, weighted_ce_grad
 from cylocc.metrics import Rays, cast_rays, default_ray_fan, ray_iou
 from cylocc.sketch import CandidateMask, DilationSchedule, dilate_radial
 from cylocc.synth import (
@@ -44,6 +44,7 @@ from cylocc.synth import (
 
 from oracles import (
     REPRESENTATION_SCENE,
+    central_diff,
     default_cuboid_spec,
     fan_point_cloud,
     lidar_ring_origins,
@@ -236,19 +237,6 @@ class TestAcceptance:
         rng = np.random.RandomState(8)
         w = class_weights(np.full(4, 0.25))
 
-        def central(fn, p, h=1e-5):
-            g = np.zeros_like(p)
-            flat, gf = p.reshape(-1), g.reshape(-1)
-            for i in range(flat.size):
-                orig = flat[i]
-                flat[i] = orig + h
-                hi = fn(p)
-                flat[i] = orig - h
-                lo = fn(p)
-                flat[i] = orig
-                gf[i] = (hi - lo) / (2 * h)
-            return g
-
         worst = 0.0
         for _ in range(10):
             y = rng.randint(0, 4, spec.dims).astype(np.uint8)
@@ -260,14 +248,14 @@ class TestAcceptance:
                 (lambda q: scal_loss(q, gt), lambda q: scal_loss_grad(q, gt)),
             ):
                 a = grad(p)
-                n = central(loss, p)
+                n = central_diff(loss, p)
                 rel = np.max(np.abs(a - n) / np.maximum(np.abs(n), 1e-6))
                 worst = max(worst, rel)
                 assert rel < 1e-5
         # unit cases: dice 1/3 and the inverse-log weight 1/ln(1.52)
         s2 = GridSpec(CUBOID, (3, 1, 1), ((0, 3), (0, 1), (0, 1)))
         mk = lambda v: VoxelGrid(s2, "label", np.asarray(v, dtype=np.uint8).reshape(3, 1, 1))
-        assert dice_loss(mk([3, 3, 0]), mk([3, 0, 0]), 3) == pytest.approx(1.0 / 3.0, abs=1e-9)
+        assert dice_macro(mk([3, 3, 0]), mk([3, 0, 0]), 4) == pytest.approx(1.0 / 3.0, abs=1e-9)
         wv = class_weights(np.array([0.5, 0.5]), 1.02).weights[0]
         assert wv == pytest.approx(1.0 / math.log(1.52), abs=1e-9)
         assert wv == pytest.approx(2.3882859264476830274, abs=1e-9)

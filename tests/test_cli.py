@@ -160,6 +160,37 @@ class TestExitCodes:
         assert "format error" in capsys.readouterr().err
         assert not report.exists()
 
+    @pytest.mark.parametrize("frequencies", [[0.5, 0.5], [0.1] * 10])
+    def test_weight_count_not_matching_classes_is_domain_error(self, tmp_path, frequencies, capsys):
+        spec = GridSpec("cuboid", (2, 2, 1), ((0, 2), (0, 2), (0, 1)))
+        gt = tmp_path / "gt.ovox"
+        gt.write_bytes(encode_voxel_grid(VoxelGrid(spec, "label", np.array([0, 1, 4, 4], np.uint8).reshape(2, 2, 1))))
+        pred = tmp_path / "pred.ovox"
+        pred.write_bytes(encode_voxel_grid(VoxelGrid(spec, "feature", np.full((2, 2, 1, 5), 0.2, np.float32))))
+        weights = tmp_path / "w.json"
+        weights.write_text(json.dumps({"frequencies": frequencies}))
+        report = tmp_path / "report.json"
+        args = ["loss", "--pred", str(pred), "--gt", str(gt), "--weights", str(weights), "--report", str(report)]
+        assert main(args) == 3
+        assert "Traceback" not in capsys.readouterr().err
+        assert not report.exists()
+
+    def test_dice_refuses_labels_beyond_u8(self, tmp_path):
+        # argmax class 257 would wrap to class 1 in a u8 label grid
+        spec = GridSpec("cuboid", (2, 1, 1), ((0, 2), (0, 1), (0, 1)))
+        gt = tmp_path / "gt.ovox"
+        gt.write_bytes(encode_voxel_grid(VoxelGrid(spec, "label", np.array([1, 1], np.uint8).reshape(2, 1, 1))))
+        p = np.zeros((2, 1, 1, 300), np.float32)
+        p[0, 0, 0, 1] = p[1, 0, 0, 257] = 1.0
+        pred = tmp_path / "pred.ovox"
+        pred.write_bytes(encode_voxel_grid(VoxelGrid(spec, "feature", p)))
+        report = tmp_path / "report.json"
+        args = ["loss", "--pred", str(pred), "--gt", str(gt), "--report", str(report)]
+        assert main([*args, "--terms", "ce,dice"]) == 3
+        assert not report.exists()
+        assert main([*args, "--terms", "ce,scal"]) == 0
+        assert set(json.loads(report.read_text())["terms"]) == {"ce", "scal"}
+
     @pytest.mark.parametrize("scene", [
         {"primitives": 5},
         {"primitives": [{"shape": "sphere", "center": [0, -10], "radius": 0.7, "label": "vegetation"}]},

@@ -1,19 +1,21 @@
 """Loss-term tests: closed-form unit cases (mpmath-verified constants),
-invariants, and analytic-vs-central-difference gradient checks."""
+invariants, analytic-vs-central-difference gradient checks, and the one-pass
+statistics against the per-class oracles on drawn grids."""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cylocc.errors import DomainError
+from cylocc.errors import DomainError, ShapeError
 from cylocc.geom import UNLABELED, ErpImage
 from cylocc.grid import CUBOID, GridSpec, VoxelGrid
 from cylocc.losses import (
     ClassWeights,
     ProbGrid,
     class_weights,
-    dice_loss,
     dice_macro,
     scal_loss,
     scal_loss_grad,
@@ -22,7 +24,15 @@ from cylocc.losses import (
     weighted_ce_grad,
 )
 
-from oracles import unit_weights
+from oracles import (
+    central_diff,
+    dice_loss,
+    scal_loss_grad_per_class,
+    scal_loss_per_class,
+    unit_weights,
+    weighted_ce_formula,
+    weighted_ce_grad_formula,
+)
 
 
 def small_spec(d0=4, d1=5, d2=2):
@@ -135,19 +145,25 @@ class TestDice:
     def test_identical_with_class_present(self):
         a, b = self.grids([3, 3, 0, 1], [3, 3, 0, 1])
         assert dice_loss(a, b, 3) == 0.0
+        assert dice_macro(a, b, 4) == 0.0
 
     def test_disjoint_supports(self):
         a, b = self.grids([3, 3, 0, 0], [0, 0, 3, 3])
         assert dice_loss(a, b, 3) == 1.0
+        assert dice_macro(a, b, 4) == 1.0
 
     def test_hand_confusion_third(self):
         # TP=1, FP=1, FN=0 -> 1 - 2/3
         a, b = self.grids([3, 3, 0], [3, 0, 0])
         assert dice_loss(a, b, 3) == pytest.approx(1.0 / 3.0, abs=1e-12)
+        assert dice_macro(a, b, 4) == pytest.approx(1.0 / 3.0, abs=1e-12)
 
     def test_absent_from_both_is_zero(self):
         a, b = self.grids([0, 1], [1, 0])
         assert dice_loss(a, b, 5) == 0.0
+        # class 5 adds no term to the macro mean; only free voxels leave none
+        assert dice_macro(a, b, 6) == dice_macro(a, b, 2) == 1.0
+        assert dice_macro(*self.grids([0, 0], [0, 0]), 6) == 0.0
 
     def test_symmetric_under_swap(self):
         rng = np.random.RandomState(45)
@@ -156,6 +172,7 @@ class TestDice:
         b = VoxelGrid(spec, "label", rng.randint(0, 4, spec.dims).astype(np.uint8))
         for c in range(4):
             assert dice_loss(a, b, c) == dice_loss(b, a, c)
+        assert dice_macro(a, b, 4) == dice_macro(b, a, 4)
 
     def test_bounded(self):
         rng = np.random.RandomState(46)
@@ -197,20 +214,6 @@ class TestScal:
 
 
 class TestGradients:
-    def central_diff(self, fn, p, h=1e-5):
-        g = np.zeros_like(p)
-        flat = p.reshape(-1)
-        gf = g.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
-            hi = fn(p)
-            flat[i] = orig - h
-            lo = fn(p)
-            flat[i] = orig
-            gf[i] = (hi - lo) / (2 * h)
-        return g
-
     @pytest.mark.parametrize("seed", range(10))
     def test_weighted_ce_gradient(self, seed):
         spec = small_spec()
@@ -220,7 +223,7 @@ class TestGradients:
         w = class_weights(np.full(4, 0.25))
         p = random_probs(rng, spec.dims, 4)
         analytic = weighted_ce_grad(p, gt, w)
-        numeric = self.central_diff(lambda q: weighted_ce(q, gt, w), p)
+        numeric = central_diff(lambda q: weighted_ce(q, gt, w), p)
         denom = np.maximum(np.abs(numeric), 1e-8)
         assert np.max(np.abs(analytic - numeric) / denom) < 1e-5
 
@@ -232,7 +235,7 @@ class TestGradients:
         gt = VoxelGrid(spec, "label", y)
         p = random_probs(rng, spec.dims, 4)
         analytic = scal_loss_grad(p, gt)
-        numeric = self.central_diff(lambda q: scal_loss(q, gt), p)
+        numeric = central_diff(lambda q: scal_loss(q, gt), p)
         scale = np.maximum(np.abs(numeric), 1e-6)
         assert np.max(np.abs(analytic - numeric) / scale) < 1e-5
 
@@ -265,3 +268,84 @@ class TestSem2d:
     def test_all_unlabeled_is_zero(self):
         gt = ErpImage.semantic(np.full((2, 2), UNLABELED, dtype=np.float32))
         assert sem2d_loss(np.full((2, 2, 3), 1 / 3), gt) == 0.0
+
+
+class TestInputErrors:
+    @pytest.mark.parametrize("count", [2, 5])
+    @pytest.mark.parametrize("fn", [weighted_ce, weighted_ce_grad])
+    def test_weight_count_must_match_classes(self, fn, count):
+        spec = small_spec()
+        p = np.full(spec.dims + (3,), 1.0 / 3.0)
+        gt = VoxelGrid(spec, "label", np.full(spec.dims, 2, dtype=np.uint8))
+        with pytest.raises(ShapeError):
+            fn(p, gt, unit_weights(count))
+
+    @pytest.mark.parametrize("count", [2, 5])
+    def test_sem2d_weight_count_must_match_classes(self, count):
+        gt = ErpImage.semantic(np.array([[0, 1], [2, 2]], dtype=np.float32))
+        with pytest.raises(ShapeError):
+            sem2d_loss(np.full((2, 2, 3), 1.0 / 3.0), gt, unit_weights(count))
+
+    @pytest.mark.parametrize("fn", [
+        lambda p, gt: weighted_ce(p, gt, unit_weights(3)),
+        lambda p, gt: weighted_ce_grad(p, gt, unit_weights(3)),
+        scal_loss,
+        scal_loss_grad,
+    ], ids=["weighted_ce", "weighted_ce_grad", "scal_loss", "scal_loss_grad"])
+    def test_probabilities_must_be_4d(self, fn):
+        spec = small_spec()
+        gt = VoxelGrid(spec, "label", np.zeros(spec.dims, dtype=np.uint8))
+        with pytest.raises(ShapeError):
+            fn(np.full(spec.dims + (1, 3), 1.0 / 3.0), gt)
+
+
+@st.composite
+def loss_grids(draw):
+    """(probs, gt, pred_labels, weights) on a 1-5 cells per axis grid with
+    2-6 classes: labels from a drawn subset of the classes (so some are
+    absent, and one may fill the grid), probabilities that are random,
+    one-hot, or 1 - U(0, 10^-k) on one class's negatives, and prediction
+    labels up to num_classes + 2."""
+    dims = tuple(draw(st.integers(1, 5)) for _ in range(3))
+    c = draw(st.integers(2, 6))
+    rng = np.random.RandomState(draw(st.integers(0, 2**32 - 1)))
+    used = draw(st.lists(st.integers(0, c - 1), min_size=1, max_size=c, unique=True))
+    y = rng.choice(used, dims).astype(np.uint8)
+    form = draw(st.sampled_from(["random", "one_hot", "near_one"]))
+    if form == "one_hot":
+        p = np.eye(c)[np.where(rng.rand(*dims) < 0.7, y, rng.randint(0, c, dims))]
+    else:
+        p = random_probs(rng, dims, c, floor=draw(st.sampled_from([0.0, 0.05])))
+    if form == "near_one":
+        k = draw(st.integers(0, c - 1))
+        neg = y != k
+        rest = rng.uniform(0.0, 10.0 ** -draw(st.integers(1, 12)), dims)
+        others = np.delete(p, k, axis=-1)
+        others *= (rest / others.sum(axis=-1))[..., None]
+        p[neg] = np.insert(others, k, 1.0 - rest, axis=-1)[neg]
+    spec = GridSpec(CUBOID, dims, ((0, dims[0]), (0, dims[1]), (0, dims[2])))
+    pred_labels = VoxelGrid(spec, "label", rng.randint(0, c + 3, dims).astype(np.uint8))
+    w = ClassWeights(rng.rand(c) + 0.5, 1.02, np.full(c, 1.0 / c))
+    return p, VoxelGrid(spec, "label", y), pred_labels, w
+
+
+class TestOracles:
+    @settings(max_examples=300, deadline=None)
+    @given(case=loss_grids())
+    def test_one_pass_statistics_match_per_class_oracles(self, case):
+        p, gt, pred_labels, w = case
+        c = p.shape[-1]
+        vals = [dice_loss(pred_labels, gt, k) for k in range(1, c)
+                if np.any(pred_labels.data == k) or np.any(gt.data == k)]
+        assert dice_macro(pred_labels, gt, c) == (float(np.mean(vals)) if vals else 0.0)
+
+        assert weighted_ce(p, gt, w) == weighted_ce_formula(p, gt, w)
+        np.testing.assert_array_equal(weighted_ce_grad(p, gt, w), weighted_ce_grad_formula(p, gt, w))
+        h, wd = gt.spec.dims[0], gt.spec.dims[1] * gt.spec.dims[2]
+        erp = ErpImage.semantic(gt.data.reshape(h, wd).astype(np.float32))
+        assert sem2d_loss(p.reshape(h, wd, c), erp, w) == weighted_ce_formula(p, gt, w)
+
+        want = scal_loss_per_class(p, gt)
+        assert abs(scal_loss(p, gt) - want) <= 1e-12 * abs(want)
+        want = scal_loss_grad_per_class(p, gt)
+        assert np.all(np.abs(scal_loss_grad(p, gt) - want) <= 1e-12 * np.abs(want))
