@@ -43,7 +43,7 @@ from .grid import (
     default_label_set,
     voxelize_semantic,
 )
-from .losses import ProbGrid, class_weights, dice_macro, scal_loss, weighted_ce
+from .losses import ProbGrid, _weight_vector, class_weights, dice_macro, scal_loss, weighted_ce
 from .metrics import generate_rays, ray_iou
 from .sketch import CandidateMask, DilationSchedule, dilate_radial, sketch_from_points
 
@@ -277,10 +277,11 @@ def _cmd_loss(args) -> int:
     if gt.spec != pred.spec:
         raise ShapeError("pred and gt grids must share a spec")
     c = pred.num_classes
-    if args.weights == "auto":
-        w = class_weights(class_frequencies(gt, c))
-    else:
+    if args.weights != "auto":  # one weight per class, whether or not ce runs
         w = weights_from_json(Path(args.weights).read_bytes())
+        _weight_vector(w, c)
+    elif "ce" in args.terms:
+        w = class_weights(class_frequencies(gt, c))
     if "dice" in args.terms and c > 256:
         raise DomainError(f"dice compares u8 label grids; the prediction has {c} classes")
     doc: dict = {"terms": {}}

@@ -31,20 +31,25 @@ _STATS_BLOCK = 1 << 12  # voxel rows per block of the affinity-loss statistics
 
 @dataclass
 class ProbGrid:
-    """Per-voxel class probability vectors over a grid."""
+    """Per-voxel class probability vectors over a grid, kept as float32 or
+    float64 as given; the losses widen what they read to float64."""
 
     spec: GridSpec
     probs: np.ndarray
 
     def __post_init__(self):
-        p = np.asarray(self.probs, dtype=np.float64)
+        p = np.asarray(self.probs)
+        p = p.astype(np.promote_types(p.dtype, np.float32), copy=False)
         if p.ndim != 4 or p.shape[:3] != self.spec.dims or p.shape[3] < 2:
             raise ShapeError(f"probs must be {self.spec.dims} + (C,), got {p.shape}")
-        # written so that NaN fails both checks
-        if not np.all(p >= 0):
-            raise DomainError("probabilities must be non-negative and finite")
-        if not (np.max(np.abs(p.sum(axis=3) - 1.0)) <= 1e-6):
-            raise DomainError("per-voxel probabilities must sum to 1 within 1e-6")
+        q, ones = p.reshape(-1, p.shape[3]), np.ones(p.shape[3])
+        for s in range(0, len(q), _STATS_BLOCK):
+            blk = q[s : s + _STATS_BLOCK].astype(np.float64, copy=False)
+            # written so that NaN fails both checks; the matrix product sums rows fastest
+            if not blk.min() >= 0:
+                raise DomainError("probabilities must be non-negative and finite")
+            if not (np.max(np.abs(blk @ ones - 1.0)) <= 1e-6):
+                raise DomainError("per-voxel probabilities must sum to 1 within 1e-6")
         self.probs = p
 
     @property
@@ -55,7 +60,7 @@ class ProbGrid:
     def from_voxel_grid(grid: VoxelGrid) -> "ProbGrid":
         if grid.kind != "feature":
             raise DomainError("probability grids load from feature payloads")
-        return ProbGrid(grid.spec, grid.data.astype(np.float64))
+        return ProbGrid(grid.spec, grid.data)
 
 
 @dataclass(frozen=True)
@@ -108,8 +113,8 @@ def _weight_vector(w: ClassWeights, num_classes: int) -> np.ndarray:
 
 
 def _cross_entropy(p: np.ndarray, y: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """-w_y * ln(min(p_y + eps, 1)) per sample of p (..., C) labeled y (...)."""
-    t = np.take_along_axis(p, y[..., None].astype(np.int64), axis=-1)[..., 0]
+    """-w_y * ln(min(p_y + eps, 1)), in float64, per sample of p (..., C) labeled y (...)."""
+    t = np.take_along_axis(p, y[..., None].astype(np.int64), axis=-1)[..., 0].astype(np.float64, copy=False)
     np.log(np.minimum(t + EPS, 1.0, out=t), out=t)
     return np.multiply(t, (-weights)[y], out=t)
 
@@ -127,8 +132,8 @@ def weighted_ce_grad(pred, gt: VoxelGrid, w: ClassWeights) -> np.ndarray:
     y = _check_pair(p, gt)
     weights = _weight_vector(w, p.shape[-1])
     n = y.size
-    grad = np.zeros_like(p)
-    py = np.take_along_axis(p, y[..., None].astype(np.int64), axis=-1)[..., 0]
+    grad = np.zeros(p.shape)
+    py = np.take_along_axis(p, y[..., None].astype(np.int64), axis=-1)[..., 0].astype(np.float64, copy=False)
     gy = np.where(py + EPS < 1.0, -weights[y] / (py + EPS) / n, 0.0)
     np.put_along_axis(grad, y[..., None].astype(np.int64), gy[..., None], axis=-1)
     return grad
@@ -158,7 +163,7 @@ def _scal_stats(p: np.ndarray, y: np.ndarray):
     # true-negative mass from each negative's own 1 - p_c: n_neg - (s_all - s_true)
     # cancels when p_c nears 1 on negatives. einsum sums columns faster than sum.
     for s in range(0, len(q), _STATS_BLOCK):
-        blk, yb = q[s : s + _STATS_BLOCK], yf[s : s + _STATS_BLOCK]
+        blk, yb = q[s : s + _STATS_BLOCK].astype(np.float64, copy=False), yf[s : s + _STATS_BLOCK]
         s_true += np.bincount(yb[:, 0], np.take_along_axis(blk, yb, 1)[:, 0], q.shape[1])
         s_all += np.einsum("ij->j", blk)
         comp = 1.0 - blk

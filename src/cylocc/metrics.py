@@ -8,7 +8,9 @@ near r roots and azimuth planes of a ray block that can only meet them at
 t <= 0 (no ray heading inward, every origin on the axis), sorts them,
 and classifies the intervals by their midpoints in order up to the first
 occupied one, so cells are visited in true geometric order and hits report
-the entry distance into the first occupied cell. Crossings and cells depend
+the entry distance into the first occupied cell. A ray from the z axis
+bins them by one atan2 per ray and m |d_xy| (z as point_to_flat does),
+re-binning by point_to_flat those within w_k of an edge. Crossings and cells depend
 only on the rays and the spec, so a cast into several grids on one spec
 computes them once per ray and reads each grid's labels at those cells:
 ray_iou casts gt and pred in one pass.
@@ -31,12 +33,17 @@ import numpy as np
 
 from .errors import DomainError, ShapeError, require_finite
 from .geom import _as_points
-from .grid import CYLINDRICAL, GridSpec, VoxelGrid, default_label_set
+from .grid import _EDGE_GUARD, CYLINDRICAL, GridSpec, VoxelGrid, default_label_set
 
 _CHUNK = 2048  # rays per casting chunk; caps peak memory
 _BLOCK = 32  # sorted intervals classified per pass over a chunk's active rays
 _MIN_SEGMENT = 1e-12  # intervals shorter than this are degenerate
 _MAX_RAYS = 2**20  # largest fan generate_rays builds: 64x the default 512 x 32
+# An axis ray's per-ray bin fractions (atan2(d_y, d_x), m |d_xy|) differ from
+# point_to_flat's of o + m d by under 2**-48 of the largest in-range fraction
+# (r_max / dr, or D1). A margin w_k = _EDGE_GUARD + 2**-40 of it (256x) around each
+# integer covers the floor there and in_range, _EDGE_GUARD above r_min and r_max.
+_MARGIN = 2.0**-40
 
 
 class Rays:
@@ -141,10 +148,11 @@ def _sorted_crossings(spec: GridSpec, o: np.ndarray, d: np.ndarray, max_dist: fl
     else:
         _plane_crossings(spec, o, d, 2, cols[0])
         rk = spec.axis_value(np.arange(dims[0] + 1), 0)
-        disc = b[:, None] ** 2 - 4.0 * a[:, None] * (c0[:, None] - rk[None, :] ** 2)
+        disc = np.subtract(c0[:, None], rk**2, out=cols[1])
+        np.subtract((b**2)[:, None], np.multiply((4.0 * a)[:, None], disc, out=disc), out=disc)
         # tangent guard: near-zero discriminants are treated as no crossing
-        disc[~((disc >= 1e-12) & (a[:, None] > 1e-30))] = np.nan
-        sq = np.sqrt(disc, out=disc)
+        np.copyto(disc, np.nan, where=~((disc >= 1e-12) & (a[:, None] > 1e-30)))
+        sq = np.sqrt(disc, out=cols[2] if near else disc)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             inv2a = 0.5 / a[:, None]
         np.multiply(np.add(-b[:, None], sq, out=cols[1]), inv2a, out=cols[1])
@@ -161,6 +169,35 @@ def _sorted_crossings(spec: GridSpec, o: np.ndarray, d: np.ndarray, max_dist: fl
     np.copyto(mid, max_dist, where=~((mid > 0.0) & (mid < max_dist)))
     ts.sort(axis=1)
     return ts
+
+
+def _midpoint_cells(spec: GridSpec, mids: np.ndarray, o: np.ndarray, d: np.ndarray, long) -> np.ndarray:
+    """Flat cells of the (rays, columns) midpoints m of rays o + t d, exact where long marks an interval
+    over _MIN_SEGMENT (no other cell is read); rays from the z axis bin m by atan2(d_y, d_x), m |d_xy|."""
+    axis = (o[:, 0] == 0.0) & (o[:, 1] == 0.0)  # the coordinates, as _sorted_crossings tests them
+    if spec.coord_sys != CYLINDRICAL or not axis.any():
+        pos = np.empty(mids.shape + (3,))
+        for k in range(3):  # o_k + m * d_k, one axis at a time
+            np.multiply(mids, d[:, k : k + 1], out=pos[..., k])
+            pos[..., k] += o[:, k : k + 1]
+        return spec.point_to_flat(pos.reshape(-1, 3)).reshape(mids.shape)
+    ((r_lo, r_hi), _, (z_lo, z_hi)), (d0, d1, d2), (dr, dtheta, _) = spec.ranges, spec.dims, spec.deltas
+    h, theta = np.hypot(d[:, 0], d[:, 1]), np.arctan2(d[:, 1], d[:, 0])
+    fa = spec.axis_fraction(theta, 1) + _EDGE_GUARD
+    w1 = _EDGE_GUARD + _MARGIN * d1  # +-pi is an edge: atan2 takes a zero y's sign, f32 ranges bin +-pi apart
+    axis &= (np.abs(fa - np.rint(fa)) >= w1) & (math.pi - np.abs(theta) >= w1 * dtheta)
+    fr = mids * (h / dr)[:, None] + (_EDGE_GUARD - r_lo / dr)
+    q0 = np.floor(fr)
+    near = np.abs(fr - q0 - 0.5) > 0.5 - (_EDGE_GUARD + _MARGIN * r_hi / dr)
+    redo = (near | (mids * np.where(axis, h, 0.0)[:, None] < 1e-100)) & long  # and subnormal m d, off-axis rays
+    z = mids * d[:, 2:3] + o[:, 2:3]
+    q2 = np.minimum(np.floor(spec.axis_fraction(z, 2) + _EDGE_GUARD), d2 - 1)
+    cells = (q0 * d1 + (np.floor(fa) % d1)[:, None]) * d2 + q2
+    cells = np.where((q0 < 0) | (q0 >= d0) | (z < z_lo) | (z > z_hi), -1.0, cells).astype(np.int64)
+    if redo.any():
+        rows, cols = np.nonzero(redo)
+        cells[rows, cols] = spec.point_to_flat(mids[rows, cols, None] * d[rows] + o[rows])
+    return cells
 
 
 def _grid_max_distance(spec: GridSpec, origins: np.ndarray) -> float:
@@ -224,12 +261,8 @@ def _cast_grids(rays: Rays, grids: list[VoxelGrid]) -> list[BatchHits]:
                 break
             block = ts[active, j : j + _BLOCK + 1]
             mids = 0.5 * (block[:, :-1] + block[:, 1:])
-            pos = np.empty(mids.shape + (3,))
-            for k in range(3):  # o_k + m * d_k, one axis at a time
-                np.multiply(mids, d[active, k : k + 1], out=pos[..., k])
-                pos[..., k] += o[active, k : k + 1]
-            cells = spec.point_to_flat(pos.reshape(-1, 3)).reshape(len(active), -1)
             long = np.diff(block, axis=1) > _MIN_SEGMENT
+            cells = _midpoint_cells(spec, mids, o[active], d[active], long)
             for g, lab in enumerate(labels):
                 occupied = (lab[cells] != 0) & long
                 hit = occupied.any(axis=1) & act[g, active]
@@ -251,7 +284,8 @@ def cast_rays(rays: Rays, grid: VoxelGrid) -> BatchHits:
     (_grid_max_distance). Each ray's sorted intervals are classified by
     midpoint in blocks of _BLOCK columns over the rays still active; a ray
     retires at its first occupied interval, or at the block that reaches its
-    first max_dist column, after which only zero-length padding remains. A
+    first max_dist column, after which only zero-length padding remains.
+    Only rays off the z axis, and midpoints near bin edges, use point_to_flat. A
     ray starting in an occupied cell never becomes active, and its crossings
     are never computed. ray_iou casts gt and pred together through the same
     kernel, which computes the crossings and cells once per ray and reads

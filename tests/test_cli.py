@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cylocc import cli
 from cylocc.cli import main
 from cylocc.formats import (
     decode_voxel_grid,
@@ -174,6 +175,44 @@ class TestExitCodes:
         assert main(args) == 3
         assert "Traceback" not in capsys.readouterr().err
         assert not report.exists()
+
+    def test_weight_count_checked_without_ce(self, tmp_path, capsys):
+        spec = GridSpec("cuboid", (2, 2, 1), ((0, 2), (0, 2), (0, 1)))
+        gt = tmp_path / "gt.ovox"
+        gt.write_bytes(encode_voxel_grid(VoxelGrid(spec, "label", np.array([0, 1, 4, 4], np.uint8).reshape(2, 2, 1))))
+        pred = tmp_path / "pred.ovox"
+        pred.write_bytes(encode_voxel_grid(VoxelGrid(spec, "feature", np.full((2, 2, 1, 5), 0.2, np.float32))))
+        weights = tmp_path / "w.json"
+        weights.write_text(json.dumps({"frequencies": [0.5, 0.5]}))
+        report = tmp_path / "report.json"
+        args = ["loss", "--pred", str(pred), "--gt", str(gt), "--weights", str(weights), "--report", str(report),
+                "--terms", "dice,scal"]
+        assert main(args) == 3
+        assert "domain error" in capsys.readouterr().err
+        assert not report.exists()
+
+    def test_auto_weights_only_when_ce_runs(self, tmp_path, monkeypatch):
+        spec = GridSpec("cuboid", (2, 2, 1), ((0, 2), (0, 2), (0, 1)))
+        gt = tmp_path / "gt.ovox"
+        gt.write_bytes(encode_voxel_grid(VoxelGrid(spec, "label", np.array([0, 1, 2, 2], np.uint8).reshape(2, 2, 1))))
+        pred = tmp_path / "pred.ovox"
+        pred.write_bytes(encode_voxel_grid(VoxelGrid(spec, "feature", np.full((2, 2, 1, 3), 0.25, np.float32)
+                                                     + np.eye(3, dtype=np.float32)[[0, 1, 2, 2]].reshape(2, 2, 1, 3) / 4)))
+        counted = []
+        frequencies = cli.class_frequencies
+
+        def counting(grid, num_classes):
+            counted.append(num_classes)
+            return frequencies(grid, num_classes)
+
+        monkeypatch.setattr(cli, "class_frequencies", counting)
+        report = tmp_path / "report.json"
+        args = ["loss", "--pred", str(pred), "--gt", str(gt), "--report", str(report)]
+        assert main([*args, "--terms", "dice,scal"]) == 0
+        assert counted == []
+        assert main([*args, "--terms", "scal,ce"]) == 0
+        assert counted == [3]
+        assert set(json.loads(report.read_text())["terms"]) == {"ce", "scal"}
 
     def test_dice_refuses_labels_beyond_u8(self, tmp_path):
         # argmax class 257 would wrap to class 1 in a u8 label grid

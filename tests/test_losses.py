@@ -13,6 +13,7 @@ from cylocc.errors import DomainError, ShapeError
 from cylocc.geom import UNLABELED, ErpImage
 from cylocc.grid import CUBOID, GridSpec, VoxelGrid
 from cylocc.losses import (
+    _STATS_BLOCK,
     ClassWeights,
     ProbGrid,
     class_weights,
@@ -134,6 +135,45 @@ class TestProbGrid:
         p[1, 2, 0] = [bad, 0.5]
         with pytest.raises(DomainError):
             ProbGrid(spec, p)
+
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_float_payload_kept(self, dtype):
+        spec = small_spec()
+        p = np.full(spec.dims + (4,), 0.25, dtype=dtype)
+        assert ProbGrid(spec, p).probs is p
+        # anything else widens to at least float32
+        assert ProbGrid(spec, p.astype(np.float16)).probs.dtype == np.float32
+        assert ProbGrid(spec, np.eye(4, dtype=np.int64)[np.zeros(spec.dims, int)]).probs.dtype == np.float64
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("row", [0, _STATS_BLOCK - 1, _STATS_BLOCK, -1])
+    @pytest.mark.parametrize("bad", ["nan", "negative", "sum"])
+    def test_every_row_block_checked(self, dtype, row, bad):
+        spec = small_spec(16, 20, 16)  # 5120 rows: two blocks
+        p = np.full(spec.dims + (2,), 0.5, dtype=dtype)
+        q = p.reshape(-1, 2)
+        q[row] = {"nan": [np.nan, 0.5], "negative": [-0.25, 1.25], "sum": [0.5, 0.50001]}[bad]
+        with pytest.raises(DomainError):
+            ProbGrid(spec, p)
+
+    def test_float32_payload_scores_as_widened(self):
+        # the losses widen what they read: a float32 grid scores bit for bit as
+        # its float64 copy, over more rows than one statistics block
+        rng = np.random.RandomState(81)
+        spec = small_spec(16, 20, 16)
+        p32 = random_probs(rng, spec.dims, 6).astype(np.float32)
+        p32 /= p32.sum(axis=-1, keepdims=True)
+        gt = VoxelGrid(spec, "label", rng.randint(0, 6, spec.dims).astype(np.uint8))
+        narrow, wide = ProbGrid(spec, p32), ProbGrid(spec, p32.astype(np.float64))
+        assert narrow.probs.dtype == np.float32
+        w = class_weights(np.full(6, 1 / 6))
+        assert weighted_ce(narrow, gt, w) == weighted_ce(wide, gt, w)
+        assert scal_loss(narrow, gt) == scal_loss(wide, gt)
+        for grad in (lambda pg: weighted_ce_grad(pg, gt, w), lambda pg: scal_loss_grad(pg, gt)):
+            g = grad(narrow)
+            assert g.dtype == np.float64
+            np.testing.assert_array_equal(g, grad(wide))
 
 
 class TestDice:

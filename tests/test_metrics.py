@@ -6,7 +6,10 @@ cases, bit-for-bit agreement with the all-intervals caster it replaced
 on arbitrary rays, and the standard 0.01 m marcher on evaluation-fan
 rays (the full 10k-ray runs live in the acceptance suite). The shared
 pass that casts several grids at once must give each grid its own cast's
-hits bit for bit. The crossing builder leaves out the crossing families
+hits bit for bit. Rays from the z axis, which bin their midpoints from
+per-ray constants, must match the all-intervals caster at bin edges, at
+the atan2 seam, with zero or subnormal direction components and with
+origins far off or a hair from a z plane. The crossing builder leaves out the crossing families
 that can hold only padding, and must match the all-families builder bit
 for bit up to each row's first max_dist column. RayIoU confusion logic is pinned by a hand-computed
 two-ray table on a grid whose cell edges make the distances exact.
@@ -14,6 +17,7 @@ two-ray table on a grid whose cell edges make the distances exact.
 
 import math
 from functools import cache
+from itertools import product
 
 import numpy as np
 import pytest
@@ -24,7 +28,7 @@ from cylocc import metrics
 from cylocc.errors import DomainError, ShapeError
 from cylocc.formats import decode_voxel_grid, encode_voxel_grid
 from cylocc.geom import FisheyeCamera
-from cylocc.grid import CUBOID, GridSpec, VoxelGrid, default_cylindrical_spec, default_label_set
+from cylocc.grid import _EDGE_GUARD, CUBOID, GridSpec, VoxelGrid, default_cylindrical_spec, default_label_set
 from cylocc.metrics import (
     _CHUNK,
     _MIN_SEGMENT,
@@ -531,6 +535,235 @@ class TestSharedCast:
         with pytest.raises(DomainError):
             _cast_grids(rays, [label, VoxelGrid.zeros(cyl_spec, "occupancy")])
         assert _cast_grids(rays, []) == []
+
+
+def assert_casts_match_oracle(rays, grids):
+    """_cast_grids into the grids together and cast_rays into each alone
+    equal the all-intervals caster, which bins every midpoint with
+    point_to_flat, bit for bit."""
+    length = _grid_max_distance(grids[0].spec, rays.origins)
+    for hits, grid in zip(_cast_grids(rays, grids), grids):
+        expected = cast_all_intervals(rays, grid, length)
+        assert_same_hits(hits, expected)
+        assert_same_hits(cast_rays(rays, grid), expected)
+
+
+def azimuth_labelled_pair(spec, seed, density=0.02):
+    """Two label grids on spec whose labels name each cell's azimuth bin mod
+    11, so a midpoint binned one azimuth bin off reads another label; the
+    second keeps about half the cells of the first and adds its own."""
+    rng = np.random.RandomState(seed)
+    names = 1 + np.arange(spec.dims[1])[None, :, None] % 11
+    a = np.where(rng.rand(*spec.dims) < density, names, 0).astype(np.uint8)
+    b = np.where(rng.rand(*spec.dims) < 0.5, a, np.where(rng.rand(*spec.dims) < density, names, 0))
+    return [VoxelGrid(spec, "label", a), VoxelGrid(spec, "label", b.astype(np.uint8))]
+
+
+def decoded_spec(spec):
+    """spec as decode_voxel_grid returns it, its ranges rounded to f32."""
+    return decode_voxel_grid(encode_voxel_grid(VoxelGrid.zeros(spec, "label"))).spec
+
+
+def nudged(values, ulps):
+    """Each value moved by each count of ulps in ulps (negative: downward)."""
+    out = []
+    for v in np.asarray(values, dtype=np.float64):
+        for k in ulps:
+            x = v
+            for _ in range(abs(k)):
+                x = np.nextafter(x, math.copysign(math.inf, k))
+            out.append(x)
+    return np.array(out)
+
+
+def axis_rays(azimuth, elevation, z=(0.3,)):
+    """Rays from the z axis at heights z, cycling the four signed-zero
+    origins, along every (azimuth, elevation) pair."""
+    aa, ee = (g.reshape(-1) for g in np.meshgrid(azimuth, elevation, indexing="ij"))
+    d = unit_rows(np.column_stack([np.cos(ee) * np.cos(aa), np.cos(ee) * np.sin(aa), np.sin(ee)]))
+    signs = np.array([[0.0, 0.0], [-0.0, 0.0], [0.0, -0.0], [-0.0, -0.0]])
+    o = np.column_stack([signs[np.arange(len(d)) % 4], np.resize(np.asarray(z, dtype=np.float64), len(d))])
+    return Rays(o, d)
+
+
+@cache
+def axis_grid_pairs():
+    """Azimuth-labelled grid pairs on the default lattice, on it as decoded
+    (f32 ranges) and on a 7-bin azimuth lattice, for the drawn chunks."""
+    small = GridSpec("cylindrical", (32, 7, 8), ((0.0, 16.0), (-math.pi, math.pi), (-2.0, 2.0)))
+    specs = [default_cylindrical_spec(), decoded_spec(default_cylindrical_spec()), small]
+    return [azimuth_labelled_pair(spec, 60 + i) for i, spec in enumerate(specs)]
+
+
+@st.composite
+def axis_ray_chunks(draw):
+    """A grid pair plus one chunk mixing origins on the z axis (either zero
+    sign) and off it, with directions on or an ulp or two off an azimuth bin
+    edge, at the atan2 seam, vertical, with a zero or subnormal xy component,
+    or anywhere."""
+    grids = draw(st.sampled_from(axis_grid_pairs()))
+    spec = grids[0].spec
+    n = draw(st.integers(1, 24))
+    o, d = np.empty((n, 3)), np.empty((n, 3))
+    tiny = st.sampled_from([0.0, -0.0, 1e-310, -1e-310])
+    for i in range(n):
+        z = draw(st.floats(-3.5, 4.0))
+        if draw(st.booleans()):
+            o[i] = [draw(st.sampled_from([0.0, -0.0])), draw(st.sampled_from([0.0, -0.0])), z]
+        else:
+            angle, radius = draw(st.floats(-math.pi, math.pi)), draw(st.floats(0.5, 30.0))
+            o[i] = [radius * math.cos(angle), radius * math.sin(angle), z]
+        dz = draw(st.floats(-0.9, 0.9))
+        form = draw(st.sampled_from(["edge", "seam", "vertical", "tiny", "any"]))
+        if form == "edge":
+            k = draw(st.integers(0, spec.dims[1]))
+            edge = draw(st.sampled_from([spec.axis_value(k, 1), -math.pi + k * (2.0 * math.pi / spec.dims[1])]))
+            angle = nudged([edge], [draw(st.integers(-2, 2))])[0]
+            d[i] = [math.cos(angle), math.sin(angle), dz]
+        elif form == "seam":
+            d[i] = [-1.0, draw(tiny), dz]
+        elif form == "vertical":
+            d[i] = [draw(tiny), draw(tiny), draw(st.sampled_from([-1.0, 1.0]))]
+        elif form == "tiny":
+            xy = [draw(tiny), draw(st.sampled_from([-1.0, 1.0]))]
+            d[i] = [*(xy if draw(st.booleans()) else xy[::-1]), dz]
+        else:
+            angle = draw(st.floats(-math.pi, math.pi))
+            d[i] = [math.cos(angle), math.sin(angle), dz]
+    return Rays(o, unit_rows(d)), grids
+
+
+class TestAxisRayBinning:
+    """Rays from the z axis bin their midpoints from per-ray constants: one
+    atan2 per ray for the azimuth bin and m |d_xy| for the radius, with z
+    binned as before; a midpoint within the margin of a bin edge, or with a
+    tiny m |d_xy|, is re-binned from its exact position. Every case must
+    equal the all-intervals caster bit for bit."""
+
+    @pytest.mark.parametrize("decoded", [False, True], ids=["exact", "decoded"])
+    @pytest.mark.parametrize("d1", [1, 2, 3, 7, 200])
+    def test_azimuth_on_every_bin_edge(self, d1, decoded):
+        spec = GridSpec("cylindrical", (16, d1, 4), ((0.0, 8.0), (-math.pi, math.pi), (-2.0, 2.0)))
+        spec = decoded_spec(spec) if decoded else spec
+        k = np.arange(d1 + 1)
+        # the edges as exact multiples of 2 pi / D1, as the spec places them, and
+        # less the edge guard, where point_to_flat's floor turns over
+        edges = np.concatenate([-math.pi + k * (2.0 * math.pi / d1), spec.axis_value(k, 1),
+                                spec.axis_value(k - _EDGE_GUARD, 1)])
+        rays = axis_rays(nudged(edges, range(-3, 4)), [-0.3, 0.0, 0.1], z=(0.3, -1.1))
+        assert_casts_match_oracle(rays, azimuth_labelled_pair(spec, d1, 0.05))
+
+    def test_zero_and_subnormal_direction_components(self):
+        spec = default_cylindrical_spec()
+        values = [1.0, -1.0, 0.6, 0.0, -0.0, 1e-310, -1e-310, 5e-324, -3e-323]
+        d = np.array([v for v in product(values, repeat=3) if np.linalg.norm(v) > 0.5])
+        z = np.resize([0.3, 0.0, -1.3, 2.0], len(d))
+        for x, y in ((0.0, 0.0), (-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0)):
+            o = np.column_stack([np.full(len(d), x), np.full(len(d), y), z])
+            rays = Rays(o, unit_rows(d))
+            for s in (spec, decoded_spec(spec)):
+                assert_casts_match_oracle(rays, azimuth_labelled_pair(s, 71))
+
+    def test_vertical_rays(self, cyl_spec):
+        # r = 0 bins by the signs of zero x and y, atan2(+-0, +-0), and a
+        # subnormal d_xy by what is left of m d_x and m d_y
+        pair = azimuth_labelled_pair(cyl_spec, 72)
+        for g in pair:
+            g.data[0, :, ::3] = 1 + np.arange(cyl_spec.dims[1])[:, None] % 11
+        xs, ys = [0.0, -0.0, 1e-310, 3e-323], [0.0, -0.0, -1e-310, 5e-324]
+        d = np.array([[x, y, s] for x in xs for y in ys for s in (-1.0, 1.0)])
+        o = np.array([[x, y, z] for x in (0.0, -0.0) for y in (0.0, -0.0) for z in (-2.5, 0.3, 3.3)])
+        rays = Rays(np.repeat(o, len(d), axis=0), np.tile(d, (len(o), 1)))
+        assert_casts_match_oracle(rays, pair)
+
+    @pytest.mark.parametrize("z0", [-1e-300, -3e-300, -5e-324, -1e-323, 1e-300])
+    def test_first_crossing_near_zero(self, z0):
+        # a z plane at exactly 0 and an origin a hair from it: the first interval
+        # is about 1e-300 long, and its midpoint's m |d_xy| underflows
+        spec = GridSpec("cylindrical", (16, 8, 4), ((0.0, 8.0), (-math.pi, math.pi), (-2.0, 2.0)))
+        assert spec.axis_value(2, 2) == 0.0
+        rng = np.random.RandomState(73)
+        n = 400
+        up = math.copysign(1.0, -z0)
+        d = unit_rows(np.column_stack([rng.normal(size=n), rng.normal(size=n), up * rng.uniform(0.01, 2.0, n)]))
+        o = np.column_stack([np.zeros(n), np.zeros(n), np.full(n, z0)])
+        ts = _sorted_crossings(spec, o, d, _grid_max_distance(spec, o))
+        assert np.all(ts[:, 1] < 1e-290)
+        assert_casts_match_oracle(Rays(o, d), azimuth_labelled_pair(spec, 73, 0.05))
+
+    @pytest.mark.parametrize("z0", [1e150, -1e150])
+    def test_far_origin_on_the_axis(self, cyl_spec, z0):
+        rng = np.random.RandomState(74)
+        n = 300
+        d = unit_rows(rng.normal(size=(n, 3)))
+        d[:20] = [0.0, 0.0, -math.copysign(1.0, z0)]
+        d[20:40, 2] = 0.0
+        d = unit_rows(d)
+        o = np.column_stack([np.zeros(n), np.zeros(n), np.full(n, z0)])
+        assert_casts_match_oracle(Rays(o, d), azimuth_labelled_pair(cyl_spec, 74))
+
+    def test_midpoints_on_r_shells(self):
+        # On a lattice a micron across the tangent guard drops every shell
+        # crossing, so the midpoint of the interval between the z planes at -1
+        # and 0 lies at r = |d_xy| / d_z: put it on each shell, and on each
+        # shell less the edge guard, to a few ulps either side.
+        spec = GridSpec("cylindrical", (4, 8, 2), ((0.0, 1e-6), (-math.pi, math.pi), (-1.0, 1.0)))
+        target = np.concatenate([spec.axis_value(np.arange(1, 5), 0),
+                                 spec.axis_value(np.arange(1, 5) - _EDGE_GUARD, 0)])
+        slope = nudged(target, range(-6, 7))  # |d_xy| / d_z
+        azimuth = np.array([0.3, 2.0, -1.1])
+        h, az = np.repeat(slope, len(azimuth)), np.tile(azimuth, len(slope))
+        d = unit_rows(np.column_stack([h * np.cos(az), h * np.sin(az), np.ones_like(h)]))
+        o = np.tile([0.0, 0.0, -1.5], (len(d), 1))
+        g = VoxelGrid.zeros(spec, "label")
+        g.data[:, :, 0] = 1 + np.arange(4)[:, None]  # the label names the r bin
+        length = _grid_max_distance(spec, o)
+        ts = _sorted_crossings(spec, o, d, length)
+        assert np.all(np.argmax(ts == length, axis=1) == 4), "only the three z planes cross"
+        hits = cast_rays(Rays(o, d), g)
+        assert set(np.unique(hits.label)) >= {1, 2, 3, 4}
+        assert_casts_match_oracle(Rays(o, d), [g, VoxelGrid(spec, "label", g.data[::-1].copy())])
+
+    @pytest.mark.parametrize("r_range", [(0.0, 25.6), (5.0, 25.6), (25.0, 25.6)])
+    def test_classifier_at_r_edges(self, r_range):
+        # midpoints on every r edge, and on every edge less the guard, a few
+        # ulps either side, against point_to_flat of their exact positions
+        base = GridSpec("cylindrical", (64, 200, 16), (r_range, (-math.pi, math.pi), (-2.8, 3.6)))
+        for spec in (base, decoded_spec(base)):
+            rng = np.random.RandomState(75)
+            n = 64
+            d = unit_rows(np.column_stack([rng.normal(size=n), rng.normal(size=n), rng.uniform(-0.3, 0.3, n)]))
+            o = np.column_stack([np.zeros(n), np.zeros(n), rng.uniform(-2, 3, n)])
+            edges = spec.axis_value(np.arange(spec.dims[0] + 1), 0)
+            r = nudged(np.concatenate([edges, edges - _EDGE_GUARD * spec.deltas[0]]), range(-4, 5))
+            mids = r[None, :] / np.hypot(d[:, 0], d[:, 1])[:, None]
+            cells = metrics._midpoint_cells(spec, mids, o, d, np.ones(mids.shape, dtype=bool))
+            exact = spec.point_to_flat((mids[..., None] * d[:, None] + o[:, None]).reshape(-1, 3))
+            np.testing.assert_array_equal(cells, exact.reshape(mids.shape))
+
+    def test_default_fan_bins_only_its_origins(self, street_gt, monkeypatch):
+        # no midpoint of the default fan needs re-binning: point_to_flat sees
+        # only the chunk origins, which a cast bins for its start cells
+        fan, grids = default_ray_fan(), [street_gt, perturbed(street_gt, 8)]
+        length = _grid_max_distance(street_gt.spec, fan.origins)
+        expected = [cast_all_intervals(fan, g, length) for g in grids]
+        rows = []
+        binner = GridSpec.point_to_flat
+
+        def counting(spec, p):
+            rows.append(len(p))
+            return binner(spec, p)
+
+        monkeypatch.setattr(GridSpec, "point_to_flat", counting)
+        shared = _cast_grids(fan, grids)
+        assert rows == [_CHUNK] * (len(fan) // _CHUNK)
+        for hits, ref in zip(shared, expected):
+            assert_same_hits(hits, ref)
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=axis_ray_chunks())
+    def test_drawn_chunks(self, case):
+        assert_casts_match_oracle(*case)
 
 
 class TestCasterExactness:
