@@ -154,11 +154,9 @@ def encode_voxel_grid(grid: VoxelGrid) -> bytes:
         _PAYLOAD_CODES[grid.kind],
         grid.channels,
     )
-    if grid.kind == "feature":
-        payload = grid.data.astype("<f4").tobytes()
-    else:
-        payload = grid.data.astype(np.uint8).tobytes()
-    return header + payload
+    # the join is the only copy unless the payload needs converting to C order or the stored dtype
+    payload = np.ascontiguousarray(grid.data, dtype="<f4" if grid.kind == "feature" else np.uint8)
+    return b"".join((header, memoryview(payload)))
 
 
 def decode_voxel_grid(buf: bytes) -> VoxelGrid:
@@ -226,7 +224,7 @@ def encode_raster(img: ErpImage) -> bytes:
     header = _ODPT_HEADER.pack(
         b"ODPT", FORMAT_VERSION, _ODPT_KIND_CODES[img.kind], img.width, img.height, img.channels
     )
-    return header + img.data.astype("<f4").tobytes()
+    return b"".join((header, memoryview(np.ascontiguousarray(img.data, dtype="<f4"))))
 
 
 def decode_raster(buf: bytes) -> ErpImage:

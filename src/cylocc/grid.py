@@ -77,13 +77,15 @@ class GridSpec:
         """Native value at fractional bin coordinate frac on axis k; inverse of axis_fraction."""
         return self.ranges[k][0] + frac * self.deltas[k]
 
-    def in_range(self, native: np.ndarray) -> np.ndarray:
-        """Mask of native (N, 3) coordinates inside the axis ranges; the
-        cylindrical azimuth wraps and never leaves the range."""
-        inside = np.ones(len(native), dtype=bool)
+    def in_range(self, native) -> np.ndarray:
+        """Mask of native coordinates inside the axis ranges, per row of an
+        (N, 3) array or over the broadcast of a list of three per-axis arrays;
+        the cylindrical azimuth wraps and never leaves the range."""
+        axes = native.T if isinstance(native, np.ndarray) else native
+        inside = True
         for k, (lo, hi) in enumerate(self.ranges):
             if not (self.coord_sys == CYLINDRICAL and k == 1):
-                inside &= (native[:, k] >= lo) & (native[:, k] <= hi)
+                inside = inside & (axes[k] >= lo) & (axes[k] <= hi)
         return inside
 
     def point_to_flat(self, p) -> np.ndarray:

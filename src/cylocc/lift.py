@@ -12,15 +12,17 @@ fractional index space (wrapping the azimuth axis), with the same kernel,
 _multilinear, that samples the rasters; out-of-range samples are zero.
 Only samples whose trilinear stencil touches a non-zero history voxel are
 interpolated, so alignment cost scales with the history's non-zero support
-(the sketched candidates), not with the lattice.
+(the sketched candidates), not with the lattice; an axis whose fraction is
+0 at all of them reads one node unless the history holds a -0.0.
 Fusion averages the current grid with the aligned histories, dividing by
 N + 1 with no renormalization for out-of-range zeros.
 
 The frame kernels stream in fixed row blocks, so their float64 temporaries
 stay cache-sized: alignment gathers and interpolates its supported rows a
 few thousand at a time, and fusion widens and accumulates one block of
-voxel rows at a time. The voxel centers alignment warps come from
-GridSpec.all_centers(), which is computed once per spec and read-only.
+voxel rows at a time. Under a planar ego motion (a yaw plus a shift) voxel
+columns stay whole, so alignment warps the D0*D1 column centers and one
+column's D2 layers; any other pose warps every center.
 Every output is bit-identical to the unblocked oracles in tests/oracles.py
 (dense_align_history, fuse_temporal_unblocked).
 """
@@ -172,22 +174,23 @@ def _snap(frac: np.ndarray) -> np.ndarray:
     return np.where(np.abs(frac - rounded) < _SNAP, rounded, frac)
 
 
-def _stencil_support(touched: np.ndarray, wrap_theta: bool) -> np.ndarray:
-    """Mark the trilinear bases b whose nodes b + {0,1}^3 include a touched voxel.
+def _stencil_support(touched: np.ndarray, wrap_theta: bool, fixed) -> np.ndarray:
+    """Mark the trilinear bases b whose nodes b + {0,1}^3 include a touched voxel,
+    where an axis k with fixed[k] reads only node b.
 
     Bases run from -1 to D-1 and sit at index b + 1, except on a wrapping
     azimuth axis, where they sit at b mod D1.
     """
     for k in range(3):
         if k == 1 and wrap_theta:
-            touched = touched | np.roll(touched, -1, axis=1)
+            touched = touched if fixed[k] else touched | np.roll(touched, -1, axis=1)
             continue
         pad = [(0, 0)] * 3
         pad[k] = (1, 1)
         q = np.pad(touched, pad)
         lo, hi = [slice(None)] * 3, [slice(None)] * 3
         lo[k], hi[k] = slice(None, -1), slice(1, None)
-        touched = q[tuple(lo)] | q[tuple(hi)]
+        touched = q[tuple(lo)] if fixed[k] else q[tuple(lo)] | q[tuple(hi)]
     return touched
 
 
@@ -204,14 +207,15 @@ def _multilinear(src: np.ndarray, dims, base: list, t: list, wrap=()) -> np.ndar
     C-order lattice of shape dims, at integer bases base[k] (M,) and fractions
     t[k] (M, 1) per axis k.
 
-    Axis k reads nodes base[k] and base[k] + 1. On a wrap axis they are taken
-    mod dims[k]; on any other axis a node off the lattice reads zero.
+    Axis k reads nodes base[k] and base[k] + 1, or only base[k] where t[k] is
+    None. On a wrap axis they are taken mod dims[k]; on any other axis a node
+    off the lattice reads zero.
     """
     nodes = []  # per axis, each node's flat-index term and on-lattice mask
     for k, d in enumerate(dims):
         step = math.prod(dims[k + 1 :])
-        nodes.append([(np.mod(n, d) * step, True) if k in wrap else (n * step, (n >= 0) & (n < d))
-                      for n in (base[k], base[k] + 1)])
+        ns = (base[k],) if t[k] is None else (base[k], base[k] + 1)
+        nodes.append([(np.mod(n, d) * step, True) if k in wrap else (n * step, (n >= 0) & (n < d)) for n in ns])
     return _lerp_nodes(src, nodes, t, 0, 0, np.ones(len(base[0]), dtype=bool))
 
 
@@ -222,9 +226,8 @@ def _lerp_nodes(src: np.ndarray, nodes: list, t: list, k: int, flat, ok) -> np.n
         vals = np.take(src, np.where(ok, flat, 0), axis=0).astype(np.float64)
         vals[~ok] = 0.0
         return vals
-    (i0, ok0), (i1, ok1) = nodes[k]
-    return _lerp(_lerp_nodes(src, nodes, t, k + 1, flat + i0, ok & ok0),
-                 _lerp_nodes(src, nodes, t, k + 1, flat + i1, ok & ok1), t[k])
+    vals = [_lerp_nodes(src, nodes, t, k + 1, flat + i, ok & m) for i, m in nodes[k]]
+    return vals[0] if t[k] is None else _lerp(*vals, t[k])
 
 
 def align_history(
@@ -240,10 +243,14 @@ def align_history(
     r/z range yield the zero vector. Fractional coordinates within 1e-9 of
     a lattice node snap to it, so lattice-aligned warps are exact.
 
+    Under a planar relative pose (exactly a yaw plus a shift) a voxel
+    column stays a column, so only the D0*D1 layer-0 centers and one
+    column's D2 centers are warped; any other pose warps every center.
     Only in-range samples with a non-zero history voxel (any set bit, so
-    -0.0 counts) among their eight nodes are interpolated; every other
-    sample is exactly +0.0 either way, so the cost follows the history's
-    non-zero support rather than the lattice.
+    -0.0 counts) among their nodes are interpolated; every other sample is
+    exactly +0.0 either way, so the cost follows the history's non-zero
+    support. An axis whose fraction is 0 at every such sample reads only its
+    base node, unless the history holds a -0.0 (a lerp at t = 0 turns it +0.0).
     """
     if hist.kind != "feature":
         raise DomainError("alignment needs a feature grid")
@@ -251,24 +258,35 @@ def align_history(
     d0, d1, d2 = spec.dims
     ch = hist.channels
     rel = t_hist.inverse().compose(t_curr)
-    native = spec.to_native(rel.apply(spec.all_centers()))
-    frac = [_snap(spec.axis_fraction(native[:, k], k) - 0.5) for k in range(3)]
+    cols = spec.index_to_center(np.arange(0, spec.num_voxels, d2))
+    layers = spec.index_to_center(np.arange(d2))
+    if np.all(rel.rotation[2] == (0.0, 0.0, 1.0)) and np.all(rel.rotation[:2, 2] == 0):
+        # per-axis (columns, 1) or (1, D2) arrays: r and theta follow the column, z the layer
+        native = spec.to_native(rel.apply(cols))
+        axes, by = [native[:, :1], native[:, 1:2], rel.apply(layers)[None, :, 2]], (1, 1, 2)
+    else:
+        pts = np.column_stack([np.repeat(cols[:, :2], d2, axis=0), np.tile(layers[:, 2], len(cols))])
+        axes, by = list(spec.to_native(rel.apply(pts)).reshape(len(cols), d2, 3).transpose(2, 0, 1)), (0, 0, 0)
+    frac = [_snap(spec.axis_fraction(a, k) - 0.5) for k, a in enumerate(axes)]
     base = [np.floor(f).astype(np.int64) for f in frac]
     wrap_theta = spec.coord_sys == CYLINDRICAL
 
-    support = _stencil_support(np.bitwise_or.reduce(hist.data.view(np.uint32), axis=3) != 0, wrap_theta)
-    rows = np.flatnonzero(spec.in_range(native))
-    b0, b1, b2 = (b[rows] for b in base)
-    b1 = np.mod(b1, d1) if wrap_theta else b1 + 1
-    rows = rows[support[b0 + 1, b1, b2 + 1]]
+    keep = spec.in_range(axes)  # (columns, D2)
+    signed_zero = hist.data.view(np.int32).min() == np.iinfo(np.int32).min  # only -0.0 has these bits
+    fixed = [not signed_zero and not np.any(keep & (f != b)) for f, b in zip(frac, base)]
+    support = _stencil_support(np.bitwise_or.reduce(hist.data.view(np.uint32), axis=3) != 0, wrap_theta, fixed)
+    node = [np.clip(b + 1, 0, d) for b, d in zip(base, spec.dims)]  # clipped rows are out of range, masked by keep
+    node[1] = np.mod(base[1], d1) if wrap_theta else node[1]
+    col, layer = np.nonzero(keep & support[tuple(node)])
+    at = (col * d2 + layer, col, layer)  # each interpolated sample's row, column and layer
 
     src = hist.data.reshape(-1, ch)
     out = np.zeros((spec.num_voxels, ch), dtype=np.float32)
-    for s in range(0, len(rows), _ALIGN_BLOCK):
-        blk = rows[s : s + _ALIGN_BLOCK]
-        b = [a[blk] for a in base]
-        t = [(f[blk] - a)[:, None] for f, a in zip(frac, b)]
-        out[blk] = _multilinear(src, spec.dims, b, t, wrap=(1,) if wrap_theta else ())
+    for s in range(0, len(col), _ALIGN_BLOCK):
+        i = [at[j][s : s + _ALIGN_BLOCK] for j in by]
+        b = [a.ravel()[ik] for a, ik in zip(base, i)]
+        t = [None if fix else (f.ravel()[ik] - a)[:, None] for f, ik, a, fix in zip(frac, i, b, fixed)]
+        out[at[0][s : s + _ALIGN_BLOCK]] = _multilinear(src, spec.dims, b, t, wrap=(1,) if wrap_theta else ())
     return VoxelGrid(spec, "feature", out.reshape(d0, d1, d2, ch))
 
 

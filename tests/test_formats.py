@@ -93,6 +93,18 @@ class TestOvox:
         assert struct.unpack_from("<I", blob, 46)[0] == 1
         assert len(blob) == 50 + 128 * 200 * 16
 
+    @pytest.mark.parametrize("kind", ["feature", "label"])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_payload_bytes_in_c_order(self, kind, order):
+        spec = GridSpec(CUBOID, (3, 4, 5), ((0.0, 1.0), (0.0, 2.0), (0.0, 3.0)))
+        rng = np.random.RandomState(71)
+        data = rng.rand(3, 4, 5, 2).astype(np.float32) if kind == "feature" else rng.randint(0, 20, (3, 4, 5)).astype(np.uint8)
+        grid = VoxelGrid(spec, kind, np.asarray(data, order=order))
+        assert grid.data.flags.c_contiguous == (order == "C")
+        header = encode_voxel_grid(VoxelGrid.zeros(spec, kind, 2))[:50]
+        want = data.astype("<f4").tobytes() if kind == "feature" else data.astype(np.uint8).tobytes()
+        assert encode_voxel_grid(grid) == header + want
+
     def test_truncated_payload_reports_counts(self, cyl_spec):
         blob = encode_voxel_grid(VoxelGrid.zeros(cyl_spec, "label"))
         with pytest.raises(Truncated) as err:
@@ -270,6 +282,14 @@ class TestOdpt:
         assert blob[8] == 0
         assert struct.unpack_from("<3I", blob, 9) == (3, 2, 1)
         assert len(blob) == 21 + 6 * 4
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_payload_bytes_in_c_order(self, order):
+        data = np.random.RandomState(72).rand(4, 8, 3).astype(np.float32)
+        img = ErpImage(8, 4, 3, np.asarray(data, order=order), "feature")
+        assert img.data.flags.c_contiguous == (order == "C")
+        header = struct.pack("<4sIB3I", b"ODPT", 1, 2, 8, 4, 3)
+        assert encode_raster(img) == header + data.astype("<f4").tobytes()
 
     def test_negative_depth_payload_rejected(self):
         img = ErpImage.depth(np.ones((2, 2), dtype=np.float32))

@@ -421,6 +421,68 @@ class TestAlignMatchesDense:
         assert np.count_nonzero(got.data.reshape(-1, 3).any(axis=1)) > 2 * block
         assert_bits_equal(got.data, dense_align_history(hist, t_hist, t_curr))
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        spec_name=st.sampled_from(sorted(SMALL_SPECS)),
+        case=st.sampled_from(["sparse", "negative_zero"]),
+        yaw=st.floats(-math.pi, math.pi),
+        shift=st.tuples(st.floats(-1.5, 1.5), st.floats(-1.5, 1.5)),
+        z_kind=st.sampled_from(["zero", "layers", "uniform"]),
+        layers=st.integers(-3, 3),
+        z=st.floats(-1.5, 1.5),
+    )
+    def test_planar_poses_bit_identical(self, spec_name, case, yaw, shift, z_kind, layers, z):
+        spec = SMALL_SPECS[spec_name]
+        hist = VoxelGrid(spec, "feature", history_data(spec, case))
+        dz = {"zero": 0.0, "layers": layers * spec.deltas[2], "uniform": z}[z_kind]
+        t_hist = RigidTransform(rot_z(yaw), np.array([*shift, dz]))
+        t_curr = RigidTransform.identity()
+        assert_bits_equal(align_history(hist, t_hist, t_curr).data, dense_align_history(hist, t_hist, t_curr))
+
+    @pytest.mark.parametrize("case,fixed", [("sparse", (False, False, True)), ("negative_zero", (False, False, False))])
+    @pytest.mark.parametrize("spec_name", sorted(SMALL_SPECS))
+    def test_whole_layer_shift_reads_one_z_node_without_signed_zeros(self, spec_name, case, fixed):
+        spec = SMALL_SPECS[spec_name]
+        hist = VoxelGrid(spec, "feature", history_data(spec, case))
+        t_hist = RigidTransform(rot_z(0.3), np.array([0.4, -0.2, 2 * spec.deltas[2]]))
+        t_curr = RigidTransform.identity()
+        with mock.patch.object(lift, "_multilinear", wraps=lift._multilinear) as kernel:
+            got = align_history(hist, t_hist, t_curr)
+        assert kernel.call_count > 0
+        for call in kernel.call_args_list:
+            assert tuple(tk is None for tk in call.args[3]) == fixed
+        assert_bits_equal(got.data, dense_align_history(hist, t_hist, t_curr))
+
+    @pytest.mark.parametrize("case", ["dense", "negative_zero"])
+    @pytest.mark.parametrize("spec_name", sorted(SMALL_SPECS))
+    def test_nearly_planar_pose_warps_every_center(self, spec_name, case):
+        spec = SMALL_SPECS[spec_name]
+        hist = VoxelGrid(spec, "feature", history_data(spec, case))
+        rot = np.eye(3)
+        rot[2, 2] = 1.0 - 2.0**-53
+        t_hist, t_curr = RigidTransform.identity(), RigidTransform(rot, np.array([0.3, 0.1, spec.deltas[2]]))
+        with mock.patch.object(RigidTransform, "apply", autospec=True, side_effect=RigidTransform.apply) as warp:
+            got = align_history(hist, t_hist, t_curr)
+        assert max(len(call.args[1]) for call in warp.call_args_list) == spec.num_voxels
+        assert_bits_equal(got.data, dense_align_history(hist, t_hist, t_curr))
+
+    def test_default_lattice_planar_xy_shift(self, cyl_spec):
+        rng = np.random.RandomState(37)
+        hist = VoxelGrid(cyl_spec, "feature", sparse_history(cyl_spec, rng, 0.06, channels=16))
+        t_hist = RigidTransform(rot_z(-0.04), np.array([0.6, 0.03, 0.0]))
+        got = align_history(hist, t_hist, RigidTransform.identity())
+        assert_bits_equal(got.data, dense_align_history(hist, t_hist, RigidTransform.identity()))
+
+    @pytest.mark.parametrize("tilt", [0.0, 0.05])
+    def test_never_builds_the_center_table(self, tilt):
+        spec = GridSpec(CYLINDRICAL, (12, 16, 6), ((0.0, 6.0), (-math.pi, math.pi), (-1.0, 1.4)))  # fresh, uncached
+        hist = VoxelGrid(spec, "feature", history_data(spec, "sparse"))
+        c, s = math.cos(tilt), math.sin(tilt)
+        t_hist = RigidTransform(rot_z(0.7) @ np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]]), np.array([0.5, 0.2, 0.1]))
+        with mock.patch.object(GridSpec, "all_centers", side_effect=AssertionError("all_centers called")) as table:
+            align_history(hist, t_hist, RigidTransform.identity())
+        table.assert_not_called()
+
     def test_default_lattice_peak_memory(self, cyl_spec):
         rng = np.random.RandomState(36)
         hist = VoxelGrid(cyl_spec, "feature", sparse_history(cyl_spec, rng, 0.06, channels=16))
