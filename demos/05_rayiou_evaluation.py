@@ -38,7 +38,7 @@ gt = analytic_voxel_gt(scene, spec, 3)
 # prediction = ground truth with far-range label noise
 pred = VoxelGrid(spec, "label", gt.data.copy())
 rng = np.random.RandomState(3)
-centers = spec.all_centers()
+centers = spec.index_to_center(np.arange(spec.num_voxels))
 rr = np.hypot(centers[:, 0], centers[:, 1]).reshape(spec.dims)
 flip = (pred.data != 0) & (rr > 12.0) & (rng.rand(*spec.dims) < 0.4)
 pred.data[flip] = rng.randint(1, labels.count, size=int(flip.sum())).astype(np.uint8)

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -127,20 +126,6 @@ class GridSpec:
             raise DomainError("flat voxel index outside the grid")
         idx = np.unravel_index(flat, self.dims)
         return self.to_cartesian(np.stack([self.axis_value(i + 0.5, k) for k, i in enumerate(idx)], axis=1))
-
-    def all_centers(self) -> np.ndarray:
-        """(D0*D1*D2, 3) Cartesian centers in flat index order.
-
-        Computed once per spec and shared by every call, so the array is
-        read-only; a caller that needs to write takes a copy.
-        """
-        return self._centers
-
-    @cached_property
-    def _centers(self) -> np.ndarray:
-        centers = self.index_to_center(np.arange(self.num_voxels))
-        centers.flags.writeable = False
-        return centers
 
     def to_native(self, pts: np.ndarray) -> np.ndarray:
         """(N, 3) Cartesian points in the grid's native axes: (r, theta, z) or (x, y, z)."""

@@ -1,19 +1,18 @@
 """Ray-based occupancy evaluation.
 
 Query rays are cast into label grids to find the first non-free voxel along
-each ray. The parametric caster is exact: it collects every parameter value
-where the ray crosses a lattice surface (r cylinders, azimuth planes and z
-planes for cylindrical grids; axis planes for cuboid grids), skipping the
-near r roots and azimuth planes of a ray block that can only meet them at
-t <= 0 (no ray heading inward, every origin on the axis), sorts them,
-and classifies the intervals by their midpoints in order up to the first
-occupied one, so cells are visited in true geometric order and hits report
-the entry distance into the first occupied cell. A ray from the z axis
-bins them by one atan2 per ray and m |d_xy| (z as point_to_flat does),
-re-binning by point_to_flat those within w_k of an edge. Crossings and cells depend
-only on the rays and the spec, so a cast into several grids on one spec
-computes them once per ray and reads each grid's labels at those cells:
-ray_iou casts gt and pred in one pass.
+each ray. The parametric caster is exact: it sorts every parameter where a
+ray crosses a lattice surface (r cylinders, azimuth and z planes; axis planes
+for cuboid grids), leaving out the near r roots and azimuth planes of a ray
+block that can only meet them at t <= 0, and classifies the intervals by
+midpoint in order up to the first occupied one, so hits report the entry
+distance into the first occupied cell. A ray from the z axis bins midpoints
+by one atan2 per ray and m |d_xy| (z as point_to_flat does, which re-bins
+those within w_k of an edge), and in a grid free at every r of its azimuth
+bin over the layers it reaches within r_max it is a sure miss, culled before
+its crossings are built; cuboid specs and off-axis origins are never culled.
+Crossings and cells depend only on the rays and the spec, so a cast into
+several grids computes them once per ray: ray_iou casts gt and pred in one pass.
 
 RayIoU scores a prediction against ground truth per class: a ray whose
 ground-truth hit has class c counts as TP_c when the prediction hits class
@@ -147,15 +146,18 @@ def _sorted_crossings(spec: GridSpec, o: np.ndarray, d: np.ndarray, max_dist: fl
             _plane_crossings(spec, o, d, k, col)
     else:
         _plane_crossings(spec, o, d, 2, cols[0])
-        rk = spec.axis_value(np.arange(dims[0] + 1), 0)
-        disc = np.subtract(c0[:, None], rk**2, out=cols[1])
-        np.subtract((b**2)[:, None], np.multiply((4.0 * a)[:, None], disc, out=disc), out=disc)
+        rk2 = spec.axis_value(np.arange(dims[0] + 1), 0) ** 2
+        # b^2 - 4a (c0 - rk^2); on the axis b = +-0 and c0 = +0, so it is (4a) rk^2, and -b + sq is sq, bit for bit
+        disc = np.subtract(c0[:, None], rk2, out=cols[1]) if off_axis else rk2
+        disc = np.multiply((4.0 * a)[:, None], disc, out=cols[1])
+        if off_axis:
+            np.subtract((b**2)[:, None], disc, out=disc)
         # tangent guard: near-zero discriminants are treated as no crossing
         np.copyto(disc, np.nan, where=~((disc >= 1e-12) & (a[:, None] > 1e-30)))
         sq = np.sqrt(disc, out=cols[2] if near else disc)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             inv2a = 0.5 / a[:, None]
-        np.multiply(np.add(-b[:, None], sq, out=cols[1]), inv2a, out=cols[1])
+        np.multiply(np.add(-b[:, None], sq, out=cols[1]) if off_axis else sq, inv2a, out=cols[1])
         if near:
             np.multiply(np.subtract(-b[:, None], sq, out=cols[2]), inv2a, out=cols[2])
         if off_axis:
@@ -171,28 +173,34 @@ def _sorted_crossings(spec: GridSpec, o: np.ndarray, d: np.ndarray, max_dist: fl
     return ts
 
 
-def _midpoint_cells(spec: GridSpec, mids: np.ndarray, o: np.ndarray, d: np.ndarray, long) -> np.ndarray:
+def _axis_rays(spec: GridSpec, o: np.ndarray, d: np.ndarray):
+    """(flag, |d_xy|, azimuth bin floor(fa) mod D1) per ray; the flag marks rays from the z axis of a cylindrical
+    spec w1 clear of azimuth edges and +-pi, whose midpoints m with m |d_xy| >= 1e-100 point_to_flat bins there."""
+    h, theta = np.hypot(d[:, 0], d[:, 1]), np.arctan2(d[:, 1], d[:, 0])
+    fa = spec.axis_fraction(theta, 1) + _EDGE_GUARD
+    w1 = _EDGE_GUARD + _MARGIN * spec.dims[1]  # +-pi is an edge: atan2 takes a zero y's sign, f32 ranges bin +-pi apart
+    axis = (o[:, 0] == 0.0) & (o[:, 1] == 0.0) & (spec.coord_sys == CYLINDRICAL)  # as _sorted_crossings tests o
+    axis &= (np.abs(fa - np.rint(fa)) >= w1) & (math.pi - np.abs(theta) >= w1 * spec.deltas[1])
+    return axis, h, (np.floor(fa) % spec.dims[1]).astype(np.int64)
+
+
+def _midpoint_cells(spec: GridSpec, mids: np.ndarray, long, o, d, axis, h, sector) -> np.ndarray:
     """Flat cells of the (rays, columns) midpoints m of rays o + t d, exact where long marks an interval
-    over _MIN_SEGMENT (no other cell is read); rays from the z axis bin m by atan2(d_y, d_x), m |d_xy|."""
-    axis = (o[:, 0] == 0.0) & (o[:, 1] == 0.0)  # the coordinates, as _sorted_crossings tests them
-    if spec.coord_sys != CYLINDRICAL or not axis.any():
+    over _MIN_SEGMENT (no other cell is read); rays flagged by _axis_rays bin m by azimuth bin and m |d_xy|."""
+    if not axis.any():
         pos = np.empty(mids.shape + (3,))
         for k in range(3):  # o_k + m * d_k, one axis at a time
             np.multiply(mids, d[:, k : k + 1], out=pos[..., k])
             pos[..., k] += o[:, k : k + 1]
         return spec.point_to_flat(pos.reshape(-1, 3)).reshape(mids.shape)
-    ((r_lo, r_hi), _, (z_lo, z_hi)), (d0, d1, d2), (dr, dtheta, _) = spec.ranges, spec.dims, spec.deltas
-    h, theta = np.hypot(d[:, 0], d[:, 1]), np.arctan2(d[:, 1], d[:, 0])
-    fa = spec.axis_fraction(theta, 1) + _EDGE_GUARD
-    w1 = _EDGE_GUARD + _MARGIN * d1  # +-pi is an edge: atan2 takes a zero y's sign, f32 ranges bin +-pi apart
-    axis &= (np.abs(fa - np.rint(fa)) >= w1) & (math.pi - np.abs(theta) >= w1 * dtheta)
+    ((r_lo, r_hi), _, (z_lo, z_hi)), (d0, d1, d2), dr = spec.ranges, spec.dims, spec.deltas[0]
     fr = mids * (h / dr)[:, None] + (_EDGE_GUARD - r_lo / dr)
     q0 = np.floor(fr)
     near = np.abs(fr - q0 - 0.5) > 0.5 - (_EDGE_GUARD + _MARGIN * r_hi / dr)
-    redo = (near | (mids * np.where(axis, h, 0.0)[:, None] < 1e-100)) & long  # and subnormal m d, off-axis rays
+    redo = (near | (mids * np.where(axis, h, 0.0)[:, None] < 1e-100)) & long  # and subnormal m d, unflagged rays
     z = mids * d[:, 2:3] + o[:, 2:3]
     q2 = np.minimum(np.floor(spec.axis_fraction(z, 2) + _EDGE_GUARD), d2 - 1)
-    cells = (q0 * d1 + (np.floor(fa) % d1)[:, None]) * d2 + q2
+    cells = (q0 * d1 + sector[:, None]) * d2 + q2
     cells = np.where((q0 < 0) | (q0 >= d0) | (z < z_lo) | (z > z_hi), -1.0, cells).astype(np.int64)
     if redo.any():
         rows, cols = np.nonzero(redo)
@@ -221,6 +229,17 @@ def _cast_grids(rays: Rays, grids: list[VoxelGrid]) -> list[BatchHits]:
     for all grids; each grid then reads its own labels at those cells, keeps
     its own first hit and retires the ray on its own. Every grid's result
     equals a cast into that grid alone, bit for bit.
+
+    Before any crossing is built, a ray flagged by _axis_rays with |d_xy| >=
+    4e-100 / _MIN_SEGMENT (so m |d_xy| >= 1e-100 on every long interval) is
+    culled in a grid free at every r of its azimuth bin over the layers from
+    bin(o_z) to bin(o_z + t_end d_z), clipped to [0, D2), with t_end the
+    lesser of max_dist and (r_max / |d_xy|)(1 + _MARGIN). It keeps its miss:
+    (1) both binning paths compute z as m d_z + o_z with the same operations,
+    monotone in m; (2) every cell read lies in its azimuth bin, re-bins
+    included (the _MARGIN argument); (3) past t_end no midpoint lies, or both
+    give -1, by q0 >= D0 and by r > r_max in in_range; (4) the t = 0 cell is
+    settled by the start test. Cuboid specs and off-axis rays are never culled.
     """
     if any(g.spec != grids[0].spec for g in grids):
         raise ShapeError("grids cast together must share a spec")
@@ -236,25 +255,34 @@ def _cast_grids(rays: Rays, grids: list[VoxelGrid]) -> list[BatchHits]:
     n = len(rays)
     # flat index -1 (outside the grid) reads the free class appended to each payload
     labels = np.stack([np.append(g.data.reshape(-1), 0) for g in grids])
+    if spec.coord_sys == CYLINDRICAL:  # layers[g, sector, k]: the layers below k grid g occupies at some r
+        layers = np.stack([np.cumsum(np.pad((g.data != 0).any(axis=0), ((0, 0), (1, 0))), axis=1) for g in grids])
     distance = np.empty((len(grids), n))
     voxel = np.empty((len(grids), n), dtype=np.int64)
     for s in range(0, n, _CHUNK):
+        o, d = rays.origins[s : s + _CHUNK], rays.directions[s : s + _CHUNK]
         # a ray starting inside an occupied cell (per the point convention, which
         # also settles origins sitting exactly on a lattice plane) hits at t = 0;
         # every other ray misses until a hit is found
-        cell0 = spec.point_to_flat(rays.origins[s : s + _CHUNK])
-        start = labels[:, cell0] != 0  # (grids, rays)
-        distance[:, s : s + _CHUNK] = np.where(start, 0.0, np.inf)
-        voxel[:, s : s + _CHUNK] = np.where(start, cell0, -1)
-        # rays starting occupied in every grid never become active
-        ray = s + np.flatnonzero(~start.all(axis=0))
-        if not ray.size:
+        cell0 = spec.point_to_flat(o)
+        act = labels[:, cell0] == 0  # (grids, rays): still looking for a hit
+        distance[:, s : s + _CHUNK] = np.where(act, np.inf, 0.0)
+        voxel[:, s : s + _CHUNK] = np.where(act, -1, cell0)
+        axis, h, sector = _axis_rays(spec, o, d)
+        sure = axis & (h >= 4e-100 / _MIN_SEGMENT)
+        if sure.any():
+            t_end = np.minimum(spec.ranges[0][1] / np.where(sure, h, np.inf) * (1.0 + _MARGIN), max_dist)
+            z = np.stack([o[:, 2], t_end * d[:, 2] + o[:, 2]])
+            k = np.clip(np.floor(spec.axis_fraction(z, 2) + _EDGE_GUARD), 0, spec.dims[2] - 1).astype(np.int64)
+            act &= ~sure | (layers[:, sector, k.max(axis=0) + 1] > layers[:, sector, k.min(axis=0)])
+        keep = np.flatnonzero(act.any(axis=0))  # culled or starting occupied in every grid: never active
+        if not keep.size:
             continue
-        o, d = rays.origins[ray], rays.directions[ray]
+        ray, act = s + keep, act[:, keep]
+        o, d, axis, h, sector = per_ray = [x[keep] for x in (o, d, axis, h, sector)]
         ts = _sorted_crossings(spec, o, d, max_dist)
         live = np.argmax(ts == max_dist, axis=1)  # intervals before the padding
         ts = ts[:, : live.max() + 1]
-        act = ~start[:, ray - s]  # (grids, rays): still looking for a hit
         active = np.arange(len(ray))
         for j in range(0, ts.shape[1] - 1, _BLOCK):
             if not active.size:
@@ -262,7 +290,7 @@ def _cast_grids(rays: Rays, grids: list[VoxelGrid]) -> list[BatchHits]:
             block = ts[active, j : j + _BLOCK + 1]
             mids = 0.5 * (block[:, :-1] + block[:, 1:])
             long = np.diff(block, axis=1) > _MIN_SEGMENT
-            cells = _midpoint_cells(spec, mids, o[active], d[active], long)
+            cells = _midpoint_cells(spec, mids, long, *(x[active] for x in per_ray))
             for g, lab in enumerate(labels):
                 occupied = (lab[cells] != 0) & long
                 hit = occupied.any(axis=1) & act[g, active]
@@ -285,11 +313,12 @@ def cast_rays(rays: Rays, grid: VoxelGrid) -> BatchHits:
     midpoint in blocks of _BLOCK columns over the rays still active; a ray
     retires at its first occupied interval, or at the block that reaches its
     first max_dist column, after which only zero-length padding remains.
-    Only rays off the z axis, and midpoints near bin edges, use point_to_flat. A
-    ray starting in an occupied cell never becomes active, and its crossings
-    are never computed. ray_iou casts gt and pred together through the same
-    kernel, which computes the crossings and cells once per ray and reads
-    the labels per grid.
+    Only rays off the z axis, and midpoints near bin edges, use point_to_flat.
+    A ray starting in an occupied cell, or from the z axis with its azimuth
+    bin free over every layer it reaches (see _cast_grids), never becomes
+    active, and its crossings are never computed. ray_iou casts gt and pred
+    together through the same kernel, which computes the crossings and cells
+    once per ray and reads the labels per grid.
     """
     return _cast_grids(rays, [grid])[0]
 

@@ -70,6 +70,11 @@ def point_to_flat_unblocked(spec: GridSpec, p) -> np.ndarray:
     return flat
 
 
+def all_centers(spec: GridSpec) -> np.ndarray:
+    """(D0*D1*D2, 3) Cartesian centers of every voxel, in flat index order."""
+    return spec.index_to_center(np.arange(spec.num_voxels))
+
+
 def plane_crossings(spec: GridSpec, o: np.ndarray, d: np.ndarray, k: int) -> np.ndarray:
     """Crossing parameters with the bin-edge planes of Cartesian axis k;
     rays parallel to the planes give non-finite entries."""
@@ -421,7 +426,7 @@ def dense_align_history(hist, t_hist, t_curr):
     d0, d1, d2 = spec.dims
     ch = hist.channels
     rel = t_hist.inverse().compose(t_curr)
-    native = spec.to_native(rel.apply(spec.all_centers()))
+    native = spec.to_native(rel.apply(all_centers(spec)))
 
     def snap(frac):
         rounded = np.round(frac)

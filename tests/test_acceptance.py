@@ -44,6 +44,7 @@ from cylocc.synth import (
 
 from oracles import (
     REPRESENTATION_SCENE,
+    all_centers,
     central_diff,
     default_cuboid_spec,
     fan_point_cloud,
@@ -153,7 +154,7 @@ class TestAcceptance:
     def test_04_indexing_bijection(self):
         t0 = time.perf_counter()
         for spec in (default_cylindrical_spec(), default_cuboid_spec()):
-            centers = spec.all_centers()
+            centers = all_centers(spec)
             np.testing.assert_array_equal(spec.point_to_flat(centers), np.arange(spec.num_voxels))
         elapsed = time.perf_counter() - t0
         assert elapsed < 5.0
@@ -277,7 +278,7 @@ class TestAcceptance:
         for name, spec in (("cylindrical", cyl), ("cuboid", cub)):
             pred = voxelize_semantic(cloud, spec, labels)
             gt = analytic_voxel_gt(scene, spec, 3)
-            centers = spec.all_centers()
+            centers = all_centers(spec)
             rr = np.hypot(centers[:, 0], centers[:, 1]).reshape(spec.dims)
             flip = (pred.data != 0) & (rr > 17.0) & (rng.rand(*spec.dims) < 0.3)
             pred.data[flip] = rng.randint(1, 12, size=int(flip.sum())).astype(np.uint8)

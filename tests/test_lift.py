@@ -475,13 +475,20 @@ class TestAlignMatchesDense:
 
     @pytest.mark.parametrize("tilt", [0.0, 0.05])
     def test_never_builds_the_center_table(self, tilt):
-        spec = GridSpec(CYLINDRICAL, (12, 16, 6), ((0.0, 6.0), (-math.pi, math.pi), (-1.0, 1.4)))  # fresh, uncached
+        spec = GridSpec(CYLINDRICAL, (12, 16, 6), ((0.0, 6.0), (-math.pi, math.pi), (-1.0, 1.4)))
         hist = VoxelGrid(spec, "feature", history_data(spec, "sparse"))
         c, s = math.cos(tilt), math.sin(tilt)
         t_hist = RigidTransform(rot_z(0.7) @ np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]]), np.array([0.5, 0.2, 0.1]))
-        with mock.patch.object(GridSpec, "all_centers", side_effect=AssertionError("all_centers called")) as table:
+        sizes = []
+        centers = GridSpec.index_to_center
+
+        def recording(self, flat):
+            sizes.append(len(flat))
+            return centers(self, flat)
+
+        with mock.patch.object(GridSpec, "index_to_center", recording):
             align_history(hist, t_hist, RigidTransform.identity())
-        table.assert_not_called()
+        assert sizes and max(sizes) < spec.num_voxels
 
     def test_default_lattice_peak_memory(self, cyl_spec):
         rng = np.random.RandomState(36)

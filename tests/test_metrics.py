@@ -324,6 +324,18 @@ def assert_same_crossings(spec, o, d):
     return ts.shape[1]
 
 
+def decoded_spec(spec):
+    """spec as decode_voxel_grid returns it, its ranges rounded to f32."""
+    return decode_voxel_grid(encode_voxel_grid(VoxelGrid.zeros(spec, "label"))).spec
+
+
+@cache
+def cull_specs():
+    """The default lattice and a small one with r_min > 0, each also as decoded (f32 ranges)."""
+    small = GridSpec("cylindrical", (24, 7, 6), ((2.0, 14.0), (-math.pi, math.pi), (-1.5, 2.1)))
+    return [default_cylindrical_spec(), decoded_spec(default_cylindrical_spec()), small, decoded_spec(small)]
+
+
 @st.composite
 def crossing_cases(draw):
     """Origins on the axis (either zero sign), a denormal step off it, or
@@ -385,6 +397,19 @@ class TestSortedCrossings:
         n = 500
         o = np.stack([np.full(n, x), np.full(n, y), rng.uniform(-3, 4, n)], axis=1)
         assert assert_same_crossings(cyl_spec, o, unit_rows(rng.normal(size=(n, 3)))) == 148
+
+    @pytest.mark.parametrize("spec", cull_specs(), ids=["default", "default-decoded", "r_min", "r_min-decoded"])
+    def test_axis_far_roots(self, spec):
+        # an axis block's far roots are sqrt((4a) rk^2) (0.5 / a), guard included:
+        # rk = 0 at r_min = 0, a = 0 for vertical rays, a ~ 1e-32 for steep ones
+        rng = np.random.RandomState(56)
+        n = 800
+        signs = np.array([[0.0, 0.0], [-0.0, 0.0], [0.0, -0.0], [-0.0, -0.0]])
+        o = np.column_stack([signs[np.arange(n) % 4], rng.uniform(-3, 4, n)])
+        d = unit_rows(rng.normal(size=(n, 3)))
+        d[:20] = [0.0, 0.0, 1.0]
+        d[20:40, :2] *= 1e-16
+        assert assert_same_crossings(spec, o, unit_rows(d)) == spec.dims[2] + spec.dims[0] + 4
 
     @pytest.mark.parametrize("o_xy", [(1e-300, 0.0), (0.0, -1e-300), (5e-324, 5e-324)])
     def test_denormal_step_off_axis(self, cyl_spec, o_xy):
@@ -557,11 +582,6 @@ def azimuth_labelled_pair(spec, seed, density=0.02):
     a = np.where(rng.rand(*spec.dims) < density, names, 0).astype(np.uint8)
     b = np.where(rng.rand(*spec.dims) < 0.5, a, np.where(rng.rand(*spec.dims) < density, names, 0))
     return [VoxelGrid(spec, "label", a), VoxelGrid(spec, "label", b.astype(np.uint8))]
-
-
-def decoded_spec(spec):
-    """spec as decode_voxel_grid returns it, its ranges rounded to f32."""
-    return decode_voxel_grid(encode_voxel_grid(VoxelGrid.zeros(spec, "label"))).spec
 
 
 def nudged(values, ulps):
@@ -737,7 +757,7 @@ class TestAxisRayBinning:
             edges = spec.axis_value(np.arange(spec.dims[0] + 1), 0)
             r = nudged(np.concatenate([edges, edges - _EDGE_GUARD * spec.deltas[0]]), range(-4, 5))
             mids = r[None, :] / np.hypot(d[:, 0], d[:, 1])[:, None]
-            cells = metrics._midpoint_cells(spec, mids, o, d, np.ones(mids.shape, dtype=bool))
+            cells = metrics._midpoint_cells(spec, mids, np.ones(mids.shape, dtype=bool), o, d, *metrics._axis_rays(spec, o, d))
             exact = spec.point_to_flat((mids[..., None] * d[:, None] + o[:, None]).reshape(-1, 3))
             np.testing.assert_array_equal(cells, exact.reshape(mids.shape))
 
@@ -764,6 +784,209 @@ class TestAxisRayBinning:
     @given(case=axis_ray_chunks())
     def test_drawn_chunks(self, case):
         assert_casts_match_oracle(*case)
+
+
+def sector_layer_grid(spec, sectors, layers, seed, density=0.4, r_bins=None):
+    """A label grid occupied only in the given azimuth bins and z layers (at
+    the given r bins, or at random r), each cell labelled by its azimuth bin."""
+    rng = np.random.RandomState(seed)
+    mask = np.zeros(spec.dims, dtype=bool)
+    rows = slice(None) if r_bins is None else r_bins
+    mask[np.ix_(np.arange(spec.dims[0])[rows], list(sectors), list(layers))] = True
+    if r_bins is None:
+        mask &= rng.rand(*spec.dims) < density
+    names = 1 + np.arange(spec.dims[1])[None, :, None] % 11
+    return VoxelGrid(spec, "label", np.where(mask, names, 0).astype(np.uint8))
+
+
+def sure_misses(rays, grid):
+    """The rays the cull rule proves to miss grid: from the z axis, w1 clear
+    of an azimuth edge, |d_xy| >= 4e-100 / _MIN_SEGMENT, and a free azimuth
+    bin over the layers from bin(o_z) to bin(o_z + t_end d_z)."""
+    spec, o, d = grid.spec, rays.origins, rays.directions
+    axis, h, sector = metrics._axis_rays(spec, o, d)
+    with np.errstate(divide="ignore", over="ignore"):
+        t_end = np.minimum(spec.ranges[0][1] / h * (1.0 + metrics._MARGIN), _grid_max_distance(spec, o))
+    ends = [o[:, 2], t_end * d[:, 2] + o[:, 2]]
+    k = [np.clip(np.floor(spec.axis_fraction(z, 2) + _EDGE_GUARD), 0, spec.dims[2] - 1) for z in ends]
+    occupied = (grid.data != 0).any(axis=0)
+    sure = axis & (h >= 4e-100 / _MIN_SEGMENT)
+    return np.array([bool(s) and not occupied[a, int(min(p, q)) : int(max(p, q)) + 1].any()
+                     for s, a, p, q in zip(sure, sector, *k)])
+
+
+def recording_crossings(monkeypatch):
+    """Patch metrics._sorted_crossings to record the directions of every ray it sees."""
+    seen = []
+    crossings = metrics._sorted_crossings
+
+    def recording(spec, o, d, max_dist):
+        seen.append(d.copy())
+        return crossings(spec, o, d, max_dist)
+
+    monkeypatch.setattr(metrics, "_sorted_crossings", recording)
+    return seen
+
+
+@st.composite
+def cull_cases(draw):
+    """Two grids occupied only in drawn azimuth bins and layers, and one chunk
+    of rays from the z axis (either zero sign, o_z inside or outside the z
+    range) aimed into a drawn bin or the next, or within ulps of one of
+    their edges, or vertical, with a subnormal or zero xy or z component, or
+    anywhere."""
+    spec = draw(st.sampled_from(cull_specs()))
+    d1, d2 = spec.dims[1], spec.dims[2]
+    drawn = [draw(st.lists(st.integers(0, d1 - 1), max_size=3)) for _ in range(2)]
+    grids = [sector_layer_grid(spec, bins, draw(st.lists(st.integers(0, d2 - 1), max_size=3)),
+                               draw(st.integers(0, 2**16))) for bins in drawn]
+    targets = st.sampled_from(sorted(set(drawn[0] + drawn[1])) or [0])
+    n = draw(st.integers(1, 24))
+    o, d = np.empty((n, 3)), np.empty((n, 3))
+    tiny = st.sampled_from([0.0, -0.0, 1e-310, -5e-324])
+    for i in range(n):
+        o[i] = [draw(st.sampled_from([0.0, -0.0])), draw(st.sampled_from([0.0, -0.0])), draw(st.floats(-6.0, 7.0))]
+        dz = draw(st.one_of(st.floats(-0.9, 0.9), tiny))
+        form = draw(st.sampled_from(["into", "edge", "vertical", "tiny", "any"]))
+        sector = draw(targets) + draw(st.integers(0, 1))  # a drawn bin, or the one after it
+        if form == "into":
+            angle = spec.axis_value(sector + draw(st.floats(0.0, 1.0)), 1)
+        elif form == "edge":
+            edge = draw(st.sampled_from([spec.axis_value(sector, 1), -math.pi + sector * (2.0 * math.pi / d1)]))
+            angle = nudged([edge], [draw(st.integers(-3, 3))])[0]
+        else:
+            angle = draw(st.floats(-math.pi, math.pi))
+        if form == "vertical":
+            d[i] = [draw(tiny), draw(tiny), draw(st.sampled_from([-1.0, 1.0]))]
+        elif form == "tiny":
+            d[i] = [draw(tiny), draw(st.sampled_from([-1.0, 1.0])), dz][:: draw(st.sampled_from([1, -1]))]
+        else:
+            d[i] = [math.cos(angle), math.sin(angle), dz]
+    return Rays(o, unit_rows(d)), grids
+
+
+class TestSureMissCull:
+    """Before any crossing is built, a ray from the z axis whose azimuth bin
+    is free over every layer it can reach is culled in that grid. Culled
+    rays keep their miss, so every grid's hits must still equal the
+    all-intervals caster bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=cull_cases())
+    def test_drawn_sectors_and_layers(self, case):
+        rays, grids = case
+        assert_casts_match_oracle(rays, grids)
+
+    @pytest.mark.parametrize("h", [1e-1, 1e-3, 1e-6])
+    def test_layer_edge_at_r_max(self, h):
+        # z at r = r_max on a layer edge, or on the edge less the guard where
+        # the floor turns over, to a few ulps of the origin height either side;
+        # the layer past it is occupied only in the outermost r bin
+        spec = default_cylindrical_spec()
+        r_max, d0 = spec.ranges[0][1], spec.dims[0]
+        azimuth = -math.pi + (np.arange(64) + 0.5) * (2.0 * math.pi / 64)
+        hits = []
+        for up, k in ((1.0, 3), (-1.0, 12)):
+            dz = up * math.sqrt(1.0 - h * h)
+            oz = nudged(spec.axis_value(np.array([k, k - _EDGE_GUARD]), 2) - (r_max / h) * dz, range(-40, 41))
+            o = np.column_stack([np.zeros(len(oz)), np.zeros(len(oz)), oz]).repeat(len(azimuth), axis=0)
+            az = np.tile(azimuth, len(oz))
+            rays = Rays(o, np.column_stack([h * np.cos(az), h * np.sin(az), np.full(len(az), dz)]))
+            layer = k if up > 0 else k - 1
+            grids = [sector_layer_grid(spec, range(spec.dims[1]), [layer], 0, r_bins=[d0 - 1]),
+                     VoxelGrid.zeros(spec, "label")]
+            assert_casts_match_oracle(rays, grids)
+            hits.append(cast_rays(rays, grids[0]).hit)
+        assert np.concatenate(hits).any() and not np.concatenate(hits).all()
+
+    @pytest.mark.parametrize("decoded", [False, True], ids=["exact", "decoded"])
+    def test_rays_at_an_azimuth_edge(self, decoded):
+        # every other azimuth bin occupied: a ray within w1 of an edge may read
+        # the occupied neighbour of its free bin, so it must not be culled
+        spec = decoded_spec(default_cylindrical_spec()) if decoded else default_cylindrical_spec()
+        d1 = spec.dims[1]
+        grids = [sector_layer_grid(spec, range(0, d1, 2), range(spec.dims[2]), 80),
+                 sector_layer_grid(spec, range(1, d1, 2), range(spec.dims[2]), 81)]
+        k = np.arange(d1 + 1)
+        edges = np.concatenate([-math.pi + k * (2.0 * math.pi / d1), spec.axis_value(k, 1),
+                                spec.axis_value(k - _EDGE_GUARD, 1)])
+        rays = axis_rays(nudged(edges, range(-3, 4)), [-0.3, 0.0, 0.1], z=(0.3, -1.1))
+        assert_casts_match_oracle(rays, grids)
+        # no ray within w1 of one of the spec's own inner edges is flagged, so none is culled
+        inner = k[1:-1]
+        own = axis_rays(nudged(np.concatenate([spec.axis_value(inner, 1), spec.axis_value(inner - _EDGE_GUARD, 1)]),
+                               range(-3, 4)), [-0.3, 0.0, 0.1])
+        assert not metrics._axis_rays(spec, own.origins, own.directions)[0].any()
+
+    def test_subnormal_vertical_and_horizontal_rays(self, cyl_spec):
+        # a midpoint with m |d_xy| < 1e-100 is re-binned from m d_x and m d_y,
+        # which may round into another azimuth bin: every bin but the ray's own
+        # is occupied at r = 0, so only the |d_xy| bound keeps the ray uncut
+        d = unit_rows([[3 * 5e-324, 5e-324, 1.0], [-5e-324, 3 * 5e-324, -1.0], [1e-310, 3e-311, 1.0],
+                       [1e-90, 2e-90, -1.0], [1e-80, -3e-80, 1.0], [0.0, 0.0, 1.0], [-0.0, 0.0, -1.0]])
+        own = metrics._axis_rays(cyl_spec, np.zeros((len(d), 3)), d)[2]
+        others = np.setdiff1d(np.arange(cyl_spec.dims[1]), own)
+        grids = [sector_layer_grid(cyl_spec, others, range(cyl_spec.dims[2]), 82, r_bins=[0]),
+                 sector_layer_grid(cyl_spec, others, range(cyl_spec.dims[2]), 83)]
+        z = np.array([-2.5, -0.0, 0.3, 3.3, 5.0])
+        rays = Rays(np.column_stack([np.zeros(len(z) * len(d)), np.zeros(len(z) * len(d)), np.repeat(z, len(d))]),
+                    np.tile(d, (len(z), 1)))
+        assert_casts_match_oracle(rays, grids)
+        assert cast_rays(rays, grids[0]).hit.any()
+        # horizontal rays stay in the layer of o_z, on a layer edge or an ulp either side
+        heights = nudged(cyl_spec.axis_value(np.arange(cyl_spec.dims[2] + 1), 2), range(-2, 3))
+        rays = axis_rays(np.linspace(-3.0, 3.0, 9), [0.0], z=heights)
+        layers = [sector_layer_grid(cyl_spec, range(cyl_spec.dims[1]), [5, 11], 84),
+                  sector_layer_grid(cyl_spec, range(40, 120), range(cyl_spec.dims[2]), 85)]
+        assert_casts_match_oracle(rays, layers)
+
+    @pytest.mark.parametrize("spec", cull_specs(), ids=["default", "default-decoded", "r_min", "r_min-decoded"])
+    def test_origins_outside_the_z_range(self, spec):
+        (_, r_max), _, (z_lo, z_hi) = spec.ranges
+        heights = [z_lo - 30.0, z_lo - 1e-9, z_lo, z_hi, z_hi + 1e-9, z_hi + 30.0, 1e6, -1e6]
+        rays = axis_rays(np.linspace(-math.pi, math.pi, 23)[:-1], np.linspace(-1.5, 1.5, 13), z=heights)
+        grids = [sector_layer_grid(spec, [1, 3], [0, spec.dims[2] - 1], 86),
+                 sector_layer_grid(spec, [2, 4], [1], 87)]
+        assert_casts_match_oracle(rays, grids)
+
+    def test_thin_layers_and_steep_rays(self):
+        # with |d_xy| near its bound, (r_max / |d_xy|) d_z reaches 1e88, far past
+        # max_dist: binning it in layers 2.5e-226 thick would overflow
+        spec = GridSpec("cylindrical", (8, 8, 4), ((0.0, 4.0), (-math.pi, math.pi), (0.0, 1e-225)))
+        h = np.array([4e-88, 1e-87, 1e-80, 1e-3, 0.5])
+        az = np.repeat(np.linspace(-3.0, 3.0, 7), len(h))
+        h = np.tile(h, 7)
+        d = np.column_stack([h * np.cos(az), h * np.sin(az), np.sqrt(1.0 - h * h)])
+        o = np.column_stack([np.zeros(len(d)), np.zeros(len(d)), np.resize([-1.0, 0.0, 5e-226], len(d))])
+        rays = Rays(np.concatenate([o, o * [1.0, 1.0, -1.0]]), np.concatenate([d, -d]))
+        grids = [sector_layer_grid(spec, range(0, 8, 2), range(4), 90, r_bins=[0, 1]),
+                 sector_layer_grid(spec, [3], [1, 2], 91, r_bins=[0])]
+        assert_casts_match_oracle(rays, grids)
+        assert sure_misses(rays, grids[0]).any()
+
+    def test_culled_in_one_grid_only(self, cyl_spec, monkeypatch):
+        # bins 0-49 occupied in the first grid only: rays into them are culled
+        # in the second and still cast in the first
+        grids = [sector_layer_grid(cyl_spec, range(50), range(cyl_spec.dims[2]), 88),
+                 sector_layer_grid(cyl_spec, range(100, 200), range(cyl_spec.dims[2]), 89)]
+        for g in grids:
+            g.data[0] = 0  # no ray starts occupied
+        rays = axis_rays(np.linspace(-math.pi, math.pi, 400)[:-1], np.linspace(-0.3, 0.2, 5))
+        culled = [sure_misses(rays, g) for g in grids]
+        assert (culled[0] & ~culled[1]).any() and (culled[1] & ~culled[0]).any()
+        seen = recording_crossings(monkeypatch)
+        assert_casts_match_oracle(rays, grids)
+        # the shared cast comes first, and sees every ray culled in one grid only
+        assert len(seen[0]) == (~(culled[0] & culled[1])).sum()
+
+    def test_default_fan_skips_culled_rays(self, street_gt, monkeypatch):
+        fan = default_ray_fan()
+        culled = sure_misses(fan, street_gt)
+        assert culled.mean() >= 0.3
+        seen = recording_crossings(monkeypatch)
+        hits = cast_rays(fan, street_gt)
+        assert not hits.hit[culled].any()
+        np.testing.assert_array_equal(np.concatenate(seen), fan.directions[~culled])
 
 
 class TestCasterExactness:

@@ -30,6 +30,7 @@ from conftest import bin_triple, random_rotation
 from oracles import (
     DEMO07_SCENE,
     REPRESENTATION_SCENE,
+    all_centers,
     analytic_voxel_gt_all_probes,
     erp_direction_grid,
     fan_point_cloud,
@@ -334,7 +335,7 @@ class TestPassByPassVote:
     def test_layer_votes_among_half_spaces_alone(self, spec, supersample):
         # the sphere covers cell (0, 0, 2), flat index 2, whose layer z in [0, 1) both planes
         # cut; a layer vote that counted the sphere would spread its label over the whole layer
-        scene = Scene((Sphere(tuple(spec.all_centers()[2]), 2.0, 6), HalfSpace(0.3, 1), HalfSpace(0.7, 2)))
+        scene = Scene((Sphere(tuple(all_centers(spec)[2]), 2.0, 6), HalfSpace(0.3, 1), HalfSpace(0.7, 2)))
         got = analytic_voxel_gt(scene, spec, supersample)
         np.testing.assert_array_equal(got.data, analytic_voxel_gt_all_probes(scene, spec, supersample).data)
         assert got.data[0, 0, 2] == 6 and got.data[-1, -1, 2] != 6
