@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ShapeError, require_finite
+from .errors import DomainError, ShapeError, require_count, require_finite
 from .geom import LabeledPointCloud, _as_points
 
 CYLINDRICAL = "cylindrical"
@@ -41,7 +41,7 @@ class GridSpec:
     def __post_init__(self):
         if self.coord_sys not in (CYLINDRICAL, CUBOID):
             raise DomainError(f"unknown coordinate system {self.coord_sys!r}")
-        dims = tuple(int(d) for d in self.dims)
+        dims = require_count("bin counts", *self.dims)
         ranges = tuple((float(lo), float(hi)) for lo, hi in self.ranges)
         if len(dims) != 3 or len(ranges) != 3:
             raise ShapeError("dims and ranges must each have three entries")
@@ -76,11 +76,10 @@ class GridSpec:
         """Native value at fractional bin coordinate frac on axis k; inverse of axis_fraction."""
         return self.ranges[k][0] + frac * self.deltas[k]
 
-    def in_range(self, native) -> np.ndarray:
-        """Mask of native coordinates inside the axis ranges, per row of an
-        (N, 3) array or over the broadcast of a list of three per-axis arrays;
-        the cylindrical azimuth wraps and never leaves the range."""
-        axes = native.T if isinstance(native, np.ndarray) else native
+    def in_range(self, axes) -> np.ndarray:
+        """Mask of native coordinates inside the axis ranges, over the broadcast
+        of a sequence of three per-axis arrays (the transpose of an (N, 3)
+        array is one); the cylindrical azimuth wraps and never leaves the range."""
         inside = True
         for k, (lo, hi) in enumerate(self.ranges):
             if not (self.coord_sys == CYLINDRICAL and k == 1):
@@ -110,7 +109,7 @@ class GridSpec:
                     np.clip(q, 0, d - 1, out=q)
                 out *= d
                 out += q
-            out[~self.in_range(native)] = -1
+            out[~self.in_range(native.T)] = -1
         return flat
 
     def index_to_center(self, flat) -> np.ndarray:

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, ShapeError, require_finite
+from .errors import DomainError, ShapeError, require_count, require_finite
 from .geom import _as_points
 from .grid import _EDGE_GUARD, CYLINDRICAL, GridSpec, VoxelGrid, default_label_set
 
@@ -71,6 +71,7 @@ def generate_rays(
 ) -> Rays:
     """Deterministic fan: azimuth bin centers over [-pi, pi) crossed with
     elevation bin centers over the given range, at most _MAX_RAYS rays."""
+    azimuth_count, elevation_count = require_count("ray counts", azimuth_count, elevation_count)
     if azimuth_count < 1 or elevation_count < 1:
         raise DomainError("ray counts must be >= 1")
     if azimuth_count * elevation_count > _MAX_RAYS:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, require_finite
+from .errors import DomainError, require_count, require_finite
 from .geom import LabeledPointCloud
 from .grid import CYLINDRICAL, GridSpec, VoxelGrid
 
@@ -35,6 +35,7 @@ class DilationSchedule:
     bands: tuple[tuple[float, int], ...]
 
     def __post_init__(self):
+        require_count("windows", *(w for _, w in self.bands))
         bands = tuple((float(e), int(w)) for e, w in self.bands)
         if not bands:
             raise DomainError("schedule needs at least one band")

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DomainError, require_finite
 from .geom import UNLABELED, ErpImage, LabeledPointCloud, RigidTransform, _as_points, _erp_trig
-from .grid import CYLINDRICAL, GridSpec, VoxelGrid, majority_vote
+from .grid import CUBOID, CYLINDRICAL, GridSpec, VoxelGrid, majority_vote
 from .metrics import generate_rays
 
 _T_MIN = 1e-9  # smallest admissible ray parameter
@@ -325,41 +325,39 @@ def render_erp_depth(
     return ErpImage.depth(depth), ErpImage.semantic(sem)
 
 
-def _cell_boxes(spec: GridSpec) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
-    """Conservative Cartesian boxes around every cell of the lattice, in
-    two factors: the (D0*D1, 2) xy boxes (lo, hi) of the (i0, i1) columns
-    and the (D2,) z intervals (lo, hi) of the layers.
-
-    A cuboid column is its own box. A cylindrical column is an annular
-    sector: the box of its four corners, grown by the outer arc's sagitta
-    r1 * (1 - cos(dtheta / 2)), holds it.
-    """
-    d0, d1, d2 = spec.dims
-    i0, i1 = np.divmod(np.arange(d0 * d1), d1)
-    corners = [
-        spec.to_cartesian(np.stack([spec.axis_value(i0 + a, 0), spec.axis_value(i1 + b, 1), np.zeros(d0 * d1)],
-                                   axis=1))[:, :2]
-        for a, b in product((0, 1), repeat=2)
-    ]
-    lo = np.minimum.reduce(corners)
-    hi = np.maximum.reduce(corners)
-    if spec.coord_sys == CYLINDRICAL:
-        sagitta = spec.axis_value(i0 + 1, 0) * (1.0 - math.cos(0.5 * spec.deltas[1]))
-        lo -= sagitta[:, None]
-        hi += sagitta[:, None]
-    k = np.arange(d2)
-    return _widened(lo, hi), _widened(spec.axis_value(k, 2), spec.axis_value(k + 1, 2))
+def _bins(spec: GridSpec, box: np.ndarray, k: int) -> slice:
+    """The axis-k bins from the one holding box[0, k] to the one holding box[1, k], clipped to the lattice."""
+    return slice(*np.clip(np.floor(spec.axis_fraction(box[:, k], k)) + (0, 1), 0, spec.dims[k]).astype(int))
 
 
+@np.errstate(over="ignore")  # the fractions and gaps of far bounds overflow to inf
 def _boundary_cells(scene: Scene, spec: GridSpec) -> np.ndarray:
-    """Ascending flat indices of the cells whose box touches a bounded primitive's bounds."""
-    (xy_lo, xy_hi), (z_lo, z_hi) = _cell_boxes(spec)
-    flag = np.zeros((len(xy_lo), len(z_lo)), dtype=bool)
-    for prim in scene.primitives:
-        if not isinstance(prim, HalfSpace):
-            lo, hi = prim.bounds()
-            column = np.all((xy_lo <= hi[:2]) & (lo[:2] <= xy_hi), axis=1)
-            flag |= column[:, None] & (z_lo <= hi[2]) & (lo[2] <= z_hi)
+    """Ascending flat indices of the cells that may hold a probe inside a bounded primitive's bounds.
+
+    Bounds box = (lo, hi) flag the cells of their z bins that lie in their x and y
+    bins (cuboid), or whose column centre c (as index_to_center computes it) lies
+    within the column's reach, hypot(max(lo - c, 0, c - hi)) <= reach (cylindrical):
+    the distance from c to its farthest corner, an outer one as r_i + r_i+1 = 2 r_c,
+    plus _BOUNDS_MARGIN * (1 + r_max). Exact: probes sit at least 0.5 / supersample
+    of a bin inside their cell, so floored fractions of bounds around a probe keep
+    its bin; an annular sector lies within its reach of its centre; the margins of
+    the reach and of bounds() absorb the rounding of centres and probes; and bounds
+    whose fractions or gaps overflow flag nothing.
+    """
+    flag = np.zeros(spec.dims, dtype=bool)
+    if spec.coord_sys == CYLINDRICAL:
+        d0, d1, _ = spec.dims
+        r_c, r = spec.axis_value(np.arange(d0) + 0.5, 0), spec.axis_value(np.arange(d0) + 1.0, 0)
+        centre = [np.multiply.outer(r_c, f(spec.axis_value(np.arange(d1) + 0.5, 1))) for f in (np.cos, np.sin)]
+        # sqrt(r^2 + r_c^2 - 2 r r_c cos(dtheta / 2)) at the outer edge r as a sum of squares, never negative
+        far = np.hypot(r - r_c, 2.0 * math.sin(0.25 * spec.deltas[1]) * np.sqrt(r * r_c))
+        reach = far[:, None] + _BOUNDS_MARGIN * (1.0 + spec.ranges[0][1])
+    for box in (np.array(p.bounds()) for p in scene.primitives if not isinstance(p, HalfSpace)):
+        if spec.coord_sys == CUBOID:
+            flag[_bins(spec, box, 0), _bins(spec, box, 1), _bins(spec, box, 2)] = True
+        else:
+            gap = [np.maximum(np.maximum(box[0, k] - c, c - box[1, k]), 0.0) for k, c in enumerate(centre)]
+            flag[np.hypot(*gap) <= reach, _bins(spec, box, 2)] = True
     return np.flatnonzero(flag)
 
 
@@ -384,9 +382,9 @@ def analytic_voxel_gt(scene: Scene, spec: GridSpec, supersample: int = 3) -> Vox
     vote with ties toward the smallest class id; free when no probe lands
     inside any primitive. supersample runs from 1 to 16.
 
-    A half-space reads only z, which both lattices pass through unchanged,
-    so a cell whose box touches no bounded primitive's bounds votes as cell
-    (0, 0, k) of its layer, flat index k, does among the half-spaces alone.
+    A half-space reads only z, which both lattices pass through unchanged, so
+    a cell with no probe in a bounded primitive's bounds votes as cell (0, 0, k)
+    of its layer, flat index k, does among the half-spaces alone.
     Only the cells _boundary_cells flags are probed in the whole scene.
     """
     if not 1 <= supersample <= _MAX_SUPERSAMPLE:

@@ -66,7 +66,7 @@ def point_to_flat_unblocked(spec: GridSpec, p) -> np.ndarray:
             np.clip(q, 0, d - 1, out=q)
         flat *= d
         flat += q
-    flat[~spec.in_range(native)] = -1
+    flat[~spec.in_range(native.T)] = -1
     return flat
 
 
@@ -392,6 +392,15 @@ def central_diff(fn, p: np.ndarray, h: float = 1e-5) -> np.ndarray:
     return g
 
 
+def cell_probes(spec: GridSpec, n: int):
+    """Yield, per each of the n^3 probe offsets in analytic_voxel_gt's order,
+    the (D0*D1*D2, 3) Cartesian probes of every cell: bin-center
+    stratification in the grid's native coordinates."""
+    idx = np.unravel_index(np.arange(spec.num_voxels), spec.dims)
+    for off in product(range(n), repeat=3):
+        yield spec.to_cartesian(np.stack([spec.axis_value(idx[k] + (o + 0.5) / n, k) for k, o in enumerate(off)], axis=1))
+
+
 def analytic_voxel_gt_all_probes(scene, spec: GridSpec, supersample: int) -> VoxelGrid:
     """analytic_voxel_gt as one vote over every probe at once: all
     supersample^3 probe labels are held, broadcast against the voxel
@@ -400,11 +409,9 @@ def analytic_voxel_gt_all_probes(scene, spec: GridSpec, supersample: int) -> Vox
     n = supersample
     num = spec.num_voxels
     c = max((p.label for p in scene.primitives), default=1) + 1
-    idx = np.unravel_index(np.arange(num), spec.dims)
     labels = np.empty((n**3, num), dtype=np.uint8)
-    for row, off in zip(labels, product(range(n), repeat=3)):
-        native = np.stack([spec.axis_value(idx[k] + (o + 0.5) / n, k) for k, o in enumerate(off)], axis=1)
-        row[:] = scene.label_points(spec.to_cartesian(native))
+    for row, pts in zip(labels, cell_probes(spec, n)):
+        row[:] = scene.label_points(pts)
     keys = np.arange(num, dtype=np.int64) * c + labels
     votes = np.bincount(keys.reshape(-1), minlength=num * c).reshape(num, c)
     return VoxelGrid(spec, "label", np.argmax(votes, axis=1).astype(np.uint8).reshape(spec.dims))
@@ -433,7 +440,7 @@ def dense_align_history(hist, t_hist, t_curr):
         return np.where(np.abs(frac - rounded) < 1e-9, rounded, frac)
 
     f0, f1, f2 = (snap(spec.axis_fraction(native[:, k], k) - 0.5) for k in range(3))
-    in_range = spec.in_range(native)
+    in_range = spec.in_range(native.T)
     wrap_theta = spec.coord_sys == CYLINDRICAL
     base = [np.floor(f).astype(np.int64) for f in (f0, f1, f2)]
     t = [f - b for f, b in zip((f0, f1, f2), base)]

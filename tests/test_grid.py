@@ -135,6 +135,20 @@ class TestAllCenters:
         np.testing.assert_array_equal(all_centers(a).view(np.uint64), fresh.view(np.uint64))
 
 
+class TestSpecCounts:
+    """Bin counts are Python or numpy integers: int() would truncate 2.7 to 2 and take True as 1."""
+
+    @pytest.mark.parametrize("dims", [(2.7, 3, 4), (2.0, 3, 4), (True, 3, 4), (2, np.bool_(True), 4),
+                                      (2, 3, np.float64(4.0))])
+    def test_non_integral_counts_rejected(self, dims):
+        with pytest.raises(DomainError, match="integers"):
+            GridSpec(CUBOID, dims, ((0.0, 1.0), (0.0, 1.0), (0.0, 1.0)))
+
+    def test_numpy_integer_counts_accepted(self):
+        spec = GridSpec(CUBOID, (np.int64(2), np.uint8(3), 4), ((0.0, 1.0), (0.0, 1.0), (0.0, 1.0)))
+        assert spec.dims == (2, 3, 4) and all(type(d) is int for d in spec.dims)
+
+
 class TestIndexToCenter:
     def test_known_center(self, cyl_spec):
         c = cyl_spec.index_to_center([np.ravel_multi_index((5, 100, 7), cyl_spec.dims)])[0]

@@ -130,9 +130,21 @@ class TestGenerateRays:
         with pytest.raises(DomainError):
             generate_rays(0, 1, (-0.1, 0.1))
 
-    @pytest.mark.parametrize("counts", [(2**20 + 1, 1), (1024, 1025), (10_000_000, 10_000_000)])
+    @pytest.mark.parametrize("counts", [(2.5, 1), (4, 1.0), (True, 1), (4, np.bool_(True))])
+    def test_non_integral_counts_rejected(self, counts):
+        # 2.5 azimuths would build 3 rays spaced 2 pi / 2.5 apart
+        with pytest.raises(DomainError, match="integers"):
+            generate_rays(*counts, (-0.1, 0.1))
+
+    def test_numpy_integer_counts_accepted(self):
+        got = generate_rays(np.int64(4), np.uint16(2), (-0.1, 0.1))
+        np.testing.assert_array_equal(got.directions, generate_rays(4, 2, (-0.1, 0.1)).directions)
+
+    @pytest.mark.parametrize("counts", [(2**20 + 1, 1), (1024, 1025), (10_000_000, 10_000_000),
+                                        (np.int64(2**32), np.int64(2**32))])
     def test_fan_size_capped(self, counts):
-        # rejected before anything is allocated: 10^14 rays would need hundreds of TiB
+        # rejected before anything is allocated: 10^14 rays would need hundreds of TiB, and
+        # 2^32 x 2^32 numpy counts must not wrap to a product of 0
         with pytest.raises(DomainError, match="at most"):
             generate_rays(*counts, (-0.1, 0.1))
 

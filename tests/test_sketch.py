@@ -52,6 +52,15 @@ class TestSchedule:
         with pytest.raises(DomainError):
             DilationSchedule(((8.5, 2), (17.0, 1), (25.6, 2)))
 
+    @pytest.mark.parametrize("window", [1.7, 1.0, True, np.float32(2.0)])
+    def test_non_integral_window_rejected(self, window):
+        # int() would truncate 1.7 to 1 and take True as 1
+        with pytest.raises(DomainError, match="integers"):
+            DilationSchedule(((8.5, 0), (25.6, window)))
+
+    def test_numpy_integer_windows_accepted(self):
+        assert DilationSchedule(((8.5, np.int64(0)), (25.6, np.uint8(2)))).bands == ((8.5, 0), (25.6, 2))
+
     def test_unsorted_ends_rejected(self):
         with pytest.raises(DomainError):
             DilationSchedule(((17.0, 0), (8.5, 1)))

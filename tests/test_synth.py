@@ -13,7 +13,9 @@ from hypothesis import strategies as st
 from cylocc import synth
 from cylocc.errors import DomainError
 from cylocc.geom import RigidTransform, erp_depth_to_point_cloud, rot_z, surround_rig
-from cylocc.grid import CUBOID, CYLINDRICAL, GridSpec, default_label_set, voxelize_semantic
+from cylocc.formats import decode_voxel_grid, encode_voxel_grid
+from cylocc.grid import (CUBOID, CYLINDRICAL, GridSpec, VoxelGrid, default_cylindrical_spec, default_label_set,
+                         voxelize_semantic)
 from cylocc.metrics import cast_rays, generate_rays
 from cylocc.synth import (
     Box,
@@ -32,6 +34,7 @@ from oracles import (
     REPRESENTATION_SCENE,
     all_centers,
     analytic_voxel_gt_all_probes,
+    cell_probes,
     erp_direction_grid,
     fan_point_cloud,
     lidar_ring_origins,
@@ -121,6 +124,13 @@ def layer_heights(spec: GridSpec, supersample: int):
 LATTICE_ANCHORS = [(0.0, 0.0, 0.0), (-4.0, 0.0, 0.0), (8.0, 0.0, -1.0), (-6.0, -6.0, 0.0), (2.0, 3.0, 3.0)]
 SMALL_CYLINDRICAL = GridSpec(CYLINDRICAL, (8, 12, 5), ((0.0, 8.0), (-math.pi, math.pi), (-2.0, 3.0)))
 SMALL_CUBOID = GridSpec(CUBOID, (8, 8, 5), ((-8.0, 8.0), (-8.0, 8.0), (-2.0, 3.0)))
+R_MIN_CYLINDRICAL = GridSpec(CYLINDRICAL, (6, 10, 5), ((2.0, 8.0), (-math.pi, math.pi), (-2.0, 3.0)))
+# the default lattice as an OVOX file stores it: every range rounded to f32, theta's just past +-pi
+OVOX_SPEC = decode_voxel_grid(encode_voxel_grid(VoxelGrid.zeros(default_cylindrical_spec(), "label"))).spec
+# primitives 1e308 m out, whose bounds' bin fractions overflow to +-inf on some axis; the
+# last one's gaps to every column centre overflow hypot too
+FAR_PRIMITIVES = [Box((-1.1e308, -1.0, -1.0), (-1e308, 1.0, 1.0), 12), Sphere((0.0, 1e308, 0.0), 1.0, 12),
+                  VerticalCylinder((1e308, -1e308), 1e150, -1.0, 1.0, 12), Box((1.3e308,) * 3, (1.4e308,) * 3, 12)]
 
 
 class TestRaySceneIntersect:
@@ -320,6 +330,25 @@ class TestPassByPassVote:
         got = analytic_voxel_gt(scene, spec, supersample)
         np.testing.assert_array_equal(got.data, analytic_voxel_gt_all_probes(scene, spec, supersample).data)
 
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), spec=st.sampled_from([SMALL_CYLINDRICAL, SMALL_CUBOID, R_MIN_CYLINDRICAL]),
+           supersample=st.integers(1, 4))
+    def test_drawn_primitives_flag_every_cell_they_hold_a_probe_of(self, data, spec, supersample):
+        # across theta = +-pi, across the z axis, and at r_min = 2 m of the r_min > 0 lattice,
+        # with primitives 1e308 m out anywhere in the order; numpy warnings are errors
+        anchors = [(-4.0, 0.0, 0.0), (0.0, 0.0, 0.0), (2.0, 0.0, 0.0), (0.0, -2.0, 1.0), (-1.4, 1.4, -2.0)]
+        prims = list(data.draw(scenes(anchors, st.integers(0, 1), layer_heights(spec, supersample))).primitives)
+        for far in data.draw(st.lists(st.sampled_from(FAR_PRIMITIVES), max_size=2)):
+            prims.insert(data.draw(st.integers(0, len(prims))), far)
+        scene = Scene(tuple(prims))
+        probes = np.stack(list(cell_probes(spec, supersample)))  # (offsets, cells, 3)
+        for prim in scene.primitives:
+            if not isinstance(prim, HalfSpace):
+                held = np.flatnonzero(prim.contains(probes.reshape(-1, 3)).reshape(probes.shape[:2]).any(axis=0))
+                assert np.isin(held, synth._boundary_cells(Scene((prim,)), spec)).all()
+        got = analytic_voxel_gt(scene, spec, supersample)
+        np.testing.assert_array_equal(got.data, analytic_voxel_gt_all_probes(scene, spec, supersample).data)
+
     @pytest.mark.parametrize("supersample", [1, 2, 3, 4])
     @pytest.mark.parametrize("frac", [0.0, 0.2, 0.25, 0.5, 0.6, 0.75, 0.9])
     def test_half_space_plane_in_a_layer(self, frac, supersample):
@@ -435,9 +464,9 @@ class TestCulledRender:
 
 
 class TestConservativeBounds:
-    """Every point a primitive contains lies in its bounds(), and every probe
-    of a cell lies in the cell's box: the culling never drops a point that
-    could change a label or a hit."""
+    """Every point a primitive contains lies in its bounds(), and bounds
+    around a probe of a cell flag that cell: the culling never drops a point
+    that could change a label or a hit."""
 
     unit = st.floats(-1.01, 1.01)
     points = st.lists(st.tuples(unit, unit, unit), min_size=1, max_size=32)
@@ -477,19 +506,22 @@ class TestConservativeBounds:
         GridSpec(CYLINDRICAL, (128, 200, 16), ((0.0, 25.6), (-math.pi, math.pi), (-2.8, 3.6))),
         GridSpec(CYLINDRICAL, (3, 2000, 2), ((1e5, 1e5 + 3.0), (-math.pi, math.pi), (-1e5, 1e5))),
         CLI_CUBOID_SPEC,
-    ], ids=["cyl-1-sector", "cyl-2-sectors", "cyl-3-sectors", "cyl-default", "cyl-large-r", "cuboid"])
+        OVOX_SPEC,
+    ], ids=["cyl-1-sector", "cyl-2-sectors", "cyl-3-sectors", "cyl-default", "cyl-large-r", "cuboid", "cyl-ovox"])
     @settings(max_examples=100, deadline=None)
-    @given(data=st.data(), fractions=st.lists(st.tuples(*[st.floats(0.0, 1.0, exclude_max=True)] * 3), min_size=1,
-                                              max_size=32))
-    def test_cell_probes_inside_cell_box(self, spec, data, fractions):
+    @given(data=st.data(), n=st.integers(1, 16))
+    def test_cell_probes_flag_their_cell(self, spec, data, n):
         # r0 = 0 cells are the first radial index of every spec but the large-r one
-        i = np.array([data.draw(st.integers(0, d - 1)) for d in spec.dims])
-        native = np.stack([spec.axis_value(i[k] + np.asarray(fractions)[:, k], k) for k in range(3)], axis=1)
-        pts = spec.to_cartesian(native)
-        (xy_lo, xy_hi), (z_lo, z_hi) = synth._cell_boxes(spec)
-        column = i[0] * spec.dims[1] + i[1]
-        assert np.all((pts[:, :2] >= xy_lo[column]) & (pts[:, :2] <= xy_hi[column]))
-        assert np.all((pts[:, 2] >= z_lo[i[2]]) & (pts[:, 2] <= z_hi[i[2]]))
+        i = [data.draw(st.integers(0, d - 1)) for d in spec.dims]
+        offsets = np.asarray(data.draw(st.lists(st.tuples(*[st.integers(0, n - 1)] * 3), min_size=1, max_size=4)))
+        native = np.stack([spec.axis_value(i[k] + (offsets[:, k] + 0.5) / n, k) for k in range(3)], axis=1)
+        cell = np.ravel_multi_index(i, spec.dims)
+        # with no margin at all, a Box one ulp around a probe still flags the probe's cell: the
+        # probe lies within its column's reach of its centre (cylindrical) or in its cell's bins (cuboid)
+        with mock.patch.object(synth, "_BOUNDS_MARGIN", 0.0):
+            for p in spec.to_cartesian(native):
+                box = Box(tuple(np.nextafter(p, -np.inf)), tuple(np.nextafter(p, np.inf)), 4)
+                assert cell in synth._boundary_cells(Scene((box,)), spec)
 
 
 class TestNonFinitePrimitives:
@@ -563,6 +595,15 @@ class TestFarPrimitives:
         for prim in self.primitives(tuple(c)):
             np.testing.assert_array_equal(prim.ray_first(np.zeros((len(self.DIRECTIONS), 3)), self.DIRECTIONS), np.inf)
             assert not prim.contains(np.zeros((1, 3)))[0]
+
+    @pytest.mark.parametrize("spec", [default_cylindrical_spec(), CLI_CUBOID_SPEC], ids=["cylindrical", "cuboid"])
+    def test_far_bounds_flag_no_cell(self, spec):
+        # an int(floor(...)) of the overflowed bin fractions would warn and then raise OverflowError
+        ground = Scene((HalfSpace(-1.3, 1),))
+        for prim in FAR_PRIMITIVES:
+            scene = Scene((prim, *ground.primitives))
+            assert len(synth._boundary_cells(scene, spec)) == 0
+            np.testing.assert_array_equal(analytic_voxel_gt(scene, spec, 2).data, analytic_voxel_gt(ground, spec, 2).data)
 
 
 class TestCulledCloud:
