@@ -1,18 +1,13 @@
 """Ray-based occupancy evaluation.
 
 Query rays are cast into label grids to find the first non-free voxel along
-each ray. The parametric caster is exact: it sorts every parameter where a
-ray crosses a lattice surface (r cylinders, azimuth and z planes; axis planes
-for cuboid grids), leaving out the near r roots and azimuth planes of a ray
-block that can only meet them at t <= 0, and classifies the intervals by
-midpoint in order up to the first occupied one, so hits report the entry
-distance into the first occupied cell. A ray from the z axis bins midpoints
-by one atan2 per ray and m |d_xy| (z as point_to_flat does, which re-bins
-those within w_k of an edge), and in a grid free at every r of its azimuth
-bin over the layers it reaches within r_max it is a sure miss, culled before
-its crossings are built; cuboid specs and off-axis origins are never culled.
-Crossings and cells depend only on the rays and the spec, so a cast into
-several grids computes them once per ray: ray_iou casts gt and pred in one pass.
+each ray and the entry distance into it. A ray from the z axis of a
+cylindrical grid keeps one azimuth bin and moves outward in r, so it covers
+one run of r bins per z layer: a table of each grid's next occupied r bin
+gives its first hit with one lookup per layer. Other rays sort their lattice
+crossings and classify the intervals by midpoint up to the first occupied
+one. Both match the all-intervals caster bit for bit, and ray_iou casts gt
+and pred in one pass that computes the geometry once.
 
 RayIoU scores a prediction against ground truth per class: a ray whose
 ground-truth hit has class c counts as TP_c when the prediction hits class
@@ -38,11 +33,11 @@ _CHUNK = 2048  # rays per casting chunk; caps peak memory
 _BLOCK = 32  # sorted intervals classified per pass over a chunk's active rays
 _MIN_SEGMENT = 1e-12  # intervals shorter than this are degenerate
 _MAX_RAYS = 2**20  # largest fan generate_rays builds: 64x the default 512 x 32
-# An axis ray's per-ray bin fractions (atan2(d_y, d_x), m |d_xy|) differ from
-# point_to_flat's of o + m d by under 2**-48 of the largest in-range fraction
-# (r_max / dr, or D1). A margin w_k = _EDGE_GUARD + 2**-40 of it (256x) around each
-# integer covers the floor there and in_range, _EDGE_GUARD above r_min and r_max.
+# An axis ray's azimuth fraction atan2(d_y, d_x) and a run end's r fraction t |d_xy| differ from point_to_flat's at
+# o + t d, and from the far roots', by under 2**-48 of D1 or r_max / dr. The margins (in bins) w1 = _EDGE_GUARD +
+# _MARGIN D1 and w0 = _RUN_MARGIN + _MARGIN r_max / dr cover that 256x over; w0 keeps run-end intervals long.
 _MARGIN = 2.0**-40
+_RUN_MARGIN = 2.0**-13
 
 
 class Rays:
@@ -111,14 +106,7 @@ class BatchHits:
         return len(self.distance)
 
 
-def _plane_crossings(spec: GridSpec, o: np.ndarray, d: np.ndarray, k: int, out: np.ndarray) -> None:
-    """Write into out the crossing parameters with the bin-edge planes of
-    Cartesian axis k; rays parallel to the planes give non-finite entries."""
-    edges = spec.axis_value(np.arange(spec.dims[k] + 1), k)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        np.divide(np.subtract(edges, o[:, k : k + 1], out=out), d[:, k : k + 1], out=out)
-
-
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")  # parallel and tangent rays give non-finite entries
 def _sorted_crossings(spec: GridSpec, o: np.ndarray, d: np.ndarray, max_dist: float) -> np.ndarray:
     """Row-sorted crossing parameters: 0, every lattice crossing inside
     (0, max_dist), and max_dist for the rest, so each row ends in zero-length
@@ -142,23 +130,18 @@ def _sorted_crossings(spec: GridSpec, o: np.ndarray, d: np.ndarray, max_dist: fl
     ts[:, 0], ts[:, -1] = 0.0, max_dist
     mid = ts[:, 1:-1]
     cols = np.split(mid, np.cumsum(widths)[:-1], axis=1)
-    if spec.coord_sys != CYLINDRICAL:
-        for k, col in enumerate(cols):
-            _plane_crossings(spec, o, d, k, col)
-    else:
-        _plane_crossings(spec, o, d, 2, cols[0])
+    for k, col in zip([2] if spec.coord_sys == CYLINDRICAL else range(3), cols):  # the planes of Cartesian axis k
+        edges = spec.axis_value(np.arange(dims[k] + 1), k)
+        np.divide(np.subtract(edges, o[:, k : k + 1], out=col), d[:, k : k + 1], out=col)
+    if spec.coord_sys == CYLINDRICAL:
         rk2 = spec.axis_value(np.arange(dims[0] + 1), 0) ** 2
-        # b^2 - 4a (c0 - rk^2); on the axis b = +-0 and c0 = +0, so it is (4a) rk^2, and -b + sq is sq, bit for bit
-        disc = np.subtract(c0[:, None], rk2, out=cols[1]) if off_axis else rk2
-        disc = np.multiply((4.0 * a)[:, None], disc, out=cols[1])
-        if off_axis:
-            np.subtract((b**2)[:, None], disc, out=disc)
+        disc = np.multiply((4.0 * a)[:, None], np.subtract(c0[:, None], rk2, out=cols[1]), out=cols[1])
+        np.subtract((b**2)[:, None], disc, out=disc)  # b^2 - 4a (c0 - rk^2)
         # tangent guard: near-zero discriminants are treated as no crossing
         np.copyto(disc, np.nan, where=~((disc >= 1e-12) & (a[:, None] > 1e-30)))
         sq = np.sqrt(disc, out=cols[2] if near else disc)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            inv2a = 0.5 / a[:, None]
-        np.multiply(np.add(-b[:, None], sq, out=cols[1]) if off_axis else sq, inv2a, out=cols[1])
+        inv2a = 0.5 / a[:, None]
+        np.multiply(np.add(-b[:, None], sq, out=cols[1]), inv2a, out=cols[1])
         if near:
             np.multiply(np.subtract(-b[:, None], sq, out=cols[2]), inv2a, out=cols[2])
         if off_axis:
@@ -167,46 +150,71 @@ def _sorted_crossings(spec: GridSpec, o: np.ndarray, d: np.ndarray, max_dist: fl
             alpha = -math.pi + np.arange(dims[1]) * (2.0 * math.pi / dims[1])
             nx, ny = -np.sin(alpha), np.cos(alpha)
             num = np.add(np.multiply(o[:, 0:1], nx, out=cols[3]), o[:, 1:2] * ny, out=cols[3])
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                np.divide(np.negative(num, out=num), d[:, 0:1] * nx + d[:, 1:2] * ny, out=num)
+            np.divide(np.negative(num, out=num), d[:, 0:1] * nx + d[:, 1:2] * ny, out=num)
     np.copyto(mid, max_dist, where=~((mid > 0.0) & (mid < max_dist)))
     ts.sort(axis=1)
     return ts
 
 
-def _axis_rays(spec: GridSpec, o: np.ndarray, d: np.ndarray):
-    """(flag, |d_xy|, azimuth bin floor(fa) mod D1) per ray; the flag marks rays from the z axis of a cylindrical
-    spec w1 clear of azimuth edges and +-pi, whose midpoints m with m |d_xy| >= 1e-100 point_to_flat bins there."""
-    h, theta = np.hypot(d[:, 0], d[:, 1]), np.arctan2(d[:, 1], d[:, 0])
+def _next_occupied(data: np.ndarray) -> np.ndarray:
+    """nxt[(i * D1 + s) * D2 + k], i <= D0: the first occupied r bin >= i in azimuth bin s and layer k, or D0."""
+    d0 = len(data)
+    nxt = np.empty((d0 + 1, data[0].size), dtype=np.min_scalar_type(d0))
+    nxt[:d0], nxt[d0] = (data.reshape(d0, -1) == 0) * nxt.dtype.type(d0), d0  # then r bin i where occupied
+    np.maximum(nxt[:d0], np.arange(d0, dtype=nxt.dtype)[:, None], out=nxt[:d0])
+    for i in range(d0 - 1, -1, -1):
+        np.minimum(nxt[i], nxt[i + 1], out=nxt[i])
+    return nxt.reshape(-1)
+
+
+@np.errstate(over="ignore")  # crossings and fractions far past the grid overflow to inf
+def _layer_runs(spec: GridSpec, o: np.ndarray, d: np.ndarray, max_dist: float, rk2: np.ndarray):
+    """The rows of the rays o + t d that take layer runs (see _cast_grids), their |d_xy|^2, and per (run in travel
+    order, ray): the flat cell of its first r bin a (at least 0), its last r bin (-1: none read), its start and a."""
+    (r_lo, r_hi), _, (z_lo, z_hi) = spec.ranges
+    (d0, d1, d2), dr = spec.dims, spec.deltas[0]
+    a2 = d[:, 0] ** 2 + d[:, 1] ** 2  # as _sorted_crossings has it, so the far roots and their guard match
+    theta = np.arctan2(d[:, 1], d[:, 0])
     fa = spec.axis_fraction(theta, 1) + _EDGE_GUARD
-    w1 = _EDGE_GUARD + _MARGIN * spec.dims[1]  # +-pi is an edge: atan2 takes a zero y's sign, f32 ranges bin +-pi apart
-    axis = (o[:, 0] == 0.0) & (o[:, 1] == 0.0) & (spec.coord_sys == CYLINDRICAL)  # as _sorted_crossings tests o
-    axis &= (np.abs(fa - np.rint(fa)) >= w1) & (math.pi - np.abs(theta) >= w1 * spec.deltas[1])
-    return axis, h, (np.floor(fa) % spec.dims[1]).astype(np.int64)
-
-
-def _midpoint_cells(spec: GridSpec, mids: np.ndarray, long, o, d, axis, h, sector) -> np.ndarray:
-    """Flat cells of the (rays, columns) midpoints m of rays o + t d, exact where long marks an interval
-    over _MIN_SEGMENT (no other cell is read); rays flagged by _axis_rays bin m by azimuth bin and m |d_xy|."""
-    if not axis.any():
-        pos = np.empty(mids.shape + (3,))
-        for k in range(3):  # o_k + m * d_k, one axis at a time
-            np.multiply(mids, d[:, k : k + 1], out=pos[..., k])
-            pos[..., k] += o[:, k : k + 1]
-        return spec.point_to_flat(pos.reshape(-1, 3)).reshape(mids.shape)
-    ((r_lo, r_hi), _, (z_lo, z_hi)), (d0, d1, d2), dr = spec.ranges, spec.dims, spec.deltas[0]
-    fr = mids * (h / dr)[:, None] + (_EDGE_GUARD - r_lo / dr)
-    q0 = np.floor(fr)
-    near = np.abs(fr - q0 - 0.5) > 0.5 - (_EDGE_GUARD + _MARGIN * r_hi / dr)
-    redo = (near | (mids * np.where(axis, h, 0.0)[:, None] < 1e-100)) & long  # and subnormal m d, unflagged rays
-    z = mids * d[:, 2:3] + o[:, 2:3]
-    q2 = np.minimum(np.floor(spec.axis_fraction(z, 2) + _EDGE_GUARD), d2 - 1)
-    cells = (q0 * d1 + sector[:, None]) * d2 + q2
-    cells = np.where((q0 < 0) | (q0 >= d0) | (z < z_lo) | (z > z_hi), -1.0, cells).astype(np.int64)
-    if redo.any():
-        rows, cols = np.nonzero(redo)
-        cells[rows, cols] = spec.point_to_flat(mids[rows, cols, None] * d[rows] + o[rows])
-    return cells
+    w1 = _EDGE_GUARD + _MARGIN * d1
+    ok = (o[:, 0] == 0.0) & (o[:, 1] == 0.0)  # off the axis r turns back and the azimuth moves
+    ok &= d[:, 2] != 0.0  # else no z plane bounds a run
+    # near an azimuth edge, or +-pi (atan2 takes a zero y's sign, f32 ranges bin +-pi apart), a midpoint may change bin
+    ok &= (np.abs(fa - np.rint(fa)) >= w1) & (math.pi - np.abs(theta) >= w1 * spec.deltas[1])
+    # where a shell with r > 0 fails the tangent guard, the sorted path reads one midpoint over several r bins
+    ok &= (a2 > 1e-30) & (4.0 * a2 * rk2[int(r_lo == 0.0)] >= 1e-12)
+    ok &= spec.coord_sys == CYLINDRICAL and dr > 2**14 * _MIN_SEGMENT  # see the l bound below
+    rows = np.flatnonzero(ok)
+    oz, dz, a2, h = o[rows, 2], d[rows, 2], a2[rows], np.hypot(d[rows, 0], d[rows, 1])
+    # run ends as the sorted crossings hold them: 0, the z planes inside (0, max_dist) in travel order, max_dist
+    edges = spec.axis_value(np.arange(d2 + 1), 2)[:, None]
+    ends = np.empty((d2 + 3, len(rows)))
+    ends[0], ends[-1] = 0.0, max_dist
+    np.divide(np.subtract(np.where(dz > 0.0, edges, edges[::-1]), oz, out=ends[1:-1]), dz, out=ends[1:-1])
+    np.copyto(ends, 0.0, where=~(ends > 0.0))
+    f = spec.axis_fraction(np.minimum(ends, max_dist, out=ends) * h, 0)
+    w0 = _RUN_MARGIN + _MARGIN * r_hi / dr
+    # every ray's ends before lo are 0, and from hi on lie w0 past r_max: no run there reads a cell
+    lo = len(ends) - 1 - np.count_nonzero(ends, axis=0).max(initial=0)
+    hi = max(np.count_nonzero(f <= d0 + w0, axis=0).max(initial=0), lo + 1)
+    ends, f = ends[lo : hi + 1], f[lo : hi + 1]
+    # a run end within w0 of an r edge it can cross (not r = 0 at r_min = 0) leaves its bin and inner shells unsure
+    bad = (np.abs(np.clip(np.rint(f), float(r_lo == 0.0), d0) - f) < w0).any(axis=0)
+    t0, t1 = ends[:-1], ends[1:]
+    long = t1 - t0 > _MIN_SEGMENT  # shorter runs hold only intervals the sorted path skips
+    # w0 keeps each interval at a run end over l = min(t1 - t0, 2**-14 dr / |d_xy|) > _MIN_SEGMENT long, so every
+    # midpoint of a run lies in [t0 + l / 4, t1 - l / 4], and its z bin is monotone in t: equal z codes (layer, or
+    # below or above the range) there give all of them one layer, unequal ones may put one in the z guard's reach
+    quarter = 0.25 * np.minimum(t1 - t0, 2**-14 * dr / h)
+    z = np.stack([t0 + quarter, t1 - quarter]) * dz + oz  # z as point_to_flat takes a midpoint's
+    code = np.minimum(np.floor(spec.axis_fraction(z, 2) + _EDGE_GUARD), d2 - 1)
+    code[z < z_lo], code[z > z_hi] = -1.0, d2
+    bad |= (long & (code[0] != code[1])).any(axis=0)
+    a = np.clip(np.floor(f), -1, d0)  # r bins: -1 inside r_min, D0 past r_max
+    cell = (np.maximum(a[:-1], 0) * d1 + np.floor(fa[rows]) % d1) * d2 + np.clip(code[0], 0, d2 - 1)
+    last = np.where(long & (code[0] >= 0) & (code[0] < d2), np.minimum(a[1:], d0 - 1), -1)
+    out = (rows, a2, cell.astype(np.int64), last, t0, a[:-1])
+    return out if not bad.any() else tuple(x[..., ~bad] for x in out)
 
 
 def _grid_max_distance(spec: GridSpec, origins: np.ndarray) -> float:
@@ -225,22 +233,24 @@ def _grid_max_distance(spec: GridSpec, origins: np.ndarray) -> float:
 def _cast_grids(rays: Rays, grids: list[VoxelGrid]) -> list[BatchHits]:
     """Exact first-hit casts of one ray batch into label grids on one spec.
 
-    The geometry depends only on the rays and the spec, so each ray's
-    crossings are sorted, and each interval's midpoint binned to a cell, once
-    for all grids; each grid then reads its own labels at those cells, keeps
-    its own first hit and retires the ray on its own. Every grid's result
-    equals a cast into that grid alone, bit for bit.
+    Each ray's geometry is computed once for all grids, and each grid keeps
+    its own hits: every result equals cast_all_intervals into that grid, bit
+    for bit. A ray starting in an occupied cell hits there at t = 0.
 
-    Before any crossing is built, a ray flagged by _axis_rays with |d_xy| >=
-    4e-100 / _MIN_SEGMENT (so m |d_xy| >= 1e-100 on every long interval) is
-    culled in a grid free at every r of its azimuth bin over the layers from
-    bin(o_z) to bin(o_z + t_end d_z), clipped to [0, D2), with t_end the
-    lesser of max_dist and (r_max / |d_xy|)(1 + _MARGIN). It keeps its miss:
-    (1) both binning paths compute z as m d_z + o_z with the same operations,
-    monotone in m; (2) every cell read lies in its azimuth bin, re-bins
-    included (the _MARGIN argument); (3) past t_end no midpoint lies, or both
-    give -1, by q0 >= D0 and by r > r_max in in_range; (4) the t = 0 cell is
-    settled by the start test. Cuboid specs and off-axis rays are never culled.
+    Layer runs. A ray from the z axis of a cylindrical spec keeps one azimuth
+    bin s, and r = t |d_xy| only grows, so between two z-plane crossings it
+    covers one run of r bins [a, b] in one layer k. The sorted path splits the
+    run at the far roots of shells a + 1 .. b and reads (a, s, k) .. (b, s, k)
+    in order, each first at its left crossing, so the first hit lies in the
+    first run with nxt[s, k, max(a, 0)] <= min(b, D0 - 1) (_next_occupied), at
+    the run's start for bin a, else at the far root sqrt((4a) r_i^2) (0.5 / a),
+    with the sorted path's own operations, so the bits match. A ray for which
+    a step of this may fail takes the sorted path; _layer_runs says why each
+    such condition is needed.
+
+    Sorted path. Each other ray sorts its crossings and bins their interval
+    midpoints with point_to_flat, in blocks of _BLOCK columns up to its first
+    occupied interval in every grid or its first max_dist column.
     """
     if any(g.spec != grids[0].spec for g in grids):
         raise ShapeError("grids cast together must share a spec")
@@ -253,34 +263,33 @@ def _cast_grids(rays: Rays, grids: list[VoxelGrid]) -> list[BatchHits]:
     # the r-shell discriminant reaches about 8 * max_dist**2
     if not math.isfinite(8.0 * max_dist * max_dist):
         raise DomainError("ray origins lie too far from the grid: the squared ray length overflows")
-    n = len(rays)
     # flat index -1 (outside the grid) reads the free class appended to each payload
-    labels = np.stack([np.append(g.data.reshape(-1), 0) for g in grids])
-    if spec.coord_sys == CYLINDRICAL:  # layers[g, sector, k]: the layers below k grid g occupies at some r
-        layers = np.stack([np.cumsum(np.pad((g.data != 0).any(axis=0), ((0, 0), (1, 0))), axis=1) for g in grids])
-    distance = np.empty((len(grids), n))
-    voxel = np.empty((len(grids), n), dtype=np.int64)
-    for s in range(0, n, _CHUNK):
-        o, d = rays.origins[s : s + _CHUNK], rays.directions[s : s + _CHUNK]
-        # a ray starting inside an occupied cell (per the point convention, which
-        # also settles origins sitting exactly on a lattice plane) hits at t = 0;
-        # every other ray misses until a hit is found
-        cell0 = spec.point_to_flat(o)
+    labels = np.stack([np.append(g.data.reshape(-1), np.uint8(0)) for g in grids])
+    rk2, nxt = spec.axis_value(np.arange(spec.dims[0] + 1), 0) ** 2, None
+    distance = np.empty((len(grids), len(rays)))
+    voxel = np.empty((len(grids), len(rays)), dtype=np.int64)
+    for s in range(0, len(rays), _CHUNK):
+        # start cells by the point convention, which also settles origins sitting exactly on a lattice plane
+        cell0 = spec.point_to_flat(rays.origins[s : s + _CHUNK])
         act = labels[:, cell0] == 0  # (grids, rays): still looking for a hit
         distance[:, s : s + _CHUNK] = np.where(act, np.inf, 0.0)
         voxel[:, s : s + _CHUNK] = np.where(act, -1, cell0)
-        axis, h, sector = _axis_rays(spec, o, d)
-        sure = axis & (h >= 4e-100 / _MIN_SEGMENT)
-        if sure.any():
-            t_end = np.minimum(spec.ranges[0][1] / np.where(sure, h, np.inf) * (1.0 + _MARGIN), max_dist)
-            z = np.stack([o[:, 2], t_end * d[:, 2] + o[:, 2]])
-            k = np.clip(np.floor(spec.axis_fraction(z, 2) + _EDGE_GUARD), 0, spec.dims[2] - 1).astype(np.int64)
-            act &= ~sure | (layers[:, sector, k.max(axis=0) + 1] > layers[:, sector, k.min(axis=0)])
-        keep = np.flatnonzero(act.any(axis=0))  # culled or starting occupied in every grid: never active
-        if not keep.size:
+        ray = s + np.flatnonzero(act.any(axis=0))  # starting occupied in every grid: never active
+        rows, a2, cell, last, t0, first = _layer_runs(spec, rays.origins[ray], rays.directions[ray], max_dist, rk2)
+        if rows.size:
+            nxt = nxt or [_next_occupied(g.data) for g in grids]  # casts from off the axis never build them
+            for g in range(len(grids)):
+                i = nxt[g][cell]
+                hit = i <= last
+                r = np.flatnonzero(hit.any(axis=0) & act[g, ray[rows] - s])
+                k = hit[:, r].argmax(axis=0)
+                ib, j = i[k, r].astype(np.int64), first[k, r].astype(np.int64)
+                voxel[g, ray[rows[r]]] = cell[k, r] + (ib - np.maximum(j, 0)) * (spec.dims[1] * spec.dims[2])
+                distance[g, ray[rows[r]]] = np.where(ib == j, t0[k, r], np.sqrt(4.0 * a2[r] * rk2[ib]) * (0.5 / a2[r]))
+            ray = np.delete(ray, rows)
+        if not len(ray):
             continue
-        ray, act = s + keep, act[:, keep]
-        o, d, axis, h, sector = per_ray = [x[keep] for x in (o, d, axis, h, sector)]
+        o, d, act = rays.origins[ray], rays.directions[ray], act[:, ray - s]
         ts = _sorted_crossings(spec, o, d, max_dist)
         live = np.argmax(ts == max_dist, axis=1)  # intervals before the padding
         ts = ts[:, : live.max() + 1]
@@ -291,7 +300,8 @@ def _cast_grids(rays: Rays, grids: list[VoxelGrid]) -> list[BatchHits]:
             block = ts[active, j : j + _BLOCK + 1]
             mids = 0.5 * (block[:, :-1] + block[:, 1:])
             long = np.diff(block, axis=1) > _MIN_SEGMENT
-            cells = _midpoint_cells(spec, mids, long, *(x[active] for x in per_ray))
+            cells = spec.point_to_flat((mids[..., None] * d[active, None] + o[active, None]).reshape(-1, 3))
+            cells = cells.reshape(mids.shape)
             for g, lab in enumerate(labels):
                 occupied = (lab[cells] != 0) & long
                 hit = occupied.any(axis=1) & act[g, active]
@@ -307,20 +317,9 @@ def _cast_grids(rays: Rays, grids: list[VoxelGrid]) -> list[BatchHits]:
 
 
 def cast_rays(rays: Rays, grid: VoxelGrid) -> BatchHits:
-    """Exact first-hit cast of a ray batch into a label grid.
-
-    Rays run far enough to leave the grid from every origin
-    (_grid_max_distance). Each ray's sorted intervals are classified by
-    midpoint in blocks of _BLOCK columns over the rays still active; a ray
-    retires at its first occupied interval, or at the block that reaches its
-    first max_dist column, after which only zero-length padding remains.
-    Only rays off the z axis, and midpoints near bin edges, use point_to_flat.
-    A ray starting in an occupied cell, or from the z axis with its azimuth
-    bin free over every layer it reaches (see _cast_grids), never becomes
-    active, and its crossings are never computed. ray_iou casts gt and pred
-    together through the same kernel, which computes the crossings and cells
-    once per ray and reads the labels per grid.
-    """
+    """Exact first-hit cast of a ray batch into a label grid, far enough to
+    leave it from every origin: one lookup per z layer for rays from the z
+    axis, sorted crossing intervals for the rest (see _cast_grids)."""
     return _cast_grids(rays, [grid])[0]
 
 

@@ -32,10 +32,10 @@ _MAX_RADIUS = 2.0**512  # the smallest float whose square overflows
 
 
 def _widened(lo, hi) -> tuple[np.ndarray, np.ndarray]:
-    """The box [lo, hi] grown on every side by _BOUNDS_MARGIN, relative to its largest coordinate."""
-    lo = np.asarray(lo, dtype=np.float64)
-    hi = np.asarray(hi, dtype=np.float64)
-    m = _BOUNDS_MARGIN * (1.0 + max(np.abs(lo).max(), np.abs(hi).max()))
+    """The box [lo, hi] grown by _BOUNDS_MARGIN relative to its largest |x| or |y| along x and y, |z| along z."""
+    lo, hi = np.asarray(lo, dtype=np.float64), np.asarray(hi, dtype=np.float64)
+    big = np.maximum(np.abs(lo), np.abs(hi))
+    m = _BOUNDS_MARGIN * (1.0 + np.maximum(big, [big[:2].max(), big[:2].max(), 0.0]))  # a column's r and theta mix x, y
     return lo - m, hi + m
 
 

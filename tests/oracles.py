@@ -2,9 +2,9 @@
 
 The all-intervals caster, which casts one grid at a time and bins every
 midpoint with point_to_flat, is the exact reference for the block-wise
-early exit of cast_rays, for its per-ray binning of rays from the z axis,
+early exit of cast_rays, for the layer-run lookups of rays from the z axis,
 and for the shared pass in which ray_iou casts gt and pred together,
-computing crossings and cells once per ray and reading labels per grid;
+computing the geometry once per ray and reading labels per grid;
 the fixed-step marcher is the brute-force one. The all-intervals caster sorts its
 crossings with its own builder, sorted_crossings_all_families, which
 computes every crossing family (z planes, both r roots of every shell,

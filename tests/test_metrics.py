@@ -6,13 +6,17 @@ cases, bit-for-bit agreement with the all-intervals caster it replaced
 on arbitrary rays, and the standard 0.01 m marcher on evaluation-fan
 rays (the full 10k-ray runs live in the acceptance suite). The shared
 pass that casts several grids at once must give each grid its own cast's
-hits bit for bit. Rays from the z axis, which bin their midpoints from
-per-ray constants, must match the all-intervals caster at bin edges, at
-the atan2 seam, with zero or subnormal direction components and with
-origins far off or a hair from a z plane. The crossing builder leaves out the crossing families
-that can hold only padding, and must match the all-families builder bit
-for bit up to each row's first max_dist column. RayIoU confusion logic is pinned by a hand-computed
-two-ray table on a grid whose cell edges make the distances exact.
+hits bit for bit. Rays from the z axis, which take one next-occupied-bin
+lookup per layer run, must match the all-intervals caster with run ends
+on or a margin from r edges, at azimuth edges and the atan2 seam, through
+cell corners, with zero or subnormal direction components, with origins
+far off, on or a hair from a z plane, on r_min > 0 and single-layer
+lattices and in grids whose columns are all full or all empty. The
+crossing builder leaves out the crossing families that can hold only
+padding, and must match the all-families builder bit for bit up to each
+row's first max_dist column. RayIoU confusion logic is pinned by a
+hand-computed two-ray table on a grid whose cell edges make the distances
+exact.
 """
 
 import math
@@ -618,6 +622,18 @@ def axis_rays(azimuth, elevation, z=(0.3,)):
     return Rays(o, d)
 
 
+def rays_with_run_ends_at(spec, r, rng, z=None):
+    """Rays from the z axis at heights z (drawn inside the z range by default)
+    whose crossing with a drawn z plane lies at radius r, one per radius."""
+    edges = spec.axis_value(np.arange(spec.dims[2] + 1), 2)
+    z = rng.uniform(*spec.ranges[2], len(r)) if z is None else np.resize(np.asarray(z, dtype=np.float64), len(r))
+    plane = edges[rng.randint(0, len(edges), len(r))]
+    plane = np.where(plane == z, edges[-1] + edges[0] - plane, plane)
+    az = rng.uniform(-math.pi, math.pi, len(r))
+    d = unit_rows(np.column_stack([r * np.cos(az), r * np.sin(az), plane - z]))
+    return Rays(np.column_stack([np.zeros(len(r)), np.zeros(len(r)), z]), d)
+
+
 @cache
 def axis_grid_pairs():
     """Azimuth-labelled grid pairs on the default lattice, on it as decoded
@@ -666,11 +682,10 @@ def axis_ray_chunks(draw):
 
 
 class TestAxisRayBinning:
-    """Rays from the z axis bin their midpoints from per-ray constants: one
-    atan2 per ray for the azimuth bin and m |d_xy| for the radius, with z
-    binned as before; a midpoint within the margin of a bin edge, or with a
-    tiny m |d_xy|, is re-binned from its exact position. Every case must
-    equal the all-intervals caster bit for bit."""
+    """Rays from the z axis take their first hit from one lookup per layer
+    run, and those too near an azimuth or r edge, or with a zero or tiny
+    direction component, take the sorted path. Every case must equal the
+    all-intervals caster bit for bit."""
 
     @pytest.mark.parametrize("decoded", [False, True], ids=["exact", "decoded"])
     @pytest.mark.parametrize("d1", [1, 2, 3, 7, 200])
@@ -758,24 +773,19 @@ class TestAxisRayBinning:
 
     @pytest.mark.parametrize("r_range", [(0.0, 25.6), (5.0, 25.6), (25.0, 25.6)])
     def test_classifier_at_r_edges(self, r_range):
-        # midpoints on every r edge, and on every edge less the guard, a few
-        # ulps either side, against point_to_flat of their exact positions
+        # run ends (z-plane crossings) on every r edge and on every edge less the guard, a few
+        # ulps either side, and one margin w0 either side of each
         base = GridSpec("cylindrical", (64, 200, 16), (r_range, (-math.pi, math.pi), (-2.8, 3.6)))
         for spec in (base, decoded_spec(base)):
             rng = np.random.RandomState(75)
-            n = 64
-            d = unit_rows(np.column_stack([rng.normal(size=n), rng.normal(size=n), rng.uniform(-0.3, 0.3, n)]))
-            o = np.column_stack([np.zeros(n), np.zeros(n), rng.uniform(-2, 3, n)])
             edges = spec.axis_value(np.arange(spec.dims[0] + 1), 0)
             r = nudged(np.concatenate([edges, edges - _EDGE_GUARD * spec.deltas[0]]), range(-4, 5))
-            mids = r[None, :] / np.hypot(d[:, 0], d[:, 1])[:, None]
-            cells = metrics._midpoint_cells(spec, mids, np.ones(mids.shape, dtype=bool), o, d, *metrics._axis_rays(spec, o, d))
-            exact = spec.point_to_flat((mids[..., None] * d[:, None] + o[:, None]).reshape(-1, 3))
-            np.testing.assert_array_equal(cells, exact.reshape(mids.shape))
+            r = np.concatenate([r, edges - 1.01 * run_margin(spec), edges + 1.01 * run_margin(spec)])
+            assert_casts_match_oracle(rays_with_run_ends_at(spec, r[r > 0.0], rng), azimuth_labelled_pair(spec, 75))
 
     def test_default_fan_bins_only_its_origins(self, street_gt, monkeypatch):
-        # no midpoint of the default fan needs re-binning: point_to_flat sees
-        # only the chunk origins, which a cast bins for its start cells
+        # no default-fan ray bins a midpoint: point_to_flat sees only the
+        # chunk origins, which a cast bins for its start cells
         fan, grids = default_ray_fan(), [street_gt, perturbed(street_gt, 8)]
         length = _grid_max_distance(street_gt.spec, fan.origins)
         expected = [cast_all_intervals(fan, g, length) for g in grids]
@@ -811,20 +821,24 @@ def sector_layer_grid(spec, sectors, layers, seed, density=0.4, r_bins=None):
     return VoxelGrid(spec, "label", np.where(mask, names, 0).astype(np.uint8))
 
 
+def azimuth_bins(spec, d):
+    """Each direction's azimuth bin, as point_to_flat bins atan2(d_y, d_x)."""
+    return np.floor(spec.axis_fraction(np.arctan2(d[:, 1], d[:, 0]), 1) + _EDGE_GUARD).astype(np.int64) % spec.dims[1]
+
+
 def sure_misses(rays, grid):
-    """The rays the cull rule proves to miss grid: from the z axis, w1 clear
-    of an azimuth edge, |d_xy| >= 4e-100 / _MIN_SEGMENT, and a free azimuth
-    bin over the layers from bin(o_z) to bin(o_z + t_end d_z)."""
+    """The rays from the z axis whose azimuth bin the grid leaves free over
+    every layer from bin(o_z) to bin(o_z + t_end d_z), clipped to the range,
+    with t_end = (r_max / |d_xy|)(1 + 1e-6) capped at the ray length: no cell
+    they can read is occupied."""
     spec, o, d = grid.spec, rays.origins, rays.directions
-    axis, h, sector = metrics._axis_rays(spec, o, d)
     with np.errstate(divide="ignore", over="ignore"):
-        t_end = np.minimum(spec.ranges[0][1] / h * (1.0 + metrics._MARGIN), _grid_max_distance(spec, o))
-    ends = [o[:, 2], t_end * d[:, 2] + o[:, 2]]
-    k = [np.clip(np.floor(spec.axis_fraction(z, 2) + _EDGE_GUARD), 0, spec.dims[2] - 1) for z in ends]
+        t_end = np.minimum(spec.ranges[0][1] / np.hypot(d[:, 0], d[:, 1]) * (1.0 + 1e-6), _grid_max_distance(spec, o))
+    k = [np.clip(np.floor(spec.axis_fraction(z, 2) + _EDGE_GUARD), 0, spec.dims[2] - 1).astype(np.int64)
+         for z in (o[:, 2], t_end * d[:, 2] + o[:, 2])]
     occupied = (grid.data != 0).any(axis=0)
-    sure = axis & (h >= 4e-100 / _MIN_SEGMENT)
-    return np.array([bool(s) and not occupied[a, int(min(p, q)) : int(max(p, q)) + 1].any()
-                     for s, a, p, q in zip(sure, sector, *k)])
+    return (o[:, 0] == 0.0) & (o[:, 1] == 0.0) & np.array(
+        [not occupied[s, min(p, q) : max(p, q) + 1].any() for s, p, q in zip(azimuth_bins(spec, d), *k)])
 
 
 def recording_crossings(monkeypatch):
@@ -878,9 +892,10 @@ def cull_cases(draw):
 
 
 class TestSureMissCull:
-    """Before any crossing is built, a ray from the z axis whose azimuth bin
-    is free over every layer it can reach is culled in that grid. Culled
-    rays keep their miss, so every grid's hits must still equal the
+    """Grids occupied only in some azimuth bins and layers, cast from the z
+    axis: a ray into a free bin, or over free layers, finds no cell in any
+    of its layer runs and misses; one at an azimuth edge may read its
+    occupied neighbour on the sorted path. Every grid's hits must equal the
     all-intervals caster bit for bit."""
 
     @settings(max_examples=200, deadline=None)
@@ -912,7 +927,7 @@ class TestSureMissCull:
         assert np.concatenate(hits).any() and not np.concatenate(hits).all()
 
     @pytest.mark.parametrize("decoded", [False, True], ids=["exact", "decoded"])
-    def test_rays_at_an_azimuth_edge(self, decoded):
+    def test_rays_at_an_azimuth_edge(self, decoded, monkeypatch):
         # every other azimuth bin occupied: a ray within w1 of an edge may read
         # the occupied neighbour of its free bin, so it must not be culled
         spec = decoded_spec(default_cylindrical_spec()) if decoded else default_cylindrical_spec()
@@ -924,11 +939,13 @@ class TestSureMissCull:
                                 spec.axis_value(k - _EDGE_GUARD, 1)])
         rays = axis_rays(nudged(edges, range(-3, 4)), [-0.3, 0.0, 0.1], z=(0.3, -1.1))
         assert_casts_match_oracle(rays, grids)
-        # no ray within w1 of one of the spec's own inner edges is flagged, so none is culled
+        # every ray within w1 of one of the spec's own inner edges takes the sorted path
         inner = k[1:-1]
         own = axis_rays(nudged(np.concatenate([spec.axis_value(inner, 1), spec.axis_value(inner - _EDGE_GUARD, 1)]),
                                range(-3, 4)), [-0.3, 0.0, 0.1])
-        assert not metrics._axis_rays(spec, own.origins, own.directions)[0].any()
+        seen = recording_crossings(monkeypatch)
+        _cast_grids(own, grids)
+        np.testing.assert_array_equal(np.concatenate(seen), own.directions)
 
     def test_subnormal_vertical_and_horizontal_rays(self, cyl_spec):
         # a midpoint with m |d_xy| < 1e-100 is re-binned from m d_x and m d_y,
@@ -936,7 +953,7 @@ class TestSureMissCull:
         # is occupied at r = 0, so only the |d_xy| bound keeps the ray uncut
         d = unit_rows([[3 * 5e-324, 5e-324, 1.0], [-5e-324, 3 * 5e-324, -1.0], [1e-310, 3e-311, 1.0],
                        [1e-90, 2e-90, -1.0], [1e-80, -3e-80, 1.0], [0.0, 0.0, 1.0], [-0.0, 0.0, -1.0]])
-        own = metrics._axis_rays(cyl_spec, np.zeros((len(d), 3)), d)[2]
+        own = azimuth_bins(cyl_spec, d)
         others = np.setdiff1d(np.arange(cyl_spec.dims[1]), own)
         grids = [sector_layer_grid(cyl_spec, others, range(cyl_spec.dims[2]), 82, r_bins=[0]),
                  sector_layer_grid(cyl_spec, others, range(cyl_spec.dims[2]), 83)]
@@ -961,8 +978,8 @@ class TestSureMissCull:
                  sector_layer_grid(spec, [2, 4], [1], 87)]
         assert_casts_match_oracle(rays, grids)
 
-    def test_thin_layers_and_steep_rays(self):
-        # with |d_xy| near its bound, (r_max / |d_xy|) d_z reaches 1e88, far past
+    def test_thin_layers_and_steep_rays(self, monkeypatch):
+        # with |d_xy| near 4e-88, (r_max / |d_xy|) d_z reaches 1e88, far past
         # max_dist: binning it in layers 2.5e-226 thick would overflow
         spec = GridSpec("cylindrical", (8, 8, 4), ((0.0, 4.0), (-math.pi, math.pi), (0.0, 1e-225)))
         h = np.array([4e-88, 1e-87, 1e-80, 1e-3, 0.5])
@@ -973,32 +990,168 @@ class TestSureMissCull:
         rays = Rays(np.concatenate([o, o * [1.0, 1.0, -1.0]]), np.concatenate([d, -d]))
         grids = [sector_layer_grid(spec, range(0, 8, 2), range(4), 90, r_bins=[0, 1]),
                  sector_layer_grid(spec, [3], [1, 2], 91, r_bins=[0])]
+        seen = recording_crossings(monkeypatch)
         assert_casts_match_oracle(rays, grids)
-        assert sure_misses(rays, grids[0]).any()
+        # the steep rays fail the tangent guard and sort their crossings; some others take layer runs
+        steep = np.hypot(rays.directions[:, 0], rays.directions[:, 1]) < 1e-6
+        assert set(map(tuple, rays.directions[steep])) <= set(map(tuple, seen[0])) and len(seen[0]) < len(rays)
 
     def test_culled_in_one_grid_only(self, cyl_spec, monkeypatch):
-        # bins 0-49 occupied in the first grid only: rays into them are culled
-        # in the second and still cast in the first
+        # bins 0-49 occupied in the first grid only, 100-199 in the second: a ray into
+        # one of them misses in the other grid and hits in its own
         grids = [sector_layer_grid(cyl_spec, range(50), range(cyl_spec.dims[2]), 88),
                  sector_layer_grid(cyl_spec, range(100, 200), range(cyl_spec.dims[2]), 89)]
         for g in grids:
             g.data[0] = 0  # no ray starts occupied
         rays = axis_rays(np.linspace(-math.pi, math.pi, 400)[:-1], np.linspace(-0.3, 0.2, 5))
-        culled = [sure_misses(rays, g) for g in grids]
-        assert (culled[0] & ~culled[1]).any() and (culled[1] & ~culled[0]).any()
+        free = [sure_misses(rays, g) for g in grids]
+        assert (free[0] & ~free[1]).any() and (free[1] & ~free[0]).any()
         seen = recording_crossings(monkeypatch)
         assert_casts_match_oracle(rays, grids)
-        # the shared cast comes first, and sees every ray culled in one grid only
-        assert len(seen[0]) == (~(culled[0] & culled[1])).sum()
+        for g, f in zip(grids, free):
+            assert not cast_rays(rays, g).hit[f].any()
+        # the shared cast, which comes first, sorts only the crossings of the rays at the -pi seam
+        seam = np.arctan2(rays.directions[:, 1], rays.directions[:, 0]) == -math.pi
+        np.testing.assert_array_equal(seen[0], rays.directions[seam])
 
-    def test_default_fan_skips_culled_rays(self, street_gt, monkeypatch):
+    def test_default_fan_skips_culled_rays(self, street_gt):
+        # a fan ray whose azimuth bin the street leaves free over the layers it reaches misses
         fan = default_ray_fan()
-        culled = sure_misses(fan, street_gt)
-        assert culled.mean() >= 0.3
-        seen = recording_crossings(monkeypatch)
+        free = sure_misses(fan, street_gt)
+        assert free.mean() >= 0.3
         hits = cast_rays(fan, street_gt)
-        assert not hits.hit[culled].any()
-        np.testing.assert_array_equal(np.concatenate(seen), fan.directions[~culled])
+        assert not hits.hit[free].any()
+        assert_same_hits(hits, cast_all_intervals(fan, street_gt, _grid_max_distance(street_gt.spec, fan.origins)))
+
+
+@cache
+def run_specs():
+    """The cull specs (default and r_min > 0 lattices, exact and decoded), a
+    single-layer lattice and one whose z plane 2 sits at exactly 0."""
+    return [*cull_specs(), GridSpec("cylindrical", (16, 8, 1), ((0.0, 8.0), (-math.pi, math.pi), (-1.0, 1.0))),
+            GridSpec("cylindrical", (16, 8, 4), ((0.0, 8.0), (-math.pi, math.pi), (-2.0, 2.0)))]
+
+
+def column_grid(spec, seed, full=0.3):
+    """A label grid whose every (azimuth bin, layer) column is full at every r or empty."""
+    rng = np.random.RandomState(seed)
+    cols = np.where(rng.rand(spec.dims[1], spec.dims[2]) < full, rng.randint(1, 12, spec.dims[1:]), 0)
+    return VoxelGrid(spec, "label", np.broadcast_to(cols, spec.dims).astype(np.uint8))
+
+
+def run_margin(spec):
+    """The r margin w0 of the layer-run path, in meters."""
+    return (metrics._RUN_MARGIN + metrics._MARGIN * spec.ranges[0][1] / spec.deltas[0]) * spec.deltas[0]
+
+
+@st.composite
+def run_cases(draw):
+    """A grid pair and one chunk of rays from the z axis (either zero sign) at
+    heights on a z plane, a few ulps or within the z guard's reach of one, at
+    0 or anywhere, whose crossing with a drawn z plane lies a few ulps or
+    about one margin w0 from a drawn r edge (through a cell corner at 0 ulps),
+    with the azimuth also on a bin edge or not; or horizontal, nearly
+    horizontal, steep, or anywhere."""
+    spec = draw(st.sampled_from(run_specs()))
+    kind = draw(st.sampled_from(["sectors", "columns", "labelled", "empty"]))
+    seed = draw(st.integers(0, 2**16))
+    if kind == "sectors":
+        sectors = st.lists(st.integers(0, spec.dims[1] - 1), max_size=4)
+        layers = st.lists(st.integers(0, spec.dims[2] - 1), max_size=3)
+        grids = [sector_layer_grid(spec, draw(sectors), draw(layers), seed + i) for i in range(2)]
+    elif kind == "columns":
+        grids = [column_grid(spec, seed, 0.3), column_grid(spec, seed + 1, 1.0)]
+    elif kind == "labelled":
+        grids = azimuth_labelled_pair(spec, seed, draw(st.sampled_from([0.01, 0.1, 0.5])))
+    else:
+        grids = [VoxelGrid.zeros(spec, "label"), column_grid(spec, seed, 0.05)]
+    planes = spec.axis_value(np.arange(spec.dims[2] + 1), 2)
+    edges = spec.axis_value(np.arange(spec.dims[0] + 1), 0)
+    n = draw(st.integers(1, 16))
+    o, d = np.zeros((n, 3)), np.empty((n, 3))
+    for i in range(n):
+        o[i, :2] = [draw(st.sampled_from([0.0, -0.0])), draw(st.sampled_from([0.0, -0.0]))]
+        height = draw(st.sampled_from(["plane", "ulps", "guard", "zero", "any"]))
+        z = draw(st.sampled_from(list(planes)))
+        if height == "ulps":
+            z = nudged([z], [draw(st.integers(-3, 3))])[0]
+        elif height == "guard":
+            z -= draw(st.floats(1e-12, 2e-9)) * spec.deltas[2]
+        elif height == "zero":
+            z = draw(st.sampled_from([0.0, -0.0]))
+        elif height == "any":
+            z = draw(st.floats(spec.ranges[2][0] - 1.0, spec.ranges[2][1] + 1.0))
+        o[i, 2] = z
+        az = draw(st.floats(-math.pi, math.pi))
+        if draw(st.booleans()):
+            az = nudged([spec.axis_value(draw(st.integers(0, spec.dims[1])), 1)], [draw(st.integers(-2, 2))])[0]
+        form = draw(st.sampled_from(["edge", "margin", "flat", "steep", "any"]))
+        if form in ("edge", "margin"):
+            r = draw(st.sampled_from(list(edges)))
+            if form == "edge":
+                r = nudged([r], [draw(st.integers(-4, 4))])[0]
+            else:
+                r += draw(st.sampled_from([-0.5, -0.99, -1.01, -3.0, 0.5, 0.99, 1.01, 1.5, 3.0])) * run_margin(spec)
+            plane = draw(st.sampled_from([p for p in planes if p != z] or [z + 1.0]))
+            h, dz = max(r, 1e-3), plane - z
+        elif form == "flat":
+            h, dz = 1.0, draw(st.sampled_from([0.0, -0.0, 5e-324, -1e-300, 1e-9, -1e-6, 1e-3]))
+        elif form == "steep":
+            h, dz = draw(st.sampled_from([1e-16, 1e-9, 3e-7, 1e-6, 1e-5])), draw(st.sampled_from([-1.0, 1.0]))
+        else:
+            h, dz = 1.0, draw(st.floats(-3.0, 3.0))
+        d[i] = [h * math.cos(az), h * math.sin(az), dz]
+    return Rays(o, unit_rows(d)), grids
+
+
+class TestLayerRuns:
+    """Rays from the z axis take their first hit from one next-occupied-bin
+    lookup per layer run; a ray whose run ends lie within the margin w0 of
+    an r edge, whose runs may end within the z guard's reach of a plane, or
+    whose direction or azimuth leaves the argument unsure takes the sorted
+    path. Either way every grid's hits equal the all-intervals caster's bit
+    for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=run_cases())
+    def test_drawn_run_ends(self, case):
+        assert_casts_match_oracle(*case)
+
+    @pytest.mark.parametrize("spec", run_specs(), ids=["default", "default-decoded", "r_min", "r_min-decoded",
+                                                       "one-layer", "plane-at-zero"])
+    def test_origins_on_z_planes(self, spec):
+        # z = 0 lies 4.4e-16 m below plane 7 of the default lattice, which the z guard puts in layer 7
+        planes = spec.axis_value(np.arange(spec.dims[2] + 1), 2)
+        heights = np.concatenate([[0.0, -0.0], nudged(planes, range(-2, 3))])
+        rays = axis_rays(np.linspace(-3.1, 3.1, 17), np.linspace(-1.2, 1.2, 25), z=heights)
+        grids = [column_grid(spec, 92, 0.4), azimuth_labelled_pair(spec, 93, 0.1)[0]]
+        assert_casts_match_oracle(rays, grids)
+        assert cast_rays(rays, grids[0]).hit.any()
+
+    def test_cell_corners(self, cyl_spec):
+        # from near a z plane, or from z = 0, through the corner of every r edge with a plane above or below
+        edges = cyl_spec.axis_value(np.arange(1, cyl_spec.dims[0] + 1), 0)
+        az = np.random.RandomState(94).uniform(-math.pi, math.pi, len(edges))
+        grids = [column_grid(cyl_spec, 95, 0.5), azimuth_labelled_pair(cyl_spec, 95, 0.1)[0]]
+        for z0, z1 in ((0.4, 0.8), (0.4, 0.0), (0.0, -2.8), (-2.8, 3.6)):
+            d = unit_rows(np.column_stack([edges * np.cos(az), edges * np.sin(az), np.full(len(edges), z1 - z0)]))
+            assert_casts_match_oracle(Rays(np.column_stack([np.zeros((len(d), 2)), np.full(len(d), z0)]), d), grids)
+
+    def test_next_occupied_table(self):
+        spec = GridSpec("cylindrical", (9, 5, 3), ((0.0, 9.0), (-math.pi, math.pi), (0.0, 3.0)))
+        for grid in (random_label_grid(spec, np.random.RandomState(96), 0.2), column_grid(spec, 97, 0.5),
+                     VoxelGrid.zeros(spec, "label")):
+            nxt = metrics._next_occupied(grid.data).reshape(spec.dims[0] + 1, spec.dims[1], spec.dims[2])
+            for i, s, k in product(range(spec.dims[0] + 1), range(spec.dims[1]), range(spec.dims[2])):
+                occupied = np.flatnonzero(grid.data[i:, s, k]) + i
+                assert nxt[i, s, k] == (occupied[0] if occupied.size else spec.dims[0])
+
+    def test_default_fan_takes_layer_runs(self, street_gt, monkeypatch):
+        # at most 1% of the default fan from the origin sorts its crossings
+        fan, grids = default_ray_fan(), [street_gt, perturbed(street_gt, 8)]
+        seen = recording_crossings(monkeypatch)
+        _cast_grids(fan, grids)
+        assert sum(len(x) for x in seen) <= 0.01 * len(fan)
 
 
 class TestCasterExactness:

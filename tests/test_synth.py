@@ -369,6 +369,19 @@ class TestPassByPassVote:
         np.testing.assert_array_equal(got.data, analytic_voxel_gt_all_probes(scene, spec, supersample).data)
         assert got.data[0, 0, 2] == 6 and got.data[-1, -1, 2] != 6
 
+    @pytest.mark.parametrize("spec,layers", [(SMALL_CYLINDRICAL, {1, 2, 3}), (SMALL_CUBOID, {1, 2, 3}),
+                                             (default_cylindrical_spec(), {6, 7, 8, 9})],
+                             ids=["cylindrical", "cuboid", "default"])
+    def test_box_huge_along_x_and_y_flags_only_its_layers(self, spec, layers):
+        # x and y take their margin from x and y, z from z: the box flags every column, but only in the
+        # layers of z in [0, 1] grown by 2e-6 m, and z = 0 is a layer edge of each lattice
+        scene = Scene((Box((-1e308, -1e308, 0.0), (1e308, 1e308, 1.0), 7), HalfSpace(-1.3, 1)))
+        flagged = synth._boundary_cells(scene, spec)
+        assert set(np.unravel_index(flagged, spec.dims)[2]) == layers
+        assert len(flagged) == len(layers) * spec.dims[0] * spec.dims[1]
+        got = analytic_voxel_gt(scene, spec, 3)
+        np.testing.assert_array_equal(got.data, analytic_voxel_gt_all_probes(scene, spec, 3).data)
+
     def test_flags_only_the_boundary(self, cyl_spec, street_scene):
         # about 6% of the default lattice holds a surface of the street scene
         assert len(synth._boundary_cells(street_scene, cyl_spec)) < 0.08 * cyl_spec.num_voxels
