@@ -8,6 +8,7 @@ to --report paths or stdout.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -298,6 +299,7 @@ def _cmd_loss(args) -> int:
     return 0
 
 
+@functools.cache  # built once per process: parsing leaves the parser as it was
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="cylocc", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)

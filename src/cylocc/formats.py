@@ -6,8 +6,13 @@ version (currently 1):
 OVOX voxel grids
     magic "OVOX", version u32, coord_sys u8 (0 cuboid, 1 cylindrical),
     dims 3 x u32, ranges 6 x f32 (per-axis min/max), payload kind u8
-    (0 label u8, 1 occupancy u8, 2 feature f32), channel count u32, then
-    the payload in flat index order i = (i0*D1 + i1)*D2 + i2.
+    (0 label u8, 1 occupancy u8, 3 feature rows), channel count u32, then
+    the payload in flat index order i = (i0*D1 + i1)*D2 + i2. Feature rows
+    are a ceil(V/8)-byte bitmap (voxel i is bit i % 8, least significant
+    first, of byte i // 8) of the rows with a set bit (row_support; -0.0
+    counts), then those rows' C f32 values. Set padding bits and listed rows
+    with no set bit are refused, so a grid has one encoding; it decodes to at
+    most 2 GiB. Kind 2, every row's f32 values, is read but not written.
 
 OPCD point clouds
     magic "OPCD", version u32, count u64, then per point x/y/z as f32
@@ -132,8 +137,10 @@ def _exact_length(buf: bytes, expected_len: int, fieldname: str) -> None:
 
 _COORD_CODES = {CUBOID: 0, CYLINDRICAL: 1}
 _COORD_NAMES = {v: k for k, v in _COORD_CODES.items()}
-_PAYLOAD_CODES = {"label": 0, "occupancy": 1, "feature": 2}
-_PAYLOAD_NAMES = {v: k for k, v in _PAYLOAD_CODES.items()}
+_FEATURE_ROWS = 3  # the feature payload kind the encoder writes; kind 2, dense features, is only read
+_PAYLOAD_CODES = {"label": 0, "occupancy": 1, "feature": _FEATURE_ROWS}
+_PAYLOAD_NAMES = {0: "label", 1: "occupancy", 2: "feature", _FEATURE_ROWS: "feature"}
+_MAX_FEATURE_BYTES = 1 << 31  # a row-sparse grid decodes to at most this many bytes
 
 _OVOX_HEADER = struct.Struct("<4sIB3I6fBI")
 
@@ -154,9 +161,14 @@ def encode_voxel_grid(grid: VoxelGrid) -> bytes:
         _PAYLOAD_CODES[grid.kind],
         grid.channels,
     )
-    # the join is the only copy unless the payload needs converting to C order or the stored dtype
-    payload = np.ascontiguousarray(grid.data, dtype="<f4" if grid.kind == "feature" else np.uint8)
-    return b"".join((header, memoryview(payload)))
+    if grid.kind != "feature":  # the join is the only copy unless the payload needs converting to C order
+        return b"".join((header, memoryview(np.ascontiguousarray(grid.data, dtype=np.uint8))))
+    if grid.data.nbytes > _MAX_FEATURE_BYTES:
+        raise DomainError(f"a feature payload of {grid.data.nbytes} bytes exceeds the {_MAX_FEATURE_BYTES} OVOX reads")
+    listed = grid.row_support()
+    rows = grid.data.reshape(-1, grid.channels)
+    rows = rows if listed.all() else rows[listed]  # a grid with every row set skips the gather
+    return b"".join((header, np.packbits(listed, bitorder="little"), memoryview(np.ascontiguousarray(rows, "<f4"))))
 
 
 def decode_voxel_grid(buf: bytes) -> VoxelGrid:
@@ -177,18 +189,28 @@ def decode_voxel_grid(buf: bytes) -> VoxelGrid:
         raise InvalidField("channel count must be >= 1", offset=46, fieldname="channels")
     with _fields("dims/ranges", offset=9):
         spec = GridSpec(_COORD_NAMES[coord_code], (d0, d1, d2), (ranges[0:2], ranges[2:4], ranges[4:6]))
-    item = 4 if kind == "feature" else 1
-    expected = _OVOX_HEADER.size + d0 * d1 * d2 * channels * item
-    _exact_length(buf, expected, "payload")
-    # frombuffer shares buf, so astype/copy make the one writable copy
-    count = d0 * d1 * d2 * channels
-    if kind == "feature":
-        raw = np.frombuffer(buf, dtype="<f4", count=count, offset=_OVOX_HEADER.size)
-        data = raw.reshape(d0, d1, d2, channels).astype(np.float32)
-    else:
-        data = np.frombuffer(buf, dtype=np.uint8, count=count, offset=_OVOX_HEADER.size).reshape(d0, d1, d2).copy()
-    with _fields("payload", offset=_OVOX_HEADER.size):
-        return VoxelGrid(spec, kind, data)
+    voxels = rows = spec.num_voxels
+    start, listed, item = _OVOX_HEADER.size, None, np.dtype("<f4" if kind == "feature" else np.uint8)
+    if kind_code == _FEATURE_ROWS:
+        if voxels * channels * 4 > _MAX_FEATURE_BYTES:
+            raise InvalidField(f"{voxels} x {channels} f32 exceed {_MAX_FEATURE_BYTES} bytes", 46, "channels")
+        bitmap = np.frombuffer(_need(buf, start, -(-voxels // 8), "row bitmap"), dtype=np.uint8)
+        bits = np.unpackbits(bitmap, bitorder="little")
+        if bits[voxels:].any():
+            raise InvalidField("bits set past the last voxel", offset=start + voxels // 8, fieldname="row bitmap")
+        listed = bits[:voxels].view(bool)
+        start, rows = start + len(bitmap), int(np.count_nonzero(listed))
+    _exact_length(buf, start + rows * channels * item.itemsize, "payload")
+    # frombuffer shares buf, so the copy, or the scatter into zeros, is the one writable copy
+    raw = np.frombuffer(buf, dtype=item, count=rows * channels, offset=start).reshape(rows, channels)
+    data = raw.copy() if listed is None else np.zeros((voxels, channels), dtype=np.float32)
+    if listed is not None:
+        data[listed] = raw
+    with _fields("payload", offset=start):
+        grid = VoxelGrid(spec, kind, data.reshape(spec.dims + ((channels,) if kind == "feature" else ())))
+    if listed is not None and not np.array_equal(grid.row_support(), listed):
+        raise InvalidField("a listed row holds no set bit", offset=start, fieldname="row bitmap")
+    return grid
 
 
 _OPCD_HEADER = struct.Struct("<4sIQ")

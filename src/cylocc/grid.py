@@ -15,6 +15,7 @@ to bin 7 although (0 + 2.8) / 0.4 evaluates to 6.99999999999999 in floats.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -27,7 +28,7 @@ CYLINDRICAL = "cylindrical"
 CUBOID = "cuboid"
 
 _EDGE_GUARD = 1e-9  # bin-relative tolerance at bin edges
-_BIN_BLOCK = 1 << 14  # points binned per block by point_to_flat
+_BIN_BLOCK = 1 << 14  # points binned by point_to_flat, or payload rows tested by row_support, per block
 
 
 @dataclass(frozen=True)
@@ -188,6 +189,20 @@ class VoxelGrid:
     @property
     def channels(self) -> int:
         return 1 if self.kind != "feature" else self.data.shape[3]
+
+    def row_support(self) -> np.ndarray:
+        """(V,) mask of the payload rows, in flat order, that hold any set bit
+        (so a -0.0 counts). Rows are tested in fixed blocks: no (V, C) temporary."""
+        rows = self.data.reshape(self.spec.num_voxels, self.channels)
+        bits = rows.view(f"u{rows.itemsize}")
+        out = np.empty(len(rows), dtype=bool)
+        for s in range(0, len(rows), _BIN_BLOCK):
+            nz = bits[s : s + _BIN_BLOCK] != 0
+            if nz.shape[1] % 8:
+                out[s : s + _BIN_BLOCK] = nz.any(axis=1)
+            else:  # OR the u64 words of eight channels' flags column by column; a short-axis reduce is 3x slower
+                out[s : s + _BIN_BLOCK] = functools.reduce(np.bitwise_or, nz.view(np.uint64).T) != 0
+        return out
 
     @staticmethod
     def zeros(spec: GridSpec, kind: str, channels: int = 1) -> "VoxelGrid":

@@ -274,7 +274,7 @@ def align_history(
     keep = spec.in_range(axes)  # (columns, D2)
     signed_zero = hist.data.view(np.int32).min() == np.iinfo(np.int32).min  # only -0.0 has these bits
     fixed = [not signed_zero and not np.any(keep & (f != b)) for f, b in zip(frac, base)]
-    support = _stencil_support(np.bitwise_or.reduce(hist.data.view(np.uint32), axis=3) != 0, wrap_theta, fixed)
+    support = _stencil_support(hist.row_support().reshape(spec.dims), wrap_theta, fixed)
     node = [np.clip(b + 1, 0, d) for b, d in zip(base, spec.dims)]  # clipped rows are out of range, masked by keep
     node[1] = np.mod(base[1], d1) if wrap_theta else node[1]
     col, layer = np.nonzero(keep & support[tuple(node)])

@@ -243,8 +243,8 @@ def _pixel_rects(prim: Primitive, pose: RigidTransform, width: int, height: int,
     lo, hi = prim.bounds()
     t = pose.translation
     rt = pose.rotation.T
-    center = rt @ (0.5 * (lo + hi) - t)
-    half = np.abs(rt) @ (0.5 * (hi - lo))
+    center = rt @ (0.5 * lo + 0.5 * hi - t)  # halved first: hi - lo overflows for a box wider than the float range
+    half = np.abs(rt) @ (0.5 * hi - 0.5 * lo)
     m = _BOUNDS_MARGIN * (1.0 + max(np.abs(lo).max(), np.abs(hi).max(), np.abs(t).max()))
     (x0, y0, z0), (x1, y1, z1) = center - half - m, center + half + m
     rho_min = math.hypot(max(x0, -x1, 0.0), max(y0, -y1, 0.0))

@@ -12,7 +12,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from cylocc import formats
 from cylocc.formats import (
     BadMagic,
     BadVersion,
@@ -99,10 +101,22 @@ class TestOvox:
         spec = GridSpec(CUBOID, (3, 4, 5), ((0.0, 1.0), (0.0, 2.0), (0.0, 3.0)))
         rng = np.random.RandomState(71)
         data = rng.rand(3, 4, 5, 2).astype(np.float32) if kind == "feature" else rng.randint(0, 20, (3, 4, 5)).astype(np.uint8)
+        if kind == "feature":
+            data[rng.rand(3, 4, 5) < 0.5] = 0.0  # unset rows, left out of the row block
+            data[0, 1, 2] = (-0.0, 0.0)  # a set bit: the row is listed
         grid = VoxelGrid(spec, kind, np.asarray(data, order=order))
         assert grid.data.flags.c_contiguous == (order == "C")
         header = encode_voxel_grid(VoxelGrid.zeros(spec, kind, 2))[:50]
-        want = data.astype("<f4").tobytes() if kind == "feature" else data.astype(np.uint8).tobytes()
+        if kind == "feature":
+            rows = [data[i0, i1, i2] for i0 in range(3) for i1 in range(4) for i2 in range(5)]  # flat order
+            listed = [r.tobytes() != bytes(8) for r in rows]
+            # voxel v is bit v % 8 (least significant first) of bitmap byte v // 8
+            bitmap = bytes(sum(1 << j for j in range(8) if listed[8 * b + j]) for b in range(7)) + bytes(
+                [sum(1 << j for j in range(4) if listed[56 + j])])
+            want = bitmap + b"".join(struct.pack("<2f", *r) for r, on in zip(rows, listed) if on)
+            assert header[45] == 3
+        else:
+            want = data.astype(np.uint8).tobytes()
         assert encode_voxel_grid(grid) == header + want
 
     def test_truncated_payload_reports_counts(self, cyl_spec):
@@ -143,9 +157,12 @@ class TestOvox:
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_non_finite_feature_rejected(self, bad):
         spec = GridSpec("cuboid", (2, 2, 2), ((0, 1), (0, 1), (0, 1)))
-        blob = bytearray(encode_voxel_grid(VoxelGrid.zeros(spec, "feature", 3)))
-        # voxel (1, 0, 1) has flat index 5; patch its channel 2
-        struct.pack_into("<f", blob, 50 + (5 * 3 + 2) * 4, bad)
+        grid = VoxelGrid.zeros(spec, "feature", 3)
+        grid.data[1, 0, 1] = 1.0
+        blob = bytearray(encode_voxel_grid(grid))
+        # voxel (1, 0, 1), flat index 5, is the one listed row, after the 1-byte bitmap; patch its channel 2
+        assert blob[50] == 1 << 5 and len(blob) == 50 + 1 + 3 * 4
+        struct.pack_into("<f", blob, 50 + 1 + 2 * 4, bad)
         with pytest.raises(InvalidField):
             decode_voxel_grid(bytes(blob))
 
@@ -164,15 +181,20 @@ class TestOvox:
         assert encode_voxel_grid(grid) == blob
 
     def test_feature_decode_copies_payload_once(self, cyl_spec):
-        blob = encode_voxel_grid(VoxelGrid.zeros(cyl_spec, "feature", 16))
-        payload = len(blob) - 50
+        # about the support of a sketched frame: 6% of the rows set
+        rng = np.random.RandomState(72)
+        data = np.zeros(cyl_spec.dims + (16,), dtype=np.float32)
+        set_rows = rng.rand(*cyl_spec.dims) < 0.06
+        data[set_rows] = rng.rand(int(set_rows.sum()), 16)
+        blob = encode_voxel_grid(VoxelGrid(cyl_spec, "feature", data))
+        stored = len(blob) - 50
         tracemalloc.start()
         try:
             decode_voxel_grid(blob)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.5 * payload
+        assert peak < data.nbytes + 1.5 * stored
 
     def test_label_with_channels_rejected(self, cyl_spec):
         blob = bytearray(encode_voxel_grid(VoxelGrid.zeros(cyl_spec, "label")))
@@ -215,6 +237,109 @@ class TestOvox:
         assert back.spec.dims == dims
         assert back.spec.ranges == tuple(tuple(float(np.float32(v)) for v in r) for r in spec.ranges)
         np.testing.assert_array_equal(back.data, grid.data)
+
+
+SMALL = GridSpec(CUBOID, (3, 1, 3), ((0.0, 1.0), (0.0, 1.0), (0.0, 1.0)))  # 9 voxels: 7 padding bits
+
+
+def ovox_header(spec: GridSpec, kind_code: int, channels: int) -> bytes:
+    """A cuboid OVOX header built with struct, independent of the encoder."""
+    return struct.pack("<4sIB3I6fBI", b"OVOX", 1, 0, *spec.dims, *(v for r in spec.ranges for v in r), kind_code,
+                       channels)
+
+
+@st.composite
+def feature_grids(draw):
+    """Feature grids with rows unset, set, or holding only -0.0; a lattice of any
+    size (V % 8 != 0 included), with every row unset or every row set now and then."""
+    dims = tuple(draw(st.integers(1, 5)) for _ in range(3))
+    channels = draw(st.sampled_from([1, 3, 8, 16]))
+    spec = GridSpec(CUBOID, dims, ((0.0, 1.0), (0.0, 1.0), (0.0, 1.0)))
+    value = st.sampled_from([0.0, -0.0]) | st.floats(width=32, allow_nan=False, allow_infinity=False)
+    rows = draw(hnp.arrays(np.float32, (spec.num_voxels, channels), elements=value))
+    rows[~draw(hnp.arrays(np.bool_, spec.num_voxels))] = 0.0
+    fill = draw(st.sampled_from(["drawn", "all unset", "all set"]))
+    if fill == "all unset":
+        rows[:] = 0.0
+    elif fill == "all set":
+        rows[(rows.view(np.uint32) == 0).all(axis=1), 0] = -0.0
+    return VoxelGrid(spec, "feature", rows.reshape(dims + (channels,)))
+
+
+class TestFeatureRows:
+    """Payload kind 3: a row bitmap, then the listed rows' f32 values."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(grid=feature_grids())
+    def test_round_trip_bit_exact(self, grid):
+        blob = encode_voxel_grid(grid)
+        rows = grid.data.reshape(-1, grid.channels)
+        listed = (rows.view(np.uint32) != 0).any(axis=1)
+        assert blob[45] == 3
+        assert len(blob) == 50 + -(-len(rows) // 8) + int(listed.sum()) * grid.channels * 4
+        back = decode_voxel_grid(blob)
+        assert back.data.tobytes() == grid.data.tobytes()
+        assert encode_voxel_grid(back) == blob
+
+    def test_negative_zero_row_is_listed(self):
+        blob = ovox_header(SMALL, 3, 2) + bytes([1 << 4, 0]) + struct.pack("<2f", 0.0, -0.0)
+        back = decode_voxel_grid(blob)
+        assert back.data[1, 0, 1].tobytes() == struct.pack("<2f", 0.0, -0.0)
+        assert encode_voxel_grid(back) == blob
+
+    @pytest.mark.parametrize("tail,error", [
+        (b"", Truncated),  # no bitmap
+        (bytes([0]), Truncated),  # a short bitmap
+        (bytes([0, 1 << 1]), InvalidField),  # bit 9 is padding past voxel 8
+        (bytes([0, 1 << 7]), InvalidField),
+        (bytes([1, 0]) + bytes(7), Truncated),  # a short row block
+        (bytes([1, 0]) + struct.pack("<2f", 1.0, 2.0) + b"x", InvalidField),  # trailing bytes
+        (bytes([1, 0]) + bytes(8), InvalidField),  # a listed row with no set bit
+        (bytes([3, 0]) + struct.pack("<4f", 1.0, 2.0, 0.0, 0.0), InvalidField),
+        (bytes([1, 0]) + struct.pack("<2f", 1.0, math.nan), InvalidField),
+    ])
+    def test_malformed_rows_fail_typed(self, tail, error):
+        with pytest.raises(error):
+            decode_voxel_grid(ovox_header(SMALL, 3, 2) + tail)
+
+    def test_random_tails_fail_typed_or_are_canonical(self):
+        # anything that decodes is the one encoding of its grid
+        rng = np.random.RandomState(73)
+        header = ovox_header(SMALL, 3, 2)
+        decoded = 0
+        for _ in range(3000):
+            bitmap = bytes([rng.randint(256), rng.choice([0, 0, 1, rng.randint(256)])])
+            rows = np.where(rng.rand(9, 2) < 0.3, 0.0, rng.randint(-3, 4, (9, 2))).astype("<f4").tobytes()
+            blob = header + bitmap + rows[: 8 * bin(bitmap[0]).count("1") + rng.choice([0, 0, -1, 4])]
+            if rng.rand() < 0.2:
+                blob = header + rng.bytes(rng.randint(0, 40))
+            try:
+                grid = decode_voxel_grid(blob)
+            except FormatError:
+                continue
+            decoded += 1
+            assert encode_voxel_grid(grid) == blob
+        assert decoded > 100
+
+    def test_channel_count_past_the_size_cap_refused_before_allocating(self):
+        with pytest.raises(InvalidField, match="exceed"):
+            decode_voxel_grid(ovox_header(SMALL, 3, 2**32 - 1) + bytes(2))
+
+    def test_encoder_refuses_what_the_size_cap_refuses(self, monkeypatch):
+        monkeypatch.setattr(formats, "_MAX_FEATURE_BYTES", 9 * 2 * 4 - 1)
+        with pytest.raises(DomainError, match="exceeds"):
+            encode_voxel_grid(VoxelGrid.zeros(SMALL, "feature", 2))
+
+    def test_dense_kind_2_still_decodes(self):
+        rng = np.random.RandomState(74)
+        data = rng.rand(3, 1, 3, 2).astype(np.float32)
+        data[0, 0, 1] = 0.0
+        legacy = ovox_header(SMALL, 2, 2) + data.astype("<f4").tobytes()
+        back = decode_voxel_grid(legacy)
+        assert back.data.tobytes() == data.tobytes()
+        assert encode_voxel_grid(back)[45] == 3  # written back as rows
+        with pytest.raises(Truncated):
+            decode_voxel_grid(legacy[:-1])
 
 
 class TestOpcd:

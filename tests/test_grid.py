@@ -308,6 +308,30 @@ class TestPayloadValidation:
             VoxelGrid.zeros(spec, "feature", 0)
 
 
+class TestRowSupport:
+    """row_support tests rows in fixed blocks and ORs eight channels' flags per
+    u64 word; the oracle ORs every channel's bits in one pass."""
+
+    @pytest.mark.parametrize("channels", [1, 3, 8, 16, 24])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_matches_bitwise_or_oracle(self, channels, order):
+        spec = GridSpec(CUBOID, (5, 7, grid._BIN_BLOCK // 35 + 3), ((0, 1), (0, 1), (0, 1)))  # crosses a block edge
+        rng = np.random.RandomState(channels)
+        data = np.where(rng.rand(*spec.dims, channels) < 0.05, rng.randn(*spec.dims, channels), 0.0).astype(np.float32)
+        data[rng.rand(*spec.dims) < 0.01, rng.randint(channels)] = -0.0  # a set bit on its own
+        g = VoxelGrid(spec, "feature", np.asarray(data, order=order))
+        got = g.row_support()
+        want = (np.bitwise_or.reduce(data.view(np.uint32), axis=3) != 0).reshape(-1)
+        assert got.dtype == bool and got.shape == (spec.num_voxels,)
+        np.testing.assert_array_equal(got, want)
+        assert 0 < got.sum() < spec.num_voxels
+
+    def test_label_rows(self):
+        spec = GridSpec(CUBOID, (2, 2, 3), ((0, 1), (0, 1), (0, 1)))
+        labels = np.arange(12, dtype=np.uint8).reshape(2, 2, 3) % 3
+        np.testing.assert_array_equal(VoxelGrid(spec, "label", labels).row_support(), labels.reshape(-1) != 0)
+
+
 class TestSpecValidation:
     def test_theta_range_must_be_full_circle(self):
         with pytest.raises(DomainError):

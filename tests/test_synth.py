@@ -40,6 +40,7 @@ from oracles import (
     lidar_ring_origins,
     render_erp_depth_all_pixels,
     scene_first_hit,
+    scene_to_json,
 )
 
 # the cuboid lattice cylocc synth derives from the default cylindrical one
@@ -617,6 +618,29 @@ class TestFarPrimitives:
             scene = Scene((prim, *ground.primitives))
             assert len(synth._boundary_cells(scene, spec)) == 0
             np.testing.assert_array_equal(analytic_voxel_gt(scene, spec, 2).data, analytic_voxel_gt(ground, spec, 2).data)
+
+
+class TestWiderThanFloatRange:
+    """A box wider than the float range along x and y: its pixel rectangle
+    halves each bound before taking their difference, which would overflow."""
+
+    SCENE = Scene((Box((-1e308, -1e308, 0.0), (1e308, 1e308, 1.0), 4), HalfSpace(-1.3, 1)))
+
+    @pytest.mark.parametrize("pose", [None, online_frames_poses()[1]], ids=["identity", "online-frames-1"])
+    def test_render_matches_all_pixels(self, pose):
+        TestCulledRender.assert_matches_oracle(self.SCENE, 64, 32, pose)
+        assert set(np.unique(render_erp_depth(self.SCENE, 64, 32, pose)[1].data)) == {1.0, 4.0}
+
+    def test_cli_synth_exits_zero(self, tmp_path):
+        from cylocc.cli import main
+
+        scene_file = tmp_path / "wide.json"
+        scene_file.write_text(scene_to_json(self.SCENE))
+        out = tmp_path / "out"
+        args = ["synth", "--scene", str(scene_file), "--erp", "64x32", "--spec", "cylindrical:8x16x16:0:25.6:-2.8:3.6"]
+        assert main([*args, "--out", str(out)]) == 0
+        gt = decode_voxel_grid((out / "gt_cylindrical.ovox").read_bytes())
+        assert np.all(gt.data[:, :, 7:9] == 4)  # the layers of z in [0, 0.8] lie inside the box everywhere
 
 
 class TestCulledCloud:
