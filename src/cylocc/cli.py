@@ -8,7 +8,6 @@ to --report paths or stdout.
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import math
 import sys
@@ -299,7 +298,6 @@ def _cmd_loss(args) -> int:
     return 0
 
 
-@functools.cache  # built once per process: parsing leaves the parser as it was
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="cylocc", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)

@@ -6,13 +6,14 @@ version (currently 1):
 OVOX voxel grids
     magic "OVOX", version u32, coord_sys u8 (0 cuboid, 1 cylindrical),
     dims 3 x u32, ranges 6 x f32 (per-axis min/max), payload kind u8
-    (0 label u8, 1 occupancy u8, 3 feature rows), channel count u32, then
-    the payload in flat index order i = (i0*D1 + i1)*D2 + i2. Feature rows
-    are a ceil(V/8)-byte bitmap (voxel i is bit i % 8, least significant
-    first, of byte i // 8) of the rows with a set bit (row_support; -0.0
-    counts), then those rows' C f32 values. Set padding bits and listed rows
-    with no set bit are refused, so a grid has one encoding; it decodes to at
-    most 2 GiB. Kind 2, every row's f32 values, is read but not written.
+    (0 label u8, 1 occupancy u8, 2 feature f32, 3 feature rows), channel
+    count u32, then the payload in flat index order i = (i0*D1 + i1)*D2 + i2.
+    Feature rows are a ceil(V/8)-byte bitmap (voxel i is bit i % 8, least
+    significant first, of byte i // 8) of the rows with a set bit
+    (row_support; -0.0 counts), then those rows' C f32 values. Set padding
+    bits and listed rows with no set bit are refused, so a grid has one
+    encoding. Feature rows carry at most 256 channels (a bitmap byte decodes
+    to at most 8 KiB); a wider grid is written as kind 2, every row's f32.
 
 OPCD point clouds
     magic "OPCD", version u32, count u64, then per point x/y/z as f32
@@ -48,7 +49,7 @@ import numpy as np
 
 from .errors import DomainError, require_finite
 from .geom import ErpImage, FisheyeCamera, LabeledPointCloud, RigidTransform
-from .grid import CUBOID, CYLINDRICAL, GridSpec, LabelSet, VoxelGrid, default_label_set
+from .grid import CUBOID, CYLINDRICAL, GridSpec, LabelSet, VoxelGrid, default_label_set, row_support
 from .losses import ClassWeights, class_weights
 from .synth import Box, HalfSpace, Scene, Sphere, VerticalCylinder
 
@@ -137,10 +138,10 @@ def _exact_length(buf: bytes, expected_len: int, fieldname: str) -> None:
 
 _COORD_CODES = {CUBOID: 0, CYLINDRICAL: 1}
 _COORD_NAMES = {v: k for k, v in _COORD_CODES.items()}
-_FEATURE_ROWS = 3  # the feature payload kind the encoder writes; kind 2, dense features, is only read
-_PAYLOAD_CODES = {"label": 0, "occupancy": 1, "feature": _FEATURE_ROWS}
+_FEATURE_ROWS = 3  # feature rows; kind 2, dense features, is written only past _MAX_ROW_CHANNELS
+_PAYLOAD_CODES = {"label": 0, "occupancy": 1, "feature": 2}
 _PAYLOAD_NAMES = {0: "label", 1: "occupancy", 2: "feature", _FEATURE_ROWS: "feature"}
-_MAX_FEATURE_BYTES = 1 << 31  # a row-sparse grid decodes to at most this many bytes
+_MAX_ROW_CHANNELS = 256  # so each bitmap byte decodes to at most 8 KiB: a short file cannot ask for GiBs
 
 _OVOX_HEADER = struct.Struct("<4sIB3I6fBI")
 
@@ -152,22 +153,22 @@ def encode_voxel_grid(grid: VoxelGrid) -> bytes:
         GridSpec(grid.spec.coord_sys, grid.spec.dims, (ranges[0:2], ranges[2:4], ranges[4:6]))
     except DomainError as e:
         raise DomainError(f"grid ranges {grid.spec.ranges} stored as f32 make no valid spec: {e}") from None
+    as_rows = grid.kind == "feature" and grid.channels <= _MAX_ROW_CHANNELS
     header = _OVOX_HEADER.pack(
         b"OVOX",
         FORMAT_VERSION,
         _COORD_CODES[grid.spec.coord_sys],
         *grid.spec.dims,
         *ranges,
-        _PAYLOAD_CODES[grid.kind],
+        _FEATURE_ROWS if as_rows else _PAYLOAD_CODES[grid.kind],
         grid.channels,
     )
-    if grid.kind != "feature":  # the join is the only copy unless the payload needs converting to C order
-        return b"".join((header, memoryview(np.ascontiguousarray(grid.data, dtype=np.uint8))))
-    if grid.data.nbytes > _MAX_FEATURE_BYTES:
-        raise DomainError(f"a feature payload of {grid.data.nbytes} bytes exceeds the {_MAX_FEATURE_BYTES} OVOX reads")
+    if not as_rows:  # the join is the only copy unless the payload needs converting to C order or the stored dtype
+        dense = np.ascontiguousarray(grid.data, dtype="<f4" if grid.kind == "feature" else np.uint8)
+        return b"".join((header, memoryview(dense)))
     listed = grid.row_support()
     rows = grid.data.reshape(-1, grid.channels)
-    rows = rows if listed.all() else rows[listed]  # a grid with every row set skips the gather
+    rows = rows if listed.all() else rows[listed]  # every row stored: no gather, as the decoder makes no scatter
     return b"".join((header, np.packbits(listed, bitorder="little"), memoryview(np.ascontiguousarray(rows, "<f4"))))
 
 
@@ -192,8 +193,8 @@ def decode_voxel_grid(buf: bytes) -> VoxelGrid:
     voxels = rows = spec.num_voxels
     start, listed, item = _OVOX_HEADER.size, None, np.dtype("<f4" if kind == "feature" else np.uint8)
     if kind_code == _FEATURE_ROWS:
-        if voxels * channels * 4 > _MAX_FEATURE_BYTES:
-            raise InvalidField(f"{voxels} x {channels} f32 exceed {_MAX_FEATURE_BYTES} bytes", 46, "channels")
+        if channels > _MAX_ROW_CHANNELS:
+            raise InvalidField(f"{channels} channels exceed the {_MAX_ROW_CHANNELS} of feature rows", 46, "channels")
         bitmap = np.frombuffer(_need(buf, start, -(-voxels // 8), "row bitmap"), dtype=np.uint8)
         bits = np.unpackbits(bitmap, bitorder="little")
         if bits[voxels:].any():
@@ -201,16 +202,15 @@ def decode_voxel_grid(buf: bytes) -> VoxelGrid:
         listed = bits[:voxels].view(bool)
         start, rows = start + len(bitmap), int(np.count_nonzero(listed))
     _exact_length(buf, start + rows * channels * item.itemsize, "payload")
-    # frombuffer shares buf, so the copy, or the scatter into zeros, is the one writable copy
     raw = np.frombuffer(buf, dtype=item, count=rows * channels, offset=start).reshape(rows, channels)
-    data = raw.copy() if listed is None else np.zeros((voxels, channels), dtype=np.float32)
-    if listed is not None:
+    if listed is not None and not row_support(raw).all():  # checked on the stored rows alone
+        raise InvalidField("a listed row holds no set bit", offset=start, fieldname="row bitmap")
+    # frombuffer shares buf, so the copy of every row, or the scatter into zeros, is the one writable copy
+    data = raw.copy() if rows == voxels else np.zeros((voxels, channels), dtype=np.float32)
+    if rows < voxels:
         data[listed] = raw
     with _fields("payload", offset=start):
-        grid = VoxelGrid(spec, kind, data.reshape(spec.dims + ((channels,) if kind == "feature" else ())))
-    if listed is not None and not np.array_equal(grid.row_support(), listed):
-        raise InvalidField("a listed row holds no set bit", offset=start, fieldname="row bitmap")
-    return grid
+        return VoxelGrid(spec, kind, data.reshape(spec.dims + ((channels,) if kind == "feature" else ())))
 
 
 _OPCD_HEADER = struct.Struct("<4sIQ")

@@ -152,6 +152,19 @@ def default_cylindrical_spec() -> GridSpec:
     )
 
 
+def row_support(rows: np.ndarray) -> np.ndarray:
+    """(N,) mask of the rows of an (N, C) block holding any set bit (-0.0 counts), tested in fixed row blocks."""
+    bits = rows.view(f"u{rows.itemsize}")
+    out = np.empty(len(rows), dtype=bool)
+    for s in range(0, len(rows), _BIN_BLOCK):
+        nz = bits[s : s + _BIN_BLOCK] != 0
+        if nz.shape[1] > 32:
+            out[s : s + _BIN_BLOCK] = nz.any(axis=1)
+        else:  # OR the flags of up to eight channels per word column by column: 2-5x faster than any(axis=1)
+            out[s : s + _BIN_BLOCK] = functools.reduce(np.bitwise_or, nz.view(f"u{math.gcd(nz.shape[1], 8)}").T) != 0
+    return out
+
+
 PAYLOAD_KINDS = ("label", "occupancy", "feature")
 _PAYLOAD_DTYPES = {"label": np.uint8, "occupancy": np.uint8, "feature": np.float32}
 
@@ -191,18 +204,8 @@ class VoxelGrid:
         return 1 if self.kind != "feature" else self.data.shape[3]
 
     def row_support(self) -> np.ndarray:
-        """(V,) mask of the payload rows, in flat order, that hold any set bit
-        (so a -0.0 counts). Rows are tested in fixed blocks: no (V, C) temporary."""
-        rows = self.data.reshape(self.spec.num_voxels, self.channels)
-        bits = rows.view(f"u{rows.itemsize}")
-        out = np.empty(len(rows), dtype=bool)
-        for s in range(0, len(rows), _BIN_BLOCK):
-            nz = bits[s : s + _BIN_BLOCK] != 0
-            if nz.shape[1] % 8:
-                out[s : s + _BIN_BLOCK] = nz.any(axis=1)
-            else:  # OR the u64 words of eight channels' flags column by column; a short-axis reduce is 3x slower
-                out[s : s + _BIN_BLOCK] = functools.reduce(np.bitwise_or, nz.view(np.uint64).T) != 0
-        return out
+        """(V,) mask of the payload rows, in flat order, that hold any set bit (see row_support)."""
+        return row_support(self.data.reshape(self.spec.num_voxels, self.channels))
 
     @staticmethod
     def zeros(spec: GridSpec, kind: str, channels: int = 1) -> "VoxelGrid":

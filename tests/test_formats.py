@@ -321,14 +321,40 @@ class TestFeatureRows:
             assert encode_voxel_grid(grid) == blob
         assert decoded > 100
 
-    def test_channel_count_past_the_size_cap_refused_before_allocating(self):
-        with pytest.raises(InvalidField, match="exceed"):
-            decode_voxel_grid(ovox_header(SMALL, 3, 2**32 - 1) + bytes(2))
+    def test_tiny_header_cannot_ask_for_gibs(self):
+        # 51 bytes: dims (2, 2, 2), an all-unset bitmap and 2**26 channels would decode to 2 GiB
+        blob = ovox_header(GridSpec(CUBOID, (2, 2, 2), ((0.0, 1.0),) * 3), 3, 2**26) + bytes(1)
+        assert len(blob) == 51
+        tracemalloc.start()
+        try:
+            with pytest.raises(InvalidField, match="channels"):
+                decode_voxel_grid(blob)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
-    def test_encoder_refuses_what_the_size_cap_refuses(self, monkeypatch):
-        monkeypatch.setattr(formats, "_MAX_FEATURE_BYTES", 9 * 2 * 4 - 1)
-        with pytest.raises(DomainError, match="exceeds"):
-            encode_voxel_grid(VoxelGrid.zeros(SMALL, "feature", 2))
+    def test_decoded_size_grows_with_the_file(self):
+        # the widest rows the kind allows, none set: each bitmap byte decodes to 8 voxels x 256 x 4 bytes
+        spec = GridSpec(CUBOID, (8, 8, 8), ((0.0, 1.0),) * 3)
+        blob = ovox_header(spec, 3, formats._MAX_ROW_CHANNELS) + bytes(512 // 8)
+        tracemalloc.start()
+        try:
+            grid = decode_voxel_grid(blob)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert grid.data.nbytes == 8 * 1024 * 64 and peak < 8 * 1024 * len(blob) + (1 << 16)
+        with pytest.raises(InvalidField, match="channels"):
+            decode_voxel_grid(ovox_header(spec, 3, formats._MAX_ROW_CHANNELS + 1) + bytes(512 // 8))
+
+    def test_wider_grids_are_written_dense(self):
+        # past the channel bound of feature rows the encoder writes kind 2, so any channel count round-trips
+        data = np.zeros((3, 1, 3, formats._MAX_ROW_CHANNELS + 1), dtype=np.float32)
+        data[1, 0, 2, 7] = -0.0
+        blob = encode_voxel_grid(VoxelGrid(SMALL, "feature", data))
+        assert blob[45] == 2 and len(blob) == 50 + data.nbytes
+        assert decode_voxel_grid(blob).data.tobytes() == data.tobytes()
 
     def test_dense_kind_2_still_decodes(self):
         rng = np.random.RandomState(74)

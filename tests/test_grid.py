@@ -309,10 +309,11 @@ class TestPayloadValidation:
 
 
 class TestRowSupport:
-    """row_support tests rows in fixed blocks and ORs eight channels' flags per
-    u64 word; the oracle ORs every channel's bits in one pass."""
+    """row_support tests rows in fixed blocks and, up to 32 channels, ORs the
+    flags of up to eight channels per word; the oracle ORs every channel's bits
+    in one pass."""
 
-    @pytest.mark.parametrize("channels", [1, 3, 8, 16, 24])
+    @pytest.mark.parametrize("channels", [1, 3, 8, 12, 16, 24, 33])  # 33: past the word OR, any(axis=1)
     @pytest.mark.parametrize("order", ["C", "F"])
     def test_matches_bitwise_or_oracle(self, channels, order):
         spec = GridSpec(CUBOID, (5, 7, grid._BIN_BLOCK // 35 + 3), ((0, 1), (0, 1), (0, 1)))  # crosses a block edge
@@ -324,6 +325,7 @@ class TestRowSupport:
         want = (np.bitwise_or.reduce(data.view(np.uint32), axis=3) != 0).reshape(-1)
         assert got.dtype == bool and got.shape == (spec.num_voxels,)
         np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(grid.row_support(data.reshape(-1, channels)), want)  # a bare (N, C) block
         assert 0 < got.sum() < spec.num_voxels
 
     def test_label_rows(self):
