@@ -28,9 +28,7 @@ from .formats import (
     encode_voxel_grid,
     pose_from_json,
     rig_from_json,
-    scene_from_json,
     spec_from_json,
-    weights_from_json,
 )
 from .geom import UNLABELED, LabeledPointCloud, erp_depth_to_point_cloud, surround_rig
 from .grid import (
@@ -43,9 +41,9 @@ from .grid import (
     default_label_set,
     voxelize_semantic,
 )
-from .losses import ProbGrid, _weight_vector, class_weights, dice_macro, scal_loss, weighted_ce
+from .losses import ProbGrid, _weight_vector, class_weights, dice_macro, scal_loss, weighted_ce, weights_from_json
 from .metrics import generate_rays, ray_iou
-from .sketch import CandidateMask, DilationSchedule, dilate_radial, sketch_from_points
+from .sketch import CandidateMask, DilationSchedule, default_schedule, dilate_radial, sketch_from_points
 
 
 # argparse type converters: each parses one flag's syntax, so a malformed
@@ -167,7 +165,7 @@ def _cmd_info(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    scene, labels = scene_from_json(Path(args.scene).read_bytes())
+    scene, labels = synth_mod.scene_from_json(Path(args.scene).read_bytes())
     rig = rig_from_json(Path(args.rig).read_bytes()) if args.rig else surround_rig()
     cyl_spec = _load_spec(args.spec)
     if cyl_spec.coord_sys != CYLINDRICAL:
@@ -325,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--depth", required=True)
     s.add_argument("--spec", type=_spec, default="default")
     s.add_argument("--min-points", type=int, default=1, dest="min_points")
-    s.add_argument("--schedule", type=_schedule, default="8.5:0,17:1,25.6:2")
+    s.add_argument("--schedule", type=_schedule, default=default_schedule().bands)
     s.add_argument("--stride", type=int, default=1)
     s.add_argument("--out", required=True)
     s.set_defaults(func=_cmd_sketch)

@@ -30,12 +30,12 @@ specs carry f32-rounded ranges; payloads round-trip bit-exactly. Encoders
 refuse, with DomainError, what their decoders would reject: a grid whose
 f32-rounded ranges make no valid spec, and a point beyond f32 range.
 
-JSON documents cover camera rigs, scenes, poses, grid specs and class
-weights; their loaders raise InvalidField on malformed content: a missing
-key, a wrong type, a non-finite number, a vector of the wrong length, a
-non-integer size or a non-string name. _fields is the single mapping from
-what a malformed value raises to InvalidField, for the JSON loaders and for
-the binary decoders' constructor checks alike.
+JSON: this module reads rigs, poses and grid specs, cylocc.synth scenes and
+cylocc.losses class weights, all through _load_json and its typed readers.
+Every loader raises InvalidField on a missing key, a wrong type, a non-finite
+number, a vector of the wrong length, a non-integer size or a non-string
+name: _fields is the one mapping from what a malformed value raises to
+InvalidField, for the JSON loaders and the binary decoders alike.
 """
 
 from __future__ import annotations
@@ -49,9 +49,7 @@ import numpy as np
 
 from .errors import DomainError, require_finite
 from .geom import ErpImage, FisheyeCamera, LabeledPointCloud, RigidTransform
-from .grid import CUBOID, CYLINDRICAL, GridSpec, LabelSet, VoxelGrid, default_label_set, row_support
-from .losses import ClassWeights, class_weights
-from .synth import Box, HalfSpace, Scene, Sphere, VerticalCylinder
+from .grid import CUBOID, CYLINDRICAL, GridSpec, VoxelGrid, row_support
 
 FORMAT_VERSION = 1
 
@@ -146,9 +144,14 @@ _MAX_ROW_CHANNELS = 256  # so each bitmap byte decodes to at most 8 KiB: a short
 _OVOX_HEADER = struct.Struct("<4sIB3I6fBI")
 
 
+def _f32(values) -> np.ndarray:
+    """Values rounded to f32, the precision OVOX stores grid ranges in; inf beyond it."""
+    with np.errstate(over="ignore"):
+        return np.asarray(values, dtype=np.float32)
+
+
 def encode_voxel_grid(grid: VoxelGrid) -> bytes:
-    with np.errstate(over="ignore"):  # a range beyond f32 becomes inf, which the spec check refuses
-        ranges = [float(np.float32(v)) for pair in grid.spec.ranges for v in pair]
+    ranges = _f32(grid.spec.ranges).reshape(-1).tolist()  # a range beyond f32 becomes inf, which the spec check refuses
     try:
         GridSpec(grid.spec.coord_sys, grid.spec.dims, (ranges[0:2], ranges[2:4], ranges[4:6]))
     except DomainError as e:
@@ -341,33 +344,6 @@ def rig_from_json(text: str | bytes) -> list[FisheyeCamera]:
     return rig
 
 
-# shape tag -> (primitive class, JSON key and reader of each constructor
-# argument before the label, in field order)
-_SHAPES = {
-    "half_space": (HalfSpace, (("height", _num),)),
-    "box": (Box, (("min", _vec(3)), ("max", _vec(3)))),
-    "cylinder": (VerticalCylinder, (("center", _vec(2)), ("radius", _num), ("z_min", _num), ("z_max", _num))),
-    "sphere": (Sphere, (("center", _vec(3)), ("radius", _num))),
-}
-
-
-def scene_from_json(text: str | bytes) -> tuple[Scene, LabelSet]:
-    doc = _load_json(text, "scene config")
-    if not isinstance(doc, dict) or not isinstance(doc.get("primitives"), list):
-        raise InvalidField("scene config must be an object with a primitives array", fieldname="scene")
-    with _fields("classes"):
-        labels = LabelSet(_vec(None, _str)(doc["classes"])) if "classes" in doc else default_label_set()
-    prims = []
-    for i, entry in enumerate(doc["primitives"]):
-        with _fields(f"primitives[{i}]"):
-            if entry["shape"] not in _SHAPES:
-                raise InvalidField(f"unknown shape tag {entry['shape']!r}", fieldname=f"primitives[{i}].shape")
-            cls, args = _SHAPES[entry["shape"]]
-            prims.append(cls(*(read(entry[key]) for key, read in args), labels.index_of(entry["label"])))
-    with _fields("primitives"):
-        return Scene(tuple(prims)), labels
-
-
 def pose_to_json(pose: RigidTransform) -> str:
     return json.dumps({"pose": [float(v) for v in pose.matrix().reshape(-1)]})
 
@@ -385,11 +361,3 @@ def spec_from_json(text: str | bytes) -> GridSpec:
     with _fields("spec"):
         return GridSpec(doc["coord_sys"], _vec(3, _int)(doc["dims"]), _vec(3, _vec(2))(doc["ranges"]))
 
-
-def weights_from_json(text: str | bytes) -> ClassWeights:
-    """Class weights from {"frequencies": [...], "constant": 1.02}."""
-    doc = _load_json(text, "class weights")
-    if not isinstance(doc, dict) or "frequencies" not in doc:
-        raise InvalidField("class weights must be an object with a frequencies array", fieldname="weights")
-    with _fields("weights"):
-        return class_weights(_vec(None)(doc["frequencies"]), _num(doc.get("constant", 1.02)))

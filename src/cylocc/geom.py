@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, ShapeError, require_finite
+from .errors import DomainError, ShapeError, require_count, require_finite
 
 # Label value for points lifted from a depth raster without semantics.
 UNLABELED = 255
@@ -213,7 +213,7 @@ def erp_depth_to_point_cloud(
         raise DomainError("depth raster must have kind depth_meters")
     if semantic is not None and (semantic.width, semantic.height) != (depth.width, depth.height):
         raise ShapeError("semantic raster size differs from depth raster")
-    if stride < 1:
+    if require_count("stride", stride)[0] < 1:
         raise DomainError("stride must be >= 1")
 
     d = depth.data[::stride, ::stride]

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ShapeError, require_finite
+from .formats import InvalidField, _fields, _load_json, _num, _vec
 from .geom import UNLABELED, ErpImage
 from .grid import GridSpec, VoxelGrid
 
@@ -83,6 +84,15 @@ def class_weights(frequencies, constant: float = 1.02) -> ClassWeights:
     if np.any(f + constant <= 1.0):
         raise DomainError("f_c + constant must exceed 1 for every class")
     return ClassWeights(1.0 / np.log(f + constant), float(constant), f)
+
+
+def weights_from_json(text: str | bytes) -> ClassWeights:
+    """Class weights from {"frequencies": [...], "constant": c}; without c, class_weights' default."""
+    doc = _load_json(text, "class weights")
+    if not isinstance(doc, dict) or "frequencies" not in doc:
+        raise InvalidField("class weights must be an object with a frequencies array", fieldname="weights")
+    with _fields("weights"):
+        return class_weights(_vec(None)(doc["frequencies"]), *([_num(doc["constant"])] if "constant" in doc else []))
 
 
 def _probs_array(pred) -> np.ndarray:

@@ -110,47 +110,39 @@ class BatchHits:
 def _sorted_crossings(spec: GridSpec, o: np.ndarray, d: np.ndarray, max_dist: float) -> np.ndarray:
     """Row-sorted crossing parameters: 0, every lattice crossing inside
     (0, max_dist), and max_dist for the rest, so each row ends in zero-length
-    max_dist padding. Interval j lies between columns j and j + 1. A
-    cylindrical block builds its near r roots only if some ray has
-    b = 2 (o.d)_xy < 0, and its azimuth planes only if some origin is off
-    the axis: else every such entry is <= 0 or NaN, which could only add
-    padding after a row's first max_dist column."""
+    max_dist padding. Interval j lies between columns j and j + 1. Every
+    block builds every crossing family: a cylindrical one D2 + 1 z planes,
+    the far and the near root of each of the D0 + 1 r shells and D1 azimuth
+    planes, a cuboid one D_k + 1 planes per axis."""
     dims = spec.dims
-    if spec.coord_sys == CYLINDRICAL:
-        a = d[:, 0] ** 2 + d[:, 1] ** 2
-        b = 2.0 * (o[:, 0] * d[:, 0] + o[:, 1] * d[:, 1])
-        c0 = o[:, 0] ** 2 + o[:, 1] ** 2
-        near = bool(np.any(b < 0.0))
-        # test the coordinates: c0 underflows to 0 at |o_xy| ~ 1e-300, the plane numerators do not
-        off_axis = bool(np.any(o[:, :2] != 0.0))
-        widths = [dims[2] + 1, dims[0] + 1, near * (dims[0] + 1), off_axis * dims[1]]
-    else:
-        widths = [n + 1 for n in dims]
+    cyl = spec.coord_sys == CYLINDRICAL
+    widths = [dims[2] + 1, dims[0] + 1, dims[0] + 1, dims[1]] if cyl else [n + 1 for n in dims]
     ts = np.empty((len(o), sum(widths) + 2))
     ts[:, 0], ts[:, -1] = 0.0, max_dist
     mid = ts[:, 1:-1]
     cols = np.split(mid, np.cumsum(widths)[:-1], axis=1)
-    for k, col in zip([2] if spec.coord_sys == CYLINDRICAL else range(3), cols):  # the planes of Cartesian axis k
+    for k, col in zip([2] if cyl else range(3), cols):  # the planes of Cartesian axis k
         edges = spec.axis_value(np.arange(dims[k] + 1), k)
         np.divide(np.subtract(edges, o[:, k : k + 1], out=col), d[:, k : k + 1], out=col)
-    if spec.coord_sys == CYLINDRICAL:
+    if cyl:
+        a = d[:, 0] ** 2 + d[:, 1] ** 2
+        b = 2.0 * (o[:, 0] * d[:, 0] + o[:, 1] * d[:, 1])
+        c0 = o[:, 0] ** 2 + o[:, 1] ** 2
         rk2 = spec.axis_value(np.arange(dims[0] + 1), 0) ** 2
         disc = np.multiply((4.0 * a)[:, None], np.subtract(c0[:, None], rk2, out=cols[1]), out=cols[1])
         np.subtract((b**2)[:, None], disc, out=disc)  # b^2 - 4a (c0 - rk^2)
         # tangent guard: near-zero discriminants are treated as no crossing
         np.copyto(disc, np.nan, where=~((disc >= 1e-12) & (a[:, None] > 1e-30)))
-        sq = np.sqrt(disc, out=cols[2] if near else disc)
+        sq = np.sqrt(disc, out=cols[2])
         inv2a = 0.5 / a[:, None]
         np.multiply(np.add(-b[:, None], sq, out=cols[1]), inv2a, out=cols[1])
-        if near:
-            np.multiply(np.subtract(-b[:, None], sq, out=cols[2]), inv2a, out=cols[2])
-        if off_axis:
-            # azimuth planes step from exactly -pi, not from the stored theta
-            # range, which decoded specs carry rounded to f32
-            alpha = -math.pi + np.arange(dims[1]) * (2.0 * math.pi / dims[1])
-            nx, ny = -np.sin(alpha), np.cos(alpha)
-            num = np.add(np.multiply(o[:, 0:1], nx, out=cols[3]), o[:, 1:2] * ny, out=cols[3])
-            np.divide(np.negative(num, out=num), d[:, 0:1] * nx + d[:, 1:2] * ny, out=num)
+        np.multiply(np.subtract(-b[:, None], sq, out=cols[2]), inv2a, out=cols[2])
+        # azimuth planes step from exactly -pi, not from the stored theta
+        # range, which decoded specs carry rounded to f32
+        alpha = -math.pi + np.arange(dims[1]) * (2.0 * math.pi / dims[1])
+        nx, ny = -np.sin(alpha), np.cos(alpha)
+        num = np.add(np.multiply(o[:, 0:1], nx, out=cols[3]), o[:, 1:2] * ny, out=cols[3])
+        np.divide(np.negative(num, out=num), d[:, 0:1] * nx + d[:, 1:2] * ny, out=num)
     np.copyto(mid, max_dist, where=~((mid > 0.0) & (mid < max_dist)))
     ts.sort(axis=1)
     return ts

@@ -14,14 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, require_count, require_finite
+from .formats import _f32
 from .geom import LabeledPointCloud
 from .grid import CYLINDRICAL, GridSpec, VoxelGrid
-
-
-def _f32(values) -> np.ndarray:
-    """Values rounded to f32, the precision OVOX stores grid ranges in; inf beyond it."""
-    with np.errstate(over="ignore"):
-        return np.asarray(values, dtype=np.float32)
 
 
 @dataclass(frozen=True)
@@ -103,7 +98,7 @@ def sketch_from_points(
     """Occupy every voxel containing at least min_points cloud points."""
     if spec.coord_sys != CYLINDRICAL:
         raise DomainError("sketching requires a cylindrical grid spec")
-    if min_points < 1:
+    if require_count("min_points", min_points)[0] < 1:
         raise DomainError("min_points must be >= 1")
     flat = spec.point_to_flat(cloud.points)
     counts = np.bincount(flat[flat >= 0], minlength=spec.num_voxels)

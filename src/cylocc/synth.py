@@ -15,9 +15,10 @@ from itertools import product
 
 import numpy as np
 
-from .errors import DomainError, require_finite
+from .errors import DomainError, require_count, require_finite
+from .formats import InvalidField, _fields, _load_json, _num, _str, _vec
 from .geom import UNLABELED, ErpImage, LabeledPointCloud, RigidTransform, _as_points, _erp_trig
-from .grid import CUBOID, CYLINDRICAL, GridSpec, VoxelGrid, majority_vote
+from .grid import CUBOID, CYLINDRICAL, GridSpec, LabelSet, VoxelGrid, default_label_set, majority_vote
 from .metrics import generate_rays
 
 _T_MIN = 1e-9  # smallest admissible ray parameter
@@ -218,6 +219,34 @@ class Scene:
         return labels
 
 
+# shape tag -> (primitive class, JSON key and reader of each constructor
+# argument before the label, in field order)
+_SHAPES = {
+    "half_space": (HalfSpace, (("height", _num),)),
+    "box": (Box, (("min", _vec(3)), ("max", _vec(3)))),
+    "cylinder": (VerticalCylinder, (("center", _vec(2)), ("radius", _num), ("z_min", _num), ("z_max", _num))),
+    "sphere": (Sphere, (("center", _vec(3)), ("radius", _num))),
+}
+
+
+def scene_from_json(text: str | bytes) -> tuple[Scene, LabelSet]:
+    """A scene and its class names from {"classes": [...], "primitives": [...]}; classes default to the default set."""
+    doc = _load_json(text, "scene config")
+    if not isinstance(doc, dict) or not isinstance(doc.get("primitives"), list):
+        raise InvalidField("scene config must be an object with a primitives array", fieldname="scene")
+    with _fields("classes"):
+        labels = LabelSet(_vec(None, _str)(doc["classes"])) if "classes" in doc else default_label_set()
+    prims = []
+    for i, entry in enumerate(doc["primitives"]):
+        with _fields(f"primitives[{i}]"):
+            if entry["shape"] not in _SHAPES:
+                raise InvalidField(f"unknown shape tag {entry['shape']!r}", fieldname=f"primitives[{i}].shape")
+            cls, args = _SHAPES[entry["shape"]]
+            prims.append(cls(*(read(entry[key]) for key, read in args), labels.index_of(entry["label"])))
+    with _fields("primitives"):
+        return Scene(tuple(prims)), labels
+
+
 def _erp_rows(width: int, height: int, v0: int, v1: int) -> np.ndarray:
     """(v1 - v0, W, 3) ego-frame directions (cos phi * cos lambda, cos phi * sin lambda,
     sin phi) of rows v0..v1-1 of a W x H ERP raster, from the depth lift's trig table."""
@@ -387,7 +416,7 @@ def analytic_voxel_gt(scene: Scene, spec: GridSpec, supersample: int = 3) -> Vox
     of its layer, flat index k, does among the half-spaces alone.
     Only the cells _boundary_cells flags are probed in the whole scene.
     """
-    if not 1 <= supersample <= _MAX_SUPERSAMPLE:
+    if not 1 <= require_count("supersample", supersample)[0] <= _MAX_SUPERSAMPLE:
         raise DomainError(f"supersample must be in [1, {_MAX_SUPERSAMPLE}]")
     ground = Scene(tuple(p for p in scene.primitives if isinstance(p, HalfSpace)))
     labels = np.tile(_probe_vote(ground, spec, np.arange(spec.dims[2]), supersample), spec.num_voxels // spec.dims[2])

@@ -8,10 +8,9 @@ computing the geometry once per ray and reading labels per grid;
 the fixed-step marcher is the brute-force one. The all-intervals caster sorts its
 crossings with its own builder, sorted_crossings_all_families, which
 computes every crossing family (z planes, both r roots of every shell,
-every azimuth plane) for every ray, so it shares no crossing code with
-metrics._sorted_crossings, which leaves out the families that can hold
-only padding; the two must agree bit for bit up to each row's first
-max_dist column. The synth oracle has two:
+every azimuth plane) for every ray from its own primitives, so it shares
+no crossing code with metrics._sorted_crossings; the two must agree bit
+for bit up to each row's first max_dist column. The synth oracle has two:
 analytic_voxel_gt_all_probes, which probes every voxel supersample^3
 times and votes once, for analytic_voxel_gt's vote, which votes each layer
 once among the half-spaces and probes only the cells near a bounded
@@ -120,8 +119,8 @@ def sorted_crossings_all_families(spec: GridSpec, o: np.ndarray, d: np.ndarray, 
     ray (z planes, both r roots, all azimuth planes; or the three axis plane
     families): 0, every lattice crossing inside (0, max_dist), and max_dist
     for the rest, row-sorted. The exact reference for the kernel, which
-    leaves out families that hold only padding: the two agree bit for bit
-    up to each row's first max_dist column."""
+    builds its columns in place: the two agree bit for bit up to each row's
+    first max_dist column."""
     n = len(o)
     if spec.coord_sys == CYLINDRICAL:
         raw = cylindrical_crossings(spec, o, d)

@@ -31,14 +31,13 @@ from cylocc.formats import (
     pose_to_json,
     rig_from_json,
     rig_to_json,
-    scene_from_json,
     spec_from_json,
-    weights_from_json,
 )
 from cylocc.errors import DomainError
 from cylocc.geom import ErpImage, LabeledPointCloud, RigidTransform, surround_rig
 from cylocc.grid import CUBOID, CYLINDRICAL, GridSpec, VoxelGrid, default_cylindrical_spec
-from cylocc.synth import Sphere
+from cylocc.losses import weights_from_json
+from cylocc.synth import Sphere, scene_from_json
 from oracles import DEMO07_SCENE, scene_to_json, spec_to_json
 
 

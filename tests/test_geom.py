@@ -160,6 +160,11 @@ class TestDepthLifting:
         cloud = erp_depth_to_point_cloud(ErpImage.depth(depth), stride=2)
         assert len(cloud) == 16
 
+    @pytest.mark.parametrize("stride", [0, -1, 1.5, 2.0, True])
+    def test_stride_not_a_positive_integer_rejected(self, stride):
+        with pytest.raises(DomainError):
+            erp_depth_to_point_cloud(ErpImage.depth(np.ones((8, 8), dtype=np.float32)), stride=stride)
+
     def test_size_mismatch_rejected(self):
         depth = ErpImage.depth(np.ones((4, 8), dtype=np.float32))
         sem = ErpImage.semantic(np.zeros((4, 4), dtype=np.float32))

@@ -11,10 +11,11 @@ lookup per layer run, must match the all-intervals caster with run ends
 on or a margin from r edges, at azimuth edges and the atan2 seam, through
 cell corners, with zero or subnormal direction components, with origins
 far off, on or a hair from a z plane, on r_min > 0 and single-layer
-lattices and in grids whose columns are all full or all empty. The
-crossing builder leaves out the crossing families that can hold only
-padding, and must match the all-families builder bit for bit up to each
-row's first max_dist column. RayIoU confusion logic is pinned by a
+lattices and in grids whose columns are all full or all empty; no ray of
+the default fan or of the `cylocc eval` default fan takes the sorted path.
+The crossing builder builds every crossing family for every block, and
+must match the all-families builder bit for bit up to each row's first
+max_dist column. RayIoU confusion logic is pinned by a
 hand-computed two-ray table on a grid whose cell edges make the distances
 exact.
 """
@@ -28,7 +29,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cylocc import metrics
+from cylocc import cli, metrics
 from cylocc.errors import DomainError, ShapeError
 from cylocc.formats import decode_voxel_grid, encode_voxel_grid
 from cylocc.geom import FisheyeCamera
@@ -381,16 +382,17 @@ def crossing_cases(draw):
 
 
 class TestSortedCrossings:
-    """The crossing builder leaves out the near r roots of blocks with no
-    inward ray and the azimuth planes of blocks with every origin on the
-    axis; its columns must equal the all-families oracle's bit for bit up to
-    each row's first max_dist column."""
+    """The crossing builder builds every crossing family for every block,
+    D2 + 1 + 2 (D0 + 1) + D1 columns between the 0 and max_dist ones on a
+    cylindrical lattice (477 in all on the default one); its columns must
+    equal the all-families oracle's bit for bit up to each row's first
+    max_dist column."""
 
-    def test_default_fan_builds_148_columns(self, cyl_spec):
+    def test_default_fan_builds_477_columns(self, cyl_spec):
         fan = default_ray_fan()
         for s in range(0, len(fan), _CHUNK):
-            # 17 z planes and 129 far r roots, between the 0 and max_dist columns
-            assert assert_same_crossings(cyl_spec, fan.origins[s : s + _CHUNK], fan.directions[s : s + _CHUNK]) == 148
+            # 17 z planes, 129 far and 129 near r roots and 200 azimuth planes, between the 0 and max_dist columns
+            assert assert_same_crossings(cyl_spec, fan.origins[s : s + _CHUNK], fan.directions[s : s + _CHUNK]) == 477
 
     def test_inward_off_axis_ray_builds_every_family(self, cyl_spec):
         fan = default_ray_fan()
@@ -408,11 +410,11 @@ class TestSortedCrossings:
 
     @pytest.mark.parametrize("x,y", [(0.0, 0.0), (-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0)])
     def test_axis_origins(self, cyl_spec, x, y):
-        # b = +-0 on the axis: neither the near roots nor the azimuth planes are built
+        # b = +-0 on the axis: the near roots and the azimuth planes hold only padding
         rng = np.random.RandomState(52)
         n = 500
         o = np.stack([np.full(n, x), np.full(n, y), rng.uniform(-3, 4, n)], axis=1)
-        assert assert_same_crossings(cyl_spec, o, unit_rows(rng.normal(size=(n, 3)))) == 148
+        assert assert_same_crossings(cyl_spec, o, unit_rows(rng.normal(size=(n, 3)))) == 477
 
     @pytest.mark.parametrize("spec", cull_specs(), ids=["default", "default-decoded", "r_min", "r_min-decoded"])
     def test_axis_far_roots(self, spec):
@@ -425,7 +427,7 @@ class TestSortedCrossings:
         d = unit_rows(rng.normal(size=(n, 3)))
         d[:20] = [0.0, 0.0, 1.0]
         d[20:40, :2] *= 1e-16
-        assert assert_same_crossings(spec, o, unit_rows(d)) == spec.dims[2] + spec.dims[0] + 4
+        assert assert_same_crossings(spec, o, unit_rows(d)) == spec.dims[2] + 2 * spec.dims[0] + spec.dims[1] + 5
 
     @pytest.mark.parametrize("o_xy", [(1e-300, 0.0), (0.0, -1e-300), (5e-324, 5e-324)])
     def test_denormal_step_off_axis(self, cyl_spec, o_xy):
@@ -446,7 +448,7 @@ class TestSortedCrossings:
         vertical = np.tile([0.0, 0.0, 1.0], (n, 1))
         vertical[::2, 2] = -1.0
         assert_same_crossings(cyl_spec, o, vertical)
-        assert assert_same_crossings(cyl_spec, o * [0.0, 0.0, 1.0], vertical) == 148  # a = 0: far roots all NaN
+        assert assert_same_crossings(cyl_spec, o * [0.0, 0.0, 1.0], vertical) == 477  # a = 0: r roots all NaN
         # rays along +x at y = r_k graze shell k at t = -x
         y = cyl_spec.axis_value(np.arange(1, 60), 0)
         o = np.column_stack([np.full(len(y), -30.0), y, np.zeros(len(y))])
@@ -463,7 +465,7 @@ class TestSortedCrossings:
         d = unit_rows(np.column_stack([sign * np.cos(radial), sign * np.sin(radial), rng.uniform(-0.4, 0.4, n)]))
         assert assert_same_crossings(cyl_spec, o, d) == 477
         outward = sign > 0
-        assert assert_same_crossings(cyl_spec, o[outward], d[outward]) == 348
+        assert assert_same_crossings(cyl_spec, o[outward], d[outward]) == 477
 
     @settings(max_examples=200, deadline=None)
     @given(case=crossing_cases())
@@ -1147,11 +1149,14 @@ class TestLayerRuns:
                 assert nxt[i, s, k] == (occupied[0] if occupied.size else spec.dims[0])
 
     def test_default_fan_takes_layer_runs(self, street_gt, monkeypatch):
-        # at most 1% of the default fan from the origin sorts its crossings
-        fan, grids = default_ray_fan(), [street_gt, perturbed(street_gt, 8)]
+        # no ray of the two fans the benchmark casts sorts its crossings: the library default fan and
+        # the `cylocc eval` default, into grids as built and as decoded from OVOX (f32 ranges)
+        grids = [street_gt, perturbed(street_gt, 8)]
         seen = recording_crossings(monkeypatch)
-        _cast_grids(fan, grids)
-        assert sum(len(x) for x in seen) <= 0.01 * len(fan)
+        for fan in (default_ray_fan(), generate_rays(512, 32, cli._angle_range("-20:8.6deg"))):
+            _cast_grids(fan, grids)
+            _cast_grids(fan, [decode_voxel_grid(encode_voxel_grid(g)) for g in grids])
+        assert sum(len(x) for x in seen) == 0
 
 
 class TestCasterExactness:

@@ -143,6 +143,11 @@ class TestSketch:
         with pytest.raises(DomainError):
             sketch_from_points(LabeledPointCloud.empty(), default_cuboid_spec())
 
+    @pytest.mark.parametrize("min_points", [0, -1, 1.5, 2.0, True])
+    def test_min_points_not_a_positive_integer_rejected(self, cyl_spec, min_points):
+        with pytest.raises(DomainError):
+            sketch_from_points(LabeledPointCloud.empty(), cyl_spec, min_points)
+
 
 class TestDilation:
     def test_zero_window_is_identity(self, cyl_spec):

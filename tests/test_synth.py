@@ -271,7 +271,7 @@ class TestAnalyticVoxelGt:
         agree = (g1.data == g3.data).mean()
         assert agree >= 0.95
 
-    @pytest.mark.parametrize("supersample", [0, 17, 10**20])
+    @pytest.mark.parametrize("supersample", [0, 17, 10**20, 1.5, 2.0, True])
     def test_supersample_out_of_range_rejected(self, supersample):
         spec = GridSpec(CYLINDRICAL, (2, 4, 2), ((0.0, 25.6), (-math.pi, math.pi), (-2.8, 3.6)))
         with pytest.raises(DomainError):
