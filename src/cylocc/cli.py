@@ -20,6 +20,7 @@ from . import synth as synth_mod
 from .errors import DomainError, ShapeError
 from .formats import (
     FormatError,
+    decode_feature_rows,
     decode_point_cloud,
     decode_raster,
     decode_voxel_grid,
@@ -34,6 +35,7 @@ from .geom import UNLABELED, LabeledPointCloud, erp_depth_to_point_cloud, surrou
 from .grid import (
     CUBOID,
     CYLINDRICAL,
+    FeatureRows,
     GridSpec,
     VoxelGrid,
     class_frequencies,
@@ -144,6 +146,10 @@ def _load_grid(path: str) -> VoxelGrid:
     return decode_voxel_grid(Path(path).read_bytes())
 
 
+def _load_rows(path: str) -> FeatureRows:
+    return decode_feature_rows(Path(path).read_bytes())
+
+
 def _cmd_info(args) -> int:
     buf = Path(args.path).read_bytes()
     magic = buf[:4]
@@ -234,25 +240,23 @@ def _cmd_lift(args) -> int:
             raise FormatError(f"{path} holds a {raster.kind} raster, not features", fieldname="kind")
         features.append(lift_mod.FeatureImage(cam.name, raster.data))
     hits = lift_mod.build_hit_set(mask, rig)
-    grid = lift_mod.color_voxels(hits, features)
-    Path(args.out).write_bytes(encode_voxel_grid(grid))
+    rows = lift_mod.color_rows(hits, features)
+    Path(args.out).write_bytes(encode_voxel_grid(rows))
     print(f"colored {int((~hits.unhit).sum())}/{len(hits)} candidate voxels", file=sys.stderr)
     return 0
 
 
 def _cmd_align(args) -> int:
-    hist = _load_grid(args.hist)
+    # poses first: as when the kind was checked last, a non-feature history exits 3 only if every file reads
     t_hist = pose_from_json(Path(args.pose_hist).read_bytes())
     t_curr = pose_from_json(Path(args.pose_curr).read_bytes())
-    aligned = lift_mod.align_history(hist, t_hist, t_curr)
+    aligned = lift_mod.align_rows(_load_rows(args.hist), t_hist, t_curr)
     Path(args.out).write_bytes(encode_voxel_grid(aligned))
     return 0
 
 
 def _cmd_fuse(args) -> int:
-    curr = _load_grid(args.curr)
-    aligned = [_load_grid(p) for p in args.aligned]
-    fused = lift_mod.fuse_temporal(curr, aligned)
+    fused = lift_mod.fuse_rows(_load_rows(args.curr), [_load_rows(p) for p in args.aligned])
     Path(args.out).write_bytes(encode_voxel_grid(fused))
     return 0
 

@@ -14,6 +14,10 @@ OVOX voxel grids
     bits and listed rows with no set bit are refused, so a grid has one
     encoding. Feature rows carry at most 256 channels (a bitmap byte decodes
     to at most 8 KiB); a wider grid is written as kind 2, every row's f32.
+    A feature grid is also read and written as grid.FeatureRows:
+    encode_voxel_grid writes one as the bytes of its dense() grid, and
+    decode_feature_rows keeps kind 3's stored rows without building the
+    dense grid that decode_voxel_grid scatters them into.
 
 OPCD point clouds
     magic "OPCD", version u32, count u64, then per point x/y/z as f32
@@ -49,7 +53,7 @@ import numpy as np
 
 from .errors import DomainError, require_finite
 from .geom import ErpImage, FisheyeCamera, LabeledPointCloud, RigidTransform
-from .grid import CUBOID, CYLINDRICAL, GridSpec, VoxelGrid, row_support
+from .grid import CUBOID, CYLINDRICAL, FeatureRows, GridSpec, VoxelGrid, row_support
 
 FORMAT_VERSION = 1
 
@@ -150,13 +154,15 @@ def _f32(values) -> np.ndarray:
         return np.asarray(values, dtype=np.float32)
 
 
-def encode_voxel_grid(grid: VoxelGrid) -> bytes:
+def encode_voxel_grid(grid: VoxelGrid | FeatureRows) -> bytes:
+    """OVOX bytes of a grid; a FeatureRows is written as its dense() grid would be."""
     ranges = _f32(grid.spec.ranges).reshape(-1).tolist()  # a range beyond f32 becomes inf, which the spec check refuses
     try:
         GridSpec(grid.spec.coord_sys, grid.spec.dims, (ranges[0:2], ranges[2:4], ranges[4:6]))
     except DomainError as e:
         raise DomainError(f"grid ranges {grid.spec.ranges} stored as f32 make no valid spec: {e}") from None
-    as_rows = grid.kind == "feature" and grid.channels <= _MAX_ROW_CHANNELS
+    grid = grid.dense() if isinstance(grid, FeatureRows) and grid.channels > _MAX_ROW_CHANNELS else grid
+    as_rows = isinstance(grid, FeatureRows) or (grid.kind == "feature" and grid.channels <= _MAX_ROW_CHANNELS)
     header = _OVOX_HEADER.pack(
         b"OVOX",
         FORMAT_VERSION,
@@ -169,13 +175,16 @@ def encode_voxel_grid(grid: VoxelGrid) -> bytes:
     if not as_rows:  # the join is the only copy unless the payload needs converting to C order or the stored dtype
         dense = np.ascontiguousarray(grid.data, dtype="<f4" if grid.kind == "feature" else np.uint8)
         return b"".join((header, memoryview(dense)))
-    listed = grid.row_support()
-    rows = grid.data.reshape(-1, grid.channels)
-    rows = rows if listed.all() else rows[listed]  # every row stored: no gather, as the decoder makes no scatter
+    fr = grid if isinstance(grid, FeatureRows) else FeatureRows.of(grid)
+    keep = row_support(fr.rows)
+    rows = fr.rows if keep.all() else fr.rows[keep]  # every row set: no gather, as the decoder makes no scatter
+    listed = np.zeros(grid.spec.num_voxels, dtype=bool)
+    listed[fr.voxels[keep]] = True
     return b"".join((header, np.packbits(listed, bitorder="little"), memoryview(np.ascontiguousarray(rows, "<f4"))))
 
 
-def decode_voxel_grid(buf: bytes) -> VoxelGrid:
+def _decode_ovox(buf: bytes) -> VoxelGrid | FeatureRows:
+    """An OVOX grid as stored: feature rows (kind 3) as FeatureRows, any other payload as a VoxelGrid."""
     _check_header(buf, b"OVOX")
     _need(buf, 0, _OVOX_HEADER.size, "header")
     fields = _OVOX_HEADER.unpack_from(buf)
@@ -202,18 +211,33 @@ def decode_voxel_grid(buf: bytes) -> VoxelGrid:
         bits = np.unpackbits(bitmap, bitorder="little")
         if bits[voxels:].any():
             raise InvalidField("bits set past the last voxel", offset=start + voxels // 8, fieldname="row bitmap")
-        listed = bits[:voxels].view(bool)
-        start, rows = start + len(bitmap), int(np.count_nonzero(listed))
+        listed = np.flatnonzero(bits[:voxels])
+        start, rows = start + len(bitmap), len(listed)
     _exact_length(buf, start + rows * channels * item.itemsize, "payload")
     raw = np.frombuffer(buf, dtype=item, count=rows * channels, offset=start).reshape(rows, channels)
     if listed is not None and not row_support(raw).all():  # checked on the stored rows alone
         raise InvalidField("a listed row holds no set bit", offset=start, fieldname="row bitmap")
-    # frombuffer shares buf, so the copy of every row, or the scatter into zeros, is the one writable copy
-    data = raw.copy() if rows == voxels else np.zeros((voxels, channels), dtype=np.float32)
-    if rows < voxels:
-        data[listed] = raw
-    with _fields("payload", offset=start):
-        return VoxelGrid(spec, kind, data.reshape(spec.dims + ((channels,) if kind == "feature" else ())))
+    with _fields("payload", offset=start):  # frombuffer shares buf, so the copy is the one writable one
+        if listed is not None:
+            return FeatureRows(spec, listed, raw.copy())
+        return VoxelGrid(spec, kind, raw.copy().reshape(spec.dims + ((channels,) if kind == "feature" else ())))
+
+
+def decode_voxel_grid(buf: bytes) -> VoxelGrid:
+    grid = _decode_ovox(buf)
+    return grid.dense() if isinstance(grid, FeatureRows) else grid
+
+
+def decode_feature_rows(buf: bytes) -> FeatureRows:
+    """An OVOX feature grid as FeatureRows: kind 3 keeps its stored rows, with no
+    dense grid built, and kind 2 goes through FeatureRows.of. A label or
+    occupancy grid is a DomainError once the whole file has decoded."""
+    grid = _decode_ovox(buf)
+    if isinstance(grid, FeatureRows):
+        return grid
+    if grid.kind != "feature":
+        raise DomainError(f"expected a feature grid, found a {grid.kind} grid")
+    return FeatureRows.of(grid)
 
 
 _OPCD_HEADER = struct.Struct("<4sIQ")

@@ -214,6 +214,52 @@ class VoxelGrid:
         return VoxelGrid(spec, kind, np.zeros(spec.dims, dtype=np.uint8))
 
 
+@dataclass
+class FeatureRows:
+    """A feature grid held as the rows of some voxels: every other voxel's row is +0.0.
+
+    voxels (M,) holds strictly increasing flat indices in [0, V); rows (M, C)
+    holds their float32 features, C >= 1, finite (checked on the M rows only).
+    A listed row may be all +0.0; dense() is the VoxelGrid it stands for.
+    """
+
+    spec: GridSpec
+    voxels: np.ndarray
+    rows: np.ndarray
+
+    def __post_init__(self):
+        voxels, rows = np.asarray(self.voxels), np.asarray(self.rows, dtype=np.float32)
+        if voxels.ndim != 1 or (voxels.dtype.kind not in "iu" and voxels.size):
+            raise ShapeError(f"voxels must be (M,) integers, got {voxels.dtype} {voxels.shape}")
+        if rows.ndim != 2 or len(rows) != len(voxels) or rows.shape[1] < 1:
+            raise ShapeError(f"rows must be ({len(voxels)}, channels >= 1), got {rows.shape}")
+        voxels = voxels.astype(np.int64, copy=False)
+        if len(voxels) and (voxels[0] < 0 or voxels[-1] >= self.spec.num_voxels or np.any(voxels[1:] <= voxels[:-1])):
+            raise DomainError("voxels must be strictly increasing flat indices inside the grid")
+        require_finite("feature rows", rows)
+        self.voxels, self.rows = voxels, rows
+
+    @property
+    def channels(self) -> int:
+        return self.rows.shape[1]
+
+    @staticmethod
+    def of(grid: VoxelGrid) -> "FeatureRows":
+        """The row_support() rows of a feature grid; a view of its payload, not a copy, when every row is set."""
+        if grid.kind != "feature":
+            raise DomainError(f"feature rows need a feature grid, got a {grid.kind} grid")
+        flat, voxels = grid.data.reshape(-1, grid.channels), np.flatnonzero(grid.row_support())
+        return FeatureRows(grid.spec, voxels, flat if len(voxels) == len(flat) else flat[voxels])
+
+    def dense(self) -> VoxelGrid:
+        """The dense grid; it shares the rows' buffer when every voxel is listed."""
+        v = self.spec.num_voxels
+        data = self.rows if len(self.rows) == v else np.zeros((v, self.channels), dtype=np.float32)
+        if len(self.rows) < v:
+            data[self.voxels] = self.rows
+        return VoxelGrid(self.spec, "feature", data.reshape(self.spec.dims + (self.channels,)))
+
+
 DEFAULT_CLASS_NAMES = (
     "free",
     "road",

@@ -25,6 +25,12 @@ columns stay whole, so alignment warps the D0*D1 column centers and one
 column's D2 layers; any other pose warps every center.
 Every output is bit-identical to the unblocked oracles in tests/oracles.py
 (dense_align_history, fuse_temporal_unblocked).
+
+Each step has two forms over one kernel: color_voxels, align_history and
+fuse_temporal take and return dense VoxelGrids, as the in-memory frame path
+holds them; color_rows, align_rows and fuse_rows take and return
+grid.FeatureRows, so the CLI goes from file to file without the dense
+lattice. A rows result's dense() is the dense form's result, bit for bit.
 """
 
 from __future__ import annotations
@@ -36,7 +42,7 @@ import numpy as np
 
 from .errors import DomainError, ShapeError, require_finite
 from .geom import FisheyeCamera, RigidTransform
-from .grid import CYLINDRICAL, GridSpec, VoxelGrid
+from .grid import CYLINDRICAL, FeatureRows, GridSpec, VoxelGrid, row_support
 from .sketch import CandidateMask
 
 _SNAP = 1e-9  # fractional index snap, keeps lattice-aligned warps exact
@@ -143,11 +149,11 @@ def bilinear_sample(image: FeatureImage, uv_norm: np.ndarray) -> np.ndarray:
     return _multilinear(image.data.reshape(-1, image.channels), dims, base, [(x - b)[:, None] for x, b in zip(c, base)])
 
 
-def color_voxels(hits: HitSet, features: list[FeatureImage]) -> VoxelGrid:
-    """Average per-camera feature samples into a voxel feature grid.
+def color_rows(hits: HitSet, features: list[FeatureImage]) -> FeatureRows:
+    """Average per-camera feature samples into one row per candidate voxel.
 
     features holds one FeatureImage per camera of the hit set, matched by
-    camera name. Voxels without hits get zeros.
+    camera name. Voxels without hits get zero rows.
     """
     by_name = {img.camera: img for img in features}
     missing = [c for c in hits.cameras if c not in by_name]
@@ -156,17 +162,19 @@ def color_voxels(hits: HitSet, features: list[FeatureImage]) -> VoxelGrid:
     channels = {by_name[c].channels for c in hits.cameras}
     if len(channels) != 1:
         raise ShapeError(f"feature channel counts differ across cameras: {sorted(channels)}")
-    d = channels.pop()
-    acc = np.zeros((len(hits), d), dtype=np.float64)
+    acc = np.zeros((len(hits), channels.pop()), dtype=np.float64)
     for cam, ok, uv in zip(hits.cameras, hits.valid, hits.uv):
         if np.any(ok):
             acc[ok] += bilinear_sample(by_name[cam], uv[ok])
     counts = hits.hit_counts
     hit_rows = counts > 0
     acc[hit_rows] /= counts[hit_rows, None]
-    grid = VoxelGrid.zeros(hits.spec, "feature", d)
-    grid.data.reshape(-1, d)[hits.voxels] = acc
-    return grid
+    return FeatureRows(hits.spec, hits.voxels, acc)
+
+
+def color_voxels(hits: HitSet, features: list[FeatureImage]) -> VoxelGrid:
+    """color_rows as a dense feature grid."""
+    return color_rows(hits, features).dense()
 
 
 def _snap(frac: np.ndarray) -> np.ndarray:
@@ -202,32 +210,72 @@ def _lerp(a: np.ndarray, b: np.ndarray, t: np.ndarray) -> np.ndarray:
     return b
 
 
-def _multilinear(src: np.ndarray, dims, base: list, t: list, wrap=()) -> np.ndarray:
+def _multilinear(src: np.ndarray, dims, base: list, t: list, wrap=(), slot=None) -> np.ndarray:
     """Float64 multilinear samples (M, C) of the (V, C) float32 rows src of a
     C-order lattice of shape dims, at integer bases base[k] (M,) and fractions
     t[k] (M, 1) per axis k.
 
     Axis k reads nodes base[k] and base[k] + 1, or only base[k] where t[k] is
     None. On a wrap axis they are taken mod dims[k]; on any other axis a node
-    off the lattice reads zero.
+    off the lattice reads zero. With a slot map, node i reads row slot[i] of src.
     """
     nodes = []  # per axis, each node's flat-index term and on-lattice mask
     for k, d in enumerate(dims):
         step = math.prod(dims[k + 1 :])
         ns = (base[k],) if t[k] is None else (base[k], base[k] + 1)
         nodes.append([(np.mod(n, d) * step, True) if k in wrap else (n * step, (n >= 0) & (n < d)) for n in ns])
-    return _lerp_nodes(src, nodes, t, 0, 0, np.ones(len(base[0]), dtype=bool))
+    return _lerp_nodes(src, slot, nodes, t, 0, 0, np.ones(len(base[0]), dtype=bool))
 
 
-def _lerp_nodes(src: np.ndarray, nodes: list, t: list, k: int, flat, ok) -> np.ndarray:
+def _lerp_nodes(src: np.ndarray, slot, nodes: list, t: list, k: int, flat, ok) -> np.ndarray:
     """Gather and lerp the nodes of axes k.. under flat-index prefix flat and mask
     ok, last axis first; unlike a nested closure, this recursion leaves no cycle."""
     if k == len(nodes):
-        vals = np.take(src, np.where(ok, flat, 0), axis=0).astype(np.float64)
+        at = np.where(ok, flat, 0)
+        vals = np.take(src, at if slot is None else slot[at], axis=0).astype(np.float64)
         vals[~ok] = 0.0
         return vals
-    vals = [_lerp_nodes(src, nodes, t, k + 1, flat + i, ok & m) for i, m in nodes[k]]
+    vals = [_lerp_nodes(src, slot, nodes, t, k + 1, flat + i, ok & m) for i, m in nodes[k]]
     return vals[0] if t[k] is None else _lerp(*vals, t[k])
+
+
+def _align(spec: GridSpec, src, slot, touched, t_hist, t_curr, out=None):
+    """align_history's kernel: the ascending flat indices (K,) of the samples it interpolates, and
+    their rows, in out (V, C) at those indices if given, else in a new (K, C) array. src holds the
+    history's rows, read through the slot map if one is given (every voxel's row, or a zero row);
+    touched (V,) marks the voxels holding a set bit."""
+    _, d1, d2 = spec.dims
+    rel = t_hist.inverse().compose(t_curr)
+    cols = spec.index_to_center(np.arange(0, spec.num_voxels, d2))
+    layers = spec.index_to_center(np.arange(d2))
+    if np.all(rel.rotation[2] == (0.0, 0.0, 1.0)) and np.all(rel.rotation[:2, 2] == 0):
+        # per-axis (columns, 1) or (1, D2) arrays: r and theta follow the column, z the layer
+        native = spec.to_native(rel.apply(cols))
+        axes, by = [native[:, :1], native[:, 1:2], rel.apply(layers)[None, :, 2]], (1, 1, 2)
+    else:
+        pts = np.column_stack([np.repeat(cols[:, :2], d2, axis=0), np.tile(layers[:, 2], len(cols))])
+        axes, by = list(spec.to_native(rel.apply(pts)).reshape(len(cols), d2, 3).transpose(2, 0, 1)), (0, 0, 0)
+    frac = [_snap(spec.axis_fraction(a, k) - 0.5) for k, a in enumerate(axes)]
+    base = [np.floor(f).astype(np.int64) for f in frac]
+    wrap_theta = spec.coord_sys == CYLINDRICAL
+
+    keep = spec.in_range(axes)  # (columns, D2)
+    signed_zero = src.view(np.int32).min() == np.iinfo(np.int32).min  # only -0.0 has these bits
+    fixed = [not signed_zero and not np.any(keep & (f != b)) for f, b in zip(frac, base)]
+    support = _stencil_support(touched.reshape(spec.dims), wrap_theta, fixed)
+    node = [np.clip(b + 1, 0, d) for b, d in zip(base, spec.dims)]  # clipped rows are out of range, masked by keep
+    node[1] = np.mod(base[1], d1) if wrap_theta else node[1]
+    flat = np.flatnonzero(keep & support[tuple(node)])  # each interpolated sample's row, column * D2 + layer
+
+    dest = np.empty((len(flat), src.shape[1]), dtype=np.float32) if out is None else out
+    for s in range(0, len(flat), _ALIGN_BLOCK):
+        at = (flat[s : s + _ALIGN_BLOCK], *np.divmod(flat[s : s + _ALIGN_BLOCK], d2))  # row, column and layer
+        i = [at[j] for j in by]
+        b = [a.ravel()[ik] for a, ik in zip(base, i)]
+        t = [None if fix else (f.ravel()[ik] - a)[:, None] for f, ik, a, fix in zip(frac, i, b, fixed)]
+        rows = slice(s, s + _ALIGN_BLOCK) if out is None else at[0]
+        dest[rows] = _multilinear(src, spec.dims, b, t, wrap=(1,) if wrap_theta else (), slot=slot)
+    return flat, dest
 
 
 def align_history(
@@ -254,40 +302,24 @@ def align_history(
     """
     if hist.kind != "feature":
         raise DomainError("alignment needs a feature grid")
-    spec = hist.spec
-    d0, d1, d2 = spec.dims
-    ch = hist.channels
-    rel = t_hist.inverse().compose(t_curr)
-    cols = spec.index_to_center(np.arange(0, spec.num_voxels, d2))
-    layers = spec.index_to_center(np.arange(d2))
-    if np.all(rel.rotation[2] == (0.0, 0.0, 1.0)) and np.all(rel.rotation[:2, 2] == 0):
-        # per-axis (columns, 1) or (1, D2) arrays: r and theta follow the column, z the layer
-        native = spec.to_native(rel.apply(cols))
-        axes, by = [native[:, :1], native[:, 1:2], rel.apply(layers)[None, :, 2]], (1, 1, 2)
-    else:
-        pts = np.column_stack([np.repeat(cols[:, :2], d2, axis=0), np.tile(layers[:, 2], len(cols))])
-        axes, by = list(spec.to_native(rel.apply(pts)).reshape(len(cols), d2, 3).transpose(2, 0, 1)), (0, 0, 0)
-    frac = [_snap(spec.axis_fraction(a, k) - 0.5) for k, a in enumerate(axes)]
-    base = [np.floor(f).astype(np.int64) for f in frac]
-    wrap_theta = spec.coord_sys == CYLINDRICAL
+    src = hist.data.reshape(-1, hist.channels)
+    out = np.zeros_like(src)
+    _align(hist.spec, src, None, hist.row_support(), t_hist, t_curr, out)
+    return VoxelGrid(hist.spec, "feature", out.reshape(hist.data.shape))
 
-    keep = spec.in_range(axes)  # (columns, D2)
-    signed_zero = hist.data.view(np.int32).min() == np.iinfo(np.int32).min  # only -0.0 has these bits
-    fixed = [not signed_zero and not np.any(keep & (f != b)) for f, b in zip(frac, base)]
-    support = _stencil_support(hist.row_support().reshape(spec.dims), wrap_theta, fixed)
-    node = [np.clip(b + 1, 0, d) for b, d in zip(base, spec.dims)]  # clipped rows are out of range, masked by keep
-    node[1] = np.mod(base[1], d1) if wrap_theta else node[1]
-    col, layer = np.nonzero(keep & support[tuple(node)])
-    at = (col * d2 + layer, col, layer)  # each interpolated sample's row, column and layer
 
-    src = hist.data.reshape(-1, ch)
-    out = np.zeros((spec.num_voxels, ch), dtype=np.float32)
-    for s in range(0, len(col), _ALIGN_BLOCK):
-        i = [at[j][s : s + _ALIGN_BLOCK] for j in by]
-        b = [a.ravel()[ik] for a, ik in zip(base, i)]
-        t = [None if fix else (f.ravel()[ik] - a)[:, None] for f, ik, a, fix in zip(frac, i, b, fixed)]
-        out[at[0][s : s + _ALIGN_BLOCK]] = _multilinear(src, spec.dims, b, t, wrap=(1,) if wrap_theta else ())
-    return VoxelGrid(spec, "feature", out.reshape(d0, d1, d2, ch))
+def align_rows(hist: FeatureRows, t_hist: RigidTransform, t_curr: RigidTransform) -> FeatureRows:
+    """align_history of hist.dense(), bit for bit, as the rows of the samples it
+    interpolates. Nodes are read through a flat-index -> row slot map whose
+    unlisted voxels read one zero row; the touched mask and the -0.0 test come
+    from the M rows."""
+    spec, m = hist.spec, len(hist.voxels)
+    touched = np.zeros(spec.num_voxels, dtype=bool)
+    touched[hist.voxels[row_support(hist.rows)]] = True
+    slot = np.full(spec.num_voxels, m, dtype=np.min_scalar_type(m))
+    slot[hist.voxels] = np.arange(m)
+    src = np.concatenate([hist.rows, np.zeros((1, hist.channels), dtype=np.float32)])
+    return FeatureRows(spec, *_align(spec, src, slot, touched, t_hist, t_curr))
 
 
 def fuse_temporal(curr: VoxelGrid, aligned: list[VoxelGrid]) -> VoxelGrid:
@@ -307,3 +339,27 @@ def fuse_temporal(curr: VoxelGrid, aligned: list[VoxelGrid]) -> VoxelGrid:
         acc /= len(aligned) + 1
         out[s : s + _FUSE_BLOCK] = acc
     return VoxelGrid(curr.spec, "feature", out.reshape(curr.data.shape))
+
+
+def fuse_rows(curr: FeatureRows, aligned: list[FeatureRows]) -> FeatureRows:
+    """fuse_temporal on rows, bit for bit: over the union of the inputs' voxels,
+    each input adds its row, or +0.0 where it has none, as the dense loop
+    does, one block of union rows at a time."""
+    grids = [curr, *aligned]
+    if any(g.spec != curr.spec or g.channels != curr.channels for g in aligned):
+        raise ShapeError("all grids must share spec and channel count")
+    union = np.zeros(curr.spec.num_voxels, dtype=bool)
+    for g in grids:
+        union[g.voxels] = True
+    voxels = np.flatnonzero(union)
+    pos = [np.searchsorted(voxels, g.voxels) for g in grids]
+    out = np.empty((len(voxels), curr.channels), dtype=np.float32)
+    for s in range(0, len(voxels), _FUSE_BLOCK):
+        terms = np.zeros((len(grids), len(out[s : s + _FUSE_BLOCK]), curr.channels))
+        for term, g, p in zip(terms, grids, pos):  # each grid's rows, +0.0 where it has none
+            lo, hi = np.searchsorted(p, (s, s + _FUSE_BLOCK))
+            term[p[lo:hi] - s] = g.rows[lo:hi]
+        for term in terms[1:]:
+            terms[0] += term
+        out[s : s + _FUSE_BLOCK] = terms[0] / (len(aligned) + 1)
+    return FeatureRows(curr.spec, voxels, out)

@@ -6,24 +6,29 @@ import io
 import json
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cylocc import cli
+from cylocc import cli, lift
 from cylocc.cli import main
 from cylocc.formats import (
+    decode_raster,
     decode_voxel_grid,
     encode_point_cloud,
     encode_raster,
     encode_voxel_grid,
+    pose_from_json,
     pose_to_json,
+    rig_from_json,
     rig_to_json,
 )
-from cylocc.geom import ErpImage, LabeledPointCloud, RigidTransform, surround_rig
+from cylocc.geom import ErpImage, LabeledPointCloud, RigidTransform, rot_z, surround_rig
 from cylocc.grid import GridSpec, VoxelGrid, default_cylindrical_spec
+from cylocc.sketch import CandidateMask
 from oracles import scene_to_json
 
 
@@ -612,3 +617,146 @@ class TestPipeline:
         assert set(doc["terms"]) == {"ce", "dice", "scal"}
         assert doc["sum"] == pytest.approx(sum(doc["terms"].values()))
         assert all(v >= 0 or t == "scal" for t, v in doc["terms"].items())
+
+
+def sparse_features(spec, rng, frac, channels, negative_zero=True):
+    """Random rows on about frac of the voxels, and one more row holding only -0.0."""
+    data = np.zeros(spec.dims + (channels,), dtype=np.float32)
+    hit = rng.rand(*spec.dims) < frac
+    data[hit] = rng.rand(int(hit.sum()), channels)
+    empty = np.flatnonzero(~hit.reshape(-1))
+    if negative_zero:
+        data.reshape(-1, channels)[empty[len(empty) // 2]] = -0.0
+    return data
+
+
+class TestRowSparseSteps:
+    """lift, align and fuse read and write feature rows without building the
+    dense lattice; each writes exactly the bytes of the dense library result,
+    and keeps its exit codes."""
+
+    PLANAR = RigidTransform(rot_z(0.03), np.array([0.6, 0.02, 0.0]))
+    TILTED = RigidTransform(rot_z(0.2) @ np.array([[1.0, 0.0, 0.0], [0.0, 0.8, -0.6], [0.0, 0.6, 0.8]]),
+                            np.array([0.5, -0.3, 0.1]))
+
+    @staticmethod
+    def write(path, grid):
+        path.write_bytes(grid if isinstance(grid, bytes) else encode_voxel_grid(grid))
+        return str(path)
+
+    @staticmethod
+    def poses(tmp_path, pose):
+        paths = [tmp_path / "pose_hist.json", tmp_path / "pose_curr.json"]
+        paths[0].write_text(pose_to_json(RigidTransform.identity()))
+        paths[1].write_text(pose_to_json(pose))
+        return [str(q) for q in paths]
+
+    def align_and_fuse(self, tmp_path, hist_path, pose):
+        """Run align, then fuse with zero, one and two --aligned files; check every output's bytes."""
+        hist = decode_voxel_grid(Path(hist_path).read_bytes())
+        poses = self.poses(tmp_path, pose)
+        aligned = tmp_path / "aligned.ovox"
+        assert main(["align", "--hist", hist_path, "--pose-hist", poses[0], "--pose-curr", poses[1],
+                     "--out", str(aligned)]) == 0
+        t_hist, t_curr = (pose_from_json(Path(q).read_bytes()) for q in poses)
+        assert aligned.read_bytes() == encode_voxel_grid(lift.align_history(hist, t_hist, t_curr))
+        for n in (0, 1, 2):
+            fused = tmp_path / f"fused{n}.ovox"
+            assert main(["fuse", "--curr", hist_path, "--aligned", *[str(aligned)] * n, "--out", str(fused)]) == 0
+            want = lift.fuse_temporal(hist, [decode_voxel_grid(aligned.read_bytes())] * n)
+            assert fused.read_bytes() == encode_voxel_grid(want)
+
+    def test_street_scene(self, tmp_path, scene_file, rig_file, capsys):
+        out = tmp_path / "synth"
+        assert main(["synth", "--scene", str(scene_file), "--rig", str(rig_file), "--erp", "400x200",
+                     "--supersample", "1", "--out", str(out)]) == 0
+        mask_path = tmp_path / "sketch.ovox"
+        assert main(["sketch", "--depth", str(out / "depth.odpt"), "--out", str(mask_path)]) == 0
+        feat_dir = tmp_path / "features"
+        feat_dir.mkdir()
+        rng = np.random.RandomState(90)
+        for cam in surround_rig():
+            raster = ErpImage(24, 24, 4, rng.rand(24, 24, 4).astype(np.float32), "feature")
+            (feat_dir / f"{cam.name}.odpt").write_bytes(encode_raster(raster))
+        colored = tmp_path / "colored.ovox"
+        capsys.readouterr()
+        assert main(["lift", "--mask", str(mask_path), "--rig", str(rig_file), "--features", str(feat_dir),
+                     "--out", str(colored)]) == 0
+        rig = rig_from_json(rig_file.read_bytes())
+        hits = lift.build_hit_set(CandidateMask(decode_voxel_grid(mask_path.read_bytes())), rig)
+        feats = [lift.FeatureImage(c.name, decode_raster((feat_dir / f"{c.name}.odpt").read_bytes()).data) for c in rig]
+        assert colored.read_bytes() == encode_voxel_grid(lift.color_voxels(hits, feats))
+        assert 0 < int(hits.unhit.sum()) < len(hits)
+        # bench/workloads.py parses this line
+        assert capsys.readouterr().err == f"colored {int((~hits.unhit).sum())}/{len(hits)} candidate voxels\n"
+        self.align_and_fuse(tmp_path, str(colored), self.PLANAR)
+
+    @pytest.mark.parametrize("pose", ["planar", "tilted"])
+    def test_sparse_history_with_negative_zero_row(self, tmp_path, pose):
+        spec = default_cylindrical_spec()
+        data = sparse_features(spec, np.random.RandomState(91), 0.06, 16)
+        assert np.signbit(data).any()
+        hist = self.write(tmp_path / "hist.ovox", VoxelGrid(spec, "feature", data))
+        self.align_and_fuse(tmp_path, hist, self.PLANAR if pose == "planar" else self.TILTED)
+
+    def test_wide_history_is_written_dense(self, tmp_path):
+        spec = GridSpec("cylindrical", (6, 10, 4), ((0.0, 6.0), (-math.pi, math.pi), (-1.0, 1.4)))
+        data = sparse_features(spec, np.random.RandomState(92), 0.3, 300)
+        hist = self.write(tmp_path / "hist.ovox", VoxelGrid(spec, "feature", data))
+        assert Path(hist).read_bytes()[45] == 2  # payload kind 2: every row's f32
+        self.align_and_fuse(tmp_path, hist, self.PLANAR)
+
+    def files(self, tmp_path):
+        spec = default_cylindrical_spec()
+        rng = np.random.RandomState(93)
+        small = GridSpec("cuboid", (4, 4, 4), ((0, 1), (0, 1), (0, 1)))
+        feat = self.write(tmp_path / "feat.ovox", VoxelGrid(spec, "feature", sparse_features(spec, rng, 0.05, 4)))
+        return {
+            "feature": feat,
+            "label": self.write(tmp_path / "label.ovox", VoxelGrid(spec, "label", rng.randint(0, 3, spec.dims))),
+            "occupancy": self.write(tmp_path / "occ.ovox", VoxelGrid(spec, "occupancy", rng.randint(0, 2, spec.dims))),
+            "channels": self.write(tmp_path / "c3.ovox", VoxelGrid(spec, "feature", sparse_features(spec, rng, 0.05, 3))),
+            "spec": self.write(tmp_path / "small.ovox", VoxelGrid(small, "feature", np.ones((4, 4, 4, 4), dtype=np.float32))),
+            "truncated": self.write(tmp_path / "cut.ovox", Path(feat).read_bytes()[:-5]),
+        }
+
+    @pytest.mark.parametrize("hist,code", [("label", 3), ("occupancy", 3), ("truncated", 2), ("feature", 0)])
+    def test_align_exit_codes(self, tmp_path, hist, code, capsys):
+        poses = self.poses(tmp_path, self.PLANAR)
+        out = tmp_path / "out.ovox"
+        argv = ["align", "--hist", self.files(tmp_path)[hist], "--pose-hist", poses[0], "--pose-curr", poses[1]]
+        assert main([*argv, "--out", str(out)]) == code
+        assert "Traceback" not in capsys.readouterr().err
+        assert out.exists() == (code == 0)
+
+    @pytest.mark.parametrize("curr,aligned,code", [
+        ("label", [], 3), ("occupancy", ["feature"], 3), ("feature", ["label"], 3), ("feature", ["channels"], 3),
+        ("feature", ["spec"], 3), ("spec", ["feature"], 3), ("truncated", ["feature"], 2),
+        ("feature", ["feature", "truncated"], 2), ("feature", ["feature", "feature"], 0),
+    ])
+    def test_fuse_exit_codes(self, tmp_path, curr, aligned, code, capsys):
+        files = self.files(tmp_path)
+        out = tmp_path / "out.ovox"
+        assert main(["fuse", "--curr", files[curr], "--aligned", *[files[a] for a in aligned], "--out", str(out)]) == code
+        assert "Traceback" not in capsys.readouterr().err
+        assert out.exists() == (code == 0)
+
+    def test_default_lattice_peak_memory(self, tmp_path):
+        # 16 channels on about 6% of the default lattice, as colored; dense steps held two
+        # (align) or three (fuse) 26 MB grids, and peaked at about 56 and 78.5 MiB. A -0.0
+        # anywhere makes align interpolate along every axis, which costs more rows.
+        spec = default_cylindrical_spec()
+        data = sparse_features(spec, np.random.RandomState(94), 0.06, 16, negative_zero=False)
+        hist = self.write(tmp_path / "hist.ovox", VoxelGrid(spec, "feature", data))
+        poses = self.poses(tmp_path, self.PLANAR)
+        aligned = str(tmp_path / "aligned.ovox")
+        for argv in (["align", "--hist", hist, "--pose-hist", poses[0], "--pose-curr", poses[1], "--out", aligned],
+                     ["fuse", "--curr", hist, "--aligned", aligned, "--out", str(tmp_path / "fused.ovox")]):
+            tracemalloc.start()
+            try:
+                code = main(argv)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert code == 0
+            assert peak < 20 * 2**20, (argv[0], peak / 2**20)

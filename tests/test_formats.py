@@ -22,6 +22,7 @@ from cylocc.formats import (
     InvalidField,
     Truncated,
     decode_point_cloud,
+    decode_feature_rows,
     decode_raster,
     decode_voxel_grid,
     encode_point_cloud,
@@ -35,7 +36,7 @@ from cylocc.formats import (
 )
 from cylocc.errors import DomainError
 from cylocc.geom import ErpImage, LabeledPointCloud, RigidTransform, surround_rig
-from cylocc.grid import CUBOID, CYLINDRICAL, GridSpec, VoxelGrid, default_cylindrical_spec
+from cylocc.grid import CUBOID, CYLINDRICAL, FeatureRows, GridSpec, VoxelGrid, default_cylindrical_spec
 from cylocc.losses import weights_from_json
 from cylocc.synth import Sphere, scene_from_json
 from oracles import DEMO07_SCENE, scene_to_json, spec_to_json
@@ -298,8 +299,9 @@ class TestFeatureRows:
         (bytes([1, 0]) + struct.pack("<2f", 1.0, math.nan), InvalidField),
     ])
     def test_malformed_rows_fail_typed(self, tail, error):
-        with pytest.raises(error):
-            decode_voxel_grid(ovox_header(SMALL, 3, 2) + tail)
+        for decode in (decode_voxel_grid, decode_feature_rows):
+            with pytest.raises(error):
+                decode(ovox_header(SMALL, 3, 2) + tail)
 
     def test_random_tails_fail_typed_or_are_canonical(self):
         # anything that decodes is the one encoding of its grid
@@ -354,6 +356,40 @@ class TestFeatureRows:
         blob = encode_voxel_grid(VoxelGrid(SMALL, "feature", data))
         assert blob[45] == 2 and len(blob) == 50 + data.nbytes
         assert decode_voxel_grid(blob).data.tobytes() == data.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(grid=feature_grids())
+    def test_feature_rows_read_and_write_the_same_bytes(self, grid):
+        blob = encode_voxel_grid(grid)
+        rows = decode_feature_rows(blob)
+        listed = grid.row_support()
+        np.testing.assert_array_equal(rows.voxels, np.flatnonzero(listed))
+        assert rows.rows.tobytes() == grid.data.reshape(-1, grid.channels)[listed].tobytes()
+        assert encode_voxel_grid(rows) == encode_voxel_grid(FeatureRows.of(grid)) == blob
+        # listed +0.0 rows are not written: a grid keeps one encoding
+        every = FeatureRows(grid.spec, np.arange(grid.spec.num_voxels), grid.data.reshape(-1, grid.channels))
+        assert encode_voxel_grid(every) == blob
+
+    def test_feature_rows_of_kind_2_and_wide_rows(self):
+        rng = np.random.RandomState(75)
+        data = rng.rand(3, 1, 3, 2).astype(np.float32)
+        data[0, 0, 1] = 0.0
+        rows = decode_feature_rows(ovox_header(SMALL, 2, 2) + data.astype("<f4").tobytes())
+        np.testing.assert_array_equal(rows.voxels, [0, 2, 3, 4, 5, 6, 7, 8])
+        assert rows.dense().data.tobytes() == data.tobytes()
+        wide = np.zeros((3, 1, 3, formats._MAX_ROW_CHANNELS + 1), dtype=np.float32)
+        wide[1, 0, 2, 7] = -0.0
+        blob = encode_voxel_grid(FeatureRows(SMALL, np.array([5]), wide.reshape(9, -1)[5:6]))
+        assert blob[45] == 2 and blob == encode_voxel_grid(VoxelGrid(SMALL, "feature", wide))
+        assert decode_feature_rows(blob).voxels.tolist() == [5]
+
+    @pytest.mark.parametrize("kind", ["label", "occupancy"])
+    def test_feature_rows_refuse_other_payloads_after_decoding(self, kind):
+        blob = encode_voxel_grid(VoxelGrid.zeros(SMALL, kind))
+        with pytest.raises(DomainError, match=kind):
+            decode_feature_rows(blob)
+        with pytest.raises(Truncated):  # a malformed file is a format error first
+            decode_feature_rows(blob[:-1])
 
     def test_dense_kind_2_still_decodes(self):
         rng = np.random.RandomState(74)

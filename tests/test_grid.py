@@ -14,6 +14,7 @@ from cylocc.geom import LabeledPointCloud
 from cylocc.grid import (
     CUBOID,
     CYLINDRICAL,
+    FeatureRows,
     GridSpec,
     LabelSet,
     VoxelGrid,
@@ -332,6 +333,69 @@ class TestRowSupport:
         spec = GridSpec(CUBOID, (2, 2, 3), ((0, 1), (0, 1), (0, 1)))
         labels = np.arange(12, dtype=np.uint8).reshape(2, 2, 3) % 3
         np.testing.assert_array_equal(VoxelGrid(spec, "label", labels).row_support(), labels.reshape(-1) != 0)
+
+
+class TestFeatureRows:
+    """FeatureRows: sorted flat indices and their finite float32 rows; every
+    other voxel reads +0.0. of() and dense() round-trip a grid bit for bit."""
+
+    SPEC = GridSpec(CUBOID, (3, 4, 5), ((0, 1), (0, 1), (0, 1)))
+
+    @pytest.mark.parametrize(
+        "voxels",
+        [[3, 1, 7], [1, 3, 3], [-1, 2, 5], [2, 5, 60], [0.0, 1.0, 2.0]],
+        ids=["unsorted", "duplicate", "negative", "past_the_grid", "float"],
+    )
+    def test_bad_voxels_rejected(self, voxels):
+        with pytest.raises((ShapeError, DomainError)):
+            FeatureRows(self.SPEC, np.array(voxels), np.ones((3, 2), dtype=np.float32))
+
+    @pytest.mark.parametrize("shape", [(2, 2), (4, 2), (3,), (3, 2, 1), (3, 0)])
+    def test_rows_shape_must_match(self, shape):
+        with pytest.raises(ShapeError):
+            FeatureRows(self.SPEC, np.array([1, 4, 9]), np.ones(shape, dtype=np.float32))
+
+    def test_voxels_must_be_one_dimensional(self):
+        with pytest.raises(ShapeError):
+            FeatureRows(self.SPEC, np.array([[1, 4, 9]]), np.ones((3, 2), dtype=np.float32))
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_row_rejected(self, bad):
+        rows = np.ones((3, 2), dtype=np.float32)
+        rows[2, 1] = bad
+        with pytest.raises(DomainError):
+            FeatureRows(self.SPEC, np.array([1, 4, 9]), rows)
+
+    def test_empty_rows_accepted(self):
+        fr = FeatureRows(self.SPEC, np.zeros(0, dtype=np.int64), np.zeros((0, 4), dtype=np.float32))
+        assert fr.channels == 4
+        np.testing.assert_array_equal(fr.dense().data, np.zeros(self.SPEC.dims + (4,), dtype=np.float32))
+
+    def test_label_grid_refused(self):
+        with pytest.raises(DomainError):
+            FeatureRows.of(VoxelGrid.zeros(self.SPEC, "label"))
+
+    @pytest.mark.parametrize("case", ["sparse_with_negative_zero_row", "every_row", "empty"])
+    def test_round_trip_bit_for_bit(self, case):
+        rng = np.random.RandomState(81)
+        data = np.zeros(self.SPEC.dims + (3,), dtype=np.float32)
+        if case == "sparse_with_negative_zero_row":
+            data[rng.rand(*self.SPEC.dims) < 0.2] = rng.randn(3)
+            data[1, 2, 3] = -0.0  # a row holding only -0.0 is a listed row
+            data[0, 0, 0, 1] = -0.0
+        elif case == "every_row":
+            data = rng.randn(*self.SPEC.dims, 3).astype(np.float32)
+        g = VoxelGrid(self.SPEC, "feature", data)
+        fr = FeatureRows.of(g)
+        np.testing.assert_array_equal(fr.voxels, np.flatnonzero(g.row_support()))
+        assert fr.voxels.dtype == np.int64 and fr.rows.dtype == np.float32
+        back = fr.dense()
+        assert back.data.dtype == np.float32
+        np.testing.assert_array_equal(back.data.view(np.uint32), data.view(np.uint32))
+        if case == "every_row":  # no copy either way
+            assert np.shares_memory(fr.rows, g.data) and np.shares_memory(back.data, g.data)
+        if case == "empty":
+            assert len(fr.voxels) == 0
 
 
 class TestSpecValidation:

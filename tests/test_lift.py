@@ -23,13 +23,16 @@ from hypothesis import strategies as st
 from cylocc import lift
 from cylocc.errors import DomainError, ShapeError
 from cylocc.geom import FisheyeCamera, RigidTransform, rot_z
-from cylocc.grid import CUBOID, CYLINDRICAL, GridSpec, VoxelGrid
+from cylocc.grid import CUBOID, CYLINDRICAL, FeatureRows, GridSpec, VoxelGrid
 from cylocc.lift import (
     FeatureImage,
     align_history,
+    align_rows,
     bilinear_sample,
     build_hit_set,
+    color_rows,
     color_voxels,
+    fuse_rows,
     fuse_temporal,
 )
 from cylocc.sketch import CandidateMask
@@ -584,13 +587,115 @@ class TestFuseBlocks:
         assert_bits_equal(got.data, fuse_temporal_unblocked(curr, [VoxelGrid(ODD_SPEC, "feature", data.copy())]))
 
 
+def listing_every_voxel(rows):
+    """The same grid with every voxel listed, +0.0 rows included."""
+    return FeatureRows(rows.spec, np.arange(rows.spec.num_voxels), rows.dense().data.reshape(rows.spec.num_voxels, -1))
+
+
+def thinned(data, rng, keep):
+    """data with about 1 - keep of its voxel rows set to +0.0, so supports differ between inputs."""
+    data = data.copy()
+    data[rng.rand(*data.shape[:3]) >= keep] = 0.0
+    return data
+
+
+class TestRowKernels:
+    """color_rows, align_rows and fuse_rows hold only listed rows; on the same
+    grids their dense() results are bit-identical to the dense kernels, which
+    match the oracles in tests/oracles.py."""
+
+    def test_color_rows_are_the_colored_rows(self, cyl_spec, rig6):
+        rng = np.random.RandomState(46)
+        idx = np.stack([rng.randint(10, 120, 300), rng.randint(0, 200, 300), rng.randint(0, 16, 300)], axis=1)
+        hits = build_hit_set(mask_with(cyl_spec, idx), rig6[:2])  # two cameras leave voxels unseen
+        feats = [FeatureImage(cam.name, rng.rand(24, 24, 3).astype(np.float32)) for cam in rig6[:2]]
+        rows = color_rows(hits, feats)
+        np.testing.assert_array_equal(rows.voxels, hits.voxels)
+        assert hits.unhit.any() and not rows.rows[hits.unhit].any()  # unhit voxels stay listed, as zero rows
+        assert_bits_equal(rows.dense().data, color_voxels(hits, feats).data)
+
+    @pytest.mark.parametrize("pose", ["identity", "z_shift", "yaw_across_seam", "out_of_range", "sub_snap_shift"])
+    @pytest.mark.parametrize("case", ["zero", "dense", "sparse", "seam", "r_bin_0", "edges", "negative_zero"])
+    @pytest.mark.parametrize("spec_name", sorted(SMALL_SPECS))
+    def test_align_rows_bit_identical(self, spec_name, case, pose):
+        spec = SMALL_SPECS[spec_name]
+        hist = VoxelGrid(spec, "feature", history_data(spec, case))
+        t_hist, t_curr = align_poses(spec)[pose]
+        want = dense_align_history(hist, t_hist, t_curr)
+        for rows in (FeatureRows.of(hist), listing_every_voxel(FeatureRows.of(hist))):
+            got = align_rows(rows, t_hist, t_curr)
+            assert np.all(np.diff(got.voxels) > 0)
+            assert_bits_equal(got.dense().data, want)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        spec_name=st.sampled_from(sorted(SMALL_SPECS)),
+        case=st.sampled_from(["sparse", "negative_zero"]),
+        yaw=st.floats(-math.pi, math.pi),
+        tilt=st.floats(-0.1, 0.1),
+        shift=st.tuples(*[st.floats(-1.5, 1.5)] * 3),
+    )
+    def test_align_rows_small_poses(self, spec_name, case, yaw, tilt, shift):
+        spec = SMALL_SPECS[spec_name]
+        hist = VoxelGrid(spec, "feature", history_data(spec, case))
+        c, s = math.cos(tilt), math.sin(tilt)
+        t_hist = RigidTransform(rot_z(yaw) @ np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]]), np.array(shift))
+        got = align_rows(FeatureRows.of(hist), t_hist, RigidTransform.identity())
+        assert_bits_equal(got.dense().data, dense_align_history(hist, t_hist, RigidTransform.identity()))
+
+    @pytest.mark.parametrize("block", [1, 7])
+    def test_align_rows_small_blocks(self, block):
+        spec = SMALL_SPECS["cylindrical"]
+        hist = VoxelGrid(spec, "feature", history_data(spec, "negative_zero"))
+        t_hist, t_curr = align_poses(spec)["yaw_across_seam"]
+        with mock.patch.object(lift, "_ALIGN_BLOCK", block):
+            got = align_rows(FeatureRows.of(hist), t_hist, t_curr)
+        assert len(got.voxels) > 2 * block
+        assert_bits_equal(got.dense().data, dense_align_history(hist, t_hist, t_curr))
+
+    def test_align_rows_default_lattice(self, cyl_spec):
+        rng = np.random.RandomState(47)
+        hist = VoxelGrid(cyl_spec, "feature", sparse_history(cyl_spec, rng, 0.06, channels=16))
+        t_hist = RigidTransform(rot_z(-0.04), np.array([0.6, 0.03, 0.0]))
+        got = align_rows(FeatureRows.of(hist), t_hist, RigidTransform.identity())
+        assert len(got.voxels) < cyl_spec.num_voxels // 2
+        assert_bits_equal(got.dense().data, align_history(hist, t_hist, RigidTransform.identity()).data)
+
+    @pytest.mark.parametrize("n", [0, 1, 3])
+    @pytest.mark.parametrize("block", [lift._FUSE_BLOCK, 5])
+    def test_fuse_rows_matches_unblocked(self, n, block):
+        rng = np.random.RandomState(48 + n)
+        curr = VoxelGrid(ODD_SPEC, "feature", thinned(awkward_features(ODD_SPEC, rng), rng, 0.4))
+        hists = [VoxelGrid(ODD_SPEC, "feature", thinned(awkward_features(ODD_SPEC, rng), rng, 0.4)) for _ in range(n)]
+        if n:
+            # on every other voxel the first history cancels curr to signed zeros, or meets a -0.0 curr row
+            data = hists[0].data.copy()
+            data[::2] = -curr.data[::2]
+            data[1::4] = -0.0
+            hists[0] = VoxelGrid(ODD_SPEC, "feature", data)
+        want = fuse_temporal_unblocked(curr, hists)
+        with mock.patch.object(lift, "_FUSE_BLOCK", block):
+            got = fuse_rows(FeatureRows.of(curr), [FeatureRows.of(h) for h in hists])
+            listed = fuse_rows(listing_every_voxel(FeatureRows.of(curr)), [FeatureRows.of(h) for h in hists])
+        assert np.signbit(want).any()
+        assert_bits_equal(got.dense().data, want)
+        assert_bits_equal(listed.dense().data, want)
+
+    def test_fuse_rows_mismatch_rejected(self, cyl_spec):
+        curr = FeatureRows.of(random_feature_grid(ODD_SPEC, np.random.RandomState(49)))
+        with pytest.raises(ShapeError):
+            fuse_rows(curr, [FeatureRows(ODD_SPEC, np.array([3]), np.ones((1, 2), dtype=np.float32))])
+        with pytest.raises(ShapeError):
+            fuse_rows(curr, [FeatureRows(cyl_spec, np.array([3]), np.ones((1, 3), dtype=np.float32))])
+
+
 class TestNoReferenceCycles:
     """The frame kernels leave no garbage for the cycle collector: a cycle
     would keep a block's index and mask arrays alive until the collector
     runs, and raise the frame path's peak memory."""
 
     @pytest.mark.parametrize("kernel", ["bilinear_sample", "color_voxels", "align_history", "fuse_temporal",
-                                        "render_erp_depth"])
+                                        "render_erp_depth", "align_rows", "fuse_rows"])
     def test_no_cycles(self, kernel, cyl_spec, rig6):
         rng = np.random.RandomState(45)
         hist = VoxelGrid(ODD_SPEC, "feature", awkward_features(ODD_SPEC, rng))
@@ -604,6 +709,8 @@ class TestNoReferenceCycles:
             "color_voxels": lambda: color_voxels(hits, feats),
             "align_history": lambda: align_history(cyl_hist, pose, RigidTransform.identity()),
             "fuse_temporal": lambda: fuse_temporal(hist, [hist, hist]),
+            "align_rows": lambda: align_rows(FeatureRows.of(cyl_hist), pose, RigidTransform.identity()),
+            "fuse_rows": lambda: fuse_rows(FeatureRows.of(hist), [FeatureRows.of(hist)] * 2),
             "render_erp_depth": lambda: render_erp_depth(DEMO07_SCENE, 64, 32, pose),
         }
         gc.collect()
