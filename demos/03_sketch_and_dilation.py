@@ -2,9 +2,9 @@
 Cylinder sketch and radial dilation
 ===================================
 
-Lift an ERP depth render to a pseudo point cloud, mark candidate voxels,
-then widen the sketch radially with a distance-keyed window (bigger windows
-where depth is blurrier).
+Bin an ERP depth render straight into candidate voxels (the pseudo point
+cloud is never built), then widen the sketch radially with a distance-keyed
+window (bigger windows where depth is blurrier).
 """
 
 import numpy as np
@@ -17,9 +17,8 @@ from cylocc import (
     default_cylindrical_spec,
     default_schedule,
     dilate_radial,
-    erp_depth_to_point_cloud,
     render_erp_depth,
-    sketch_from_points,
+    sketch_from_depth,
 )
 
 scene = Scene((
@@ -29,11 +28,10 @@ scene = Scene((
 ))
 
 depth, _ = render_erp_depth(scene, 800, 400)
-cloud = erp_depth_to_point_cloud(depth)
-print(f"pseudo point cloud: {len(cloud)} points")
+print(f"depth raster: {np.count_nonzero(depth.data)} valid pixels, each one pseudo point")
 
 spec = default_cylindrical_spec()
-mask = sketch_from_points(cloud, spec, min_points=1)
+mask = sketch_from_depth(depth, spec, min_points=1)
 print(f"sketch: {mask.occupied_count} voxels occupied ({mask.occupied_fraction:.2%})")
 
 schedule = default_schedule()

@@ -28,7 +28,7 @@ from cylocc import (
     erp_depth_to_point_cloud,
     ray_iou,
     render_erp_depth,
-    sketch_from_points,
+    sketch_from_depth,
     voxelize_semantic,
 )
 from cylocc.formats import decode_raster, decode_voxel_grid, encode_raster, encode_voxel_grid
@@ -53,15 +53,15 @@ depth, sem = render_erp_depth(scene, 1600, 800)
 (out / "semantic.odpt").write_bytes(encode_raster(sem))
 print("rendered ERP depth:", depth.width, "x", depth.height)
 
-# 2. pseudo point cloud -> sketch -> dilation (through the files)
+# 2. depth -> sketch -> dilation (through the files), binned without a point cloud
 depth = decode_raster((out / "depth.odpt").read_bytes())
-cloud = erp_depth_to_point_cloud(depth, decode_raster((out / "semantic.odpt").read_bytes()))
 spec = default_cylindrical_spec()
-mask = dilate_radial(sketch_from_points(cloud, spec), default_schedule())
+mask = dilate_radial(sketch_from_depth(depth, spec), default_schedule())
 (out / "sketch.ovox").write_bytes(encode_voxel_grid(mask.grid))
 print(f"sketch after dilation: {mask.occupied_count} voxels ({mask.occupied_fraction:.2%})")
 
-# 3. semantic prediction = voxelized pseudo cloud; ground truth = analytic
+# 3. semantic prediction = voxelized labeled pseudo cloud; ground truth = analytic
+cloud = erp_depth_to_point_cloud(depth, decode_raster((out / "semantic.odpt").read_bytes()))
 labels = default_label_set()
 pred_cyl = voxelize_semantic(cloud, spec, labels)
 gt_cyl = analytic_voxel_gt(scene, spec, 3)

@@ -52,7 +52,8 @@ from .metrics import (
     generate_rays,
     ray_iou,
 )
-from .sketch import CandidateMask, DilationSchedule, default_schedule, dilate_radial, sketch_from_points
+from .sketch import (CandidateMask, DilationSchedule, default_schedule, dilate_radial, sketch_from_depth,
+                     sketch_from_points)
 from .synth import (
     Box,
     HalfSpace,

@@ -20,6 +20,7 @@ from . import synth as synth_mod
 from .errors import DomainError, ShapeError
 from .formats import (
     FormatError,
+    _decode_ovox,
     decode_feature_rows,
     decode_point_cloud,
     decode_raster,
@@ -31,7 +32,7 @@ from .formats import (
     rig_from_json,
     spec_from_json,
 )
-from .geom import UNLABELED, LabeledPointCloud, erp_depth_to_point_cloud, surround_rig
+from .geom import UNLABELED, LabeledPointCloud, surround_rig
 from .grid import (
     CUBOID,
     CYLINDRICAL,
@@ -45,7 +46,7 @@ from .grid import (
 )
 from .losses import ProbGrid, _weight_vector, class_weights, dice_macro, scal_loss, weighted_ce, weights_from_json
 from .metrics import generate_rays, ray_iou
-from .sketch import CandidateMask, DilationSchedule, default_schedule, dilate_radial, sketch_from_points
+from .sketch import CandidateMask, DilationSchedule, default_schedule, dilate_radial, sketch_from_depth
 
 
 # argparse type converters: each parses one flag's syntax, so a malformed
@@ -154,7 +155,7 @@ def _cmd_info(args) -> int:
     buf = Path(args.path).read_bytes()
     magic = buf[:4]
     if magic == b"OVOX":
-        g = decode_voxel_grid(buf)
+        g = _decode_ovox(buf)  # feature rows stay FeatureRows: no dense grid is built
         print(f"OVOX {g.spec.coord_sys} dims={g.spec.dims} ranges={g.spec.ranges}")
         print(f"payload={g.kind} channels={g.channels} voxels={g.spec.num_voxels}")
         if g.kind != "feature":
@@ -178,21 +179,15 @@ def _cmd_synth(args) -> int:
         raise DomainError("synth --spec must be cylindrical; the cuboid grid is derived from it")
     r_max = cyl_spec.ranges[0][1]
     cub_spec = GridSpec(CUBOID, (160, 160, 16), ((-r_max, r_max), (-r_max, r_max), cyl_spec.ranges[2]))
-    # everything is computed and encoded before the first write, so a bad input, or an
-    # output its encoder refuses, leaves no files; the render goes first, as it rejects an
-    # oversized --erp before allocating anything
-    depth, semantic = synth_mod.render_erp_depth(scene, *args.erp)
-    gt_cyl = synth_mod.analytic_voxel_gt(scene, cyl_spec, args.supersample)
-    gt_cub = synth_mod.analytic_voxel_gt(scene, cub_spec, args.supersample)
+    # everything is computed and encoded before the first write, so a bad input, or an output its encoder
+    # refuses, leaves no files; the render goes first, as it rejects an oversized --erp before allocating
+    # anything, and each raster is dropped once encoded, so the bytes are held beside one raster at most
+    rasters = list(synth_mod.render_erp_depth(scene, *args.erp))
+    files = {name: encode_raster(rasters.pop(0)) for name in ("depth.odpt", "semantic.odpt")}
     origins = np.stack([cam.pose.translation for cam in rig])
-    cloud = synth_mod.sample_scene_point_cloud(scene, origins)
-    files = {
-        "depth.odpt": encode_raster(depth),
-        "semantic.odpt": encode_raster(semantic),
-        "cloud.opcd": encode_point_cloud(cloud),
-        "gt_cylindrical.ovox": encode_voxel_grid(gt_cyl),
-        "gt_cuboid.ovox": encode_voxel_grid(gt_cub),
-    }
+    files["cloud.opcd"] = encode_point_cloud(synth_mod.sample_scene_point_cloud(scene, origins))
+    for name, spec in (("gt_cylindrical.ovox", cyl_spec), ("gt_cuboid.ovox", cub_spec)):
+        files[name] = encode_voxel_grid(synth_mod.analytic_voxel_gt(scene, spec, args.supersample))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for name, data in files.items():
@@ -217,8 +212,7 @@ def _cmd_voxelize(args) -> int:
 def _cmd_sketch(args) -> int:
     depth = decode_raster(Path(args.depth).read_bytes())
     spec = _load_spec(args.spec)
-    cloud = erp_depth_to_point_cloud(depth, None, stride=args.stride)
-    mask = sketch_from_points(cloud, spec, args.min_points)
+    mask = sketch_from_depth(depth, spec, args.min_points, args.stride)
     if args.schedule is not None:
         mask = dilate_radial(mask, DilationSchedule(args.schedule))
     Path(args.out).write_bytes(encode_voxel_grid(mask.grid))

@@ -13,11 +13,11 @@ Conventions used throughout the package:
 * Fisheye cameras use the equidistant model rho = focal * theta, where
   theta is the incidence angle against the optical axis (+z in the camera
   frame) and rho the radial pixel distance from the principal point.
-* The depth lift streams the raster in fixed row blocks and takes cos and
-  sin once per column and once per row (_erp_trig, which the synth render
-  shares); each coordinate keeps the per-pixel form
-  (cos phi * cos lambda) * depth, so its clouds are bit-identical to the
-  per-pixel oracle erp_lift_per_pixel in tests/oracles.py.
+* The depth lift streams the raster in row blocks (_lift_blocks, the one
+  loop that erp_depth_to_point_cloud and sketch.sketch_from_depth share) and
+  takes cos and sin once per column and row (_erp_trig, which the synth
+  render shares); each coordinate keeps the per-pixel form (cos phi * cos
+  lambda) * depth, bit-identical to erp_lift_per_pixel in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -198,6 +198,34 @@ def erp_pixel_to_direction(u, v, width: int, height: int) -> np.ndarray:
     return np.stack([cp * np.cos(lam), cp * np.sin(lam), np.sin(phi)], axis=-1)
 
 
+def _lift_lattice(depth: ErpImage, stride: int):
+    """The stride lattice of a depth raster (u, v multiples of stride), as a view, and its _erp_trig tables."""
+    if depth.kind != "depth_meters":
+        raise DomainError("depth raster must have kind depth_meters")
+    if require_count("stride", stride)[0] < 1:
+        raise DomainError("stride must be >= 1")
+    return depth.data[::stride, ::stride], _erp_trig(depth.width, depth.height, stride)
+
+
+def _lift_blocks(d: np.ndarray, valid: np.ndarray):
+    """The lift's one row-block loop: per block of about _LIFT_BLOCK pixels of lattice d, in raster
+    order, yields (vv, uu, r), each valid pixel's lattice row and column and float64 depth."""
+    rows = max(1, _LIFT_BLOCK // d.shape[1])
+    for v0 in range(0, d.shape[0], rows):
+        vv, uu = np.nonzero(valid[v0 : v0 + rows])
+        yield vv + v0, uu, d[v0 : v0 + rows][vv, uu].astype(np.float64)
+
+
+def _lift(trig, vv, uu, r, out: np.ndarray) -> np.ndarray:
+    """Write into out (N, 3) the points of lattice pixels (vv, uu) at depths r: (cos phi * cos lambda) * r, ..."""
+    cos_lam, sin_lam, cos_phi, sin_phi = trig
+    cp = cos_phi[vv]
+    np.multiply(np.multiply(cp, cos_lam[uu]), r, out=out[:, 0])
+    np.multiply(np.multiply(cp, sin_lam[uu]), r, out=out[:, 1])
+    np.multiply(sin_phi[vv], r, out=out[:, 2])
+    return out
+
+
 def erp_depth_to_point_cloud(
     depth: ErpImage,
     semantic: ErpImage | None = None,
@@ -209,32 +237,17 @@ def erp_depth_to_point_cloud(
     pixels (depth == 0), and emits depth * direction per pixel. Labels come
     from the semantic raster when given, else UNLABELED.
     """
-    if depth.kind != "depth_meters":
-        raise DomainError("depth raster must have kind depth_meters")
+    d, trig = _lift_lattice(depth, stride)
     if semantic is not None and (semantic.width, semantic.height) != (depth.width, depth.height):
         raise ShapeError("semantic raster size differs from depth raster")
-    if require_count("stride", stride)[0] < 1:
-        raise DomainError("stride must be >= 1")
-
-    d = depth.data[::stride, ::stride]
-    valid = d > 0
-    # each coordinate keeps the per-pixel form (cos phi * cos lambda) * depth
-    cos_lam, sin_lam, cos_phi, sin_phi = _erp_trig(depth.width, depth.height, stride)
     sem = None if semantic is None else semantic.data[::stride, ::stride]
+    valid = d > 0
     pts = np.empty((np.count_nonzero(valid), 3))
     labels = np.full(len(pts), UNLABELED, dtype=np.uint8)
-    rows = max(1, _LIFT_BLOCK // d.shape[1])
     end = 0
-    for v0 in range(0, d.shape[0], rows):
-        vv, uu = np.nonzero(valid[v0 : v0 + rows])
+    for vv, uu, r in _lift_blocks(d, valid):
         start, end = end, end + len(vv)
-        r = d[v0 : v0 + rows][vv, uu].astype(np.float64)
-        vv += v0
-        cp = cos_phi[vv]
-        out = pts[start:end]
-        np.multiply(np.multiply(cp, cos_lam[uu]), r, out=out[:, 0])
-        np.multiply(np.multiply(cp, sin_lam[uu]), r, out=out[:, 1])
-        np.multiply(sin_phi[vv], r, out=out[:, 2])
+        _lift(trig, vv, uu, r, pts[start:end])
         if sem is not None:
             labels[start:end] = sem[vv, uu].astype(np.uint8)
     return LabeledPointCloud(pts, labels)

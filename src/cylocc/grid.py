@@ -28,6 +28,7 @@ CYLINDRICAL = "cylindrical"
 CUBOID = "cuboid"
 
 _EDGE_GUARD = 1e-9  # bin-relative tolerance at bin edges
+_MARGIN = 2.0**-40  # 4096 ulps per bin of magnitude: how near an edge a fast binner defers to point_to_flat
 _BIN_BLOCK = 1 << 14  # points binned by point_to_flat, or payload rows tested by row_support, per block
 
 
@@ -226,6 +227,7 @@ class FeatureRows:
     spec: GridSpec
     voxels: np.ndarray
     rows: np.ndarray
+    kind = "feature"  # as the VoxelGrid it stands for; a class attribute, not a field
 
     def __post_init__(self):
         voxels, rows = np.asarray(self.voxels), np.asarray(self.rows, dtype=np.float32)
@@ -306,12 +308,8 @@ def default_label_set() -> LabelSet:
 
 
 def majority_vote(counts: np.ndarray) -> np.ndarray:
-    """Winning class per voxel of a (voxels, classes) vote-count table.
-
-    argmax takes the first maximum: a voxel takes its most frequent class,
-    ties going to the smallest class id, and a voxel without votes stays
-    free (0). Returns (voxels,) uint8.
-    """
+    """Winning class per voxel of a (voxels, classes) vote-count table, (voxels,) uint8: argmax takes the
+    first maximum, so ties go to the smallest class id and a voxel without votes stays free (0)."""
     return np.argmax(counts, axis=1).astype(np.uint8)
 
 
@@ -320,15 +318,23 @@ def voxelize_semantic(cloud: LabeledPointCloud, spec: GridSpec, labels: LabelSet
 
     Every in-range point votes for its class in its voxel; a voxel takes the
     most frequent class, breaking ties toward the smallest class id. Voxels
-    without points stay free (0). Point order does not matter.
+    without points stay free (0). Point order does not matter. The vote runs
+    over the sorted unique (voxel, class) keys and their counts, no dense table.
     """
     c = labels.count
     if len(cloud) and int(cloud.labels.max()) >= c:
         raise DomainError(f"point label >= class count {c}")
     flat = spec.point_to_flat(cloud.points)
     inside = flat >= 0
-    counts = np.bincount(flat[inside] * c + cloud.labels[inside], minlength=spec.num_voxels * c)
-    return VoxelGrid(spec, "label", majority_vote(counts.reshape(-1, c)).reshape(spec.dims))
+    flat *= c
+    flat += cloud.labels
+    keys, counts = np.unique(flat[inside], return_counts=True)
+    voxel, cls = np.divmod(keys, c)
+    win = np.lexsort((-counts, voxel))  # most votes first in each voxel; the stable sort keeps tied classes ascending
+    win = win[np.unique(voxel[win], return_index=True)[1]]  # each voxel's first key
+    out = np.zeros(spec.num_voxels, dtype=np.uint8)
+    out[voxel[win]] = cls[win]
+    return VoxelGrid(spec, "label", out.reshape(spec.dims))
 
 
 def class_frequencies(grid: VoxelGrid, num_classes: int) -> np.ndarray:

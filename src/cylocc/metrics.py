@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import DomainError, ShapeError, require_count, require_finite
 from .geom import _as_points
-from .grid import _EDGE_GUARD, CYLINDRICAL, GridSpec, VoxelGrid, default_label_set
+from .grid import _EDGE_GUARD, _MARGIN, CYLINDRICAL, GridSpec, VoxelGrid, default_label_set
 
 _CHUNK = 2048  # rays per casting chunk; caps peak memory
 _BLOCK = 32  # sorted intervals classified per pass over a chunk's active rays
@@ -36,7 +36,6 @@ _MAX_RAYS = 2**20  # largest fan generate_rays builds: 64x the default 512 x 32
 # An axis ray's azimuth fraction atan2(d_y, d_x) and a run end's r fraction t |d_xy| differ from point_to_flat's at
 # o + t d, and from the far roots', by under 2**-48 of D1 or r_max / dr. The margins (in bins) w1 = _EDGE_GUARD +
 # _MARGIN D1 and w0 = _RUN_MARGIN + _MARGIN r_max / dr cover that 256x over; w0 keeps run-end intervals long.
-_MARGIN = 2.0**-40
 _RUN_MARGIN = 2.0**-13
 
 

@@ -1,10 +1,11 @@
 """Class-agnostic cylinder sketch and distance-keyed radial dilation.
 
 The sketch marks every cylindrical voxel holding at least min_points of the
-pseudo point cloud, ignoring labels. Dilation then spreads occupancy along
-the radial axis only, with a per-distance window: each occupied seed voxel
-at radius band w turns (i_r - w .. i_r + w, i_theta, i_z) occupied. The
-window is keyed on the seed voxel's own center radius.
+pseudo point cloud, ignoring labels; sketch_from_depth bins an ERP depth
+raster's lift blocks as they come, with no cloud. Dilation then spreads
+occupancy along r only, with a per-distance window keyed on the seed voxel's
+own center radius: a seed at radius band w turns (i_r - w .. i_r + w,
+i_theta, i_z) occupied.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ import numpy as np
 
 from .errors import DomainError, require_count, require_finite
 from .formats import _f32
-from .geom import LabeledPointCloud
-from .grid import CYLINDRICAL, GridSpec, VoxelGrid
+from .geom import ErpImage, LabeledPointCloud, _lift, _lift_blocks, _lift_lattice
+from .grid import _EDGE_GUARD, _MARGIN, CYLINDRICAL, GridSpec, VoxelGrid
 
 
 @dataclass(frozen=True)
@@ -92,18 +93,49 @@ class CandidateMask:
         return self.occupied_count / self.spec.num_voxels
 
 
-def sketch_from_points(
-    cloud: LabeledPointCloud, spec: GridSpec, min_points: int = 1
-) -> CandidateMask:
-    """Occupy every voxel containing at least min_points cloud points."""
+def _occupy(spec: GridSpec, min_points: int, flats) -> CandidateMask:
+    """The mask of the voxels that at least min_points of the flat indices flats yields hit; -1 hits none."""
     if spec.coord_sys != CYLINDRICAL:
         raise DomainError("sketching requires a cylindrical grid spec")
     if require_count("min_points", min_points)[0] < 1:
         raise DomainError("min_points must be >= 1")
-    flat = spec.point_to_flat(cloud.points)
-    counts = np.bincount(flat[flat >= 0], minlength=spec.num_voxels)
-    occ = (counts >= min_points).astype(np.uint8).reshape(spec.dims)
-    return CandidateMask(VoxelGrid(spec, "occupancy", occ))
+    counts = np.zeros(spec.num_voxels, dtype=np.int64)
+    for flat in flats:
+        np.add.at(counts, flat[flat >= 0], 1)
+    return CandidateMask(VoxelGrid(spec, "occupancy", (counts >= min_points).astype(np.uint8).reshape(spec.dims)))
+
+
+def sketch_from_points(cloud: LabeledPointCloud, spec: GridSpec, min_points: int = 1) -> CandidateMask:
+    """Occupy every voxel containing at least min_points cloud points."""
+    return _occupy(spec, min_points, map(spec.point_to_flat, [cloud.points]))
+
+
+def sketch_from_depth(depth: ErpImage, spec: GridSpec, min_points: int = 1, stride: int = 1) -> CandidateMask:
+    """sketch_from_points of erp_depth_to_point_cloud(depth, None, stride), bit for bit, with no cloud.
+
+    Each lift row block is binned as it comes: z by sin phi * depth (the lift's own z), the azimuth
+    by one table over columns, r by cos phi * depth. Pixels whose r or azimuth fraction lies within a
+    rounding margin of a bin edge, range ends included, are binned by point_to_flat of their points.
+    """
+    d, trig = _lift_lattice(depth, stride)
+    return _occupy(spec, min_points, _depth_flats(spec, d, trig))
+
+
+def _depth_flats(spec: GridSpec, d: np.ndarray, trig):
+    """Per row block of the stride lattice d: the flat indices of its pixels off every edge, then of the rest.
+    cos phi * depth and a column's atan2 stray from point_to_flat's r and theta by a few ulps of r_max and pi."""
+    (d0, d1, d2), r_hi, (z_lo, z_hi) = spec.dims, spec.ranges[0][1], spec.ranges[2]
+    w0, w1 = _EDGE_GUARD + _MARGIN * (1.0 + r_hi / spec.deltas[0]), _EDGE_GUARD + _MARGIN * (1.0 + d1)
+    fa = spec.axis_fraction(np.arctan2(trig[1], trig[0]), 1) + _EDGE_GUARD
+    col_bin, col_edge = np.floor(fa).astype(np.int64) % d1, np.abs(fa - np.rint(fa)) < w1
+    for vv, uu, r in _lift_blocks(d, d > 0):
+        fr = spec.axis_fraction(trig[2][vv] * r, 0) + _EDGE_GUARD
+        z = trig[3][vv] * r
+        edge = col_edge[uu] | (np.abs(np.clip(np.rint(fr), 0, d0) - fr) < w0)
+        keep = ~edge & (fr > 0) & (fr < d0) & (z >= z_lo) & (z <= z_hi)
+        iz = np.clip(np.floor(spec.axis_fraction(z[keep], 2) + _EDGE_GUARD).astype(np.int64), 0, d2 - 1)
+        yield (fr[keep].astype(np.int64) * d1 + col_bin[uu[keep]]) * d2 + iz
+        yield spec.point_to_flat(_lift(trig, vv[edge], uu[edge], r[edge], np.empty((np.count_nonzero(edge), 3))))
 
 
 def dilate_radial(mask: CandidateMask, schedule: DilationSchedule) -> CandidateMask:

@@ -23,7 +23,12 @@ synth._CLOUD_FAN backs the cloud. The frame path streams in row blocks
 and has four, each matched bit for bit: erp_lift_per_pixel (per-pixel
 trig) for the table-driven depth lift, point_to_flat_unblocked for
 point_to_flat, dense_align_history (every voxel center interpolated) for
-align_history, and fuse_temporal_unblocked for fuse_temporal. The losses
+align_history, and fuse_temporal_unblocked for fuse_temporal. Depth and
+points reach voxels with no cloud and no dense vote table, and each path
+keeps its full form as the judge: sketch_of_cloud, sketch_from_points of
+the lifted cloud, for sketch_from_depth, and voxelize_dense_vote, the
+(voxels, classes) count table that grid.majority_vote argmaxes, for
+voxelize_semantic's key vote. The losses
 take each call's per-class statistics in one pass, and their judges work
 one class at a time: dice_loss compares one class against both grids, and
 dice_macro must equal its mean over the present classes exactly;
@@ -44,10 +49,13 @@ import numpy as np
 
 from cylocc import synth
 from cylocc.errors import DomainError, ShapeError, require_finite
-from cylocc.geom import UNLABELED, ErpImage, LabeledPointCloud, RigidTransform, _as_points, erp_pixel_to_direction
-from cylocc.grid import _EDGE_GUARD, CUBOID, CYLINDRICAL, GridSpec, LabelSet, VoxelGrid, default_label_set
+from cylocc.geom import (UNLABELED, ErpImage, LabeledPointCloud, RigidTransform, _as_points, erp_depth_to_point_cloud,
+                         erp_pixel_to_direction)
+from cylocc.grid import (_EDGE_GUARD, CUBOID, CYLINDRICAL, GridSpec, LabelSet, VoxelGrid, default_label_set,
+                         majority_vote)
 from cylocc.losses import EPS, ClassWeights, _check_pair, _probs_array
 from cylocc.metrics import _CHUNK, _MIN_SEGMENT, BatchHits, Rays, generate_rays
+from cylocc.sketch import sketch_from_points
 from cylocc.synth import _RENDER_RANGE, Box, HalfSpace, Scene, Sphere, VerticalCylinder
 
 
@@ -495,6 +503,21 @@ def erp_lift_per_pixel(depth, semantic=None, stride: int = 1) -> LabeledPointClo
     else:
         labels = semantic.data[::stride, ::stride][vv, uu].astype(np.uint8)
     return LabeledPointCloud(pts, labels)
+
+
+def sketch_of_cloud(depth, spec: GridSpec, min_points: int = 1, stride: int = 1):
+    """sketch_from_points of the lifted cloud: the exact reference for sketch_from_depth's cloud-free binning."""
+    return sketch_from_points(erp_depth_to_point_cloud(depth, None, stride), spec, min_points)
+
+
+def voxelize_dense_vote(cloud, spec: GridSpec, labels: LabelSet) -> VoxelGrid:
+    """voxelize_semantic as a bincount over every (voxel, class) pair and majority_vote's argmax
+    of that dense table: the exact reference for its vote over the sorted unique keys."""
+    c = labels.count
+    flat = spec.point_to_flat(cloud.points)
+    inside = flat >= 0
+    counts = np.bincount(flat[inside] * c + cloud.labels[inside], minlength=spec.num_voxels * c)
+    return VoxelGrid(spec, "label", majority_vote(counts.reshape(-1, c)).reshape(spec.dims))
 
 
 def render_erp_depth_all_pixels(scene, width: int, height: int, pose=None) -> tuple[ErpImage, ErpImage]:

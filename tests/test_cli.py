@@ -760,3 +760,59 @@ class TestRowSparseSteps:
                 tracemalloc.stop()
             assert code == 0
             assert peak < 20 * 2**20, (argv[0], peak / 2**20)
+
+
+def traced_main(argv) -> tuple[int, int]:
+    """main(argv)'s exit code and its peak traced memory in bytes."""
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        return code, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestStepPeaks:
+    """No step holds more than its output needs: info reads feature rows without the dense
+    grid, synth drops each raster once encoded, sketch bins depth without a cloud, and
+    voxelize votes without a (voxels, classes) table."""
+
+    def test_info_on_feature_rows(self, tmp_path, capsys):
+        # 16 channels on about 6% of the default lattice; the dense grid alone is 25 MiB
+        spec = default_cylindrical_spec()
+        path = tmp_path / "feat.ovox"
+        path.write_bytes(encode_voxel_grid(VoxelGrid(spec, "feature", sparse_features(spec, np.random.RandomState(95),
+                                                                                     0.06, 16))))
+        code, peak = traced_main(["info", str(path)])
+        assert code == 0
+        g = decode_voxel_grid(path.read_bytes())
+        assert capsys.readouterr().out == (f"OVOX {g.spec.coord_sys} dims={g.spec.dims} ranges={g.spec.ranges}\n"
+                                           f"payload=feature channels=16 voxels={g.spec.num_voxels}\n")
+        assert peak < 6 * 2**20, peak / 2**20
+
+    @pytest.mark.parametrize("kind", ["label", "occupancy"])
+    def test_info_lines_on_dense_payloads(self, tmp_path, capsys, kind):
+        spec = default_cylindrical_spec()
+        grid = VoxelGrid(spec, kind, np.random.RandomState(96).randint(0, 2, spec.dims))
+        path = tmp_path / "g.ovox"
+        path.write_bytes(encode_voxel_grid(grid))
+        assert main(["info", str(path)]) == 0
+        g = decode_voxel_grid(path.read_bytes())
+        assert capsys.readouterr().out == (f"OVOX {g.spec.coord_sys} dims={g.spec.dims} ranges={g.spec.ranges}\n"
+                                           f"payload={kind} channels=1 voxels={g.spec.num_voxels}\n"
+                                           f"nonzero={int(np.count_nonzero(grid.data))}\n")
+
+    def test_default_raster_steps(self, tmp_path, scene_file, rig_file):
+        # on the street scene at the default 2000 x 1000 raster, the steps peaked at about 40, 50 and 46 MiB
+        # while synth held both rasters beside their bytes, sketch lifted a float64 cloud and voxelize bincounted
+        # a dense 409,600 x 12 int64 table
+        out = tmp_path / "synth"
+        steps = [
+            (["synth", "--scene", str(scene_file), "--rig", str(rig_file), "--out", str(out)], 36),
+            (["sketch", "--depth", str(out / "depth.odpt"), "--out", str(tmp_path / "sketch.ovox")], 24),
+            (["voxelize", "--cloud", str(out / "cloud.opcd"), "--out", str(tmp_path / "pred.ovox")], 12),
+        ]
+        for argv, bound in steps:
+            code, peak = traced_main(argv)
+            assert code == 0
+            assert peak < bound * 2**20, (argv[0], peak / 2**20)
