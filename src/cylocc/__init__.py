@@ -30,8 +30,7 @@ from .grid import (
     default_label_set,
     voxelize_semantic,
 )
-from .lift import (FeatureImage, HitSet, align_history, align_rows, build_hit_set, color_rows, color_voxels,
-                   fuse_rows, fuse_temporal)
+from .lift import FeatureImage, HitSet, align_history, build_hit_set, color_voxels, fuse_temporal
 from .losses import (
     ClassWeights,
     ProbGrid,

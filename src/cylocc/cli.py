@@ -234,8 +234,8 @@ def _cmd_lift(args) -> int:
             raise FormatError(f"{path} holds a {raster.kind} raster, not features", fieldname="kind")
         features.append(lift_mod.FeatureImage(cam.name, raster.data))
     hits = lift_mod.build_hit_set(mask, rig)
-    rows = lift_mod.color_rows(hits, features)
-    Path(args.out).write_bytes(encode_voxel_grid(rows))
+    colored = lift_mod.color_voxels(hits, features)
+    Path(args.out).write_bytes(encode_voxel_grid(colored))
     print(f"colored {int((~hits.unhit).sum())}/{len(hits)} candidate voxels", file=sys.stderr)
     return 0
 
@@ -244,13 +244,13 @@ def _cmd_align(args) -> int:
     # poses first: as when the kind was checked last, a non-feature history exits 3 only if every file reads
     t_hist = pose_from_json(Path(args.pose_hist).read_bytes())
     t_curr = pose_from_json(Path(args.pose_curr).read_bytes())
-    aligned = lift_mod.align_rows(_load_rows(args.hist), t_hist, t_curr)
+    aligned = lift_mod.align_history(_load_rows(args.hist), t_hist, t_curr)
     Path(args.out).write_bytes(encode_voxel_grid(aligned))
     return 0
 
 
 def _cmd_fuse(args) -> int:
-    fused = lift_mod.fuse_rows(_load_rows(args.curr), [_load_rows(p) for p in args.aligned])
+    fused = lift_mod.fuse_temporal(_load_rows(args.curr), [_load_rows(p) for p in args.aligned])
     Path(args.out).write_bytes(encode_voxel_grid(fused))
     return 0
 

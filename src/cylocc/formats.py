@@ -175,7 +175,7 @@ def encode_voxel_grid(grid: VoxelGrid | FeatureRows) -> bytes:
     if not as_rows:  # the join is the only copy unless the payload needs converting to C order or the stored dtype
         dense = np.ascontiguousarray(grid.data, dtype="<f4" if grid.kind == "feature" else np.uint8)
         return b"".join((header, memoryview(dense)))
-    fr = grid if isinstance(grid, FeatureRows) else FeatureRows.of(grid)
+    fr = FeatureRows.of(grid)
     keep = row_support(fr.rows)
     rows = fr.rows if keep.all() else fr.rows[keep]  # every row set: no gather, as the decoder makes no scatter
     listed = np.zeros(grid.spec.num_voxels, dtype=bool)
@@ -232,12 +232,7 @@ def decode_feature_rows(buf: bytes) -> FeatureRows:
     """An OVOX feature grid as FeatureRows: kind 3 keeps its stored rows, with no
     dense grid built, and kind 2 goes through FeatureRows.of. A label or
     occupancy grid is a DomainError once the whole file has decoded."""
-    grid = _decode_ovox(buf)
-    if isinstance(grid, FeatureRows):
-        return grid
-    if grid.kind != "feature":
-        raise DomainError(f"expected a feature grid, found a {grid.kind} grid")
-    return FeatureRows.of(grid)
+    return FeatureRows.of(_decode_ovox(buf))
 
 
 _OPCD_HEADER = struct.Struct("<4sIQ")

@@ -245,9 +245,17 @@ class FeatureRows:
     def channels(self) -> int:
         return self.rows.shape[1]
 
+    @property
+    def data(self) -> np.ndarray:
+        """dense().data, built again on every read."""
+        return self.dense().data
+
     @staticmethod
-    def of(grid: VoxelGrid) -> "FeatureRows":
-        """The row_support() rows of a feature grid; a view of its payload, not a copy, when every row is set."""
+    def of(grid: "VoxelGrid | FeatureRows") -> "FeatureRows":
+        """The row_support() rows of a feature grid; a view of its payload, not a copy, when every row is set.
+        A FeatureRows is returned as it is."""
+        if isinstance(grid, FeatureRows):
+            return grid
         if grid.kind != "feature":
             raise DomainError(f"feature rows need a feature grid, got a {grid.kind} grid")
         flat, voxels = grid.data.reshape(-1, grid.channels), np.flatnonzero(grid.row_support())

@@ -19,18 +19,17 @@ N + 1 with no renormalization for out-of-range zeros.
 
 The frame kernels stream in fixed row blocks, so their float64 temporaries
 stay cache-sized: alignment gathers and interpolates its supported rows a
-few thousand at a time, and fusion widens and accumulates one block of
-voxel rows at a time. Under a planar ego motion (a yaw plus a shift) voxel
-columns stay whole, so alignment warps the D0*D1 column centers and one
-column's D2 layers; any other pose warps every center.
-Every output is bit-identical to the unblocked oracles in tests/oracles.py
-(dense_align_history, fuse_temporal_unblocked).
+few thousand at a time, and fusion widens and accumulates one block of the
+inputs' listed voxels at a time. Under a planar ego motion (a yaw plus a
+shift) voxel columns stay whole, so alignment warps the D0*D1 column
+centers and one column's D2 layers; any other pose warps every center.
 
-Each step has two forms over one kernel: color_voxels, align_history and
-fuse_temporal take and return dense VoxelGrids, as the in-memory frame path
-holds them; color_rows, align_rows and fuse_rows take and return
-grid.FeatureRows, so the CLI goes from file to file without the dense
-lattice. A rows result's dense() is the dense form's result, bit for bit.
+Each step has one kernel, and it keeps features sparse from end to end:
+color_voxels, align_history and fuse_temporal return grid.FeatureRows,
+which list only the voxels they wrote, and alignment and fusion also take
+a dense feature VoxelGrid through FeatureRows.of. A result's dense() is
+bit-identical to the unblocked oracles in tests/oracles.py
+(dense_align_history, fuse_temporal_unblocked).
 """
 
 from __future__ import annotations
@@ -149,11 +148,11 @@ def bilinear_sample(image: FeatureImage, uv_norm: np.ndarray) -> np.ndarray:
     return _multilinear(image.data.reshape(-1, image.channels), dims, base, [(x - b)[:, None] for x, b in zip(c, base)])
 
 
-def color_rows(hits: HitSet, features: list[FeatureImage]) -> FeatureRows:
+def color_voxels(hits: HitSet, features: list[FeatureImage]) -> FeatureRows:
     """Average per-camera feature samples into one row per candidate voxel.
 
     features holds one FeatureImage per camera of the hit set, matched by
-    camera name. Voxels without hits get zero rows.
+    camera name. Every candidate voxel is listed; voxels without hits get zero rows.
     """
     by_name = {img.camera: img for img in features}
     missing = [c for c in hits.cameras if c not in by_name]
@@ -170,11 +169,6 @@ def color_rows(hits: HitSet, features: list[FeatureImage]) -> FeatureRows:
     hit_rows = counts > 0
     acc[hit_rows] /= counts[hit_rows, None]
     return FeatureRows(hits.spec, hits.voxels, acc)
-
-
-def color_voxels(hits: HitSet, features: list[FeatureImage]) -> VoxelGrid:
-    """color_rows as a dense feature grid."""
-    return color_rows(hits, features).dense()
 
 
 def _snap(frac: np.ndarray) -> np.ndarray:
@@ -239,12 +233,37 @@ def _lerp_nodes(src: np.ndarray, slot, nodes: list, t: list, k: int, flat, ok) -
     return vals[0] if t[k] is None else _lerp(*vals, t[k])
 
 
-def _align(spec: GridSpec, src, slot, touched, t_hist, t_curr, out=None):
-    """align_history's kernel: the ascending flat indices (K,) of the samples it interpolates, and
-    their rows, in out (V, C) at those indices if given, else in a new (K, C) array. src holds the
-    history's rows, read through the slot map if one is given (every voxel's row, or a zero row);
-    touched (V,) marks the voxels holding a set bit."""
+def align_history(hist: VoxelGrid | FeatureRows, t_hist: RigidTransform, t_curr: RigidTransform) -> FeatureRows:
+    """Resample a historical feature grid into the current ego frame.
+
+    Each current voxel center p is read at p' = t_hist^-1 * t_curr * p in
+    the historical grid, trilinearly in fractional index space. The azimuth
+    axis wraps; nodes past the r/z ends pad with zeros; samples outside the
+    r/z range yield the zero vector. Fractional coordinates within 1e-9 of
+    a lattice node snap to it, so lattice-aligned warps are exact.
+
+    Under a planar relative pose (exactly a yaw plus a shift) a voxel
+    column stays a column, so only the D0*D1 layer-0 centers and one
+    column's D2 centers are warped; any other pose warps every center.
+    Only in-range samples with a non-zero history voxel (any set bit, so
+    -0.0 counts) among their nodes are interpolated; every other sample is
+    exactly +0.0 either way, so the cost follows the history's non-zero
+    support. An axis whose fraction is 0 at every such sample reads only its
+    base node, unless the history holds a -0.0 (a lerp at t = 0 turns it +0.0).
+
+    A dense history is read through FeatureRows.of. Nodes are read through a
+    flat-index -> row slot map whose unlisted voxels read one zero row. The
+    result lists the interpolated samples, in flat order.
+    """
+    hist = FeatureRows.of(hist)
+    spec, m = hist.spec, len(hist.voxels)
     _, d1, d2 = spec.dims
+    touched = np.zeros(spec.num_voxels, dtype=bool)
+    touched[hist.voxels[row_support(hist.rows)]] = True
+    slot = np.full(spec.num_voxels, m, dtype=np.min_scalar_type(m))
+    slot[hist.voxels] = np.arange(m)
+    src = np.concatenate([hist.rows, np.zeros((1, hist.channels), dtype=np.float32)])
+
     rel = t_hist.inverse().compose(t_curr)
     cols = spec.index_to_center(np.arange(0, spec.num_voxels, d2))
     layers = spec.index_to_center(np.arange(d2))
@@ -267,86 +286,26 @@ def _align(spec: GridSpec, src, slot, touched, t_hist, t_curr, out=None):
     node[1] = np.mod(base[1], d1) if wrap_theta else node[1]
     flat = np.flatnonzero(keep & support[tuple(node)])  # each interpolated sample's row, column * D2 + layer
 
-    dest = np.empty((len(flat), src.shape[1]), dtype=np.float32) if out is None else out
+    out = np.empty((len(flat), hist.channels), dtype=np.float32)
     for s in range(0, len(flat), _ALIGN_BLOCK):
         at = (flat[s : s + _ALIGN_BLOCK], *np.divmod(flat[s : s + _ALIGN_BLOCK], d2))  # row, column and layer
         i = [at[j] for j in by]
         b = [a.ravel()[ik] for a, ik in zip(base, i)]
         t = [None if fix else (f.ravel()[ik] - a)[:, None] for f, ik, a, fix in zip(frac, i, b, fixed)]
-        rows = slice(s, s + _ALIGN_BLOCK) if out is None else at[0]
-        dest[rows] = _multilinear(src, spec.dims, b, t, wrap=(1,) if wrap_theta else (), slot=slot)
-    return flat, dest
+        out[s : s + _ALIGN_BLOCK] = _multilinear(src, spec.dims, b, t, wrap=(1,) if wrap_theta else (), slot=slot)
+    return FeatureRows(spec, flat, out)
 
 
-def align_history(
-    hist: VoxelGrid,
-    t_hist: RigidTransform,
-    t_curr: RigidTransform,
-) -> VoxelGrid:
-    """Resample a historical feature grid into the current ego frame.
+def fuse_temporal(curr: VoxelGrid | FeatureRows, aligned: list[VoxelGrid | FeatureRows]) -> FeatureRows:
+    """Average the current grid with N aligned histories: (curr + sum) / (N+1).
 
-    Each current voxel center p is read at p' = t_hist^-1 * t_curr * p in
-    the historical grid, trilinearly in fractional index space. The azimuth
-    axis wraps; nodes past the r/z ends pad with zeros; samples outside the
-    r/z range yield the zero vector. Fractional coordinates within 1e-9 of
-    a lattice node snap to it, so lattice-aligned warps are exact.
-
-    Under a planar relative pose (exactly a yaw plus a shift) a voxel
-    column stays a column, so only the D0*D1 layer-0 centers and one
-    column's D2 centers are warped; any other pose warps every center.
-    Only in-range samples with a non-zero history voxel (any set bit, so
-    -0.0 counts) among their nodes are interpolated; every other sample is
-    exactly +0.0 either way, so the cost follows the history's non-zero
-    support. An axis whose fraction is 0 at every such sample reads only its
-    base node, unless the history holds a -0.0 (a lerp at t = 0 turns it +0.0).
+    Dense grids are read through FeatureRows.of. Over the union of the
+    inputs' voxels, each input adds its row, or +0.0 where it has none, in
+    float64, one block of union rows at a time; every other voxel is +0.0.
     """
-    if hist.kind != "feature":
-        raise DomainError("alignment needs a feature grid")
-    src = hist.data.reshape(-1, hist.channels)
-    out = np.zeros_like(src)
-    _align(hist.spec, src, None, hist.row_support(), t_hist, t_curr, out)
-    return VoxelGrid(hist.spec, "feature", out.reshape(hist.data.shape))
-
-
-def align_rows(hist: FeatureRows, t_hist: RigidTransform, t_curr: RigidTransform) -> FeatureRows:
-    """align_history of hist.dense(), bit for bit, as the rows of the samples it
-    interpolates. Nodes are read through a flat-index -> row slot map whose
-    unlisted voxels read one zero row; the touched mask and the -0.0 test come
-    from the M rows."""
-    spec, m = hist.spec, len(hist.voxels)
-    touched = np.zeros(spec.num_voxels, dtype=bool)
-    touched[hist.voxels[row_support(hist.rows)]] = True
-    slot = np.full(spec.num_voxels, m, dtype=np.min_scalar_type(m))
-    slot[hist.voxels] = np.arange(m)
-    src = np.concatenate([hist.rows, np.zeros((1, hist.channels), dtype=np.float32)])
-    return FeatureRows(spec, *_align(spec, src, slot, touched, t_hist, t_curr))
-
-
-def fuse_temporal(curr: VoxelGrid, aligned: list[VoxelGrid]) -> VoxelGrid:
-    """Average the current grid with N aligned histories: (curr + sum) / (N+1)."""
-    if curr.kind != "feature":
-        raise DomainError("fusion needs feature grids")
-    for g in aligned:
-        if g.spec != curr.spec or g.kind != "feature" or g.channels != curr.channels:
-            raise ShapeError("all grids must share spec, kind and channel count")
-    ch = curr.channels
-    grids = [g.data.reshape(-1, ch) for g in [curr, *aligned]]
-    out = np.empty_like(grids[0])
-    for s in range(0, len(out), _FUSE_BLOCK):
-        acc = grids[0][s : s + _FUSE_BLOCK].astype(np.float64)
-        for g in grids[1:]:
-            acc += g[s : s + _FUSE_BLOCK]
-        acc /= len(aligned) + 1
-        out[s : s + _FUSE_BLOCK] = acc
-    return VoxelGrid(curr.spec, "feature", out.reshape(curr.data.shape))
-
-
-def fuse_rows(curr: FeatureRows, aligned: list[FeatureRows]) -> FeatureRows:
-    """fuse_temporal on rows, bit for bit: over the union of the inputs' voxels,
-    each input adds its row, or +0.0 where it has none, as the dense loop
-    does, one block of union rows at a time."""
-    grids = [curr, *aligned]
-    if any(g.spec != curr.spec or g.channels != curr.channels for g in aligned):
+    grids = [FeatureRows.of(g) for g in [curr, *aligned]]
+    curr = grids[0]
+    if any(g.spec != curr.spec or g.channels != curr.channels for g in grids):
         raise ShapeError("all grids must share spec and channel count")
     union = np.zeros(curr.spec.num_voxels, dtype=bool)
     for g in grids:

@@ -65,3 +65,14 @@ def single_cam():
         fov=math.pi,
         name="mono",
     )
+
+
+def sparse_features(spec, rng, frac, channels, negative_zero=True):
+    """Random rows on about frac of the voxels, and one more row holding only -0.0."""
+    data = np.zeros(spec.dims + (channels,), dtype=np.float32)
+    hit = rng.rand(*spec.dims) < frac
+    data[hit] = rng.rand(int(hit.sum()), channels)
+    empty = np.flatnonzero(~hit.reshape(-1))
+    if negative_zero:
+        data.reshape(-1, channels)[empty[len(empty) // 2]] = -0.0
+    return data

@@ -29,6 +29,7 @@ from cylocc.formats import (
 from cylocc.geom import ErpImage, LabeledPointCloud, RigidTransform, rot_z, surround_rig
 from cylocc.grid import GridSpec, VoxelGrid, default_cylindrical_spec
 from cylocc.sketch import CandidateMask
+from conftest import sparse_features
 from oracles import scene_to_json
 
 
@@ -617,17 +618,6 @@ class TestPipeline:
         assert set(doc["terms"]) == {"ce", "dice", "scal"}
         assert doc["sum"] == pytest.approx(sum(doc["terms"].values()))
         assert all(v >= 0 or t == "scal" for t, v in doc["terms"].items())
-
-
-def sparse_features(spec, rng, frac, channels, negative_zero=True):
-    """Random rows on about frac of the voxels, and one more row holding only -0.0."""
-    data = np.zeros(spec.dims + (channels,), dtype=np.float32)
-    hit = rng.rand(*spec.dims) < frac
-    data[hit] = rng.rand(int(hit.sum()), channels)
-    empty = np.flatnonzero(~hit.reshape(-1))
-    if negative_zero:
-        data.reshape(-1, channels)[empty[len(empty) // 2]] = -0.0
-    return data
 
 
 class TestRowSparseSteps:

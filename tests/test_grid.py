@@ -425,6 +425,15 @@ class TestFeatureRows:
         with pytest.raises(DomainError):
             FeatureRows.of(VoxelGrid.zeros(self.SPEC, "label"))
 
+    def test_of_rows_is_the_same_rows(self):
+        fr = FeatureRows(self.SPEC, np.array([1, 4, 9]), np.ones((3, 2), dtype=np.float32))
+        assert FeatureRows.of(fr) is fr
+
+    def test_data_is_the_dense_payload(self):
+        fr = FeatureRows(self.SPEC, np.array([1, 4, 9]), np.full((3, 2), -0.0, dtype=np.float32))
+        np.testing.assert_array_equal(fr.data.view(np.uint32), fr.dense().data.view(np.uint32))
+        assert fr.data.shape == self.SPEC.dims + (2,) and fr.data is not fr.data  # built again on every read
+
     @pytest.mark.parametrize("case", ["sparse_with_negative_zero_row", "every_row", "empty"])
     def test_round_trip_bit_for_bit(self, case):
         rng = np.random.RandomState(81)

@@ -24,21 +24,11 @@ from cylocc import lift
 from cylocc.errors import DomainError, ShapeError
 from cylocc.geom import FisheyeCamera, RigidTransform, rot_z
 from cylocc.grid import CUBOID, CYLINDRICAL, FeatureRows, GridSpec, VoxelGrid
-from cylocc.lift import (
-    FeatureImage,
-    align_history,
-    align_rows,
-    bilinear_sample,
-    build_hit_set,
-    color_rows,
-    color_voxels,
-    fuse_rows,
-    fuse_temporal,
-)
+from cylocc.lift import FeatureImage, align_history, bilinear_sample, build_hit_set, color_voxels, fuse_temporal
 from cylocc.sketch import CandidateMask
 from cylocc.synth import render_erp_depth
 
-from conftest import bin_triple
+from conftest import bin_triple, sparse_features
 from oracles import DEMO07_SCENE, dense_align_history, fuse_temporal_unblocked
 
 
@@ -600,19 +590,18 @@ def thinned(data, rng, keep):
 
 
 class TestRowKernels:
-    """color_rows, align_rows and fuse_rows hold only listed rows; on the same
-    grids their dense() results are bit-identical to the dense kernels, which
-    match the oracles in tests/oracles.py."""
+    """color_voxels, align_history and fuse_temporal hold only listed rows; on
+    FeatureRows inputs their dense() results are bit-identical to the oracles
+    in tests/oracles.py."""
 
     def test_color_rows_are_the_colored_rows(self, cyl_spec, rig6):
         rng = np.random.RandomState(46)
         idx = np.stack([rng.randint(10, 120, 300), rng.randint(0, 200, 300), rng.randint(0, 16, 300)], axis=1)
         hits = build_hit_set(mask_with(cyl_spec, idx), rig6[:2])  # two cameras leave voxels unseen
         feats = [FeatureImage(cam.name, rng.rand(24, 24, 3).astype(np.float32)) for cam in rig6[:2]]
-        rows = color_rows(hits, feats)
+        rows = color_voxels(hits, feats)
         np.testing.assert_array_equal(rows.voxels, hits.voxels)
         assert hits.unhit.any() and not rows.rows[hits.unhit].any()  # unhit voxels stay listed, as zero rows
-        assert_bits_equal(rows.dense().data, color_voxels(hits, feats).data)
 
     @pytest.mark.parametrize("pose", ["identity", "z_shift", "yaw_across_seam", "out_of_range", "sub_snap_shift"])
     @pytest.mark.parametrize("case", ["zero", "dense", "sparse", "seam", "r_bin_0", "edges", "negative_zero"])
@@ -623,7 +612,7 @@ class TestRowKernels:
         t_hist, t_curr = align_poses(spec)[pose]
         want = dense_align_history(hist, t_hist, t_curr)
         for rows in (FeatureRows.of(hist), listing_every_voxel(FeatureRows.of(hist))):
-            got = align_rows(rows, t_hist, t_curr)
+            got = align_history(rows, t_hist, t_curr)
             assert np.all(np.diff(got.voxels) > 0)
             assert_bits_equal(got.dense().data, want)
 
@@ -640,7 +629,7 @@ class TestRowKernels:
         hist = VoxelGrid(spec, "feature", history_data(spec, case))
         c, s = math.cos(tilt), math.sin(tilt)
         t_hist = RigidTransform(rot_z(yaw) @ np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]]), np.array(shift))
-        got = align_rows(FeatureRows.of(hist), t_hist, RigidTransform.identity())
+        got = align_history(FeatureRows.of(hist), t_hist, RigidTransform.identity())
         assert_bits_equal(got.dense().data, dense_align_history(hist, t_hist, RigidTransform.identity()))
 
     @pytest.mark.parametrize("block", [1, 7])
@@ -649,7 +638,7 @@ class TestRowKernels:
         hist = VoxelGrid(spec, "feature", history_data(spec, "negative_zero"))
         t_hist, t_curr = align_poses(spec)["yaw_across_seam"]
         with mock.patch.object(lift, "_ALIGN_BLOCK", block):
-            got = align_rows(FeatureRows.of(hist), t_hist, t_curr)
+            got = align_history(FeatureRows.of(hist), t_hist, t_curr)
         assert len(got.voxels) > 2 * block
         assert_bits_equal(got.dense().data, dense_align_history(hist, t_hist, t_curr))
 
@@ -657,9 +646,9 @@ class TestRowKernels:
         rng = np.random.RandomState(47)
         hist = VoxelGrid(cyl_spec, "feature", sparse_history(cyl_spec, rng, 0.06, channels=16))
         t_hist = RigidTransform(rot_z(-0.04), np.array([0.6, 0.03, 0.0]))
-        got = align_rows(FeatureRows.of(hist), t_hist, RigidTransform.identity())
+        got = align_history(FeatureRows.of(hist), t_hist, RigidTransform.identity())
         assert len(got.voxels) < cyl_spec.num_voxels // 2
-        assert_bits_equal(got.dense().data, align_history(hist, t_hist, RigidTransform.identity()).data)
+        assert_bits_equal(got.dense().data, dense_align_history(hist, t_hist, RigidTransform.identity()))
 
     @pytest.mark.parametrize("n", [0, 1, 3])
     @pytest.mark.parametrize("block", [lift._FUSE_BLOCK, 5])
@@ -675,8 +664,8 @@ class TestRowKernels:
             hists[0] = VoxelGrid(ODD_SPEC, "feature", data)
         want = fuse_temporal_unblocked(curr, hists)
         with mock.patch.object(lift, "_FUSE_BLOCK", block):
-            got = fuse_rows(FeatureRows.of(curr), [FeatureRows.of(h) for h in hists])
-            listed = fuse_rows(listing_every_voxel(FeatureRows.of(curr)), [FeatureRows.of(h) for h in hists])
+            got = fuse_temporal(FeatureRows.of(curr), [FeatureRows.of(h) for h in hists])
+            listed = fuse_temporal(listing_every_voxel(FeatureRows.of(curr)), [FeatureRows.of(h) for h in hists])
         assert np.signbit(want).any()
         assert_bits_equal(got.dense().data, want)
         assert_bits_equal(listed.dense().data, want)
@@ -684,15 +673,77 @@ class TestRowKernels:
     def test_fuse_rows_mismatch_rejected(self, cyl_spec):
         curr = FeatureRows.of(random_feature_grid(ODD_SPEC, np.random.RandomState(49)))
         with pytest.raises(ShapeError):
-            fuse_rows(curr, [FeatureRows(ODD_SPEC, np.array([3]), np.ones((1, 2), dtype=np.float32))])
+            fuse_temporal(curr, [FeatureRows(ODD_SPEC, np.array([3]), np.ones((1, 2), dtype=np.float32))])
         with pytest.raises(ShapeError):
-            fuse_rows(curr, [FeatureRows(cyl_spec, np.array([3]), np.ones((1, 3), dtype=np.float32))])
+            fuse_temporal(curr, [FeatureRows(cyl_spec, np.array([3]), np.ones((1, 3), dtype=np.float32))])
+
+
+PLANAR_STEP = RigidTransform(rot_z(0.05), np.array([0.4, -0.1, 0.0]))
+TILTED_STEP = RigidTransform(rot_z(-0.03) @ np.array([[1.0, 0.0, 0.0], [0.0, 0.8, -0.6], [0.0, 0.6, 0.8]]),
+                             np.array([0.3, 0.05, 0.1]))
+
+
+class TestRowsFramePath:
+    """The frame path keeps its history as FeatureRows from frame to frame:
+    each step returns rows, and every frame matches the dense oracle chain."""
+
+    @pytest.mark.parametrize("spec_name", sorted(SMALL_SPECS))
+    def test_frames_match_dense_chain(self, spec_name):
+        spec = SMALL_SPECS[spec_name]
+        rng = np.random.RandomState(50)
+        start = sparse_features(spec, rng, 0.1, 3)
+        assert np.signbit(start).any()
+        hist, want = FeatureRows.of(VoxelGrid(spec, "feature", start)), VoxelGrid(spec, "feature", start)
+        pose = RigidTransform.identity()
+        for frame in range(8):
+            t_hist, pose = pose, pose.compose(PLANAR_STEP if frame % 2 == 0 else TILTED_STEP)
+            curr = VoxelGrid(spec, "feature", thinned(rng.rand(*spec.dims, 3).astype(np.float32), rng, 0.15))
+            hist = fuse_temporal(FeatureRows.of(curr), [align_history(hist, t_hist, pose)])
+            aligned = VoxelGrid(spec, "feature", dense_align_history(want, t_hist, pose))
+            want = VoxelGrid(spec, "feature", fuse_temporal_unblocked(curr, [aligned]))
+            assert isinstance(hist, FeatureRows)
+            assert_bits_equal(hist.data, want.data)
+
+    def test_every_step_returns_rows(self, cyl_spec, rig6):
+        hits = build_hit_set(mask_with(cyl_spec, [(40, 10, 3), (60, 120, 8), (90, 199, 15)]), rig6)
+        colored = color_voxels(hits, constant_features(rig6, 0.5))
+        t_hist = RigidTransform(rot_z(0.2), np.array([0.3, 0.0, 0.0]))
+        outs = [colored]
+        for hist in (colored, colored.dense()):
+            outs += [align_history(hist, t_hist, RigidTransform.identity()), fuse_temporal(hist, [hist])]
+        assert all(isinstance(out, FeatureRows) for out in outs)
+
+    @pytest.mark.parametrize("kind", ["label", "occupancy"])
+    def test_non_feature_grid_rejected(self, cyl_spec, kind):
+        grid, feature = VoxelGrid.zeros(cyl_spec, kind), VoxelGrid.zeros(cyl_spec, "feature", 2)
+        with pytest.raises(DomainError):
+            align_history(grid, RigidTransform.identity(), RigidTransform.identity())
+        for curr, aligned in ((grid, []), (feature, [grid]), (FeatureRows.of(feature), [feature, grid])):
+            with pytest.raises(DomainError):
+                fuse_temporal(curr, aligned)
+
+    def test_default_lattice_peak_memory(self, cyl_spec):
+        # 16 channels on about 6% of the lattice and a planar step, as a frame sees them: the bound
+        # leaves no room for one 26 MB dense grid. A -0.0 row would make align interpolate along every axis.
+        data = sparse_features(cyl_spec, np.random.RandomState(51), 0.06, 16, negative_zero=False)
+        hist = FeatureRows.of(VoxelGrid(cyl_spec, "feature", data))
+        del data
+        t_hist = RigidTransform(rot_z(0.03), np.array([0.6, 0.02, 0.0]))
+        tracemalloc.start()
+        try:
+            fused = fuse_temporal(hist, [align_history(hist, t_hist, RigidTransform.identity())])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert isinstance(fused, FeatureRows) and len(fused.voxels) < cyl_spec.num_voxels // 2
+        assert peak < 20 * 2**20
 
 
 class TestNoReferenceCycles:
     """The frame kernels leave no garbage for the cycle collector: a cycle
     would keep a block's index and mask arrays alive until the collector
-    runs, and raise the frame path's peak memory."""
+    runs, and raise the frame path's peak memory. Alignment and fusion run
+    once on dense grids and once on FeatureRows (the _rows cases)."""
 
     @pytest.mark.parametrize("kernel", ["bilinear_sample", "color_voxels", "align_history", "fuse_temporal",
                                         "render_erp_depth", "align_rows", "fuse_rows"])
@@ -709,8 +760,8 @@ class TestNoReferenceCycles:
             "color_voxels": lambda: color_voxels(hits, feats),
             "align_history": lambda: align_history(cyl_hist, pose, RigidTransform.identity()),
             "fuse_temporal": lambda: fuse_temporal(hist, [hist, hist]),
-            "align_rows": lambda: align_rows(FeatureRows.of(cyl_hist), pose, RigidTransform.identity()),
-            "fuse_rows": lambda: fuse_rows(FeatureRows.of(hist), [FeatureRows.of(hist)] * 2),
+            "align_rows": lambda: align_history(FeatureRows.of(cyl_hist), pose, RigidTransform.identity()),
+            "fuse_rows": lambda: fuse_temporal(FeatureRows.of(hist), [FeatureRows.of(hist)] * 2),
             "render_erp_depth": lambda: render_erp_depth(DEMO07_SCENE, 64, 32, pose),
         }
         gc.collect()
