@@ -47,8 +47,8 @@ t_curr = RigidTransform.identity()
 t_hist = RigidTransform(rot_z(0.02), np.array([0.35, -0.1, 0.0]))
 aligned = align_history(colored, t_hist, t_curr)
 fused = fuse_temporal(colored, [aligned])
-print("fused = (curr + aligned) / 2; max abs value.", float(np.abs(fused.data).max()))
+print("fused = (curr + aligned) / 2; max abs value.", float(np.abs(fused.rows).max()))
 
 # the algebra is exact: fusing a grid with itself returns it bit-for-bit
-self_fused = fuse_temporal(colored, [VoxelGrid(spec, "feature", colored.data.copy())])
-print("self-fusion exact:", bool(np.array_equal(self_fused.data, colored.data)))
+self_fused = fuse_temporal(colored, [colored.dense()])
+print("self-fusion exact:", bool(np.array_equal(self_fused.dense().data, colored.dense().data)))

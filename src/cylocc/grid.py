@@ -247,8 +247,10 @@ class FeatureRows:
 
     @property
     def data(self) -> np.ndarray:
-        """dense().data, built again on every read."""
-        return self.dense().data
+        """dense().data, built again on every read, and read-only: a write would not reach the rows."""
+        data = self.dense().data
+        data.flags.writeable = False
+        return data
 
     @staticmethod
     def of(grid: "VoxelGrid | FeatureRows") -> "FeatureRows":

@@ -30,7 +30,7 @@ from cylocc.geom import ErpImage, LabeledPointCloud, RigidTransform, rot_z, surr
 from cylocc.grid import GridSpec, VoxelGrid, default_cylindrical_spec
 from cylocc.sketch import CandidateMask
 from conftest import sparse_features
-from oracles import scene_to_json
+from oracles import dense_align_history, fuse_temporal_unblocked, scene_to_json
 
 
 def _reject_constant(token):
@@ -622,8 +622,9 @@ class TestPipeline:
 
 class TestRowSparseSteps:
     """lift, align and fuse read and write feature rows without building the
-    dense lattice; each writes exactly the bytes of the dense library result,
-    and keeps its exit codes."""
+    dense lattice, and keep their exit codes. lift writes the bytes of
+    lift.color_voxels; align and fuse write the bytes of the dense oracles
+    dense_align_history and fuse_temporal_unblocked."""
 
     PLANAR = RigidTransform(rot_z(0.03), np.array([0.6, 0.02, 0.0]))
     TILTED = RigidTransform(rot_z(0.2) @ np.array([[1.0, 0.0, 0.0], [0.0, 0.8, -0.6], [0.0, 0.6, 0.8]]),
@@ -649,11 +650,12 @@ class TestRowSparseSteps:
         assert main(["align", "--hist", hist_path, "--pose-hist", poses[0], "--pose-curr", poses[1],
                      "--out", str(aligned)]) == 0
         t_hist, t_curr = (pose_from_json(Path(q).read_bytes()) for q in poses)
-        assert aligned.read_bytes() == encode_voxel_grid(lift.align_history(hist, t_hist, t_curr))
+        want_aligned = VoxelGrid(hist.spec, "feature", dense_align_history(hist, t_hist, t_curr))
+        assert aligned.read_bytes() == encode_voxel_grid(want_aligned)
         for n in (0, 1, 2):
             fused = tmp_path / f"fused{n}.ovox"
             assert main(["fuse", "--curr", hist_path, "--aligned", *[str(aligned)] * n, "--out", str(fused)]) == 0
-            want = lift.fuse_temporal(hist, [decode_voxel_grid(aligned.read_bytes())] * n)
+            want = VoxelGrid(hist.spec, "feature", fuse_temporal_unblocked(hist, [want_aligned] * n))
             assert fused.read_bytes() == encode_voxel_grid(want)
 
     def test_street_scene(self, tmp_path, scene_file, rig_file, capsys):

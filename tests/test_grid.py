@@ -434,6 +434,14 @@ class TestFeatureRows:
         np.testing.assert_array_equal(fr.data.view(np.uint32), fr.dense().data.view(np.uint32))
         assert fr.data.shape == self.SPEC.dims + (2,) and fr.data is not fr.data  # built again on every read
 
+    @pytest.mark.parametrize("listed", ["some", "every"])
+    def test_data_is_read_only(self, listed):
+        voxels = np.array([1, 4, 9]) if listed == "some" else np.arange(self.SPEC.num_voxels)
+        fr = FeatureRows(self.SPEC, voxels, np.ones((len(voxels), 2), dtype=np.float32))
+        with pytest.raises(ValueError):
+            fr.data[...] = np.inf
+        assert np.all(fr.rows == 1.0) and fr.rows.flags.writeable
+
     @pytest.mark.parametrize("case", ["sparse_with_negative_zero_row", "every_row", "empty"])
     def test_round_trip_bit_for_bit(self, case):
         rng = np.random.RandomState(81)
