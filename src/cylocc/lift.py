@@ -9,7 +9,8 @@ change the result. Voxels seen by no camera are flagged and stay zero.
 Temporal alignment resamples a historical feature grid at the positions of
 the current voxel centers in the historical ego frame, trilinearly in
 fractional index space (wrapping the azimuth axis), with the same kernel,
-_multilinear, that samples the rasters; out-of-range samples are zero.
+_multilinear, that samples the rasters and reads only nodes on its lattice;
+nodes past the r/z ends are zero-row padding, out-of-range samples zero.
 Only samples whose trilinear stencil touches a non-zero history voxel are
 interpolated, so alignment cost scales with the history's non-zero support
 (the sketched candidates), not with the lattice; an axis whose fraction is
@@ -142,10 +143,12 @@ def bilinear_sample(image: FeatureImage, uv_norm: np.ndarray) -> np.ndarray:
     """
     require_finite("sample coordinates", uv_norm)
     dims = (image.height, image.width)
-    # a one-node axis reads an off-lattice zero at t = 0: a + 0 * (0 - a) has the bits of a + 0 * (a - a)
+    # clamped bases keep base + 1 on the raster, except on a one-node axis, which wraps it
+    # back to base at t = 0: a + 0 * (a - a) has the bits of a + 0 * (0 - a), -0.0 included
     c = [np.clip(uv_norm[:, 1 - k] * n - 0.5, 0.0, n - 1.0) for k, n in enumerate(dims)]
     base = [np.minimum(np.floor(x).astype(np.int64), max(n - 2, 0)) for x, n in zip(c, dims)]
-    return _multilinear(image.data.reshape(-1, image.channels), dims, base, [(x - b)[:, None] for x, b in zip(c, base)])
+    t = [(x - b)[:, None] for x, b in zip(c, base)]
+    return _multilinear(image.data.reshape(-1, image.channels), dims, base, t, wrap=(0, 1))
 
 
 def color_voxels(hits: HitSet, features: list[FeatureImage]) -> FeatureRows:
@@ -176,26 +179,6 @@ def _snap(frac: np.ndarray) -> np.ndarray:
     return np.where(np.abs(frac - rounded) < _SNAP, rounded, frac)
 
 
-def _stencil_support(touched: np.ndarray, wrap_theta: bool, fixed) -> np.ndarray:
-    """Mark the trilinear bases b whose nodes b + {0,1}^3 include a touched voxel,
-    where an axis k with fixed[k] reads only node b.
-
-    Bases run from -1 to D-1 and sit at index b + 1, except on a wrapping
-    azimuth axis, where they sit at b mod D1.
-    """
-    for k in range(3):
-        if k == 1 and wrap_theta:
-            touched = touched if fixed[k] else touched | np.roll(touched, -1, axis=1)
-            continue
-        pad = [(0, 0)] * 3
-        pad[k] = (1, 1)
-        q = np.pad(touched, pad)
-        lo, hi = [slice(None)] * 3, [slice(None)] * 3
-        lo[k], hi[k] = slice(None, -1), slice(1, None)
-        touched = q[tuple(lo)] if fixed[k] else q[tuple(lo)] | q[tuple(hi)]
-    return touched
-
-
 def _lerp(a: np.ndarray, b: np.ndarray, t: np.ndarray) -> np.ndarray:
     """a + t * (b - a), computed in b's buffer."""
     b -= a
@@ -210,26 +193,23 @@ def _multilinear(src: np.ndarray, dims, base: list, t: list, wrap=(), slot=None)
     t[k] (M, 1) per axis k.
 
     Axis k reads nodes base[k] and base[k] + 1, or only base[k] where t[k] is
-    None. On a wrap axis they are taken mod dims[k]; on any other axis a node
-    off the lattice reads zero. With a slot map, node i reads row slot[i] of src.
+    None. Every node lies on the lattice; a wrap axis takes its nodes mod
+    dims[k]. With a slot map, node i reads row slot[i] of src.
     """
-    nodes = []  # per axis, each node's flat-index term and on-lattice mask
+    nodes = []  # per axis, each node's flat-index term
     for k, d in enumerate(dims):
         step = math.prod(dims[k + 1 :])
         ns = (base[k],) if t[k] is None else (base[k], base[k] + 1)
-        nodes.append([(np.mod(n, d) * step, True) if k in wrap else (n * step, (n >= 0) & (n < d)) for n in ns])
-    return _lerp_nodes(src, slot, nodes, t, 0, 0, np.ones(len(base[0]), dtype=bool))
+        nodes.append([(np.mod(n, d) if k in wrap else n) * step for n in ns])
+    return _lerp_nodes(src, slot, nodes, t, 0, 0)
 
 
-def _lerp_nodes(src: np.ndarray, slot, nodes: list, t: list, k: int, flat, ok) -> np.ndarray:
-    """Gather and lerp the nodes of axes k.. under flat-index prefix flat and mask
-    ok, last axis first; unlike a nested closure, this recursion leaves no cycle."""
+def _lerp_nodes(src: np.ndarray, slot, nodes: list, t: list, k: int, flat) -> np.ndarray:
+    """Gather and lerp the nodes of axes k.. under flat-index prefix flat, last
+    axis first; unlike a nested closure, this recursion leaves no cycle."""
     if k == len(nodes):
-        at = np.where(ok, flat, 0)
-        vals = np.take(src, at if slot is None else slot[at], axis=0).astype(np.float64)
-        vals[~ok] = 0.0
-        return vals
-    vals = [_lerp_nodes(src, slot, nodes, t, k + 1, flat + i, ok & m) for i, m in nodes[k]]
+        return np.take(src, flat if slot is None else slot[flat], axis=0).astype(np.float64)
+    vals = [_lerp_nodes(src, slot, nodes, t, k + 1, flat + n) for n in nodes[k]]
     return vals[0] if t[k] is None else _lerp(*vals, t[k])
 
 
@@ -252,16 +232,19 @@ def align_history(hist: VoxelGrid | FeatureRows, t_hist: RigidTransform, t_curr:
     base node, unless the history holds a -0.0 (a lerp at t = 0 turns it +0.0).
 
     A dense history is read through FeatureRows.of. Nodes are read through a
-    flat-index -> row slot map whose unlisted voxels read one zero row. The
-    result lists the interpolated samples, in flat order.
+    flat-index -> row slot map whose unlisted voxels read one zero row, padded
+    with a layer of them at each end of every axis but a wrapping azimuth: a
+    base b, from -1 to D-1, sits at b + 1, so both its nodes lie on the padded
+    lattice. The result lists the interpolated samples, in flat order.
     """
     hist = FeatureRows.of(hist)
     spec, m = hist.spec, len(hist.voxels)
-    _, d1, d2 = spec.dims
-    touched = np.zeros(spec.num_voxels, dtype=bool)
-    touched[hist.voxels[row_support(hist.rows)]] = True
+    d2 = spec.dims[2]
+    wrap = (1,) if spec.coord_sys == CYLINDRICAL else ()
+    lead = [0 if k in wrap else 1 for k in range(3)]
     slot = np.full(spec.num_voxels, m, dtype=np.min_scalar_type(m))
     slot[hist.voxels] = np.arange(m)
+    slot = np.pad(slot.reshape(spec.dims), [(n, n) for n in lead], constant_values=m)
     src = np.concatenate([hist.rows, np.zeros((1, hist.channels), dtype=np.float32)])
 
     rel = t_hist.inverse().compose(t_curr)
@@ -276,14 +259,14 @@ def align_history(hist: VoxelGrid | FeatureRows, t_hist: RigidTransform, t_curr:
         axes, by = list(spec.to_native(rel.apply(pts)).reshape(len(cols), d2, 3).transpose(2, 0, 1)), (0, 0, 0)
     frac = [_snap(spec.axis_fraction(a, k) - 0.5) for k, a in enumerate(axes)]
     base = [np.floor(f).astype(np.int64) for f in frac]
-    wrap_theta = spec.coord_sys == CYLINDRICAL
 
     keep = spec.in_range(axes)  # (columns, D2)
     signed_zero = src.view(np.int32).min() == np.iinfo(np.int32).min  # only -0.0 has these bits
     fixed = [not signed_zero and not np.any(keep & (f != b)) for f, b in zip(frac, base)]
-    support = _stencil_support(touched.reshape(spec.dims), wrap_theta, fixed)
-    node = [np.clip(b + 1, 0, d) for b, d in zip(base, spec.dims)]  # clipped rows are out of range, masked by keep
-    node[1] = np.mod(base[1], d1) if wrap_theta else node[1]
+    support = np.append(row_support(hist.rows), False)[slot]  # the voxels holding a set bit
+    for k in [k for k, fix in enumerate(fixed) if not fix]:  # the zero end layers roll round as zero
+        support |= np.roll(support, -1, axis=k)  # now base b, at b + lead, marks a node b + {0,1}^3 with a set bit
+    node = [(b + n) % d for b, n, d in zip(base, lead, slot.shape)]  # only out-of-range bases wrap; keep masks them
     flat = np.flatnonzero(keep & support[tuple(node)])  # each interpolated sample's row, column * D2 + layer
 
     out = np.empty((len(flat), hist.channels), dtype=np.float32)
@@ -292,7 +275,8 @@ def align_history(hist: VoxelGrid | FeatureRows, t_hist: RigidTransform, t_curr:
         i = [at[j] for j in by]
         b = [a.ravel()[ik] for a, ik in zip(base, i)]
         t = [None if fix else (f.ravel()[ik] - a)[:, None] for f, ik, a, fix in zip(frac, i, b, fixed)]
-        out[s : s + _ALIGN_BLOCK] = _multilinear(src, spec.dims, b, t, wrap=(1,) if wrap_theta else (), slot=slot)
+        b = [a + n for a, n in zip(b, lead)]
+        out[s : s + _ALIGN_BLOCK] = _multilinear(src, slot.shape, b, t, wrap=wrap, slot=slot.ravel())
     return FeatureRows(spec, flat, out)
 
 

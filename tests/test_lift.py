@@ -150,9 +150,8 @@ class TestBilinear:
 
     @pytest.mark.parametrize("shape", [(1, 1), (1, 7), (7, 1)], ids=lambda s: f"{s[0]}x{s[1]}")
     def test_one_node_axes_match_scalar_loop(self, shape):
-        # the kernel reads a one-node axis's off-lattice zero node at t = 0 where
-        # the loop clamps to the node itself: a + 0 * (0 - a) and a + 0 * (a - a)
-        # agree bit for bit, -0.0 included
+        # the kernel wraps a one-node axis's second node back to the node itself at
+        # t = 0, and the loop clamps to it: the lerp gives a + 0 * (a - a) either way
         rng = np.random.RandomState(38)
         data = rng.uniform(-4.0, 4.0, shape + (3,)).astype(np.float32)
         data[rng.rand(*data.shape) < 0.4] = -0.0
@@ -367,7 +366,15 @@ class TestAlignMatchesDense:
         spec = SMALL_SPECS[spec_name]
         hist = VoxelGrid(spec, "feature", history_data(spec, case))
         t_hist, t_curr = align_poses(spec)[pose]
-        assert_bits_equal(align_history(hist, t_hist, t_curr).data, dense_align_history(hist, t_hist, t_curr))
+        with mock.patch.object(lift, "_multilinear", wraps=lift._multilinear) as kernel:
+            got = align_history(hist, t_hist, t_curr)
+        # every node lies on the padded lattice: a negative node would read the far end without an error
+        for call in kernel.call_args_list:
+            _, dims, base, t = call.args
+            for k, (b, d) in enumerate(zip(base, dims)):
+                if k not in call.kwargs["wrap"]:
+                    assert np.all(b >= 0) and np.all(b + (t[k] is not None) < d)
+        assert_bits_equal(got.data, dense_align_history(hist, t_hist, t_curr))
 
     def test_negative_zero_history_keeps_its_sign(self):
         spec = SMALL_SPECS["cuboid"]
@@ -493,7 +500,7 @@ class TestAlignMatchesDense:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 250 * 2**20
+        assert peak < 32 * 2**20
 
 
 class TestFuseTemporal:
