@@ -50,5 +50,5 @@ fused = fuse_temporal(colored, [aligned])
 print("fused = (curr + aligned) / 2; max abs value.", float(np.abs(fused.rows).max()))
 
 # the algebra is exact: fusing a grid with itself returns it bit-for-bit
-self_fused = fuse_temporal(colored, [colored.dense()])
-print("self-fusion exact:", bool(np.array_equal(self_fused.dense().data, colored.dense().data)))
+self_fused = fuse_temporal(colored, [colored])
+print("self-fusion exact:", bool(np.array_equal(self_fused.dense(), colored.dense())))

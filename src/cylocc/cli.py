@@ -20,8 +20,6 @@ from . import synth as synth_mod
 from .errors import DomainError, ShapeError
 from .formats import (
     FormatError,
-    _decode_ovox,
-    decode_feature_rows,
     decode_point_cloud,
     decode_raster,
     decode_voxel_grid,
@@ -143,19 +141,15 @@ def _write_report(doc: dict, path: str | None) -> None:
         Path(path).write_text(text + "\n")
 
 
-def _load_grid(path: str) -> VoxelGrid:
+def _load_grid(path: str) -> VoxelGrid | FeatureRows:
     return decode_voxel_grid(Path(path).read_bytes())
-
-
-def _load_rows(path: str) -> FeatureRows:
-    return decode_feature_rows(Path(path).read_bytes())
 
 
 def _cmd_info(args) -> int:
     buf = Path(args.path).read_bytes()
     magic = buf[:4]
     if magic == b"OVOX":
-        g = _decode_ovox(buf)  # feature rows stay FeatureRows: no dense grid is built
+        g = decode_voxel_grid(buf)
         print(f"OVOX {g.spec.coord_sys} dims={g.spec.dims} ranges={g.spec.ranges}")
         print(f"payload={g.kind} channels={g.channels} voxels={g.spec.num_voxels}")
         if g.kind != "feature":
@@ -244,13 +238,13 @@ def _cmd_align(args) -> int:
     # poses first: as when the kind was checked last, a non-feature history exits 3 only if every file reads
     t_hist = pose_from_json(Path(args.pose_hist).read_bytes())
     t_curr = pose_from_json(Path(args.pose_curr).read_bytes())
-    aligned = lift_mod.align_history(_load_rows(args.hist), t_hist, t_curr)
+    aligned = lift_mod.align_history(_load_grid(args.hist), t_hist, t_curr)
     Path(args.out).write_bytes(encode_voxel_grid(aligned))
     return 0
 
 
 def _cmd_fuse(args) -> int:
-    fused = lift_mod.fuse_temporal(_load_rows(args.curr), [_load_rows(p) for p in args.aligned])
+    fused = lift_mod.fuse_temporal(_load_grid(args.curr), [_load_grid(p) for p in args.aligned])
     Path(args.out).write_bytes(encode_voxel_grid(fused))
     return 0
 
@@ -268,7 +262,10 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_loss(args) -> int:
-    pred = ProbGrid.from_voxel_grid(_load_grid(args.pred))
+    rows = _load_grid(args.pred)
+    if rows.kind != "feature":
+        raise DomainError("probability grids load from feature payloads")
+    pred = ProbGrid(rows.spec, rows.dense())
     gt = _load_grid(args.gt)
     if gt.spec != pred.spec:
         raise ShapeError("pred and gt grids must share a spec")

@@ -14,10 +14,9 @@ OVOX voxel grids
     bits and listed rows with no set bit are refused, so a grid has one
     encoding. Feature rows carry at most 256 channels (a bitmap byte decodes
     to at most 8 KiB); a wider grid is written as kind 2, every row's f32.
-    A feature grid is also read and written as grid.FeatureRows:
-    encode_voxel_grid writes one as the bytes of its dense() grid, and
-    decode_feature_rows keeps kind 3's stored rows without building the
-    dense grid that decode_voxel_grid scatters them into.
+    A feature grid is read and written as grid.FeatureRows: kind 3 decodes
+    to its stored rows and kind 2 to its rows with a set bit, so both
+    encodings of one grid decode to the same rows.
 
 OPCD point clouds
     magic "OPCD", version u32, count u64, then per point x/y/z as f32
@@ -155,14 +154,13 @@ def _f32(values) -> np.ndarray:
 
 
 def encode_voxel_grid(grid: VoxelGrid | FeatureRows) -> bytes:
-    """OVOX bytes of a grid; a FeatureRows is written as its dense() grid would be."""
+    """OVOX bytes of a grid: FeatureRows as kind 3, or as kind 2 past _MAX_ROW_CHANNELS."""
     ranges = _f32(grid.spec.ranges).reshape(-1).tolist()  # a range beyond f32 becomes inf, which the spec check refuses
     try:
         GridSpec(grid.spec.coord_sys, grid.spec.dims, (ranges[0:2], ranges[2:4], ranges[4:6]))
     except DomainError as e:
         raise DomainError(f"grid ranges {grid.spec.ranges} stored as f32 make no valid spec: {e}") from None
-    grid = grid.dense() if isinstance(grid, FeatureRows) and grid.channels > _MAX_ROW_CHANNELS else grid
-    as_rows = isinstance(grid, FeatureRows) or (grid.kind == "feature" and grid.channels <= _MAX_ROW_CHANNELS)
+    as_rows = grid.kind == "feature" and grid.channels <= _MAX_ROW_CHANNELS
     header = _OVOX_HEADER.pack(
         b"OVOX",
         FORMAT_VERSION,
@@ -173,18 +171,19 @@ def encode_voxel_grid(grid: VoxelGrid | FeatureRows) -> bytes:
         grid.channels,
     )
     if not as_rows:  # the join is the only copy unless the payload needs converting to C order or the stored dtype
-        dense = np.ascontiguousarray(grid.data, dtype="<f4" if grid.kind == "feature" else np.uint8)
-        return b"".join((header, memoryview(dense)))
-    fr = FeatureRows.of(grid)
-    keep = row_support(fr.rows)
-    rows = fr.rows if keep.all() else fr.rows[keep]  # every row set: no gather, as the decoder makes no scatter
+        payload, dtype = (grid.dense(), "<f4") if grid.kind == "feature" else (grid.data, np.uint8)
+        return b"".join((header, memoryview(np.ascontiguousarray(payload, dtype))))
+    keep = row_support(grid.rows)
+    rows = grid.rows if keep.all() else grid.rows[keep]  # every row set: no gather, as the decoder makes no scatter
     listed = np.zeros(grid.spec.num_voxels, dtype=bool)
-    listed[fr.voxels[keep]] = True
+    listed[grid.voxels[keep]] = True
     return b"".join((header, np.packbits(listed, bitorder="little"), memoryview(np.ascontiguousarray(rows, "<f4"))))
 
 
-def _decode_ovox(buf: bytes) -> VoxelGrid | FeatureRows:
-    """An OVOX grid as stored: feature rows (kind 3) as FeatureRows, any other payload as a VoxelGrid."""
+def decode_voxel_grid(buf: bytes) -> VoxelGrid | FeatureRows:
+    """An OVOX grid: a label or occupancy payload as a VoxelGrid, a feature payload as FeatureRows.
+    Kind 3 keeps its stored rows, and kind 2 lists its rows with a set bit, so the two encodings of
+    one grid decode to the same rows."""
     _check_header(buf, b"OVOX")
     _need(buf, 0, _OVOX_HEADER.size, "header")
     fields = _OVOX_HEADER.unpack_from(buf)
@@ -215,24 +214,15 @@ def _decode_ovox(buf: bytes) -> VoxelGrid | FeatureRows:
         start, rows = start + len(bitmap), len(listed)
     _exact_length(buf, start + rows * channels * item.itemsize, "payload")
     raw = np.frombuffer(buf, dtype=item, count=rows * channels, offset=start).reshape(rows, channels)
-    if listed is not None and not row_support(raw).all():  # checked on the stored rows alone
-        raise InvalidField("a listed row holds no set bit", offset=start, fieldname="row bitmap")
-    with _fields("payload", offset=start):  # frombuffer shares buf, so the copy is the one writable one
-        if listed is not None:
-            return FeatureRows(spec, listed, raw.copy())
-        return VoxelGrid(spec, kind, raw.copy().reshape(spec.dims + ((channels,) if kind == "feature" else ())))
-
-
-def decode_voxel_grid(buf: bytes) -> VoxelGrid:
-    grid = _decode_ovox(buf)
-    return grid.dense() if isinstance(grid, FeatureRows) else grid
-
-
-def decode_feature_rows(buf: bytes) -> FeatureRows:
-    """An OVOX feature grid as FeatureRows: kind 3 keeps its stored rows, with no
-    dense grid built, and kind 2 goes through FeatureRows.of. A label or
-    occupancy grid is a DomainError once the whole file has decoded."""
-    return FeatureRows.of(_decode_ovox(buf))
+    with _fields("payload", offset=start):  # frombuffer shares buf, so a copy or gather makes the one writable array
+        if kind != "feature":
+            return VoxelGrid(spec, kind, raw.reshape(spec.dims).copy())
+        keep = row_support(raw)
+        if listed is None:
+            listed = np.flatnonzero(keep)
+        elif not keep.all():  # checked on the stored rows alone
+            raise InvalidField("a listed row holds no set bit", offset=start, fieldname="row bitmap")
+        return FeatureRows(spec, listed, raw.copy() if len(listed) == rows else raw[keep])
 
 
 _OPCD_HEADER = struct.Struct("<4sIQ")

@@ -2,9 +2,11 @@
 
 A GridSpec fixes the lattice: bin counts per axis and per-axis ranges,
 uniformly binned. Cylindrical axes are (r, theta, z) with theta spanning
-exactly [-pi, pi) and wrapping; cuboid axes are (x, y, z). VoxelGrid pairs
-a spec with a payload array in flat index order
-i = (i0 * D1 + i1) * D2 + i2 (C order).
+exactly [-pi, pi) and wrapping; cuboid axes are (x, y, z). Voxels are addressed
+by flat index i = (i0 * D1 + i1) * D2 + i2 (C order). A grid has one form
+per payload: VoxelGrid holds a dense u8 label or occupancy array, and
+FeatureRows, the only feature grid, lists the flat indices and float32
+rows of some voxels, every other row +0.0; its dense() is the full array.
 
 Bin assignment uses floor((v - min) / delta + 1e-9). The 1e-9 guard (in bin
 units, i.e. sub-nanometer positions) snaps values sitting a rounding error
@@ -158,7 +160,7 @@ def row_support(rows: np.ndarray) -> np.ndarray:
     bits = rows.view(f"u{rows.itemsize}")
     out = np.empty(len(rows), dtype=bool)
     for s in range(0, len(rows), _BIN_BLOCK):
-        nz = bits[s : s + _BIN_BLOCK] != 0
+        nz = np.not_equal(bits[s : s + _BIN_BLOCK], 0, order="C")  # C order whatever the rows' layout, for the view
         if nz.shape[1] > 32:
             out[s : s + _BIN_BLOCK] = nz.any(axis=1)
         else:  # OR the flags of up to eight channels per word column by column: 2-5x faster than any(axis=1)
@@ -166,52 +168,31 @@ def row_support(rows: np.ndarray) -> np.ndarray:
     return out
 
 
-PAYLOAD_KINDS = ("label", "occupancy", "feature")
-_PAYLOAD_DTYPES = {"label": np.uint8, "occupancy": np.uint8, "feature": np.float32}
+PAYLOAD_KINDS = ("label", "occupancy")
 
 
 @dataclass
 class VoxelGrid:
-    """Voxel payload over a GridSpec.
-
-    data is shaped (D0, D1, D2) for label/occupancy payloads and
-    (D0, D1, D2, channels) for feature payloads; C order matches the flat
-    index convention. Feature payloads must be finite.
-    """
+    """A u8 label or 0/1 occupancy payload over a GridSpec, shaped (D0, D1, D2);
+    C order matches the flat index convention. Feature grids are FeatureRows."""
 
     spec: GridSpec
     kind: str
     data: np.ndarray
+    channels = 1  # a class attribute, not a field
 
     def __post_init__(self):
         if self.kind not in PAYLOAD_KINDS:
-            raise DomainError(f"unknown payload kind {self.kind!r}")
-        arr = np.asarray(self.data, dtype=_PAYLOAD_DTYPES[self.kind])
-        want = self.spec.dims if self.kind != "feature" else None
-        if self.kind == "feature":
-            if arr.ndim != 4 or arr.shape[:3] != self.spec.dims or arr.shape[3] < 1:
-                raise ShapeError(f"feature data must be {self.spec.dims} + (channels >= 1,), got {arr.shape}")
-        else:
-            if arr.shape != want:
-                raise ShapeError(f"payload shape {arr.shape} does not match dims {want}")
+            raise DomainError(f"unknown payload kind {self.kind!r}; feature grids are FeatureRows")
+        arr = np.asarray(self.data, dtype=np.uint8)
+        if arr.shape != self.spec.dims:
+            raise ShapeError(f"payload shape {arr.shape} does not match dims {self.spec.dims}")
         if self.kind == "occupancy" and arr.size and arr.max() > 1:
             raise DomainError("occupancy payload must be 0/1")
-        if self.kind == "feature":
-            require_finite("feature payload", arr)
         self.data = arr
 
-    @property
-    def channels(self) -> int:
-        return 1 if self.kind != "feature" else self.data.shape[3]
-
-    def row_support(self) -> np.ndarray:
-        """(V,) mask of the payload rows, in flat order, that hold any set bit (see row_support)."""
-        return row_support(self.data.reshape(self.spec.num_voxels, self.channels))
-
     @staticmethod
-    def zeros(spec: GridSpec, kind: str, channels: int = 1) -> "VoxelGrid":
-        if kind == "feature":
-            return VoxelGrid(spec, kind, np.zeros(spec.dims + (channels,), dtype=np.float32))
+    def zeros(spec: GridSpec, kind: str) -> "VoxelGrid":
         return VoxelGrid(spec, kind, np.zeros(spec.dims, dtype=np.uint8))
 
 
@@ -221,13 +202,13 @@ class FeatureRows:
 
     voxels (M,) holds strictly increasing flat indices in [0, V); rows (M, C)
     holds their float32 features, C >= 1, finite (checked on the M rows only).
-    A listed row may be all +0.0; dense() is the VoxelGrid it stands for.
+    A listed row may be all +0.0; dense() is the (D0, D1, D2, C) array it stands for.
     """
 
     spec: GridSpec
     voxels: np.ndarray
     rows: np.ndarray
-    kind = "feature"  # as the VoxelGrid it stands for; a class attribute, not a field
+    kind = "feature"  # the payload kind that label and occupancy checks refuse; a class attribute, not a field
 
     def __post_init__(self):
         voxels, rows = np.asarray(self.voxels), np.asarray(self.rows, dtype=np.float32)
@@ -247,29 +228,18 @@ class FeatureRows:
 
     @property
     def data(self) -> np.ndarray:
-        """dense().data, built again on every read, and read-only: a write would not reach the rows."""
-        data = self.dense().data
+        """dense(), built again on every read, and read-only: a write would not reach the rows."""
+        data = self.dense()
         data.flags.writeable = False
         return data
 
-    @staticmethod
-    def of(grid: "VoxelGrid | FeatureRows") -> "FeatureRows":
-        """The row_support() rows of a feature grid; a view of its payload, not a copy, when every row is set.
-        A FeatureRows is returned as it is."""
-        if isinstance(grid, FeatureRows):
-            return grid
-        if grid.kind != "feature":
-            raise DomainError(f"feature rows need a feature grid, got a {grid.kind} grid")
-        flat, voxels = grid.data.reshape(-1, grid.channels), np.flatnonzero(grid.row_support())
-        return FeatureRows(grid.spec, voxels, flat if len(voxels) == len(flat) else flat[voxels])
-
-    def dense(self) -> VoxelGrid:
-        """The dense grid; it shares the rows' buffer when every voxel is listed."""
+    def dense(self) -> np.ndarray:
+        """The (D0, D1, D2, C) float32 array; it shares the rows' buffer when every voxel is listed."""
         v = self.spec.num_voxels
         data = self.rows if len(self.rows) == v else np.zeros((v, self.channels), dtype=np.float32)
         if len(self.rows) < v:
             data[self.voxels] = self.rows
-        return VoxelGrid(self.spec, "feature", data.reshape(self.spec.dims + (self.channels,)))
+        return data.reshape(self.spec.dims + (self.channels,))
 
 
 DEFAULT_CLASS_NAMES = (

@@ -27,9 +27,9 @@ centers and one column's D2 layers; any other pose warps every center.
 
 Each step has one kernel, and it keeps features sparse from end to end:
 color_voxels, align_history and fuse_temporal return grid.FeatureRows,
-which list only the voxels they wrote, and alignment and fusion also take
-a dense feature VoxelGrid through FeatureRows.of. A result's dense() is
-bit-identical to the unblocked oracles in tests/oracles.py
+which list only the voxels they wrote, and alignment and fusion take
+FeatureRows alone, raising DomainError on any other grid. A result's
+dense() is bit-identical to the unblocked oracles in tests/oracles.py
 (dense_align_history, fuse_temporal_unblocked).
 """
 
@@ -42,7 +42,7 @@ import numpy as np
 
 from .errors import DomainError, ShapeError, require_finite
 from .geom import FisheyeCamera, RigidTransform
-from .grid import CYLINDRICAL, FeatureRows, GridSpec, VoxelGrid, row_support
+from .grid import CYLINDRICAL, FeatureRows, GridSpec, row_support
 from .sketch import CandidateMask
 
 _SNAP = 1e-9  # fractional index snap, keeps lattice-aligned warps exact
@@ -213,7 +213,13 @@ def _lerp_nodes(src: np.ndarray, slot, nodes: list, t: list, k: int, flat) -> np
     return vals[0] if t[k] is None else _lerp(*vals, t[k])
 
 
-def align_history(hist: VoxelGrid | FeatureRows, t_hist: RigidTransform, t_curr: RigidTransform) -> FeatureRows:
+def _require_rows(*grids) -> None:
+    for g in grids:
+        if not isinstance(g, FeatureRows):
+            raise DomainError(f"features are FeatureRows, got a {getattr(g, 'kind', type(g).__name__)} grid")
+
+
+def align_history(hist: FeatureRows, t_hist: RigidTransform, t_curr: RigidTransform) -> FeatureRows:
     """Resample a historical feature grid into the current ego frame.
 
     Each current voxel center p is read at p' = t_hist^-1 * t_curr * p in
@@ -231,13 +237,13 @@ def align_history(hist: VoxelGrid | FeatureRows, t_hist: RigidTransform, t_curr:
     support. An axis whose fraction is 0 at every such sample reads only its
     base node, unless the history holds a -0.0 (a lerp at t = 0 turns it +0.0).
 
-    A dense history is read through FeatureRows.of. Nodes are read through a
-    flat-index -> row slot map whose unlisted voxels read one zero row, padded
-    with a layer of them at each end of every axis but a wrapping azimuth: a
-    base b, from -1 to D-1, sits at b + 1, so both its nodes lie on the padded
-    lattice. The result lists the interpolated samples, in flat order.
+    Nodes are read through a flat-index -> row slot map whose unlisted
+    voxels read one zero row, padded with a layer of them at each end of
+    every axis but a wrapping azimuth: a base b, from -1 to D-1, sits at
+    b + 1, so both its nodes lie on the padded lattice. The result lists the
+    interpolated samples, in flat order.
     """
-    hist = FeatureRows.of(hist)
+    _require_rows(hist)
     spec, m = hist.spec, len(hist.voxels)
     d2 = spec.dims[2]
     wrap = (1,) if spec.coord_sys == CYLINDRICAL else ()
@@ -280,15 +286,15 @@ def align_history(hist: VoxelGrid | FeatureRows, t_hist: RigidTransform, t_curr:
     return FeatureRows(spec, flat, out)
 
 
-def fuse_temporal(curr: VoxelGrid | FeatureRows, aligned: list[VoxelGrid | FeatureRows]) -> FeatureRows:
+def fuse_temporal(curr: FeatureRows, aligned: list[FeatureRows]) -> FeatureRows:
     """Average the current grid with N aligned histories: (curr + sum) / (N+1).
 
-    Dense grids are read through FeatureRows.of. Over the union of the
-    inputs' voxels, each input adds its row, or +0.0 where it has none, in
-    float64, one block of union rows at a time; every other voxel is +0.0.
+    Over the union of the inputs' voxels, each input adds its row, or +0.0
+    where it has none, in float64, one block of union rows at a time; every
+    other voxel is +0.0.
     """
-    grids = [FeatureRows.of(g) for g in [curr, *aligned]]
-    curr = grids[0]
+    grids = [curr, *aligned]
+    _require_rows(*grids)
     if any(g.spec != curr.spec or g.channels != curr.channels for g in grids):
         raise ShapeError("all grids must share spec and channel count")
     union = np.zeros(curr.spec.num_voxels, dtype=bool)

@@ -57,12 +57,6 @@ class ProbGrid:
     def num_classes(self) -> int:
         return self.probs.shape[3]
 
-    @staticmethod
-    def from_voxel_grid(grid: VoxelGrid) -> "ProbGrid":
-        if grid.kind != "feature":
-            raise DomainError("probability grids load from feature payloads")
-        return ProbGrid(grid.spec, grid.data)
-
 
 @dataclass(frozen=True)
 class ClassWeights:

@@ -38,7 +38,9 @@ relative; weighted_ce_formula and weighted_ce_grad_formula evaluate the
 cross-entropy out of place, and the shared in-place kernel must match them
 bit for bit. central_diff is the finite-difference check of the analytic
 gradients. The JSON writers produce the documents the loaders read back.
-The rest are inputs the tests share but the library never needs.
+feature_rows lists a dense feature array's set rows as FeatureRows, the
+library's only feature grid; only tests start from dense features. The rest
+are inputs the tests share but the library never needs.
 """
 
 import json
@@ -51,8 +53,8 @@ from cylocc import synth
 from cylocc.errors import DomainError, ShapeError, require_finite
 from cylocc.geom import (UNLABELED, ErpImage, LabeledPointCloud, RigidTransform, _as_points, erp_depth_to_point_cloud,
                          erp_pixel_to_direction)
-from cylocc.grid import (_EDGE_GUARD, CUBOID, CYLINDRICAL, GridSpec, LabelSet, VoxelGrid, default_label_set,
-                         majority_vote)
+from cylocc.grid import (_EDGE_GUARD, CUBOID, CYLINDRICAL, FeatureRows, GridSpec, LabelSet, VoxelGrid,
+                         default_label_set, majority_vote, row_support)
 from cylocc.losses import EPS, ClassWeights, _check_pair, _probs_array
 from cylocc.metrics import _CHUNK, _MIN_SEGMENT, BatchHits, Rays, generate_rays
 from cylocc.sketch import sketch_from_points
@@ -432,6 +434,18 @@ def erp_direction_grid(width: int, height: int) -> np.ndarray:
     return erp_pixel_to_direction(uu, vv, width, height)
 
 
+def feature_rows(spec: GridSpec, data) -> FeatureRows:
+    """The FeatureRows of a dense (D0, D1, D2, C) float32 feature array: the
+    rows holding any set bit (row_support, so a -0.0 row is listed), a view
+    of data, not a copy, when every row is set."""
+    data = np.asarray(data, dtype=np.float32)
+    if data.ndim != 4 or data.shape[:3] != spec.dims:
+        raise ShapeError(f"feature data must be {spec.dims} + (channels,), got {data.shape}")
+    flat = data.reshape(spec.num_voxels, -1)
+    voxels = np.flatnonzero(row_support(flat))
+    return FeatureRows(spec, voxels, flat if len(voxels) == len(flat) else flat[voxels])
+
+
 def dense_align_history(hist, t_hist, t_curr):
     """align_history interpolating every voxel center, in float64, with no
     stencil support and no row blocks: the exact reference it must match bit
@@ -451,7 +465,7 @@ def dense_align_history(hist, t_hist, t_curr):
     wrap_theta = spec.coord_sys == CYLINDRICAL
     base = [np.floor(f).astype(np.int64) for f in (f0, f1, f2)]
     t = [f - b for f, b in zip((f0, f1, f2), base)]
-    data = hist.data.reshape(d0, d1, d2, ch).astype(np.float64)
+    data = hist.dense().astype(np.float64)
 
     def node(o0, o1, o2):
         i0 = base[0] + o0
@@ -482,9 +496,9 @@ def dense_align_history(hist, t_hist, t_curr):
 def fuse_temporal_unblocked(curr, aligned):
     """fuse_temporal widening the whole lattice to float64 at once: the exact
     reference for its block-by-block accumulation."""
-    acc = curr.data.astype(np.float64)
+    acc = curr.dense().astype(np.float64)
     for g in aligned:
-        acc += g.data
+        acc += g.dense()
     acc /= len(aligned) + 1
     return acc.astype(np.float32)
 

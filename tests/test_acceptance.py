@@ -48,6 +48,7 @@ from oracles import (
     central_diff,
     default_cuboid_spec,
     fan_point_cloud,
+    feature_rows,
     lidar_ring_origins,
     march_fixed_step,
     within_range,
@@ -163,16 +164,16 @@ class TestAcceptance:
     def test_05_temporal_fusion_algebra(self):
         spec = default_cylindrical_spec()
         rng = np.random.RandomState(5)
-        grid = VoxelGrid(spec, "feature", rng.rand(*spec.dims, 4).astype(np.float32))
+        grid = feature_rows(spec, rng.rand(*spec.dims, 4).astype(np.float32))
         pose = RigidTransform.identity()
         for n in (1, 2, 3):
             aligned = [align_history(grid, pose, pose) for _ in range(n)]
             fused = fuse_temporal(grid, aligned)
-            assert np.max(np.abs(fused.data - grid.data)) <= 1e-6
+            assert np.max(np.abs(fused.dense() - grid.dense())) <= 1e-6
         # one-bin z shift equals an index shift exactly on interior voxels
         t_curr = RigidTransform(np.eye(3), np.array([0.0, 0.0, 0.4]))
         shifted = align_history(grid, RigidTransform.identity(), t_curr)
-        np.testing.assert_array_equal(shifted.data[:, :, :-1], grid.data[:, :, 1:])
+        np.testing.assert_array_equal(shifted.dense()[:, :, :-1], grid.dense()[:, :, 1:])
         report(5, "temporal fusion algebra")
 
     def test_06_coloring_determinism(self):
@@ -188,13 +189,13 @@ class TestAcceptance:
         for k in (0.5, -1.75, 0.123):
             feats = [FeatureImage(cam.name, np.full((20, 20, 3), k, dtype=np.float32)) for cam in rig]
             colored = color_voxels(hits, feats)
-            values = colored.data.reshape(-1, 3)[hits.voxels[~hits.unhit]]
+            values = colored.dense().reshape(-1, 3)[hits.voxels[~hits.unhit]]
             assert np.all(values == np.float32(k))
         feats = [FeatureImage(cam.name, rng.rand(20, 20, 3).astype(np.float32)) for cam in rig]
         base = color_voxels(build_hit_set(mask, rig), feats)
         for perm in (rig[::-1], rig[3:] + rig[:3]):
             again = color_voxels(build_hit_set(mask, perm), feats)
-            np.testing.assert_array_equal(again.data, base.data)
+            np.testing.assert_array_equal(again.dense(), base.dense())
         report(6, "coloring determinism", f"({int((~hits.unhit).sum())} hit voxels, 6 cameras)")
 
     def test_07_dilation_oracle(self):

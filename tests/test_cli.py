@@ -30,7 +30,7 @@ from cylocc.geom import ErpImage, LabeledPointCloud, RigidTransform, rot_z, surr
 from cylocc.grid import GridSpec, VoxelGrid, default_cylindrical_spec
 from cylocc.sketch import CandidateMask
 from conftest import sparse_features
-from oracles import dense_align_history, fuse_temporal_unblocked, scene_to_json
+from oracles import dense_align_history, feature_rows, fuse_temporal_unblocked, scene_to_json
 
 
 def _reject_constant(token):
@@ -148,7 +148,7 @@ class TestExitCodes:
         gt = tmp_path / "gt.ovox"
         gt.write_bytes(encode_voxel_grid(VoxelGrid.zeros(spec, "label")))
         pred = tmp_path / "pred.ovox"
-        pred.write_bytes(encode_voxel_grid(VoxelGrid(spec, "feature", np.full((2, 2, 1, 2), 0.5, np.float32))))
+        pred.write_bytes(encode_voxel_grid(feature_rows(spec, np.full((2, 2, 1, 2), 0.5, np.float32))))
         weights = tmp_path / "w.json"
         weights.write_text('{"frequencies": "many"}')
         assert main(["loss", "--pred", str(pred), "--gt", str(gt), "--weights", str(weights)]) == 2
@@ -158,7 +158,7 @@ class TestExitCodes:
         gt = tmp_path / "gt.ovox"
         gt.write_bytes(encode_voxel_grid(VoxelGrid.zeros(spec, "label")))
         pred = tmp_path / "pred.ovox"
-        pred.write_bytes(encode_voxel_grid(VoxelGrid(spec, "feature", np.full((2, 2, 1, 2), 0.5, np.float32))))
+        pred.write_bytes(encode_voxel_grid(feature_rows(spec, np.full((2, 2, 1, 2), 0.5, np.float32))))
         weights = tmp_path / "w.json"
         weights.write_text(json.dumps({"frequencies": [0.5, 0.5], "constant": math.nan}))
         report = tmp_path / "report.json"
@@ -173,7 +173,7 @@ class TestExitCodes:
         gt = tmp_path / "gt.ovox"
         gt.write_bytes(encode_voxel_grid(VoxelGrid(spec, "label", np.array([0, 1, 4, 4], np.uint8).reshape(2, 2, 1))))
         pred = tmp_path / "pred.ovox"
-        pred.write_bytes(encode_voxel_grid(VoxelGrid(spec, "feature", np.full((2, 2, 1, 5), 0.2, np.float32))))
+        pred.write_bytes(encode_voxel_grid(feature_rows(spec, np.full((2, 2, 1, 5), 0.2, np.float32))))
         weights = tmp_path / "w.json"
         weights.write_text(json.dumps({"frequencies": frequencies}))
         report = tmp_path / "report.json"
@@ -187,7 +187,7 @@ class TestExitCodes:
         gt = tmp_path / "gt.ovox"
         gt.write_bytes(encode_voxel_grid(VoxelGrid(spec, "label", np.array([0, 1, 4, 4], np.uint8).reshape(2, 2, 1))))
         pred = tmp_path / "pred.ovox"
-        pred.write_bytes(encode_voxel_grid(VoxelGrid(spec, "feature", np.full((2, 2, 1, 5), 0.2, np.float32))))
+        pred.write_bytes(encode_voxel_grid(feature_rows(spec, np.full((2, 2, 1, 5), 0.2, np.float32))))
         weights = tmp_path / "w.json"
         weights.write_text(json.dumps({"frequencies": [0.5, 0.5]}))
         report = tmp_path / "report.json"
@@ -202,8 +202,8 @@ class TestExitCodes:
         gt = tmp_path / "gt.ovox"
         gt.write_bytes(encode_voxel_grid(VoxelGrid(spec, "label", np.array([0, 1, 2, 2], np.uint8).reshape(2, 2, 1))))
         pred = tmp_path / "pred.ovox"
-        pred.write_bytes(encode_voxel_grid(VoxelGrid(spec, "feature", np.full((2, 2, 1, 3), 0.25, np.float32)
-                                                     + np.eye(3, dtype=np.float32)[[0, 1, 2, 2]].reshape(2, 2, 1, 3) / 4)))
+        onehot = np.eye(3, dtype=np.float32)[[0, 1, 2, 2]].reshape(2, 2, 1, 3)
+        pred.write_bytes(encode_voxel_grid(feature_rows(spec, np.full((2, 2, 1, 3), 0.25, np.float32) + onehot / 4)))
         counted = []
         frequencies = cli.class_frequencies
 
@@ -228,7 +228,7 @@ class TestExitCodes:
         p = np.zeros((2, 1, 1, 300), np.float32)
         p[0, 0, 0, 1] = p[1, 0, 0, 257] = 1.0
         pred = tmp_path / "pred.ovox"
-        pred.write_bytes(encode_voxel_grid(VoxelGrid(spec, "feature", p)))
+        pred.write_bytes(encode_voxel_grid(feature_rows(spec, p)))
         report = tmp_path / "report.json"
         args = ["loss", "--pred", str(pred), "--gt", str(gt), "--report", str(report)]
         assert main([*args, "--terms", "ce,dice"]) == 3
@@ -362,7 +362,7 @@ class TestExitCodes:
         assert main(args) == 0
         err = capsys.readouterr().err
         assert "Warning" not in err and "Traceback" not in err
-        assert np.all(decode_voxel_grid(out.read_bytes()).data[occ == 0] == 0)
+        assert np.all(decode_voxel_grid(out.read_bytes()).dense()[occ == 0] == 0)
 
     @pytest.mark.parametrize("spec", ["cylindrical:4x8x2:0:1e300:-1:1", "cuboid:4x4x2:-1:1:-1:1:100000000:100000001"],
                              ids=["range-overflows-f32", "range-collapses-at-f32"])
@@ -570,7 +570,7 @@ class TestPipeline:
         )
         grid = decode_voxel_grid(colored.read_bytes())
         assert grid.kind == "feature"
-        hit_values = grid.data[grid.data != 0]
+        hit_values = grid.dense()[grid.dense() != 0]
         assert np.all(hit_values == np.float32(2.5))
 
         pose_a = tmp_path / "pose_a.json"
@@ -584,7 +584,7 @@ class TestPipeline:
             )
             == 0
         )
-        np.testing.assert_array_equal(decode_voxel_grid(aligned.read_bytes()).data, grid.data)
+        np.testing.assert_array_equal(decode_voxel_grid(aligned.read_bytes()).dense(), grid.dense())
 
         fused = tmp_path / "fused.ovox"
         assert (
@@ -592,7 +592,7 @@ class TestPipeline:
             == 0
         )
         np.testing.assert_allclose(
-            decode_voxel_grid(fused.read_bytes()).data, grid.data, atol=1e-6
+            decode_voxel_grid(fused.read_bytes()).dense(), grid.dense(), atol=1e-6
         )
 
     def test_loss_report(self, tmp_path):
@@ -605,7 +605,7 @@ class TestPipeline:
         p /= p.sum(axis=-1, keepdims=True)
         pred_path = tmp_path / "pred.ovox"
         pred_path.write_bytes(
-            encode_voxel_grid(VoxelGrid(spec, "feature", p.astype(np.float32)))
+            encode_voxel_grid(feature_rows(spec, p.astype(np.float32)))
         )
         report_path = tmp_path / "loss.json"
         assert (
@@ -650,12 +650,12 @@ class TestRowSparseSteps:
         assert main(["align", "--hist", hist_path, "--pose-hist", poses[0], "--pose-curr", poses[1],
                      "--out", str(aligned)]) == 0
         t_hist, t_curr = (pose_from_json(Path(q).read_bytes()) for q in poses)
-        want_aligned = VoxelGrid(hist.spec, "feature", dense_align_history(hist, t_hist, t_curr))
+        want_aligned = feature_rows(hist.spec, dense_align_history(hist, t_hist, t_curr))
         assert aligned.read_bytes() == encode_voxel_grid(want_aligned)
         for n in (0, 1, 2):
             fused = tmp_path / f"fused{n}.ovox"
             assert main(["fuse", "--curr", hist_path, "--aligned", *[str(aligned)] * n, "--out", str(fused)]) == 0
-            want = VoxelGrid(hist.spec, "feature", fuse_temporal_unblocked(hist, [want_aligned] * n))
+            want = feature_rows(hist.spec, fuse_temporal_unblocked(hist, [want_aligned] * n))
             assert fused.read_bytes() == encode_voxel_grid(want)
 
     def test_street_scene(self, tmp_path, scene_file, rig_file, capsys):
@@ -688,13 +688,13 @@ class TestRowSparseSteps:
         spec = default_cylindrical_spec()
         data = sparse_features(spec, np.random.RandomState(91), 0.06, 16)
         assert np.signbit(data).any()
-        hist = self.write(tmp_path / "hist.ovox", VoxelGrid(spec, "feature", data))
+        hist = self.write(tmp_path / "hist.ovox", feature_rows(spec, data))
         self.align_and_fuse(tmp_path, hist, self.PLANAR if pose == "planar" else self.TILTED)
 
     def test_wide_history_is_written_dense(self, tmp_path):
         spec = GridSpec("cylindrical", (6, 10, 4), ((0.0, 6.0), (-math.pi, math.pi), (-1.0, 1.4)))
         data = sparse_features(spec, np.random.RandomState(92), 0.3, 300)
-        hist = self.write(tmp_path / "hist.ovox", VoxelGrid(spec, "feature", data))
+        hist = self.write(tmp_path / "hist.ovox", feature_rows(spec, data))
         assert Path(hist).read_bytes()[45] == 2  # payload kind 2: every row's f32
         self.align_and_fuse(tmp_path, hist, self.PLANAR)
 
@@ -702,13 +702,13 @@ class TestRowSparseSteps:
         spec = default_cylindrical_spec()
         rng = np.random.RandomState(93)
         small = GridSpec("cuboid", (4, 4, 4), ((0, 1), (0, 1), (0, 1)))
-        feat = self.write(tmp_path / "feat.ovox", VoxelGrid(spec, "feature", sparse_features(spec, rng, 0.05, 4)))
+        feat = self.write(tmp_path / "feat.ovox", feature_rows(spec, sparse_features(spec, rng, 0.05, 4)))
         return {
             "feature": feat,
             "label": self.write(tmp_path / "label.ovox", VoxelGrid(spec, "label", rng.randint(0, 3, spec.dims))),
             "occupancy": self.write(tmp_path / "occ.ovox", VoxelGrid(spec, "occupancy", rng.randint(0, 2, spec.dims))),
-            "channels": self.write(tmp_path / "c3.ovox", VoxelGrid(spec, "feature", sparse_features(spec, rng, 0.05, 3))),
-            "spec": self.write(tmp_path / "small.ovox", VoxelGrid(small, "feature", np.ones((4, 4, 4, 4), dtype=np.float32))),
+            "channels": self.write(tmp_path / "c3.ovox", feature_rows(spec, sparse_features(spec, rng, 0.05, 3))),
+            "spec": self.write(tmp_path / "small.ovox", feature_rows(small, np.ones((4, 4, 4, 4), dtype=np.float32))),
             "truncated": self.write(tmp_path / "cut.ovox", Path(feat).read_bytes()[:-5]),
         }
 
@@ -733,13 +733,33 @@ class TestRowSparseSteps:
         assert "Traceback" not in capsys.readouterr().err
         assert out.exists() == (code == 0)
 
+    @pytest.mark.parametrize("argv,says", [
+        (["eval", "--pred", "probs", "--gt", "label", "--report"], "ray casting needs label grids"),
+        (["lift", "--mask", "probs", "--rig", "rig", "--features", ".", "--out"],
+         "candidate mask needs an occupancy grid"),
+        (["loss", "--pred", "probs", "--gt", "probs", "--report"], "class frequencies need a label grid"),
+        (["loss", "--pred", "label", "--gt", "label", "--report"], "probability grids load from feature payloads"),
+    ], ids=["eval_pred", "lift_mask", "loss_gt", "loss_pred"])
+    def test_payload_kind_exit_codes(self, tmp_path, rig_file, argv, says, capsys):
+        # a feature file where a label or occupancy grid belongs, or a label file where features belong
+        spec = GridSpec("cuboid", (2, 2, 1), ((0, 2), (0, 2), (0, 1)))
+        probs = feature_rows(spec, np.full((2, 2, 1, 2), 0.5, np.float32))
+        labels = VoxelGrid(spec, "label", np.eye(2, dtype=np.uint8)[..., None])
+        files = {"rig": str(rig_file), "probs": self.write(tmp_path / "probs.ovox", probs),
+                 "label": self.write(tmp_path / "label.ovox", labels)}
+        out = tmp_path / "out"
+        assert main([files.get(a, a) for a in argv] + [str(out)]) == 3
+        err = capsys.readouterr().err
+        assert f"domain error: {says}" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_default_lattice_peak_memory(self, tmp_path):
         # 16 channels on about 6% of the default lattice, as colored; dense steps held two
         # (align) or three (fuse) 26 MB grids, and peaked at about 56 and 78.5 MiB. A -0.0
         # anywhere makes align interpolate along every axis, which costs more rows.
         spec = default_cylindrical_spec()
         data = sparse_features(spec, np.random.RandomState(94), 0.06, 16, negative_zero=False)
-        hist = self.write(tmp_path / "hist.ovox", VoxelGrid(spec, "feature", data))
+        hist = self.write(tmp_path / "hist.ovox", feature_rows(spec, data))
         poses = self.poses(tmp_path, self.PLANAR)
         aligned = str(tmp_path / "aligned.ovox")
         for argv in (["align", "--hist", hist, "--pose-hist", poses[0], "--pose-curr", poses[1], "--out", aligned],
@@ -773,7 +793,7 @@ class TestStepPeaks:
         # 16 channels on about 6% of the default lattice; the dense grid alone is 25 MiB
         spec = default_cylindrical_spec()
         path = tmp_path / "feat.ovox"
-        path.write_bytes(encode_voxel_grid(VoxelGrid(spec, "feature", sparse_features(spec, np.random.RandomState(95),
+        path.write_bytes(encode_voxel_grid(feature_rows(spec, sparse_features(spec, np.random.RandomState(95),
                                                                                      0.06, 16))))
         code, peak = traced_main(["info", str(path)])
         assert code == 0

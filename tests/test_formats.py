@@ -22,7 +22,6 @@ from cylocc.formats import (
     InvalidField,
     Truncated,
     decode_point_cloud,
-    decode_feature_rows,
     decode_raster,
     decode_voxel_grid,
     encode_point_cloud,
@@ -36,10 +35,11 @@ from cylocc.formats import (
 )
 from cylocc.errors import DomainError
 from cylocc.geom import ErpImage, LabeledPointCloud, RigidTransform, surround_rig
-from cylocc.grid import CUBOID, CYLINDRICAL, FeatureRows, GridSpec, VoxelGrid, default_cylindrical_spec
+from cylocc.grid import CUBOID, CYLINDRICAL, FeatureRows, GridSpec, VoxelGrid, default_cylindrical_spec, row_support
+from cylocc.lift import align_history, fuse_temporal
 from cylocc.losses import weights_from_json
 from cylocc.synth import Sphere, scene_from_json
-from oracles import DEMO07_SCENE, scene_to_json, spec_to_json
+from oracles import DEMO07_SCENE, feature_rows, scene_to_json, spec_to_json
 
 
 def random_label_grid(rng):
@@ -61,9 +61,9 @@ class TestOvox:
 
     def test_feature_round_trip(self, cyl_spec):
         rng = np.random.RandomState(61)
-        grid = VoxelGrid(cyl_spec, "feature", rng.rand(*cyl_spec.dims, 2).astype(np.float32))
+        grid = feature_rows(cyl_spec, rng.rand(*cyl_spec.dims, 2).astype(np.float32))
         back = decode_voxel_grid(encode_voxel_grid(grid))
-        np.testing.assert_array_equal(back.data, grid.data)
+        np.testing.assert_array_equal(back.dense(), grid.dense())
         assert back.channels == 2
 
     def test_cuboid_occupancy_round_trip(self):
@@ -104,9 +104,15 @@ class TestOvox:
         if kind == "feature":
             data[rng.rand(3, 4, 5) < 0.5] = 0.0  # unset rows, left out of the row block
             data[0, 1, 2] = (-0.0, 0.0)  # a set bit: the row is listed
-        grid = VoxelGrid(spec, kind, np.asarray(data, order=order))
-        assert grid.data.flags.c_contiguous == (order == "C")
-        header = encode_voxel_grid(VoxelGrid.zeros(spec, kind, 2))[:50]
+        if kind == "feature":  # FeatureRows keeps the layout of the rows it is given
+            listed = feature_rows(spec, data)
+            grid = FeatureRows(spec, listed.voxels, np.asarray(listed.rows, order=order))
+            assert grid.rows.flags.c_contiguous == (order == "C")
+            header = encode_voxel_grid(FeatureRows(spec, np.zeros(0, np.int64), np.zeros((0, 2), np.float32)))[:50]
+        else:
+            grid = VoxelGrid(spec, kind, np.asarray(data, order=order))
+            assert grid.data.flags.c_contiguous == (order == "C")
+            header = encode_voxel_grid(VoxelGrid.zeros(spec, kind))[:50]
         if kind == "feature":
             rows = [data[i0, i1, i2] for i0 in range(3) for i1 in range(4) for i2 in range(5)]  # flat order
             listed = [r.tobytes() != bytes(8) for r in rows]
@@ -157,8 +163,7 @@ class TestOvox:
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_non_finite_feature_rejected(self, bad):
         spec = GridSpec("cuboid", (2, 2, 2), ((0, 1), (0, 1), (0, 1)))
-        grid = VoxelGrid.zeros(spec, "feature", 3)
-        grid.data[1, 0, 1] = 1.0
+        grid = FeatureRows(spec, np.array([5]), np.ones((1, 3), dtype=np.float32))  # voxel (1, 0, 1)
         blob = bytearray(encode_voxel_grid(grid))
         # voxel (1, 0, 1), flat index 5, is the one listed row, after the 1-byte bitmap; patch its channel 2
         assert blob[50] == 1 << 5 and len(blob) == 50 + 1 + 3 * 4
@@ -170,14 +175,15 @@ class TestOvox:
     def test_decoded_payload_is_writable(self, cyl_spec, kind):
         rng = np.random.RandomState(69)
         if kind == "feature":
-            grid = VoxelGrid(cyl_spec, kind, rng.rand(*cyl_spec.dims, 2).astype(np.float32))
+            grid = feature_rows(cyl_spec, rng.rand(*cyl_spec.dims, 2).astype(np.float32))
         else:
             grid = random_label_grid(rng)
         blob = encode_voxel_grid(grid)
         back = decode_voxel_grid(blob)
-        assert back.data.flags.writeable
-        np.testing.assert_array_equal(back.data, grid.data)
-        back.data[0, 0, 0] = 7
+        payload = back.rows if kind == "feature" else back.data
+        assert payload.flags.writeable
+        np.testing.assert_array_equal(payload, grid.rows if kind == "feature" else grid.data)
+        payload[0] = 7
         assert encode_voxel_grid(grid) == blob
 
     def test_feature_decode_copies_payload_once(self, cyl_spec):
@@ -186,7 +192,7 @@ class TestOvox:
         data = np.zeros(cyl_spec.dims + (16,), dtype=np.float32)
         set_rows = rng.rand(*cyl_spec.dims) < 0.06
         data[set_rows] = rng.rand(int(set_rows.sum()), 16)
-        blob = encode_voxel_grid(VoxelGrid(cyl_spec, "feature", data))
+        blob = encode_voxel_grid(feature_rows(cyl_spec, data))
         stored = len(blob) - 50
         tracemalloc.start()
         try:
@@ -194,7 +200,7 @@ class TestOvox:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < data.nbytes + 1.5 * stored
+        assert peak < 2 * stored  # the stored rows and the bitmap's bits; no dense grid is built
 
     def test_label_with_channels_rejected(self, cyl_spec):
         blob = bytearray(encode_voxel_grid(VoxelGrid.zeros(cyl_spec, "label")))
@@ -263,7 +269,7 @@ def feature_grids(draw):
         rows[:] = 0.0
     elif fill == "all set":
         rows[(rows.view(np.uint32) == 0).all(axis=1), 0] = -0.0
-    return VoxelGrid(spec, "feature", rows.reshape(dims + (channels,)))
+    return feature_rows(spec, rows.reshape(dims + (channels,)))
 
 
 class TestFeatureRows:
@@ -273,18 +279,18 @@ class TestFeatureRows:
     @given(grid=feature_grids())
     def test_round_trip_bit_exact(self, grid):
         blob = encode_voxel_grid(grid)
-        rows = grid.data.reshape(-1, grid.channels)
+        rows = grid.dense().reshape(-1, grid.channels)
         listed = (rows.view(np.uint32) != 0).any(axis=1)
         assert blob[45] == 3
         assert len(blob) == 50 + -(-len(rows) // 8) + int(listed.sum()) * grid.channels * 4
         back = decode_voxel_grid(blob)
-        assert back.data.tobytes() == grid.data.tobytes()
+        assert back.dense().tobytes() == grid.dense().tobytes()
         assert encode_voxel_grid(back) == blob
 
     def test_negative_zero_row_is_listed(self):
         blob = ovox_header(SMALL, 3, 2) + bytes([1 << 4, 0]) + struct.pack("<2f", 0.0, -0.0)
         back = decode_voxel_grid(blob)
-        assert back.data[1, 0, 1].tobytes() == struct.pack("<2f", 0.0, -0.0)
+        assert back.dense()[1, 0, 1].tobytes() == struct.pack("<2f", 0.0, -0.0)
         assert encode_voxel_grid(back) == blob
 
     @pytest.mark.parametrize("tail,error", [
@@ -299,9 +305,8 @@ class TestFeatureRows:
         (bytes([1, 0]) + struct.pack("<2f", 1.0, math.nan), InvalidField),
     ])
     def test_malformed_rows_fail_typed(self, tail, error):
-        for decode in (decode_voxel_grid, decode_feature_rows):
-            with pytest.raises(error):
-                decode(ovox_header(SMALL, 3, 2) + tail)
+        with pytest.raises(error):
+            decode_voxel_grid(ovox_header(SMALL, 3, 2) + tail)
 
     def test_random_tails_fail_typed_or_are_canonical(self):
         # anything that decodes is the one encoding of its grid
@@ -345,7 +350,7 @@ class TestFeatureRows:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert grid.data.nbytes == 8 * 1024 * 64 and peak < 8 * 1024 * len(blob) + (1 << 16)
+        assert grid.dense().nbytes == 8 * 1024 * 64 and peak < 8 * 1024 * len(blob) + (1 << 16)
         with pytest.raises(InvalidField, match="channels"):
             decode_voxel_grid(ovox_header(spec, 3, formats._MAX_ROW_CHANNELS + 1) + bytes(512 // 8))
 
@@ -353,43 +358,59 @@ class TestFeatureRows:
         # past the channel bound of feature rows the encoder writes kind 2, so any channel count round-trips
         data = np.zeros((3, 1, 3, formats._MAX_ROW_CHANNELS + 1), dtype=np.float32)
         data[1, 0, 2, 7] = -0.0
-        blob = encode_voxel_grid(VoxelGrid(SMALL, "feature", data))
+        blob = encode_voxel_grid(feature_rows(SMALL, data))
         assert blob[45] == 2 and len(blob) == 50 + data.nbytes
-        assert decode_voxel_grid(blob).data.tobytes() == data.tobytes()
+        assert decode_voxel_grid(blob).dense().tobytes() == data.tobytes()
 
     @settings(max_examples=200, deadline=None)
     @given(grid=feature_grids())
     def test_feature_rows_read_and_write_the_same_bytes(self, grid):
         blob = encode_voxel_grid(grid)
-        rows = decode_feature_rows(blob)
-        listed = grid.row_support()
+        rows = decode_voxel_grid(blob)
+        dense = grid.dense().reshape(-1, grid.channels)
+        listed = row_support(dense)
         np.testing.assert_array_equal(rows.voxels, np.flatnonzero(listed))
-        assert rows.rows.tobytes() == grid.data.reshape(-1, grid.channels)[listed].tobytes()
-        assert encode_voxel_grid(rows) == encode_voxel_grid(FeatureRows.of(grid)) == blob
+        assert rows.rows.tobytes() == dense[listed].tobytes()
+        assert encode_voxel_grid(rows) == blob
         # listed +0.0 rows are not written: a grid keeps one encoding
-        every = FeatureRows(grid.spec, np.arange(grid.spec.num_voxels), grid.data.reshape(-1, grid.channels))
+        every = FeatureRows(grid.spec, np.arange(grid.spec.num_voxels), dense)
         assert encode_voxel_grid(every) == blob
 
     def test_feature_rows_of_kind_2_and_wide_rows(self):
+        # kind 2 lists the rows holding a set bit, so it decodes to the rows of the kind-3 file of its grid
         rng = np.random.RandomState(75)
         data = rng.rand(3, 1, 3, 2).astype(np.float32)
-        data[0, 0, 1] = 0.0
-        rows = decode_feature_rows(ovox_header(SMALL, 2, 2) + data.astype("<f4").tobytes())
+        data[0, 0, 1] = 0.0  # all +0.0: not listed
+        data[2, 0, 0] = -0.0  # only -0.0: listed
+        rows = decode_voxel_grid(ovox_header(SMALL, 2, 2) + data.astype("<f4").tobytes())
+        listed = np.delete(data.reshape(9, 2), 1, axis=0)
+        kind_3 = ovox_header(SMALL, 3, 2) + bytes([0b11111101, 1]) + listed.astype("<f4").tobytes()
+        want = decode_voxel_grid(kind_3)
         np.testing.assert_array_equal(rows.voxels, [0, 2, 3, 4, 5, 6, 7, 8])
-        assert rows.dense().data.tobytes() == data.tobytes()
+        np.testing.assert_array_equal(rows.voxels, want.voxels)
+        assert rows.rows.dtype == want.rows.dtype and rows.rows.tobytes() == want.rows.tobytes()
+        assert rows.dense().tobytes() == data.tobytes()
+        assert encode_voxel_grid(rows) == kind_3
         wide = np.zeros((3, 1, 3, formats._MAX_ROW_CHANNELS + 1), dtype=np.float32)
         wide[1, 0, 2, 7] = -0.0
         blob = encode_voxel_grid(FeatureRows(SMALL, np.array([5]), wide.reshape(9, -1)[5:6]))
-        assert blob[45] == 2 and blob == encode_voxel_grid(VoxelGrid(SMALL, "feature", wide))
-        assert decode_feature_rows(blob).voxels.tolist() == [5]
+        assert blob == ovox_header(SMALL, 2, formats._MAX_ROW_CHANNELS + 1) + wide.astype("<f4").tobytes()
+        back = decode_voxel_grid(blob)
+        assert back.voxels.tolist() == [5] and back.rows.tobytes() == wide.reshape(9, -1)[5:6].tobytes()
+        assert encode_voxel_grid(back) == blob
 
     @pytest.mark.parametrize("kind", ["label", "occupancy"])
     def test_feature_rows_refuse_other_payloads_after_decoding(self, kind):
+        # a label or occupancy file decodes to a VoxelGrid, which alignment and fusion refuse
         blob = encode_voxel_grid(VoxelGrid.zeros(SMALL, kind))
-        with pytest.raises(DomainError, match=kind):
-            decode_feature_rows(blob)
+        grid = decode_voxel_grid(blob)
+        assert isinstance(grid, VoxelGrid) and grid.kind == kind
+        pose = RigidTransform.identity()
+        for refuse in (lambda: align_history(grid, pose, pose), lambda: fuse_temporal(grid, [])):
+            with pytest.raises(DomainError, match=kind):
+                refuse()
         with pytest.raises(Truncated):  # a malformed file is a format error first
-            decode_feature_rows(blob[:-1])
+            decode_voxel_grid(blob[:-1])
 
     def test_dense_kind_2_still_decodes(self):
         rng = np.random.RandomState(74)
@@ -397,7 +418,7 @@ class TestFeatureRows:
         data[0, 0, 1] = 0.0
         legacy = ovox_header(SMALL, 2, 2) + data.astype("<f4").tobytes()
         back = decode_voxel_grid(legacy)
-        assert back.data.tobytes() == data.tobytes()
+        assert back.dense().tobytes() == data.tobytes()
         assert encode_voxel_grid(back)[45] == 3  # written back as rows
         with pytest.raises(Truncated):
             decode_voxel_grid(legacy[:-1])

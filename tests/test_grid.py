@@ -27,7 +27,7 @@ from cylocc.grid import (
 from cylocc.synth import render_erp_depth
 
 from conftest import bin_triple
-from oracles import all_centers, default_cuboid_spec, point_to_flat_unblocked, voxelize_dense_vote
+from oracles import all_centers, default_cuboid_spec, feature_rows, point_to_flat_unblocked, voxelize_dense_vote
 
 
 def scalar_cyl_index(p, spec):
@@ -348,15 +348,21 @@ class TestPayloadValidation:
         data = np.zeros((2, 2, 2, 3), dtype=np.float32)
         data[1, 0, 1, 2] = bad
         with pytest.raises(DomainError):
-            VoxelGrid(spec, "feature", data)
+            feature_rows(spec, data)
 
     def test_zero_channel_feature_rejected(self):
         # the OVOX decoder refuses channel count 0, and alignment cannot reshape it
         spec = GridSpec(CUBOID, (2, 2, 2), ((0, 1), (0, 1), (0, 1)))
         with pytest.raises(ShapeError):
-            VoxelGrid(spec, "feature", np.zeros((2, 2, 2, 0), dtype=np.float32))
-        with pytest.raises(ShapeError):
-            VoxelGrid.zeros(spec, "feature", 0)
+            FeatureRows(spec, np.arange(8), np.zeros((8, 0), dtype=np.float32))
+
+    @pytest.mark.parametrize("shape", [(2, 2, 2), (2, 2, 2, 3)])
+    def test_feature_voxel_grid_refused(self, shape):
+        # FeatureRows is the only feature grid
+        spec = GridSpec(CUBOID, (2, 2, 2), ((0, 1), (0, 1), (0, 1)))
+        with pytest.raises(DomainError):
+            VoxelGrid(spec, "feature", np.zeros(shape, dtype=np.float32))
+        assert VoxelGrid.zeros(spec, "label").channels == VoxelGrid.channels == 1
 
 
 class TestRowSupport:
@@ -371,23 +377,21 @@ class TestRowSupport:
         rng = np.random.RandomState(channels)
         data = np.where(rng.rand(*spec.dims, channels) < 0.05, rng.randn(*spec.dims, channels), 0.0).astype(np.float32)
         data[rng.rand(*spec.dims) < 0.01, rng.randint(channels)] = -0.0  # a set bit on its own
-        g = VoxelGrid(spec, "feature", np.asarray(data, order=order))
-        got = g.row_support()
+        got = grid.row_support(np.asarray(data.reshape(-1, channels), order=order))
         want = (np.bitwise_or.reduce(data.view(np.uint32), axis=3) != 0).reshape(-1)
         assert got.dtype == bool and got.shape == (spec.num_voxels,)
         np.testing.assert_array_equal(got, want)
-        np.testing.assert_array_equal(grid.row_support(data.reshape(-1, channels)), want)  # a bare (N, C) block
         assert 0 < got.sum() < spec.num_voxels
 
     def test_label_rows(self):
         spec = GridSpec(CUBOID, (2, 2, 3), ((0, 1), (0, 1), (0, 1)))
         labels = np.arange(12, dtype=np.uint8).reshape(2, 2, 3) % 3
-        np.testing.assert_array_equal(VoxelGrid(spec, "label", labels).row_support(), labels.reshape(-1) != 0)
+        np.testing.assert_array_equal(grid.row_support(labels.reshape(-1, 1)), labels.reshape(-1) != 0)
 
 
 class TestFeatureRows:
     """FeatureRows: sorted flat indices and their finite float32 rows; every
-    other voxel reads +0.0. of() and dense() round-trip a grid bit for bit."""
+    other voxel reads +0.0. dense() rebuilds the array the rows came from bit for bit."""
 
     SPEC = GridSpec(CUBOID, (3, 4, 5), ((0, 1), (0, 1), (0, 1)))
 
@@ -419,19 +423,11 @@ class TestFeatureRows:
     def test_empty_rows_accepted(self):
         fr = FeatureRows(self.SPEC, np.zeros(0, dtype=np.int64), np.zeros((0, 4), dtype=np.float32))
         assert fr.channels == 4
-        np.testing.assert_array_equal(fr.dense().data, np.zeros(self.SPEC.dims + (4,), dtype=np.float32))
-
-    def test_label_grid_refused(self):
-        with pytest.raises(DomainError):
-            FeatureRows.of(VoxelGrid.zeros(self.SPEC, "label"))
-
-    def test_of_rows_is_the_same_rows(self):
-        fr = FeatureRows(self.SPEC, np.array([1, 4, 9]), np.ones((3, 2), dtype=np.float32))
-        assert FeatureRows.of(fr) is fr
+        np.testing.assert_array_equal(fr.dense(), np.zeros(self.SPEC.dims + (4,), dtype=np.float32))
 
     def test_data_is_the_dense_payload(self):
         fr = FeatureRows(self.SPEC, np.array([1, 4, 9]), np.full((3, 2), -0.0, dtype=np.float32))
-        np.testing.assert_array_equal(fr.data.view(np.uint32), fr.dense().data.view(np.uint32))
+        np.testing.assert_array_equal(fr.data.view(np.uint32), fr.dense().view(np.uint32))
         assert fr.data.shape == self.SPEC.dims + (2,) and fr.data is not fr.data  # built again on every read
 
     @pytest.mark.parametrize("listed", ["some", "every"])
@@ -452,15 +448,14 @@ class TestFeatureRows:
             data[0, 0, 0, 1] = -0.0
         elif case == "every_row":
             data = rng.randn(*self.SPEC.dims, 3).astype(np.float32)
-        g = VoxelGrid(self.SPEC, "feature", data)
-        fr = FeatureRows.of(g)
-        np.testing.assert_array_equal(fr.voxels, np.flatnonzero(g.row_support()))
+        fr = feature_rows(self.SPEC, data)
+        np.testing.assert_array_equal(fr.voxels, np.flatnonzero(grid.row_support(data.reshape(-1, 3))))
         assert fr.voxels.dtype == np.int64 and fr.rows.dtype == np.float32
         back = fr.dense()
-        assert back.data.dtype == np.float32
-        np.testing.assert_array_equal(back.data.view(np.uint32), data.view(np.uint32))
+        assert type(back) is np.ndarray and back.dtype == np.float32 and back.shape == self.SPEC.dims + (3,)
+        np.testing.assert_array_equal(back.view(np.uint32), data.view(np.uint32))
         if case == "every_row":  # no copy either way
-            assert np.shares_memory(fr.rows, g.data) and np.shares_memory(back.data, g.data)
+            assert np.shares_memory(fr.rows, data) and np.shares_memory(back, data)
         if case == "empty":
             assert len(fr.voxels) == 0
 

@@ -29,7 +29,7 @@ from cylocc.sketch import CandidateMask
 from cylocc.synth import render_erp_depth
 
 from conftest import bin_triple, sparse_features
-from oracles import DEMO07_SCENE, dense_align_history, fuse_temporal_unblocked
+from oracles import DEMO07_SCENE, dense_align_history, feature_rows, fuse_temporal_unblocked
 
 
 def mask_with(spec, indices):
@@ -198,7 +198,7 @@ class TestColorVoxels:
         hits = build_hit_set(mask, rig6)
         for k in (0.5, 1.25, -3.0, 0.1):
             grid = color_voxels(hits, constant_features(rig6, k))
-            rows = grid.data.reshape(-1, grid.channels)
+            rows = grid.dense().reshape(-1, grid.channels)
             got = rows[hits.voxels[~hits.unhit]]
             assert np.all(got == np.float32(k))
             assert not rows[hits.voxels[hits.unhit]].any()
@@ -216,7 +216,7 @@ class TestColorVoxels:
             FeatureImage("b", np.full((8, 8, 1), 3.0, dtype=np.float32)),
         ]
         grid = color_voxels(hits, feats)
-        assert grid.data[tuple(idx)][0] == pytest.approx(2.0, abs=1e-12)
+        assert grid.dense()[tuple(idx)][0] == pytest.approx(2.0, abs=1e-12)
 
     def test_rig_permutation_invariance(self, cyl_spec, rig6):
         rng = np.random.RandomState(25)
@@ -227,7 +227,7 @@ class TestColorVoxels:
         feats = [FeatureImage(cam.name, rng.rand(24, 24, 3).astype(np.float32)) for cam in rig6]
         a = color_voxels(build_hit_set(mask, rig6), feats)
         for rig in (rig6[::-1], [rig6[i] for i in rng.permutation(6)], [rig6[i] for i in rng.permutation(6)]):
-            np.testing.assert_array_equal(color_voxels(build_hit_set(mask, rig), feats).data, a.data)
+            np.testing.assert_array_equal(color_voxels(build_hit_set(mask, rig), feats).dense(), a.dense())
 
     def test_channel_mismatch_rejected(self, cyl_spec, rig6):
         mask = mask_with(cyl_spec, [(50, 50, 8)])
@@ -244,7 +244,7 @@ class TestColorVoxels:
 
 
 def random_feature_grid(spec, rng, channels=3):
-    return VoxelGrid(spec, "feature", rng.rand(*spec.dims, channels).astype(np.float32))
+    return feature_rows(spec, rng.rand(*spec.dims, channels).astype(np.float32))
 
 
 class TestAlignHistory:
@@ -253,7 +253,7 @@ class TestAlignHistory:
         hist = random_feature_grid(cyl_spec, rng)
         t = RigidTransform(rot_z(0.3), np.array([1.0, -2.0, 0.5]))
         out = align_history(hist, t, t)
-        np.testing.assert_array_equal(out.data, hist.data)
+        np.testing.assert_array_equal(out.dense(), hist.dense())
 
     def test_one_bin_z_shift_is_index_shift(self, cyl_spec):
         rng = np.random.RandomState(27)
@@ -263,8 +263,8 @@ class TestAlignHistory:
         t_hist = RigidTransform(np.eye(3), np.array([0.0, 0.0, 0.0]))
         t_curr = RigidTransform(np.eye(3), np.array([0.0, 0.0, 0.4]))
         out = align_history(hist, t_hist, t_curr)
-        np.testing.assert_array_equal(out.data[:, :, :-1], hist.data[:, :, 1:])
-        assert not out.data[:, :, -1].any()  # boundary layer zero-filled
+        np.testing.assert_array_equal(out.dense()[:, :, :-1], hist.dense()[:, :, 1:])
+        assert not out.dense()[:, :, -1].any()  # boundary layer zero-filled
 
     def test_double_warp_error_bounded_by_second_differences(self, cyl_spec):
         # smooth low-frequency field: interpolation error is O(h^2 f'')
@@ -274,7 +274,7 @@ class TestAlignHistory:
             np.sin(2 * math.pi * i0 / d0) * np.cos(2 * math.pi * i1 / d1)
             + 0.3 * np.sin(2 * math.pi * i2 / d2)
         ).astype(np.float32)[..., None]
-        hist = VoxelGrid(cyl_spec, "feature", field)
+        hist = feature_rows(cyl_spec, field)
         t_a = RigidTransform(rot_z(0.011), np.array([0.03, -0.02, 0.05]))
         t_b = RigidTransform(np.eye(3), np.zeros(3))
         once = align_history(hist, t_a, t_b)
@@ -285,24 +285,24 @@ class TestAlignHistory:
             + np.abs(np.diff(field[..., 0], n=2, axis=2)).max()
         )
         interior = np.s_[8:-8, :, 2:-2]
-        err = np.abs(back.data[..., 0][interior] - field[..., 0][interior]).max()
+        err = np.abs(back.dense()[..., 0][interior] - field[..., 0][interior]).max()
         assert err <= sd
 
     def test_constant_in_theta_invariant_under_yaw(self, cyl_spec):
         rng = np.random.RandomState(28)
         profile = rng.rand(cyl_spec.dims[0], 1, cyl_spec.dims[2], 2).astype(np.float32)
         field = np.repeat(profile, cyl_spec.dims[1], axis=1)
-        hist = VoxelGrid(cyl_spec, "feature", field)
+        hist = feature_rows(cyl_spec, field)
         for yaw in (0.013, 0.5, 2.0):
             out = align_history(hist, RigidTransform(rot_z(yaw), np.zeros(3)), RigidTransform.identity())
-            assert np.max(np.abs(out.data - field)) < 1e-6
+            assert np.max(np.abs(out.dense() - field)) < 1e-6
 
     def test_out_of_range_zeroed(self, cyl_spec):
-        hist = VoxelGrid(cyl_spec, "feature", np.ones(cyl_spec.dims + (1,), dtype=np.float32))
+        hist = feature_rows(cyl_spec, np.ones(cyl_spec.dims + (1,), dtype=np.float32))
         # shift by more than the whole z range: everything out of range
         t_curr = RigidTransform(np.eye(3), np.array([0.0, 0.0, 10.0]))
         out = align_history(hist, RigidTransform.identity(), t_curr)
-        assert not out.data.any()
+        assert not out.dense().any()
 
 
 PI32 = float(np.float32(math.pi))  # decoded OVOX specs carry f32-rounded ranges
@@ -364,7 +364,7 @@ class TestAlignMatchesDense:
     @pytest.mark.parametrize("spec_name", sorted(SMALL_SPECS))
     def test_bit_identical(self, spec_name, case, pose):
         spec = SMALL_SPECS[spec_name]
-        hist = VoxelGrid(spec, "feature", history_data(spec, case))
+        hist = feature_rows(spec, history_data(spec, case))
         t_hist, t_curr = align_poses(spec)[pose]
         with mock.patch.object(lift, "_multilinear", wraps=lift._multilinear) as kernel:
             got = align_history(hist, t_hist, t_curr)
@@ -374,15 +374,15 @@ class TestAlignMatchesDense:
             for k, (b, d) in enumerate(zip(base, dims)):
                 if k not in call.kwargs["wrap"]:
                     assert np.all(b >= 0) and np.all(b + (t[k] is not None) < d)
-        assert_bits_equal(got.data, dense_align_history(hist, t_hist, t_curr))
+        assert_bits_equal(got.dense(), dense_align_history(hist, t_hist, t_curr))
 
     def test_negative_zero_history_keeps_its_sign(self):
         spec = SMALL_SPECS["cuboid"]
-        hist = VoxelGrid(spec, "feature", np.full(spec.dims + (2,), -0.0, dtype=np.float32))
+        hist = feature_rows(spec, np.full(spec.dims + (2,), -0.0, dtype=np.float32))
         t_hist, t_curr = align_poses(spec)["sub_snap_shift"]
         want = dense_align_history(hist, t_hist, t_curr)
         assert np.signbit(want).any()
-        assert_bits_equal(align_history(hist, t_hist, t_curr).data, want)
+        assert_bits_equal(align_history(hist, t_hist, t_curr).dense(), want)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -393,33 +393,33 @@ class TestAlignMatchesDense:
     )
     def test_small_poses_bit_identical(self, spec_name, yaw, tilt, shift):
         spec = SMALL_SPECS[spec_name]
-        hist = VoxelGrid(spec, "feature", history_data(spec, "sparse"))
+        hist = feature_rows(spec, history_data(spec, "sparse"))
         c, s = math.cos(tilt), math.sin(tilt)
         tilt_x = np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
         t_hist = RigidTransform(rot_z(yaw) @ tilt_x, np.array(shift))
         t_curr = RigidTransform.identity()
-        assert_bits_equal(align_history(hist, t_hist, t_curr).data, dense_align_history(hist, t_hist, t_curr))
+        assert_bits_equal(align_history(hist, t_hist, t_curr).dense(), dense_align_history(hist, t_hist, t_curr))
 
     def test_default_lattice_sparse_history(self, cyl_spec):
         rng = np.random.RandomState(35)
-        hist = VoxelGrid(cyl_spec, "feature", sparse_history(cyl_spec, rng, 0.06, channels=16))
+        hist = feature_rows(cyl_spec, sparse_history(cyl_spec, rng, 0.06, channels=16))
         t_hist = RigidTransform(rot_z(0.3), np.array([1.2, -0.7, 0.1]))
         got = align_history(hist, t_hist, RigidTransform.identity())
         # every non-zero output row is a supported row: they fill several blocks
-        assert np.count_nonzero(got.data.reshape(-1, 16).any(axis=1)) > 3 * lift._ALIGN_BLOCK
-        assert_bits_equal(got.data, dense_align_history(hist, t_hist, RigidTransform.identity()))
+        assert np.count_nonzero(got.dense().reshape(-1, 16).any(axis=1)) > 3 * lift._ALIGN_BLOCK
+        assert_bits_equal(got.dense(), dense_align_history(hist, t_hist, RigidTransform.identity()))
 
     @pytest.mark.parametrize("case,block", [("negative_zero", 1), ("negative_zero", 7), ("dense", 7), ("dense", 64)])
     @pytest.mark.parametrize("pose", ["yaw_across_seam", "sub_snap_shift"])
     @pytest.mark.parametrize("spec_name", sorted(SMALL_SPECS))
     def test_small_blocks_bit_identical(self, spec_name, pose, case, block):
         spec = SMALL_SPECS[spec_name]
-        hist = VoxelGrid(spec, "feature", history_data(spec, case))
+        hist = feature_rows(spec, history_data(spec, case))
         t_hist, t_curr = align_poses(spec)[pose]
         with mock.patch.object(lift, "_ALIGN_BLOCK", block):
             got = align_history(hist, t_hist, t_curr)
-        assert np.count_nonzero(got.data.reshape(-1, 3).any(axis=1)) > 2 * block
-        assert_bits_equal(got.data, dense_align_history(hist, t_hist, t_curr))
+        assert np.count_nonzero(got.dense().reshape(-1, 3).any(axis=1)) > 2 * block
+        assert_bits_equal(got.dense(), dense_align_history(hist, t_hist, t_curr))
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -433,17 +433,17 @@ class TestAlignMatchesDense:
     )
     def test_planar_poses_bit_identical(self, spec_name, case, yaw, shift, z_kind, layers, z):
         spec = SMALL_SPECS[spec_name]
-        hist = VoxelGrid(spec, "feature", history_data(spec, case))
+        hist = feature_rows(spec, history_data(spec, case))
         dz = {"zero": 0.0, "layers": layers * spec.deltas[2], "uniform": z}[z_kind]
         t_hist = RigidTransform(rot_z(yaw), np.array([*shift, dz]))
         t_curr = RigidTransform.identity()
-        assert_bits_equal(align_history(hist, t_hist, t_curr).data, dense_align_history(hist, t_hist, t_curr))
+        assert_bits_equal(align_history(hist, t_hist, t_curr).dense(), dense_align_history(hist, t_hist, t_curr))
 
     @pytest.mark.parametrize("case,fixed", [("sparse", (False, False, True)), ("negative_zero", (False, False, False))])
     @pytest.mark.parametrize("spec_name", sorted(SMALL_SPECS))
     def test_whole_layer_shift_reads_one_z_node_without_signed_zeros(self, spec_name, case, fixed):
         spec = SMALL_SPECS[spec_name]
-        hist = VoxelGrid(spec, "feature", history_data(spec, case))
+        hist = feature_rows(spec, history_data(spec, case))
         t_hist = RigidTransform(rot_z(0.3), np.array([0.4, -0.2, 2 * spec.deltas[2]]))
         t_curr = RigidTransform.identity()
         with mock.patch.object(lift, "_multilinear", wraps=lift._multilinear) as kernel:
@@ -451,32 +451,32 @@ class TestAlignMatchesDense:
         assert kernel.call_count > 0
         for call in kernel.call_args_list:
             assert tuple(tk is None for tk in call.args[3]) == fixed
-        assert_bits_equal(got.data, dense_align_history(hist, t_hist, t_curr))
+        assert_bits_equal(got.dense(), dense_align_history(hist, t_hist, t_curr))
 
     @pytest.mark.parametrize("case", ["dense", "negative_zero"])
     @pytest.mark.parametrize("spec_name", sorted(SMALL_SPECS))
     def test_nearly_planar_pose_warps_every_center(self, spec_name, case):
         spec = SMALL_SPECS[spec_name]
-        hist = VoxelGrid(spec, "feature", history_data(spec, case))
+        hist = feature_rows(spec, history_data(spec, case))
         rot = np.eye(3)
         rot[2, 2] = 1.0 - 2.0**-53
         t_hist, t_curr = RigidTransform.identity(), RigidTransform(rot, np.array([0.3, 0.1, spec.deltas[2]]))
         with mock.patch.object(RigidTransform, "apply", autospec=True, side_effect=RigidTransform.apply) as warp:
             got = align_history(hist, t_hist, t_curr)
         assert max(len(call.args[1]) for call in warp.call_args_list) == spec.num_voxels
-        assert_bits_equal(got.data, dense_align_history(hist, t_hist, t_curr))
+        assert_bits_equal(got.dense(), dense_align_history(hist, t_hist, t_curr))
 
     def test_default_lattice_planar_xy_shift(self, cyl_spec):
         rng = np.random.RandomState(37)
-        hist = VoxelGrid(cyl_spec, "feature", sparse_history(cyl_spec, rng, 0.06, channels=16))
+        hist = feature_rows(cyl_spec, sparse_history(cyl_spec, rng, 0.06, channels=16))
         t_hist = RigidTransform(rot_z(-0.04), np.array([0.6, 0.03, 0.0]))
         got = align_history(hist, t_hist, RigidTransform.identity())
-        assert_bits_equal(got.data, dense_align_history(hist, t_hist, RigidTransform.identity()))
+        assert_bits_equal(got.dense(), dense_align_history(hist, t_hist, RigidTransform.identity()))
 
     @pytest.mark.parametrize("tilt", [0.0, 0.05])
     def test_never_builds_the_center_table(self, tilt):
         spec = GridSpec(CYLINDRICAL, (12, 16, 6), ((0.0, 6.0), (-math.pi, math.pi), (-1.0, 1.4)))
-        hist = VoxelGrid(spec, "feature", history_data(spec, "sparse"))
+        hist = feature_rows(spec, history_data(spec, "sparse"))
         c, s = math.cos(tilt), math.sin(tilt)
         t_hist = RigidTransform(rot_z(0.7) @ np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]]), np.array([0.5, 0.2, 0.1]))
         sizes = []
@@ -492,7 +492,7 @@ class TestAlignMatchesDense:
 
     def test_default_lattice_peak_memory(self, cyl_spec):
         rng = np.random.RandomState(36)
-        hist = VoxelGrid(cyl_spec, "feature", sparse_history(cyl_spec, rng, 0.06, channels=16))
+        hist = feature_rows(cyl_spec, sparse_history(cyl_spec, rng, 0.06, channels=16))
         t_hist = RigidTransform(rot_z(0.3), np.array([1.2, -0.7, 0.1]))
         tracemalloc.start()
         try:
@@ -508,20 +508,20 @@ class TestFuseTemporal:
         rng = np.random.RandomState(29)
         curr = random_feature_grid(cyl_spec, rng)
         out = fuse_temporal(curr, [])
-        np.testing.assert_array_equal(out.data, curr.data)
+        np.testing.assert_array_equal(out.dense(), curr.dense())
 
     def test_average_of_equals_is_identity(self, cyl_spec):
         rng = np.random.RandomState(30)
         curr = random_feature_grid(cyl_spec, rng)
-        out = fuse_temporal(curr, [VoxelGrid(cyl_spec, "feature", curr.data.copy())])
-        np.testing.assert_array_equal(out.data, curr.data)
+        out = fuse_temporal(curr, [feature_rows(cyl_spec, curr.dense().copy())])
+        np.testing.assert_array_equal(out.dense(), curr.dense())
 
     def test_three_zero_histories_quarter(self, cyl_spec):
         rng = np.random.RandomState(31)
         curr = random_feature_grid(cyl_spec, rng, channels=2)
-        zeros = [VoxelGrid.zeros(cyl_spec, "feature", 2) for _ in range(3)]
+        zeros = [feature_rows(cyl_spec, np.zeros(cyl_spec.dims + (2,), np.float32)) for _ in range(3)]
         out = fuse_temporal(curr, zeros)
-        np.testing.assert_allclose(out.data, curr.data / 4.0, atol=1e-7)
+        np.testing.assert_allclose(out.dense(), curr.dense() / 4.0, atol=1e-7)
 
     def test_linearity_in_scale(self, cyl_spec):
         rng = np.random.RandomState(32)
@@ -529,17 +529,17 @@ class TestFuseTemporal:
         hists = [random_feature_grid(cyl_spec, rng) for _ in range(2)]
         a = fuse_temporal(curr, hists)
         scaled = fuse_temporal(
-            VoxelGrid(cyl_spec, "feature", curr.data * 2.0),
-            [VoxelGrid(cyl_spec, "feature", h.data * 2.0) for h in hists],
+            feature_rows(cyl_spec, curr.dense() * 2.0),
+            [feature_rows(cyl_spec, h.dense() * 2.0) for h in hists],
         )
-        np.testing.assert_allclose(scaled.data, a.data * 2.0, atol=1e-6)
+        np.testing.assert_allclose(scaled.dense(), a.dense() * 2.0, atol=1e-6)
 
     def test_spec_mismatch_rejected(self, cyl_spec):
         rng = np.random.RandomState(33)
         curr = random_feature_grid(cyl_spec, rng)
         other = GridSpec("cuboid", (4, 4, 4), ((0, 1), (0, 1), (0, 1)))
         with pytest.raises(ShapeError):
-            fuse_temporal(curr, [VoxelGrid.zeros(other, "feature", 3)])
+            fuse_temporal(curr, [feature_rows(other, np.zeros(other.dims + (3,), np.float32))])
 
 
 # 9,061 voxels: not a multiple of the fusion block
@@ -563,30 +563,30 @@ class TestFuseBlocks:
     def test_matches_unblocked(self, n):
         assert ODD_SPEC.num_voxels % lift._FUSE_BLOCK != 0
         rng = np.random.RandomState(40 + n)
-        curr = VoxelGrid(ODD_SPEC, "feature", awkward_features(ODD_SPEC, rng))
-        hists = [VoxelGrid(ODD_SPEC, "feature", awkward_features(ODD_SPEC, rng)) for _ in range(n)]
+        curr = feature_rows(ODD_SPEC, awkward_features(ODD_SPEC, rng))
+        hists = [feature_rows(ODD_SPEC, awkward_features(ODD_SPEC, rng)) for _ in range(n)]
         if n:
             # on every other voxel the first history cancels curr to signed zeros
-            data = hists[0].data.copy()
-            data[::2] = -curr.data[::2]
-            hists[0] = VoxelGrid(ODD_SPEC, "feature", data)
+            data = hists[0].dense().copy()
+            data[::2] = -curr.dense()[::2]
+            hists[0] = feature_rows(ODD_SPEC, data)
         want = fuse_temporal_unblocked(curr, hists)
-        assert_bits_equal(fuse_temporal(curr, hists).data, want)
+        assert_bits_equal(fuse_temporal(curr, hists).dense(), want)
 
     def test_signed_zeros_and_subnormals_kept(self):
         data = np.zeros(ODD_SPEC.dims + (2,), dtype=np.float32)
         flat = data.reshape(-1)
         flat[::3] = -0.0
         flat[1::7] = 1e-45
-        curr = VoxelGrid(ODD_SPEC, "feature", data)
-        got = fuse_temporal(curr, [VoxelGrid(ODD_SPEC, "feature", data.copy())])
-        assert np.signbit(got.data).any() and (got.data.reshape(-1) == np.float32(1e-45)).any()
-        assert_bits_equal(got.data, fuse_temporal_unblocked(curr, [VoxelGrid(ODD_SPEC, "feature", data.copy())]))
+        curr = feature_rows(ODD_SPEC, data)
+        got = fuse_temporal(curr, [feature_rows(ODD_SPEC, data.copy())])
+        assert np.signbit(got.dense()).any() and (got.dense().reshape(-1) == np.float32(1e-45)).any()
+        assert_bits_equal(got.dense(), fuse_temporal_unblocked(curr, [feature_rows(ODD_SPEC, data.copy())]))
 
 
 def listing_every_voxel(rows):
     """The same grid with every voxel listed, +0.0 rows included."""
-    return FeatureRows(rows.spec, np.arange(rows.spec.num_voxels), rows.dense().data.reshape(rows.spec.num_voxels, -1))
+    return FeatureRows(rows.spec, np.arange(rows.spec.num_voxels), rows.dense().reshape(rows.spec.num_voxels, -1))
 
 
 def thinned(data, rng, keep):
@@ -615,13 +615,13 @@ class TestRowKernels:
     @pytest.mark.parametrize("spec_name", sorted(SMALL_SPECS))
     def test_align_rows_bit_identical(self, spec_name, case, pose):
         spec = SMALL_SPECS[spec_name]
-        hist = VoxelGrid(spec, "feature", history_data(spec, case))
+        hist = feature_rows(spec, history_data(spec, case))
         t_hist, t_curr = align_poses(spec)[pose]
         want = dense_align_history(hist, t_hist, t_curr)
-        for rows in (FeatureRows.of(hist), listing_every_voxel(FeatureRows.of(hist))):
+        for rows in (hist, listing_every_voxel(hist)):
             got = align_history(rows, t_hist, t_curr)
             assert np.all(np.diff(got.voxels) > 0)
-            assert_bits_equal(got.dense().data, want)
+            assert_bits_equal(got.dense(), want)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -633,52 +633,52 @@ class TestRowKernels:
     )
     def test_align_rows_small_poses(self, spec_name, case, yaw, tilt, shift):
         spec = SMALL_SPECS[spec_name]
-        hist = VoxelGrid(spec, "feature", history_data(spec, case))
+        hist = feature_rows(spec, history_data(spec, case))
         c, s = math.cos(tilt), math.sin(tilt)
         t_hist = RigidTransform(rot_z(yaw) @ np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]]), np.array(shift))
-        got = align_history(FeatureRows.of(hist), t_hist, RigidTransform.identity())
-        assert_bits_equal(got.dense().data, dense_align_history(hist, t_hist, RigidTransform.identity()))
+        got = align_history(hist, t_hist, RigidTransform.identity())
+        assert_bits_equal(got.dense(), dense_align_history(hist, t_hist, RigidTransform.identity()))
 
     @pytest.mark.parametrize("block", [1, 7])
     def test_align_rows_small_blocks(self, block):
         spec = SMALL_SPECS["cylindrical"]
-        hist = VoxelGrid(spec, "feature", history_data(spec, "negative_zero"))
+        hist = feature_rows(spec, history_data(spec, "negative_zero"))
         t_hist, t_curr = align_poses(spec)["yaw_across_seam"]
         with mock.patch.object(lift, "_ALIGN_BLOCK", block):
-            got = align_history(FeatureRows.of(hist), t_hist, t_curr)
+            got = align_history(hist, t_hist, t_curr)
         assert len(got.voxels) > 2 * block
-        assert_bits_equal(got.dense().data, dense_align_history(hist, t_hist, t_curr))
+        assert_bits_equal(got.dense(), dense_align_history(hist, t_hist, t_curr))
 
     def test_align_rows_default_lattice(self, cyl_spec):
         rng = np.random.RandomState(47)
-        hist = VoxelGrid(cyl_spec, "feature", sparse_history(cyl_spec, rng, 0.06, channels=16))
+        hist = feature_rows(cyl_spec, sparse_history(cyl_spec, rng, 0.06, channels=16))
         t_hist = RigidTransform(rot_z(-0.04), np.array([0.6, 0.03, 0.0]))
-        got = align_history(FeatureRows.of(hist), t_hist, RigidTransform.identity())
+        got = align_history(hist, t_hist, RigidTransform.identity())
         assert len(got.voxels) < cyl_spec.num_voxels // 2
-        assert_bits_equal(got.dense().data, dense_align_history(hist, t_hist, RigidTransform.identity()))
+        assert_bits_equal(got.dense(), dense_align_history(hist, t_hist, RigidTransform.identity()))
 
     @pytest.mark.parametrize("n", [0, 1, 3])
     @pytest.mark.parametrize("block", [lift._FUSE_BLOCK, 5])
     def test_fuse_rows_matches_unblocked(self, n, block):
         rng = np.random.RandomState(48 + n)
-        curr = VoxelGrid(ODD_SPEC, "feature", thinned(awkward_features(ODD_SPEC, rng), rng, 0.4))
-        hists = [VoxelGrid(ODD_SPEC, "feature", thinned(awkward_features(ODD_SPEC, rng), rng, 0.4)) for _ in range(n)]
+        curr = feature_rows(ODD_SPEC, thinned(awkward_features(ODD_SPEC, rng), rng, 0.4))
+        hists = [feature_rows(ODD_SPEC, thinned(awkward_features(ODD_SPEC, rng), rng, 0.4)) for _ in range(n)]
         if n:
             # on every other voxel the first history cancels curr to signed zeros, or meets a -0.0 curr row
-            data = hists[0].data.copy()
-            data[::2] = -curr.data[::2]
+            data = hists[0].dense().copy()
+            data[::2] = -curr.dense()[::2]
             data[1::4] = -0.0
-            hists[0] = VoxelGrid(ODD_SPEC, "feature", data)
+            hists[0] = feature_rows(ODD_SPEC, data)
         want = fuse_temporal_unblocked(curr, hists)
         with mock.patch.object(lift, "_FUSE_BLOCK", block):
-            got = fuse_temporal(FeatureRows.of(curr), [FeatureRows.of(h) for h in hists])
-            listed = fuse_temporal(listing_every_voxel(FeatureRows.of(curr)), [FeatureRows.of(h) for h in hists])
+            got = fuse_temporal(curr, hists)
+            listed = fuse_temporal(listing_every_voxel(curr), hists)
         assert np.signbit(want).any()
-        assert_bits_equal(got.dense().data, want)
-        assert_bits_equal(listed.dense().data, want)
+        assert_bits_equal(got.dense(), want)
+        assert_bits_equal(listed.dense(), want)
 
     def test_fuse_rows_mismatch_rejected(self, cyl_spec):
-        curr = FeatureRows.of(random_feature_grid(ODD_SPEC, np.random.RandomState(49)))
+        curr = random_feature_grid(ODD_SPEC, np.random.RandomState(49))
         with pytest.raises(ShapeError):
             fuse_temporal(curr, [FeatureRows(ODD_SPEC, np.array([3]), np.ones((1, 2), dtype=np.float32))])
         with pytest.raises(ShapeError):
@@ -700,32 +700,35 @@ class TestRowsFramePath:
         rng = np.random.RandomState(50)
         start = sparse_features(spec, rng, 0.1, 3)
         assert np.signbit(start).any()
-        hist, want = FeatureRows.of(VoxelGrid(spec, "feature", start)), VoxelGrid(spec, "feature", start)
+        hist = want = feature_rows(spec, start)
         pose = RigidTransform.identity()
         for frame in range(8):
             t_hist, pose = pose, pose.compose(PLANAR_STEP if frame % 2 == 0 else TILTED_STEP)
-            curr = VoxelGrid(spec, "feature", thinned(rng.rand(*spec.dims, 3).astype(np.float32), rng, 0.15))
-            hist = fuse_temporal(FeatureRows.of(curr), [align_history(hist, t_hist, pose)])
-            aligned = VoxelGrid(spec, "feature", dense_align_history(want, t_hist, pose))
-            want = VoxelGrid(spec, "feature", fuse_temporal_unblocked(curr, [aligned]))
+            curr = feature_rows(spec, thinned(rng.rand(*spec.dims, 3).astype(np.float32), rng, 0.15))
+            hist = fuse_temporal(curr, [align_history(hist, t_hist, pose)])
+            aligned = feature_rows(spec, dense_align_history(want, t_hist, pose))
+            want = feature_rows(spec, fuse_temporal_unblocked(curr, [aligned]))
             assert isinstance(hist, FeatureRows)
-            assert_bits_equal(hist.data, want.data)
+            assert_bits_equal(hist.dense(), want.dense())
 
     def test_every_step_returns_rows(self, cyl_spec, rig6):
         hits = build_hit_set(mask_with(cyl_spec, [(40, 10, 3), (60, 120, 8), (90, 199, 15)]), rig6)
         colored = color_voxels(hits, constant_features(rig6, 0.5))
         t_hist = RigidTransform(rot_z(0.2), np.array([0.3, 0.0, 0.0]))
         outs = [colored]
-        for hist in (colored, colored.dense()):
+        for hist in (colored, listing_every_voxel(colored)):
             outs += [align_history(hist, t_hist, RigidTransform.identity()), fuse_temporal(hist, [hist])]
         assert all(isinstance(out, FeatureRows) for out in outs)
 
     @pytest.mark.parametrize("kind", ["label", "occupancy"])
     def test_non_feature_grid_rejected(self, cyl_spec, kind):
-        grid, feature = VoxelGrid.zeros(cyl_spec, kind), VoxelGrid.zeros(cyl_spec, "feature", 2)
-        with pytest.raises(DomainError):
-            align_history(grid, RigidTransform.identity(), RigidTransform.identity())
-        for curr, aligned in ((grid, []), (feature, [grid]), (FeatureRows.of(feature), [feature, grid])):
+        # FeatureRows alone: a label or occupancy grid, or a bare dense array, is refused
+        grid = VoxelGrid.zeros(cyl_spec, kind)
+        feature = feature_rows(cyl_spec, np.zeros(cyl_spec.dims + (2,), np.float32))
+        for hist in (grid, feature.dense()):
+            with pytest.raises(DomainError):
+                align_history(hist, RigidTransform.identity(), RigidTransform.identity())
+        for curr, aligned in ((grid, []), (feature, [grid]), (feature, [feature, grid]), (feature.dense(), [feature])):
             with pytest.raises(DomainError):
                 fuse_temporal(curr, aligned)
 
@@ -733,7 +736,7 @@ class TestRowsFramePath:
         # 16 channels on about 6% of the lattice and a planar step, as a frame sees them: the bound
         # leaves no room for one 26 MB dense grid. A -0.0 row would make align interpolate along every axis.
         data = sparse_features(cyl_spec, np.random.RandomState(51), 0.06, 16, negative_zero=False)
-        hist = FeatureRows.of(VoxelGrid(cyl_spec, "feature", data))
+        hist = feature_rows(cyl_spec, data)
         del data
         t_hist = RigidTransform(rot_z(0.03), np.array([0.6, 0.02, 0.0]))
         tracemalloc.start()
@@ -750,15 +753,15 @@ class TestNoReferenceCycles:
     """The frame kernels leave no garbage for the cycle collector: a cycle
     would keep a block's index and mask arrays alive until the collector
     runs, and raise the frame path's peak memory. Alignment and fusion run
-    once on dense grids and once on FeatureRows (the _rows cases)."""
+    once on the set rows and once on rows listing every voxel (the _rows cases)."""
 
     @pytest.mark.parametrize("kernel", ["bilinear_sample", "color_voxels", "align_history", "fuse_temporal",
                                         "render_erp_depth", "align_rows", "fuse_rows"])
     def test_no_cycles(self, kernel, cyl_spec, rig6):
         rng = np.random.RandomState(45)
-        hist = VoxelGrid(ODD_SPEC, "feature", awkward_features(ODD_SPEC, rng))
+        hist = feature_rows(ODD_SPEC, awkward_features(ODD_SPEC, rng))
         cyl = SMALL_SPECS["cylindrical"]
-        cyl_hist = VoxelGrid(cyl, "feature", history_data(cyl, "seam"))
+        cyl_hist = feature_rows(cyl, history_data(cyl, "seam"))
         hits = build_hit_set(mask_with(cyl_spec, [(40, 10, 3), (60, 120, 8), (90, 199, 15)]), rig6)
         feats = [FeatureImage(cam.name, rng.rand(16, 16, 3).astype(np.float32)) for cam in rig6]
         pose = RigidTransform(rot_z(0.4), np.array([0.7, -0.3, 0.2]))
@@ -767,8 +770,8 @@ class TestNoReferenceCycles:
             "color_voxels": lambda: color_voxels(hits, feats),
             "align_history": lambda: align_history(cyl_hist, pose, RigidTransform.identity()),
             "fuse_temporal": lambda: fuse_temporal(hist, [hist, hist]),
-            "align_rows": lambda: align_history(FeatureRows.of(cyl_hist), pose, RigidTransform.identity()),
-            "fuse_rows": lambda: fuse_temporal(FeatureRows.of(hist), [FeatureRows.of(hist)] * 2),
+            "align_rows": lambda: align_history(listing_every_voxel(cyl_hist), pose, RigidTransform.identity()),
+            "fuse_rows": lambda: fuse_temporal(listing_every_voxel(hist), [hist] * 2),
             "render_erp_depth": lambda: render_erp_depth(DEMO07_SCENE, 64, 32, pose),
         }
         gc.collect()
