@@ -25,7 +25,9 @@ print("bin widths (dr, dtheta, dz):", tuple(round(d, 6) for d in spec.deltas))
 # one meter ahead of the ego, one behind (the azimuth axis wraps: theta = pi
 # is bin 0) and one beyond r_max
 pts = np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [30.0, 0.0, 0.0]])
-for p, f in zip(pts, spec.point_to_flat(pts)):
+flat = spec.point_to_flat(pts)
+assert np.unravel_index(flat[1], spec.dims)[1] == 0 and flat[2] == -1
+for p, f in zip(pts, flat):
     if f < 0:
         print(f"{p} -> outside (flat -1)")
     else:
@@ -36,6 +38,7 @@ for p, f in zip(pts, spec.point_to_flat(pts)):
 dr, dt, _ = spec.deltas
 centers_r = (np.arange(spec.dims[0]) + 0.5) * dr
 area = centers_r * dt * dr
+assert np.all(np.diff(area) > 0)
 print(f"voxel footprint at r=0.3: {0.3 * dt * dr * 1e4:.2f} cm^2, "
       f"at r=25.5: {25.5 * dt * dr * 1e4:.2f} cm^2")
 

@@ -42,6 +42,8 @@ print(f"after dilation: {dilated.occupied_count} voxels ({dilated.occupied_fract
 # dilation only grows the mask, and only along the radial axis
 grew = dilated.occupied & ~mask.occupied
 assert not (mask.occupied & ~dilated.occupied).any()
+assert mask.occupied.any(axis=0)[grew.any(axis=0)].all()  # every grown (theta, z) column held a sketched voxel
 r_bins = np.argwhere(grew)[:, 0]
 print(f"grown voxels: {grew.sum()}, radial bins {r_bins.min()}..{r_bins.max()} "
       f"(window 0 below 8.5 m keeps the near field untouched)")
+assert spec.axis_value(r_bins.min(), 0) >= 8.5

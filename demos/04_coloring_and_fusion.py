@@ -41,6 +41,7 @@ features = [FeatureImage(cam.name, rng.rand(32, 32, 8).astype(np.float32)) for c
 colored = color_voxels(hits, features)
 print("colored grid channels:", colored.channels)
 print("unseen candidates stay zero:", int(hits.unhit.sum()))
+assert np.array_equal(colored.voxels, hits.voxels) and not colored.rows[hits.unhit].any()
 
 # one historical frame, taken from a slightly different pose
 t_curr = RigidTransform.identity()
@@ -48,7 +49,10 @@ t_hist = RigidTransform(rot_z(0.02), np.array([0.35, -0.1, 0.0]))
 aligned = align_history(colored, t_hist, t_curr)
 fused = fuse_temporal(colored, [aligned])
 print("fused = (curr + aligned) / 2; max abs value.", float(np.abs(fused.rows).max()))
+assert np.array_equal(fused.dense(), (colored.dense() + aligned.dense()) / 2)
 
 # the algebra is exact: fusing a grid with itself returns it bit-for-bit
 self_fused = fuse_temporal(colored, [colored])
-print("self-fusion exact:", bool(np.array_equal(self_fused.dense(), colored.dense())))
+exact = bool(np.array_equal(self_fused.dense(), colored.dense()))
+print("self-fusion exact:", exact)
+assert exact

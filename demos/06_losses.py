@@ -38,6 +38,8 @@ print("rarer classes weigh more:")
 for name, f, wt in zip(labels.names, freq, w.weights):
     if f > 0:
         print(f"  {name:>11s}: f={f:.3f}  w={wt:.2f}")
+present = freq > 0
+assert np.all(np.diff(w.weights[present][np.argsort(freq[present])]) <= 0)
 
 probs = rng.rand(*spec.dims, labels.count) + 0.05
 probs /= probs.sum(axis=-1, keepdims=True)
@@ -70,3 +72,4 @@ for name, loss, grad in (
     lo = loss(probe)
     numeric = (hi - lo) / (2 * h)
     print(f"{name}: analytic {g[i]:+.6f} vs central-difference {numeric:+.6f}")
+    assert abs(g[i] - numeric) <= 1e-5 * abs(g[i])

@@ -191,10 +191,6 @@ class VoxelGrid:
             raise DomainError("occupancy payload must be 0/1")
         self.data = arr
 
-    @staticmethod
-    def zeros(spec: GridSpec, kind: str) -> "VoxelGrid":
-        return VoxelGrid(spec, kind, np.zeros(spec.dims, dtype=np.uint8))
-
 
 @dataclass
 class FeatureRows:

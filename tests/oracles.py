@@ -291,6 +291,11 @@ def default_cuboid_spec() -> GridSpec:
     return GridSpec(CUBOID, (64, 64, 64), ((-25.6, 25.6), (-25.6, 25.6), (-2.8, 3.6)))
 
 
+def zero_grid(spec: GridSpec, kind: str) -> VoxelGrid:
+    """An all-free label grid or an all-empty occupancy grid on spec."""
+    return VoxelGrid(spec, kind, np.zeros(spec.dims, dtype=np.uint8))
+
+
 def unit_weights(num_classes: int) -> ClassWeights:
     """Weight 1 for every class: the weighted losses reduce to their plain forms."""
     return ClassWeights(np.ones(num_classes), math.e, np.zeros(num_classes))

@@ -52,6 +52,7 @@ from oracles import (
     lidar_ring_origins,
     march_fixed_step,
     within_range,
+    zero_grid,
 )
 
 
@@ -119,7 +120,7 @@ class TestAcceptance:
                 lambda occ: occ.__setitem__(np.s_[10:14, 10:14, :], False),
             ),
         ):
-            g = VoxelGrid.zeros(spec, "label")
+            g = zero_grid(spec, "label")
             occ = rng.rand(*spec.dims) < 0.03
             free(occ)
             g.data[occ] = rng.randint(1, 12, size=int(occ.sum()))

@@ -30,7 +30,7 @@ from cylocc.geom import ErpImage, LabeledPointCloud, RigidTransform, rot_z, surr
 from cylocc.grid import GridSpec, VoxelGrid, default_cylindrical_spec
 from cylocc.sketch import CandidateMask
 from conftest import sparse_features
-from oracles import dense_align_history, feature_rows, fuse_temporal_unblocked, scene_to_json
+from oracles import dense_align_history, feature_rows, fuse_temporal_unblocked, scene_to_json, zero_grid
 
 
 def _reject_constant(token):
@@ -69,14 +69,14 @@ class TestExitCodes:
     def test_eval_spec_mismatch_is_domain_error(self, tmp_path):
         a = tmp_path / "a.ovox"
         b = tmp_path / "b.ovox"
-        a.write_bytes(encode_voxel_grid(VoxelGrid.zeros(default_cylindrical_spec(), "label")))
+        a.write_bytes(encode_voxel_grid(zero_grid(default_cylindrical_spec(), "label")))
         other = GridSpec("cuboid", (4, 4, 4), ((0, 1), (0, 1), (0, 1)))
-        b.write_bytes(encode_voxel_grid(VoxelGrid.zeros(other, "label")))
+        b.write_bytes(encode_voxel_grid(zero_grid(other, "label")))
         assert main(["eval", "--pred", str(a), "--gt", str(b)]) == 3
 
     def test_info_on_valid_file_succeeds(self, tmp_path, capsys):
         p = tmp_path / "g.ovox"
-        p.write_bytes(encode_voxel_grid(VoxelGrid.zeros(default_cylindrical_spec(), "label")))
+        p.write_bytes(encode_voxel_grid(zero_grid(default_cylindrical_spec(), "label")))
         assert main(["info", str(p)]) == 0
         out = capsys.readouterr().out
         assert "cylindrical" in out and "(128, 200, 16)" in out
@@ -146,7 +146,7 @@ class TestExitCodes:
     def test_bad_weights_file_is_format_error(self, tmp_path):
         spec = GridSpec("cuboid", (2, 2, 1), ((0, 2), (0, 2), (0, 1)))
         gt = tmp_path / "gt.ovox"
-        gt.write_bytes(encode_voxel_grid(VoxelGrid.zeros(spec, "label")))
+        gt.write_bytes(encode_voxel_grid(zero_grid(spec, "label")))
         pred = tmp_path / "pred.ovox"
         pred.write_bytes(encode_voxel_grid(feature_rows(spec, np.full((2, 2, 1, 2), 0.5, np.float32))))
         weights = tmp_path / "w.json"
@@ -156,7 +156,7 @@ class TestExitCodes:
     def test_non_finite_weights_constant_is_format_error(self, tmp_path, capsys):
         spec = GridSpec("cuboid", (2, 2, 1), ((0, 2), (0, 2), (0, 1)))
         gt = tmp_path / "gt.ovox"
-        gt.write_bytes(encode_voxel_grid(VoxelGrid.zeros(spec, "label")))
+        gt.write_bytes(encode_voxel_grid(zero_grid(spec, "label")))
         pred = tmp_path / "pred.ovox"
         pred.write_bytes(encode_voxel_grid(feature_rows(spec, np.full((2, 2, 1, 2), 0.5, np.float32))))
         weights = tmp_path / "w.json"
@@ -284,7 +284,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("flag", ["--thresholds=-1,2", "--bands=17:8.5", "--bands=0:8.5,8.5:8.5"])
     def test_negative_threshold_or_empty_band_is_domain_error(self, tmp_path, flag, capsys):
-        g = VoxelGrid.zeros(default_cylindrical_spec(), "label")
+        g = zero_grid(default_cylindrical_spec(), "label")
         g.data[40:60, :, 5] = 4
         path = tmp_path / "g.ovox"
         path.write_bytes(encode_voxel_grid(g))
@@ -296,7 +296,7 @@ class TestExitCodes:
 
     def test_oversized_ray_fan_is_domain_error(self, tmp_path, capsys):
         path = tmp_path / "g.ovox"
-        path.write_bytes(encode_voxel_grid(VoxelGrid.zeros(default_cylindrical_spec(), "label")))
+        path.write_bytes(encode_voxel_grid(zero_grid(default_cylindrical_spec(), "label")))
         report = tmp_path / "report.json"
         assert main(["eval", "--pred", str(path), "--gt", str(path), "--rays", "10000000x10000000",
                      "--report", str(report)]) == 3
@@ -308,7 +308,7 @@ class TestExitCodes:
     def test_far_ray_origin(self, tmp_path, origin, code, capsys):
         # warnings are errors under pytest, so any numpy RuntimeWarning fails this test
         path = tmp_path / "g.ovox"
-        path.write_bytes(encode_voxel_grid(VoxelGrid.zeros(default_cylindrical_spec(), "label")))
+        path.write_bytes(encode_voxel_grid(zero_grid(default_cylindrical_spec(), "label")))
         report = tmp_path / "report.json"
         assert main(["eval", "--pred", str(path), "--gt", str(path), f"--origin={origin}",
                      "--report", str(report)]) == code
@@ -411,7 +411,7 @@ class TestExitCodes:
 
     def test_empty_grids_report_is_strict_json(self, tmp_path):
         g = tmp_path / "empty.ovox"
-        g.write_bytes(encode_voxel_grid(VoxelGrid.zeros(default_cylindrical_spec(), "label")))
+        g.write_bytes(encode_voxel_grid(zero_grid(default_cylindrical_spec(), "label")))
         report = tmp_path / "report.json"
         assert main(["eval", "--pred", str(g), "--gt", str(g), "--rays", "16x4",
                      "--bands", "0:8.5", "--report", str(report)]) == 0

@@ -35,11 +35,11 @@ from cylocc.formats import (
 )
 from cylocc.errors import DomainError
 from cylocc.geom import ErpImage, LabeledPointCloud, RigidTransform, surround_rig
-from cylocc.grid import CUBOID, CYLINDRICAL, FeatureRows, GridSpec, VoxelGrid, default_cylindrical_spec, row_support
+from cylocc.grid import CUBOID, CYLINDRICAL, FeatureRows, GridSpec, VoxelGrid, default_cylindrical_spec
 from cylocc.lift import align_history, fuse_temporal
 from cylocc.losses import weights_from_json
 from cylocc.synth import Sphere, scene_from_json
-from oracles import DEMO07_SCENE, feature_rows, scene_to_json, spec_to_json
+from oracles import DEMO07_SCENE, feature_rows, scene_to_json, spec_to_json, zero_grid
 
 
 def random_label_grid(rng):
@@ -81,7 +81,7 @@ class TestOvox:
         np.testing.assert_array_equal(back.data, grid.data)
 
     def test_header_layout_matches_struct_oracle(self, cyl_spec):
-        grid = VoxelGrid.zeros(cyl_spec, "label")
+        grid = zero_grid(cyl_spec, "label")
         blob = encode_voxel_grid(grid)
         assert blob[:4] == b"OVOX"
         assert struct.unpack_from("<I", blob, 4)[0] == 1
@@ -112,7 +112,7 @@ class TestOvox:
         else:
             grid = VoxelGrid(spec, kind, np.asarray(data, order=order))
             assert grid.data.flags.c_contiguous == (order == "C")
-            header = encode_voxel_grid(VoxelGrid.zeros(spec, kind))[:50]
+            header = encode_voxel_grid(zero_grid(spec, kind))[:50]
         if kind == "feature":
             rows = [data[i0, i1, i2] for i0 in range(3) for i1 in range(4) for i2 in range(5)]  # flat order
             listed = [r.tobytes() != bytes(8) for r in rows]
@@ -126,14 +126,14 @@ class TestOvox:
         assert encode_voxel_grid(grid) == header + want
 
     def test_truncated_payload_reports_counts(self, cyl_spec):
-        blob = encode_voxel_grid(VoxelGrid.zeros(cyl_spec, "label"))
+        blob = encode_voxel_grid(zero_grid(cyl_spec, "label"))
         with pytest.raises(Truncated) as err:
             decode_voxel_grid(blob[:-10])
         assert str(50 + 128 * 200 * 16) in str(err.value)
         assert str(len(blob) - 10) in str(err.value)
 
     def test_trailing_bytes_rejected(self, cyl_spec):
-        blob = encode_voxel_grid(VoxelGrid.zeros(cyl_spec, "label"))
+        blob = encode_voxel_grid(zero_grid(cyl_spec, "label"))
         with pytest.raises(InvalidField):
             decode_voxel_grid(blob + b"x")
 
@@ -142,20 +142,20 @@ class TestOvox:
             decode_voxel_grid(b"NOPE" + bytes(64))
 
     def test_bad_version(self, cyl_spec):
-        blob = bytearray(encode_voxel_grid(VoxelGrid.zeros(cyl_spec, "label")))
+        blob = bytearray(encode_voxel_grid(zero_grid(cyl_spec, "label")))
         struct.pack_into("<I", blob, 4, 2)
         with pytest.raises(BadVersion):
             decode_voxel_grid(bytes(blob))
 
     def test_bad_coord_code(self, cyl_spec):
-        blob = bytearray(encode_voxel_grid(VoxelGrid.zeros(cyl_spec, "label")))
+        blob = bytearray(encode_voxel_grid(zero_grid(cyl_spec, "label")))
         blob[8] = 9
         with pytest.raises(InvalidField):
             decode_voxel_grid(bytes(blob))
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_non_finite_range_rejected(self, cyl_spec, bad):
-        blob = bytearray(encode_voxel_grid(VoxelGrid.zeros(cyl_spec, "label")))
+        blob = bytearray(encode_voxel_grid(zero_grid(cyl_spec, "label")))
         struct.pack_into("<f", blob, 21 + 4, bad)  # r max
         with pytest.raises(InvalidField):
             decode_voxel_grid(bytes(blob))
@@ -203,7 +203,7 @@ class TestOvox:
         assert peak < 2 * stored  # the stored rows and the bitmap's bits; no dense grid is built
 
     def test_label_with_channels_rejected(self, cyl_spec):
-        blob = bytearray(encode_voxel_grid(VoxelGrid.zeros(cyl_spec, "label")))
+        blob = bytearray(encode_voxel_grid(zero_grid(cyl_spec, "label")))
         struct.pack_into("<I", blob, 46, 3)
         with pytest.raises(InvalidField):
             decode_voxel_grid(bytes(blob))
@@ -216,7 +216,7 @@ class TestOvox:
     def test_ranges_invalid_at_f32_refused(self, spec):
         # warnings are errors under pytest, so the f32 cast must not warn either
         with pytest.raises(DomainError, match="stored as f32"):
-            encode_voxel_grid(VoxelGrid.zeros(spec, "label"))
+            encode_voxel_grid(zero_grid(spec, "label"))
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
@@ -275,17 +275,22 @@ def feature_grids(draw):
 class TestFeatureRows:
     """Payload kind 3: a row bitmap, then the listed rows' f32 values."""
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=500, deadline=None)
     @given(grid=feature_grids())
     def test_round_trip_bit_exact(self, grid):
         blob = encode_voxel_grid(grid)
-        rows = grid.dense().reshape(-1, grid.channels)
-        listed = (rows.view(np.uint32) != 0).any(axis=1)
+        dense = grid.dense().reshape(-1, grid.channels)
+        listed = (dense.view(np.uint32) != 0).any(axis=1)
         assert blob[45] == 3
-        assert len(blob) == 50 + -(-len(rows) // 8) + int(listed.sum()) * grid.channels * 4
+        assert len(blob) == 50 + -(-len(dense) // 8) + int(listed.sum()) * grid.channels * 4
         back = decode_voxel_grid(blob)
+        np.testing.assert_array_equal(back.voxels, np.flatnonzero(listed))
+        assert back.rows.tobytes() == dense[listed].tobytes()
         assert back.dense().tobytes() == grid.dense().tobytes()
         assert encode_voxel_grid(back) == blob
+        # listed +0.0 rows are not written: a grid keeps one encoding
+        every = FeatureRows(grid.spec, np.arange(grid.spec.num_voxels), dense)
+        assert encode_voxel_grid(every) == blob
 
     def test_negative_zero_row_is_listed(self):
         blob = ovox_header(SMALL, 3, 2) + bytes([1 << 4, 0]) + struct.pack("<2f", 0.0, -0.0)
@@ -354,35 +359,14 @@ class TestFeatureRows:
         with pytest.raises(InvalidField, match="channels"):
             decode_voxel_grid(ovox_header(spec, 3, formats._MAX_ROW_CHANNELS + 1) + bytes(512 // 8))
 
-    def test_wider_grids_are_written_dense(self):
-        # past the channel bound of feature rows the encoder writes kind 2, so any channel count round-trips
-        data = np.zeros((3, 1, 3, formats._MAX_ROW_CHANNELS + 1), dtype=np.float32)
-        data[1, 0, 2, 7] = -0.0
-        blob = encode_voxel_grid(feature_rows(SMALL, data))
-        assert blob[45] == 2 and len(blob) == 50 + data.nbytes
-        assert decode_voxel_grid(blob).dense().tobytes() == data.tobytes()
-
-    @settings(max_examples=200, deadline=None)
-    @given(grid=feature_grids())
-    def test_feature_rows_read_and_write_the_same_bytes(self, grid):
-        blob = encode_voxel_grid(grid)
-        rows = decode_voxel_grid(blob)
-        dense = grid.dense().reshape(-1, grid.channels)
-        listed = row_support(dense)
-        np.testing.assert_array_equal(rows.voxels, np.flatnonzero(listed))
-        assert rows.rows.tobytes() == dense[listed].tobytes()
-        assert encode_voxel_grid(rows) == blob
-        # listed +0.0 rows are not written: a grid keeps one encoding
-        every = FeatureRows(grid.spec, np.arange(grid.spec.num_voxels), dense)
-        assert encode_voxel_grid(every) == blob
-
     def test_feature_rows_of_kind_2_and_wide_rows(self):
         # kind 2 lists the rows holding a set bit, so it decodes to the rows of the kind-3 file of its grid
         rng = np.random.RandomState(75)
         data = rng.rand(3, 1, 3, 2).astype(np.float32)
         data[0, 0, 1] = 0.0  # all +0.0: not listed
         data[2, 0, 0] = -0.0  # only -0.0: listed
-        rows = decode_voxel_grid(ovox_header(SMALL, 2, 2) + data.astype("<f4").tobytes())
+        kind_2 = ovox_header(SMALL, 2, 2) + data.astype("<f4").tobytes()
+        rows = decode_voxel_grid(kind_2)
         listed = np.delete(data.reshape(9, 2), 1, axis=0)
         kind_3 = ovox_header(SMALL, 3, 2) + bytes([0b11111101, 1]) + listed.astype("<f4").tobytes()
         want = decode_voxel_grid(kind_3)
@@ -391,18 +375,22 @@ class TestFeatureRows:
         assert rows.rows.dtype == want.rows.dtype and rows.rows.tobytes() == want.rows.tobytes()
         assert rows.dense().tobytes() == data.tobytes()
         assert encode_voxel_grid(rows) == kind_3
+        with pytest.raises(Truncated):
+            decode_voxel_grid(kind_2[:-1])
+        # past the channel bound of feature rows the encoder writes kind 2, so any channel count round-trips
         wide = np.zeros((3, 1, 3, formats._MAX_ROW_CHANNELS + 1), dtype=np.float32)
         wide[1, 0, 2, 7] = -0.0
         blob = encode_voxel_grid(FeatureRows(SMALL, np.array([5]), wide.reshape(9, -1)[5:6]))
         assert blob == ovox_header(SMALL, 2, formats._MAX_ROW_CHANNELS + 1) + wide.astype("<f4").tobytes()
         back = decode_voxel_grid(blob)
         assert back.voxels.tolist() == [5] and back.rows.tobytes() == wide.reshape(9, -1)[5:6].tobytes()
+        assert back.dense().tobytes() == wide.tobytes()
         assert encode_voxel_grid(back) == blob
 
     @pytest.mark.parametrize("kind", ["label", "occupancy"])
     def test_feature_rows_refuse_other_payloads_after_decoding(self, kind):
         # a label or occupancy file decodes to a VoxelGrid, which alignment and fusion refuse
-        blob = encode_voxel_grid(VoxelGrid.zeros(SMALL, kind))
+        blob = encode_voxel_grid(zero_grid(SMALL, kind))
         grid = decode_voxel_grid(blob)
         assert isinstance(grid, VoxelGrid) and grid.kind == kind
         pose = RigidTransform.identity()
@@ -411,17 +399,6 @@ class TestFeatureRows:
                 refuse()
         with pytest.raises(Truncated):  # a malformed file is a format error first
             decode_voxel_grid(blob[:-1])
-
-    def test_dense_kind_2_still_decodes(self):
-        rng = np.random.RandomState(74)
-        data = rng.rand(3, 1, 3, 2).astype(np.float32)
-        data[0, 0, 1] = 0.0
-        legacy = ovox_header(SMALL, 2, 2) + data.astype("<f4").tobytes()
-        back = decode_voxel_grid(legacy)
-        assert back.dense().tobytes() == data.tobytes()
-        assert encode_voxel_grid(back)[45] == 3  # written back as rows
-        with pytest.raises(Truncated):
-            decode_voxel_grid(legacy[:-1])
 
 
 class TestOpcd:

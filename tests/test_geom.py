@@ -3,6 +3,7 @@ or frozen from an independent high-precision (mpmath, 50 digits) evaluation
 of the stated formulas."""
 
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -256,6 +257,21 @@ class TestErpImage:
     def test_empty_depth_rejected(self, shape):
         with pytest.raises(ShapeError):
             ErpImage.depth(np.zeros(shape))
+
+    def test_depth_sign_checked_without_a_full_size_mask(self):
+        # a bool mask of a 2000 x 1000 raster would take 1.91 MiB; -0.0 is no negative depth
+        data = np.full((1000, 2000), 5.0, dtype=np.float32)
+        data[3, 7] = -0.0
+        tracemalloc.start()
+        try:
+            ErpImage.depth(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.1 * 2**20
+        data[500, 1999] = -1e-30
+        with pytest.raises(DomainError, match="negative"):
+            ErpImage.depth(data)
 
 
 class TestFisheye:

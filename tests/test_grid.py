@@ -27,7 +27,8 @@ from cylocc.grid import (
 from cylocc.synth import render_erp_depth
 
 from conftest import bin_triple
-from oracles import all_centers, default_cuboid_spec, feature_rows, point_to_flat_unblocked, voxelize_dense_vote
+from oracles import (all_centers, default_cuboid_spec, feature_rows, point_to_flat_unblocked, voxelize_dense_vote,
+                     zero_grid)
 
 
 def scalar_cyl_index(p, spec):
@@ -321,7 +322,7 @@ class TestKeyVote:
 
 class TestFrequencies:
     def test_all_free(self, cyl_spec):
-        grid = VoxelGrid.zeros(cyl_spec, "label")
+        grid = zero_grid(cyl_spec, "label")
         f = class_frequencies(grid, 12)
         assert f[0] == 1.0
         assert not f[1:].any()
@@ -362,7 +363,7 @@ class TestPayloadValidation:
         spec = GridSpec(CUBOID, (2, 2, 2), ((0, 1), (0, 1), (0, 1)))
         with pytest.raises(DomainError):
             VoxelGrid(spec, "feature", np.zeros(shape, dtype=np.float32))
-        assert VoxelGrid.zeros(spec, "label").channels == VoxelGrid.channels == 1
+        assert zero_grid(spec, "label").channels == VoxelGrid.channels == 1
 
 
 class TestRowSupport:

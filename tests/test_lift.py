@@ -7,7 +7,8 @@ averaging bit-for-bit, lattice-aligned warps reduce to index shifts).
 Alignment only interpolates where the history is non-zero, in row blocks,
 and is compared bit-for-bit against a dense oracle that interpolates every
 voxel center; fusion's block-by-block accumulation against one that widens
-the whole lattice at once.
+the whole lattice at once. Both also run on the same grid listing every
+voxel, +0.0 rows included, and must give the same bits.
 """
 
 import gc
@@ -29,7 +30,7 @@ from cylocc.sketch import CandidateMask
 from cylocc.synth import render_erp_depth
 
 from conftest import bin_triple, sparse_features
-from oracles import DEMO07_SCENE, dense_align_history, feature_rows, fuse_temporal_unblocked
+from oracles import DEMO07_SCENE, dense_align_history, feature_rows, fuse_temporal_unblocked, zero_grid
 
 
 def mask_with(spec, indices):
@@ -242,6 +243,15 @@ class TestColorVoxels:
         with pytest.raises(DomainError):
             color_voxels(build_hit_set(mask, rig6), feats)
 
+    def test_unhit_voxels_stay_listed_as_zero_rows(self, cyl_spec, rig6):
+        rng = np.random.RandomState(46)
+        idx = np.stack([rng.randint(10, 120, 300), rng.randint(0, 200, 300), rng.randint(0, 16, 300)], axis=1)
+        hits = build_hit_set(mask_with(cyl_spec, idx), rig6[:2])  # two cameras leave voxels unseen
+        feats = [FeatureImage(cam.name, rng.rand(24, 24, 3).astype(np.float32)) for cam in rig6[:2]]
+        rows = color_voxels(hits, feats)
+        np.testing.assert_array_equal(rows.voxels, hits.voxels)
+        assert hits.unhit.any() and not rows.rows[hits.unhit].any()
+
 
 def random_feature_grid(spec, rng, channels=3):
     return feature_rows(spec, rng.rand(*spec.dims, channels).astype(np.float32))
@@ -353,6 +363,11 @@ def align_poses(spec):
     }
 
 
+def listing_every_voxel(rows):
+    """The same grid with every voxel listed, +0.0 rows included."""
+    return FeatureRows(rows.spec, np.arange(rows.spec.num_voxels), rows.dense().reshape(rows.spec.num_voxels, -1))
+
+
 def assert_bits_equal(got, want):
     assert got.dtype == want.dtype == np.float32
     np.testing.assert_array_equal(got.view(np.uint32), want.view(np.uint32))
@@ -374,7 +389,11 @@ class TestAlignMatchesDense:
             for k, (b, d) in enumerate(zip(base, dims)):
                 if k not in call.kwargs["wrap"]:
                     assert np.all(b >= 0) and np.all(b + (t[k] is not None) < d)
-        assert_bits_equal(got.dense(), dense_align_history(hist, t_hist, t_curr))
+        want = dense_align_history(hist, t_hist, t_curr)
+        # the same grid listing every voxel, +0.0 rows included, aligns to the same bits
+        for out in (got, align_history(listing_every_voxel(hist), t_hist, t_curr)):
+            assert np.all(np.diff(out.voxels) > 0)
+            assert_bits_equal(out.dense(), want)
 
     def test_negative_zero_history_keeps_its_sign(self):
         spec = SMALL_SPECS["cuboid"]
@@ -384,16 +403,17 @@ class TestAlignMatchesDense:
         assert np.signbit(want).any()
         assert_bits_equal(align_history(hist, t_hist, t_curr).dense(), want)
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=80, deadline=None)
     @given(
         spec_name=st.sampled_from(sorted(SMALL_SPECS)),
+        case=st.sampled_from(["sparse", "negative_zero"]),
         yaw=st.floats(-math.pi, math.pi),
         tilt=st.floats(-0.1, 0.1),
         shift=st.tuples(*[st.floats(-1.5, 1.5)] * 3),
     )
-    def test_small_poses_bit_identical(self, spec_name, yaw, tilt, shift):
+    def test_small_poses_bit_identical(self, spec_name, case, yaw, tilt, shift):
         spec = SMALL_SPECS[spec_name]
-        hist = feature_rows(spec, history_data(spec, "sparse"))
+        hist = feature_rows(spec, history_data(spec, case))
         c, s = math.cos(tilt), math.sin(tilt)
         tilt_x = np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
         t_hist = RigidTransform(rot_z(yaw) @ tilt_x, np.array(shift))
@@ -471,6 +491,7 @@ class TestAlignMatchesDense:
         hist = feature_rows(cyl_spec, sparse_history(cyl_spec, rng, 0.06, channels=16))
         t_hist = RigidTransform(rot_z(-0.04), np.array([0.6, 0.03, 0.0]))
         got = align_history(hist, t_hist, RigidTransform.identity())
+        assert len(got.voxels) < cyl_spec.num_voxels // 2
         assert_bits_equal(got.dense(), dense_align_history(hist, t_hist, RigidTransform.identity()))
 
     @pytest.mark.parametrize("tilt", [0.0, 0.05])
@@ -501,6 +522,10 @@ class TestAlignMatchesDense:
         finally:
             tracemalloc.stop()
         assert peak < 32 * 2**20
+
+
+# 9,061 voxels: not a multiple of the fusion block
+ODD_SPEC = GridSpec(CUBOID, (13, 17, 41), ((0.0, 1.3), (0.0, 1.7), (0.0, 4.1)))
 
 
 class TestFuseTemporal:
@@ -541,9 +566,12 @@ class TestFuseTemporal:
         with pytest.raises(ShapeError):
             fuse_temporal(curr, [feature_rows(other, np.zeros(other.dims + (3,), np.float32))])
 
-
-# 9,061 voxels: not a multiple of the fusion block
-ODD_SPEC = GridSpec(CUBOID, (13, 17, 41), ((0.0, 1.3), (0.0, 1.7), (0.0, 4.1)))
+    def test_mismatched_rows_rejected(self, cyl_spec):
+        curr = random_feature_grid(ODD_SPEC, np.random.RandomState(49))
+        with pytest.raises(ShapeError):
+            fuse_temporal(curr, [FeatureRows(ODD_SPEC, np.array([3]), np.ones((1, 2), dtype=np.float32))])
+        with pytest.raises(ShapeError):
+            fuse_temporal(curr, [FeatureRows(cyl_spec, np.array([3]), np.ones((1, 3), dtype=np.float32))])
 
 
 def awkward_features(spec, rng, channels=3):
@@ -552,6 +580,13 @@ def awkward_features(spec, rng, channels=3):
     specials = np.array([-0.0, 0.0, 1e-45, -1e-45, 1e-40, -3e-39, 1.1754942e-38], dtype=np.float32)
     pick = rng.rand(*data.shape) < 0.3
     data[pick] = rng.choice(specials, int(pick.sum()))
+    return data
+
+
+def thinned(data, rng, keep):
+    """data with about 1 - keep of its voxel rows set to +0.0, so supports differ between inputs."""
+    data = data.copy()
+    data[rng.rand(*data.shape[:3]) >= keep] = 0.0
     return data
 
 
@@ -583,83 +618,9 @@ class TestFuseBlocks:
         assert np.signbit(got.dense()).any() and (got.dense().reshape(-1) == np.float32(1e-45)).any()
         assert_bits_equal(got.dense(), fuse_temporal_unblocked(curr, [feature_rows(ODD_SPEC, data.copy())]))
 
-
-def listing_every_voxel(rows):
-    """The same grid with every voxel listed, +0.0 rows included."""
-    return FeatureRows(rows.spec, np.arange(rows.spec.num_voxels), rows.dense().reshape(rows.spec.num_voxels, -1))
-
-
-def thinned(data, rng, keep):
-    """data with about 1 - keep of its voxel rows set to +0.0, so supports differ between inputs."""
-    data = data.copy()
-    data[rng.rand(*data.shape[:3]) >= keep] = 0.0
-    return data
-
-
-class TestRowKernels:
-    """color_voxels, align_history and fuse_temporal hold only listed rows; on
-    FeatureRows inputs their dense() results are bit-identical to the oracles
-    in tests/oracles.py."""
-
-    def test_color_rows_are_the_colored_rows(self, cyl_spec, rig6):
-        rng = np.random.RandomState(46)
-        idx = np.stack([rng.randint(10, 120, 300), rng.randint(0, 200, 300), rng.randint(0, 16, 300)], axis=1)
-        hits = build_hit_set(mask_with(cyl_spec, idx), rig6[:2])  # two cameras leave voxels unseen
-        feats = [FeatureImage(cam.name, rng.rand(24, 24, 3).astype(np.float32)) for cam in rig6[:2]]
-        rows = color_voxels(hits, feats)
-        np.testing.assert_array_equal(rows.voxels, hits.voxels)
-        assert hits.unhit.any() and not rows.rows[hits.unhit].any()  # unhit voxels stay listed, as zero rows
-
-    @pytest.mark.parametrize("pose", ["identity", "z_shift", "yaw_across_seam", "out_of_range", "sub_snap_shift"])
-    @pytest.mark.parametrize("case", ["zero", "dense", "sparse", "seam", "r_bin_0", "edges", "negative_zero"])
-    @pytest.mark.parametrize("spec_name", sorted(SMALL_SPECS))
-    def test_align_rows_bit_identical(self, spec_name, case, pose):
-        spec = SMALL_SPECS[spec_name]
-        hist = feature_rows(spec, history_data(spec, case))
-        t_hist, t_curr = align_poses(spec)[pose]
-        want = dense_align_history(hist, t_hist, t_curr)
-        for rows in (hist, listing_every_voxel(hist)):
-            got = align_history(rows, t_hist, t_curr)
-            assert np.all(np.diff(got.voxels) > 0)
-            assert_bits_equal(got.dense(), want)
-
-    @settings(max_examples=40, deadline=None)
-    @given(
-        spec_name=st.sampled_from(sorted(SMALL_SPECS)),
-        case=st.sampled_from(["sparse", "negative_zero"]),
-        yaw=st.floats(-math.pi, math.pi),
-        tilt=st.floats(-0.1, 0.1),
-        shift=st.tuples(*[st.floats(-1.5, 1.5)] * 3),
-    )
-    def test_align_rows_small_poses(self, spec_name, case, yaw, tilt, shift):
-        spec = SMALL_SPECS[spec_name]
-        hist = feature_rows(spec, history_data(spec, case))
-        c, s = math.cos(tilt), math.sin(tilt)
-        t_hist = RigidTransform(rot_z(yaw) @ np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]]), np.array(shift))
-        got = align_history(hist, t_hist, RigidTransform.identity())
-        assert_bits_equal(got.dense(), dense_align_history(hist, t_hist, RigidTransform.identity()))
-
-    @pytest.mark.parametrize("block", [1, 7])
-    def test_align_rows_small_blocks(self, block):
-        spec = SMALL_SPECS["cylindrical"]
-        hist = feature_rows(spec, history_data(spec, "negative_zero"))
-        t_hist, t_curr = align_poses(spec)["yaw_across_seam"]
-        with mock.patch.object(lift, "_ALIGN_BLOCK", block):
-            got = align_history(hist, t_hist, t_curr)
-        assert len(got.voxels) > 2 * block
-        assert_bits_equal(got.dense(), dense_align_history(hist, t_hist, t_curr))
-
-    def test_align_rows_default_lattice(self, cyl_spec):
-        rng = np.random.RandomState(47)
-        hist = feature_rows(cyl_spec, sparse_history(cyl_spec, rng, 0.06, channels=16))
-        t_hist = RigidTransform(rot_z(-0.04), np.array([0.6, 0.03, 0.0]))
-        got = align_history(hist, t_hist, RigidTransform.identity())
-        assert len(got.voxels) < cyl_spec.num_voxels // 2
-        assert_bits_equal(got.dense(), dense_align_history(hist, t_hist, RigidTransform.identity()))
-
     @pytest.mark.parametrize("n", [0, 1, 3])
     @pytest.mark.parametrize("block", [lift._FUSE_BLOCK, 5])
-    def test_fuse_rows_matches_unblocked(self, n, block):
+    def test_thinned_rows_match_unblocked(self, n, block):
         rng = np.random.RandomState(48 + n)
         curr = feature_rows(ODD_SPEC, thinned(awkward_features(ODD_SPEC, rng), rng, 0.4))
         hists = [feature_rows(ODD_SPEC, thinned(awkward_features(ODD_SPEC, rng), rng, 0.4)) for _ in range(n)]
@@ -676,13 +637,6 @@ class TestRowKernels:
         assert np.signbit(want).any()
         assert_bits_equal(got.dense(), want)
         assert_bits_equal(listed.dense(), want)
-
-    def test_fuse_rows_mismatch_rejected(self, cyl_spec):
-        curr = random_feature_grid(ODD_SPEC, np.random.RandomState(49))
-        with pytest.raises(ShapeError):
-            fuse_temporal(curr, [FeatureRows(ODD_SPEC, np.array([3]), np.ones((1, 2), dtype=np.float32))])
-        with pytest.raises(ShapeError):
-            fuse_temporal(curr, [FeatureRows(cyl_spec, np.array([3]), np.ones((1, 3), dtype=np.float32))])
 
 
 PLANAR_STEP = RigidTransform(rot_z(0.05), np.array([0.4, -0.1, 0.0]))
@@ -723,7 +677,7 @@ class TestRowsFramePath:
     @pytest.mark.parametrize("kind", ["label", "occupancy"])
     def test_non_feature_grid_rejected(self, cyl_spec, kind):
         # FeatureRows alone: a label or occupancy grid, or a bare dense array, is refused
-        grid = VoxelGrid.zeros(cyl_spec, kind)
+        grid = zero_grid(cyl_spec, kind)
         feature = feature_rows(cyl_spec, np.zeros(cyl_spec.dims + (2,), np.float32))
         for hist in (grid, feature.dense()):
             with pytest.raises(DomainError):
@@ -753,10 +707,10 @@ class TestNoReferenceCycles:
     """The frame kernels leave no garbage for the cycle collector: a cycle
     would keep a block's index and mask arrays alive until the collector
     runs, and raise the frame path's peak memory. Alignment and fusion run
-    once on the set rows and once on rows listing every voxel (the _rows cases)."""
+    once on the set rows and once on rows listing every voxel (the _every_voxel cases)."""
 
     @pytest.mark.parametrize("kernel", ["bilinear_sample", "color_voxels", "align_history", "fuse_temporal",
-                                        "render_erp_depth", "align_rows", "fuse_rows"])
+                                        "render_erp_depth", "align_every_voxel", "fuse_every_voxel"])
     def test_no_cycles(self, kernel, cyl_spec, rig6):
         rng = np.random.RandomState(45)
         hist = feature_rows(ODD_SPEC, awkward_features(ODD_SPEC, rng))
@@ -770,8 +724,8 @@ class TestNoReferenceCycles:
             "color_voxels": lambda: color_voxels(hits, feats),
             "align_history": lambda: align_history(cyl_hist, pose, RigidTransform.identity()),
             "fuse_temporal": lambda: fuse_temporal(hist, [hist, hist]),
-            "align_rows": lambda: align_history(listing_every_voxel(cyl_hist), pose, RigidTransform.identity()),
-            "fuse_rows": lambda: fuse_temporal(listing_every_voxel(hist), [hist] * 2),
+            "align_every_voxel": lambda: align_history(listing_every_voxel(cyl_hist), pose, RigidTransform.identity()),
+            "fuse_every_voxel": lambda: fuse_temporal(listing_every_voxel(hist), [hist] * 2),
             "render_erp_depth": lambda: render_erp_depth(DEMO07_SCENE, 64, 32, pose),
         }
         gc.collect()

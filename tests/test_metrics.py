@@ -57,6 +57,7 @@ from oracles import (
     scene_first_hit,
     sorted_crossings_all_families,
     within_range,
+    zero_grid,
 )
 
 
@@ -90,7 +91,7 @@ def traverse_cells(origin, direction, spec: GridSpec, max_dist: float):
 
 
 def random_label_grid(spec, rng, density=0.03, free_inner_r_bins=0):
-    g = VoxelGrid.zeros(spec, "label")
+    g = zero_grid(spec, "label")
     occ = rng.rand(*spec.dims) < density
     if free_inner_r_bins:
         occ[:free_inner_r_bins] = False
@@ -111,6 +112,19 @@ def perturbed(grid, seed):
 @pytest.fixture(scope="module")
 def street_gt(street_scene, cyl_spec):
     return analytic_voxel_gt(street_scene, cyl_spec, 3)
+
+
+@pytest.fixture(scope="module")
+def street_pred(street_gt):
+    return perturbed(street_gt, 8)
+
+
+@pytest.fixture(scope="module")
+def street_fan_oracle(street_gt, street_pred):
+    """The all-intervals caster's default-fan hits into street_gt and street_pred, cast once per module."""
+    fan = default_ray_fan()
+    length = _grid_max_distance(street_gt.spec, fan.origins)
+    return [cast_all_intervals(fan, g, length) for g in (street_gt, street_pred)]
 
 
 class TestGenerateRays:
@@ -156,7 +170,7 @@ class TestGenerateRays:
 
 class TestCastRay:
     def test_radial_hit_at_shell_entry(self, cyl_spec):
-        g = VoxelGrid.zeros(cyl_spec, "label")
+        g = zero_grid(cyl_spec, "label")
         g.data[5, 100, 7] = 3
         hits = cast_rays(one_ray([0.0, 0.0, 0.0], [1.0, 0.0, 0.0]), g)
         assert hits.hit[0]
@@ -164,14 +178,14 @@ class TestCastRay:
         assert hits.distance[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_all_free_no_hit(self, cyl_spec):
-        g = VoxelGrid.zeros(cyl_spec, "label")
+        g = zero_grid(cyl_spec, "label")
         hits = cast_rays(one_ray([0.0, 0.0, 0.0], [1.0, 0.0, 0.0]), g)
         assert not hits.hit[0]
         assert hits.label[0] == 0
         assert hits.voxel[0] == -1
 
     def test_origin_inside_occupied_cell(self, cyl_spec):
-        g = VoxelGrid.zeros(cyl_spec, "label")
+        g = zero_grid(cyl_spec, "label")
         g.data.reshape(-1)[cyl_spec.point_to_flat([[3.0, 1.0, 0.3]])] = 5
         hits = cast_rays(one_ray([3.0, 1.0, 0.3], [0.0, 1.0, 0.0]), g)
         assert hits.hit[0]
@@ -180,7 +194,7 @@ class TestCastRay:
 
     def test_origin_outside_grid_entry_distance(self):
         spec = GridSpec(CUBOID, (4, 4, 4), ((0, 4), (0, 4), (0, 4)))
-        g = VoxelGrid.zeros(spec, "label")
+        g = zero_grid(spec, "label")
         g.data[:] = 2
         hits = cast_rays(one_ray([-3.0, 2.0, 2.0], [1.0, 0.0, 0.0]), g)
         assert hits.distance[0] == pytest.approx(3.0, abs=1e-12)
@@ -193,7 +207,7 @@ class TestCastRay:
 
     def test_length_reaches_any_exit(self, cyl_spec):
         # the derived length runs past the far side of the grid from an origin outside it
-        g = VoxelGrid.zeros(cyl_spec, "label")
+        g = zero_grid(cyl_spec, "label")
         g.data[100, 0, 7] = 4  # r in [20.0, 20.2) at theta = -pi
         hits = cast_rays(one_ray([40.0, 0.0, 0.0], [-1.0, 0.0, 0.0]), g)
         assert hits.label[0] == 4
@@ -203,12 +217,12 @@ class TestCastRay:
     def test_far_origins_rejected(self, cyl_spec, x):
         # the squared length would overflow the crossing arithmetic
         with pytest.raises(DomainError, match="ray origins"):
-            cast_rays(one_ray([x, 0.0, 0.0], [-1.0, 0.0, 0.0]), VoxelGrid.zeros(cyl_spec, "label"))
+            cast_rays(one_ray([x, 0.0, 0.0], [-1.0, 0.0, 0.0]), zero_grid(cyl_spec, "label"))
 
     @pytest.mark.parametrize("x", [4e153, 1e20])
     def test_far_origins_cast(self, x):
         for spec in (default_cylindrical_spec(), default_cuboid_spec()):
-            g = VoxelGrid.zeros(spec, "label")
+            g = zero_grid(spec, "label")
             g.data[:] = 1
             assert not cast_rays(one_ray([x, 0.0, 0.0], [0.0, 1.0, 0.0]), g).hit[0]
 
@@ -229,7 +243,7 @@ class TestCastRay:
             build()
 
     def test_needs_label_grid(self, cyl_spec):
-        g = VoxelGrid.zeros(cyl_spec, "occupancy")
+        g = zero_grid(cyl_spec, "occupancy")
         with pytest.raises(DomainError):
             cast_rays(Rays(np.zeros((1, 3)), np.array([[1.0, 0.0, 0.0]])), g)
 
@@ -288,16 +302,13 @@ class TestEarlyExitExactness:
     the length cast_rays derives, and stay put at twice that length, since
     the derived length already reaches the grid exit."""
 
-    def test_default_fan_into_street_gt(self, street_gt):
-        fan = default_ray_fan()
-        a = cast_rays(fan, street_gt)
+    def test_default_fan_into_street_gt(self, street_gt, street_fan_oracle):
+        a = cast_rays(default_ray_fan(), street_gt)
         assert 0.3 < a.hit.mean() < 0.9
-        assert_same_hits(a, cast_all_intervals(fan, street_gt, _grid_max_distance(street_gt.spec, fan.origins)))
+        assert_same_hits(a, street_fan_oracle[0])
 
-    def test_default_fan_into_perturbed_street_gt(self, street_gt):
-        pred = perturbed(street_gt, 8)
-        fan = default_ray_fan()
-        assert_same_hits(cast_rays(fan, pred), cast_all_intervals(fan, pred, _grid_max_distance(pred.spec, fan.origins)))
+    def test_default_fan_into_perturbed_street_gt(self, street_pred, street_fan_oracle):
+        assert_same_hits(cast_rays(default_ray_fan(), street_pred), street_fan_oracle[1])
 
     @pytest.mark.parametrize("coord", ["cylindrical", "cuboid"])
     def test_random_off_axis_rays(self, coord, cyl_spec):
@@ -343,11 +354,11 @@ def assert_same_crossings(spec, o, d):
 
 def decoded_spec(spec):
     """spec as decode_voxel_grid returns it, its ranges rounded to f32."""
-    return decode_voxel_grid(encode_voxel_grid(VoxelGrid.zeros(spec, "label"))).spec
+    return decode_voxel_grid(encode_voxel_grid(zero_grid(spec, "label"))).spec
 
 
 @cache
-def cull_specs():
+def axis_specs():
     """The default lattice and a small one with r_min > 0, each also as decoded (f32 ranges)."""
     small = GridSpec("cylindrical", (24, 7, 6), ((2.0, 14.0), (-math.pi, math.pi), (-1.5, 2.1)))
     return [default_cylindrical_spec(), decoded_spec(default_cylindrical_spec()), small, decoded_spec(small)]
@@ -416,7 +427,7 @@ class TestSortedCrossings:
         o = np.stack([np.full(n, x), np.full(n, y), rng.uniform(-3, 4, n)], axis=1)
         assert assert_same_crossings(cyl_spec, o, unit_rows(rng.normal(size=(n, 3)))) == 477
 
-    @pytest.mark.parametrize("spec", cull_specs(), ids=["default", "default-decoded", "r_min", "r_min-decoded"])
+    @pytest.mark.parametrize("spec", axis_specs(), ids=["default", "default-decoded", "r_min", "r_min-decoded"])
     def test_axis_far_roots(self, spec):
         # an axis block's far roots are sqrt((4a) rk^2) (0.5 / a), guard included:
         # rk = 0 at r_min = 0, a = 0 for vertical rays, a ~ 1e-32 for steep ones
@@ -488,23 +499,31 @@ def drawn_grid_pairs():
     return pairs
 
 
+def assert_casts_match_oracle(rays, grids, expected=None):
+    """_cast_grids into the grids together and cast_rays into each alone
+    equal the all-intervals caster, which bins every midpoint with
+    point_to_flat, bit for bit; expected holds the oracle's hits when the
+    caller has them already. Returns the shared cast's hits."""
+    shared = _cast_grids(rays, grids)
+    assert len(shared) == len(grids)
+    if expected is None:
+        length = _grid_max_distance(grids[0].spec, rays.origins)
+        expected = [cast_all_intervals(rays, grid, length) for grid in grids]
+    for hits, grid, ref in zip(shared, grids, expected):
+        assert_same_hits(hits, ref)
+        assert_same_hits(cast_rays(rays, grid), ref)
+    return shared
+
+
 class TestSharedCast:
     """_cast_grids sorts each ray's crossings and bins its intervals once for
     every grid; each grid's hits must equal its own cast_rays call and the
     all-intervals caster bit for bit."""
 
-    def assert_matches_own_casts(self, rays, grids):
-        shared = _cast_grids(rays, grids)
-        assert len(shared) == len(grids)
-        length = _grid_max_distance(grids[0].spec, rays.origins)
-        for hits, grid in zip(shared, grids):
-            assert_same_hits(hits, cast_rays(rays, grid))
-            assert_same_hits(hits, cast_all_intervals(rays, grid, length))
-        return shared
-
-    def test_default_fan_into_street_gt_and_predictions(self, street_gt):
-        grids = [street_gt, perturbed(street_gt, 8), perturbed(street_gt, 9)]
-        shared = self.assert_matches_own_casts(default_ray_fan(), grids)
+    def test_default_fan_into_street_gt_and_predictions(self, street_gt, street_pred, street_fan_oracle):
+        fan, grids = default_ray_fan(), [street_gt, street_pred, perturbed(street_gt, 9)]
+        ninth = cast_all_intervals(fan, grids[2], _grid_max_distance(street_gt.spec, fan.origins))
+        shared = assert_casts_match_oracle(fan, grids, [*street_fan_oracle, ninth])
         # the grids disagree, so each must be read on its own
         assert not np.array_equal(shared[0].voxel, shared[1].voxel)
         assert not np.array_equal(shared[1].voxel, shared[2].voxel)
@@ -518,12 +537,12 @@ class TestSharedCast:
         o = np.stack([rng.uniform(-15, 15, n), rng.uniform(-15, 15, n), rng.uniform(-2, 3, n)], axis=1)
         d = rng.normal(size=(n, 3))
         rays = Rays(o, d / np.linalg.norm(d, axis=1, keepdims=True))
-        free_hits, occ_hits = self.assert_matches_own_casts(rays, [VoxelGrid.zeros(spec, "label"), occupied])
+        free_hits, occ_hits = assert_casts_match_oracle(rays, [zero_grid(spec, "label"), occupied])
         assert not free_hits.hit.any()
         assert occ_hits.hit.any() and not occ_hits.hit.all()
 
     def test_start_occupied_in_one_grid_or_both(self, cyl_spec, monkeypatch):
-        a, b = VoxelGrid.zeros(cyl_spec, "label"), VoxelGrid.zeros(cyl_spec, "label")
+        a, b = zero_grid(cyl_spec, "label"), zero_grid(cyl_spec, "label")
         both, only_a, neither = [3.0, 1.0, 0.3], [-4.0, 2.0, 0.3], [0.0, -5.0, 0.3]
         for p in (both, only_a):
             a.data.reshape(-1)[cyl_spec.point_to_flat([p])] = 5
@@ -539,7 +558,7 @@ class TestSharedCast:
             return crossings(spec, o, d, max_dist)
 
         monkeypatch.setattr(metrics, "_sorted_crossings", recording)
-        ha, hb = self.assert_matches_own_casts(rays, [a, b])
+        ha, hb = assert_casts_match_oracle(rays, [a, b])
         # the ray starting occupied in both grids never has its crossings sorted
         assert sorted_rows[0] == 2
         np.testing.assert_array_equal(ha.distance[:2], [0.0, 0.0])
@@ -553,10 +572,10 @@ class TestSharedCast:
     def test_drawn_rays(self, case):
         rays, grid = case
         kind = "cuboid" if grid.spec.coord_sys == CUBOID else "cylindrical"
-        self.assert_matches_own_casts(rays, list(drawn_grid_pairs()[kind]))
+        assert_casts_match_oracle(rays, list(drawn_grid_pairs()[kind]))
 
-    def test_ray_iou_matches_separate_casts(self, street_gt):
-        pred, fan = perturbed(street_gt, 8), default_ray_fan()
+    def test_ray_iou_matches_separate_casts(self, street_gt, street_pred):
+        pred, fan = street_pred, default_ray_fan()
         thresholds, bands = (1.0, 2.0, 4.0), [(0.0, 8.5), (8.5, 17.0), (17.0, 25.6)]
         gt_hits, pred_hits = cast_rays(fan, street_gt), cast_rays(fan, pred)
         names = default_label_set().names
@@ -572,23 +591,12 @@ class TestSharedCast:
 
     def test_input_checks(self, cyl_spec):
         rays = generate_rays(4, 1, (-0.1, 0.1))
-        label = VoxelGrid.zeros(cyl_spec, "label")
+        label = zero_grid(cyl_spec, "label")
         with pytest.raises(ShapeError):
-            _cast_grids(rays, [label, VoxelGrid.zeros(default_cuboid_spec(), "label")])
+            _cast_grids(rays, [label, zero_grid(default_cuboid_spec(), "label")])
         with pytest.raises(DomainError):
-            _cast_grids(rays, [label, VoxelGrid.zeros(cyl_spec, "occupancy")])
+            _cast_grids(rays, [label, zero_grid(cyl_spec, "occupancy")])
         assert _cast_grids(rays, []) == []
-
-
-def assert_casts_match_oracle(rays, grids):
-    """_cast_grids into the grids together and cast_rays into each alone
-    equal the all-intervals caster, which bins every midpoint with
-    point_to_flat, bit for bit."""
-    length = _grid_max_distance(grids[0].spec, rays.origins)
-    for hits, grid in zip(_cast_grids(rays, grids), grids):
-        expected = cast_all_intervals(rays, grid, length)
-        assert_same_hits(hits, expected)
-        assert_same_hits(cast_rays(rays, grid), expected)
 
 
 def azimuth_labelled_pair(spec, seed, density=0.02):
@@ -683,133 +691,6 @@ def axis_ray_chunks(draw):
     return Rays(o, unit_rows(d)), grids
 
 
-class TestAxisRayBinning:
-    """Rays from the z axis take their first hit from one lookup per layer
-    run, and those too near an azimuth or r edge, or with a zero or tiny
-    direction component, take the sorted path. Every case must equal the
-    all-intervals caster bit for bit."""
-
-    @pytest.mark.parametrize("decoded", [False, True], ids=["exact", "decoded"])
-    @pytest.mark.parametrize("d1", [1, 2, 3, 7, 200])
-    def test_azimuth_on_every_bin_edge(self, d1, decoded):
-        spec = GridSpec("cylindrical", (16, d1, 4), ((0.0, 8.0), (-math.pi, math.pi), (-2.0, 2.0)))
-        spec = decoded_spec(spec) if decoded else spec
-        k = np.arange(d1 + 1)
-        # the edges as exact multiples of 2 pi / D1, as the spec places them, and
-        # less the edge guard, where point_to_flat's floor turns over
-        edges = np.concatenate([-math.pi + k * (2.0 * math.pi / d1), spec.axis_value(k, 1),
-                                spec.axis_value(k - _EDGE_GUARD, 1)])
-        rays = axis_rays(nudged(edges, range(-3, 4)), [-0.3, 0.0, 0.1], z=(0.3, -1.1))
-        assert_casts_match_oracle(rays, azimuth_labelled_pair(spec, d1, 0.05))
-
-    def test_zero_and_subnormal_direction_components(self):
-        spec = default_cylindrical_spec()
-        values = [1.0, -1.0, 0.6, 0.0, -0.0, 1e-310, -1e-310, 5e-324, -3e-323]
-        d = np.array([v for v in product(values, repeat=3) if np.linalg.norm(v) > 0.5])
-        z = np.resize([0.3, 0.0, -1.3, 2.0], len(d))
-        for x, y in ((0.0, 0.0), (-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0)):
-            o = np.column_stack([np.full(len(d), x), np.full(len(d), y), z])
-            rays = Rays(o, unit_rows(d))
-            for s in (spec, decoded_spec(spec)):
-                assert_casts_match_oracle(rays, azimuth_labelled_pair(s, 71))
-
-    def test_vertical_rays(self, cyl_spec):
-        # r = 0 bins by the signs of zero x and y, atan2(+-0, +-0), and a
-        # subnormal d_xy by what is left of m d_x and m d_y
-        pair = azimuth_labelled_pair(cyl_spec, 72)
-        for g in pair:
-            g.data[0, :, ::3] = 1 + np.arange(cyl_spec.dims[1])[:, None] % 11
-        xs, ys = [0.0, -0.0, 1e-310, 3e-323], [0.0, -0.0, -1e-310, 5e-324]
-        d = np.array([[x, y, s] for x in xs for y in ys for s in (-1.0, 1.0)])
-        o = np.array([[x, y, z] for x in (0.0, -0.0) for y in (0.0, -0.0) for z in (-2.5, 0.3, 3.3)])
-        rays = Rays(np.repeat(o, len(d), axis=0), np.tile(d, (len(o), 1)))
-        assert_casts_match_oracle(rays, pair)
-
-    @pytest.mark.parametrize("z0", [-1e-300, -3e-300, -5e-324, -1e-323, 1e-300])
-    def test_first_crossing_near_zero(self, z0):
-        # a z plane at exactly 0 and an origin a hair from it: the first interval
-        # is about 1e-300 long, and its midpoint's m |d_xy| underflows
-        spec = GridSpec("cylindrical", (16, 8, 4), ((0.0, 8.0), (-math.pi, math.pi), (-2.0, 2.0)))
-        assert spec.axis_value(2, 2) == 0.0
-        rng = np.random.RandomState(73)
-        n = 400
-        up = math.copysign(1.0, -z0)
-        d = unit_rows(np.column_stack([rng.normal(size=n), rng.normal(size=n), up * rng.uniform(0.01, 2.0, n)]))
-        o = np.column_stack([np.zeros(n), np.zeros(n), np.full(n, z0)])
-        ts = _sorted_crossings(spec, o, d, _grid_max_distance(spec, o))
-        assert np.all(ts[:, 1] < 1e-290)
-        assert_casts_match_oracle(Rays(o, d), azimuth_labelled_pair(spec, 73, 0.05))
-
-    @pytest.mark.parametrize("z0", [1e150, -1e150])
-    def test_far_origin_on_the_axis(self, cyl_spec, z0):
-        rng = np.random.RandomState(74)
-        n = 300
-        d = unit_rows(rng.normal(size=(n, 3)))
-        d[:20] = [0.0, 0.0, -math.copysign(1.0, z0)]
-        d[20:40, 2] = 0.0
-        d = unit_rows(d)
-        o = np.column_stack([np.zeros(n), np.zeros(n), np.full(n, z0)])
-        assert_casts_match_oracle(Rays(o, d), azimuth_labelled_pair(cyl_spec, 74))
-
-    def test_midpoints_on_r_shells(self):
-        # On a lattice a micron across the tangent guard drops every shell
-        # crossing, so the midpoint of the interval between the z planes at -1
-        # and 0 lies at r = |d_xy| / d_z: put it on each shell, and on each
-        # shell less the edge guard, to a few ulps either side.
-        spec = GridSpec("cylindrical", (4, 8, 2), ((0.0, 1e-6), (-math.pi, math.pi), (-1.0, 1.0)))
-        target = np.concatenate([spec.axis_value(np.arange(1, 5), 0),
-                                 spec.axis_value(np.arange(1, 5) - _EDGE_GUARD, 0)])
-        slope = nudged(target, range(-6, 7))  # |d_xy| / d_z
-        azimuth = np.array([0.3, 2.0, -1.1])
-        h, az = np.repeat(slope, len(azimuth)), np.tile(azimuth, len(slope))
-        d = unit_rows(np.column_stack([h * np.cos(az), h * np.sin(az), np.ones_like(h)]))
-        o = np.tile([0.0, 0.0, -1.5], (len(d), 1))
-        g = VoxelGrid.zeros(spec, "label")
-        g.data[:, :, 0] = 1 + np.arange(4)[:, None]  # the label names the r bin
-        length = _grid_max_distance(spec, o)
-        ts = _sorted_crossings(spec, o, d, length)
-        assert np.all(np.argmax(ts == length, axis=1) == 4), "only the three z planes cross"
-        hits = cast_rays(Rays(o, d), g)
-        assert set(np.unique(hits.label)) >= {1, 2, 3, 4}
-        assert_casts_match_oracle(Rays(o, d), [g, VoxelGrid(spec, "label", g.data[::-1].copy())])
-
-    @pytest.mark.parametrize("r_range", [(0.0, 25.6), (5.0, 25.6), (25.0, 25.6)])
-    def test_classifier_at_r_edges(self, r_range):
-        # run ends (z-plane crossings) on every r edge and on every edge less the guard, a few
-        # ulps either side, and one margin w0 either side of each
-        base = GridSpec("cylindrical", (64, 200, 16), (r_range, (-math.pi, math.pi), (-2.8, 3.6)))
-        for spec in (base, decoded_spec(base)):
-            rng = np.random.RandomState(75)
-            edges = spec.axis_value(np.arange(spec.dims[0] + 1), 0)
-            r = nudged(np.concatenate([edges, edges - _EDGE_GUARD * spec.deltas[0]]), range(-4, 5))
-            r = np.concatenate([r, edges - 1.01 * run_margin(spec), edges + 1.01 * run_margin(spec)])
-            assert_casts_match_oracle(rays_with_run_ends_at(spec, r[r > 0.0], rng), azimuth_labelled_pair(spec, 75))
-
-    def test_default_fan_bins_only_its_origins(self, street_gt, monkeypatch):
-        # no default-fan ray bins a midpoint: point_to_flat sees only the
-        # chunk origins, which a cast bins for its start cells
-        fan, grids = default_ray_fan(), [street_gt, perturbed(street_gt, 8)]
-        length = _grid_max_distance(street_gt.spec, fan.origins)
-        expected = [cast_all_intervals(fan, g, length) for g in grids]
-        rows = []
-        binner = GridSpec.point_to_flat
-
-        def counting(spec, p):
-            rows.append(len(p))
-            return binner(spec, p)
-
-        monkeypatch.setattr(GridSpec, "point_to_flat", counting)
-        shared = _cast_grids(fan, grids)
-        assert rows == [_CHUNK] * (len(fan) // _CHUNK)
-        for hits, ref in zip(shared, expected):
-            assert_same_hits(hits, ref)
-
-    @settings(max_examples=150, deadline=None)
-    @given(case=axis_ray_chunks())
-    def test_drawn_chunks(self, case):
-        assert_casts_match_oracle(*case)
-
-
 def sector_layer_grid(spec, sectors, layers, seed, density=0.4, r_bins=None):
     """A label grid occupied only in the given azimuth bins and z layers (at
     the given r bins, or at random r), each cell labelled by its azimuth bin."""
@@ -828,21 +709,6 @@ def azimuth_bins(spec, d):
     return np.floor(spec.axis_fraction(np.arctan2(d[:, 1], d[:, 0]), 1) + _EDGE_GUARD).astype(np.int64) % spec.dims[1]
 
 
-def sure_misses(rays, grid):
-    """The rays from the z axis whose azimuth bin the grid leaves free over
-    every layer from bin(o_z) to bin(o_z + t_end d_z), clipped to the range,
-    with t_end = (r_max / |d_xy|)(1 + 1e-6) capped at the ray length: no cell
-    they can read is occupied."""
-    spec, o, d = grid.spec, rays.origins, rays.directions
-    with np.errstate(divide="ignore", over="ignore"):
-        t_end = np.minimum(spec.ranges[0][1] / np.hypot(d[:, 0], d[:, 1]) * (1.0 + 1e-6), _grid_max_distance(spec, o))
-    k = [np.clip(np.floor(spec.axis_fraction(z, 2) + _EDGE_GUARD), 0, spec.dims[2] - 1).astype(np.int64)
-         for z in (o[:, 2], t_end * d[:, 2] + o[:, 2])]
-    occupied = (grid.data != 0).any(axis=0)
-    return (o[:, 0] == 0.0) & (o[:, 1] == 0.0) & np.array(
-        [not occupied[s, min(p, q) : max(p, q) + 1].any() for s, p, q in zip(azimuth_bins(spec, d), *k)])
-
-
 def recording_crossings(monkeypatch):
     """Patch metrics._sorted_crossings to record the directions of every ray it sees."""
     seen = []
@@ -857,13 +723,13 @@ def recording_crossings(monkeypatch):
 
 
 @st.composite
-def cull_cases(draw):
+def sector_cases(draw):
     """Two grids occupied only in drawn azimuth bins and layers, and one chunk
     of rays from the z axis (either zero sign, o_z inside or outside the z
     range) aimed into a drawn bin or the next, or within ulps of one of
     their edges, or vertical, with a subnormal or zero xy or z component, or
     anywhere."""
-    spec = draw(st.sampled_from(cull_specs()))
+    spec = draw(st.sampled_from(axis_specs()))
     d1, d2 = spec.dims[1], spec.dims[2]
     drawn = [draw(st.lists(st.integers(0, d1 - 1), max_size=3)) for _ in range(2)]
     grids = [sector_layer_grid(spec, bins, draw(st.lists(st.integers(0, d2 - 1), max_size=3)),
@@ -893,144 +759,11 @@ def cull_cases(draw):
     return Rays(o, unit_rows(d)), grids
 
 
-class TestSureMissCull:
-    """Grids occupied only in some azimuth bins and layers, cast from the z
-    axis: a ray into a free bin, or over free layers, finds no cell in any
-    of its layer runs and misses; one at an azimuth edge may read its
-    occupied neighbour on the sorted path. Every grid's hits must equal the
-    all-intervals caster bit for bit."""
-
-    @settings(max_examples=200, deadline=None)
-    @given(case=cull_cases())
-    def test_drawn_sectors_and_layers(self, case):
-        rays, grids = case
-        assert_casts_match_oracle(rays, grids)
-
-    @pytest.mark.parametrize("h", [1e-1, 1e-3, 1e-6])
-    def test_layer_edge_at_r_max(self, h):
-        # z at r = r_max on a layer edge, or on the edge less the guard where
-        # the floor turns over, to a few ulps of the origin height either side;
-        # the layer past it is occupied only in the outermost r bin
-        spec = default_cylindrical_spec()
-        r_max, d0 = spec.ranges[0][1], spec.dims[0]
-        azimuth = -math.pi + (np.arange(64) + 0.5) * (2.0 * math.pi / 64)
-        hits = []
-        for up, k in ((1.0, 3), (-1.0, 12)):
-            dz = up * math.sqrt(1.0 - h * h)
-            oz = nudged(spec.axis_value(np.array([k, k - _EDGE_GUARD]), 2) - (r_max / h) * dz, range(-40, 41))
-            o = np.column_stack([np.zeros(len(oz)), np.zeros(len(oz)), oz]).repeat(len(azimuth), axis=0)
-            az = np.tile(azimuth, len(oz))
-            rays = Rays(o, np.column_stack([h * np.cos(az), h * np.sin(az), np.full(len(az), dz)]))
-            layer = k if up > 0 else k - 1
-            grids = [sector_layer_grid(spec, range(spec.dims[1]), [layer], 0, r_bins=[d0 - 1]),
-                     VoxelGrid.zeros(spec, "label")]
-            assert_casts_match_oracle(rays, grids)
-            hits.append(cast_rays(rays, grids[0]).hit)
-        assert np.concatenate(hits).any() and not np.concatenate(hits).all()
-
-    @pytest.mark.parametrize("decoded", [False, True], ids=["exact", "decoded"])
-    def test_rays_at_an_azimuth_edge(self, decoded, monkeypatch):
-        # every other azimuth bin occupied: a ray within w1 of an edge may read
-        # the occupied neighbour of its free bin, so it must not be culled
-        spec = decoded_spec(default_cylindrical_spec()) if decoded else default_cylindrical_spec()
-        d1 = spec.dims[1]
-        grids = [sector_layer_grid(spec, range(0, d1, 2), range(spec.dims[2]), 80),
-                 sector_layer_grid(spec, range(1, d1, 2), range(spec.dims[2]), 81)]
-        k = np.arange(d1 + 1)
-        edges = np.concatenate([-math.pi + k * (2.0 * math.pi / d1), spec.axis_value(k, 1),
-                                spec.axis_value(k - _EDGE_GUARD, 1)])
-        rays = axis_rays(nudged(edges, range(-3, 4)), [-0.3, 0.0, 0.1], z=(0.3, -1.1))
-        assert_casts_match_oracle(rays, grids)
-        # every ray within w1 of one of the spec's own inner edges takes the sorted path
-        inner = k[1:-1]
-        own = axis_rays(nudged(np.concatenate([spec.axis_value(inner, 1), spec.axis_value(inner - _EDGE_GUARD, 1)]),
-                               range(-3, 4)), [-0.3, 0.0, 0.1])
-        seen = recording_crossings(monkeypatch)
-        _cast_grids(own, grids)
-        np.testing.assert_array_equal(np.concatenate(seen), own.directions)
-
-    def test_subnormal_vertical_and_horizontal_rays(self, cyl_spec):
-        # a midpoint with m |d_xy| < 1e-100 is re-binned from m d_x and m d_y,
-        # which may round into another azimuth bin: every bin but the ray's own
-        # is occupied at r = 0, so only the |d_xy| bound keeps the ray uncut
-        d = unit_rows([[3 * 5e-324, 5e-324, 1.0], [-5e-324, 3 * 5e-324, -1.0], [1e-310, 3e-311, 1.0],
-                       [1e-90, 2e-90, -1.0], [1e-80, -3e-80, 1.0], [0.0, 0.0, 1.0], [-0.0, 0.0, -1.0]])
-        own = azimuth_bins(cyl_spec, d)
-        others = np.setdiff1d(np.arange(cyl_spec.dims[1]), own)
-        grids = [sector_layer_grid(cyl_spec, others, range(cyl_spec.dims[2]), 82, r_bins=[0]),
-                 sector_layer_grid(cyl_spec, others, range(cyl_spec.dims[2]), 83)]
-        z = np.array([-2.5, -0.0, 0.3, 3.3, 5.0])
-        rays = Rays(np.column_stack([np.zeros(len(z) * len(d)), np.zeros(len(z) * len(d)), np.repeat(z, len(d))]),
-                    np.tile(d, (len(z), 1)))
-        assert_casts_match_oracle(rays, grids)
-        assert cast_rays(rays, grids[0]).hit.any()
-        # horizontal rays stay in the layer of o_z, on a layer edge or an ulp either side
-        heights = nudged(cyl_spec.axis_value(np.arange(cyl_spec.dims[2] + 1), 2), range(-2, 3))
-        rays = axis_rays(np.linspace(-3.0, 3.0, 9), [0.0], z=heights)
-        layers = [sector_layer_grid(cyl_spec, range(cyl_spec.dims[1]), [5, 11], 84),
-                  sector_layer_grid(cyl_spec, range(40, 120), range(cyl_spec.dims[2]), 85)]
-        assert_casts_match_oracle(rays, layers)
-
-    @pytest.mark.parametrize("spec", cull_specs(), ids=["default", "default-decoded", "r_min", "r_min-decoded"])
-    def test_origins_outside_the_z_range(self, spec):
-        (_, r_max), _, (z_lo, z_hi) = spec.ranges
-        heights = [z_lo - 30.0, z_lo - 1e-9, z_lo, z_hi, z_hi + 1e-9, z_hi + 30.0, 1e6, -1e6]
-        rays = axis_rays(np.linspace(-math.pi, math.pi, 23)[:-1], np.linspace(-1.5, 1.5, 13), z=heights)
-        grids = [sector_layer_grid(spec, [1, 3], [0, spec.dims[2] - 1], 86),
-                 sector_layer_grid(spec, [2, 4], [1], 87)]
-        assert_casts_match_oracle(rays, grids)
-
-    def test_thin_layers_and_steep_rays(self, monkeypatch):
-        # with |d_xy| near 4e-88, (r_max / |d_xy|) d_z reaches 1e88, far past
-        # max_dist: binning it in layers 2.5e-226 thick would overflow
-        spec = GridSpec("cylindrical", (8, 8, 4), ((0.0, 4.0), (-math.pi, math.pi), (0.0, 1e-225)))
-        h = np.array([4e-88, 1e-87, 1e-80, 1e-3, 0.5])
-        az = np.repeat(np.linspace(-3.0, 3.0, 7), len(h))
-        h = np.tile(h, 7)
-        d = np.column_stack([h * np.cos(az), h * np.sin(az), np.sqrt(1.0 - h * h)])
-        o = np.column_stack([np.zeros(len(d)), np.zeros(len(d)), np.resize([-1.0, 0.0, 5e-226], len(d))])
-        rays = Rays(np.concatenate([o, o * [1.0, 1.0, -1.0]]), np.concatenate([d, -d]))
-        grids = [sector_layer_grid(spec, range(0, 8, 2), range(4), 90, r_bins=[0, 1]),
-                 sector_layer_grid(spec, [3], [1, 2], 91, r_bins=[0])]
-        seen = recording_crossings(monkeypatch)
-        assert_casts_match_oracle(rays, grids)
-        # the steep rays fail the tangent guard and sort their crossings; some others take layer runs
-        steep = np.hypot(rays.directions[:, 0], rays.directions[:, 1]) < 1e-6
-        assert set(map(tuple, rays.directions[steep])) <= set(map(tuple, seen[0])) and len(seen[0]) < len(rays)
-
-    def test_culled_in_one_grid_only(self, cyl_spec, monkeypatch):
-        # bins 0-49 occupied in the first grid only, 100-199 in the second: a ray into
-        # one of them misses in the other grid and hits in its own
-        grids = [sector_layer_grid(cyl_spec, range(50), range(cyl_spec.dims[2]), 88),
-                 sector_layer_grid(cyl_spec, range(100, 200), range(cyl_spec.dims[2]), 89)]
-        for g in grids:
-            g.data[0] = 0  # no ray starts occupied
-        rays = axis_rays(np.linspace(-math.pi, math.pi, 400)[:-1], np.linspace(-0.3, 0.2, 5))
-        free = [sure_misses(rays, g) for g in grids]
-        assert (free[0] & ~free[1]).any() and (free[1] & ~free[0]).any()
-        seen = recording_crossings(monkeypatch)
-        assert_casts_match_oracle(rays, grids)
-        for g, f in zip(grids, free):
-            assert not cast_rays(rays, g).hit[f].any()
-        # the shared cast, which comes first, sorts only the crossings of the rays at the -pi seam
-        seam = np.arctan2(rays.directions[:, 1], rays.directions[:, 0]) == -math.pi
-        np.testing.assert_array_equal(seen[0], rays.directions[seam])
-
-    def test_default_fan_skips_culled_rays(self, street_gt):
-        # a fan ray whose azimuth bin the street leaves free over the layers it reaches misses
-        fan = default_ray_fan()
-        free = sure_misses(fan, street_gt)
-        assert free.mean() >= 0.3
-        hits = cast_rays(fan, street_gt)
-        assert not hits.hit[free].any()
-        assert_same_hits(hits, cast_all_intervals(fan, street_gt, _grid_max_distance(street_gt.spec, fan.origins)))
-
-
 @cache
 def run_specs():
-    """The cull specs (default and r_min > 0 lattices, exact and decoded), a
+    """The axis specs (default and r_min > 0 lattices, exact and decoded), a
     single-layer lattice and one whose z plane 2 sits at exactly 0."""
-    return [*cull_specs(), GridSpec("cylindrical", (16, 8, 1), ((0.0, 8.0), (-math.pi, math.pi), (-1.0, 1.0))),
+    return [*axis_specs(), GridSpec("cylindrical", (16, 8, 1), ((0.0, 8.0), (-math.pi, math.pi), (-1.0, 1.0))),
             GridSpec("cylindrical", (16, 8, 4), ((0.0, 8.0), (-math.pi, math.pi), (-2.0, 2.0)))]
 
 
@@ -1066,7 +799,7 @@ def run_cases(draw):
     elif kind == "labelled":
         grids = azimuth_labelled_pair(spec, seed, draw(st.sampled_from([0.01, 0.1, 0.5])))
     else:
-        grids = [VoxelGrid.zeros(spec, "label"), column_grid(spec, seed, 0.05)]
+        grids = [zero_grid(spec, "label"), column_grid(spec, seed, 0.05)]
     planes = spec.axis_value(np.arange(spec.dims[2] + 1), 2)
     edges = spec.axis_value(np.arange(spec.dims[0] + 1), 0)
     n = draw(st.integers(1, 16))
@@ -1108,16 +841,153 @@ def run_cases(draw):
 
 class TestLayerRuns:
     """Rays from the z axis take their first hit from one next-occupied-bin
-    lookup per layer run; a ray whose run ends lie within the margin w0 of
-    an r edge, whose runs may end within the z guard's reach of a plane, or
-    whose direction or azimuth leaves the argument unsure takes the sorted
-    path. Either way every grid's hits equal the all-intervals caster's bit
-    for bit."""
+    lookup per layer run. A ray whose run ends lie within the margin w0 of
+    an r edge, whose runs may end within the z guard's reach of a plane,
+    whose azimuth lies within w1 of a bin edge or of +-pi, or whose direction
+    has a zero or tiny xy or z component takes the sorted path. Either way
+    every grid's hits equal the all-intervals caster's bit for bit: on grids
+    occupied only in some azimuth bins and layers, on grids whose columns are
+    all full or all empty, and on grids labelled by azimuth bin, where a cell
+    read one bin off reads another label."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=axis_ray_chunks())
+    def test_drawn_chunks(self, case):
+        assert_casts_match_oracle(*case)
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=sector_cases())
+    def test_drawn_sectors_and_layers(self, case):
+        rays, grids = case
+        assert_casts_match_oracle(rays, grids)
 
     @settings(max_examples=300, deadline=None)
     @given(case=run_cases())
     def test_drawn_run_ends(self, case):
         assert_casts_match_oracle(*case)
+
+    @pytest.mark.parametrize("decoded", [False, True], ids=["exact", "decoded"])
+    @pytest.mark.parametrize("d1", [1, 2, 3, 7, 200])
+    def test_azimuth_on_every_bin_edge(self, d1, decoded):
+        spec = GridSpec("cylindrical", (16, d1, 4), ((0.0, 8.0), (-math.pi, math.pi), (-2.0, 2.0)))
+        spec = decoded_spec(spec) if decoded else spec
+        k = np.arange(d1 + 1)
+        # the edges as exact multiples of 2 pi / D1, as the spec places them, and
+        # less the edge guard, where point_to_flat's floor turns over
+        edges = np.concatenate([-math.pi + k * (2.0 * math.pi / d1), spec.axis_value(k, 1),
+                                spec.axis_value(k - _EDGE_GUARD, 1)])
+        rays = axis_rays(nudged(edges, range(-3, 4)), [-0.3, 0.0, 0.1], z=(0.3, -1.1))
+        assert_casts_match_oracle(rays, azimuth_labelled_pair(spec, d1, 0.05))
+
+    @pytest.mark.parametrize("decoded", [False, True], ids=["exact", "decoded"])
+    def test_rays_at_an_azimuth_edge(self, decoded, monkeypatch):
+        # every other azimuth bin occupied: a ray within w1 of an edge may read
+        # the occupied neighbour of its free bin, so it takes the sorted path
+        spec = decoded_spec(default_cylindrical_spec()) if decoded else default_cylindrical_spec()
+        d1 = spec.dims[1]
+        grids = [sector_layer_grid(spec, range(0, d1, 2), range(spec.dims[2]), 80),
+                 sector_layer_grid(spec, range(1, d1, 2), range(spec.dims[2]), 81)]
+        k = np.arange(d1 + 1)
+        edges = np.concatenate([-math.pi + k * (2.0 * math.pi / d1), spec.axis_value(k, 1),
+                                spec.axis_value(k - _EDGE_GUARD, 1)])
+        rays = axis_rays(nudged(edges, range(-3, 4)), [-0.3, 0.0, 0.1], z=(0.3, -1.1))
+        assert_casts_match_oracle(rays, grids)
+        # every ray within w1 of one of the spec's own inner edges takes the sorted path
+        inner = k[1:-1]
+        own = axis_rays(nudged(np.concatenate([spec.axis_value(inner, 1), spec.axis_value(inner - _EDGE_GUARD, 1)]),
+                               range(-3, 4)), [-0.3, 0.0, 0.1])
+        seen = recording_crossings(monkeypatch)
+        _cast_grids(own, grids)
+        np.testing.assert_array_equal(np.concatenate(seen), own.directions)
+
+    def test_zero_and_subnormal_direction_components(self):
+        spec = default_cylindrical_spec()
+        values = [1.0, -1.0, 0.6, 0.0, -0.0, 1e-310, -1e-310, 5e-324, -3e-323]
+        d = np.array([v for v in product(values, repeat=3) if np.linalg.norm(v) > 0.5])
+        z = np.resize([0.3, 0.0, -1.3, 2.0], len(d))
+        for x, y in ((0.0, 0.0), (-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0)):
+            o = np.column_stack([np.full(len(d), x), np.full(len(d), y), z])
+            rays = Rays(o, unit_rows(d))
+            for s in (spec, decoded_spec(spec)):
+                assert_casts_match_oracle(rays, azimuth_labelled_pair(s, 71))
+
+    def test_vertical_rays(self, cyl_spec):
+        # r = 0 bins by the signs of zero x and y, atan2(+-0, +-0), and a
+        # subnormal d_xy by what is left of m d_x and m d_y
+        pair = azimuth_labelled_pair(cyl_spec, 72)
+        for g in pair:
+            g.data[0, :, ::3] = 1 + np.arange(cyl_spec.dims[1])[:, None] % 11
+        xs, ys = [0.0, -0.0, 1e-310, 3e-323], [0.0, -0.0, -1e-310, 5e-324]
+        d = np.array([[x, y, s] for x in xs for y in ys for s in (-1.0, 1.0)])
+        o = np.array([[x, y, z] for x in (0.0, -0.0) for y in (0.0, -0.0) for z in (-2.5, 0.3, 3.3)])
+        rays = Rays(np.repeat(o, len(d), axis=0), np.tile(d, (len(o), 1)))
+        assert_casts_match_oracle(rays, pair)
+
+    def test_subnormal_vertical_and_horizontal_rays(self, cyl_spec):
+        # a midpoint with m |d_xy| < 1e-100 bins by what is left of m d_x and m d_y,
+        # which may round into another azimuth bin: every bin but the ray's own is
+        # occupied at r = 0, so only the |d_xy| bound of the layer runs keeps the hits
+        d = unit_rows([[3 * 5e-324, 5e-324, 1.0], [-5e-324, 3 * 5e-324, -1.0], [1e-310, 3e-311, 1.0],
+                       [1e-90, 2e-90, -1.0], [1e-80, -3e-80, 1.0], [0.0, 0.0, 1.0], [-0.0, 0.0, -1.0]])
+        own = azimuth_bins(cyl_spec, d)
+        others = np.setdiff1d(np.arange(cyl_spec.dims[1]), own)
+        grids = [sector_layer_grid(cyl_spec, others, range(cyl_spec.dims[2]), 82, r_bins=[0]),
+                 sector_layer_grid(cyl_spec, others, range(cyl_spec.dims[2]), 83)]
+        z = np.array([-2.5, -0.0, 0.3, 3.3, 5.0])
+        rays = Rays(np.column_stack([np.zeros(len(z) * len(d)), np.zeros(len(z) * len(d)), np.repeat(z, len(d))]),
+                    np.tile(d, (len(z), 1)))
+        assert_casts_match_oracle(rays, grids)
+        assert cast_rays(rays, grids[0]).hit.any()
+        # horizontal rays stay in the layer of o_z, on a layer edge or an ulp either side
+        heights = nudged(cyl_spec.axis_value(np.arange(cyl_spec.dims[2] + 1), 2), range(-2, 3))
+        rays = axis_rays(np.linspace(-3.0, 3.0, 9), [0.0], z=heights)
+        layers = [sector_layer_grid(cyl_spec, range(cyl_spec.dims[1]), [5, 11], 84),
+                  sector_layer_grid(cyl_spec, range(40, 120), range(cyl_spec.dims[2]), 85)]
+        assert_casts_match_oracle(rays, layers)
+
+    def test_thin_layers_and_steep_rays(self, monkeypatch):
+        # layers 2.5e-226 thick put z fractions off the range near 1e226, and
+        # rays with |d_xy| near 4e-88 reach r_max only 1e88 m out, far past max_dist
+        spec = GridSpec("cylindrical", (8, 8, 4), ((0.0, 4.0), (-math.pi, math.pi), (0.0, 1e-225)))
+        h = np.array([4e-88, 1e-87, 1e-80, 1e-3, 0.5])
+        az = np.repeat(np.linspace(-3.0, 3.0, 7), len(h))
+        h = np.tile(h, 7)
+        d = np.column_stack([h * np.cos(az), h * np.sin(az), np.sqrt(1.0 - h * h)])
+        o = np.column_stack([np.zeros(len(d)), np.zeros(len(d)), np.resize([-1.0, 0.0, 5e-226], len(d))])
+        rays = Rays(np.concatenate([o, o * [1.0, 1.0, -1.0]]), np.concatenate([d, -d]))
+        grids = [sector_layer_grid(spec, range(0, 8, 2), range(4), 90, r_bins=[0, 1]),
+                 sector_layer_grid(spec, [3], [1, 2], 91, r_bins=[0])]
+        seen = recording_crossings(monkeypatch)
+        assert_casts_match_oracle(rays, grids)
+        # the steep rays fail the tangent guard and sort their crossings; some others take layer runs
+        steep = np.hypot(rays.directions[:, 0], rays.directions[:, 1]) < 1e-6
+        assert set(map(tuple, rays.directions[steep])) <= set(map(tuple, seen[0])) and len(seen[0]) < len(rays)
+
+    @pytest.mark.parametrize("z0", [-1e-300, -3e-300, -5e-324, -1e-323, 1e-300])
+    def test_first_crossing_near_zero(self, z0):
+        # a z plane at exactly 0 and an origin a hair from it: the first interval
+        # is about 1e-300 long, and its midpoint's m |d_xy| underflows
+        spec = GridSpec("cylindrical", (16, 8, 4), ((0.0, 8.0), (-math.pi, math.pi), (-2.0, 2.0)))
+        assert spec.axis_value(2, 2) == 0.0
+        rng = np.random.RandomState(73)
+        n = 400
+        up = math.copysign(1.0, -z0)
+        d = unit_rows(np.column_stack([rng.normal(size=n), rng.normal(size=n), up * rng.uniform(0.01, 2.0, n)]))
+        o = np.column_stack([np.zeros(n), np.zeros(n), np.full(n, z0)])
+        ts = _sorted_crossings(spec, o, d, _grid_max_distance(spec, o))
+        assert np.all(ts[:, 1] < 1e-290)
+        assert_casts_match_oracle(Rays(o, d), azimuth_labelled_pair(spec, 73, 0.05))
+
+    @pytest.mark.parametrize("z0", [1e150, -1e150])
+    def test_far_origin_on_the_axis(self, cyl_spec, z0):
+        rng = np.random.RandomState(74)
+        n = 300
+        d = unit_rows(rng.normal(size=(n, 3)))
+        d[:20] = [0.0, 0.0, -math.copysign(1.0, z0)]
+        d[20:40, 2] = 0.0
+        d = unit_rows(d)
+        o = np.column_stack([np.zeros(n), np.zeros(n), np.full(n, z0)])
+        assert_casts_match_oracle(Rays(o, d), azimuth_labelled_pair(cyl_spec, 74))
 
     @pytest.mark.parametrize("spec", run_specs(), ids=["default", "default-decoded", "r_min", "r_min-decoded",
                                                        "one-layer", "plane-at-zero"])
@@ -1129,6 +999,71 @@ class TestLayerRuns:
         grids = [column_grid(spec, 92, 0.4), azimuth_labelled_pair(spec, 93, 0.1)[0]]
         assert_casts_match_oracle(rays, grids)
         assert cast_rays(rays, grids[0]).hit.any()
+
+    @pytest.mark.parametrize("spec", axis_specs(), ids=["default", "default-decoded", "r_min", "r_min-decoded"])
+    def test_origins_outside_the_z_range(self, spec):
+        (_, r_max), _, (z_lo, z_hi) = spec.ranges
+        heights = [z_lo - 30.0, z_lo - 1e-9, z_lo, z_hi, z_hi + 1e-9, z_hi + 30.0, 1e6, -1e6]
+        rays = axis_rays(np.linspace(-math.pi, math.pi, 23)[:-1], np.linspace(-1.5, 1.5, 13), z=heights)
+        grids = [sector_layer_grid(spec, [1, 3], [0, spec.dims[2] - 1], 86),
+                 sector_layer_grid(spec, [2, 4], [1], 87)]
+        assert_casts_match_oracle(rays, grids)
+
+    @pytest.mark.parametrize("h", [1e-1, 1e-3, 1e-6])
+    def test_layer_edge_at_r_max(self, h):
+        # z at r = r_max on a layer edge, or on the edge less the guard where
+        # the floor turns over, to a few ulps of the origin height either side;
+        # the layer past it is occupied only in the outermost r bin
+        spec = default_cylindrical_spec()
+        r_max, d0 = spec.ranges[0][1], spec.dims[0]
+        azimuth = -math.pi + (np.arange(64) + 0.5) * (2.0 * math.pi / 64)
+        hits = []
+        for up, k in ((1.0, 3), (-1.0, 12)):
+            dz = up * math.sqrt(1.0 - h * h)
+            oz = nudged(spec.axis_value(np.array([k, k - _EDGE_GUARD]), 2) - (r_max / h) * dz, range(-40, 41))
+            o = np.column_stack([np.zeros(len(oz)), np.zeros(len(oz)), oz]).repeat(len(azimuth), axis=0)
+            az = np.tile(azimuth, len(oz))
+            rays = Rays(o, np.column_stack([h * np.cos(az), h * np.sin(az), np.full(len(az), dz)]))
+            layer = k if up > 0 else k - 1
+            grids = [sector_layer_grid(spec, range(spec.dims[1]), [layer], 0, r_bins=[d0 - 1]),
+                     zero_grid(spec, "label")]
+            assert_casts_match_oracle(rays, grids)
+            hits.append(cast_rays(rays, grids[0]).hit)
+        assert np.concatenate(hits).any() and not np.concatenate(hits).all()
+
+    def test_midpoints_on_r_shells(self):
+        # On a lattice a micron across the tangent guard drops every shell
+        # crossing, so the midpoint of the interval between the z planes at -1
+        # and 0 lies at r = |d_xy| / d_z: put it on each shell, and on each
+        # shell less the edge guard, to a few ulps either side.
+        spec = GridSpec("cylindrical", (4, 8, 2), ((0.0, 1e-6), (-math.pi, math.pi), (-1.0, 1.0)))
+        target = np.concatenate([spec.axis_value(np.arange(1, 5), 0),
+                                 spec.axis_value(np.arange(1, 5) - _EDGE_GUARD, 0)])
+        slope = nudged(target, range(-6, 7))  # |d_xy| / d_z
+        azimuth = np.array([0.3, 2.0, -1.1])
+        h, az = np.repeat(slope, len(azimuth)), np.tile(azimuth, len(slope))
+        d = unit_rows(np.column_stack([h * np.cos(az), h * np.sin(az), np.ones_like(h)]))
+        o = np.tile([0.0, 0.0, -1.5], (len(d), 1))
+        g = zero_grid(spec, "label")
+        g.data[:, :, 0] = 1 + np.arange(4)[:, None]  # the label names the r bin
+        length = _grid_max_distance(spec, o)
+        ts = _sorted_crossings(spec, o, d, length)
+        assert np.all(np.argmax(ts == length, axis=1) == 4), "only the three z planes cross"
+        hits = cast_rays(Rays(o, d), g)
+        assert set(np.unique(hits.label)) >= {1, 2, 3, 4}
+        assert_casts_match_oracle(Rays(o, d), [g, VoxelGrid(spec, "label", g.data[::-1].copy())])
+
+    @pytest.mark.parametrize("r_range", [(0.0, 25.6), (5.0, 25.6), (25.0, 25.6)])
+    def test_run_ends_at_r_edges(self, r_range):
+        # run ends (z-plane crossings) on every r edge and on every edge less the guard, a few
+        # ulps either side, and one margin w0 either side of each
+        base = GridSpec("cylindrical", (64, 200, 16), (r_range, (-math.pi, math.pi), (-2.8, 3.6)))
+        for spec in (base, decoded_spec(base)):
+            rng = np.random.RandomState(75)
+            edges = spec.axis_value(np.arange(spec.dims[0] + 1), 0)
+            r = nudged(np.concatenate([edges, edges - _EDGE_GUARD * spec.deltas[0]]), range(-4, 5))
+            r = np.concatenate([r, edges - 1.01 * run_margin(spec), edges + 1.01 * run_margin(spec)])
+            assert_casts_match_oracle(rays_with_run_ends_at(spec, r[r > 0.0], rng), azimuth_labelled_pair(spec, 75))
 
     def test_cell_corners(self, cyl_spec):
         # from near a z plane, or from z = 0, through the corner of every r edge with a plane above or below
@@ -1142,20 +1077,49 @@ class TestLayerRuns:
     def test_next_occupied_table(self):
         spec = GridSpec("cylindrical", (9, 5, 3), ((0.0, 9.0), (-math.pi, math.pi), (0.0, 3.0)))
         for grid in (random_label_grid(spec, np.random.RandomState(96), 0.2), column_grid(spec, 97, 0.5),
-                     VoxelGrid.zeros(spec, "label")):
+                     zero_grid(spec, "label")):
             nxt = metrics._next_occupied(grid.data).reshape(spec.dims[0] + 1, spec.dims[1], spec.dims[2])
             for i, s, k in product(range(spec.dims[0] + 1), range(spec.dims[1]), range(spec.dims[2])):
                 occupied = np.flatnonzero(grid.data[i:, s, k]) + i
                 assert nxt[i, s, k] == (occupied[0] if occupied.size else spec.dims[0])
 
-    def test_default_fan_takes_layer_runs(self, street_gt, monkeypatch):
-        # no ray of the two fans the benchmark casts sorts its crossings: the library default fan and
-        # the `cylocc eval` default, into grids as built and as decoded from OVOX (f32 ranges)
-        grids = [street_gt, perturbed(street_gt, 8)]
+    def test_sectors_occupied_in_one_grid_only(self, cyl_spec, monkeypatch):
+        # bins 0-49 occupied in the first grid only, 100-199 in the second: a ray into
+        # one of them misses in the other grid and hits in its own
+        grids = [sector_layer_grid(cyl_spec, range(50), range(cyl_spec.dims[2]), 88),
+                 sector_layer_grid(cyl_spec, range(100, 200), range(cyl_spec.dims[2]), 89)]
+        for g in grids:
+            g.data[0] = 0  # no ray starts occupied
+        rays = axis_rays(np.linspace(-math.pi, math.pi, 400)[:-1], np.linspace(-0.3, 0.2, 5))
         seen = recording_crossings(monkeypatch)
-        for fan in (default_ray_fan(), generate_rays(512, 32, cli._angle_range("-20:8.6deg"))):
-            _cast_grids(fan, grids)
-            _cast_grids(fan, [decode_voxel_grid(encode_voxel_grid(g)) for g in grids])
+        a, b = (hits.hit for hits in assert_casts_match_oracle(rays, grids))
+        assert (a & ~b).any() and (b & ~a).any()
+        # the shared cast, which comes first, sorts only the crossings of the rays at the -pi seam
+        seam = np.arctan2(rays.directions[:, 1], rays.directions[:, 0]) == -math.pi
+        np.testing.assert_array_equal(seen[0], rays.directions[seam])
+
+    def test_default_fan_takes_layer_runs(self, street_gt, street_pred, street_fan_oracle, monkeypatch):
+        # no ray of the two fans the benchmark casts sorts its crossings: the library default fan and
+        # the `cylocc eval` default, into grids as built and as decoded from OVOX (f32 ranges); and no
+        # default-fan ray bins a midpoint: point_to_flat sees only the chunk origins, binned for the start cells
+        fan, grids = default_ray_fan(), [street_gt, street_pred]
+        seen = recording_crossings(monkeypatch)
+        rows = []
+        binner = GridSpec.point_to_flat
+
+        def counting(spec, p):
+            rows.append(len(p))
+            return binner(spec, p)
+
+        monkeypatch.setattr(GridSpec, "point_to_flat", counting)
+        for hits, ref in zip(_cast_grids(fan, grids), street_fan_oracle):
+            assert_same_hits(hits, ref)
+        assert rows == [_CHUNK] * (len(fan) // _CHUNK)
+        decoded = [decode_voxel_grid(encode_voxel_grid(g)) for g in grids]
+        _cast_grids(fan, decoded)
+        eval_fan = generate_rays(512, 32, cli._angle_range("-20:8.6deg"))
+        _cast_grids(eval_fan, grids)
+        _cast_grids(eval_fan, decoded)
         assert sum(len(x) for x in seen) == 0
 
 
@@ -1245,7 +1209,7 @@ class TestCasterExactness:
         bins are theta bins 0 and D1-1 (distinct labels) must hit the same
         labels on the exact and the decoded spec, and the decoded cast must
         agree with the 1 mm marcher except on cells thinner than its step."""
-        g = VoxelGrid.zeros(cyl_spec, "label")
+        g = zero_grid(cyl_spec, "label")
         g.data[:, 0, :] = 3
         g.data[:, -1, :] = 5
         decoded = decode_voxel_grid(encode_voxel_grid(g))
@@ -1275,13 +1239,13 @@ class TestCasterExactness:
         np.testing.assert_array_equal(cast.label[agree], march.label[agree])
 
     def test_distance_is_entry_not_center(self, cyl_spec):
-        g = VoxelGrid.zeros(cyl_spec, "label")
+        g = zero_grid(cyl_spec, "label")
         g.data[50, :, :] = 6  # full shell at r in [10.0, 10.2)
         hits = cast_rays(one_ray([0.0, 0.0, 0.0], [0.0, 1.0, 0.0]), g)
         assert hits.distance[0] == pytest.approx(10.0, abs=1e-12)
 
     def test_vertical_ray(self, cyl_spec):
-        g = VoxelGrid.zeros(cyl_spec, "label")
+        g = zero_grid(cyl_spec, "label")
         g.data[10, 100, 12] = 8  # z in [2.0, 2.4)
         hits = cast_rays(one_ray([2.1, 0.0, 0.0], [0.0, 0.0, 1.0]), g)
         assert hits.label[0] == 8
@@ -1292,11 +1256,11 @@ class TestCasterExactness:
         # discriminant (~0) must not produce crossings, so the ray never
         # penetrates below 20.0 into bin 99 ...
         ray = one_ray([20.0, -30.0, 0.0], [0.0, 1.0, 0.0])
-        inner = VoxelGrid.zeros(cyl_spec, "label")
+        inner = zero_grid(cyl_spec, "label")
         inner.data[99, :, :] = 9  # r in [19.8, 20.0)
         assert not cast_rays(ray, inner).hit[0]
         # ... but it does dip into bin 100 through the outer r=20.2 shell
-        outer = VoxelGrid.zeros(cyl_spec, "label")
+        outer = zero_grid(cyl_spec, "label")
         outer.data[100, :, :] = 9  # r in [20.0, 20.2)
         hits = cast_rays(ray, outer)
         assert hits.hit[0]
@@ -1307,8 +1271,8 @@ class TestRayIoU:
     def hand_case_grids(self):
         # cuboid with 0.5 m x-cells so hit distances land on exact edges
         spec = GridSpec(CUBOID, (16, 4, 4), ((0, 8), (-2, 2), (-2, 2)))
-        gt = VoxelGrid.zeros(spec, "label")
-        pred = VoxelGrid.zeros(spec, "label")
+        gt = zero_grid(spec, "label")
+        pred = zero_grid(spec, "label")
         # both rays along +x at different y; gt hits class 3 at 5.0 on both
         gt.data[10, :, :] = 3  # x in [5.0, 5.5)
         pred.data[11, 0:2, :] = 3  # x in [5.5, 6.0) for y<0 ray: |d|=0.5 <= 1 -> TP
@@ -1348,7 +1312,7 @@ class TestRayIoU:
     def test_pred_all_free(self, cyl_spec):
         rng = np.random.RandomState(13)
         gt = random_label_grid(cyl_spec, rng, 0.05)
-        pred = VoxelGrid.zeros(cyl_spec, "label")
+        pred = zero_grid(cyl_spec, "label")
         rays = generate_rays(64, 8, (-0.35, 0.15))
         report = ray_iou(pred, gt, rays, thresholds=(2.0,))
         hit_classes = report.counts[0].fn > 0
@@ -1412,8 +1376,8 @@ class TestRayIoU:
 
     def test_spec_mismatch_rejected(self, cyl_spec):
         other = GridSpec(CUBOID, (4, 4, 4), ((0, 1), (0, 1), (0, 1)))
-        a = VoxelGrid.zeros(cyl_spec, "label")
-        b = VoxelGrid.zeros(other, "label")
+        a = zero_grid(cyl_spec, "label")
+        b = zero_grid(other, "label")
         with pytest.raises(ShapeError):
             ray_iou(a, b, generate_rays(4, 1, (-0.1, 0.1)), (1.0,))
 

@@ -24,7 +24,8 @@ from cylocc.sketch import (
 )
 
 from conftest import bin_triple
-from oracles import DEMO07_SCENE, default_cuboid_spec, fan_point_cloud, lidar_ring_origins, sketch_of_cloud
+from oracles import (DEMO07_SCENE, default_cuboid_spec, fan_point_cloud, lidar_ring_origins, sketch_of_cloud,
+                     zero_grid)
 
 
 def brute_force_dilate(mask: CandidateMask, schedule: DilationSchedule) -> np.ndarray:
@@ -301,7 +302,7 @@ class TestSketchFromDepth:
 
     def test_decoded_spec(self, depth_rasters, cyl_spec):
         # OVOX ranges are f32: theta spans +-3.14159274, so the seam's two sides bin D1 - 1 apart
-        spec = decode_voxel_grid(encode_voxel_grid(VoxelGrid.zeros(cyl_spec, "label"))).spec
+        spec = decode_voxel_grid(encode_voxel_grid(zero_grid(cyl_spec, "label"))).spec
         assert spec.ranges[1] == (-F32_PI, F32_PI)
         depth = depth_rasters["demo07"]
         assert_same_mask(sketch_from_depth(depth, spec), sketch_of_cloud(depth, spec))

@@ -14,8 +14,7 @@ from cylocc import synth
 from cylocc.errors import DomainError
 from cylocc.geom import RigidTransform, erp_depth_to_point_cloud, rot_z, surround_rig
 from cylocc.formats import decode_voxel_grid, encode_voxel_grid
-from cylocc.grid import (CUBOID, CYLINDRICAL, GridSpec, VoxelGrid, default_cylindrical_spec, default_label_set,
-                         voxelize_semantic)
+from cylocc.grid import CUBOID, CYLINDRICAL, GridSpec, default_cylindrical_spec, default_label_set, voxelize_semantic
 from cylocc.metrics import cast_rays, generate_rays
 from cylocc.synth import (
     Box,
@@ -41,6 +40,7 @@ from oracles import (
     render_erp_depth_all_pixels,
     scene_first_hit,
     scene_to_json,
+    zero_grid,
 )
 
 # the cuboid lattice cylocc synth derives from the default cylindrical one
@@ -127,7 +127,7 @@ SMALL_CYLINDRICAL = GridSpec(CYLINDRICAL, (8, 12, 5), ((0.0, 8.0), (-math.pi, ma
 SMALL_CUBOID = GridSpec(CUBOID, (8, 8, 5), ((-8.0, 8.0), (-8.0, 8.0), (-2.0, 3.0)))
 R_MIN_CYLINDRICAL = GridSpec(CYLINDRICAL, (6, 10, 5), ((2.0, 8.0), (-math.pi, math.pi), (-2.0, 3.0)))
 # the default lattice as an OVOX file stores it: every range rounded to f32, theta's just past +-pi
-OVOX_SPEC = decode_voxel_grid(encode_voxel_grid(VoxelGrid.zeros(default_cylindrical_spec(), "label"))).spec
+OVOX_SPEC = decode_voxel_grid(encode_voxel_grid(zero_grid(default_cylindrical_spec(), "label"))).spec
 # primitives 1e308 m out, whose bounds' bin fractions overflow to +-inf on some axis; the
 # last one's gaps to every column centre overflow hypot too
 FAR_PRIMITIVES = [Box((-1.1e308, -1.0, -1.0), (-1e308, 1.0, 1.0), 12), Sphere((0.0, 1e308, 0.0), 1.0, 12),
