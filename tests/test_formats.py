@@ -35,7 +35,7 @@ from cylocc.formats import (
 )
 from cylocc.errors import DomainError
 from cylocc.geom import ErpImage, LabeledPointCloud, RigidTransform, surround_rig
-from cylocc.grid import CUBOID, CYLINDRICAL, FeatureRows, GridSpec, VoxelGrid, default_cylindrical_spec
+from cylocc.grid import CUBOID, CYLINDRICAL, FeatureRows, GridSpec, VoxelGrid, default_cylindrical_spec, row_support
 from cylocc.lift import align_history, fuse_temporal
 from cylocc.losses import weights_from_json
 from cylocc.synth import Sphere, scene_from_json
@@ -275,22 +275,17 @@ def feature_grids(draw):
 class TestFeatureRows:
     """Payload kind 3: a row bitmap, then the listed rows' f32 values."""
 
-    @settings(max_examples=500, deadline=None)
+    @settings(max_examples=300, deadline=None)
     @given(grid=feature_grids())
     def test_round_trip_bit_exact(self, grid):
         blob = encode_voxel_grid(grid)
-        dense = grid.dense().reshape(-1, grid.channels)
-        listed = (dense.view(np.uint32) != 0).any(axis=1)
+        rows = grid.dense().reshape(-1, grid.channels)
+        listed = (rows.view(np.uint32) != 0).any(axis=1)
         assert blob[45] == 3
-        assert len(blob) == 50 + -(-len(dense) // 8) + int(listed.sum()) * grid.channels * 4
+        assert len(blob) == 50 + -(-len(rows) // 8) + int(listed.sum()) * grid.channels * 4
         back = decode_voxel_grid(blob)
-        np.testing.assert_array_equal(back.voxels, np.flatnonzero(listed))
-        assert back.rows.tobytes() == dense[listed].tobytes()
         assert back.dense().tobytes() == grid.dense().tobytes()
         assert encode_voxel_grid(back) == blob
-        # listed +0.0 rows are not written: a grid keeps one encoding
-        every = FeatureRows(grid.spec, np.arange(grid.spec.num_voxels), dense)
-        assert encode_voxel_grid(every) == blob
 
     def test_negative_zero_row_is_listed(self):
         blob = ovox_header(SMALL, 3, 2) + bytes([1 << 4, 0]) + struct.pack("<2f", 0.0, -0.0)
@@ -359,14 +354,35 @@ class TestFeatureRows:
         with pytest.raises(InvalidField, match="channels"):
             decode_voxel_grid(ovox_header(spec, 3, formats._MAX_ROW_CHANNELS + 1) + bytes(512 // 8))
 
+    def test_wider_grids_are_written_dense(self):
+        # past the channel bound of feature rows the encoder writes kind 2, so any channel count round-trips
+        data = np.zeros((3, 1, 3, formats._MAX_ROW_CHANNELS + 1), dtype=np.float32)
+        data[1, 0, 2, 7] = -0.0
+        blob = encode_voxel_grid(feature_rows(SMALL, data))
+        assert blob[45] == 2 and len(blob) == 50 + data.nbytes
+        assert decode_voxel_grid(blob).dense().tobytes() == data.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(grid=feature_grids())
+    def test_feature_rows_read_and_write_the_same_bytes(self, grid):
+        blob = encode_voxel_grid(grid)
+        rows = decode_voxel_grid(blob)
+        dense = grid.dense().reshape(-1, grid.channels)
+        listed = row_support(dense)
+        np.testing.assert_array_equal(rows.voxels, np.flatnonzero(listed))
+        assert rows.rows.tobytes() == dense[listed].tobytes()
+        assert encode_voxel_grid(rows) == blob
+        # listed +0.0 rows are not written: a grid keeps one encoding
+        every = FeatureRows(grid.spec, np.arange(grid.spec.num_voxels), dense)
+        assert encode_voxel_grid(every) == blob
+
     def test_feature_rows_of_kind_2_and_wide_rows(self):
         # kind 2 lists the rows holding a set bit, so it decodes to the rows of the kind-3 file of its grid
         rng = np.random.RandomState(75)
         data = rng.rand(3, 1, 3, 2).astype(np.float32)
         data[0, 0, 1] = 0.0  # all +0.0: not listed
         data[2, 0, 0] = -0.0  # only -0.0: listed
-        kind_2 = ovox_header(SMALL, 2, 2) + data.astype("<f4").tobytes()
-        rows = decode_voxel_grid(kind_2)
+        rows = decode_voxel_grid(ovox_header(SMALL, 2, 2) + data.astype("<f4").tobytes())
         listed = np.delete(data.reshape(9, 2), 1, axis=0)
         kind_3 = ovox_header(SMALL, 3, 2) + bytes([0b11111101, 1]) + listed.astype("<f4").tobytes()
         want = decode_voxel_grid(kind_3)
@@ -375,16 +391,12 @@ class TestFeatureRows:
         assert rows.rows.dtype == want.rows.dtype and rows.rows.tobytes() == want.rows.tobytes()
         assert rows.dense().tobytes() == data.tobytes()
         assert encode_voxel_grid(rows) == kind_3
-        with pytest.raises(Truncated):
-            decode_voxel_grid(kind_2[:-1])
-        # past the channel bound of feature rows the encoder writes kind 2, so any channel count round-trips
         wide = np.zeros((3, 1, 3, formats._MAX_ROW_CHANNELS + 1), dtype=np.float32)
         wide[1, 0, 2, 7] = -0.0
         blob = encode_voxel_grid(FeatureRows(SMALL, np.array([5]), wide.reshape(9, -1)[5:6]))
         assert blob == ovox_header(SMALL, 2, formats._MAX_ROW_CHANNELS + 1) + wide.astype("<f4").tobytes()
         back = decode_voxel_grid(blob)
         assert back.voxels.tolist() == [5] and back.rows.tobytes() == wide.reshape(9, -1)[5:6].tobytes()
-        assert back.dense().tobytes() == wide.tobytes()
         assert encode_voxel_grid(back) == blob
 
     @pytest.mark.parametrize("kind", ["label", "occupancy"])
@@ -399,6 +411,17 @@ class TestFeatureRows:
                 refuse()
         with pytest.raises(Truncated):  # a malformed file is a format error first
             decode_voxel_grid(blob[:-1])
+
+    def test_dense_kind_2_still_decodes(self):
+        rng = np.random.RandomState(74)
+        data = rng.rand(3, 1, 3, 2).astype(np.float32)
+        data[0, 0, 1] = 0.0
+        legacy = ovox_header(SMALL, 2, 2) + data.astype("<f4").tobytes()
+        back = decode_voxel_grid(legacy)
+        assert back.dense().tobytes() == data.tobytes()
+        assert encode_voxel_grid(back)[45] == 3  # written back as rows
+        with pytest.raises(Truncated):
+            decode_voxel_grid(legacy[:-1])
 
 
 class TestOpcd:

@@ -839,32 +839,17 @@ def run_cases(draw):
     return Rays(o, unit_rows(d)), grids
 
 
-class TestLayerRuns:
-    """Rays from the z axis take their first hit from one next-occupied-bin
-    lookup per layer run. A ray whose run ends lie within the margin w0 of
-    an r edge, whose runs may end within the z guard's reach of a plane,
-    whose azimuth lies within w1 of a bin edge or of +-pi, or whose direction
-    has a zero or tiny xy or z component takes the sorted path. Either way
-    every grid's hits equal the all-intervals caster's bit for bit: on grids
-    occupied only in some azimuth bins and layers, on grids whose columns are
-    all full or all empty, and on grids labelled by azimuth bin, where a cell
-    read one bin off reads another label."""
-
-    @settings(max_examples=150, deadline=None)
-    @given(case=axis_ray_chunks())
-    def test_drawn_chunks(self, case):
-        assert_casts_match_oracle(*case)
-
-    @settings(max_examples=200, deadline=None)
-    @given(case=sector_cases())
-    def test_drawn_sectors_and_layers(self, case):
-        rays, grids = case
-        assert_casts_match_oracle(rays, grids)
-
-    @settings(max_examples=300, deadline=None)
-    @given(case=run_cases())
-    def test_drawn_run_ends(self, case):
-        assert_casts_match_oracle(*case)
+class TestAxisRayBinning:
+    """Layer-run path, part 1 of 3. The layer-run tests sit in three classes
+    only so that their test ids stay stable; all three drive the one
+    layer-run path of _cast_grids. Here: rays from the z axis
+    whose azimuth lies on or an ulp or two off every bin edge, whose
+    direction has a zero or subnormal component, that start a hair from a
+    z plane or far out on the axis, whose midpoints or run ends sit on an r
+    shell, and drawn chunks mixing such rays with off-axis ones. Every
+    grid's hits equal the all-intervals caster's bit for bit, on grids
+    labelled by azimuth bin, where a cell read one bin off reads another
+    label."""
 
     @pytest.mark.parametrize("decoded", [False, True], ids=["exact", "decoded"])
     @pytest.mark.parametrize("d1", [1, 2, 3, 7, 200])
@@ -878,27 +863,6 @@ class TestLayerRuns:
                                 spec.axis_value(k - _EDGE_GUARD, 1)])
         rays = axis_rays(nudged(edges, range(-3, 4)), [-0.3, 0.0, 0.1], z=(0.3, -1.1))
         assert_casts_match_oracle(rays, azimuth_labelled_pair(spec, d1, 0.05))
-
-    @pytest.mark.parametrize("decoded", [False, True], ids=["exact", "decoded"])
-    def test_rays_at_an_azimuth_edge(self, decoded, monkeypatch):
-        # every other azimuth bin occupied: a ray within w1 of an edge may read
-        # the occupied neighbour of its free bin, so it takes the sorted path
-        spec = decoded_spec(default_cylindrical_spec()) if decoded else default_cylindrical_spec()
-        d1 = spec.dims[1]
-        grids = [sector_layer_grid(spec, range(0, d1, 2), range(spec.dims[2]), 80),
-                 sector_layer_grid(spec, range(1, d1, 2), range(spec.dims[2]), 81)]
-        k = np.arange(d1 + 1)
-        edges = np.concatenate([-math.pi + k * (2.0 * math.pi / d1), spec.axis_value(k, 1),
-                                spec.axis_value(k - _EDGE_GUARD, 1)])
-        rays = axis_rays(nudged(edges, range(-3, 4)), [-0.3, 0.0, 0.1], z=(0.3, -1.1))
-        assert_casts_match_oracle(rays, grids)
-        # every ray within w1 of one of the spec's own inner edges takes the sorted path
-        inner = k[1:-1]
-        own = axis_rays(nudged(np.concatenate([spec.axis_value(inner, 1), spec.axis_value(inner - _EDGE_GUARD, 1)]),
-                               range(-3, 4)), [-0.3, 0.0, 0.1])
-        seen = recording_crossings(monkeypatch)
-        _cast_grids(own, grids)
-        np.testing.assert_array_equal(np.concatenate(seen), own.directions)
 
     def test_zero_and_subnormal_direction_components(self):
         spec = default_cylindrical_spec()
@@ -922,46 +886,6 @@ class TestLayerRuns:
         o = np.array([[x, y, z] for x in (0.0, -0.0) for y in (0.0, -0.0) for z in (-2.5, 0.3, 3.3)])
         rays = Rays(np.repeat(o, len(d), axis=0), np.tile(d, (len(o), 1)))
         assert_casts_match_oracle(rays, pair)
-
-    def test_subnormal_vertical_and_horizontal_rays(self, cyl_spec):
-        # a midpoint with m |d_xy| < 1e-100 bins by what is left of m d_x and m d_y,
-        # which may round into another azimuth bin: every bin but the ray's own is
-        # occupied at r = 0, so only the |d_xy| bound of the layer runs keeps the hits
-        d = unit_rows([[3 * 5e-324, 5e-324, 1.0], [-5e-324, 3 * 5e-324, -1.0], [1e-310, 3e-311, 1.0],
-                       [1e-90, 2e-90, -1.0], [1e-80, -3e-80, 1.0], [0.0, 0.0, 1.0], [-0.0, 0.0, -1.0]])
-        own = azimuth_bins(cyl_spec, d)
-        others = np.setdiff1d(np.arange(cyl_spec.dims[1]), own)
-        grids = [sector_layer_grid(cyl_spec, others, range(cyl_spec.dims[2]), 82, r_bins=[0]),
-                 sector_layer_grid(cyl_spec, others, range(cyl_spec.dims[2]), 83)]
-        z = np.array([-2.5, -0.0, 0.3, 3.3, 5.0])
-        rays = Rays(np.column_stack([np.zeros(len(z) * len(d)), np.zeros(len(z) * len(d)), np.repeat(z, len(d))]),
-                    np.tile(d, (len(z), 1)))
-        assert_casts_match_oracle(rays, grids)
-        assert cast_rays(rays, grids[0]).hit.any()
-        # horizontal rays stay in the layer of o_z, on a layer edge or an ulp either side
-        heights = nudged(cyl_spec.axis_value(np.arange(cyl_spec.dims[2] + 1), 2), range(-2, 3))
-        rays = axis_rays(np.linspace(-3.0, 3.0, 9), [0.0], z=heights)
-        layers = [sector_layer_grid(cyl_spec, range(cyl_spec.dims[1]), [5, 11], 84),
-                  sector_layer_grid(cyl_spec, range(40, 120), range(cyl_spec.dims[2]), 85)]
-        assert_casts_match_oracle(rays, layers)
-
-    def test_thin_layers_and_steep_rays(self, monkeypatch):
-        # layers 2.5e-226 thick put z fractions off the range near 1e226, and
-        # rays with |d_xy| near 4e-88 reach r_max only 1e88 m out, far past max_dist
-        spec = GridSpec("cylindrical", (8, 8, 4), ((0.0, 4.0), (-math.pi, math.pi), (0.0, 1e-225)))
-        h = np.array([4e-88, 1e-87, 1e-80, 1e-3, 0.5])
-        az = np.repeat(np.linspace(-3.0, 3.0, 7), len(h))
-        h = np.tile(h, 7)
-        d = np.column_stack([h * np.cos(az), h * np.sin(az), np.sqrt(1.0 - h * h)])
-        o = np.column_stack([np.zeros(len(d)), np.zeros(len(d)), np.resize([-1.0, 0.0, 5e-226], len(d))])
-        rays = Rays(np.concatenate([o, o * [1.0, 1.0, -1.0]]), np.concatenate([d, -d]))
-        grids = [sector_layer_grid(spec, range(0, 8, 2), range(4), 90, r_bins=[0, 1]),
-                 sector_layer_grid(spec, [3], [1, 2], 91, r_bins=[0])]
-        seen = recording_crossings(monkeypatch)
-        assert_casts_match_oracle(rays, grids)
-        # the steep rays fail the tangent guard and sort their crossings; some others take layer runs
-        steep = np.hypot(rays.directions[:, 0], rays.directions[:, 1]) < 1e-6
-        assert set(map(tuple, rays.directions[steep])) <= set(map(tuple, seen[0])) and len(seen[0]) < len(rays)
 
     @pytest.mark.parametrize("z0", [-1e-300, -3e-300, -5e-324, -1e-323, 1e-300])
     def test_first_crossing_near_zero(self, z0):
@@ -989,24 +913,58 @@ class TestLayerRuns:
         o = np.column_stack([np.zeros(n), np.zeros(n), np.full(n, z0)])
         assert_casts_match_oracle(Rays(o, d), azimuth_labelled_pair(cyl_spec, 74))
 
-    @pytest.mark.parametrize("spec", run_specs(), ids=["default", "default-decoded", "r_min", "r_min-decoded",
-                                                       "one-layer", "plane-at-zero"])
-    def test_origins_on_z_planes(self, spec):
-        # z = 0 lies 4.4e-16 m below plane 7 of the default lattice, which the z guard puts in layer 7
-        planes = spec.axis_value(np.arange(spec.dims[2] + 1), 2)
-        heights = np.concatenate([[0.0, -0.0], nudged(planes, range(-2, 3))])
-        rays = axis_rays(np.linspace(-3.1, 3.1, 17), np.linspace(-1.2, 1.2, 25), z=heights)
-        grids = [column_grid(spec, 92, 0.4), azimuth_labelled_pair(spec, 93, 0.1)[0]]
-        assert_casts_match_oracle(rays, grids)
-        assert cast_rays(rays, grids[0]).hit.any()
+    def test_midpoints_on_r_shells(self):
+        # On a lattice a micron across the tangent guard drops every shell
+        # crossing, so the midpoint of the interval between the z planes at -1
+        # and 0 lies at r = |d_xy| / d_z: put it on each shell, and on each
+        # shell less the edge guard, to a few ulps either side.
+        spec = GridSpec("cylindrical", (4, 8, 2), ((0.0, 1e-6), (-math.pi, math.pi), (-1.0, 1.0)))
+        target = np.concatenate([spec.axis_value(np.arange(1, 5), 0),
+                                 spec.axis_value(np.arange(1, 5) - _EDGE_GUARD, 0)])
+        slope = nudged(target, range(-6, 7))  # |d_xy| / d_z
+        azimuth = np.array([0.3, 2.0, -1.1])
+        h, az = np.repeat(slope, len(azimuth)), np.tile(azimuth, len(slope))
+        d = unit_rows(np.column_stack([h * np.cos(az), h * np.sin(az), np.ones_like(h)]))
+        o = np.tile([0.0, 0.0, -1.5], (len(d), 1))
+        g = zero_grid(spec, "label")
+        g.data[:, :, 0] = 1 + np.arange(4)[:, None]  # the label names the r bin
+        length = _grid_max_distance(spec, o)
+        ts = _sorted_crossings(spec, o, d, length)
+        assert np.all(np.argmax(ts == length, axis=1) == 4), "only the three z planes cross"
+        hits = cast_rays(Rays(o, d), g)
+        assert set(np.unique(hits.label)) >= {1, 2, 3, 4}
+        assert_casts_match_oracle(Rays(o, d), [g, VoxelGrid(spec, "label", g.data[::-1].copy())])
 
-    @pytest.mark.parametrize("spec", axis_specs(), ids=["default", "default-decoded", "r_min", "r_min-decoded"])
-    def test_origins_outside_the_z_range(self, spec):
-        (_, r_max), _, (z_lo, z_hi) = spec.ranges
-        heights = [z_lo - 30.0, z_lo - 1e-9, z_lo, z_hi, z_hi + 1e-9, z_hi + 30.0, 1e6, -1e6]
-        rays = axis_rays(np.linspace(-math.pi, math.pi, 23)[:-1], np.linspace(-1.5, 1.5, 13), z=heights)
-        grids = [sector_layer_grid(spec, [1, 3], [0, spec.dims[2] - 1], 86),
-                 sector_layer_grid(spec, [2, 4], [1], 87)]
+    @pytest.mark.parametrize("r_range", [(0.0, 25.6), (5.0, 25.6), (25.0, 25.6)])
+    def test_classifier_at_r_edges(self, r_range):
+        # run ends (z-plane crossings) on every r edge and on every edge less the guard, a few
+        # ulps either side, and one margin w0 either side of each
+        base = GridSpec("cylindrical", (64, 200, 16), (r_range, (-math.pi, math.pi), (-2.8, 3.6)))
+        for spec in (base, decoded_spec(base)):
+            rng = np.random.RandomState(75)
+            edges = spec.axis_value(np.arange(spec.dims[0] + 1), 0)
+            r = nudged(np.concatenate([edges, edges - _EDGE_GUARD * spec.deltas[0]]), range(-4, 5))
+            r = np.concatenate([r, edges - 1.01 * run_margin(spec), edges + 1.01 * run_margin(spec)])
+            assert_casts_match_oracle(rays_with_run_ends_at(spec, r[r > 0.0], rng), azimuth_labelled_pair(spec, 75))
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=axis_ray_chunks())
+    def test_drawn_chunks(self, case):
+        assert_casts_match_oracle(*case)
+
+
+class TestSureMissCull:
+    """Layer-run path, part 2 of 3: grids occupied only in some azimuth bins
+    and layers, cast from the z axis. A ray into a free bin, or over free
+    layers, finds no occupied cell in any of its layer runs; one within w1
+    of an azimuth edge may read its occupied neighbour, so it takes the
+    sorted path. Every grid's hits equal the all-intervals caster's bit for
+    bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=sector_cases())
+    def test_drawn_sectors_and_layers(self, case):
+        rays, grids = case
         assert_casts_match_oracle(rays, grids)
 
     @pytest.mark.parametrize("h", [1e-1, 1e-3, 1e-6])
@@ -1031,39 +989,116 @@ class TestLayerRuns:
             hits.append(cast_rays(rays, grids[0]).hit)
         assert np.concatenate(hits).any() and not np.concatenate(hits).all()
 
-    def test_midpoints_on_r_shells(self):
-        # On a lattice a micron across the tangent guard drops every shell
-        # crossing, so the midpoint of the interval between the z planes at -1
-        # and 0 lies at r = |d_xy| / d_z: put it on each shell, and on each
-        # shell less the edge guard, to a few ulps either side.
-        spec = GridSpec("cylindrical", (4, 8, 2), ((0.0, 1e-6), (-math.pi, math.pi), (-1.0, 1.0)))
-        target = np.concatenate([spec.axis_value(np.arange(1, 5), 0),
-                                 spec.axis_value(np.arange(1, 5) - _EDGE_GUARD, 0)])
-        slope = nudged(target, range(-6, 7))  # |d_xy| / d_z
-        azimuth = np.array([0.3, 2.0, -1.1])
-        h, az = np.repeat(slope, len(azimuth)), np.tile(azimuth, len(slope))
-        d = unit_rows(np.column_stack([h * np.cos(az), h * np.sin(az), np.ones_like(h)]))
-        o = np.tile([0.0, 0.0, -1.5], (len(d), 1))
-        g = zero_grid(spec, "label")
-        g.data[:, :, 0] = 1 + np.arange(4)[:, None]  # the label names the r bin
-        length = _grid_max_distance(spec, o)
-        ts = _sorted_crossings(spec, o, d, length)
-        assert np.all(np.argmax(ts == length, axis=1) == 4), "only the three z planes cross"
-        hits = cast_rays(Rays(o, d), g)
-        assert set(np.unique(hits.label)) >= {1, 2, 3, 4}
-        assert_casts_match_oracle(Rays(o, d), [g, VoxelGrid(spec, "label", g.data[::-1].copy())])
+    @pytest.mark.parametrize("decoded", [False, True], ids=["exact", "decoded"])
+    def test_rays_at_an_azimuth_edge(self, decoded, monkeypatch):
+        # every other azimuth bin occupied: a ray within w1 of an edge may read
+        # the occupied neighbour of its free bin, so it takes the sorted path
+        spec = decoded_spec(default_cylindrical_spec()) if decoded else default_cylindrical_spec()
+        d1 = spec.dims[1]
+        grids = [sector_layer_grid(spec, range(0, d1, 2), range(spec.dims[2]), 80),
+                 sector_layer_grid(spec, range(1, d1, 2), range(spec.dims[2]), 81)]
+        k = np.arange(d1 + 1)
+        edges = np.concatenate([-math.pi + k * (2.0 * math.pi / d1), spec.axis_value(k, 1),
+                                spec.axis_value(k - _EDGE_GUARD, 1)])
+        rays = axis_rays(nudged(edges, range(-3, 4)), [-0.3, 0.0, 0.1], z=(0.3, -1.1))
+        assert_casts_match_oracle(rays, grids)
+        # every ray within w1 of one of the spec's own inner edges takes the sorted path
+        inner = k[1:-1]
+        own = axis_rays(nudged(np.concatenate([spec.axis_value(inner, 1), spec.axis_value(inner - _EDGE_GUARD, 1)]),
+                               range(-3, 4)), [-0.3, 0.0, 0.1])
+        seen = recording_crossings(monkeypatch)
+        _cast_grids(own, grids)
+        np.testing.assert_array_equal(np.concatenate(seen), own.directions)
 
-    @pytest.mark.parametrize("r_range", [(0.0, 25.6), (5.0, 25.6), (25.0, 25.6)])
-    def test_run_ends_at_r_edges(self, r_range):
-        # run ends (z-plane crossings) on every r edge and on every edge less the guard, a few
-        # ulps either side, and one margin w0 either side of each
-        base = GridSpec("cylindrical", (64, 200, 16), (r_range, (-math.pi, math.pi), (-2.8, 3.6)))
-        for spec in (base, decoded_spec(base)):
-            rng = np.random.RandomState(75)
-            edges = spec.axis_value(np.arange(spec.dims[0] + 1), 0)
-            r = nudged(np.concatenate([edges, edges - _EDGE_GUARD * spec.deltas[0]]), range(-4, 5))
-            r = np.concatenate([r, edges - 1.01 * run_margin(spec), edges + 1.01 * run_margin(spec)])
-            assert_casts_match_oracle(rays_with_run_ends_at(spec, r[r > 0.0], rng), azimuth_labelled_pair(spec, 75))
+    def test_subnormal_vertical_and_horizontal_rays(self, cyl_spec):
+        # a midpoint with m |d_xy| < 1e-100 bins by what is left of m d_x and m d_y,
+        # which may round into another azimuth bin: every bin but the ray's own is
+        # occupied at r = 0, so only the |d_xy| bound of the layer runs keeps the hits
+        d = unit_rows([[3 * 5e-324, 5e-324, 1.0], [-5e-324, 3 * 5e-324, -1.0], [1e-310, 3e-311, 1.0],
+                       [1e-90, 2e-90, -1.0], [1e-80, -3e-80, 1.0], [0.0, 0.0, 1.0], [-0.0, 0.0, -1.0]])
+        own = azimuth_bins(cyl_spec, d)
+        others = np.setdiff1d(np.arange(cyl_spec.dims[1]), own)
+        grids = [sector_layer_grid(cyl_spec, others, range(cyl_spec.dims[2]), 82, r_bins=[0]),
+                 sector_layer_grid(cyl_spec, others, range(cyl_spec.dims[2]), 83)]
+        z = np.array([-2.5, -0.0, 0.3, 3.3, 5.0])
+        rays = Rays(np.column_stack([np.zeros(len(z) * len(d)), np.zeros(len(z) * len(d)), np.repeat(z, len(d))]),
+                    np.tile(d, (len(z), 1)))
+        assert_casts_match_oracle(rays, grids)
+        assert cast_rays(rays, grids[0]).hit.any()
+        # horizontal rays stay in the layer of o_z, on a layer edge or an ulp either side
+        heights = nudged(cyl_spec.axis_value(np.arange(cyl_spec.dims[2] + 1), 2), range(-2, 3))
+        rays = axis_rays(np.linspace(-3.0, 3.0, 9), [0.0], z=heights)
+        layers = [sector_layer_grid(cyl_spec, range(cyl_spec.dims[1]), [5, 11], 84),
+                  sector_layer_grid(cyl_spec, range(40, 120), range(cyl_spec.dims[2]), 85)]
+        assert_casts_match_oracle(rays, layers)
+
+    @pytest.mark.parametrize("spec", axis_specs(), ids=["default", "default-decoded", "r_min", "r_min-decoded"])
+    def test_origins_outside_the_z_range(self, spec):
+        (_, r_max), _, (z_lo, z_hi) = spec.ranges
+        heights = [z_lo - 30.0, z_lo - 1e-9, z_lo, z_hi, z_hi + 1e-9, z_hi + 30.0, 1e6, -1e6]
+        rays = axis_rays(np.linspace(-math.pi, math.pi, 23)[:-1], np.linspace(-1.5, 1.5, 13), z=heights)
+        grids = [sector_layer_grid(spec, [1, 3], [0, spec.dims[2] - 1], 86),
+                 sector_layer_grid(spec, [2, 4], [1], 87)]
+        assert_casts_match_oracle(rays, grids)
+
+    def test_thin_layers_and_steep_rays(self, monkeypatch):
+        # layers 2.5e-226 thick put z fractions off the range near 1e226, and
+        # rays with |d_xy| near 4e-88 reach r_max only 1e88 m out, far past max_dist
+        spec = GridSpec("cylindrical", (8, 8, 4), ((0.0, 4.0), (-math.pi, math.pi), (0.0, 1e-225)))
+        h = np.array([4e-88, 1e-87, 1e-80, 1e-3, 0.5])
+        az = np.repeat(np.linspace(-3.0, 3.0, 7), len(h))
+        h = np.tile(h, 7)
+        d = np.column_stack([h * np.cos(az), h * np.sin(az), np.sqrt(1.0 - h * h)])
+        o = np.column_stack([np.zeros(len(d)), np.zeros(len(d)), np.resize([-1.0, 0.0, 5e-226], len(d))])
+        rays = Rays(np.concatenate([o, o * [1.0, 1.0, -1.0]]), np.concatenate([d, -d]))
+        grids = [sector_layer_grid(spec, range(0, 8, 2), range(4), 90, r_bins=[0, 1]),
+                 sector_layer_grid(spec, [3], [1, 2], 91, r_bins=[0])]
+        seen = recording_crossings(monkeypatch)
+        assert_casts_match_oracle(rays, grids)
+        # the steep rays fail the tangent guard and sort their crossings; some others take layer runs
+        steep = np.hypot(rays.directions[:, 0], rays.directions[:, 1]) < 1e-6
+        assert set(map(tuple, rays.directions[steep])) <= set(map(tuple, seen[0])) and len(seen[0]) < len(rays)
+
+    def test_culled_in_one_grid_only(self, cyl_spec, monkeypatch):
+        # bins 0-49 occupied in the first grid only, 100-199 in the second: a ray into
+        # one of them misses in the other grid and hits in its own
+        grids = [sector_layer_grid(cyl_spec, range(50), range(cyl_spec.dims[2]), 88),
+                 sector_layer_grid(cyl_spec, range(100, 200), range(cyl_spec.dims[2]), 89)]
+        for g in grids:
+            g.data[0] = 0  # no ray starts occupied
+        rays = axis_rays(np.linspace(-math.pi, math.pi, 400)[:-1], np.linspace(-0.3, 0.2, 5))
+        seen = recording_crossings(monkeypatch)
+        a, b = (hits.hit for hits in assert_casts_match_oracle(rays, grids))
+        assert (a & ~b).any() and (b & ~a).any()
+        # the shared cast, which comes first, sorts only the crossings of the rays at the -pi seam
+        seam = np.arctan2(rays.directions[:, 1], rays.directions[:, 0]) == -math.pi
+        np.testing.assert_array_equal(seen[0], rays.directions[seam])
+
+
+class TestLayerRuns:
+    """Layer-run path, part 3 of 3: a ray from the z axis takes its first
+    hit from one next-occupied-bin lookup per layer run; one whose run ends
+    lie within the margin w0 of an r edge, whose runs may end within the z
+    guard's reach of a plane, or whose direction or azimuth leaves the
+    lookup unsure takes the sorted path. Either way every grid's hits equal
+    the all-intervals caster's bit for bit, also on grids whose columns are
+    all full or all empty; and the fans the benchmark casts never sort."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=run_cases())
+    def test_drawn_run_ends(self, case):
+        assert_casts_match_oracle(*case)
+
+    @pytest.mark.parametrize("spec", run_specs(), ids=["default", "default-decoded", "r_min", "r_min-decoded",
+                                                       "one-layer", "plane-at-zero"])
+    def test_origins_on_z_planes(self, spec):
+        # z = 0 lies 4.4e-16 m below plane 7 of the default lattice, which the z guard puts in layer 7
+        planes = spec.axis_value(np.arange(spec.dims[2] + 1), 2)
+        heights = np.concatenate([[0.0, -0.0], nudged(planes, range(-2, 3))])
+        rays = axis_rays(np.linspace(-3.1, 3.1, 17), np.linspace(-1.2, 1.2, 25), z=heights)
+        grids = [column_grid(spec, 92, 0.4), azimuth_labelled_pair(spec, 93, 0.1)[0]]
+        assert_casts_match_oracle(rays, grids)
+        assert cast_rays(rays, grids[0]).hit.any()
 
     def test_cell_corners(self, cyl_spec):
         # from near a z plane, or from z = 0, through the corner of every r edge with a plane above or below
@@ -1082,21 +1117,6 @@ class TestLayerRuns:
             for i, s, k in product(range(spec.dims[0] + 1), range(spec.dims[1]), range(spec.dims[2])):
                 occupied = np.flatnonzero(grid.data[i:, s, k]) + i
                 assert nxt[i, s, k] == (occupied[0] if occupied.size else spec.dims[0])
-
-    def test_sectors_occupied_in_one_grid_only(self, cyl_spec, monkeypatch):
-        # bins 0-49 occupied in the first grid only, 100-199 in the second: a ray into
-        # one of them misses in the other grid and hits in its own
-        grids = [sector_layer_grid(cyl_spec, range(50), range(cyl_spec.dims[2]), 88),
-                 sector_layer_grid(cyl_spec, range(100, 200), range(cyl_spec.dims[2]), 89)]
-        for g in grids:
-            g.data[0] = 0  # no ray starts occupied
-        rays = axis_rays(np.linspace(-math.pi, math.pi, 400)[:-1], np.linspace(-0.3, 0.2, 5))
-        seen = recording_crossings(monkeypatch)
-        a, b = (hits.hit for hits in assert_casts_match_oracle(rays, grids))
-        assert (a & ~b).any() and (b & ~a).any()
-        # the shared cast, which comes first, sorts only the crossings of the rays at the -pi seam
-        seam = np.arctan2(rays.directions[:, 1], rays.directions[:, 0]) == -math.pi
-        np.testing.assert_array_equal(seen[0], rays.directions[seam])
 
     def test_default_fan_takes_layer_runs(self, street_gt, street_pred, street_fan_oracle, monkeypatch):
         # no ray of the two fans the benchmark casts sorts its crossings: the library default fan and
