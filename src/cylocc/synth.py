@@ -25,7 +25,7 @@ _T_MIN = 1e-9  # smallest admissible ray parameter
 _RENDER_RANGE = 1e6  # meters; farther surfaces render as missed pixels
 _MAX_SUPERSAMPLE = 16  # 16^3 = 4,096 probe passes over the lattice
 _MAX_PIXELS = 1 << 25  # 33,554,432 pixels (8192 x 4096): two f32 rasters of 128 MiB each
-_RENDER_BLOCK_PIXELS = 200_000  # pixels per row block of a render (100 rows at 2000 wide)
+_RENDER_BLOCK_PIXELS = 50_000  # pixels per row block of a render (25 rows at 2000 wide)
 _BOUNDS_MARGIN = 1e-6  # relative widening of every culling box, far above float rounding
 _CLOUD_FAN = (512, 64, (-1.2, 0.4))  # azimuths, elevations, elevation range (rad) per sampled origin
 _CLOUD_RANGE = 60.0  # meters; farther surfaces leave no sample

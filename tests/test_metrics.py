@@ -1,23 +1,25 @@
-"""Ray casting and RayIoU tests.
+"""Ray casting and RayIoU tests, by caster path.
 
-The parametric caster is validated four ways: closed-form shell-crossing
-cases, bit-for-bit agreement with the all-intervals caster it replaced
-(its early exit must change no output), a fine (1 mm) fixed-step marcher
-on arbitrary rays, and the standard 0.01 m marcher on evaluation-fan
-rays (the full 10k-ray runs live in the acceptance suite). The shared
-pass that casts several grids at once must give each grid its own cast's
-hits bit for bit. Rays from the z axis, which take one next-occupied-bin
-lookup per layer run, must match the all-intervals caster with run ends
-on or a margin from r edges, at azimuth edges and the atan2 seam, through
-cell corners, with zero or subnormal direction components, with origins
-far off, on or a hair from a z plane, on r_min > 0 and single-layer
-lattices and in grids whose columns are all full or all empty; no ray of
-the default fan or of the `cylocc eval` default fan takes the sorted path.
-The crossing builder builds every crossing family for every block, and
-must match the all-families builder bit for bit up to each row's first
-max_dist column. RayIoU confusion logic is pinned by a
-hand-computed two-ray table on a grid whose cell edges make the distances
-exact.
+The exact caster has two paths, and each is held bit for bit to the
+all-intervals caster `cast_all_intervals`, which bins every interval
+midpoint with point_to_flat:
+
+- the sorted path (TestSortedPath): rays off the z axis and on cuboid
+  lattices sort their crossings. Its crossing builder (TestSortedCrossings)
+  builds every crossing family for every block, and must match the
+  all-families builder bit for bit up to each row's first max_dist column;
+- the layer-run path (TestLayerRuns): rays from the z axis take one
+  next-occupied-bin lookup per layer run, and fall back to the sorted
+  path wherever the lookup is unsure; no ray of the default fan or of the
+  `cylocc eval` default fan takes the sorted path.
+
+The shared pass that casts several grids at once (TestSharedCast) must
+give each grid its own cast's hits. Closed-form shell-crossing cases
+(TestCastRay), a fine (1 mm) fixed-step marcher on arbitrary rays and the
+standard 0.01 m marcher on evaluation-fan rays (TestCasterExactness; the
+full 10k-ray runs live in the acceptance suite) check the caster from
+outside. RayIoU confusion logic is pinned by a hand-computed two-ray table
+on a grid whose cell edges make the distances exact.
 """
 
 import math
@@ -296,19 +298,14 @@ def ray_cases(draw):
     return Rays(np.array(origins), np.array(directions)), grid
 
 
-class TestEarlyExitExactness:
-    """cast_rays cuts the max_dist padding and retires rays at their first
+class TestSortedPath:
+    """The sorted path: rays off the z axis, and every ray on a cuboid
+    lattice, sort their crossings and bin each interval's midpoint.
+    cast_rays cuts the max_dist padding and retires rays at their first
     hit; every output must equal the all-intervals caster's bit for bit at
     the length cast_rays derives, and stay put at twice that length, since
-    the derived length already reaches the grid exit."""
-
-    def test_default_fan_into_street_gt(self, street_gt, street_fan_oracle):
-        a = cast_rays(default_ray_fan(), street_gt)
-        assert 0.3 < a.hit.mean() < 0.9
-        assert_same_hits(a, street_fan_oracle[0])
-
-    def test_default_fan_into_perturbed_street_gt(self, street_pred, street_fan_oracle):
-        assert_same_hits(cast_rays(default_ray_fan(), street_pred), street_fan_oracle[1])
+    the derived length already reaches the grid exit. The drawn batches mix
+    in rays from the z axis."""
 
     @pytest.mark.parametrize("coord", ["cylindrical", "cuboid"])
     def test_random_off_axis_rays(self, coord, cyl_spec):
@@ -524,6 +521,7 @@ class TestSharedCast:
         fan, grids = default_ray_fan(), [street_gt, street_pred, perturbed(street_gt, 9)]
         ninth = cast_all_intervals(fan, grids[2], _grid_max_distance(street_gt.spec, fan.origins))
         shared = assert_casts_match_oracle(fan, grids, [*street_fan_oracle, ninth])
+        assert 0.3 < shared[0].hit.mean() < 0.9
         # the grids disagree, so each must be read on its own
         assert not np.array_equal(shared[0].voxel, shared[1].voxel)
         assert not np.array_equal(shared[1].voxel, shared[2].voxel)
@@ -839,17 +837,25 @@ def run_cases(draw):
     return Rays(o, unit_rows(d)), grids
 
 
-class TestAxisRayBinning:
-    """Layer-run path, part 1 of 3. The layer-run tests sit in three classes
-    only so that their test ids stay stable; all three drive the one
-    layer-run path of _cast_grids. Here: rays from the z axis
-    whose azimuth lies on or an ulp or two off every bin edge, whose
-    direction has a zero or subnormal component, that start a hair from a
-    z plane or far out on the axis, whose midpoints or run ends sit on an r
-    shell, and drawn chunks mixing such rays with off-axis ones. Every
-    grid's hits equal the all-intervals caster's bit for bit, on grids
-    labelled by azimuth bin, where a cell read one bin off reads another
-    label."""
+class TestLayerRuns:
+    """The layer-run path of _cast_grids: a ray from the z axis takes its
+    first hit from one next-occupied-bin lookup per layer run. A ray whose
+    run ends lie within the margin w0 of an r edge, whose runs may end
+    within the z guard's reach of a plane, or whose direction or azimuth
+    leaves the lookup unsure (within w1 of an azimuth edge, a neighbour
+    bin may be read) takes the sorted path. Either way every grid's hits
+    equal the all-intervals caster's bit for bit.
+
+    The rays: azimuths on or an ulp or two off every bin edge; zero or
+    subnormal direction components; origins a hair from, on or far off a z
+    plane, outside the z range or far out on the axis; midpoints and run
+    ends on r shells and through cell corners; drawn chunks mixing such
+    rays with off-axis ones. The lattices include r_min > 0, one-layer and
+    f32-decoded ones. The grids: labelled by azimuth bin, where a
+    cell read one bin off reads another label; occupied only in some
+    azimuth bins and layers, where a ray into a free bin or over free
+    layers finds no occupied cell in any of its runs; and with columns all
+    full or all empty. The fans the benchmark casts never sort."""
 
     @pytest.mark.parametrize("decoded", [False, True], ids=["exact", "decoded"])
     @pytest.mark.parametrize("d1", [1, 2, 3, 7, 200])
@@ -936,7 +942,7 @@ class TestAxisRayBinning:
         assert_casts_match_oracle(Rays(o, d), [g, VoxelGrid(spec, "label", g.data[::-1].copy())])
 
     @pytest.mark.parametrize("r_range", [(0.0, 25.6), (5.0, 25.6), (25.0, 25.6)])
-    def test_classifier_at_r_edges(self, r_range):
+    def test_run_ends_at_r_edges(self, r_range):
         # run ends (z-plane crossings) on every r edge and on every edge less the guard, a few
         # ulps either side, and one margin w0 either side of each
         base = GridSpec("cylindrical", (64, 200, 16), (r_range, (-math.pi, math.pi), (-2.8, 3.6)))
@@ -951,15 +957,6 @@ class TestAxisRayBinning:
     @given(case=axis_ray_chunks())
     def test_drawn_chunks(self, case):
         assert_casts_match_oracle(*case)
-
-
-class TestSureMissCull:
-    """Layer-run path, part 2 of 3: grids occupied only in some azimuth bins
-    and layers, cast from the z axis. A ray into a free bin, or over free
-    layers, finds no occupied cell in any of its layer runs; one within w1
-    of an azimuth edge may read its occupied neighbour, so it takes the
-    sorted path. Every grid's hits equal the all-intervals caster's bit for
-    bit."""
 
     @settings(max_examples=200, deadline=None)
     @given(case=sector_cases())
@@ -1059,7 +1056,7 @@ class TestSureMissCull:
         steep = np.hypot(rays.directions[:, 0], rays.directions[:, 1]) < 1e-6
         assert set(map(tuple, rays.directions[steep])) <= set(map(tuple, seen[0])) and len(seen[0]) < len(rays)
 
-    def test_culled_in_one_grid_only(self, cyl_spec, monkeypatch):
+    def test_hits_in_one_grid_only(self, cyl_spec, monkeypatch):
         # bins 0-49 occupied in the first grid only, 100-199 in the second: a ray into
         # one of them misses in the other grid and hits in its own
         grids = [sector_layer_grid(cyl_spec, range(50), range(cyl_spec.dims[2]), 88),
@@ -1073,16 +1070,6 @@ class TestSureMissCull:
         # the shared cast, which comes first, sorts only the crossings of the rays at the -pi seam
         seam = np.arctan2(rays.directions[:, 1], rays.directions[:, 0]) == -math.pi
         np.testing.assert_array_equal(seen[0], rays.directions[seam])
-
-
-class TestLayerRuns:
-    """Layer-run path, part 3 of 3: a ray from the z axis takes its first
-    hit from one next-occupied-bin lookup per layer run; one whose run ends
-    lie within the margin w0 of an r edge, whose runs may end within the z
-    guard's reach of a plane, or whose direction or azimuth leaves the
-    lookup unsure takes the sorted path. Either way every grid's hits equal
-    the all-intervals caster's bit for bit, also on grids whose columns are
-    all full or all empty; and the fans the benchmark casts never sort."""
 
     @settings(max_examples=300, deadline=None)
     @given(case=run_cases())
