@@ -35,11 +35,11 @@ gt = VoxelGrid(spec, "label", y)
 freq = class_frequencies(gt, labels.count)
 w = class_weights(freq)  # w_c = 1 / ln(f_c + 1.02)
 print("rarer classes weigh more:")
-for name, f, wt in zip(labels.names, freq, w.weights):
+for name, f, wt in zip(labels.names, freq, w):
     if f > 0:
         print(f"  {name:>11s}: f={f:.3f}  w={wt:.2f}")
 present = freq > 0
-assert np.all(np.diff(w.weights[present][np.argsort(freq[present])]) <= 0)
+assert np.all(np.diff(w[present][np.argsort(freq[present])]) <= 0)
 
 probs = rng.rand(*spec.dims, labels.count) + 0.05
 probs /= probs.sum(axis=-1, keepdims=True)

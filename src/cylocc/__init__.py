@@ -32,7 +32,6 @@ from .grid import (
 )
 from .lift import FeatureImage, HitSet, align_history, build_hit_set, color_voxels, fuse_temporal
 from .losses import (
-    ClassWeights,
     ProbGrid,
     class_weights,
     dice_macro,

@@ -271,8 +271,7 @@ def _cmd_loss(args) -> int:
         raise ShapeError("pred and gt grids must share a spec")
     c = pred.num_classes
     if args.weights != "auto":  # one weight per class, whether or not ce runs
-        w = weights_from_json(Path(args.weights).read_bytes())
-        _weight_vector(w, c)
+        w = _weight_vector(weights_from_json(Path(args.weights).read_bytes()), c)
     elif "ce" in args.terms:
         w = class_weights(class_frequencies(gt, c))
     if "dice" in args.terms and c > 256:

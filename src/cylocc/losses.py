@@ -58,17 +58,9 @@ class ProbGrid:
         return self.probs.shape[3]
 
 
-@dataclass(frozen=True)
-class ClassWeights:
-    """Inverse-log-frequency class weights: w_c = 1 / ln(f_c + constant)."""
-
-    weights: np.ndarray
-    constant: float
-    frequencies: np.ndarray
-
-
-def class_weights(frequencies, constant: float = 1.02) -> ClassWeights:
-    """Weights from per-class voxel fractions."""
+def class_weights(frequencies, constant: float = 1.02) -> np.ndarray:
+    """Inverse-log-frequency class weights w_c = 1 / ln(f_c + constant), a
+    float64 (C,) vector, from per-class voxel fractions."""
     f = np.asarray(frequencies, dtype=np.float64)
     require_finite("class fractions and constant", f, constant)
     if np.any(f < 0) or np.any(f > 1):
@@ -77,10 +69,10 @@ def class_weights(frequencies, constant: float = 1.02) -> ClassWeights:
         raise DomainError("class fractions must sum to 1")
     if np.any(f + constant <= 1.0):
         raise DomainError("f_c + constant must exceed 1 for every class")
-    return ClassWeights(1.0 / np.log(f + constant), float(constant), f)
+    return 1.0 / np.log(f + constant)
 
 
-def weights_from_json(text: str | bytes) -> ClassWeights:
+def weights_from_json(text: str | bytes) -> np.ndarray:
     """Class weights from {"frequencies": [...], "constant": c}; without c, class_weights' default."""
     doc = _load_json(text, "class weights")
     if not isinstance(doc, dict) or "frequencies" not in doc:
@@ -110,10 +102,13 @@ def _check_pair(pred_probs: np.ndarray, gt: VoxelGrid) -> np.ndarray:
     return y
 
 
-def _weight_vector(w: ClassWeights, num_classes: int) -> np.ndarray:
-    if len(w.weights) != num_classes:
-        raise ShapeError(f"{len(w.weights)} class weights for {num_classes} classes")
-    return w.weights
+def _weight_vector(w, num_classes: int) -> np.ndarray:
+    """w as a float64 vector of one finite weight per class."""
+    v = np.asarray(w, dtype=np.float64)
+    if v.shape != (num_classes,):
+        raise ShapeError(f"class weights of shape {v.shape} for {num_classes} classes")
+    require_finite("class weights", v)
+    return v
 
 
 def _cross_entropy(p: np.ndarray, y: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -123,14 +118,14 @@ def _cross_entropy(p: np.ndarray, y: np.ndarray, weights: np.ndarray) -> np.ndar
     return np.multiply(t, (-weights)[y], out=t)
 
 
-def weighted_ce(pred, gt: VoxelGrid, w: ClassWeights) -> float:
-    """Mean over voxels of -w_y * ln(min(p_y + eps, 1))."""
+def weighted_ce(pred, gt: VoxelGrid, w) -> float:
+    """Mean over voxels of -w_y * ln(min(p_y + eps, 1)); w holds one finite weight per class."""
     p = _probs_array(pred)
     y = _check_pair(p, gt)
     return float(_cross_entropy(p, y, _weight_vector(w, p.shape[-1])).mean())
 
 
-def weighted_ce_grad(pred, gt: VoxelGrid, w: ClassWeights) -> np.ndarray:
+def weighted_ce_grad(pred, gt: VoxelGrid, w) -> np.ndarray:
     """d(weighted_ce)/d(probs): nonzero only at each voxel's true class."""
     p = _probs_array(pred)
     y = _check_pair(p, gt)
@@ -206,12 +201,9 @@ def scal_loss_grad(pred, gt: VoxelGrid) -> np.ndarray:
     return grad
 
 
-def sem2d_loss(
-    pred,
-    gt: ErpImage,
-    w: ClassWeights | None = None,
-) -> float:
-    """Per-pixel weighted cross-entropy on an ERP semantic raster.
+def sem2d_loss(pred, gt: ErpImage, w=None) -> float:
+    """Per-pixel weighted cross-entropy on an ERP semantic raster, with one
+    weight per class in w, or unit weights.
 
     UNLABELED pixels drop out of the mean; with none left the loss is 0.
     """

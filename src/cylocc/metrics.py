@@ -360,13 +360,13 @@ class RayIoUReport:
             "per_threshold": [
                 {
                     "threshold": c.threshold,
-                    "mean_iou": _json_iou(c.mean_iou()),
+                    "mean_iou": _json_iou(mean),
                     "tp": c.tp.tolist(),
                     "fp": c.fp.tolist(),
                     "fn": c.fn.tolist(),
                     "per_class_iou": [_json_iou(v) for v in c.per_class_iou()],
                 }
-                for c in self.counts
+                for c, mean in zip(self.counts, self.per_threshold)
             ],
             "config": self.config,
         }

@@ -1,4 +1,7 @@
-"""Test-only oracles and fixtures, written against cylocc's public API.
+"""Test-only oracles and fixtures, written against cylocc's public API and
+the contract constants and checks it shares with the library: geom's
+_as_points, grid's _EDGE_GUARD, the losses' _check_pair and _probs_array,
+the caster's _CHUNK and _MIN_SEGMENT, and synth's _RENDER_RANGE.
 
 The all-intervals caster, which casts one grid at a time and bins every
 midpoint with point_to_flat, is the exact reference for the block-wise
@@ -55,7 +58,7 @@ from cylocc.geom import (UNLABELED, ErpImage, LabeledPointCloud, RigidTransform,
                          erp_pixel_to_direction)
 from cylocc.grid import (_EDGE_GUARD, CUBOID, CYLINDRICAL, FeatureRows, GridSpec, LabelSet, VoxelGrid,
                          default_label_set, majority_vote, row_support)
-from cylocc.losses import EPS, ClassWeights, _check_pair, _probs_array
+from cylocc.losses import EPS, _check_pair, _probs_array
 from cylocc.metrics import _CHUNK, _MIN_SEGMENT, BatchHits, Rays, generate_rays
 from cylocc.sketch import sketch_from_points
 from cylocc.synth import _RENDER_RANGE, Box, HalfSpace, Scene, Sphere, VerticalCylinder
@@ -296,28 +299,23 @@ def zero_grid(spec: GridSpec, kind: str) -> VoxelGrid:
     return VoxelGrid(spec, kind, np.zeros(spec.dims, dtype=np.uint8))
 
 
-def unit_weights(num_classes: int) -> ClassWeights:
-    """Weight 1 for every class: the weighted losses reduce to their plain forms."""
-    return ClassWeights(np.ones(num_classes), math.e, np.zeros(num_classes))
-
-
-def weighted_ce_formula(pred, gt: VoxelGrid, w: ClassWeights) -> float:
+def weighted_ce_formula(pred, gt: VoxelGrid, w: np.ndarray) -> float:
     """weighted_ce evaluated out of place: the mean of -w_y * ln(min(p_y + eps, 1))."""
     p = _probs_array(pred)
     y = _check_pair(p, gt)
     py = np.take_along_axis(p, y[..., None].astype(np.int64), axis=-1)[..., 0]
-    terms = -w.weights[y] * np.log(np.minimum(py + EPS, 1.0))
+    terms = -w[y] * np.log(np.minimum(py + EPS, 1.0))
     return float(terms.mean())
 
 
-def weighted_ce_grad_formula(pred, gt: VoxelGrid, w: ClassWeights) -> np.ndarray:
+def weighted_ce_grad_formula(pred, gt: VoxelGrid, w: np.ndarray) -> np.ndarray:
     """d(weighted_ce)/d(probs) as -w_y / (p_y + eps) / n at each voxel's true class."""
     p = _probs_array(pred)
     y = _check_pair(p, gt)
     n = y.size
     grad = np.zeros_like(p)
     py = np.take_along_axis(p, y[..., None].astype(np.int64), axis=-1)[..., 0]
-    gy = np.where(py + EPS < 1.0, -w.weights[y] / (py + EPS) / n, 0.0)
+    gy = np.where(py + EPS < 1.0, -w[y] / (py + EPS) / n, 0.0)
     np.put_along_axis(grad, y[..., None].astype(np.int64), gy[..., None], axis=-1)
     return grad
 

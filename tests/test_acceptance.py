@@ -259,7 +259,7 @@ class TestAcceptance:
         s2 = GridSpec(CUBOID, (3, 1, 1), ((0, 3), (0, 1), (0, 1)))
         mk = lambda v: VoxelGrid(s2, "label", np.asarray(v, dtype=np.uint8).reshape(3, 1, 1))
         assert dice_macro(mk([3, 3, 0]), mk([3, 0, 0]), 4) == pytest.approx(1.0 / 3.0, abs=1e-9)
-        wv = class_weights(np.array([0.5, 0.5]), 1.02).weights[0]
+        wv = class_weights(np.array([0.5, 0.5]), 1.02)[0]
         assert wv == pytest.approx(1.0 / math.log(1.52), abs=1e-9)
         assert wv == pytest.approx(2.3882859264476830274, abs=1e-9)
         report(8, "loss gradients", f"(worst relative gradient error {worst:.2e})")

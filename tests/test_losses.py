@@ -14,7 +14,6 @@ from cylocc.geom import UNLABELED, ErpImage
 from cylocc.grid import CUBOID, GridSpec, VoxelGrid
 from cylocc.losses import (
     _STATS_BLOCK,
-    ClassWeights,
     ProbGrid,
     class_weights,
     dice_macro,
@@ -30,7 +29,6 @@ from oracles import (
     dice_loss,
     scal_loss_grad_per_class,
     scal_loss_per_class,
-    unit_weights,
     weighted_ce_formula,
     weighted_ce_grad_formula,
 )
@@ -45,21 +43,21 @@ def random_probs(rng, dims, c, floor=0.05):
     return p / p.sum(axis=-1, keepdims=True)
 
 
-class TestClassWeights:
+class TestInverseLogWeights:
     def test_known_value(self):
         # mpmath 50-digit oracle: 1/ln(1.52) = 2.3882859264476830274
         f = np.array([0.5, 0.5])
         w = class_weights(f, 1.02)
-        assert w.weights[0] == pytest.approx(2.3882859264476830274, abs=1e-12)
+        assert w[0] == pytest.approx(2.3882859264476830274, abs=1e-12)
 
     def test_ln_e_gives_unit_weight(self):
         f = np.array([0.0, 1.0])
         w = class_weights(f, math.e)
-        assert w.weights[0] == pytest.approx(1.0, abs=1e-12)
+        assert w[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_rare_class_weighs_more(self):
         f = np.array([0.9, 0.07, 0.03])
-        w = class_weights(f).weights
+        w = class_weights(f)
         assert w[2] > w[1] > w[0]
 
     def test_log_positivity_enforced(self):
@@ -85,7 +83,7 @@ class TestWeightedCe:
         y = rng.randint(0, 3, spec.dims).astype(np.uint8)
         p = np.eye(3)[y]
         gt = VoxelGrid(spec, "label", y)
-        w = unit_weights(3)
+        w = np.ones(3)
         assert weighted_ce(p, gt, w) == 0.0
 
     def test_uniform_prediction_ln12(self):
@@ -94,7 +92,7 @@ class TestWeightedCe:
         y = rng.randint(0, 12, spec.dims).astype(np.uint8)
         p = np.full(spec.dims + (12,), 1.0 / 12.0)
         gt = VoxelGrid(spec, "label", y)
-        loss = weighted_ce(p, gt, unit_weights(12))
+        loss = weighted_ce(p, gt, np.ones(12))
         # mpmath oracle: ln 12 = 2.4849066497880003102
         assert loss == pytest.approx(2.4849066497880003102, abs=1e-9)
 
@@ -104,9 +102,8 @@ class TestWeightedCe:
         y = rng.randint(0, 4, spec.dims).astype(np.uint8)
         p = random_probs(rng, spec.dims, 4)
         gt = VoxelGrid(spec, "label", y)
-        w1 = class_weights(np.full(4, 0.25))
-        w2 = ClassWeights(w1.weights * 2.0, w1.constant, w1.frequencies)
-        assert weighted_ce(p, gt, w2) == pytest.approx(2.0 * weighted_ce(p, gt, w1), rel=1e-12)
+        w = class_weights(np.full(4, 0.25))
+        assert weighted_ce(p, gt, 2.0 * w) == pytest.approx(2.0 * weighted_ce(p, gt, w), rel=1e-12)
 
     def test_non_negative(self):
         spec = small_spec()
@@ -115,7 +112,7 @@ class TestWeightedCe:
             y = rng.randint(0, 3, spec.dims).astype(np.uint8)
             p = random_probs(rng, spec.dims, 3, floor=0.0)
             gt = VoxelGrid(spec, "label", y)
-            assert weighted_ce(p, gt, unit_weights(3)) >= 0.0
+            assert weighted_ce(p, gt, np.ones(3)) >= 0.0
 
     def test_accepts_prob_grid(self):
         spec = small_spec()
@@ -123,7 +120,7 @@ class TestWeightedCe:
         p = random_probs(rng, spec.dims, 5)
         y = rng.randint(0, 5, spec.dims).astype(np.uint8)
         gt = VoxelGrid(spec, "label", y)
-        w = unit_weights(5)
+        w = np.ones(5)
         assert weighted_ce(ProbGrid(spec, p), gt, w) == weighted_ce(p, gt, w)
 
 
@@ -318,17 +315,17 @@ class TestInputErrors:
         p = np.full(spec.dims + (3,), 1.0 / 3.0)
         gt = VoxelGrid(spec, "label", np.full(spec.dims, 2, dtype=np.uint8))
         with pytest.raises(ShapeError):
-            fn(p, gt, unit_weights(count))
+            fn(p, gt, np.ones(count))
 
     @pytest.mark.parametrize("count", [2, 5])
     def test_sem2d_weight_count_must_match_classes(self, count):
         gt = ErpImage.semantic(np.array([[0, 1], [2, 2]], dtype=np.float32))
         with pytest.raises(ShapeError):
-            sem2d_loss(np.full((2, 2, 3), 1.0 / 3.0), gt, unit_weights(count))
+            sem2d_loss(np.full((2, 2, 3), 1.0 / 3.0), gt, np.ones(count))
 
     @pytest.mark.parametrize("fn", [
-        lambda p, gt: weighted_ce(p, gt, unit_weights(3)),
-        lambda p, gt: weighted_ce_grad(p, gt, unit_weights(3)),
+        lambda p, gt: weighted_ce(p, gt, np.ones(3)),
+        lambda p, gt: weighted_ce_grad(p, gt, np.ones(3)),
         scal_loss,
         scal_loss_grad,
     ], ids=["weighted_ce", "weighted_ce_grad", "scal_loss", "scal_loss_grad"])
@@ -337,6 +334,46 @@ class TestInputErrors:
         gt = VoxelGrid(spec, "label", np.zeros(spec.dims, dtype=np.uint8))
         with pytest.raises(ShapeError):
             fn(np.full(spec.dims + (1, 3), 1.0 / 3.0), gt)
+
+
+WEIGHTED_TERMS = ["weighted_ce", "weighted_ce_grad", "sem2d_loss"]
+
+
+def weighted_terms(c: int) -> dict:
+    """weighted_ce, weighted_ce_grad and sem2d_loss of one c-class case, each as a function of the weights."""
+    spec = small_spec()  # 40 voxels, laid out as a 4 x 10 raster for sem2d_loss
+    rng = np.random.RandomState(45)
+    y = rng.randint(0, c, spec.dims).astype(np.uint8)
+    p, gt = random_probs(rng, spec.dims, c), VoxelGrid(spec, "label", y)
+    erp = ErpImage.semantic(y.reshape(4, 10).astype(np.float32))
+    return {
+        "weighted_ce": lambda w: weighted_ce(p, gt, w),
+        "weighted_ce_grad": lambda w: weighted_ce_grad(p, gt, w),
+        "sem2d_loss": lambda w: sem2d_loss(p.reshape(4, 10, c), erp, w),
+    }
+
+
+class TestWeightVector:
+    """The weighted terms take any array of one finite weight per class."""
+
+    @pytest.mark.parametrize("form", [list, np.array], ids=["list", "ndarray"])
+    @pytest.mark.parametrize("term", WEIGHTED_TERMS)
+    def test_plain_vector_scores_as_class_weights(self, term, form):
+        loss = weighted_terms(4)[term]
+        w = class_weights([0.4, 0.3, 0.2, 0.1])
+        np.testing.assert_array_equal(loss(form(w.tolist())), loss(w))
+
+    @pytest.mark.parametrize("w", [np.ones((3, 1)), 1.0, np.ones(4)], ids=["column", "scalar", "one_extra"])
+    @pytest.mark.parametrize("term", WEIGHTED_TERMS)
+    def test_one_weight_per_class(self, term, w):
+        with pytest.raises(ShapeError):
+            weighted_terms(3)[term](w)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("term", WEIGHTED_TERMS)
+    def test_finite_weights(self, term, bad):
+        with pytest.raises(DomainError):
+            weighted_terms(3)[term]([1.0, bad, 1.0])
 
 
 @st.composite
@@ -365,7 +402,7 @@ def loss_grids(draw):
         p[neg] = np.insert(others, k, 1.0 - rest, axis=-1)[neg]
     spec = GridSpec(CUBOID, dims, ((0, dims[0]), (0, dims[1]), (0, dims[2])))
     pred_labels = VoxelGrid(spec, "label", rng.randint(0, c + 3, dims).astype(np.uint8))
-    w = ClassWeights(rng.rand(c) + 0.5, 1.02, np.full(c, 1.0 / c))
+    w = rng.rand(c) + 0.5
     return p, VoxelGrid(spec, "label", y), pred_labels, w
 
 
