@@ -52,12 +52,12 @@ report = ray_iou(
 )
 print(f"RayIoU (mean over thresholds 1/2/4 m): {report.ray_iou:.4f}")
 for tc in report.counts:
-    print(f"  tau={tc.threshold}: mean IoU {tc.mean_iou():.4f}")
+    print(f"  tau={tc.threshold}: mean IoU {tc.mean_iou:.4f}")
 for band, sub in report.bands.items():
     print(f"  band {band[0]:>4.1f}-{band[1]:<4.1f} m: RayIoU {sub.ray_iou:.4f}")
 # the noise lies past 12 m, so every ray whose ground truth hits within 8.5 m agrees
 assert report.bands[(0.0, 8.5)].ray_iou == 1.0
 print("per-class IoU at tau=2 m:")
-for name, iou in zip(labels.names, report.counts[1].per_class_iou()):
+for name, iou in zip(labels.names, report.counts[1].iou):
     if not np.isnan(iou):
         print(f"  {name:>11s}: {iou:.4f}")

@@ -28,8 +28,8 @@ ODPT rasters
 
 Decoders are strict: wrong magic, wrong version, short or trailing payload
 and nonsensical header fields each raise a distinct error type carrying the
-byte offset or field name. Range values are stored as f32, so decoded grid
-specs carry f32-rounded ranges; payloads round-trip bit-exactly. Encoders
+byte offset or field name. Ranges are stored as f32 and decode rounded, bar
+theta's (exact, see GridSpec); payloads round-trip bit-exactly. Encoders
 refuse, with DomainError, what their decoders would reject: a grid whose
 f32-rounded ranges make no valid spec, and a point beyond f32 range.
 

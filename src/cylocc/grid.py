@@ -2,9 +2,10 @@
 
 A GridSpec fixes the lattice: bin counts per axis and per-axis ranges,
 uniformly binned. Cylindrical axes are (r, theta, z) with theta spanning
-exactly [-pi, pi) and wrapping; cuboid axes are (x, y, z). Voxels are addressed
-by flat index i = (i0 * D1 + i1) * D2 + i2 (C order). A grid has one form
-per payload: VoxelGrid holds a dense u8 label or occupancy array, and
+exactly [-pi, pi) (a range within 1e-6 of it, as OVOX's f32 one, is held
+as that) and wrapping; cuboid axes are (x, y, z). Voxels are addressed by
+flat index i = (i0 * D1 + i1) * D2 + i2 (C order). A grid has one form per
+payload: VoxelGrid holds a dense u8 label or occupancy array, and
 FeatureRows, the only feature grid, lists the flat indices and float32
 rows of some voxels, every other row +0.0; its dense() is the full array.
 
@@ -60,6 +61,7 @@ class GridSpec:
                 raise DomainError("cylindrical theta range must be [-pi, pi)")
             if ranges[0][0] < 0:
                 raise DomainError("cylindrical r range must be non-negative")
+            ranges = (ranges[0], (-math.pi, math.pi), ranges[2])
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "ranges", ranges)
 

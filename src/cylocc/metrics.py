@@ -136,9 +136,7 @@ def _sorted_crossings(spec: GridSpec, o: np.ndarray, d: np.ndarray, max_dist: fl
         inv2a = 0.5 / a[:, None]
         np.multiply(np.add(-b[:, None], sq, out=cols[1]), inv2a, out=cols[1])
         np.multiply(np.subtract(-b[:, None], sq, out=cols[2]), inv2a, out=cols[2])
-        # azimuth planes step from exactly -pi, not from the stored theta
-        # range, which decoded specs carry rounded to f32
-        alpha = -math.pi + np.arange(dims[1]) * (2.0 * math.pi / dims[1])
+        alpha = spec.axis_value(np.arange(dims[1]), 1)
         nx, ny = -np.sin(alpha), np.cos(alpha)
         num = np.add(np.multiply(o[:, 0:1], nx, out=cols[3]), o[:, 1:2] * ny, out=cols[3])
         np.divide(np.negative(num, out=num), d[:, 0:1] * nx + d[:, 1:2] * ny, out=num)
@@ -165,13 +163,12 @@ def _layer_runs(spec: GridSpec, o: np.ndarray, d: np.ndarray, max_dist: float, r
     (r_lo, r_hi), _, (z_lo, z_hi) = spec.ranges
     (d0, d1, d2), dr = spec.dims, spec.deltas[0]
     a2 = d[:, 0] ** 2 + d[:, 1] ** 2  # as _sorted_crossings has it, so the far roots and their guard match
-    theta = np.arctan2(d[:, 1], d[:, 0])
-    fa = spec.axis_fraction(theta, 1) + _EDGE_GUARD
+    fa = spec.axis_fraction(np.arctan2(d[:, 1], d[:, 0]), 1) + _EDGE_GUARD
     w1 = _EDGE_GUARD + _MARGIN * d1
     ok = (o[:, 0] == 0.0) & (o[:, 1] == 0.0)  # off the axis r turns back and the azimuth moves
     ok &= d[:, 2] != 0.0  # else no z plane bounds a run
-    # near an azimuth edge, or +-pi (atan2 takes a zero y's sign, f32 ranges bin +-pi apart), a midpoint may change bin
-    ok &= (np.abs(fa - np.rint(fa)) >= w1) & (math.pi - np.abs(theta) >= w1 * spec.deltas[1])
+    # near an azimuth edge (+-pi are edges 0 and D1, and atan2 takes a zero y's sign) a midpoint may change bin
+    ok &= np.abs(fa - np.rint(fa)) >= w1
     # where a shell with r > 0 fails the tangent guard, the sorted path reads one midpoint over several r bins
     ok &= (a2 > 1e-30) & (4.0 * a2 * rk2[int(r_lo == 0.0)] >= 1e-12)
     ok &= spec.coord_sys == CYLINDRICAL and dr > 2**14 * _MIN_SEGMENT  # see the l bound below
@@ -316,23 +313,21 @@ def cast_rays(rays: Rays, grid: VoxelGrid) -> BatchHits:
 
 @dataclass
 class ThresholdCounts:
-    """Per-class confusion counts at one distance threshold."""
+    """Per-class confusion counts at one distance threshold, their per-class IoU (NaN for 0 / 0)
+    and mean_iou, the mean of the scored classes' defined IoUs (NaN if none is)."""
 
     threshold: float
     tp: np.ndarray
     fp: np.ndarray
     fn: np.ndarray
+    iou: np.ndarray = field(init=False)
+    mean_iou: float = field(init=False)
 
-    def per_class_iou(self) -> np.ndarray:
+    def __post_init__(self):
         denom = self.tp + self.fp + self.fn
-        with np.errstate(invalid="ignore", divide="ignore"):
-            iou = np.where(denom > 0, self.tp / np.maximum(denom, 1), np.nan)
-        return iou
-
-    def mean_iou(self) -> float:
-        iou = self.per_class_iou()[1:]  # free class is never scored
-        valid = ~np.isnan(iou)
-        return float(np.mean(iou[valid])) if np.any(valid) else float("nan")
+        self.iou = np.where(denom > 0, self.tp / np.maximum(denom, 1), np.nan)
+        scored = self.iou[1:][~np.isnan(self.iou[1:])]  # free class is never scored
+        self.mean_iou = float(np.mean(scored)) if scored.size else float("nan")
 
 
 def _json_iou(v) -> float | None:
@@ -341,15 +336,21 @@ def _json_iou(v) -> float | None:
 
 @dataclass
 class RayIoUReport:
-    """Confusion counts, per-class IoU and mean RayIoU, optionally per band."""
+    """Confusion counts per threshold, optionally per band, and ray_iou, the mean of per_threshold (their
+    mean_iou): a class is undefined at all thresholds or none (TP + FN, and FP of a class no gt ray has, are fixed)."""
 
     class_names: tuple[str, ...]
-    thresholds: tuple[float, ...]
     counts: list[ThresholdCounts]
-    ray_iou: float
-    per_threshold: np.ndarray
-    bands: dict[tuple[float, float], "RayIoUReport"] = field(default_factory=dict)
     config: dict = field(default_factory=dict)
+    bands: dict[tuple[float, float], "RayIoUReport"] = field(default_factory=dict)
+    thresholds: tuple[float, ...] = field(init=False)
+    per_threshold: np.ndarray = field(init=False)
+    ray_iou: float = field(init=False)
+
+    def __post_init__(self):
+        self.thresholds = tuple(c.threshold for c in self.counts)
+        self.per_threshold = np.array([c.mean_iou for c in self.counts])
+        self.ray_iou = float(np.mean(self.per_threshold)) if self.counts else float("nan")
 
     def to_dict(self) -> dict:
         """JSON-ready form; undefined (NaN) IoUs become None, i.e. JSON null."""
@@ -360,13 +361,13 @@ class RayIoUReport:
             "per_threshold": [
                 {
                     "threshold": c.threshold,
-                    "mean_iou": _json_iou(mean),
+                    "mean_iou": _json_iou(c.mean_iou),
                     "tp": c.tp.tolist(),
                     "fp": c.fp.tolist(),
                     "fn": c.fn.tolist(),
-                    "per_class_iou": [_json_iou(v) for v in c.per_class_iou()],
+                    "per_class_iou": [_json_iou(v) for v in c.iou],
                 }
-                for c, mean in zip(self.counts, self.per_threshold)
+                for c in self.counts
             ],
             "config": self.config,
         }
@@ -377,25 +378,21 @@ class RayIoUReport:
         return out
 
 
-def _confusion(gt_hits: BatchHits, pred_hits: BatchHits, tau: float, num_classes: int,
-               ray_mask: np.ndarray) -> ThresholdCounts:
-    gt_hit = gt_hits.hit & ray_mask
-    pred_hit = pred_hits.hit & ray_mask
-    with np.errstate(invalid="ignore"):
-        close = np.abs(pred_hits.distance - gt_hits.distance) <= tau
-    tp_ray = gt_hit & pred_hit & (gt_hits.label == pred_hits.label) & close
-    tp = np.bincount(gt_hits.label[tp_ray], minlength=num_classes)
-    fn = np.bincount(gt_hits.label[gt_hit & ~tp_ray], minlength=num_classes)
-    fp = np.bincount(pred_hits.label[pred_hit & ~tp_ray], minlength=num_classes)
-    return ThresholdCounts(tau, tp[:num_classes], fp[:num_classes], fn[:num_classes])
-
-
 def _report_from_hits(gt_hits, pred_hits, thresholds, names, ray_mask, config) -> RayIoUReport:
+    """Counts at every threshold over the rays in ray_mask, labels >= len(names) left out."""
     c = len(names)
-    counts = [_confusion(gt_hits, pred_hits, tau, c, ray_mask) for tau in thresholds]
-    per = np.array([tc.mean_iou() for tc in counts])
-    mean = float(np.mean(per)) if len(per) and not np.all(np.isnan(per)) else float("nan")
-    return RayIoUReport(tuple(names), tuple(thresholds), counts, mean, per, {}, config)
+    gt_hit, pred_hit = gt_hits.hit & ray_mask, pred_hits.hit & ray_mask
+    match = gt_hit & pred_hit & (gt_hits.label == pred_hits.label)
+    with np.errstate(invalid="ignore"):  # two misses give inf - inf
+        gap = np.abs(pred_hits.distance - gt_hits.distance)
+    counts = []
+    for tau in thresholds:
+        tp_ray = match & (gap <= tau)
+        tp = np.bincount(gt_hits.label[tp_ray], minlength=c)
+        fn = np.bincount(gt_hits.label[gt_hit & ~tp_ray], minlength=c)
+        fp = np.bincount(pred_hits.label[pred_hit & ~tp_ray], minlength=c)
+        counts.append(ThresholdCounts(tau, tp[:c], fp[:c], fn[:c]))
+    return RayIoUReport(tuple(names), counts, config)
 
 
 def ray_iou(

@@ -40,7 +40,9 @@ class, and scal_loss and scal_loss_grad must match them within 1e-12
 relative; weighted_ce_formula and weighted_ce_grad_formula evaluate the
 cross-entropy out of place, and the shared in-place kernel must match them
 bit for bit. central_diff is the finite-difference check of the analytic
-gradients. The JSON writers produce the documents the loaders read back.
+gradients. ray_iou_per_ray scores RayIoU one ray at a time in plain Python
+for the report's vectorized counts over every threshold at once. The JSON
+writers produce the documents the loaders read back.
 feature_rows lists a dense feature array's set rows as FeatureRows, the
 library's only feature grid; only tests start from dense features. The rest
 are inputs the tests share but the library never needs.
@@ -114,8 +116,7 @@ def cylindrical_crossings(spec: GridSpec, o: np.ndarray, d: np.ndarray) -> np.nd
     cols.append((-b[:, None] - sq) * inv2a)
     cols.append((-b[:, None] + sq) * inv2a)
 
-    # azimuth planes step from exactly -pi, not from the stored theta range,
-    # which decoded specs carry rounded to f32
+    # azimuth planes step from -pi by their own formula, not through spec.axis_value as the caster's do
     d1 = spec.dims[1]
     alpha = -math.pi + np.arange(d1) * (2.0 * math.pi / d1)
     nx, ny = -np.sin(alpha), np.cos(alpha)
@@ -219,6 +220,36 @@ def within_range(rays, hits, max_dist: float):
     keep = ~hits.hit | (hits.distance < max_dist)
     return (Rays(rays.origins[keep], rays.directions[keep]),
             BatchHits(hits.distance[keep], hits.label[keep], hits.voxel[keep]))
+
+
+def ray_iou_per_ray(gt_hits: BatchHits, pred_hits: BatchHits, thresholds, num_classes: int, ray_mask):
+    """RayIoU scored ray by ray in plain Python, over the rays in ray_mask: per threshold the
+    (tp, fp, fn) lists and the mean IoU over the classes 1 .. num_classes - 1 with
+    TP + FP + FN > 0, and the mean of the defined per-threshold means (NaN where none is).
+    A ray whose gt hits class g is TP_g if pred hits g within tau, else FN_g plus an FP of
+    pred's class if pred hits; a pred hit on a ray gt misses is an FP. Labels >= num_classes
+    are not counted."""
+    counts, means = [], []
+    for tau in thresholds:
+        tp, fp, fn = [0] * num_classes, [0] * num_classes, [0] * num_classes
+        for i in range(len(gt_hits)):
+            if not ray_mask[i]:
+                continue
+            gd, pd = float(gt_hits.distance[i]), float(pred_hits.distance[i])
+            g, p = int(gt_hits.label[i]), int(pred_hits.label[i])
+            if math.isfinite(gd) and math.isfinite(pd) and g == p and abs(pd - gd) <= tau:
+                if g < num_classes:
+                    tp[g] += 1
+                continue
+            if math.isfinite(gd) and g < num_classes:
+                fn[g] += 1
+            if math.isfinite(pd) and p < num_classes:
+                fp[p] += 1
+        ious = [tp[c] / (tp[c] + fp[c] + fn[c]) for c in range(1, num_classes) if tp[c] + fp[c] + fn[c]]
+        counts.append((tp, fp, fn))
+        means.append(sum(ious) / len(ious) if ious else math.nan)
+    defined = [m for m in means if not math.isnan(m)]
+    return counts, means, sum(defined) / len(defined) if defined else math.nan
 
 
 def scene_first_hit(scene, origins, directions, max_dist: float):

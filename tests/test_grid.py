@@ -2,6 +2,7 @@
 re-implementation of the binning formulas; voting against a dict-based
 counter."""
 
+import json
 import math
 from collections import Counter
 
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 from cylocc import grid
 from cylocc.errors import DomainError, ShapeError
+from cylocc.formats import decode_voxel_grid, encode_voxel_grid, spec_from_json
 from cylocc.geom import LabeledPointCloud, erp_depth_to_point_cloud
 from cylocc.grid import (
     CUBOID,
@@ -463,13 +465,32 @@ class TestFeatureRows:
 
 class TestSpecValidation:
     def test_theta_range_must_be_full_circle(self):
-        with pytest.raises(DomainError):
-            GridSpec(CYLINDRICAL, (4, 4, 4), ((0, 10), (-1.0, 1.0), (0, 1)))
+        for theta in ((-1.0, 1.0), (-math.pi - 2e-6, math.pi), (-math.pi, math.pi + 2e-6),
+                      (-math.pi + 2e-6, math.pi - 2e-6)):
+            with pytest.raises(DomainError):
+                GridSpec(CYLINDRICAL, (4, 4, 4), ((0, 10), theta, (0, 1)))
 
     def test_f32_rounded_theta_accepted(self):
+        # within 1e-6 of +-pi a theta range, f32 +-pi among them, is held as the one azimuth lattice
+        exact = GridSpec(CYLINDRICAL, (4, 4, 4), ((0, 10), (-math.pi, math.pi), (0, 1)))
         pi32 = float(np.float32(math.pi))
-        spec = GridSpec(CYLINDRICAL, (4, 4, 4), ((0, 10), (-pi32, pi32), (0, 1)))
-        assert spec.dims == (4, 4, 4)
+        for lo, hi in ((-pi32, pi32), (-math.pi + 9.99e-7, math.pi - 9.99e-7), (-math.pi - 1e-12, math.pi)):
+            spec = GridSpec(CYLINDRICAL, (4, 4, 4), ((0, 10), (lo, hi), (0, 1)))
+            assert spec.ranges[1] == (-math.pi, math.pi) and spec == exact
+
+    def test_decoded_spec_keeps_the_azimuth_lattice(self, cyl_spec):
+        # OVOX stores theta as f32 +-3.14159274; the decoded spec holds exact +-pi, so both
+        # signs of a zero y on the -x axis bin to azimuth 0, as on the in-memory spec (its r
+        # bin may differ: r_max comes back f32-rounded)
+        spec = decode_voxel_grid(encode_voxel_grid(zero_grid(cyl_spec, "label"))).spec
+        assert spec.ranges[1] == (-math.pi, math.pi)
+        for y in (0.0, -0.0):
+            assert bin_triple(spec, [-5.0, y, 0.5])[1] == bin_triple(cyl_spec, [-5.0, y, 0.5])[1] == 0
+
+    def test_json_theta_to_six_places_is_the_default_spec(self, cyl_spec):
+        doc = {"coord_sys": CYLINDRICAL, "dims": [128, 200, 16], "ranges": [[0.0, 25.6], [-3.141593, 3.141593],
+                                                                             [-2.8, 3.6]]}
+        assert spec_from_json(json.dumps(doc)) == cyl_spec == grid.default_cylindrical_spec()
 
     def test_degenerate_range_rejected(self):
         with pytest.raises(DomainError):

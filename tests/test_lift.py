@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 
 from cylocc import lift
 from cylocc.errors import DomainError, ShapeError
+from cylocc.formats import decode_voxel_grid, encode_voxel_grid
 from cylocc.geom import FisheyeCamera, RigidTransform, rot_z
 from cylocc.grid import CUBOID, CYLINDRICAL, FeatureRows, GridSpec, VoxelGrid
 from cylocc.lift import FeatureImage, align_history, bilinear_sample, build_hit_set, color_voxels, fuse_temporal
@@ -315,10 +316,11 @@ class TestAlignHistory:
         assert not out.dense().any()
 
 
-PI32 = float(np.float32(math.pi))  # decoded OVOX specs carry f32-rounded ranges
+SMALL_CYLINDRICAL = GridSpec(CYLINDRICAL, (12, 16, 6), ((0.0, 6.0), (-math.pi, math.pi), (-1.0, 1.4)))
 SMALL_SPECS = {
-    "cylindrical": GridSpec(CYLINDRICAL, (12, 16, 6), ((0.0, 6.0), (-math.pi, math.pi), (-1.0, 1.4))),
-    "cylindrical_f32": GridSpec(CYLINDRICAL, (12, 16, 6), ((0.0, 6.0), (-PI32, PI32), (-1.0, 1.4))),
+    "cylindrical": SMALL_CYLINDRICAL,
+    # as an OVOX file stores it: r and z ranges rounded to f32 (z_max 1.39999998), theta exact
+    "cylindrical_f32": decode_voxel_grid(encode_voxel_grid(zero_grid(SMALL_CYLINDRICAL, "label"))).spec,
     "cuboid": GridSpec("cuboid", (10, 8, 6), ((-2.0, 3.0), (-1.6, 1.6), (-1.0, 1.4))),
 }
 

@@ -19,7 +19,8 @@ give each grid its own cast's hits. Closed-form shell-crossing cases
 standard 0.01 m marcher on evaluation-fan rays (TestCasterExactness; the
 full 10k-ray runs live in the acceptance suite) check the caster from
 outside. RayIoU confusion logic is pinned by a hand-computed two-ray table
-on a grid whose cell edges make the distances exact.
+on a grid whose cell edges make the distances exact, and its counts over
+drawn hits by the per-ray scorer `ray_iou_per_ray`.
 """
 
 import math
@@ -39,6 +40,7 @@ from cylocc.grid import _EDGE_GUARD, CUBOID, GridSpec, VoxelGrid, default_cylind
 from cylocc.metrics import (
     _CHUNK,
     _MIN_SEGMENT,
+    BatchHits,
     Rays,
     _cast_grids,
     _grid_max_distance,
@@ -56,6 +58,7 @@ from oracles import (
     default_cuboid_spec,
     march_fixed_step,
     ray_intervals,
+    ray_iou_per_ray,
     scene_first_hit,
     sorted_crossings_all_families,
     within_range,
@@ -350,13 +353,13 @@ def assert_same_crossings(spec, o, d):
 
 
 def decoded_spec(spec):
-    """spec as decode_voxel_grid returns it, its ranges rounded to f32."""
+    """spec as decode_voxel_grid returns it: r and z ranges rounded to f32, theta exact."""
     return decode_voxel_grid(encode_voxel_grid(zero_grid(spec, "label"))).spec
 
 
 @cache
 def axis_specs():
-    """The default lattice and a small one with r_min > 0, each also as decoded (f32 ranges)."""
+    """The default lattice and a small one with r_min > 0, each also as decoded (f32 r and z ranges)."""
     small = GridSpec("cylindrical", (24, 7, 6), ((2.0, 14.0), (-math.pi, math.pi), (-1.5, 2.1)))
     return [default_cylindrical_spec(), decoded_spec(default_cylindrical_spec()), small, decoded_spec(small)]
 
@@ -1209,18 +1212,19 @@ class TestCasterExactness:
                 # or beyond the final marcher sample
                 assert chord[k] < step + 1e-9 or entries[k] > t[-1]
 
-    def test_azimuth_seam_on_f32_rounded_spec(self, cyl_spec):
-        """The caster's azimuth planes step from exactly -pi, while binning
-        uses the spec's theta range, which a decoded spec carries rounded to
-        f32. Rays crossing theta = +-pi into a grid whose only occupied
-        bins are theta bins 0 and D1-1 (distinct labels) must hit the same
-        labels on the exact and the decoded spec, and the decoded cast must
-        agree with the 1 mm marcher except on cells thinner than its step."""
+    def test_azimuth_seam_on_decoded_spec(self, cyl_spec):
+        """A decoded spec carries its r and z ranges rounded to f32 and its
+        theta range as exactly [-pi, pi), the lattice the caster's azimuth
+        planes and point_to_flat share. Rays crossing theta = +-pi into a grid
+        whose only occupied bins are theta bins 0 and D1-1 (distinct labels)
+        must hit the same labels on the exact and the decoded spec, and the
+        decoded cast must agree with the 1 mm marcher except on cells thinner
+        than its step."""
         g = zero_grid(cyl_spec, "label")
         g.data[:, 0, :] = 3
         g.data[:, -1, :] = 5
         decoded = decode_voxel_grid(encode_voxel_grid(g))
-        assert decoded.spec.ranges[1] != cyl_spec.ranges[1]
+        assert decoded.spec.ranges[1] == cyl_spec.ranges[1]
         rng = np.random.default_rng(12)
         n = 300
         x = rng.uniform(-20.0, -1.0, n)
@@ -1324,7 +1328,7 @@ class TestRayIoU:
         report = ray_iou(pred, gt, rays, thresholds=(2.0,))
         hit_classes = report.counts[0].fn > 0
         assert report.ray_iou == 0.0
-        iou = report.counts[0].per_class_iou()
+        iou = report.counts[0].iou
         assert np.all(iou[hit_classes] == 0.0)
 
     def test_threshold_monotone(self, cyl_spec):
@@ -1359,6 +1363,38 @@ class TestRayIoU:
             np.testing.assert_array_equal(ca.tp, cb.tp)
             np.testing.assert_array_equal(ca.fp, cb.fp)
             np.testing.assert_array_equal(ca.fn, cb.fn)
+
+    @st.composite
+    def hit_pairs(draw):
+        """gt and pred hits on the same rays, a ray mask and thresholds: inf (miss) distances
+        on either side, labels up to C + 3, empty, partial and full masks, threshold 0 and none."""
+        n, c = draw(st.integers(0, 40)), default_label_set().count
+        distance = st.one_of(st.sampled_from([0.0, 1.0, 2.5, math.inf]), st.floats(0.0, 30.0))
+
+        def hits():
+            d = np.array(draw(st.lists(distance, min_size=n, max_size=n)), dtype=np.float64)
+            labels = np.array(draw(st.lists(st.integers(0, c + 3), min_size=n, max_size=n)), dtype=np.int64)
+            return BatchHits(d, labels, np.zeros(n, dtype=np.int64))  # scoring reads no voxel
+
+        gt, pred = hits(), hits()
+        kind = draw(st.sampled_from(["all", "none", "drawn"]))
+        drawn = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        mask = np.array(drawn, dtype=bool) if kind == "drawn" else np.full(n, kind == "all")
+        tau = st.one_of(st.sampled_from([0.0, 1.0, 2.0, 4.0]), st.floats(0.0, 10.0))
+        return gt, pred, mask, tuple(draw(st.lists(tau, max_size=4)))
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=hit_pairs())
+    def test_scores_match_per_ray_oracle(self, case):
+        gt, pred, mask, thresholds = case
+        names = default_label_set().names
+        report = _report_from_hits(gt, pred, thresholds, names, mask, {})
+        counts, per, mean = ray_iou_per_ray(gt, pred, thresholds, len(names), mask)
+        assert [(c.tp.tolist(), c.fp.tolist(), c.fn.tolist()) for c in report.counts] == counts
+        assert report.thresholds == thresholds
+        # NaN where the oracle has NaN; its plain sums may differ from np.mean in the last bits
+        np.testing.assert_allclose(report.per_threshold, per, rtol=1e-12)
+        np.testing.assert_allclose(report.ray_iou, mean, rtol=1e-12)
 
     def test_band_partition(self, cyl_spec):
         rng = np.random.RandomState(16)

@@ -248,10 +248,6 @@ def fallback_rows(monkeypatch) -> list:
     return seen
 
 
-F32_PI = float(np.float32(math.pi))
-THETA_RANGES = [(-math.pi, math.pi), (-F32_PI, F32_PI), (-math.pi + 9e-7, math.pi - 9e-7), (-math.pi - 9e-7, math.pi)]
-
-
 @st.composite
 def depth_cases(draw):
     """A depth raster, a cylindrical spec and the sketch's min_points and stride. One drawn
@@ -279,11 +275,7 @@ def depth_cases(draw):
         edges.append((lo, lo + bins * delta, bins))
     (r_lo, r_hi, d0), (z_lo, z_hi, d2) = edges
     d1 = draw(st.one_of(st.integers(1, 24), st.just(2 * w)))
-    theta = draw(st.sampled_from(THETA_RANGES + [None]))
-    if theta is None:  # shifted by the edge guard: with D1 = 2W each column's guarded fraction is an integer
-        shift = _EDGE_GUARD * 2.0 * math.pi / d1
-        theta = (-math.pi + shift, math.pi + shift)
-    spec = GridSpec(CYLINDRICAL, (d0, d1, d2), ((r_lo, r_hi), theta, (z_lo, z_hi)))
+    spec = GridSpec(CYLINDRICAL, (d0, d1, d2), ((r_lo, r_hi), (-math.pi, math.pi), (z_lo, z_hi)))
     return ErpImage.depth(data), spec, draw(st.integers(1, 3)), stride
 
 
@@ -301,9 +293,9 @@ class TestSketchFromDepth:
         assert_same_mask(sketch_from_depth(depth, cyl_spec, min_points, stride), want)
 
     def test_decoded_spec(self, depth_rasters, cyl_spec):
-        # OVOX ranges are f32: theta spans +-3.14159274, so the seam's two sides bin D1 - 1 apart
+        # OVOX stores ranges as f32: r and z come back rounded, theta as exactly [-pi, pi)
         spec = decode_voxel_grid(encode_voxel_grid(zero_grid(cyl_spec, "label"))).spec
-        assert spec.ranges[1] == (-F32_PI, F32_PI)
+        assert spec.ranges[1] == (-math.pi, math.pi) and spec != cyl_spec
         depth = depth_rasters["demo07"]
         assert_same_mask(sketch_from_depth(depth, spec), sketch_of_cloud(depth, spec))
 

@@ -126,7 +126,7 @@ LATTICE_ANCHORS = [(0.0, 0.0, 0.0), (-4.0, 0.0, 0.0), (8.0, 0.0, -1.0), (-6.0, -
 SMALL_CYLINDRICAL = GridSpec(CYLINDRICAL, (8, 12, 5), ((0.0, 8.0), (-math.pi, math.pi), (-2.0, 3.0)))
 SMALL_CUBOID = GridSpec(CUBOID, (8, 8, 5), ((-8.0, 8.0), (-8.0, 8.0), (-2.0, 3.0)))
 R_MIN_CYLINDRICAL = GridSpec(CYLINDRICAL, (6, 10, 5), ((2.0, 8.0), (-math.pi, math.pi), (-2.0, 3.0)))
-# the default lattice as an OVOX file stores it: every range rounded to f32, theta's just past +-pi
+# the default lattice as an OVOX file stores it: r and z ranges rounded to f32, theta exactly [-pi, pi)
 OVOX_SPEC = decode_voxel_grid(encode_voxel_grid(zero_grid(default_cylindrical_spec(), "label"))).spec
 # primitives 1e308 m out, whose bounds' bin fractions overflow to +-inf on some axis; the
 # last one's gaps to every column centre overflow hypot too
